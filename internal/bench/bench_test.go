@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"octopus/internal/geom"
 	"octopus/internal/meshgen"
@@ -76,7 +78,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 29 {
+	if len(exps) != 28 {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
@@ -118,20 +120,27 @@ func TestDatasetTablesQuick(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick exercises every driver end to end at reduced
-// scale. It is the integration test of the whole evaluation pipeline and
-// takes a couple of minutes, so -short skips it.
+// TestAllExperimentsQuick is the schema and determinism pass over the
+// registry: every driver runs end to end once at the smallest config the
+// harness accepts, its tables must be well formed (unique ids, at least
+// one row, every row as wide as the header), and a driver cheap enough to
+// run twice must name the same tables, columns and rows both times — the
+// names are what cmd/benchdiff gates on. The numbers are not this test's
+// business: the trend-gated octopus-bench runs in CI carry them.
 //
-// Experiments whose dedicated smoke test already runs the full driver at
-// the same QuickConfig in this suite (with stronger assertions) are
-// skipped here — running them twice doubled minutes of wall time for
-// zero added coverage and pushed the package against the go test
-// per-package timeout.
+// The config cannot make a driver cheaper than the datasets it builds and
+// the indexes it constructs over them, so the drivers over the level-5
+// neuron still take tens of seconds each; -short skips the pass.
+//
+// Experiments a dedicated test in this suite already runs end to end,
+// with stronger assertions, are skipped here.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full experiment sweep skipped in -short mode")
+		t.Skip("experiment sweep skipped in -short mode")
 	}
-	coveredBySmoke := map[string]string{
+	coveredBy := map[string]string{
+		"dist":        "TestDistExperimentSmoke",
+		"fig6":        "the fig6x subtest: the same driver over a superset of the engines",
 		"layout":      "TestLayoutQuick",
 		"live":        "TestLiveExperimentSmoke",
 		"maintain":    "TestMaintainExperimentSmoke",
@@ -139,28 +148,64 @@ func TestAllExperimentsQuick(t *testing.T) {
 		"sharded":     "TestShardExperimentSmoke",
 		"slo":         "TestSLOExperimentSmoke",
 	}
-	cfg := QuickConfig()
+	cfg := Config{Scale: 1, Steps: 1, QueriesPerStep: 1, Selectivity: 0.001, Seed: 42}
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
-			if smoke := coveredBySmoke[exp.ID]; smoke != "" {
-				t.Skipf("full driver runs in %s at the same config", smoke)
+			if by := coveredBy[exp.ID]; by != "" {
+				t.Skipf("full driver runs in %s", by)
 			}
+			start := time.Now()
 			tables, err := exp.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tables) == 0 {
-				t.Fatal("no tables")
+			cheap := time.Since(start) < time.Second
+			shape := tableShape(t, tables)
+			if !cheap {
+				return
 			}
-			for _, tab := range tables {
-				if len(tab.Columns) == 0 || len(tab.Rows) == 0 {
-					t.Errorf("table %s empty", tab.ID)
-				}
-				tab.Render(io.Discard)
+			again, err := exp.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tableShape(t, again); got != shape {
+				t.Errorf("second run named its tables differently:\n%s\nfirst run:\n%s", got, shape)
 			}
 		})
 	}
+}
+
+// tableShape checks that an experiment's tables are well formed and
+// returns their names: one line per table with its id, columns and row
+// labels (the first cell of each row).
+func tableShape(t *testing.T, tables []*Table) string {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Fatal("no tables")
+	}
+	var sb strings.Builder
+	seen := map[string]bool{}
+	for _, tab := range tables {
+		if tab.ID == "" || seen[tab.ID] {
+			t.Errorf("table id %q empty or repeated", tab.ID)
+		}
+		seen[tab.ID] = true
+		if len(tab.Columns) == 0 || len(tab.Rows) == 0 {
+			t.Errorf("table %s empty", tab.ID)
+		}
+		fmt.Fprintf(&sb, "%s %q", tab.ID, tab.Columns)
+		for r, row := range tab.Rows {
+			if len(row) != len(tab.Columns) {
+				t.Errorf("table %s row %d has %d cells under %d columns", tab.ID, r, len(row), len(tab.Columns))
+				continue
+			}
+			fmt.Fprintf(&sb, " %q", row[0])
+		}
+		sb.WriteByte('\n')
+		tab.Render(io.Discard)
+	}
+	return sb.String()
 }
 
 // TestOctopusBeatsScanOnReference is the headline sanity check at reduced

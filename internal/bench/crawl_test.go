@@ -124,8 +124,8 @@ func TestLayoutQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := tables[0]
-	if len(tb.Rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(tb.Rows))
+	if len(tb.Rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(tb.Rows))
 	}
 	randomDelta := parseCell(t, tb, 0, 4)
 	for r := 1; r < len(tb.Rows); r++ {

@@ -427,7 +427,11 @@ func distDeformRow(t *Table, cfg Config, ds meshgen.Dataset, m1 *mesh.Mesh, sm1 
 
 // distCompare answers every query through the distributed router, timing
 // it, and through the in-process reference, counting answers that differ.
-func distCompare(rt *dist.Router, ref *shard.Router, m1 *mesh.Mesh, queries []geom.AABB, probes []query.KNNQuery) (mismatches int, elapsed time.Duration, err error) {
+// The reference answers through a cursor of this call's own, so
+// concurrent callers may share one reference router.
+func distCompare(rt *dist.Router, refRouter *shard.Router, m1 *mesh.Mesh, queries []geom.AABB, probes []query.KNNQuery) (mismatches int, elapsed time.Duration, err error) {
+	ref := refRouter.NewCursor().(*shard.Cursor)
+	defer ref.Close()
 	var got, want []int32
 	for _, q := range queries {
 		start := time.Now()

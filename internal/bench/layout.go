@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"octopus/internal/core"
+	"octopus/internal/linearscan"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/workload"
@@ -21,12 +22,17 @@ import (
 // adjacency: the mean |Δid| per edge and the fraction of edges whose
 // endpoints are within 16 ids of each other (≈ one 64-byte position
 // cache line apart, 12 bytes per vertex position).
+//
+// The surface-first row and the total column isolate the layout decision
+// of DESIGN.md §7: a contiguous surface prefix keeps the probe
+// sequential. The linear scan is layout-insensitive and serves as the
+// yardstick.
 func Layout(cfg Config) ([]*Table, error) {
 	t := &Table{
 		ID:    "layout-crawl",
 		Title: "Vertex-ordering ablation: crawl time and locality proxies (neuron)",
 		Columns: []string{"layout", "crawl[us/query]", "total[us/query]",
-			"speedup-vs-random[x]", "mean|did|/edge", "edges|did|<=16[%]"},
+			"speedup-vs-random[x]", "mean|did|/edge", "edges|did|<=16[%]", "scan[us/query]"},
 	}
 
 	raw, err := meshgen.BuildNeuron(3, cfg.Scale) // generator's native order
@@ -45,6 +51,10 @@ func Layout(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	surfaceFirst, err := raw.Renumber(raw.SurfaceFirstPerm())
+	if err != nil {
+		return nil, err
+	}
 	surfHilbert, err := raw.Renumber(raw.SurfaceFirstHilbertPerm(10))
 	if err != nil {
 		return nil, err
@@ -58,6 +68,7 @@ func Layout(cfg Config) ([]*Table, error) {
 		{"native (seed order)", raw},
 		{"bfs", bfs},
 		{"hilbert", hilbert},
+		{"surface-first", surfaceFirst},
 		{"surface-first+hilbert", surfHilbert},
 	}
 
@@ -87,8 +98,15 @@ func Layout(cfg Config) ([]*Table, error) {
 		if randomCrawl == 0 {
 			randomCrawl = crawl
 		}
+		scan := linearscan.New(layout.m)
+		start = time.Now()
+		for _, q := range queries {
+			out = scan.Query(q, out[:0])
+		}
+		scanPer := time.Since(start).Seconds() * 1e6 / float64(n)
+
 		meanDelta, near := edgeLocality(layout.m, 16)
-		t.AddRow(layout.name, crawl, total, randomCrawl/crawl, meanDelta, 100*near)
+		t.AddRow(layout.name, crawl, total, randomCrawl/crawl, meanDelta, 100*near, scanPer)
 	}
 	t.Notes = append(t.Notes,
 		"query streams are spatially identical across layouts (the generator keys off positions)",

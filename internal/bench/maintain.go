@@ -41,6 +41,10 @@ import (
 // LU-Grid): incremental/budgeted maintenance must cut p99 latency
 // and/or staleness versus their monolithic baseline at equal workloads,
 // while the snapshot/equivalence suites pin exactness.
+//
+// The monolithic rows run the same engines behind stepOnly, which hides
+// their BeginMaintenance: the scheduler then has only the whole-engine
+// Step to run, one unsliceable StepTask per tick.
 func Maintain(cfg Config) ([]*Table, error) {
 	type mode struct {
 		name       string
@@ -127,16 +131,20 @@ func Maintain(cfg Config) ([]*Table, error) {
 
 	runOne := func(t *Table, f knnEngineFactory, md mode, sharded bool, deformer sim.Deformer) {
 		copy(m.Positions(), orig)
+		build := f.make
+		if md.monolithic {
+			build = func(m *mesh.Mesh) query.ParallelKNNEngine { return stepOnly(f.make(m)) }
+		}
 		var eng query.ParallelKNNEngine
 		var dm query.DeformableMesh = m
 		label := ""
 		if sharded {
 			sm.Resync()
-			eng = shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return f.make(sub) })
+			eng = shard.NewRouter(sm, build)
 			dm = sm
 			label = "K=4 "
 		} else {
-			eng = f.make(m)
+			eng = build(m)
 		}
 		pl := &query.Pipeline{
 			Engine: eng,
@@ -150,11 +158,10 @@ func Maintain(cfg Config) ([]*Table, error) {
 			// A fixed number of steps bounds every run identically; a
 			// modest worker pool keeps the drain spanning those steps
 			// instead of burning through before the first rebuild.
-			MinSteps:              8,
-			MaxSteps:              8,
-			Workers:               4,
-			MaintenanceBudget:     md.budget,
-			MonolithicMaintenance: md.monolithic,
+			MinSteps:          8,
+			MaxSteps:          8,
+			Workers:           4,
+			MaintenanceBudget: md.budget,
 		}
 		report := pl.Run(queries, probes)
 		traces := report.Traces()
@@ -206,6 +213,19 @@ func Maintain(cfg Config) ([]*Table, error) {
 		"dirty-region tracking makes localized tasks proportional to the moved set; monolithic rebuilds still pay the whole mesh",
 	)
 	return []*Table{global, local}, nil
+}
+
+// stepOnly wraps e so that only its query side and Step show: the
+// embedded interface has no BeginMaintenance. An engine answering from an
+// internal snapshot keeps reporting its AnswerEpoch.
+func stepOnly(e query.ParallelKNNEngine) query.ParallelKNNEngine {
+	if er, ok := e.(query.EpochReporter); ok {
+		return struct {
+			query.ParallelKNNEngine
+			query.EpochReporter
+		}{e, er}
+	}
+	return struct{ query.ParallelKNNEngine }{e}
 }
 
 // maintainQuickSweep reduces the Maintain sweep to a smoke-sized matrix

@@ -34,11 +34,10 @@ func Experiments() []Experiment {
 		{"fig13", "Hilbert data layout effect", Fig13},
 		{"fig14", "deforming mesh dataset characterization table", Fig14},
 		{"fig15", "deforming meshes: response time and speedup", Fig15},
-		{"ablation-layout", "ablation: vertex layout effect on OCTOPUS (DESIGN.md §7)", AblationLayout},
 		{"crawl", "extension: parallel multi-seed crawl scaling and the budgeted approximate mode (DESIGN.md §12)", Crawl},
 		{"dist", "extension: wire-boundary serving — stateless router over shard servers, bit-equality and coherence counters vs in-process (DESIGN.md §15)", Dist},
 		{"hybrid", "extension: model-routed hybrid engine across the break-even (§IV-G)", HybridCrossover},
-		{"layout", "extension: vertex-ordering ablation — crawl time and cache-proxy locality (DESIGN.md §12)", Layout},
+		{"layout", "extension: vertex-ordering ablation — crawl time, cache-proxy locality and the surface-first probe (DESIGN.md §7, §12)", Layout},
 		{"knn", "extension: k-nearest-neighbor queries by mesh crawling vs index baselines (DESIGN.md §8)", KNN},
 		{"live", "extension: concurrent deform+query pipeline — latency and staleness vs deformation tick (DESIGN.md §9)", Live},
 		{"maintain", "extension: incremental maintenance — budget sweep vs p99 latency and staleness, all engines x sharded/unsharded (DESIGN.md §11)", Maintain},

@@ -41,10 +41,6 @@ type Con struct {
 	compOf   []int32
 	compReps []int32
 
-	// pinning mirrors Octopus.pinning: pin a position epoch per query
-	// (default) or read the live array under the stop-the-world contract.
-	pinning bool
-
 	// Crawl tuning and budget, mirroring Octopus (crawl tiers are engine
 	// agnostic: the crawl phase is identical between the variants).
 	crawlWorkers  int
@@ -70,7 +66,6 @@ func NewCon(m *mesh.Mesh, gridCells int) *Con {
 	c := &Con{
 		m:            m,
 		grid:         grid.Build(m, gridCells),
-		pinning:      true,
 		crawlWorkers: runtime.GOMAXPROCS(0),
 		denseCrawl:   true,
 	}
@@ -100,11 +95,6 @@ func (c *Con) Step() {}
 // like OCTOPUS, CON's only auxiliary structure is the deliberately stale
 // start-point grid, which staleness cannot make incorrect.
 func (c *Con) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
-
-// SetEpochPinning selects whether queries pin a position epoch for their
-// duration (the default) or read the live array; see
-// Octopus.SetEpochPinning. Not safe concurrently with queries.
-func (c *Con) SetEpochPinning(on bool) { c.pinning = on }
 
 // SetCrawlWorkers implements query.CrawlTuner; see Octopus.SetCrawlWorkers.
 func (c *Con) SetCrawlWorkers(n int) {
@@ -153,7 +143,7 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.Queries++
 	cur.armCrawl(c.tuning(), c.crawlBudget)
 	before := len(out)
-	cur.beginQuery(c.m, c.pinning)
+	cur.beginQuery(c.m)
 
 	t0 := time.Now()
 	start, ok := c.grid.NearestPopulated(q.Center())

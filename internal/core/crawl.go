@@ -47,9 +47,9 @@ type crawler struct {
 	par *parCrawl
 
 	// pos is the position view of the query in flight, installed by
-	// Cursor.beginQuery: the epoch-pinned snapshot buffer when the engine
-	// pins (the default), or the live array under the legacy
-	// stop-the-world contract. Every graph phase reads positions through
+	// Cursor.beginQuery: the epoch-pinned snapshot buffer, or the live
+	// array on a mesh without snapshots (the stop-the-world contract).
+	// Every graph phase reads positions through
 	// it, never through m.Positions(), so a whole query sees exactly one
 	// epoch.
 	pos []geom.Vec3

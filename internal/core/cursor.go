@@ -114,20 +114,14 @@ func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
 	return &Cursor{owner: owner, crawler: newCrawler(m)}
 }
 
-// beginQuery installs the position view for one query and returns it.
-// With pinning on (the engine default), the mesh's head epoch is pinned
-// for the duration of the query so no concurrent Deform can rewrite the
-// buffer mid-read; with pinning off, the live array is used under the
-// legacy stop-the-world contract (the mode the pre-snapshot code ran in,
-// kept for A/B demonstrations of the torn-read race).
-func (c *Cursor) beginQuery(m *mesh.Mesh, pin bool) []geom.Vec3 {
-	if pin {
-		c.epoch, c.pos = m.PinPositions()
-		c.pinHeld = m.SnapshotsEnabled()
-	} else {
-		c.epoch, c.pos = m.Epoch(), m.Positions()
-		c.pinHeld = false
-	}
+// beginQuery installs the position view for one query and returns it:
+// the mesh's head epoch is pinned for the duration of the query so no
+// concurrent Deform can rewrite the buffer mid-read. On a mesh without
+// snapshots the pin is a pass-through to the live array under the
+// stop-the-world contract.
+func (c *Cursor) beginQuery(m *mesh.Mesh) []geom.Vec3 {
+	c.epoch, c.pos = m.PinPositions()
+	c.pinHeld = m.SnapshotsEnabled()
 	return c.pos
 }
 

@@ -64,12 +64,6 @@ func (h *Hybrid) Step() {}
 // only ever costs routing quality, never correctness).
 func (h *Hybrid) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
-// SetEpochPinning selects whether queries pin a position epoch for their
-// duration (the default); it applies to both routed sides — the OCTOPUS
-// engine pins through its cursor, the scan side executes against the same
-// pinned buffer. Not safe concurrently with queries.
-func (h *Hybrid) SetEpochPinning(on bool) { h.oct.SetEpochPinning(on) }
-
 // SetCrawlWorkers implements query.CrawlTuner on the OCTOPUS side (the
 // scan side has no crawl). Not safe concurrently with queries.
 func (h *Hybrid) SetCrawlWorkers(n int) { h.oct.SetCrawlWorkers(n) }
@@ -107,7 +101,7 @@ func (h *Hybrid) route(q geom.AABB) (useScan bool) {
 func (h *Hybrid) Query(q geom.AABB, out []int32) []int32 {
 	if h.route(q) {
 		h.oct.resident.resetCoverage() // scans are exact
-		pos := h.oct.resident.beginQuery(h.oct.m, h.oct.pinning)
+		pos := h.oct.resident.beginQuery(h.oct.m)
 		out = h.scan.QueryAt(pos, q, out)
 		h.oct.resident.endQuery(h.oct.m)
 		return out
@@ -133,7 +127,7 @@ func (h *Hybrid) NewCursor() query.Cursor {
 func (c *hybridCursor) Query(q geom.AABB, out []int32) []int32 {
 	if c.h.route(q) {
 		c.oct.resetCoverage() // scans are exact
-		pos := c.oct.beginQuery(c.h.oct.m, c.h.oct.pinning)
+		pos := c.oct.beginQuery(c.h.oct.m)
 		out = c.h.scan.QueryAt(pos, q, out)
 		c.oct.endQuery(c.h.oct.m)
 		return out

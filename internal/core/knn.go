@@ -53,7 +53,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// probe's rotating stride (the crawl still expands exactly — only the
 	// start quality, and hence the expansion work, degrades).
 	t0 := time.Now()
-	pos := cur.beginQuery(o.m, o.pinning)
+	pos := cur.beginQuery(o.m)
 	stride := o.probeStride()
 	start := 0
 	if stride > 1 {
@@ -176,7 +176,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 	cur.stats.Queries++
 	cur.armCrawl(c.tuning(), c.crawlBudget)
 	before := len(out)
-	cur.beginQuery(c.m, c.pinning)
+	cur.beginQuery(c.m)
 
 	t0 := time.Now()
 	gridStart, ok := c.grid.NearestPopulated(p)
@@ -217,7 +217,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 func (h *Hybrid) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	if h.routeKNN(k) {
 		h.oct.resident.resetCoverage() // scans are exact
-		pos := h.oct.resident.beginQuery(h.oct.m, h.oct.pinning)
+		pos := h.oct.resident.beginQuery(h.oct.m)
 		out = h.scan.KNNAt(pos, p, k, out)
 		h.oct.resident.endQuery(h.oct.m)
 		return out
@@ -243,7 +243,7 @@ func (h *Hybrid) routeKNN(k int) (useScan bool) {
 func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	if c.h.routeKNN(k) {
 		c.oct.resetCoverage() // scans are exact
-		pos := c.oct.beginQuery(c.h.oct.m, c.h.oct.pinning)
+		pos := c.oct.beginQuery(c.h.oct.m)
 		base := len(out)
 		out = c.h.scan.KNNAt(pos, p, k, out)
 		c.oct.knnBound2, c.oct.knnBoundOK = math.Inf(1), true

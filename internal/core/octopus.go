@@ -108,13 +108,6 @@ type Octopus struct {
 	// the zero value is exact.
 	crawlBudget query.CrawlBudget
 
-	// pinning selects how cursors view positions during a query: true (the
-	// default) pins the mesh's head epoch per query, so on a
-	// snapshot-enabled mesh queries may overlap Deform without torn reads;
-	// false restores the pre-snapshot live-array reads and with them the
-	// stop-the-world contract.
-	pinning bool
-
 	// resident is the cursor behind the single-threaded Query method.
 	resident *Cursor
 
@@ -161,7 +154,6 @@ func New(m *mesh.Mesh) *Octopus {
 	o := &Octopus{
 		m:              m,
 		approx:         1,
-		pinning:        true,
 		shardThreshold: ShardedProbeThreshold,
 		probeWorkers:   runtime.GOMAXPROCS(0),
 		crawlWorkers:   runtime.GOMAXPROCS(0),
@@ -268,14 +260,6 @@ func (o *Octopus) SetApproximation(frac float64) {
 	o.approx = frac
 }
 
-// SetEpochPinning selects whether queries pin a position epoch for their
-// duration (the default) or read the live array, which requires the
-// legacy stop-the-world alternation of updates and queries. It exists so
-// tests can demonstrate the torn-read race the pinned mode removes; there
-// is no performance reason to turn pinning off (a pin is two atomic adds
-// per query). Not safe concurrently with queries.
-func (o *Octopus) SetEpochPinning(on bool) { o.pinning = on }
-
 // ShardedProbeThreshold is the surface size above which an exact probe is
 // split across probe workers (SetProbeWorkers): below it the probe is
 // already a fraction of the query cost and the fork/join overhead of
@@ -369,7 +353,7 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	// runs as a second pass only in the rare no-seed case.
 	t0 := time.Now()
 	cur.seeds = cur.seeds[:0]
-	pos := cur.beginQuery(o.m, o.pinning)
+	pos := cur.beginQuery(o.m)
 	stride := o.probeStride()
 	probed := int64(0)
 	start := 0

@@ -3,9 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
@@ -33,12 +31,8 @@ type Cluster struct {
 	sm      *shard.Mesh
 	servers []*Server
 
-	tr    Transport
-	addrs []string
+	rpc   *client // nil until served (or built by NewControlPlane)
 	tsrvs []*TCPServer
-
-	mu    sync.Mutex
-	conns []Conn
 
 	epoch atomic.Uint64
 	err   atomic.Value // latched control-plane error (Deform)
@@ -52,11 +46,6 @@ type Cluster struct {
 	dIDs [][]int32
 	dPos [][]geom.Vec3
 	reps []shard.Replica
-
-	wire wireCounters
-
-	// Deadline bounds each control RPC (publish/maintain); 0 uses 10s.
-	Deadline time.Duration
 
 	// FullPublish forces every step onto the full-array publish path,
 	// even when the dirty stream would allow a delta — the A/B switch the
@@ -82,7 +71,7 @@ func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine
 		cl.servers = append(cl.servers, NewServer(p, factory))
 	}
 	if len(cl.servers) > 0 {
-		cl.epoch.Store(cl.servers[0].part.Mesh.Epoch())
+		cl.epoch.Store(cl.sm.Partition().Parts[0].Mesh.Epoch())
 	}
 	return cl
 }
@@ -97,9 +86,7 @@ func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine
 func NewControlPlane(sm *shard.Mesh, tr Transport, addrs []string) *Cluster {
 	sm.EnableSnapshots()
 	sm.Global().EnableDirtyTracking()
-	cl := &Cluster{sm: sm, tr: tr}
-	cl.addrs = append(cl.addrs, addrs...)
-	cl.conns = make([]Conn, len(addrs))
+	cl := &Cluster{sm: sm, rpc: newClient(tr, addrs, controlPolicy, 1)}
 	if parts := sm.Partition().Parts; len(parts) > 0 {
 		cl.epoch.Store(parts[0].Mesh.Epoch())
 	}
@@ -114,28 +101,32 @@ func (cl *Cluster) Mesh() *shard.Mesh { return cl.sm }
 
 // Addrs returns the serving addresses, in shard order (empty before
 // ServeLoopback/ServeTCP).
-func (cl *Cluster) Addrs() []string { return append([]string(nil), cl.addrs...) }
+func (cl *Cluster) Addrs() []string {
+	if cl.rpc == nil {
+		return nil
+	}
+	return append([]string(nil), cl.rpc.addrs...)
+}
 
 // ServeLoopback registers every server with lb under "shard-<i>" and
 // wires the control plane through it. Returns the addresses in shard
 // order.
 func (cl *Cluster) ServeLoopback(lb *Loopback) []string {
-	cl.addrs = cl.addrs[:0]
+	var addrs []string
 	for i, srv := range cl.servers {
 		addr := fmt.Sprintf("shard-%d", i)
 		lb.Register(addr, srv)
-		cl.addrs = append(cl.addrs, addr)
+		addrs = append(addrs, addr)
 	}
-	cl.tr = lb
-	cl.conns = make([]Conn, len(cl.servers))
-	return cl.Addrs()
+	cl.rpc = newClient(lb, addrs, controlPolicy, 1)
+	return addrs
 }
 
 // ServeTCP starts one TCP listener per server on 127.0.0.1 (ephemeral
 // ports) and wires the control plane through a TCPTransport. Returns the
 // addresses in shard order; Close stops the listeners.
 func (cl *Cluster) ServeTCP() ([]string, error) {
-	cl.addrs = cl.addrs[:0]
+	var addrs []string
 	for i, srv := range cl.servers {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -144,12 +135,11 @@ func (cl *Cluster) ServeTCP() ([]string, error) {
 		}
 		ts := NewTCPServer(ln, srv)
 		cl.tsrvs = append(cl.tsrvs, ts)
-		cl.addrs = append(cl.addrs, ts.Addr())
+		addrs = append(addrs, ts.Addr())
 		go ts.Serve()
 	}
-	cl.tr = &TCPTransport{}
-	cl.conns = make([]Conn, len(cl.servers))
-	return cl.Addrs(), nil
+	cl.rpc = newClient(&TCPTransport{}, addrs, controlPolicy, 1)
+	return addrs, nil
 }
 
 // KillShard severs shard i's TCP serving — the listener and its live
@@ -170,14 +160,9 @@ func (cl *Cluster) Close() {
 		ts.Stop()
 	}
 	cl.tsrvs = nil
-	cl.mu.Lock()
-	for i, c := range cl.conns {
-		if c != nil {
-			c.Close()
-			cl.conns[i] = nil
-		}
+	if cl.rpc != nil {
+		cl.rpc.close()
 	}
-	cl.mu.Unlock()
 }
 
 // EnableSnapshots implements query.DeformableMesh (a no-op — NewCluster
@@ -307,16 +292,18 @@ func (cl *Cluster) publishRPC(i int, op byte, req []byte, epoch uint64) error {
 
 // WireStats snapshots the control plane's per-op wire accounting
 // (publish and maintain traffic). Safe for concurrent use.
-func (cl *Cluster) WireStats() WireStats { return cl.wire.snapshot() }
+func (cl *Cluster) WireStats() WireStats {
+	if cl.rpc == nil {
+		return WireStats{}
+	}
+	return cl.rpc.wire.snapshot()
+}
 
 // MaintainToHead drives every server's maintenance target to the
 // published head (the stop-the-world maintenance shim, one Maintain RPC
 // per shard).
 func (cl *Cluster) MaintainToHead() error {
-	if cl.conns == nil {
-		return fmt.Errorf("dist: cluster is not serving (call ServeLoopback or ServeTCP)")
-	}
-	for i := range cl.addrs {
+	for i := range cl.sm.Partition().Parts {
 		resp, err := cl.call(i, opMaintain, encodeMaintainReq())
 		if err != nil {
 			return fmt.Errorf("dist: maintain shard %d: %w", i, err)
@@ -328,59 +315,10 @@ func (cl *Cluster) MaintainToHead() error {
 	return nil
 }
 
-// call performs one control RPC to shard i, dialing lazily and redialing
-// once on a transport failure (control RPCs are not otherwise retried —
-// a dead shard must surface, not be papered over).
+// call performs one control RPC to shard i.
 func (cl *Cluster) call(i int, op byte, req []byte) ([]byte, error) {
-	d := cl.Deadline
-	if d <= 0 {
-		d = 10 * time.Second
-	}
-	deadline := time.Now().Add(d)
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := cl.conn(i)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := conn.Call(op, req, deadline)
-		if err == nil {
-			cl.wire.record(op, len(req), len(resp))
-			return resp, nil
-		}
-		lastErr = err
-		if !IsTransportError(err) {
-			cl.wire.record(op, len(req), 0)
-			return nil, err
-		}
-		cl.dropConn(i, conn)
-	}
-	return nil, lastErr
-}
-
-func (cl *Cluster) conn(i int) (Conn, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.conns == nil {
+	if cl.rpc == nil {
 		return nil, fmt.Errorf("dist: cluster is not serving (call ServeLoopback or ServeTCP)")
 	}
-	if cl.conns[i] != nil {
-		return cl.conns[i], nil
-	}
-	c, err := cl.tr.Dial(cl.addrs[i])
-	if err != nil {
-		return nil, err
-	}
-	cl.conns[i] = c
-	return c, nil
-}
-
-func (cl *Cluster) dropConn(i int, c Conn) {
-	cl.mu.Lock()
-	if cl.conns[i] == c {
-		cl.conns[i] = nil
-	}
-	cl.mu.Unlock()
-	c.Close()
+	return cl.rpc.call(i, op, req)
 }

@@ -358,8 +358,17 @@ func TestDistEquivalenceStatic(t *testing.T) {
 						defer cur.Close()
 						knn := cur.(query.KNNCursor)
 						h.checkAll(t, "static", cur, knn, queries, probes, 0)
-						if st := h.rt.Stats(); st.RangeQueries != int64(len(queries)) || st.KNNQueries != int64(len(probes)) {
+						st := h.rt.Stats()
+						if st.RangeQueries != int64(len(queries)) || st.KNNQueries != int64(len(probes)) {
 							t.Fatalf("router stats: %+v, want %d range / %d kNN queries", st, len(queries), len(probes))
+						}
+						// Both tiers plan with the same planner and scan each
+						// shard with the same shard.Exec, so they must have
+						// done the same work, not just reached the same answers.
+						_, rangeFan, _, knnScanned, knnWiden := h.r1.FanoutStats()
+						if st.RangeFanout != rangeFan || st.KNNScanned != knnScanned || st.Widenings != knnWiden {
+							t.Fatalf("router did fan-out %d, scanned %d, widened %d; in-process did %d, %d, %d",
+								st.RangeFanout, st.KNNScanned, st.Widenings, rangeFan, knnScanned, knnWiden)
 						}
 					})
 				}

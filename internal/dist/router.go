@@ -43,13 +43,9 @@ const maxQueryRounds = 4
 // per-epoch dirty AABBs that ride along with delta publishes — and
 // invalidates precisely (see DESIGN.md §16 for the coherence argument).
 type Router struct {
-	tr    Transport
-	addrs []string
-	retry RetryPolicy
+	rpc *client
 
 	mu     sync.Mutex
-	conns  [][]Conn // per shard: up to retry.Pool pooled connections
-	rr     []int    // per shard: round-robin pick among pooled conns
 	boxes  []geom.AABB // valid when metaOK; replaced wholesale, never mutated
 	epoch  uint64
 	metaOK bool
@@ -57,14 +53,11 @@ type Router struct {
 	cache  *query.ResultCache // nil until EnableCache
 	syncMu sync.Mutex         // serializes SyncCache's read-advance cycle
 
-	wire wireCounters
-
 	rangeQueries atomic.Int64
 	rangeFanout  atomic.Int64
 	knnQueries   atomic.Int64
 	knnScanned   atomic.Int64
 	widenings    atomic.Int64
-	retries      atomic.Int64
 	skewRequery  atomic.Int64
 	cacheHits    atomic.Int64
 }
@@ -72,13 +65,7 @@ type Router struct {
 // NewRouter returns a router over the shard servers at addrs (index =
 // shard id), reached through tr under policy.
 func NewRouter(tr Transport, addrs []string, policy RetryPolicy) *Router {
-	return &Router{
-		tr:    tr,
-		addrs: append([]string(nil), addrs...),
-		retry: policy.withDefaults(),
-		conns: make([][]Conn, len(addrs)),
-		rr:    make([]int, len(addrs)),
-	}
+	return &Router{rpc: newClient(tr, addrs, policy.withDefaults(), queryPool)}
 }
 
 // EnableCache attaches a result cache holding up to capacity entries
@@ -117,8 +104,8 @@ func (r *Router) SyncCache() error {
 	defer r.syncMu.Unlock()
 	from := c.Stats().ValidEpoch
 	var lastErr error
-	for s := range r.addrs {
-		b, err := r.call(s, opDirtyLog, encodeDirtyLogReq(dirtyLogReq{From: from}))
+	for s := range r.rpc.addrs {
+		b, err := r.rpc.call(s, opDirtyLog, encodeDirtyLogReq(dirtyLogReq{From: from}))
 		if err != nil {
 			lastErr = err
 			continue
@@ -175,7 +162,7 @@ func (r *Router) Stats() RouterStats {
 		KNNQueries:    r.knnQueries.Load(),
 		KNNScanned:    r.knnScanned.Load(),
 		Widenings:     r.widenings.Load(),
-		Retries:       r.retries.Load(),
+		Retries:       r.rpc.retries.Load(),
 		SkewRequeries: r.skewRequery.Load(),
 		CacheHits:     r.cacheHits.Load(),
 	}
@@ -183,10 +170,10 @@ func (r *Router) Stats() RouterStats {
 
 // WireStats snapshots the router's per-op wire accounting. Safe for
 // concurrent use.
-func (r *Router) WireStats() WireStats { return r.wire.snapshot() }
+func (r *Router) WireStats() WireStats { return r.rpc.wire.snapshot() }
 
 // Shards returns the number of shard servers routed over.
-func (r *Router) Shards() int { return len(r.addrs) }
+func (r *Router) Shards() int { return len(r.rpc.addrs) }
 
 // Refresh fetches fresh metadata from every shard: the owned boxes and
 // the epoch vector. It succeeds only when every shard reports the same
@@ -217,17 +204,18 @@ func (r *Router) invalidateMeta() {
 }
 
 func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
-	backoff := r.retry.Backoff
+	addrs := r.rpc.addrs
+	backoff := r.rpc.policy.Backoff
 	for sweep := 0; sweep < maxQueryRounds; sweep++ {
 		if sweep > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		boxes := make([]geom.AABB, len(r.addrs))
+		boxes := make([]geom.AABB, len(addrs))
 		var epoch uint64
 		mixed := false
-		for s := range r.addrs {
-			resp, err := r.call(s, opMeta, encodeMetaReq())
+		for s := range addrs {
+			resp, err := r.rpc.call(s, opMeta, encodeMetaReq())
 			if err != nil {
 				return nil, 0, err
 			}
@@ -236,7 +224,7 @@ func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 				return nil, 0, err
 			}
 			if m.Shard != s {
-				return nil, 0, fmt.Errorf("dist: server at %s claims shard %d, want %d", r.addrs[s], m.Shard, s)
+				return nil, 0, fmt.Errorf("dist: server at %s claims shard %d, want %d", addrs[s], m.Shard, s)
 			}
 			boxes[s] = m.Box
 			if s == 0 {
@@ -326,7 +314,7 @@ func (r *Router) KNN(p geom.Vec3, k int, out []int32) ([]int32, uint64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if k <= 0 || len(r.addrs) == 0 {
+		if k <= 0 || r.Shards() == 0 {
 			return out, epoch, nil
 		}
 		order = shard.PlanKNNOrder(boxes, p, order[:0])
@@ -380,7 +368,7 @@ func (r *Router) KNN(p geom.Vec3, k int, out []int32) ([]int32, uint64, error) {
 }
 
 func (r *Router) rangeRPC(s int, q rangeReq) (rangeResp, error) {
-	b, err := r.call(s, opRange, encodeRangeReq(q))
+	b, err := r.rpc.call(s, opRange, encodeRangeReq(q))
 	if err != nil {
 		return rangeResp{}, err
 	}
@@ -388,90 +376,13 @@ func (r *Router) rangeRPC(s int, q rangeReq) (rangeResp, error) {
 }
 
 func (r *Router) knnRPC(s int, q knnReq) (knnResp, error) {
-	b, err := r.call(s, opKNN, encodeKNNReq(q))
+	b, err := r.rpc.call(s, opKNN, encodeKNNReq(q))
 	if err != nil {
 		return knnResp{}, err
 	}
 	return decodeKNNResp(b)
 }
 
-// call performs one RPC to shard s under the retry policy: each attempt
-// runs to its own deadline, transport failures back off exponentially
-// and redial, application errors return immediately. The terminal error
-// names the shard — the degraded trace the caller surfaces.
-func (r *Router) call(s int, op byte, req []byte) ([]byte, error) {
-	backoff := r.retry.Backoff
-	var lastErr error
-	for attempt := 0; attempt < r.retry.Attempts; attempt++ {
-		if attempt > 0 {
-			r.retries.Add(1)
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		conn, err := r.conn(s)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := conn.Call(op, req, time.Now().Add(r.retry.Deadline))
-		if err == nil {
-			r.wire.record(op, len(req), len(resp))
-			return resp, nil
-		}
-		lastErr = err
-		if !IsTransportError(err) {
-			r.wire.record(op, len(req), 0)
-			return nil, err // the server itself refused: not retryable
-		}
-		r.dropConn(s, conn)
-	}
-	return nil, fmt.Errorf("dist: shard %d (%s) unreachable after %d attempts: %w",
-		s, r.addrs[s], r.retry.Attempts, lastErr)
-}
-
-// conn returns a pooled connection to shard s: the pool grows by dialing
-// until retry.Pool connections exist, then round-robins over them — with
-// the multiplexed transport each pooled conn also carries concurrent
-// in-flight RPCs, so the pool is about spreading load, not about having
-// one conn per outstanding call.
-func (r *Router) conn(s int) (Conn, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.conns[s]) < r.retry.Pool {
-		c, err := r.tr.Dial(r.addrs[s])
-		if err != nil {
-			return nil, err
-		}
-		r.conns[s] = append(r.conns[s], c)
-		return c, nil
-	}
-	r.rr[s]++
-	return r.conns[s][r.rr[s]%len(r.conns[s])], nil
-}
-
-func (r *Router) dropConn(s int, c Conn) {
-	r.mu.Lock()
-	cs := r.conns[s]
-	for i, cc := range cs {
-		if cc == c {
-			cs[i] = cs[len(cs)-1]
-			r.conns[s] = cs[:len(cs)-1]
-			break
-		}
-	}
-	r.mu.Unlock()
-	c.Close()
-}
-
 // Close drops every connection. The router may keep serving afterwards
 // (connections redial lazily); Close is for orderly shutdown.
-func (r *Router) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for s, cs := range r.conns {
-		for _, c := range cs {
-			c.Close()
-		}
-		r.conns[s] = nil
-	}
-}
+func (r *Router) Close() { r.rpc.close() }

@@ -5,28 +5,24 @@ import (
 	"sync"
 
 	"octopus/internal/geom"
-	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 	"octopus/internal/query"
 	"octopus/internal/shard"
 )
 
-// Server owns one shard: the shard.Part's sub-mesh, an engine over it,
-// and the maintenance target serializing that engine's upkeep against
-// the queries fanned out to it — the same trio the in-process router
-// keeps per shard, behind an RPC surface.
+// Server puts one shard's shard.Exec — the executor the in-process router
+// keeps per shard — behind an RPC surface. What it adds belongs to the
+// wire: the epoch proof around every query, the kNN top-k cap, the dirty
+// log and the codec.
 //
 // Concurrency: query RPCs (Range, KNN, Meta) may be handled
-// concurrently; they bracket the engine with the target's read lock
-// exactly like in-process fan-out. Control RPCs (Publish, Maintain)
+// concurrently, each with a pooled cursor. Control RPCs (Publish, Maintain)
 // serialize with each other under s.mu and must come from a single
 // control plane (the Cluster's deform/maintain loop) — publishes overlap
 // in-flight queries safely through the sub-mesh's position snapshots,
 // which is why every query pins and proves its epoch.
 type Server struct {
-	part *shard.Part
-	eng  query.ParallelKNNEngine
-	ts   *maintain.TargetState
+	x *shard.Exec
 
 	// mu serializes the control plane (Publish, Maintain) and guards the
 	// owned box against concurrent Meta reads.
@@ -49,34 +45,31 @@ type Server struct {
 // answer (the cache flushes — correct, just not precise).
 const dirtyLogCap = 256
 
-// serverCursor is the pooled per-request query state.
+// serverCursor is the pooled per-request query state: the shard cursor
+// plus the kNN response scratch.
 type serverCursor struct {
-	cur     query.Cursor
-	knn     query.KNNCursor
-	scratch []int32
-	kb      query.KBest
-	d2s     []float64
+	shard.ExecCursor
+	kb   query.KBest
+	gids []int32
+	d2s  []float64
 }
 
 // NewServer builds a server for p with an engine from factory. The
 // sub-mesh must have position snapshots enabled (Cluster does this)
 // before any Publish overlaps queries.
 func NewServer(p *shard.Part, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Server {
-	eng := factory(p.Mesh)
-	s := &Server{part: p, eng: eng, logBase: p.Mesh.Epoch()}
-	s.ts = maintain.NewTargetState(maintain.Target{
-		Name:   fmt.Sprintf("dist-shard-%d", p.Index),
-		Engine: eng,
-		Mesh:   p.Mesh,
-	})
-	return s
+	return &Server{
+		x:       shard.NewExec(p, factory),
+		logBase: p.Mesh.Epoch(),
+		pool:    sync.Pool{New: func() any { return new(serverCursor) }},
+	}
 }
 
 // Engine returns the server's shard engine.
-func (s *Server) Engine() query.ParallelKNNEngine { return s.eng }
+func (s *Server) Engine() query.ParallelKNNEngine { return s.x.Engine() }
 
 // Shard returns the shard index the server owns.
-func (s *Server) Shard() int { return s.part.Index }
+func (s *Server) Shard() int { return s.x.Part().Index }
 
 // Handle executes one decoded-from-the-wire RPC and encodes its
 // response. Transports call it; the returned error is an application
@@ -140,13 +133,14 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 }
 
 func (s *Server) meta() metaResp {
+	p := s.x.Part()
 	s.mu.Lock()
-	box := s.part.Box()
+	box := p.Box()
 	s.mu.Unlock()
 	return metaResp{
-		Shard:    s.part.Index,
-		Epoch:    s.part.Mesh.Epoch(),
-		NumOwned: s.part.NumOwned,
+		Shard:    p.Index,
+		Epoch:    p.Mesh.Epoch(),
+		NumOwned: p.NumOwned,
 		Box:      box,
 	}
 }
@@ -159,7 +153,7 @@ func (s *Server) meta() metaResp {
 func (s *Server) publish(q publishReq) (epochResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.part
+	p := s.x.Part()
 	if n := p.Mesh.NumVertices(); len(q.Pos) != n {
 		return epochResp{}, fmt.Errorf("dist: publish with %d positions for a %d-vertex shard %d",
 			len(q.Pos), n, p.Index)
@@ -189,7 +183,7 @@ func (s *Server) publish(q publishReq) (epochResp, error) {
 func (s *Server) publishDelta(q publishDeltaReq) (epochResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.part
+	p := s.x.Part()
 	n := p.Mesh.NumVertices()
 	if len(q.IDs) != len(q.Pos) {
 		return epochResp{}, fmt.Errorf("dist: delta publish with %d ids but %d positions for shard %d",
@@ -233,7 +227,7 @@ func (s *Server) logDirty(rec dirtyLogRec) {
 func (s *Server) dirtyLog(q dirtyLogReq) dirtyLogResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := dirtyLogResp{Head: s.part.Mesh.Epoch(), Complete: q.From >= s.logBase}
+	resp := dirtyLogResp{Head: s.x.Part().Mesh.Epoch(), Complete: q.From >= s.logBase}
 	if !resp.Complete {
 		return resp
 	}
@@ -250,178 +244,52 @@ func (s *Server) dirtyLog(q dirtyLogReq) dirtyLogResp {
 func (s *Server) maintain() epochResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ts.StepMonolithic()
-	return epochResp{Epoch: s.part.Mesh.Epoch()}
+	s.x.Target().StepMonolithic()
+	return epochResp{Epoch: s.x.Part().Mesh.Epoch()}
 }
-
-// stale mirrors Router.shardStale: an engine answering from an internal
-// snapshot older than the sub-mesh's published head must not be used —
-// its metric disagrees with the positions the router merges at. Caller
-// holds the target's read lock.
-func (s *Server) stale() bool {
-	er, ok := s.eng.(query.EpochReporter)
-	return ok && er.AnswerEpoch() != s.part.Mesh.Epoch()
-}
-
-// pin pins the sub-mesh's head positions (or the live array when
-// snapshots are off) and reports the epoch they belong to.
-func (s *Server) pin() (uint64, []geom.Vec3, func()) {
-	m := s.part.Mesh
-	if m.SnapshotsEnabled() {
-		epoch, pos := m.PinPositions()
-		return epoch, pos, func() { m.UnpinPositions(epoch) }
-	}
-	return m.Epoch(), m.Positions(), func() {}
-}
-
-func (s *Server) getCursor() *serverCursor {
-	if c, ok := s.pool.Get().(*serverCursor); ok {
-		return c
-	}
-	cur := s.eng.NewCursor()
-	kc, ok := cur.(query.KNNCursor)
-	if !ok {
-		panic("dist: cursor of " + s.eng.Name() + " does not implement KNNCursor")
-	}
-	return &serverCursor{cur: cur, knn: kc}
-}
-
-func (s *Server) putCursor(c *serverCursor) { s.pool.Put(c) }
 
 // rangeQuery answers a range request at exactly q.Epoch, or reports
-// skew. The decision procedure — engine query with owned filter and
-// global remap, or the exact owned scan when the engine is mid-task or
-// stale — is the in-process Cursor.Query's, so the two agree answer for
-// answer at equal epochs.
+// skew. Epochs are monotonic, so the head reading q.Epoch both before
+// and after the shard executed proves that whatever it pinned in between
+// — the engine's cursor, or the owned scan — was exactly q.Epoch.
 func (s *Server) rangeQuery(q rangeReq) rangeResp {
-	p := s.part
-	if e := p.Mesh.Epoch(); e != q.Epoch {
+	m := s.x.Part().Mesh
+	if e := m.Epoch(); e != q.Epoch {
 		return rangeResp{Epoch: e, Skew: true}
 	}
-	midTask := s.ts.BeginQuery()
-	defer s.ts.EndQuery()
-
-	var ids []int32
-	if midTask || s.stale() {
-		epoch, pos, unpin := s.pin()
-		if epoch != q.Epoch {
-			unpin()
-			return rangeResp{Epoch: epoch, Skew: true}
-		}
-		for l, own := range p.Owned {
-			if own && q.Box.Contains(pos[l]) {
-				ids = append(ids, p.ToGlobal[l])
-			}
-		}
-		unpin()
-		return rangeResp{Epoch: q.Epoch, IDs: ids}
-	}
-
-	c := s.getCursor()
-	c.scratch = c.cur.Query(q.Box, c.scratch[:0])
-	for _, l := range c.scratch {
-		if p.Owned[l] {
-			ids = append(ids, p.ToGlobal[l])
-		}
-	}
-	s.putCursor(c)
-	// Epochs are monotonic: unchanged across the query means the cursor
-	// pinned (or the engine's snapshot equaled) exactly q.Epoch.
-	if e := p.Mesh.Epoch(); e != q.Epoch {
+	c := s.pool.Get().(*serverCursor)
+	ids := s.x.Range(&c.ExecCursor, q.Box, nil)
+	s.pool.Put(c)
+	if e := m.Epoch(); e != q.Epoch {
 		return rangeResp{Epoch: e, Skew: true}
 	}
 	return rangeResp{Epoch: q.Epoch, IDs: ids}
 }
 
-// knnQuery answers a kNN request at exactly q.Epoch: the shard's owned
-// candidates as (d2, global id) pairs, capped to the local top-k. The
-// widening loop is the in-process Cursor.scanShard verbatim, with the
-// router's shipped (Full, Bound2) standing in for the live KBest — valid
-// because the in-process heap is never mutated while one shard is
-// scanned. Capping to k cannot change the global top-k: a dropped
-// candidate is worse than k returned ones under the (dist, id) total
-// order, so it could never displace them downstream.
+// knnQuery answers a kNN request at exactly q.Epoch (the same proof as
+// rangeQuery): the shard's owned candidates as (d2, global id) pairs,
+// found under the router's shipped (Full, Bound2) and capped to the local
+// top-k. Capping cannot change the global top-k: a dropped candidate is
+// worse than k returned ones under the (dist, id) total order, so it
+// could never displace them downstream.
 func (s *Server) knnQuery(q knnReq) knnResp {
-	p := s.part
-	if e := p.Mesh.Epoch(); e != q.Epoch {
+	m := s.x.Part().Mesh
+	if e := m.Epoch(); e != q.Epoch {
 		return knnResp{Epoch: e, Skew: true}
 	}
 	if q.K <= 0 {
 		return knnResp{Epoch: q.Epoch}
 	}
-	midTask := s.ts.BeginQuery()
-	defer s.ts.EndQuery()
-
-	epoch, pos, unpin := s.pin()
-	defer unpin()
-	if epoch != q.Epoch {
-		return knnResp{Epoch: epoch, Skew: true}
-	}
-
-	c := s.getCursor()
-	defer s.putCursor(c)
+	c := s.pool.Get().(*serverCursor)
+	defer s.pool.Put(c)
 	c.kb.Reset(q.K)
-	rounds := 0
-
-	if midTask || s.stale() {
-		for l, own := range p.Owned {
-			if own {
-				c.kb.Offer(pos[l].Dist2(q.P), p.ToGlobal[l])
-			}
-		}
-	} else {
-		subV := p.Mesh.NumVertices()
-		want := q.K
-		if p.NumOwned < want {
-			want = p.NumOwned
-		}
-		kq := q.K + 1
-		if kq > subV {
-			kq = subV
-		}
-		for {
-			c.scratch = c.knn.KNN(q.P, kq, c.scratch[:0])
-			owned := 0
-			dWant := 0.0
-			for _, l := range c.scratch {
-				if p.Owned[l] {
-					owned++
-					if owned == want {
-						dWant = pos[l].Dist2(q.P)
-					}
-				}
-			}
-			exhausted := len(c.scratch) >= subV || owned >= p.NumOwned
-			horizon := 0.0
-			if len(c.scratch) > 0 {
-				horizon = pos[c.scratch[len(c.scratch)-1]].Dist2(q.P)
-			}
-			complete := exhausted ||
-				(q.Full && horizon > q.Bound2) ||
-				(owned >= want && dWant < horizon)
-			if complete {
-				for _, l := range c.scratch {
-					if p.Owned[l] {
-						c.kb.Offer(pos[l].Dist2(q.P), p.ToGlobal[l])
-					}
-				}
-				break
-			}
-			kq = kq*2 + 8
-			if kq > subV {
-				kq = subV
-			}
-			rounds++
-		}
-		if e := p.Mesh.Epoch(); e != q.Epoch {
-			c.kb.Reset(0)
-			return knnResp{Epoch: e, Skew: true}
-		}
+	rounds := s.x.KNN(&c.ExecCursor, q.P, q.K, q.Full, q.Bound2, &c.kb)
+	if e := m.Epoch(); e != q.Epoch {
+		return knnResp{Epoch: e, Skew: true}
 	}
-
-	c.scratch, c.d2s = c.kb.AppendSortedDists(c.scratch[:0], c.d2s[:0])
-	cands := make([]knnCand, len(c.scratch))
-	for i, gid := range c.scratch {
+	c.gids, c.d2s = c.kb.AppendSortedDists(c.gids[:0], c.d2s[:0])
+	cands := make([]knnCand, len(c.gids))
+	for i, gid := range c.gids {
 		cands[i] = knnCand{D2: c.d2s[i], GID: gid}
 	}
 	return knnResp{Epoch: q.Epoch, Rounds: rounds, Cands: cands}

@@ -71,12 +71,6 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// Deadline bounds each attempt's request/response exchange; 0 uses 2s.
 	Deadline time.Duration
-	// Pool is the number of pooled connections per shard the router
-	// round-robins its RPCs over. Concurrent RPCs already pipeline on one
-	// multiplexed connection; extra connections spread the read/write
-	// goroutine and syscall load when many concurrent queries fan out to
-	// the same shard. 0 uses 2.
-	Pool int
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -88,9 +82,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Deadline <= 0 {
 		p.Deadline = 2 * time.Second
-	}
-	if p.Pool <= 0 {
-		p.Pool = 2
 	}
 	return p
 }

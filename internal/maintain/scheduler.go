@@ -16,12 +16,9 @@ type Options struct {
 	// target's task to completion each tick (unbudgeted incremental
 	// maintenance); > 0 slices tasks at the deadline and resumes them
 	// next tick, with queries meanwhile answering via the fallback.
-	// Monolithic StepTasks cannot be sliced and may overshoot.
+	// StepTasks (engines without Incremental) cannot be sliced and may
+	// overshoot.
 	Budget time.Duration
-	// Monolithic forces every target onto the legacy full-Step path,
-	// ignoring the engines' localized Incremental implementations — the
-	// baseline the maintain bench experiment compares against.
-	Monolithic bool
 	// Concurrency bounds how many targets run slices in parallel within
 	// one tick; <= 0 uses GOMAXPROCS. A single-engine pipeline has one
 	// target; the sharded router has one per shard.
@@ -210,7 +207,7 @@ func (s *Scheduler) Tick() {
 	}
 	if conc <= 1 {
 		for i, ts := range work {
-			ts.runSlice(deadline, s.opt.Monolithic, i == 0)
+			ts.runSlice(deadline, i == 0)
 		}
 		return
 	}
@@ -231,7 +228,7 @@ func (s *Scheduler) Tick() {
 				if i >= len(work) {
 					return
 				}
-				work[i].runSlice(deadline, s.opt.Monolithic, i == 0)
+				work[i].runSlice(deadline, i == 0)
 			}
 		}()
 	}
@@ -266,7 +263,7 @@ func (s *Scheduler) drain(fn func()) {
 		ts.mu.Lock()
 	}
 	for _, ts := range s.states {
-		ts.drainLocked(s.opt.Monolithic)
+		ts.drainLocked()
 	}
 	if fn != nil {
 		fn()

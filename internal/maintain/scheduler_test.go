@@ -257,17 +257,22 @@ func TestSchedulerExclusiveFinishesInFlightTasks(t *testing.T) {
 	}
 }
 
-func TestSchedulerMonolithicForcesStep(t *testing.T) {
+// stepOnly is the monolithic baseline: it hides the engine's Incremental
+// side and forwards AnswerEpoch, so the scheduler lands on the StepTask
+// path.
+type stepOnly struct {
+	Stepper
+	EpochReporter
+}
+
+func TestSchedulerStepOnlyEngineSteps(t *testing.T) {
 	fm := &fakeMesh{}
 	fe := &fakeEngine{mesh: fm, work: 8}
-	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
-	s := NewScheduler([]*TargetState{ts}, Options{Monolithic: true})
+	ts := NewTargetState(Target{Name: "t", Engine: stepOnly{fe, fe}, Mesh: fm})
+	s := NewScheduler([]*TargetState{ts}, Options{})
 
 	fm.advance(1, 2)
 	s.Tick()
-	if fe.begins != 0 {
-		t.Fatal("monolithic mode must not call BeginMaintenance")
-	}
 	if fe.steps != 1 {
 		t.Fatalf("steps = %d, want 1", fe.steps)
 	}
@@ -315,14 +320,14 @@ func TestStepTaskCompletesInOneSlice(t *testing.T) {
 
 // TestSchedulerExclusiveTerminatesWithoutEpochReporter is the
 // regression for the drainLocked hang: a monolithic target whose engine
-// has no AnswerEpoch (the OCTOPUS family under MonolithicMaintenance)
-// gave makeTaskLocked no way to report consistency, so Exclusive looped
-// forever. One completed Step must satisfy the drain.
+// has neither AnswerEpoch nor Incremental (the OCTOPUS family behind a
+// step-only wrapper) gave makeTaskLocked no way to report consistency,
+// so Exclusive looped forever. One completed Step must satisfy the drain.
 func TestSchedulerExclusiveTerminatesWithoutEpochReporter(t *testing.T) {
 	fm := &fakeMesh{}
 	e := &nilEngine{}
-	ts := NewTargetState(Target{Name: "no-reporter", Engine: e, Mesh: fm})
-	s := NewScheduler([]*TargetState{ts}, Options{Monolithic: true})
+	ts := NewTargetState(Target{Name: "no-reporter", Engine: struct{ Stepper }{e}, Mesh: fm})
+	s := NewScheduler([]*TargetState{ts}, Options{})
 	fm.advance(1)
 	done := make(chan struct{})
 	go func() {

@@ -173,11 +173,11 @@ func (ts *TargetState) StepMonolithic() {
 // completion, then any pending dirt through fresh tasks until nothing is
 // left — the state the legacy Step-then-Maintain sequence guaranteed a
 // hook would observe. Caller holds mu.
-func (ts *TargetState) drainLocked(monolithic bool) {
+func (ts *TargetState) drainLocked() {
 	rounds := 0
 	for {
 		if ts.task == nil {
-			ts.task = ts.makeTaskLocked(monolithic)
+			ts.task = ts.makeTaskLocked()
 			if ts.task == nil {
 				return
 			}
@@ -280,17 +280,16 @@ func (ts *TargetState) needsWork() bool {
 }
 
 // runSlice creates the target's task if needed and runs one slice toward
-// the deadline. monolithic forces StepTask (the legacy baseline);
-// targets without a mesh ignore the deadline (no dirty source means no
-// fallback, so a task must never be left mid-flight). force guarantees
-// one minimal slice even past the deadline — the scheduler grants it to
-// the highest-priority target so maintenance always progresses, no
-// matter how small the budget.
-func (ts *TargetState) runSlice(deadline time.Time, monolithic, force bool) {
+// the deadline. Targets without a mesh ignore the deadline (no dirty
+// source means no fallback, so a task must never be left mid-flight).
+// force guarantees one minimal slice even past the deadline — the
+// scheduler grants it to the highest-priority target so maintenance
+// always progresses, no matter how small the budget.
+func (ts *TargetState) runSlice(deadline time.Time, force bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.task == nil {
-		ts.task = ts.makeTaskLocked(monolithic)
+		ts.task = ts.makeTaskLocked()
 		if ts.task == nil {
 			return
 		}
@@ -322,11 +321,11 @@ func (ts *TargetState) runSlice(deadline time.Time, monolithic, force bool) {
 
 // makeTaskLocked consumes the pending dirty region and builds the next
 // task, or returns nil when the engine needs nothing. Caller holds mu.
-func (ts *TargetState) makeTaskLocked(monolithic bool) Task {
+func (ts *TargetState) makeTaskLocked() Task {
 	d := ts.pending
 	ts.pending = mesh.DirtyRegion{}
 	ts.havePending = false
-	if monolithic || ts.inc == nil {
+	if ts.inc == nil {
 		if ts.rep != nil && ts.t.Mesh != nil && ts.rep.AnswerEpoch() == ts.t.Mesh.Epoch() {
 			return nil
 		}

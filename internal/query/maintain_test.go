@@ -120,9 +120,17 @@ func TestMaintainSchedulerStatsPerRun(t *testing.T) {
 	}
 }
 
-// TestMaintainMonolithicPipelineBaseline runs the forced-monolithic path
-// (the bench experiment's baseline) on a rebuild-heavy engine and checks
-// it is exactly as consistent as the legacy behavior it reproduces.
+// stepOnly is the monolithic baseline the bench experiment uses: the
+// embedded interface hides the engine's BeginMaintenance, AnswerEpoch is
+// forwarded, and the scheduler lands on the StepTask path.
+type stepOnly struct {
+	query.ParallelKNNEngine
+	query.EpochReporter
+}
+
+// TestMaintainMonolithicPipelineBaseline runs the whole-Step path (the
+// bench experiment's baseline) on a rebuild-heavy engine and checks it
+// is exactly as consistent as the legacy behavior it reproduces.
 func TestMaintainMonolithicPipelineBaseline(t *testing.T) {
 	for _, name := range []string{"KD-Tree", "LU-Grid"} {
 		for _, f := range engineFactories() {
@@ -132,17 +140,17 @@ func TestMaintainMonolithicPipelineBaseline(t *testing.T) {
 			f := f
 			t.Run(f.name, func(t *testing.T) {
 				m := buildBox(t, 6)
-				eng := f.make(m)
+				inner := f.make(m)
+				eng := stepOnly{inner, inner.(query.EpochReporter)}
 				o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.004, Frequency: 2, Seed: 31})
 				queries, probes := testWorkload(m, 32, 12, 37)
 
 				pl := &query.Pipeline{
-					Engine:                eng,
-					Mesh:                  m,
-					Deform:                o.deform(m),
-					Workers:               4,
-					MinSteps:              4,
-					MonolithicMaintenance: true,
+					Engine:   eng,
+					Mesh:     m,
+					Deform:   o.deform(m),
+					Workers:  4,
+					MinSteps: 4,
 				}
 				report := pl.Run(queries, probes)
 				o.verify(t, m.Epoch())

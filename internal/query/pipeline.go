@@ -119,10 +119,6 @@ type Pipeline struct {
 	// resumes them on later ticks, bounding the maintenance-induced
 	// query stall to roughly one slice.
 	MaintenanceBudget time.Duration
-	// MonolithicMaintenance forces the legacy full-Step rebuild path,
-	// ignoring engines' localized maintenance — the baseline the
-	// maintain bench experiment sweeps budgets against.
-	MonolithicMaintenance bool
 
 	// TargetLatency, when > 0, is the p99 latency SLO and turns the
 	// pipeline into a controlled serving loop (DESIGN.md §14): each tick
@@ -349,10 +345,7 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	if ctl != nil {
 		budget = ctl.Stats().Budget
 	}
-	sched := maintain.NewScheduler(states, maintain.Options{
-		Budget:     budget,
-		Monolithic: p.MonolithicMaintenance,
-	})
+	sched := maintain.NewScheduler(states, maintain.Options{Budget: budget})
 	p.sched = sched
 
 	// Live re-partitioning (a structural Deform, or the router's pressure

@@ -210,8 +210,9 @@ func TestExecuteBatchOverlapsDeform(t *testing.T) {
 }
 
 // TestTornReadRaceDemo documents the pre-PR failure mode. It deliberately
-// runs the OLD stop-the-world code path — snapshots disabled, epoch
-// pinning off, writer mutating the live position array in place — while
+// runs the OLD stop-the-world code path — snapshots disabled, so the pin
+// is a pass-through and the writer mutates the live position array in
+// place — while
 // a query executes concurrently. Under `go test -race` this reliably
 // reports a data race on the position array (reader: surface probe /
 // crawl; writer: deformer), which is exactly the torn-read hazard the
@@ -227,7 +228,6 @@ func TestTornReadRaceDemo(t *testing.T) {
 	}
 	m := buildBox(t, 6)
 	eng := core.New(m)
-	eng.SetEpochPinning(false) // pre-PR behavior: read the live array
 	deformer := &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 3}
 	queries, _ := testWorkload(m, 64, 0, 5)
 

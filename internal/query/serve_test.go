@@ -259,8 +259,12 @@ func TestSLOPipelineConvergesUnderOverload(t *testing.T) {
 	// A long drain relative to the writer's tick rate: the controller
 	// escalates within a few hundred microseconds of the first latency
 	// observations, and thousands of queries remain in flight after it.
+	// The tiling is sized for a starved writer: on one processor it gets a
+	// scheduler slice only every few tens of milliseconds, and the drain
+	// must outlast several of those after the first observation (a 64x
+	// tiling lost that race in one run out of seven on a loaded 2-core box).
 	base, baseProbes := testWorkload(m, 64, 16, 103)
-	queries, probes := repeatWorkload(base, baseProbes, 64)
+	queries, probes := repeatWorkload(base, baseProbes, 2048)
 
 	pl := &query.Pipeline{
 		Engine:            eng,

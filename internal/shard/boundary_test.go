@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"octopus/internal/core"
@@ -202,5 +203,76 @@ func TestRouterEngineInterface(t *testing.T) {
 	}
 	if len(r.Engines()) != 3 {
 		t.Fatalf("engines %d, want 3", len(r.Engines()))
+	}
+}
+
+// gate parks the first range query that reaches any shard engine until
+// release is closed, so a test can hold a goroutine inside the router.
+type gate struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+type gateEngine struct {
+	query.ParallelKNNEngine
+	g *gate
+}
+
+func (e gateEngine) NewCursor() query.Cursor {
+	return gateCursor{Cursor: e.ParallelKNNEngine.NewCursor(), g: e.g}
+}
+
+type gateCursor struct {
+	query.Cursor
+	g *gate
+}
+
+func (c gateCursor) Query(q geom.AABB, out []int32) []int32 {
+	c.g.once.Do(func() { close(c.g.entered) })
+	<-c.g.release
+	return c.Cursor.Query(q, out)
+}
+
+func (c gateCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	return c.Cursor.(query.KNNCursor).KNN(p, k, out)
+}
+
+// TestRouterResidentCursorRejectsConcurrentEntry pins the resident-path
+// contract: while one goroutine is inside Router.Query, a second entry
+// panics with the named violation instead of sharing the cursor's
+// scratch, and the path works again once the first has left.
+func TestRouterResidentCursorRejectsConcurrentEntry(t *testing.T) {
+	m := buildBoxTet(t, 4, 0.25)
+	sm, err := NewMesh(m, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
+	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine {
+		return gateEngine{ParallelKNNEngine: core.New(sub), g: g}
+	})
+	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.3)
+
+	first := make(chan []int32)
+	go func() { first <- r.Query(q, nil) }()
+	<-g.entered // the first goroutine now sits inside the resident cursor
+
+	func() {
+		defer func() {
+			const want = "shard: resident cursor entered concurrently — use NewCursor per goroutine"
+			if got := recover(); got != want {
+				t.Errorf("second entry: recovered %v, want panic %q", got, want)
+			}
+		}()
+		r.KNN(geom.V(0.1, 0.2, 0.3), 5, nil)
+	}()
+
+	close(g.release)
+	if d := query.Diff(<-first, query.BruteForce(m, q)); d != "" {
+		t.Fatalf("first entry: %s", d)
+	}
+	if d := query.Diff(r.Query(q, nil), query.BruteForce(m, q)); d != "" {
+		t.Fatalf("after both left: %s", d)
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // KNN implements query.KNNCursor: best-first over shards by owned-box
 // distance, maintaining the global k best in a query.KBest whose bound
-// prunes shards (and, within a shard, widening rounds) that cannot
-// contribute. The result is nearest first with ties broken by ascending
+// prunes shards (and, within a shard's Exec, widening rounds) that
+// cannot contribute. The result is nearest first with ties broken by ascending
 // global id — bit-identical to query.BruteForceKNN whenever every shard
 // engine is exact on its sub-mesh.
 func (c *Cursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
@@ -20,7 +20,7 @@ func (c *Cursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	c.cov = query.CrawlCoverage{}
 	c.ballOK = false
 	r.knnQueries.Add(1)
-	if k <= 0 || len(r.engines) == 0 {
+	if k <= 0 || len(r.execs) == 0 {
 		return out
 	}
 
@@ -39,108 +39,13 @@ func (c *Cursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 			break
 		}
 		r.knnScanned.Add(1)
-		midTask := r.states[sd.Shard].BeginQuery()
-		c.scanShard(sd.Shard, p, k, midTask)
-		r.states[sd.Shard].EndQuery()
+		cur := &c.curs[sd.Shard]
+		if rounds := r.execs[sd.Shard].KNN(cur, p, k, c.kb.Full(), c.kb.Bound(), &c.kb); rounds > 0 {
+			r.knnWidenings.Add(int64(rounds))
+		}
+		c.cov.Add(cur.cov)
 	}
 	// Capture the kNN ball before AppendSorted drains the heap.
 	c.ball2, c.ballOK = c.kb.Bound(), true
 	return c.kb.AppendSorted(out)
-}
-
-// scanShard folds shard s's owned candidates into the global heap. The
-// inner engine ranks the whole sub-mesh — ghosts included — so the top-k
-// may be crowded by ghost hits that belong to a neighbor shard; the
-// widening loop re-queries with a larger k' until the shard's owned
-// contribution is provably complete:
-//
-//   - the sub-mesh (or its owned population) is exhausted, or
-//   - every unreturned candidate ranks strictly beyond the global bound
-//     (it is at least as far as the worst vertex returned), or
-//   - want = min(k, owned) owned candidates were seen and the want-th of
-//     them is strictly closer than the scan horizon (the worst vertex
-//     returned): any unreturned owned vertex then has at least horizon
-//     distance, so it is dominated within this shard by want strictly
-//     better candidates and can never enter the global top-k. Strictness
-//     matters: at exactly the horizon distance, an unreturned owned
-//     vertex with a smaller global id could still displace a returned
-//     one under the (dist, id) order.
-//
-// The initial request asks for one extra candidate (k+1) so that on a
-// ghost-free, tie-free shard the horizon separates immediately and no
-// widening round is needed.
-func (c *Cursor) scanShard(s int, p geom.Vec3, k int, midTask bool) {
-	part := c.r.sm.part.Parts[s]
-	pos := part.Mesh.Positions()
-
-	// A stale shard engine (snapshot behind the published head) ranks
-	// candidates in a different metric than the head positions the
-	// router merges with, which would invalidate the completeness
-	// argument below; a mid-maintenance-slice engine (midTask) must not
-	// be read at all. Offer every owned vertex directly instead — exact
-	// at the head, and possible only in the publish-to-maintenance
-	// window or between budget slices of the live pipeline.
-	if midTask || c.r.shardStale(s) {
-		for l, own := range part.Owned {
-			if own {
-				c.kb.Offer(pos[l].Dist2(p), part.ToGlobal[l])
-			}
-		}
-		return
-	}
-
-	c.refresh(s)
-	subV := part.Mesh.NumVertices()
-	want := k
-	if part.NumOwned < want {
-		want = part.NumOwned
-	}
-
-	kq := k + 1
-	if kq > subV {
-		kq = subV
-	}
-	rounds := 0
-	for {
-		c.scratch = c.knn[s].KNN(p, kq, c.scratch[:0])
-		owned := 0
-		dWant := 0.0
-		for _, l := range c.scratch {
-			if part.Owned[l] {
-				owned++
-				if owned == want {
-					dWant = pos[l].Dist2(p)
-				}
-			}
-		}
-		exhausted := len(c.scratch) >= subV || owned >= part.NumOwned
-		horizon := 0.0
-		if len(c.scratch) > 0 {
-			horizon = pos[c.scratch[len(c.scratch)-1]].Dist2(p)
-		}
-		complete := exhausted ||
-			(c.kb.Full() && horizon > c.kb.Bound()) ||
-			(owned >= want && dWant < horizon)
-		if complete {
-			for _, l := range c.scratch {
-				if part.Owned[l] {
-					c.kb.Offer(pos[l].Dist2(p), part.ToGlobal[l])
-				}
-			}
-			if rounds > 0 {
-				c.r.knnWidenings.Add(int64(rounds))
-			}
-			// The round that produced the merged results is the one whose
-			// coverage describes this shard's contribution.
-			if cr, ok := c.knn[s].(query.CoverageReporter); ok {
-				c.cov.Add(cr.LastCoverage())
-			}
-			return
-		}
-		kq = kq*2 + 8
-		if kq > subV {
-			kq = subV
-		}
-		rounds++
-	}
 }

@@ -23,6 +23,10 @@ import (
 //     is pruned without being queried (ties at the bound are not pruned —
 //     an equal-distance candidate with a smaller global id still wins).
 //
+// What happens inside one shard — the owned filter, the widening loop,
+// the owned-scan fallback — is Exec's; the router plans the fan-out,
+// holds the coherence gate and merges.
+//
 // Each shard is one maintenance target (maintain.TargetState): queries
 // take only the read locks of the shards they fan out to, so one shard's
 // maintenance stalls just the queries that need it — on a single mesh it
@@ -33,20 +37,13 @@ import (
 type Router struct {
 	sm      *Mesh
 	factory func(*mesh.Mesh) query.ParallelKNNEngine
-	engines []query.ParallelKNNEngine
 
-	// gens[s] counts engine swaps for shard s. It is bumped under shard
-	// s's target write lock when a migration's rebuild task installs the
-	// replacement engine; cursors compare it (under the target read lock)
-	// to know when their cached inner cursor answers for a dead sub-mesh.
-	gens []uint64
-
-	// states[s] is shard s's maintenance target: its lock serializes the
+	// execs[s] is shard s's executor. Its target's lock serializes the
 	// shard's index maintenance against the queries fanned out to it,
 	// and its counters feed the scheduler's pressure priority. Entries
 	// are replaced on re-partition (under the coherence gate's write
 	// side); the slice header never changes.
-	states []*maintain.TargetState
+	execs []*Exec
 
 	// Pressure-driven rebalance policy; writer goroutine only.
 	pp             PressurePolicy
@@ -54,6 +51,10 @@ type Router struct {
 
 	name     string
 	resident *Cursor
+	// residentBusy is set while a Query or KNN runs on the resident
+	// cursor, so a second goroutine entering it panics instead of
+	// corrupting the cursor's scratch.
+	residentBusy atomic.Bool
 
 	// Fan-out statistics (atomic: cursors update them concurrently).
 	rangeQueries atomic.Int64
@@ -73,17 +74,11 @@ type Router struct {
 func NewRouter(sm *Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Router {
 	r := &Router{sm: sm, factory: factory}
 	inner := "empty"
-	for s, p := range sm.part.Parts {
-		eng := factory(p.Mesh)
-		r.engines = append(r.engines, eng)
-		inner = eng.Name()
-		r.states = append(r.states, maintain.NewTargetState(maintain.Target{
-			Name:   fmt.Sprintf("shard-%d", s),
-			Engine: eng,
-			Mesh:   p.Mesh,
-		}))
+	for _, p := range sm.part.Parts {
+		x := NewExec(p, factory)
+		r.execs = append(r.execs, x)
+		inner = x.eng.Name()
 	}
-	r.gens = make([]uint64, len(r.engines))
 	r.name = fmt.Sprintf("Sharded[K=%d]·%s", sm.part.K, inner)
 	r.resident = r.newCursor()
 	sm.onRepartition = r.onRepartition
@@ -91,29 +86,13 @@ func NewRouter(sm *Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Rout
 }
 
 // onRepartition is the sharded mesh's partition-swap hook: every rebuilt
-// shard gets a fresh maintenance target whose sticky rebuild task
-// constructs the replacement engine over the new sub-mesh. Until the
-// task runs, the target reports inconsistent, so queries fanning out to
-// the shard answer through the exact owned-scan fallback; the task runs
-// under the scheduler's wall budget (live pipeline) or inside
-// StepMonolithic (stop-the-world Step). The new target inherits the old
-// one's pressure EMA, so a hot shard's rebuild keeps its priority. Runs
-// under the same exclusion as the swap itself (the coherence gate's
+// shard gets a successor executor over its new Part (see Exec.successor).
+// Runs under the same exclusion as the swap itself (the coherence gate's
 // write side, or stop-the-world Resync), so queries never observe a
 // half-swapped router.
 func (r *Router) onRepartition(touched []int) {
 	for _, s := range touched {
-		s := s
-		old := r.states[s]
-		p := r.sm.part.Parts[s]
-		ts := maintain.NewRebuildState(fmt.Sprintf("shard-%d", s), p.Mesh, func() maintain.Stepper {
-			eng := r.factory(p.Mesh)
-			r.engines[s] = eng
-			r.gens[s]++
-			return eng
-		})
-		ts.SeedPressure(old.PressureEMA())
-		r.states[s] = ts
+		r.execs[s] = r.execs[s].successor(r.sm.part.Parts[s], r.factory)
 	}
 }
 
@@ -123,7 +102,11 @@ func (r *Router) onRepartition(touched []int) {
 // copy — re-partitioning replaces entries, and the pipeline re-syncs the
 // scheduler's target set against a fresh call every step.
 func (r *Router) MaintainStates() []*maintain.TargetState {
-	return append([]*maintain.TargetState(nil), r.states...)
+	states := make([]*maintain.TargetState, len(r.execs))
+	for s, x := range r.execs {
+		states[s] = x.ts
+	}
+	return states
 }
 
 // PressurePolicy configures the pressure-driven shard balancer: when one
@@ -157,7 +140,7 @@ func (r *Router) SetPressurePolicy(p PressurePolicy) { r.pp = p }
 // by budgeted rebuild tasks like any migration.
 func (r *Router) PostTick() {
 	pp := r.pp
-	if pp.Factor <= 0 || len(r.states) < 2 {
+	if pp.Factor <= 0 || len(r.execs) < 2 {
 		return
 	}
 	r.sinceRebalance++
@@ -169,8 +152,8 @@ func (r *Router) PostTick() {
 		return
 	}
 	hot, hotEMA, total := -1, int64(0), int64(0)
-	for s, ts := range r.states {
-		e := ts.PressureEMA()
+	for s, x := range r.execs {
+		e := x.ts.PressureEMA()
 		total += e
 		if e > hotEMA {
 			hot, hotEMA = s, e
@@ -180,7 +163,7 @@ func (r *Router) PostTick() {
 	if minP <= 0 {
 		minP = 16
 	}
-	mean := float64(total) / float64(len(r.states))
+	mean := float64(total) / float64(len(r.execs))
 	if hot < 0 || hotEMA < minP || float64(hotEMA) < pp.Factor*mean {
 		return
 	}
@@ -188,7 +171,7 @@ func (r *Router) PostTick() {
 	if shed <= 0 || shed >= 1 {
 		shed = 0.5
 	}
-	w := make([]float64, len(r.states))
+	w := make([]float64, len(r.execs))
 	for s := range w {
 		w[s] = 1
 	}
@@ -201,8 +184,15 @@ func (r *Router) PostTick() {
 // Mesh returns the sharded mesh the router executes over.
 func (r *Router) Mesh() *Mesh { return r.sm }
 
-// Engines returns the per-shard inner engines, in shard order.
-func (r *Router) Engines() []query.ParallelKNNEngine { return r.engines }
+// Engines returns the per-shard inner engines, in shard order (nil for a
+// shard whose rebuild after a re-partition is still pending).
+func (r *Router) Engines() []query.ParallelKNNEngine {
+	engines := make([]query.ParallelKNNEngine, len(r.execs))
+	for s, x := range r.execs {
+		engines[s] = x.eng
+	}
+	return engines
+}
 
 // Name implements query.Engine.
 func (r *Router) Name() string { return r.name }
@@ -219,34 +209,38 @@ func (r *Router) Step() {
 	if !r.sm.snapshots {
 		r.sm.Resync()
 	}
-	for _, ts := range r.states {
-		ts.StepMonolithic()
+	for _, x := range r.execs {
+		x.ts.StepMonolithic()
 	}
 }
 
-// Query implements query.Engine through the resident cursor; like every
-// engine's resident path it is single-threaded (use cursors to go wide).
+// Query implements query.Engine through the resident cursor, which one
+// goroutine at a time may use: a concurrent entry panics.
 func (r *Router) Query(q geom.AABB, out []int32) []int32 {
+	r.enterResident()
+	defer r.residentBusy.Store(false)
 	return r.resident.Query(q, out)
 }
 
 // KNN implements query.KNNEngine through the resident cursor, under the
-// same single-threaded contract as Query.
+// same contract as Query.
 func (r *Router) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	r.enterResident()
+	defer r.residentBusy.Store(false)
 	return r.resident.KNN(p, k, out)
+}
+
+func (r *Router) enterResident() {
+	if !r.residentBusy.CompareAndSwap(false, true) {
+		panic("shard: resident cursor entered concurrently — use NewCursor per goroutine")
+	}
 }
 
 // NewCursor implements query.ParallelEngine.
 func (r *Router) NewCursor() query.Cursor { return r.newCursor() }
 
 func (r *Router) newCursor() *Cursor {
-	n := len(r.engines)
-	return &Cursor{
-		r:    r,
-		curs: make([]query.Cursor, n),
-		knn:  make([]query.KNNCursor, n),
-		gens: make([]uint64, n),
-	}
+	return &Cursor{r: r, curs: make([]ExecCursor, len(r.execs))}
 }
 
 // SetCrawlWorkers implements query.CrawlTuner by forwarding to every
@@ -256,8 +250,8 @@ func (r *Router) newCursor() *Cursor {
 // so the pools never run concurrently for one query). Not safe
 // concurrently with queries.
 func (r *Router) SetCrawlWorkers(n int) {
-	for _, eng := range r.engines {
-		if ct, ok := eng.(query.CrawlTuner); ok {
+	for _, x := range r.execs {
+		if ct, ok := x.eng.(query.CrawlTuner); ok {
 			ct.SetCrawlWorkers(n)
 		}
 	}
@@ -270,8 +264,8 @@ func (r *Router) SetCrawlWorkers(n int) {
 // CrawlCoverage.Add's contract — counters sum, Truncated ORs, BoundGap
 // takes the max. Not safe concurrently with queries.
 func (r *Router) SetCrawlBudget(b query.CrawlBudget) {
-	for _, eng := range r.engines {
-		if ct, ok := eng.(query.CrawlTuner); ok {
+	for _, x := range r.execs {
+		if ct, ok := x.eng.(query.CrawlTuner); ok {
 			ct.SetCrawlBudget(b)
 		}
 	}
@@ -284,9 +278,11 @@ func (r *Router) SetCrawlBudget(b query.CrawlBudget) {
 func (r *Router) MemoryFootprint() int64 {
 	var b int64
 	var subMesh int64
-	for s, eng := range r.engines {
-		b += eng.MemoryFootprint()
-		p := r.sm.part.Parts[s]
+	for _, x := range r.execs {
+		if x.eng != nil {
+			b += x.eng.MemoryFootprint()
+		}
+		p := x.part
 		b += int64(len(p.ToGlobal))*4 + int64(len(p.Owned)) + int64(len(p.CutEdges))*8
 		subMesh += p.Mesh.MemoryBytes()
 	}
@@ -306,27 +302,20 @@ func (r *Router) FanoutStats() (rangeQ, rangeFan, knnQ, knnScanned, knnWiden int
 		r.knnQueries.Load(), r.knnScanned.Load(), r.knnWidenings.Load()
 }
 
-// Cursor is the router's per-goroutine query state: one inner cursor per
+// Cursor is the router's per-goroutine query state: one ExecCursor per
 // shard plus merge scratch. Like every cursor, it is not safe for
 // concurrent use; distinct cursors are.
 type Cursor struct {
-	r *Router
-	// curs[s]/knn[s] are created lazily under shard s's target read lock
-	// (never while a rebuild is pending) and recreated when gens[s] shows
-	// the engine was swapped by a migration — a cursor built for a retired
-	// sub-mesh must not answer for its replacement.
-	curs    []query.Cursor
-	knn     []query.KNNCursor
-	gens    []uint64
-	scratch []int32
-	kb      query.KBest
-	boxes   []geom.AABB
-	plan    []int
-	order   []ShardDist
-	epoch   uint64
-	cov     query.CrawlCoverage
-	ball2   float64
-	ballOK  bool
+	r      *Router
+	curs   []ExecCursor
+	kb     query.KBest
+	boxes  []geom.AABB
+	plan   []int
+	order  []ShardDist
+	epoch  uint64
+	cov    query.CrawlCoverage
+	ball2  float64
+	ballOK bool
 }
 
 // planBoxes gathers the current owned-vertex boxes into the cursor's
@@ -339,18 +328,18 @@ func (c *Cursor) planBoxes() []geom.AABB {
 	return c.boxes
 }
 
-// Query implements query.Cursor: fan out to box-intersecting shards,
-// filter ghosts, remap to global ids. Result order is unspecified, like
-// every engine's.
+// Query implements query.Cursor: fan out to box-intersecting shards and
+// concatenate what each shard's Exec reports. Result order is
+// unspecified, like every engine's.
 //
 // Every result is consistent with the head epoch (the coherence gate
 // keeps it fixed for the duration of the query): pin-per-query engines
 // read the head buffer, maintained engines whose last maintenance is the
 // head answer from an identical snapshot, and a shard whose engine
 // either lags the head (the publish-to-maintenance window) or is
-// mid-maintenance-slice (the scheduler's budgeted tasks) answers by a
-// direct scan of its owned positions instead — the owned-scan fallback —
-// so no shard is ever skipped or answered against the wrong geometry.
+// mid-maintenance-slice (the scheduler's budgeted tasks) answers by the
+// owned-scan fallback, so no shard is ever skipped or answered against
+// the wrong geometry.
 func (c *Cursor) Query(q geom.AABB, out []int32) []int32 {
 	r := c.r
 	r.sm.deformMu.RLock()
@@ -360,67 +349,12 @@ func (c *Cursor) Query(q geom.AABB, out []int32) []int32 {
 	c.cov = query.CrawlCoverage{}
 	c.plan = PlanRangeFanout(c.planBoxes(), q, c.plan[:0])
 	for _, s := range c.plan {
-		p := r.sm.part.Parts[s]
-		midTask := r.states[s].BeginQuery()
-		if midTask || r.shardStale(s) {
-			// The owned-scan fallback is always exact: no coverage to add.
-			pos := p.Mesh.Positions()
-			for l, own := range p.Owned {
-				if own && q.Contains(pos[l]) {
-					out = append(out, p.ToGlobal[l])
-				}
-			}
-		} else {
-			c.refresh(s)
-			c.scratch = c.curs[s].Query(q, c.scratch[:0])
-			for _, l := range c.scratch {
-				if p.Owned[l] {
-					out = append(out, p.ToGlobal[l])
-				}
-			}
-			if cr, ok := c.curs[s].(query.CoverageReporter); ok {
-				c.cov.Add(cr.LastCoverage())
-			}
-		}
-		r.states[s].EndQuery()
+		out = r.execs[s].Range(&c.curs[s], q, out)
+		c.cov.Add(c.curs[s].cov)
 	}
 	r.rangeQueries.Add(1)
 	r.rangeFanout.Add(int64(len(c.plan)))
 	return out
-}
-
-// shardStale reports whether shard s's engine answers from a snapshot
-// older than the shard mesh's published head — true only between a
-// Deform publish and the shard's maintenance completing in the live
-// pipeline. Callers must hold the shard's maintenance read lock
-// (AnswerEpoch may only be read when maintenance cannot run
-// concurrently). Engines without an internal snapshot pin the head per
-// query and are never stale.
-func (r *Router) shardStale(s int) bool {
-	er, ok := r.engines[s].(query.EpochReporter)
-	return ok && er.AnswerEpoch() != r.sm.part.Parts[s].Mesh.Epoch()
-}
-
-// refresh (re)creates the cursor's inner cursor for shard s when it is
-// missing or was created against a retired engine generation. The caller
-// holds shard s's target read lock with no rebuild pending, which orders
-// the engine and generation reads against the rebuild task's writes
-// (both happen under the same target's write lock).
-func (c *Cursor) refresh(s int) {
-	if c.curs[s] != nil && c.gens[s] == c.r.gens[s] {
-		return
-	}
-	if c.curs[s] != nil {
-		c.curs[s].Close()
-	}
-	cur := c.r.engines[s].NewCursor()
-	kc, ok := cur.(query.KNNCursor)
-	if !ok {
-		panic("shard: cursor of " + c.r.engines[s].Name() + " does not implement KNNCursor")
-	}
-	c.curs[s] = cur
-	c.knn[s] = kc
-	c.gens[s] = c.r.gens[s]
 }
 
 // LastEpoch implements query.PinnedCursor.
@@ -442,9 +376,7 @@ func (c *Cursor) LastKNNBound2() (float64, bool) { return c.ball2, c.ballOK }
 // Close implements query.Cursor: close every shard cursor, folding their
 // statistics into the shard engines.
 func (c *Cursor) Close() {
-	for _, cur := range c.curs {
-		if cur != nil {
-			cur.Close()
-		}
+	for s := range c.curs {
+		c.curs[s].Close()
 	}
 }

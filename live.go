@@ -15,8 +15,7 @@ import (
 // Positions() in place, and queries no longer need to stop the world:
 // each one pins the epoch it executes against, so its result set is
 // exactly brute force at that epoch even while deformation steps publish
-// concurrently. Engines expose SetEpochPinning only so tests can
-// demonstrate the torn-read race that pinning removes.
+// concurrently.
 
 // Pipeline runs a writer goroutine stepping the simulation at a
 // configurable tick while a worker pool drains range and kNN queries,
@@ -39,8 +38,8 @@ type DeformableMesh = query.DeformableMesh
 // per-step in-place update (it receives the back position buffer), tick
 // the minimum interval between steps (0 = continuous), workers the query
 // pool size (<= 0 = GOMAXPROCS). Tune the remaining knobs (MinSteps,
-// MaxSteps, Maintain, MaintenanceBudget, MonolithicMaintenance) on the
-// returned value before Run. m is a *Mesh or, for sharded execution, the
+// MaxSteps, Maintain, MaintenanceBudget) on the returned value before
+// Run. m is a *Mesh or, for sharded execution, the
 // ShardedEngine's Mesh().
 func NewPipeline(eng ParallelKNNEngine, m DeformableMesh, deform func(step int, pos []Vec3), tick time.Duration, workers int) *Pipeline {
 	return &Pipeline{Engine: eng, Mesh: m, Deform: deform, Tick: tick, Workers: workers}
@@ -53,8 +52,7 @@ func NewPipeline(eng ParallelKNNEngine, m DeformableMesh, deform func(step int, 
 // how long each tick may spend on maintenance: tasks are sliced at the
 // deadline and resumed next tick, and a query that lands mid-task
 // answers from a scan of the pinned head positions (exact at the head
-// epoch) instead of waiting out the rebuild. MonolithicMaintenance
-// restores the legacy full-rebuild-per-step behavior for comparison.
+// epoch) instead of waiting out the rebuild.
 
 // SchedulerStats is the maintenance scheduler's accounting for one
 // Pipeline run: ticks, task slices, completions, mid-maintenance

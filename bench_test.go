@@ -54,7 +54,7 @@ func BenchmarkFig9cdGridResolution(b *testing.B)        { runExperiment(b, "fig9
 func BenchmarkFig10OverheadAnalysis(b *testing.B)       { runExperiment(b, "fig10") }
 func BenchmarkFig11ModelValidation(b *testing.B)        { runExperiment(b, "fig11") }
 func BenchmarkFig12SurfaceApproximation(b *testing.B)   { runExperiment(b, "fig12") }
-func BenchmarkFig13HilbertLayout(b *testing.B)          { runExperiment(b, "fig13") }
+func BenchmarkFig13HilbertLayout(b *testing.B)          { runExperiment(b, "layout") }
 func BenchmarkFig14AnimationDatasets(b *testing.B)      { runExperiment(b, "fig14") }
 func BenchmarkFig15AnimationSpeedup(b *testing.B)       { runExperiment(b, "fig15") }
 

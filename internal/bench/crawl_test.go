@@ -113,8 +113,9 @@ func TestEdgeLocality(t *testing.T) {
 }
 
 // TestLayoutQuick runs the full layout ablation at test scale: the
-// locality columns must rank random worst and the table must carry one
-// row per layout.
+// locality columns must rank random worst, the table must carry one row
+// per layout, and the Figure 13 tables one row per selectivity (and per
+// layout of the phase split).
 func TestLayoutQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("layout ablation builds the level-3 neuron")
@@ -133,5 +134,11 @@ func TestLayoutQuick(t *testing.T) {
 			t.Fatalf("row %d mean delta %v not below random %v",
 				r, parseCell(t, tb, r, 4), randomDelta)
 		}
+	}
+	if len(tables) != 3 || tables[1].ID != "fig13a" || tables[2].ID != "fig13b" {
+		t.Fatalf("layout tables %q, want layout-crawl, fig13a, fig13b", tableShape(t, tables))
+	}
+	if a, b := len(tables[1].Rows), len(tables[2].Rows); a != 15 || b != 5 {
+		t.Fatalf("fig13a has %d rows and fig13b %d, want 15 and 5", a, b)
 	}
 }

@@ -31,13 +31,12 @@ func Experiments() []Experiment {
 		{"fig10", "OCTOPUS overhead analysis: phase breakdown and footprint", Fig10},
 		{"fig11", "analytical model validation", Fig11},
 		{"fig12", "surface approximation: accuracy and speedup", Fig12},
-		{"fig13", "Hilbert data layout effect", Fig13},
 		{"fig14", "deforming mesh dataset characterization table", Fig14},
 		{"fig15", "deforming meshes: response time and speedup", Fig15},
 		{"crawl", "extension: parallel multi-seed crawl scaling and the budgeted approximate mode (DESIGN.md §12)", Crawl},
 		{"dist", "extension: wire-boundary serving — stateless router over shard servers, bit-equality and coherence counters vs in-process (DESIGN.md §15)", Dist},
 		{"hybrid", "extension: model-routed hybrid engine across the break-even (§IV-G)", HybridCrossover},
-		{"layout", "extension: vertex-ordering ablation — crawl time, cache-proxy locality and the surface-first probe (DESIGN.md §7, §12)", Layout},
+		{"layout", "vertex-ordering ablation — crawl time, cache-proxy locality, the surface-first probe (DESIGN.md §7, §12) and Figure 13's Hilbert layout effect", Layout},
 		{"knn", "extension: k-nearest-neighbor queries by mesh crawling vs index baselines (DESIGN.md §8)", KNN},
 		{"live", "extension: concurrent deform+query pipeline — latency and staleness vs deformation tick (DESIGN.md §9)", Live},
 		{"maintain", "extension: incremental maintenance — budget sweep vs p99 latency and staleness, all engines x sharded/unsharded (DESIGN.md §11)", Maintain},

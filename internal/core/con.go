@@ -51,6 +51,7 @@ type Con struct {
 	crawlBudget   query.CrawlBudget
 
 	resident *Cursor
+	guard    query.ResidentGuard
 
 	statsMu sync.Mutex
 	merged  Stats
@@ -126,17 +127,12 @@ func (c *Con) tuning() crawlTuning {
 func (c *Con) NewCursor() query.Cursor { return newCursor(c, c.m) }
 
 // Query implements query.Engine on the resident cursor: stale-grid
-// start-point lookup, directed walk, then crawl. Use QueryWith with
-// per-goroutine cursors for parallel execution.
+// start-point lookup, directed walk, then crawl. A concurrent entry
+// panics; use NewCursor, one per goroutine, for parallel execution.
 func (c *Con) Query(q geom.AABB, out []int32) []int32 {
+	c.guard.Enter("core")
+	defer c.guard.Leave()
 	return c.queryWith(c.resident, q, out)
-}
-
-// QueryWith executes the query using cur's scratch. cur must have been
-// created by this engine's NewCursor. Distinct cursors may query
-// concurrently; a single cursor must not.
-func (c *Con) QueryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
-	return c.queryWith(cur, q, out)
 }
 
 func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {

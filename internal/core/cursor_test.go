@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestMergedStatsEqualSerialTotals(t *testing.T) {
 	// Deterministic round-robin split so every query runs exactly once.
 	for i, q := range queries {
 		cur := cursors[i%workers]
-		parEng.QueryWith(cur, q, nil)
+		cur.Query(q, nil)
 	}
 	// Before closing, the engine has seen nothing.
 	if got := parEng.Stats(); got.Queries != 0 {
@@ -94,9 +95,9 @@ func TestConStatsMerge(t *testing.T) {
 	b := parEng.NewCursor().(*Cursor)
 	for i, q := range queries {
 		if i%2 == 0 {
-			parEng.QueryWith(a, q, nil)
+			a.Query(q, nil)
 		} else {
-			parEng.QueryWith(b, q, nil)
+			b.Query(q, nil)
 		}
 	}
 	a.Close()
@@ -116,7 +117,7 @@ func TestShardedProbeMatchesSerial(t *testing.T) {
 	serialEng := New(m)
 	shardEng := New(m)
 	shardEng.shardThreshold = 1
-	shardEng.SetProbeWorkers(4)
+	shardEng.probeWorkers = 4
 
 	queries := cursorWorkload(m, 40, 13)
 	for i, q := range queries {
@@ -141,7 +142,7 @@ func TestCursorsRaceFree(t *testing.T) {
 	m := buildBox(t, 8)
 	eng := New(m)
 	eng.shardThreshold = 1
-	eng.SetProbeWorkers(2)
+	eng.probeWorkers = 2
 	queries := cursorWorkload(m, 64, 17)
 	want := make([][]int32, len(queries))
 	for i, q := range queries {
@@ -166,4 +167,47 @@ func TestCursorsRaceFree(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestResidentCursorRejectsConcurrentEntry pins the resident-path
+// contract of the three OCTOPUS engines: while a query holds the resident
+// cursor (the test holds its guard, exactly as a goroutine inside Query
+// does), a second entry through Query or KNN panics with the named
+// violation instead of sharing the cursor's scratch, and the path works
+// again — each call having left the guard behind it — once it is free.
+func TestResidentCursorRejectsConcurrentEntry(t *testing.T) {
+	m := buildBox(t, 4)
+	oct, con, hyb := New(m), NewCon(m, 0), NewHybrid(m, 0, Constants{CS: 1, CR: 4})
+	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.3)
+	p := geom.V(0.1, 0.2, 0.3)
+	for _, tc := range []struct {
+		eng   query.ParallelKNNEngine
+		guard *query.ResidentGuard
+	}{{oct, &oct.guard}, {con, &con.guard}, {hyb, &hyb.oct.guard}} {
+		entries := map[string]func(){
+			"Query": func() { tc.eng.Query(q, nil) },
+			"KNN":   func() { tc.eng.KNN(p, 5, nil) },
+		}
+		tc.guard.Enter("core")
+		for name, enter := range entries {
+			func() {
+				defer func() {
+					const want = "core: resident cursor entered concurrently — use NewCursor per goroutine"
+					if got := recover(); got != want {
+						t.Errorf("%s.%s: recovered %v, want panic %q", tc.eng.Name(), name, got, want)
+					}
+				}()
+				enter()
+			}()
+		}
+		tc.guard.Leave()
+		for i := 0; i < 2; i++ { // twice: each call must leave the guard free
+			if d := query.Diff(tc.eng.Query(q, nil), query.BruteForce(m, q)); d != "" {
+				t.Fatalf("%s after the holder left: %s", tc.eng.Name(), d)
+			}
+			if got, want := tc.eng.KNN(p, 5, nil), query.BruteForceKNN(m, p, 5); !slices.Equal(got, want) {
+				t.Fatalf("%s kNN after the holder left: %v, want %v", tc.eng.Name(), got, want)
+			}
+		}
+	}
 }

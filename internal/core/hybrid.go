@@ -34,6 +34,8 @@ type Hybrid struct {
 	breakEven float64
 	toOctopus atomic.Int64
 	toScan    atomic.Int64
+
+	resident hybridCursor
 }
 
 // NewHybrid builds the hybrid engine: OCTOPUS, a linear scan, a
@@ -45,12 +47,14 @@ func NewHybrid(m *mesh.Mesh, histCells int, consts Constants) *Hybrid {
 	}
 	oct := New(m)
 	S := float64(oct.SurfaceSize()) / float64(max(1, m.NumVertices()))
-	return &Hybrid{
+	h := &Hybrid{
 		oct:       oct,
 		scan:      linearscan.New(m),
 		hist:      histogram.Build(m.Positions(), m.Bounds(), histCells),
 		breakEven: BreakEvenSelectivity(S, m.AvgDegree(), consts),
 	}
+	h.resident = hybridCursor{h: h, oct: oct.resident}
+	return h
 }
 
 // Name implements query.Engine.
@@ -94,23 +98,18 @@ func (h *Hybrid) route(q geom.AABB) (useScan bool) {
 	return false
 }
 
-// Query implements query.Engine on the OCTOPUS side's resident cursor.
-// Like the cursor path, scan-routed queries execute against the resident
-// cursor's pinned epoch, so the resident path honors the same snapshot
-// contract as hybridCursor.
+// Query implements query.Engine on the resident cursor — a hybridCursor
+// over the OCTOPUS side's resident cursor, so the resident path honors
+// the same snapshot contract as every other cursor. A concurrent entry
+// panics.
 func (h *Hybrid) Query(q geom.AABB, out []int32) []int32 {
-	if h.route(q) {
-		h.oct.resident.resetCoverage() // scans are exact
-		pos := h.oct.resident.beginQuery(h.oct.m)
-		out = h.scan.QueryAt(pos, q, out)
-		h.oct.resident.endQuery(h.oct.m)
-		return out
-	}
-	return h.oct.Query(q, out)
+	h.oct.guard.Enter("core")
+	defer h.oct.guard.Leave()
+	return h.resident.Query(q, out)
 }
 
-// hybridCursor routes each query like Hybrid.Query but runs the OCTOPUS
-// side on a private cursor (the scan side is stateless).
+// hybridCursor routes each query and runs the OCTOPUS side on its own
+// core cursor (the scan side is stateless).
 type hybridCursor struct {
 	h   *Hybrid
 	oct *Cursor

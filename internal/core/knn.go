@@ -31,10 +31,12 @@ import (
 // well-shaped meshes of the evaluation this holds and results equal brute
 // force; DESIGN.md discusses the limitation.
 
-// KNN implements query.KNNEngine on the resident cursor. It must not be
-// called concurrently with itself; use cursor KNN (or ExecuteKNNBatch)
-// with per-goroutine cursors for parallel execution.
+// KNN implements query.KNNEngine on the resident cursor. A concurrent
+// entry panics; use cursor KNN (or ExecuteKNNBatch) with per-goroutine
+// cursors for parallel execution.
 func (o *Octopus) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	o.guard.Enter("core")
+	defer o.guard.Leave()
 	return o.knnWith(o.resident, p, k, out)
 }
 
@@ -164,6 +166,8 @@ type knnStart struct {
 // KNN implements query.KNNEngine for OCTOPUS-CON on the resident cursor:
 // the stale grid supplies the start vertex instead of a surface probe.
 func (c *Con) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	c.guard.Enter("core")
+	defer c.guard.Leave()
 	return c.knnWith(c.resident, p, k, out)
 }
 
@@ -215,14 +219,9 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 // kNN query "selects" k of V vertices, so when k/V exceeds the break-even
 // selectivity the scan side's selection heap wins over crawling.
 func (h *Hybrid) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	if h.routeKNN(k) {
-		h.oct.resident.resetCoverage() // scans are exact
-		pos := h.oct.resident.beginQuery(h.oct.m)
-		out = h.scan.KNNAt(pos, p, k, out)
-		h.oct.resident.endQuery(h.oct.m)
-		return out
-	}
-	return h.oct.KNN(p, k, out)
+	h.oct.guard.Enter("core")
+	defer h.oct.guard.Leave()
+	return h.resident.KNN(p, k, out)
 }
 
 // routeKNN decides the engine for a kNN query and bumps the routing

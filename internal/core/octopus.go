@@ -34,8 +34,8 @@
 // goroutines that share the issuing cursor's scratch, which is safe
 // because they join before the query returns. What is NOT safe is running
 // queries concurrently with anything that mutates the index: Step,
-// restructuring, ApplySurfaceDelta, SetApproximation, SetProbeWorkers,
-// SetCrawlWorkers, SetCrawlBudget and SetDenseCrawl require exclusive
+// restructuring, ApplySurfaceDelta, SetApproximation, SetCrawlWorkers,
+// SetCrawlBudget and SetDenseCrawl require exclusive
 // access (the query.Pipeline serializes them against queries), as does
 // in-place mutation of Positions() on a mesh without snapshots.
 package core
@@ -87,8 +87,11 @@ type Octopus struct {
 	// layout — enabling the probe's direct position-scan fast path.
 	denseSurface bool
 	// probeWorkers > 1 shards the exact surface probe of a single query
-	// across that many goroutines once the surface has at least
-	// shardThreshold vertices (ShardedProbeThreshold; lowered in tests).
+	// across that many goroutines (GOMAXPROCS; tests set it) once the
+	// surface has at least shardThreshold vertices
+	// (ShardedProbeThreshold; lowered in tests). The sharded probe visits
+	// surface slots in the same ascending order as the serial one, so
+	// results are identical.
 	probeWorkers   int
 	shardThreshold int
 
@@ -108,8 +111,10 @@ type Octopus struct {
 	// the zero value is exact.
 	crawlBudget query.CrawlBudget
 
-	// resident is the cursor behind the single-threaded Query method.
+	// resident is the cursor behind the single-threaded Query and KNN
+	// methods; guard panics when two goroutines enter it at once.
 	resident *Cursor
+	guard    query.ResidentGuard
 
 	// statsMu guards merged, the totals folded in from closed cursors.
 	statsMu sync.Mutex
@@ -261,24 +266,10 @@ func (o *Octopus) SetApproximation(frac float64) {
 }
 
 // ShardedProbeThreshold is the surface size above which an exact probe is
-// split across probe workers (SetProbeWorkers): below it the probe is
-// already a fraction of the query cost and the fork/join overhead of
-// sharding would dominate.
+// split across GOMAXPROCS probe workers: below it the probe is already a
+// fraction of the query cost and the fork/join overhead of sharding would
+// dominate.
 const ShardedProbeThreshold = 1 << 16
-
-// SetProbeWorkers sets how many goroutines an exact surface probe of a
-// single query is sharded across when the surface has at least
-// ShardedProbeThreshold vertices. The default is GOMAXPROCS; n == 1
-// forces the serial probe and n <= 0 restores the GOMAXPROCS default. The
-// sharded probe visits surface slots in the same ascending order as the
-// serial one, so results are identical. Not safe concurrently with
-// queries.
-func (o *Octopus) SetProbeWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	o.probeWorkers = n
-}
 
 // SetCrawlWorkers implements query.CrawlTuner: how many goroutines large
 // crawls of a single query are split across. The default is GOMAXPROCS;
@@ -327,17 +318,12 @@ func (o *Octopus) SurfaceSize() int { return len(o.surface) }
 func (o *Octopus) NewCursor() query.Cursor { return newCursor(o, o.m) }
 
 // Query implements query.Engine, executing Algorithm 1 on the resident
-// cursor. It must not be called concurrently with itself; use QueryWith
-// with per-goroutine cursors for parallel execution.
+// cursor. A concurrent entry panics; use NewCursor, one per goroutine,
+// for parallel execution.
 func (o *Octopus) Query(q geom.AABB, out []int32) []int32 {
+	o.guard.Enter("core")
+	defer o.guard.Leave()
 	return o.queryWith(o.resident, q, out)
-}
-
-// QueryWith executes Algorithm 1 using cur's scratch. cur must have been
-// created by this engine's NewCursor. Distinct cursors may query
-// concurrently; a single cursor must not.
-func (o *Octopus) QueryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
-	return o.queryWith(cur, q, out)
 }
 
 func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {

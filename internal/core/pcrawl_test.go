@@ -367,15 +367,13 @@ func TestParallelCrawlWorkerDefaults(t *testing.T) {
 	if o.crawlWorkers != procs {
 		t.Fatalf("crawlWorkers default = %d, want GOMAXPROCS %d", o.crawlWorkers, procs)
 	}
-	o.SetProbeWorkers(1)
 	o.SetCrawlWorkers(1)
-	if o.probeWorkers != 1 || o.crawlWorkers != 1 {
+	if o.crawlWorkers != 1 {
 		t.Fatal("n=1 did not force serial")
 	}
-	o.SetProbeWorkers(0)
 	o.SetCrawlWorkers(-3)
-	if o.probeWorkers != procs || o.crawlWorkers != procs {
-		t.Fatalf("n<=0 did not restore defaults: probe %d crawl %d", o.probeWorkers, o.crawlWorkers)
+	if o.crawlWorkers != procs {
+		t.Fatalf("n<=0 did not restore the default: crawl %d", o.crawlWorkers)
 	}
 	c := NewCon(m, 0)
 	if c.crawlWorkers != procs {

@@ -15,7 +15,7 @@ import (
 func TestShardedProbeSteadyStateAllocs(t *testing.T) {
 	m := buildBox(t, 8)
 	o := New(m)
-	o.SetProbeWorkers(4)
+	o.probeWorkers = 4
 	o.shardThreshold = 1 // force sharding despite the small test surface
 
 	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.4)

@@ -23,16 +23,17 @@
 //
 //   - Router is the stateless tier: it holds no mesh data, only cached
 //     shard metadata (owned boxes and the common epoch) refreshed from
-//     the servers. Fan-out and kNN visit order come from the same
-//     shard.PlanRangeFanout / shard.PlanKNNOrder the in-process cursor
-//     uses, so routing decisions are provably identical.
+//     the servers. It runs no query loop of its own: Range, KNN and the
+//     Engine's cursors are shard.Fanout — the cursor the in-process
+//     router uses — over the router's shard.Legs: the cached metadata as
+//     the view to plan from, one RPC per leg.
 //
 //   - Coherence: every response carries the shard's position epoch. The
-//     router merges only responses proving the common epoch its metadata
-//     promised; a skewed response (the shard published a step the router
-//     has not seen) discards the partial merge, refreshes the metadata,
-//     and re-runs the query — bounded rounds, then an honest
-//     ErrEpochSkew. Servers double-check their epoch after executing
+//     fan-out merges only responses proving the common epoch the
+//     metadata promised; a skewed response (the shard published a step
+//     the router has not seen) discards the partial merge, drops the
+//     metadata so it is refreshed, and re-plans the query — bounded
+//     rounds, then an honest ErrEpochSkew. Servers double-check their epoch after executing
 //     (epochs are monotonic, so equal before-and-after pins the answer
 //     epoch), and never answer against geometry the router did not ask
 //     about.
@@ -67,7 +68,8 @@
 //     nothing: encode buffers and remap scratch are reused across steps.
 //
 //   - Result caching: EnableCache gives a Router a query.ResultCache
-//     keyed by (kind, geometry) and the epoch its entry was computed at.
+//     keyed by (kind, geometry) and the epoch its entry was computed at,
+//     consulted in one place — the fan-out, before any leg is called.
 //     A hit answers a repeat query with zero network traffic; coherence
 //     rides the publish stream — every server logs the dirty box of each
 //     published step, SyncCache pulls one shard's log (lockstep epochs

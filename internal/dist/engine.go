@@ -2,10 +2,10 @@ package dist
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"octopus/internal/geom"
 	"octopus/internal/query"
+	"octopus/internal/shard"
 )
 
 // Engine adapts a Router (and optionally the Cluster control plane) to
@@ -21,7 +21,8 @@ type Engine struct {
 	cl   *Cluster
 	name string
 
-	resident *Cursor
+	resident *shard.Fanout
+	guard    query.ResidentGuard
 }
 
 // NewEngine wraps r. cl may be nil (a pure query tier); when set, Step
@@ -33,13 +34,8 @@ func NewEngine(r *Router, cl *Cluster) *Engine {
 	if cl != nil && len(cl.Servers()) > 0 {
 		name += "·" + cl.Servers()[0].Engine().Name()
 	}
-	e := &Engine{r: r, cl: cl, name: name}
-	e.resident = &Cursor{e: e}
-	return e
+	return &Engine{r: r, cl: cl, name: name, resident: r.newFanout()}
 }
-
-// Router returns the underlying distributed router.
-func (e *Engine) Router() *Router { return e.r }
 
 // Name implements query.Engine.
 func (e *Engine) Name() string { return e.name }
@@ -60,87 +56,32 @@ func (e *Engine) Step() {
 	e.r.SyncCache()
 }
 
-// Query implements query.Engine through the resident cursor
-// (single-threaded, like every engine's resident path). Failures yield
-// an empty result; check LastError on the resident cursor via
-// ResidentError for the honest outcome.
+// Query implements query.Engine through the resident cursor, which one
+// goroutine at a time may use: a concurrent entry panics. Failures yield
+// out unchanged; the honest outcome is the cursor's LastError, so callers
+// that need it query through NewCursor.
 func (e *Engine) Query(q geom.AABB, out []int32) []int32 {
+	e.guard.Enter("dist")
+	defer e.guard.Leave()
 	return e.resident.Query(q, out)
 }
 
-// KNN implements query.KNNEngine through the resident cursor.
+// KNN implements query.KNNEngine through the resident cursor, under the
+// same contract as Query.
 func (e *Engine) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	e.guard.Enter("dist")
+	defer e.guard.Leave()
 	return e.resident.KNN(p, k, out)
 }
 
-// ResidentError returns the error of the most recent resident-path
-// Query/KNN (nil on success).
-func (e *Engine) ResidentError() error { return e.resident.LastError() }
-
-// NewCursor implements query.ParallelEngine.
-func (e *Engine) NewCursor() query.Cursor { return &Cursor{e: e} }
+// NewCursor implements query.ParallelEngine: a shard.Fanout over the
+// router's remote legs. A failed query returns out unchanged and latches
+// the error for LastError — the caller must treat the pair as a degraded
+// answer, not an exact empty one.
+func (e *Engine) NewCursor() query.Cursor { return e.r.newFanout() }
 
 // MemoryFootprint implements query.Engine: the router tier is stateless
 // — its footprint is the cached metadata, charged nominally.
 func (e *Engine) MemoryFootprint() int64 {
 	return int64(e.r.Shards()) * 56 // one box + epoch entry per shard
 }
-
-// Cursor is the per-goroutine query state over the distributed router.
-// The router itself is safe for concurrent use; the cursor just carries
-// the per-query outcome (epoch, error) the pipeline reads back.
-type Cursor struct {
-	e         *Engine
-	lastEpoch atomic.Uint64
-	lastErr   atomic.Value // error
-}
-
-// Query implements query.Cursor: route through the distributed tier. On
-// failure it returns out unchanged (empty result) and latches the error
-// for LastError — the caller must treat the pair as a degraded answer,
-// not an exact empty one.
-func (c *Cursor) Query(q geom.AABB, out []int32) []int32 {
-	res, epoch, err := c.e.r.Range(q, out)
-	c.finish(epoch, err)
-	if err != nil {
-		return out
-	}
-	return res
-}
-
-// KNN implements query.KNNCursor under the same error contract as Query.
-func (c *Cursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	res, epoch, err := c.e.r.KNN(p, k, out)
-	c.finish(epoch, err)
-	if err != nil {
-		return out
-	}
-	return res
-}
-
-func (c *Cursor) finish(epoch uint64, err error) {
-	c.lastEpoch.Store(epoch)
-	if err != nil {
-		c.lastErr.Store(errBox{err})
-	} else {
-		c.lastErr.Store(errBox{})
-	}
-}
-
-// errBox lets atomic.Value hold nil-vs-non-nil errors of varying types.
-type errBox struct{ err error }
-
-// LastEpoch implements query.PinnedCursor: the epoch the most recent
-// successful query was exact at (0 after a failure).
-func (c *Cursor) LastEpoch() uint64 { return c.lastEpoch.Load() }
-
-// LastError implements query.ErrorReporter.
-func (c *Cursor) LastError() error {
-	if v := c.lastErr.Load(); v != nil {
-		return v.(errBox).err
-	}
-	return nil
-}
-
-// Close implements query.Cursor.
-func (c *Cursor) Close() {}

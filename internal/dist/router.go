@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"octopus/internal/geom"
@@ -18,20 +15,18 @@ import (
 // after the bounded re-query rounds: the router refuses to merge
 // responses from different steps — a wrong answer is worse than an
 // error.
-var ErrEpochSkew = errors.New("dist: shards disagree on the published epoch (persistent skew)")
+var ErrEpochSkew = shard.ErrEpochSkew
 
-// maxQueryRounds bounds the refresh-and-re-query loop a skewed response
-// triggers; a query that cannot pin one epoch across every shard it
-// needs within this many rounds fails with ErrEpochSkew.
-const maxQueryRounds = 4
+// maxMetaSweeps bounds Refresh's re-sweeps while a publish is in flight.
+const maxMetaSweeps = 4
 
 // Router is the stateless routing tier: it owns no mesh data, only the
 // shard addresses and cached routing metadata (per-shard owned boxes and
-// the common epoch) it refreshes from the servers. Fan-out and kNN visit
-// order come from shard.PlanRangeFanout / shard.PlanKNNOrder — the same
-// planner the in-process shard.Router uses — and every merge is gated on
-// all responses proving the metadata's epoch, so results are bit-equal
-// to the in-process router over the same geometry.
+// the common epoch) it refreshes from the servers. Queries run on a
+// shard.Fanout whose legs are that metadata and the RPC stubs below: a
+// merge completes only when every response proved the metadata's epoch,
+// so results are bit-equal to the in-process router over the same
+// geometry.
 //
 // All methods are safe for concurrent use; any number of router
 // instances may serve the same cluster (statelessness is the point).
@@ -53,25 +48,28 @@ type Router struct {
 	cache  *query.ResultCache // nil until EnableCache
 	syncMu sync.Mutex         // serializes SyncCache's read-advance cycle
 
-	rangeQueries atomic.Int64
-	rangeFanout  atomic.Int64
-	knnQueries   atomic.Int64
-	knnScanned   atomic.Int64
-	widenings    atomic.Int64
-	skewRequery  atomic.Int64
-	cacheHits    atomic.Int64
+	n       shard.FanoutCounters
+	fanouts sync.Pool // *shard.Fanout, behind Range and KNN
 }
 
 // NewRouter returns a router over the shard servers at addrs (index =
 // shard id), reached through tr under policy.
 func NewRouter(tr Transport, addrs []string, policy RetryPolicy) *Router {
-	return &Router{rpc: newClient(tr, addrs, policy.withDefaults(), queryPool)}
+	r := &Router{rpc: newClient(tr, addrs, policy.withDefaults(), queryPool)}
+	r.fanouts.New = func() any { return r.newFanout() }
+	return r
+}
+
+// newFanout returns a query cursor over the router's remote legs.
+func (r *Router) newFanout() *shard.Fanout {
+	return shard.NewFanout(remoteLegs{r}, &r.n, r.cache)
 }
 
 // EnableCache attaches a result cache holding up to capacity entries
 // (<= 0 uses query.DefaultCacheSize). Call it before the router serves
-// queries; it is not safe to enable mid-flight. Cached hits answer with
-// zero RPCs; call SyncCache after publishes to keep the cache coherent.
+// queries or is wrapped by NewEngine: cursors bind the cache when they
+// are created. Cached hits answer with zero RPCs; call SyncCache after
+// publishes to keep the cache coherent.
 func (r *Router) EnableCache(capacity int) {
 	r.cache = query.NewResultCache(capacity)
 }
@@ -157,14 +155,14 @@ type RouterStats struct {
 // Stats snapshots the counters. Safe for concurrent use.
 func (r *Router) Stats() RouterStats {
 	return RouterStats{
-		RangeQueries:  r.rangeQueries.Load(),
-		RangeFanout:   r.rangeFanout.Load(),
-		KNNQueries:    r.knnQueries.Load(),
-		KNNScanned:    r.knnScanned.Load(),
-		Widenings:     r.widenings.Load(),
+		RangeQueries:  r.n.RangeQueries.Load(),
+		RangeFanout:   r.n.RangeFanout.Load(),
+		KNNQueries:    r.n.KNNQueries.Load(),
+		KNNScanned:    r.n.KNNScanned.Load(),
+		Widenings:     r.n.KNNWidenings.Load(),
 		Retries:       r.rpc.retries.Load(),
-		SkewRequeries: r.skewRequery.Load(),
-		CacheHits:     r.cacheHits.Load(),
+		SkewRequeries: r.n.SkewRequeries.Load(),
+		CacheHits:     r.n.CacheHits.Load(),
 	}
 }
 
@@ -206,7 +204,7 @@ func (r *Router) invalidateMeta() {
 func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 	addrs := r.rpc.addrs
 	backoff := r.rpc.policy.Backoff
-	for sweep := 0; sweep < maxQueryRounds; sweep++ {
+	for sweep := 0; sweep < maxMetaSweeps; sweep++ {
 		if sweep > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
@@ -249,47 +247,12 @@ func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 // the metadata's epoch, merge owned global ids. Returns the ids, the
 // epoch the result is exact at, and an error when a shard stayed
 // unreachable (after retries) or the cluster never settled on one epoch
-// — never a silently narrowed result.
+// — out then comes back unchanged, never a silently narrowed result.
 func (r *Router) Range(q geom.AABB, out []int32) ([]int32, uint64, error) {
-	r.rangeQueries.Add(1)
-	base := len(out)
-	if c := r.cache; c != nil {
-		if res, epoch, ok := c.GetRange(q); ok {
-			r.cacheHits.Add(1)
-			return append(out, res...), epoch, nil
-		}
-	}
-	var plan []int
-	for round := 0; round < maxQueryRounds; round++ {
-		boxes, epoch, err := r.meta()
-		if err != nil {
-			return nil, 0, err
-		}
-		plan = shard.PlanRangeFanout(boxes, q, plan[:0])
-		out = out[:base]
-		skew := false
-		for _, s := range plan {
-			resp, err := r.rangeRPC(s, rangeReq{Epoch: epoch, Box: q})
-			if err != nil {
-				return nil, 0, err
-			}
-			if resp.Skew {
-				skew = true
-				break
-			}
-			out = append(out, resp.IDs...)
-		}
-		if !skew {
-			r.rangeFanout.Add(int64(len(plan)))
-			if c := r.cache; c != nil {
-				c.PutRange(q, append([]int32(nil), out[base:]...), epoch)
-			}
-			return out, epoch, nil
-		}
-		r.skewRequery.Add(1)
-		r.invalidateMeta()
-	}
-	return nil, 0, ErrEpochSkew
+	f := r.fanouts.Get().(*shard.Fanout)
+	defer r.fanouts.Put(f)
+	out = f.Query(q, out)
+	return out, f.LastEpoch(), f.LastError()
 }
 
 // KNN answers a k-nearest-neighbor probe: best-first over shards by box
@@ -299,88 +262,50 @@ func (r *Router) Range(q geom.AABB, out []int32) ([]int32, uint64, error) {
 // ascending global id), the epoch, and an honest error on unreachable
 // shards or persistent skew.
 func (r *Router) KNN(p geom.Vec3, k int, out []int32) ([]int32, uint64, error) {
-	r.knnQueries.Add(1)
-	base := len(out)
-	if c := r.cache; c != nil {
-		if res, epoch, ok := c.GetKNN(p, k); ok {
-			r.cacheHits.Add(1)
-			return append(out, res...), epoch, nil
-		}
-	}
-	var kb query.KBest
-	var order []shard.ShardDist
-	for round := 0; round < maxQueryRounds; round++ {
-		boxes, epoch, err := r.meta()
-		if err != nil {
-			return nil, 0, err
-		}
-		if k <= 0 || r.Shards() == 0 {
-			return out, epoch, nil
-		}
-		order = shard.PlanKNNOrder(boxes, p, order[:0])
-		kb.Reset(k)
-		skew := false
-		scanned := 0
-		for _, sd := range order {
-			// Prune strictly, ties not pruned — same rule as in-process.
-			if kb.Full() && sd.D2 > kb.Bound() {
-				break
-			}
-			scanned++
-			resp, err := r.knnRPC(sd.Shard, knnReq{
-				Epoch:  epoch,
-				P:      p,
-				K:      k,
-				Full:   kb.Full(),
-				Bound2: kb.Bound(),
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-			if resp.Skew {
-				skew = true
-				break
-			}
-			r.widenings.Add(int64(resp.Rounds))
-			for _, c := range resp.Cands {
-				kb.Offer(c.D2, c.GID)
-			}
-		}
-		if !skew {
-			r.knnScanned.Add(int64(scanned))
-			// The invalidation ball must be read before AppendSorted
-			// drains the heap: +Inf when fewer than k results exist (the
-			// whole mesh is in the answer, any movement may reorder it).
-			ball2 := math.Inf(1)
-			if kb.Full() {
-				ball2 = kb.Bound()
-			}
-			out = kb.AppendSorted(out)
-			if c := r.cache; c != nil {
-				c.PutKNN(p, k, append([]int32(nil), out[base:]...), epoch, ball2)
-			}
-			return out, epoch, nil
-		}
-		r.skewRequery.Add(1)
-		r.invalidateMeta()
-	}
-	return nil, 0, ErrEpochSkew
+	f := r.fanouts.Get().(*shard.Fanout)
+	defer r.fanouts.Put(f)
+	out = f.KNN(p, k, out)
+	return out, f.LastEpoch(), f.LastError()
 }
 
-func (r *Router) rangeRPC(s int, q rangeReq) (rangeResp, error) {
-	b, err := r.rpc.call(s, opRange, encodeRangeReq(q))
+// remoteLegs is the router's shard.Legs: the view is the cached metadata
+// (nothing is held, so End is empty), a leg is one RPC whose reply either
+// proves the view's epoch or reports skew, and a skewed view is dropped so
+// the next Begin refreshes it from the servers. Remote shards report no
+// crawl coverage.
+type remoteLegs struct{ r *Router }
+
+func (l remoteLegs) Begin() ([]geom.AABB, uint64, error) { return l.r.meta() }
+func (l remoteLegs) End()                                {}
+func (l remoteLegs) Skewed()                             { l.r.invalidateMeta() }
+func (l remoteLegs) Close()                              {}
+
+func (l remoteLegs) Range(s int, epoch uint64, q geom.AABB, out []int32, _ *query.CrawlCoverage) ([]int32, bool, error) {
+	b, err := l.r.rpc.call(s, opRange, encodeRangeReq(rangeReq{Epoch: epoch, Box: q}))
 	if err != nil {
-		return rangeResp{}, err
+		return out, false, err
 	}
-	return decodeRangeResp(b)
+	resp, err := decodeRangeResp(b)
+	if err != nil {
+		return out, false, err
+	}
+	return append(out, resp.IDs...), !resp.Skew, nil
 }
 
-func (r *Router) knnRPC(s int, q knnReq) (knnResp, error) {
-	b, err := r.rpc.call(s, opKNN, encodeKNNReq(q))
+func (l remoteLegs) KNN(s int, epoch uint64, p geom.Vec3, k int, kb *query.KBest, _ *query.CrawlCoverage) (int, bool, error) {
+	req := knnReq{Epoch: epoch, P: p, K: k, Full: kb.Full(), Bound2: kb.Bound()}
+	b, err := l.r.rpc.call(s, opKNN, encodeKNNReq(req))
 	if err != nil {
-		return knnResp{}, err
+		return 0, false, err
 	}
-	return decodeKNNResp(b)
+	resp, err := decodeKNNResp(b)
+	if err != nil {
+		return 0, false, err
+	}
+	for _, c := range resp.Cands {
+		kb.Offer(c.D2, c.GID)
+	}
+	return resp.Rounds, !resp.Skew, nil
 }
 
 // Close drops every connection. The router may keep serving afterwards

@@ -109,6 +109,10 @@ type Mesh struct {
 	// restructuring state, built lazily by EnableRestructuring.
 	faces     *faceTable
 	incidence *incidenceTable
+
+	// surface memoizes SurfaceVertices while faces == nil.
+	surfaceOnce sync.Once
+	surface     []int32
 }
 
 // NumVertices returns the number of vertices, including vertices added by

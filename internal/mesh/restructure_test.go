@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -345,5 +346,42 @@ func TestSurfaceVerticesSorted(t *testing.T) {
 	s := m.SurfaceVertices()
 	if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
 		t.Error("surface vertices not sorted")
+	}
+}
+
+// TestSurfaceVerticesMemo: before restructuring the surface list is
+// memoized, but every caller gets its own copy (core.New mutates its
+// surface array in place); once a cell is deleted the list follows the
+// live face table instead of the memo.
+func TestSurfaceVerticesMemo(t *testing.T) {
+	m := buildTetGrid(t, 3, 3, 3)
+	first := m.SurfaceVertices()
+	want := append([]int32(nil), first...)
+	for i := range first {
+		first[i] = -1
+	}
+	if got := m.SurfaceVertices(); !slices.Equal(got, want) {
+		t.Fatalf("a caller's writes reached the memo: %v", got)
+	}
+	if &m.SurfaceVertices()[0] == &m.SurfaceVertices()[0] {
+		t.Fatal("two calls share one backing array")
+	}
+
+	// Delete cells until the surface actually changes.
+	for ci := 0; ci < len(m.cells); ci++ {
+		delta, err := m.DeleteCell(ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !delta.Empty() {
+			break
+		}
+	}
+	got := m.SurfaceVertices()
+	if slices.Equal(got, want) {
+		t.Fatal("surface unchanged after deletions exposed new vertices")
+	}
+	if fresh := newFaceTable(m.cells).surfaceVertices(); !slices.Equal(got, fresh) {
+		t.Fatalf("restructured surface %v, want %v (stale memo?)", got, fresh)
 	}
 }

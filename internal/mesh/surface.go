@@ -75,12 +75,24 @@ func newFaceTable(cells []Cell) *faceTable {
 }
 
 // SurfaceVertices returns the sorted ids of all vertices lying on at least
-// one boundary face: the vertex set the paper's surface index keeps.
+// one boundary face: the vertex set the paper's surface index keeps. The
+// caller owns the returned slice.
+//
+// Until restructuring is enabled the cell list cannot change, so the list
+// is computed once and each call returns a copy — every engine built over
+// the mesh asks for it, and the face table it is derived from is tens of
+// MB on the level-5 neuron against 0.2 MB for the ids. The table itself
+// is not kept. Once restructuring maintains a live face table, every call
+// derives the list from it.
 func (m *Mesh) SurfaceVertices() []int32 {
-	ft := m.faces
-	if ft == nil {
-		ft = newFaceTable(m.cells)
+	if m.faces != nil {
+		return m.faces.surfaceVertices()
 	}
+	m.surfaceOnce.Do(func() { m.surface = newFaceTable(m.cells).surfaceVertices() })
+	return append([]int32(nil), m.surface...)
+}
+
+func (ft *faceTable) surfaceVertices() []int32 {
 	onSurface := make(map[int32]struct{})
 	for k, n := range ft.count {
 		if n != 1 {

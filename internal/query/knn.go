@@ -2,9 +2,6 @@ package query
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
@@ -117,56 +114,13 @@ func (c *StatelessCursor) LastKNNBound2() (float64, bool) { return c.lastBound2,
 // The same exclusion rule as ExecuteBatch applies: no Step, deformation or
 // restructuring may overlap the batch.
 func ExecuteKNNBatch(eng ParallelKNNEngine, probes []KNNQuery, workers int) [][]int32 {
-	results := make([][]int32, len(probes))
-	if len(probes) == 0 {
-		return results
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	knnCursor := func() (Cursor, KNNCursor) {
-		cur := eng.NewCursor()
+	return runBatch(eng, len(probes), workers, func(cur Cursor) func(int) []int32 {
 		kc, ok := cur.(KNNCursor)
 		if !ok {
 			panic("query: cursor of " + eng.Name() + " does not implement KNNCursor")
 		}
-		return cur, kc
-	}
-	if workers == 1 {
-		cur, kc := knnCursor()
-		for i, q := range probes {
-			results[i] = kc.KNN(q.P, q.K, nil)
-		}
-		cur.Close()
-		return results
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	cursors := make([]Cursor, workers)
-	for w := range cursors {
-		cur, kc := knnCursor()
-		cursors[w] = cur
-		wg.Add(1)
-		go func(kc KNNCursor) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(probes) {
-					return
-				}
-				results[i] = kc.KNN(probes[i].P, probes[i].K, nil)
-			}
-		}(kc)
-	}
-	wg.Wait()
-	for _, cur := range cursors {
-		cur.Close()
-	}
-	return results
+		return func(i int) []int32 { return kc.KNN(probes[i].P, probes[i].K, nil) }
+	})
 }
 
 // BruteForceKNN returns the ground-truth k nearest vertices to p by

@@ -44,6 +44,23 @@ type ParallelEngine interface {
 	NewCursor() Cursor
 }
 
+// ResidentGuard enforces the single-goroutine contract of an engine's
+// resident cursor — the one behind Engine.Query and KNNEngine.KNN: a
+// second goroutine entering while a query runs panics instead of
+// corrupting the cursor's scratch. The zero value is ready to use.
+type ResidentGuard struct{ busy atomic.Bool }
+
+// Enter marks the resident cursor of package pkg busy; pair it with a
+// deferred Leave.
+func (g *ResidentGuard) Enter(pkg string) {
+	if !g.busy.CompareAndSwap(false, true) {
+		panic(pkg + ": resident cursor entered concurrently — use NewCursor per goroutine")
+	}
+}
+
+// Leave marks the resident cursor free again.
+func (g *ResidentGuard) Leave() { g.busy.Store(false) }
+
 // StatelessCursor adapts an engine whose Query method touches no mutable
 // engine state (the linear scan, the rebuilt-per-step trees, the R-tree
 // baselines) to the Cursor interface: the "scratch" is the engine itself,
@@ -110,44 +127,40 @@ func (c *StatelessCursor) Close() {}
 // still not overlap the batch. For a managed writer alongside the batch,
 // use Pipeline.
 func ExecuteBatch(eng ParallelEngine, queries []geom.AABB, workers int) [][]int32 {
-	results := make([][]int32, len(queries))
-	if len(queries) == 0 {
-		return results
-	}
+	return runBatch(eng, len(queries), workers, func(cur Cursor) func(int) []int32 {
+		return func(i int) []int32 { return cur.Query(queries[i], nil) }
+	})
+}
+
+// runBatch is the worker pool behind ExecuteBatch and ExecuteKNNBatch: n
+// items handed to the workers through a shared counter, one cursor per
+// worker (bind turns a fresh cursor into the function answering item i),
+// every cursor closed once the pool has drained so its statistics merge
+// into the engine exactly once.
+func runBatch(eng ParallelEngine, n, workers int, bind func(Cursor) func(i int) []int32) [][]int32 {
+	results := make([][]int32, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers == 1 {
-		cur := eng.NewCursor()
-		for i, q := range queries {
-			results[i] = cur.Query(q, nil)
-		}
-		cur.Close()
-		return results
-	}
-
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	cursors := make([]Cursor, workers)
+	cursors := make([]Cursor, min(workers, n))
 	for w := range cursors {
 		cursors[w] = eng.NewCursor()
+		answer := bind(cursors[w])
 		wg.Add(1)
-		go func(cur Cursor) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
+				if i >= n {
 					return
 				}
-				results[i] = cur.Query(queries[i], nil)
+				results[i] = answer(i)
 			}
-		}(cursors[w])
+		}()
 	}
 	wg.Wait()
-	// The barrier has passed: merge every worker's statistics.
 	for _, cur := range cursors {
 		cur.Close()
 	}

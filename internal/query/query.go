@@ -18,7 +18,9 @@
 //     ParallelEngine.NewCursor) may run concurrently — mesh.Mesh is safe
 //     for concurrent readers, and so is every engine's index.
 //   - A single cursor — including the resident one behind Engine.Query —
-//     must not be used from two goroutines at once.
+//     must not be used from two goroutines at once. The OCTOPUS family,
+//     the sharded router and the distributed engine enforce it on their
+//     resident cursors (ResidentGuard): a concurrent entry panics.
 //   - Mesh deformation through mesh.Mesh.Deform may overlap queries once
 //     the mesh has position snapshots enabled: Deform publishes each step
 //     into the inactive buffer with an atomic epoch swap, and cursors pin
@@ -28,8 +30,8 @@
 //   - Index maintenance still requires exclusion from queries on the
 //     same maintenance target: Engine.Step, restructuring,
 //     ApplySurfaceDelta and engine tuning setters (SetApproximation,
-//     SetProbeWorkers, SetCrawlWorkers, SetCrawlBudget, SetDenseCrawl)
-//     mutate engine-owned state that position epochs do not version.
+//     SetCrawlWorkers, SetCrawlBudget, SetDenseCrawl) mutate
+//     engine-owned state that position epochs do not version.
 //     Inside a Pipeline the maintain.Scheduler owns that exclusion with
 //     one read-write lock per target (the engine, or each shard of a
 //     sharded router) and runs maintenance as budget-sliced resumable

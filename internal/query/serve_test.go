@@ -32,7 +32,7 @@ func repeatWorkload(queries []geom.AABB, probes []query.KNNQuery, n int) ([]geom
 }
 
 // TestCacheReplayExactnessAllEngines is the tentpole's correctness
-// anchor: with the cache enabled and every query issued three times under
+// anchor: with the cache enabled and every query issued eight times under
 // a deforming mesh, each result — cached or fresh — must equal brute
 // force at the epoch its trace claims, for all 9 engines. A cache hit
 // whose claimed epoch were wrong, or whose invalidation missed a dirty
@@ -45,14 +45,16 @@ func TestCacheReplayExactnessAllEngines(t *testing.T) {
 			eng := f.make(m)
 			o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 61})
 			base, baseProbes := testWorkload(m, 24, 12, 67)
-			queries, probes := repeatWorkload(base, baseProbes, 3)
+			queries, probes := repeatWorkload(base, baseProbes, 8)
 
 			// MaxSteps caps the publishes: the global noise deformer
 			// dirties every entry each step, so an uncapped writer that
 			// outpaces the workers can invalidate every repeat before it
 			// recurs (hits == 0 by scheduling luck). With the writer
 			// frozen after 8 steps, the workload's tail runs on a stable
-			// epoch where repeats must hit.
+			// epoch where repeats must hit — and eight repeats make the
+			// workload outlast those steps (three did not always: 3 to 6
+			// runs in 100 drained just as the last step landed).
 			pl := &query.Pipeline{
 				Engine:    eng,
 				Mesh:      m,
@@ -71,7 +73,7 @@ func TestCacheReplayExactnessAllEngines(t *testing.T) {
 				t.Fatal("cache never consulted — the fast path is not wired")
 			}
 			if cs.Hits == 0 {
-				t.Fatalf("no hits on a 3x-repeated workload — the fill gate rejects %s: %+v", f.name, cs)
+				t.Fatalf("no hits on an 8x-repeated workload — the fill gate rejects %s: %+v", f.name, cs)
 			}
 			cached := 0
 			for _, tr := range report.Traces() {

@@ -6,14 +6,10 @@ import (
 	"octopus/internal/geom"
 )
 
-// Fan-out planning, factored out of the in-process cursor so a remote
-// router tier can make provably identical routing decisions from shard
-// metadata alone (DESIGN.md §15). Both the in-process Cursor and the
-// distributed router in internal/dist route every fan-out and visit-order
-// decision through these two functions: the inputs are nothing but the
-// per-shard owned-vertex boxes — plain data that serializes — so the two
-// architectures cannot diverge on which shards a query touches or the
-// order a kNN probes them.
+// Fan-out planning from shard metadata alone: the inputs are nothing but
+// the per-shard owned-vertex boxes — plain data that serializes — so the
+// Fanout makes the same routing decisions whether its legs are in-process
+// executors or shard servers (DESIGN.md §15).
 
 // ShardDist is one entry of a kNN visit plan: a shard id and the squared
 // distance from the probe to the shard's owned-vertex box.
@@ -59,26 +55,10 @@ func PlanKNNOrder(boxes []geom.AABB, p geom.Vec3, out []ShardDist) []ShardDist {
 // order — the complete input of the fan-out planner, and the metadata a
 // shard server publishes to the router tier. The boxes are valid at the
 // partition's current published epoch; callers that must not observe a
-// mid-publish state read them under the coherence gate (Mesh.EpochVector
-// does both in one critical section).
+// mid-publish state read them under the coherence gate.
 func (pt *Partition) Boxes(out []geom.AABB) []geom.AABB {
 	for _, p := range pt.Parts {
 		out = append(out, p.box)
-	}
-	return out
-}
-
-// EpochVector appends every shard sub-mesh's current position epoch, in
-// shard order, read under the coherence gate so the vector is a
-// consistent cross-shard snapshot: after any Deform publish all entries
-// are equal (shards publish in lockstep), so a mixed vector can only be
-// observed by code reading epochs outside the gate — which is exactly
-// what the distributed router's consistency check detects.
-func (sm *Mesh) EpochVector(out []uint64) []uint64 {
-	sm.deformMu.RLock()
-	defer sm.deformMu.RUnlock()
-	for _, p := range sm.part.Parts {
-		out = append(out, p.Mesh.Epoch())
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"octopus/internal/geom"
 	"octopus/internal/maintain"
@@ -11,21 +10,12 @@ import (
 )
 
 // Router executes queries across the shards of a Mesh, one inner engine
-// per shard. It implements query.ParallelKNNEngine:
-//
-//   - Range queries fan out only to the shards whose owned-vertex bounding
-//     box intersects the query box; each shard engine answers on its
-//     sub-mesh, ghost hits are dropped (the neighbor shard reports them),
-//     and the remaining local ids are remapped to global ids.
-//   - kNN visits shards best-first by box distance to the probe under a
-//     shared query.KBest holding the global k best so far: a shard whose
-//     box distance exceeds the current k-th distance cannot contribute and
-//     is pruned without being queried (ties at the bound are not pruned —
-//     an equal-distance candidate with a smaller global id still wins).
-//
-// What happens inside one shard — the owned filter, the widening loop,
-// the owned-scan fallback — is Exec's; the router plans the fan-out,
-// holds the coherence gate and merges.
+// per shard. It implements query.ParallelKNNEngine through Fanout cursors
+// over its in-process legs: what happens inside one shard — the owned
+// filter, the widening loop, the owned-scan fallback — is Exec's, the
+// fan-out plan, merge and kNN pruning are Fanout's, and the router
+// supplies what is local to this tier: the executors, the coherence gate
+// and per-shard maintenance.
 //
 // Each shard is one maintenance target (maintain.TargetState): queries
 // take only the read locks of the shards they fan out to, so one shard's
@@ -50,18 +40,11 @@ type Router struct {
 	sinceRebalance int
 
 	name     string
-	resident *Cursor
-	// residentBusy is set while a Query or KNN runs on the resident
-	// cursor, so a second goroutine entering it panics instead of
-	// corrupting the cursor's scratch.
-	residentBusy atomic.Bool
+	resident *Fanout
+	guard    query.ResidentGuard
 
-	// Fan-out statistics (atomic: cursors update them concurrently).
-	rangeQueries atomic.Int64
-	rangeFanout  atomic.Int64
-	knnQueries   atomic.Int64
-	knnScanned   atomic.Int64
-	knnWidenings atomic.Int64
+	// n is what every cursor of the router counts into.
+	n FanoutCounters
 }
 
 // NewRouter builds one inner engine per shard with factory and returns
@@ -217,30 +200,24 @@ func (r *Router) Step() {
 // Query implements query.Engine through the resident cursor, which one
 // goroutine at a time may use: a concurrent entry panics.
 func (r *Router) Query(q geom.AABB, out []int32) []int32 {
-	r.enterResident()
-	defer r.residentBusy.Store(false)
+	r.guard.Enter("shard")
+	defer r.guard.Leave()
 	return r.resident.Query(q, out)
 }
 
 // KNN implements query.KNNEngine through the resident cursor, under the
 // same contract as Query.
 func (r *Router) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	r.enterResident()
-	defer r.residentBusy.Store(false)
+	r.guard.Enter("shard")
+	defer r.guard.Leave()
 	return r.resident.KNN(p, k, out)
-}
-
-func (r *Router) enterResident() {
-	if !r.residentBusy.CompareAndSwap(false, true) {
-		panic("shard: resident cursor entered concurrently — use NewCursor per goroutine")
-	}
 }
 
 // NewCursor implements query.ParallelEngine.
 func (r *Router) NewCursor() query.Cursor { return r.newCursor() }
 
-func (r *Router) newCursor() *Cursor {
-	return &Cursor{r: r, curs: make([]ExecCursor, len(r.execs))}
+func (r *Router) newCursor() *Fanout {
+	return NewFanout(&localLegs{r: r, curs: make([]ExecCursor, len(r.execs))}, &r.n, nil)
 }
 
 // SetCrawlWorkers implements query.CrawlTuner by forwarding to every
@@ -298,85 +275,61 @@ func (r *Router) MemoryFootprint() int64 {
 // actually scanned (not pruned by the KBest bound), and the kNN widening
 // rounds (re-queries needed when ghost hits crowded out owned results).
 func (r *Router) FanoutStats() (rangeQ, rangeFan, knnQ, knnScanned, knnWiden int64) {
-	return r.rangeQueries.Load(), r.rangeFanout.Load(),
-		r.knnQueries.Load(), r.knnScanned.Load(), r.knnWidenings.Load()
+	return r.n.RangeQueries.Load(), r.n.RangeFanout.Load(),
+		r.n.KNNQueries.Load(), r.n.KNNScanned.Load(), r.n.KNNWidenings.Load()
 }
 
-// Cursor is the router's per-goroutine query state: one ExecCursor per
-// shard plus merge scratch. Like every cursor, it is not safe for
-// concurrent use; distinct cursors are.
-type Cursor struct {
-	r      *Router
-	curs   []ExecCursor
-	kb     query.KBest
-	boxes  []geom.AABB
-	plan   []int
-	order  []ShardDist
-	epoch  uint64
-	cov    query.CrawlCoverage
-	ball2  float64
-	ballOK bool
-}
+// Cursor is the router's per-goroutine cursor: the one Fanout, over
+// in-process legs.
+type Cursor = Fanout
 
-// planBoxes gathers the current owned-vertex boxes into the cursor's
-// scratch — the fan-out planner's input. Caller holds the coherence gate.
-func (c *Cursor) planBoxes() []geom.AABB {
-	c.boxes = c.boxes[:0]
-	for _, p := range c.r.sm.part.Parts {
-		c.boxes = append(c.boxes, p.box)
-	}
-	return c.boxes
-}
-
-// Query implements query.Cursor: fan out to box-intersecting shards and
-// concatenate what each shard's Exec reports. Result order is
-// unspecified, like every engine's.
+// localLegs is one cursor's in-process Legs: the view is the coherence
+// gate, held from Begin to End so the head epoch and the owned boxes stay
+// fixed for the whole query, and a leg is the shard's Exec on this
+// cursor's ExecCursor. The gate makes skew impossible and an Exec cannot
+// fail, so the fan-out's loop runs exactly once.
 //
-// Every result is consistent with the head epoch (the coherence gate
-// keeps it fixed for the duration of the query): pin-per-query engines
-// read the head buffer, maintained engines whose last maintenance is the
-// head answer from an identical snapshot, and a shard whose engine
-// either lags the head (the publish-to-maintenance window) or is
-// mid-maintenance-slice (the scheduler's budgeted tasks) answers by the
-// owned-scan fallback, so no shard is ever skipped or answered against
-// the wrong geometry.
-func (c *Cursor) Query(q geom.AABB, out []int32) []int32 {
-	r := c.r
-	r.sm.deformMu.RLock()
-	defer r.sm.deformMu.RUnlock()
-
-	c.epoch = r.sm.Epoch()
-	c.cov = query.CrawlCoverage{}
-	c.plan = PlanRangeFanout(c.planBoxes(), q, c.plan[:0])
-	for _, s := range c.plan {
-		out = r.execs[s].Range(&c.curs[s], q, out)
-		c.cov.Add(c.curs[s].cov)
-	}
-	r.rangeQueries.Add(1)
-	r.rangeFanout.Add(int64(len(c.plan)))
-	return out
+// Every shard answers consistently with that head epoch: pin-per-query
+// engines read the head buffer, maintained engines whose last maintenance
+// is the head answer from an identical snapshot, and a shard whose engine
+// lags the head or is mid-maintenance-slice answers by Exec's owned-scan
+// fallback — no shard is ever skipped or answered against the wrong
+// geometry.
+type localLegs struct {
+	r     *Router
+	curs  []ExecCursor
+	boxes []geom.AABB
 }
 
-// LastEpoch implements query.PinnedCursor.
-func (c *Cursor) LastEpoch() uint64 { return c.epoch }
+func (l *localLegs) Begin() ([]geom.AABB, uint64, error) {
+	sm := l.r.sm
+	sm.deformMu.RLock()
+	l.boxes = sm.part.Boxes(l.boxes[:0])
+	return l.boxes, sm.Epoch(), nil
+}
 
-// LastCoverage implements query.CoverageReporter: the merged crawl
-// coverage of the shards the cursor's most recent query fanned out to,
-// under CrawlCoverage.Add's aggregation contract (counters sum, Truncated
-// is the OR, BoundGap the max). Owned-scan fallbacks are exact and
-// contribute nothing.
-func (c *Cursor) LastCoverage() query.CrawlCoverage { return c.cov }
+func (l *localLegs) End() { l.r.sm.deformMu.RUnlock() }
 
-// LastKNNBound2 implements query.KNNBoundReporter: the global k-th-best
-// squared distance of the cursor's most recent KNN, captured from the
-// merge heap before it is drained (+Inf when the whole mesh held fewer
-// than k vertices).
-func (c *Cursor) LastKNNBound2() (float64, bool) { return c.ball2, c.ballOK }
+func (l *localLegs) Range(s int, _ uint64, q geom.AABB, out []int32, cov *query.CrawlCoverage) ([]int32, bool, error) {
+	cur := &l.curs[s]
+	out = l.r.execs[s].Range(cur, q, out)
+	cov.Add(cur.cov)
+	return out, true, nil
+}
 
-// Close implements query.Cursor: close every shard cursor, folding their
-// statistics into the shard engines.
-func (c *Cursor) Close() {
-	for s := range c.curs {
-		c.curs[s].Close()
+func (l *localLegs) KNN(s int, _ uint64, p geom.Vec3, k int, kb *query.KBest, cov *query.CrawlCoverage) (int, bool, error) {
+	cur := &l.curs[s]
+	rounds := l.r.execs[s].KNN(cur, p, k, kb.Full(), kb.Bound(), kb)
+	cov.Add(cur.cov)
+	return rounds, true, nil
+}
+
+func (l *localLegs) Skewed() {}
+
+// Close closes every shard cursor, folding their statistics into the
+// shard engines.
+func (l *localLegs) Close() {
+	for s := range l.curs {
+		l.curs[s].Close()
 	}
 }

@@ -2,8 +2,8 @@
 // executes range and kNN queries across them — serving meshes larger than
 // one engine's rebuild budget. The same cut is the unit of distribution:
 // internal/dist serves each shard from its own process behind a wire
-// protocol, reusing this package's partition, fan-out planner and widening
-// contract unchanged (DESIGN.md §15).
+// protocol, on this package's partition, per-shard executor (Exec) and
+// cross-shard cursor (Fanout) (DESIGN.md §15).
 //
 // The partitioner (Partition) cuts the vertex set into K contiguous ranges
 // of the Hilbert order already used for the crawl-locality vertex layout:
@@ -20,11 +20,14 @@
 //
 // Mesh (the shard container) wraps the K sub-meshes plus the original
 // global mesh, propagating deformation into every shard; Router wraps one
-// query engine per shard and implements query.ParallelKNNEngine: range
-// queries fan out to the shards whose owned-vertex bounding box intersects
-// the query and concatenate the remapped results; kNN visits shards
-// best-first by box distance under a shared query.KBest bound that prunes
-// shards that cannot contribute. See DESIGN.md §10.
+// query engine per shard and implements query.ParallelKNNEngine. Its
+// cursors are Fanouts: range queries fan out to the shards whose
+// owned-vertex bounding box intersects the query and concatenate the
+// remapped results; kNN visits shards best-first by box distance under a
+// shared query.KBest bound that prunes shards that cannot contribute. The
+// Fanout reaches the shards through a Legs — Execs behind the coherence
+// gate here, RPC stubs in internal/dist — so planning, merging, pruning
+// and the epoch proof exist once. See DESIGN.md §10.
 package shard
 
 import (

@@ -86,7 +86,7 @@ type KNNEngine = query.KNNEngine
 type ParallelKNNEngine = query.ParallelKNNEngine
 
 // EngineCursor is the concrete cursor of the OCTOPUS-family engines
-// (Octopus, Con), accepted by their typed QueryWith methods.
+// (Octopus, Con): what their NewCursor returns, with per-cursor Stats.
 type EngineCursor = core.Cursor
 
 // ExecuteBatch executes queries on eng with a pool of workers (one cursor

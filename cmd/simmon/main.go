@@ -62,7 +62,7 @@ func main() {
 
 	s := engine.Stats()
 	fmt.Printf("\ntotals: %d queries, %d results\n", s.Queries, s.Results)
-	fmt.Printf("phases: probe %v, walk %v (%d walks), crawl %v\n",
-		s.SurfaceProbe, s.DirectedWalk, s.DirectedWalks, s.Crawl)
+	fmt.Printf("phases: probe %v, walk %v (%d walks, %d stalled into the scan), crawl %v\n",
+		s.SurfaceProbe, s.DirectedWalk, s.DirectedWalks, s.WalkStalls, s.Crawl)
 	fmt.Printf("memory: %.2f MB auxiliary\n", float64(engine.MemoryFootprint())/(1<<20))
 }

@@ -31,13 +31,11 @@ type Con struct {
 	m    *mesh.Mesh
 	grid *grid.Grid
 
-	// compOf/compReps: vertex→component labels and one walk start per
+	// compOf/compReps: vertex→component labels and one descent start per
 	// connected component, computed once at build time (deformation never
 	// changes them). A strictly convex mesh has one component; on
-	// multi-component input the walk is retried per component when the
-	// grid-supplied start finds nothing, and the kNN crawl always visits
-	// every component — see Octopus and DESIGN.md §4 for the exact
-	// guarantee.
+	// multi-component input the kNN crawl visits every component. Range
+	// queries do not use them — see Octopus and DESIGN.md §4.
 	compOf   []int32
 	compReps []int32
 
@@ -146,31 +144,15 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	t1 := time.Now()
 	cur.stats.SurfaceProbe += t1.Sub(t0) // grid lookup plays the probe's role
 
-	// Directed walk from the grid-supplied start; on failure, retried from
-	// every other component's representative. The walk can only reach its
-	// start's component, so on (non-convex) multi-component input a query
-	// interior to a secondary component would otherwise come back empty.
-	// The common case — the stale grid hands back a vertex of the right
-	// component — pays nothing for the retries.
+	// Directed walk from the grid-supplied start. Convexity makes the
+	// descent arrive; on other input (non-convex, multi-component) a stall
+	// falls back to the scan of every position, as in Octopus, so the
+	// answer is exactly brute force's instead of silently empty.
 	cur.seeds = cur.seeds[:0]
-	startComp := int32(-1)
-	if ok {
-		startComp = c.compOf[start]
-		cur.stats.DirectedWalks++
-		if seed, found := cur.directedWalk(q, start); found {
-			cur.seeds = append(cur.seeds, seed)
-		}
+	if !ok {
+		start = -1
 	}
-	if len(cur.seeds) == 0 {
-		for ci, rep := range c.compReps {
-			if int32(ci) == startComp {
-				continue // walked above, from the grid's closer start
-			}
-			if seed, found := cur.directedWalk(q, rep); found {
-				cur.seeds = append(cur.seeds, seed)
-			}
-		}
-	}
+	cur.walkSeeds(q, start, true, 0)
 	t2 := time.Now()
 	cur.stats.DirectedWalk += t2.Sub(t1)
 

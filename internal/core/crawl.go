@@ -11,8 +11,9 @@ import (
 
 // crawler implements the two mesh-graph phases shared by OCTOPUS and
 // OCTOPUS-CON: the breadth-first crawl (§IV-B) and the directed walk
-// (§IV-D). It owns the reusable visited structures and frontiers so
-// queries do not allocate.
+// (§IV-D) with its exact fallback, the scan of the unprobed positions. It
+// owns the reusable visited structures and frontiers so queries do not
+// allocate.
 //
 // The crawl has three execution tiers (DESIGN.md §12), chosen per query by
 // the tuning the engine installs through armCrawl:
@@ -34,7 +35,7 @@ import (
 type crawler struct {
 	m       *mesh.Mesh
 	visited *idSet
-	heap    []heapItem // best-first walk / kNN crawl frontier
+	heap    []heapItem // kNN crawl frontier
 
 	// marks is the dense visited array of the escalated tiers: marks[v] ==
 	// markEpoch means v was visited by the current crawl. Sized to the
@@ -66,7 +67,7 @@ type crawler struct {
 
 	// counters (cumulative across queries)
 	crawlVisited int64 // vertices discovered by range crawls / expanded by kNN crawls
-	walkVisited  int64 // vertices accessed by directed walks
+	walkVisited  int64 // vertices accessed by directed walks and their fallback scans
 }
 
 // crawlTuning is the per-query snapshot of an engine's crawl knobs.
@@ -281,30 +282,14 @@ func (c *crawler) crawlDense(q geom.AABB, out []int32, head int) []int32 {
 	return out
 }
 
-// directedWalk walks from start towards q and returns the first vertex
-// found inside q. The fast path is Algorithm 1's greedy descent: move to
-// the neighbour strictly closest to the query box. On convex meshes the
-// descent provably reaches the box; on non-convex meshes it can stall in a
-// local minimum of the graph distance, a case the paper treats as "query
-// does not intersect the mesh". To keep results exact on arbitrary
-// geometry, a stall falls back to a best-first search (a strengthening
-// over the paper, documented in DESIGN.md): it finds the box whenever any
-// path exists, at the cost of exploring the component when the query truly
-// is empty — a rare event under vertex-centred workloads, and never worse
-// than the linear scan the walk replaces.
-func (c *crawler) directedWalk(q geom.AABB, start int32) (seed int32, ok bool) {
-	return c.walk(q, start, true)
-}
-
-// greedyWalk is directedWalk without the exactness fallback: a stall gives
-// up, as the paper's Algorithm 1 does. Approximate query modes use it —
-// they already trade accuracy for time, and the best-first fallback's cost
-// would defeat the point of sampling the surface.
+// greedyWalk is Algorithm 1's directed walk: from start, move to the
+// neighbour strictly closest to the query box until a vertex inside q is
+// reached. On convex meshes the descent provably arrives; on non-convex
+// meshes it can stall in a local minimum of the graph distance (ok ==
+// false), a case the paper treats as "query does not intersect the mesh".
+// Approximate query modes accept that — they already trade accuracy for
+// time; exact queries hand a stall to scanSeeds (Cursor.walkSeeds).
 func (c *crawler) greedyWalk(q geom.AABB, start int32) (seed int32, ok bool) {
-	return c.walk(q, start, false)
-}
-
-func (c *crawler) walk(q geom.AABB, start int32, exact bool) (seed int32, ok bool) {
 	pos := c.pos
 	cur := start
 	curDist := q.Dist2(pos[cur])
@@ -318,15 +303,31 @@ func (c *crawler) walk(q geom.AABB, start int32, exact bool) (seed int32, ok boo
 			}
 		}
 		if best < 0 {
-			if exact {
-				return c.bestFirstWalk(q, cur)
-			}
 			return 0, false
 		}
 		cur, curDist = best, bestDist
 		c.walkVisited++
 	}
 	return cur, true
+}
+
+// scanSeeds is the exact fallback of a stalled walk (a strengthening over
+// the paper, DESIGN.md §4): one sequential containment pass over
+// pos[from:] — the positions the probe has not already tested — appending
+// every vertex inside q to seeds. No seed means the mesh holds nothing in
+// q, by inspection of every position at the pinned epoch; otherwise every
+// component and every isolated vertex inside q is seeded, so the crawl
+// returns exactly brute force's answer. The pass is the linear scan the
+// walk replaces, so a stall never costs more than that scan, and it needs
+// no scratch. Scanned positions count as walk accesses.
+func (c *crawler) scanSeeds(q geom.AABB, from int, seeds []int32) []int32 {
+	for i, p := range c.pos[from:] {
+		if q.Contains(p) {
+			seeds = append(seeds, int32(from+i))
+		}
+	}
+	c.walkVisited += int64(len(c.pos) - from)
+	return seeds
 }
 
 // pointDescent greedily walks from start to a local minimum of the
@@ -356,31 +357,6 @@ func (c *crawler) pointDescent(p geom.Vec3, start int32) int32 {
 	}
 }
 
-// bestFirstWalk resumes a stalled directed walk: vertices are expanded in
-// order of increasing distance to q until one inside q is found or the
-// connected component is exhausted (query disjoint from this part of the
-// mesh).
-func (c *crawler) bestFirstWalk(q geom.AABB, start int32) (int32, bool) {
-	pos := c.pos
-	c.visited.reset()
-	c.heap = c.heap[:0]
-	c.visited.add(start)
-	heapPushItem(&c.heap, heapItem{dist: q.Dist2(pos[start]), v: start})
-	for len(c.heap) > 0 {
-		item := heapPopItem(&c.heap)
-		c.walkVisited++
-		if item.dist == 0 {
-			return item.v, true
-		}
-		for _, w := range c.m.Neighbors(item.v) {
-			if c.visited.add(w) {
-				heapPushItem(&c.heap, heapItem{dist: q.Dist2(pos[w]), v: w})
-			}
-		}
-	}
-	return 0, false
-}
-
 // knnGap converts a truncated kNN crawl's state into the coverage
 // report's bound gap: frontier is the squared distance of the closest
 // abandoned frontier vertex, bound the squared k-th-best distance.
@@ -394,7 +370,7 @@ func knnGap(frontier, bound float64) float64 {
 	return 1 - math.Sqrt(frontier/bound)
 }
 
-// heapItem is a frontier entry of the best-first walk and kNN crawls.
+// heapItem is a frontier entry of the kNN crawls.
 type heapItem struct {
 	dist float64
 	v    int32
@@ -443,7 +419,7 @@ func heapPopItem(h *[]heapItem) heapItem {
 }
 
 // memoryBytes reports the crawl structures' footprint: visited set, dense
-// mark array, walk frontier and the parallel pool's per-worker scratch.
+// mark array, kNN frontier and the parallel pool's per-worker scratch.
 func (c *crawler) memoryBytes() int64 {
 	b := c.visited.memoryBytes() + int64(cap(c.marks))*4 + int64(cap(c.heap))*16
 	if c.par != nil {

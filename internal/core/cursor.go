@@ -19,7 +19,7 @@ type cursorOwner interface {
 }
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
-// (visited set, BFS queue, walk frontier), the seed buffer, the
+// (visited set, BFS queue, kNN frontier), the seed buffer, the
 // approximate-probe sampling phase and a local Stats accumulator. The
 // engine that created a cursor holds only immutable index state at query
 // time, so any number of cursors over the same engine may execute queries
@@ -133,6 +133,25 @@ func (c *Cursor) endQuery(m *mesh.Mesh) {
 	}
 }
 
+// walkSeeds is phase 2 of a range query whose probe found no seed: the
+// greedy descent from start (start < 0: the engine had no start vertex)
+// and, when that finds nothing and the query is exact, the scan of
+// pos[unprobed:] — the one place a stall is turned into either seeds or
+// a proof that the mesh holds nothing in q.
+func (c *Cursor) walkSeeds(q geom.AABB, start int32, exact bool, unprobed int) {
+	c.stats.DirectedWalks++
+	if start >= 0 {
+		if seed, ok := c.greedyWalk(q, start); ok {
+			c.seeds = append(c.seeds, seed)
+			return
+		}
+	}
+	if exact {
+		c.stats.WalkStalls++
+		c.seeds = c.scanSeeds(q, unprobed, c.seeds)
+	}
+}
+
 // LastEpoch implements query.PinnedCursor: the position epoch the
 // cursor's most recent query executed against.
 func (c *Cursor) LastEpoch() uint64 { return c.epoch }
@@ -211,7 +230,7 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (visited set, dense mark array, walk frontier, the parallel
+// structures (visited set, dense mark array, kNN frontier, the parallel
 // pool's per-worker frontiers and buffers), the seed buffer, the kNN
 // candidate heap and the sharded-probe buffers.
 func (c *Cursor) MemoryBytes() int64 {

@@ -79,7 +79,7 @@ func componentsWithin(m *mesh.Mesh, ids []int32) int {
 // force exactly; otherwise the crawl contract still requires soundness
 // (only in-box vertices, no duplicates), closure (an in-box neighbour of
 // a result vertex is in the result), and non-emptiness whenever brute
-// force is non-empty (the per-component walk retry guarantees a seed).
+// force is non-empty (a walk that finds nothing scans for a seed).
 func checkRangeContract(t *testing.T, m *mesh.Mesh, name string, q geom.AABB, got, want []int32) {
 	t.Helper()
 	if componentsWithin(m, want) <= 1 {

@@ -257,7 +257,7 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 
 // knnCrawl expands mesh edges best-first from the given start vertices
 // (all of one connected component), offering every reached vertex to the
-// cursor's k-candidate heap. The frontier (the crawler's walk heap) is
+// cursor's k-candidate heap. The frontier (the crawler's heap) is
 // ordered by distance to p; expansion stops when the heap holds k
 // candidates and the frontier's closest vertex is farther than the k-th
 // best — no vertex beyond the frontier can then enter the result,

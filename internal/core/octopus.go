@@ -9,7 +9,10 @@
 //     collect those inside the query box as crawl seeds.
 //  2. Directed walk — if no surface vertex is inside the box (query fully
 //     interior to the mesh, or disjoint from it), greedily walk from the
-//     closest surface vertex towards the box to find a seed.
+//     closest surface vertex towards the box to find a seed. An exact
+//     query whose walk stalls scans the positions the probe did not test
+//     and seeds the crawl from every vertex inside the box — or proves
+//     there is none.
 //  3. Crawling — BFS along mesh edges from the seeds, never expanding past
 //     a vertex outside the box.
 //
@@ -68,16 +71,14 @@ type Octopus struct {
 	surfaceSlot map[int32]int32
 
 	// compOf labels every vertex with its connected-component id and
-	// compReps holds one walk representative per component (a surface
-	// vertex when the component has one). Both are rebuilt on New and
+	// compReps holds one descent start per component (a surface vertex
+	// when the component has one). Both are rebuilt on New and
 	// ApplySurfaceDelta — deformation never changes connectivity, so they
-	// are as maintenance-free as the surface index. They exist because a
-	// directed walk can only ever reach vertices of its start's component:
-	// when a range probe finds no seed at all, the walk is retried per
-	// component (so a query interior to a secondary component is found),
-	// and the kNN crawl always visits every component. A seeded range
-	// query still crawls only the components its seeds or primary walk
-	// reach — see DESIGN.md §4 for the exact guarantee.
+	// are as maintenance-free as the surface index. They serve kNN only: a
+	// crawl can only ever reach vertices of its start's component, so the
+	// kNN crawl visits every component. Range queries do not need them —
+	// a no-seed range query that the walk cannot answer scans the unprobed
+	// positions instead (DESIGN.md §4).
 	compOf   []int32
 	compReps []int32
 
@@ -130,9 +131,10 @@ type Stats struct {
 	DirectedWalk  time.Duration
 	Crawl         time.Duration
 	ProbeChecked  int64 // surface vertices tested
-	WalkVisited   int64 // vertices accessed during directed walks
+	WalkVisited   int64 // vertices accessed during directed walks, fallback scans included
 	CrawlVisited  int64 // vertices expanded by the BFS
 	DirectedWalks int64 // queries that needed the walk
+	WalkStalls    int64 // exact walks that stalled (or had no start) and took the scan
 }
 
 // Total returns the summed phase time.
@@ -150,6 +152,7 @@ func (s *Stats) Add(o Stats) {
 	s.WalkVisited += o.WalkVisited
 	s.CrawlVisited += o.CrawlVisited
 	s.DirectedWalks += o.DirectedWalks
+	s.WalkStalls += o.WalkStalls
 }
 
 // New builds the OCTOPUS engine over m: it extracts the mesh surface once
@@ -393,43 +396,23 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	t1 := time.Now()
 	cur.stats.SurfaceProbe += t1.Sub(t0)
 
-	// Phase 2: directed walk, only when the probe found no seed. Exact
-	// mode uses the fallback-strengthened walk; if it finds nothing, the
-	// walk is retried from every other component's representative — a walk
-	// can only reach its start's component, so a query interior to a
-	// secondary component would otherwise come back empty. The retries run
-	// only on primary-walk failure: the common interior query (seed found
-	// in the closest component) pays nothing, while a query disjoint from
-	// the mesh — already the expensive exactness case — now proves every
-	// component empty rather than just the closest one. Approximate mode
-	// uses the paper's plain greedy walk from the single closest sample
-	// (accuracy is already being traded away).
+	// Phase 2: directed walk, only when the probe found no seed. The
+	// greedy descent from the closest sampled surface vertex answers the
+	// common interior query in a few hops. In exact mode a stall (or a
+	// mesh with no surface vertex to start from) falls back to one
+	// sequential pass over the positions the probe did not test, every
+	// vertex inside the box becoming a seed: no seed proves the mesh holds
+	// nothing in the box, and a seeded crawl then covers every component
+	// and isolated vertex, so the no-seed answer is exactly brute force's.
+	// Approximate mode keeps the paper's plain greedy walk (accuracy is
+	// already being traded away).
 	if len(cur.seeds) == 0 {
-		switch {
-		case stride == 1 && (minVertex >= 0 || len(o.compReps) > 0):
-			cur.stats.DirectedWalks++
-			minComp := int32(-1)
-			if minVertex >= 0 {
-				minComp = o.compOf[minVertex]
-				if seed, ok := cur.directedWalk(q, minVertex); ok {
-					cur.seeds = append(cur.seeds, seed)
-				}
+		if exact := stride == 1; exact || minVertex >= 0 {
+			unprobed := 0
+			if o.denseSurface {
+				unprobed = len(o.surface)
 			}
-			if len(cur.seeds) == 0 {
-				for ci, rep := range o.compReps {
-					if int32(ci) == minComp {
-						continue // walked above, from a closer start
-					}
-					if seed, ok := cur.directedWalk(q, rep); ok {
-						cur.seeds = append(cur.seeds, seed)
-					}
-				}
-			}
-		case minVertex >= 0:
-			cur.stats.DirectedWalks++
-			if seed, ok := cur.greedyWalk(q, minVertex); ok {
-				cur.seeds = append(cur.seeds, seed)
-			}
+			cur.walkSeeds(q, minVertex, exact, unprobed)
 		}
 		t2 := time.Now()
 		cur.stats.DirectedWalk += t2.Sub(t1)

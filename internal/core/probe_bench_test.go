@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
+	"octopus/internal/shard"
 )
 
 // TestShardedProbeSteadyStateAllocs pins the sharded exact probe's
@@ -95,4 +98,47 @@ func BenchmarkProbeGather(b *testing.B) {
 		sinkN += n
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/21000, "ns/vtx")
+}
+
+// BenchmarkNoSeedEmpty times the emptiness proof: a box disjoint from the
+// mesh, so the probe finds no seed, the descent stalls and the fallback
+// has to show that no vertex is inside. "shard" is the row the sharded
+// workloads pay whenever a planned leg lands on a shard that holds
+// nothing in the box — one sub-mesh of the benchmark's K=4 partition of
+// neuro-l3; "unsharded" is the whole mesh. positions/op is
+// Stats.WalkVisited per query. The proof needs no scratch, so it must not
+// allocate.
+func BenchmarkNoSeedEmpty(b *testing.B) {
+	m, err := meshgen.Build(meshgen.NeuroL3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := shard.NewPartition(m, 4, shard.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds := m.Bounds()
+	q := geom.BoxAround(bounds.Max.Add(bounds.Size().Scale(0.1)), bounds.Size().X*0.02)
+	for _, c := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"shard", part.Parts[0].Mesh}, {"unsharded", m}} {
+		b.Run(c.name, func(b *testing.B) {
+			cur := New(c.m).NewCursor().(*Cursor)
+			var out []int32
+			run := func() { out = cur.Query(q, out[:0]) }
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				b.Fatalf("empty proof allocates %.1f objects/query, want 0", allocs)
+			}
+			if len(out) != 0 {
+				b.Fatalf("disjoint box returned %d vertices", len(out))
+			}
+			visited := cur.Stats().WalkVisited
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				run()
+			}
+			b.ReportMetric(float64(cur.Stats().WalkVisited-visited)/float64(b.N), "positions/op")
+		})
+	}
 }

@@ -157,8 +157,16 @@ func TestDistFaultDrillTransientOutage(t *testing.T) {
 
 	victim := h.cl.Addrs()[2]
 	lb.Kill(victim)
+	// The outage lasts until the router has paid for it once: it has to
+	// outlast the two healthy legs the plan runs first, and no fixed
+	// sleep does that reliably (a GC cycle under -race stretches a leg
+	// from 0.4 ms to several).
+	revived := make(chan struct{})
 	go func() {
-		time.Sleep(3 * time.Millisecond)
+		defer close(revived)
+		for rt.Stats().Retries == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 		lb.Revive(victim)
 	}()
 
@@ -173,6 +181,7 @@ func TestDistFaultDrillTransientOutage(t *testing.T) {
 	if st := rt.Stats(); st.Retries == 0 {
 		t.Fatalf("outage left no retry trail: %+v", st)
 	}
+	<-revived
 }
 
 // TestDistFaultDrillTCPKill: the same drill over real sockets — kill one

@@ -132,16 +132,20 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 	return nil, fmt.Errorf("dist: unknown op %d", op)
 }
 
+// meta reads the owned box and the epoch it belongs to in one critical
+// section: a publish bumps the epoch and then refreshes the box, both
+// under s.mu, so an epoch read after unlocking could label the previous
+// step's box with the new epoch — a pair the router would cache and
+// prune on.
 func (s *Server) meta() metaResp {
 	p := s.x.Part()
 	s.mu.Lock()
-	box := p.Box()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	return metaResp{
 		Shard:    p.Index,
 		Epoch:    p.Mesh.Epoch(),
 		NumOwned: p.NumOwned,
-		Box:      box,
+		Box:      p.Box(),
 	}
 }
 

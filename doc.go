@@ -23,7 +23,7 @@
 //	eng := octopus.New(m)                       // builds the surface index once
 //	for step := 0; step < steps; step++ {
 //	    simulate(m.Positions())                 // your in-place deformation
-//	    eng.Step()                              // no-op: nothing to maintain
+//	    eng.Step()                              // required after in-place writes; O(1), nothing to maintain
 //	    ids := eng.Query(octopus.Box(lo, hi), nil)
 //	    // ... analyze ids ...
 //	}

@@ -321,13 +321,8 @@ func (c *crawler) greedyWalk(q geom.AABB, start int32) (seed int32, ok bool) {
 // walk replaces, so a stall never costs more than that scan, and it needs
 // no scratch. Scanned positions count as walk accesses.
 func (c *crawler) scanSeeds(q geom.AABB, from int, seeds []int32) []int32 {
-	for i, p := range c.pos[from:] {
-		if q.Contains(p) {
-			seeds = append(seeds, int32(from+i))
-		}
-	}
 	c.walkVisited += int64(len(c.pos) - from)
-	return seeds
+	return appendContained(seeds, q, c.pos[from:], from)
 }
 
 // pointDescent greedily walks from start to a local minimum of the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
 	"octopus/internal/query"
@@ -22,8 +20,9 @@ type cursorOwner interface {
 // (visited set, BFS queue, kNN frontier), the seed buffer, the
 // approximate-probe sampling phase and a local Stats accumulator. The
 // engine that created a cursor holds only immutable index state at query
-// time, so any number of cursors over the same engine may execute queries
-// concurrently — one cursor per goroutine.
+// time (and the probe's self-synchronized block boxes), so any number of
+// cursors over the same engine may execute queries concurrently — one
+// cursor per goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
 // one per worker (its buffers grow to roughly the largest result set the
@@ -60,54 +59,6 @@ type Cursor struct {
 	// root, so it must be captured pre-drain). Surfaced as LastKNNBound2.
 	knnBound2  float64
 	knnBoundOK bool
-
-	// Sharded-probe scratch (Octopus.probeSharded): per-shard seed buffers
-	// and prebuilt worker closures, reused across queries so the sharded
-	// exact probe allocates nothing in steady state. The closures read the
-	// probe inputs from the shard* fields, which the engine sets before
-	// releasing the workers.
-	shardParts   [][]int32
-	shardRun     []func()
-	shardWG      sync.WaitGroup
-	shardQ       geom.AABB
-	shardPos     []geom.Vec3
-	shardSurface []int32
-	shardDense   bool
-}
-
-// ensureShards sizes the sharded-probe scratch for the given worker count,
-// building the per-shard buffers and worker closures once; subsequent
-// queries with the same worker count reuse them as-is.
-func (c *Cursor) ensureShards(workers int) {
-	if len(c.shardRun) == workers {
-		return
-	}
-	c.shardParts = make([][]int32, workers)
-	c.shardRun = make([]func(), workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		c.shardRun[w] = func() {
-			defer c.shardWG.Done()
-			n := len(c.shardSurface)
-			workers := len(c.shardRun)
-			lo, hi := w*n/workers, (w+1)*n/workers
-			local := c.shardParts[w][:0]
-			if c.shardDense {
-				for i, p := range c.shardPos[lo:hi] {
-					if c.shardQ.Contains(p) {
-						local = append(local, int32(lo+i))
-					}
-				}
-			} else {
-				for _, v := range c.shardSurface[lo:hi] {
-					if c.shardQ.Contains(c.shardPos[v]) {
-						local = append(local, v)
-					}
-				}
-			}
-			c.shardParts[w] = local
-		}
-	}
 }
 
 func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
@@ -231,12 +182,8 @@ func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoun
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
 // structures (visited set, dense mark array, kNN frontier, the parallel
-// pool's per-worker frontiers and buffers), the seed buffer, the kNN
-// candidate heap and the sharded-probe buffers.
+// pool's per-worker frontiers and buffers), the seed buffer and the kNN
+// candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
-	b := c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + c.kbest.MemoryBytes()
-	for _, p := range c.shardParts {
-		b += int64(cap(p)) * 4
-	}
-	return b
+	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + c.kbest.MemoryBytes()
 }

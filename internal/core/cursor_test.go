@@ -109,40 +109,13 @@ func TestConStatsMerge(t *testing.T) {
 	}
 }
 
-// TestShardedProbeMatchesSerial exercises the intra-query sharded surface
-// probe (threshold lowered so a test-sized mesh takes the path) and
-// asserts results are identical to the serial probe, in the same order.
-func TestShardedProbeMatchesSerial(t *testing.T) {
-	m := buildBox(t, 10)
-	serialEng := New(m)
-	shardEng := New(m)
-	shardEng.shardThreshold = 1
-	shardEng.probeWorkers = 4
-
-	queries := cursorWorkload(m, 40, 13)
-	for i, q := range queries {
-		want := serialEng.Query(q, nil)
-		got := shardEng.Query(q, nil)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("query %d: result order diverges at %d: %d vs %d",
-					i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // TestCursorsRaceFree hammers one engine from many goroutines through
-// distinct cursors; run under -race this validates the read-only-at-query
-// claim for the whole Octopus query path including the sharded probe.
+// distinct cursors; run under -race this validates the concurrency claim
+// for the whole Octopus query path, including the first queries of the
+// engine racing to build the probe's block boxes.
 func TestCursorsRaceFree(t *testing.T) {
 	m := buildBox(t, 8)
 	eng := New(m)
-	eng.shardThreshold = 1
-	eng.probeWorkers = 2
 	queries := cursorWorkload(m, 64, 17)
 	want := make([][]int32, len(queries))
 	for i, q := range queries {

@@ -21,11 +21,12 @@ import (
 	"octopus/internal/sim"
 )
 
-// fuzzMesh builds a small deterministic tet block and deforms it with the
-// given seed so every fuzz input sees a distinct, reproducible geometry.
-func fuzzMesh(t *testing.T, seed int64) *mesh.Mesh {
+// fuzzMesh builds a small deterministic tet block of n cells a side and
+// deforms it with the given seed so every fuzz input sees a distinct,
+// reproducible geometry.
+func fuzzMesh(t *testing.T, n int, seed int64) *mesh.Mesh {
 	t.Helper()
-	m := buildBox(t, 3)
+	m := buildBox(t, n)
 	d := &sim.NoiseDeformer{Amplitude: 0.05, Frequency: 2.5, Seed: seed}
 	for step := 0; step < int(uint64(seed)%3); step++ {
 		d.Step(step, m.Positions())
@@ -120,7 +121,11 @@ func checkRangeContract(t *testing.T, m *mesh.Mesh, name string, q geom.AABB, go
 // degenerate extents included) on a seed-deformed mesh, checked against
 // the documented guarantee via checkRangeContract. OCTOPUS additionally
 // must return every in-box surface vertex (the probe offers them all in
-// exact mode).
+// exact mode). The mesh then moves under the live engines — in place with
+// a Step, then, switched to snapshots, through Deform — and the same box
+// is asked again after each move: the surface spans four probe blocks, so
+// a box array that outlives the positions it was computed from drops
+// seeds here.
 func FuzzRangeQuery(f *testing.F) {
 	f.Add(int64(1), 0.2, 0.2, 0.2, 0.8, 0.8, 0.8)    // interior box
 	f.Add(int64(2), -1.0, -1.0, -1.0, 2.0, 2.0, 2.0) // whole mesh
@@ -131,27 +136,44 @@ func FuzzRangeQuery(f *testing.F) {
 		if !finite(ax, ay, az, bx, by, bz) {
 			t.Skip("non-finite corner")
 		}
-		m := fuzzMesh(t, seed)
+		m := fuzzMesh(t, 8, seed)
 		q := geom.Box(geom.V(ax, ay, az), geom.V(bx, by, bz))
-		want := query.BruteForce(m, q)
-
-		o := New(m)
-		gotO := o.Query(q, nil)
-		checkRangeContract(t, m, "OCTOPUS", q, gotO, want)
-		// Surface completeness: exact-mode probes offer every in-box
-		// surface vertex, connected or not.
-		inGot := make(map[int32]bool, len(gotO))
-		for _, v := range gotO {
-			inGot[v] = true
+		o, c := New(m), NewCon(m, 64)
+		if blocks := (o.SurfaceSize() + probeBlock - 1) / probeBlock; blocks < 4 {
+			t.Fatalf("fuzz mesh spans %d probe blocks, want at least 4", blocks)
 		}
-		pos := m.Positions()
-		for v := range o.surfaceSlot {
-			if q.Contains(pos[v]) && !inGot[v] {
-				t.Fatalf("OCTOPUS missed in-box surface vertex %d", v)
+		check := func(stage string) {
+			want := query.BruteForce(m, q)
+			gotO := o.Query(q, nil)
+			checkRangeContract(t, m, "OCTOPUS "+stage, q, gotO, want)
+			// Surface completeness: exact-mode probes offer every in-box
+			// surface vertex, connected or not.
+			inGot := make(map[int32]bool, len(gotO))
+			for _, v := range gotO {
+				inGot[v] = true
 			}
+			pos := m.Positions()
+			for v := range o.surfaceSlot {
+				if q.Contains(pos[v]) && !inGot[v] {
+					t.Fatalf("OCTOPUS %s missed in-box surface vertex %d", stage, v)
+				}
+			}
+			checkRangeContract(t, m, "OCTOPUS-CON "+stage, q, c.Query(q, nil), want)
 		}
-		c := NewCon(m, 64)
-		checkRangeContract(t, m, "OCTOPUS-CON", q, c.Query(q, nil), want)
+		check("as built")
+
+		// A coarse wave, large against the box: blocks leave their boxes.
+		move := &sim.NoiseDeformer{Amplitude: 0.3, Frequency: 0.7, Seed: seed}
+		move.Step(1, m.Positions())
+		o.Step()
+		c.Step()
+		check("after an in-place step")
+
+		m.EnableSnapshots()
+		for step := 2; step < 5; step++ { // both buffers, and the first one again
+			m.Deform(func(pos []geom.Vec3) { move.Step(step, pos) })
+			check("after a published step")
+		}
 	})
 }
 
@@ -169,7 +191,7 @@ func FuzzSurfaceDelta(f *testing.F) {
 		if !finite(qx, qy, qz, r) || r < 0 || r > 100 {
 			t.Skip("unusable query")
 		}
-		m := fuzzMesh(t, seed)
+		m := fuzzMesh(t, 3, seed)
 		m.EnableRestructuring()
 		o := New(m)
 		rng := rand.New(rand.NewSource(seed))

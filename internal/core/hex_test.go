@@ -25,6 +25,7 @@ func TestOctopusOnHexahedralMesh(t *testing.T) {
 
 	for step := 0; step < 5; step++ {
 		s.Step()
+		o.Step()
 		for i := 0; i < 10; i++ {
 			q := geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), 0.05+r.Float64()*0.2)
 			want := query.BruteForce(m, q)

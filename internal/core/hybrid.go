@@ -60,13 +60,18 @@ func NewHybrid(m *mesh.Mesh, histCells int, consts Constants) *Hybrid {
 // Name implements query.Engine.
 func (h *Hybrid) Name() string { return "OCTOPUS-Hybrid" }
 
-// Step implements query.Engine; neither routed engine needs maintenance.
-func (h *Hybrid) Step() {}
+// Step implements query.Engine; neither routed engine needs maintenance,
+// but the OCTOPUS side must hear that positions were written in place
+// (Octopus.Step).
+func (h *Hybrid) Step() { h.oct.Step() }
 
 // BeginMaintenance implements maintain.Incremental with the nil task:
 // neither routed side maintains positional state (the stale histogram
-// only ever costs routing quality, never correctness).
-func (h *Hybrid) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
+// only ever costs routing quality, never correctness). The region is
+// forwarded for the same reason Step is.
+func (h *Hybrid) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
+	return h.oct.BeginMaintenance(d)
+}
 
 // SetCrawlWorkers implements query.CrawlTuner on the OCTOPUS side (the
 // scan side has no crawl). Not safe concurrently with queries.
@@ -157,10 +162,3 @@ func (h *Hybrid) MemoryFootprint() int64 {
 
 // ApplySurfaceDelta forwards restructuring deltas to the OCTOPUS side.
 func (h *Hybrid) ApplySurfaceDelta(d mesh.SurfaceDelta) { h.oct.ApplySurfaceDelta(d) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

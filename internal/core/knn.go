@@ -13,8 +13,9 @@ import (
 // scenarios ("the k synapses closest to this probe point"). Execution has
 // the same three phases as a range query:
 //
-//  1. Surface probe — scan the surface index for the vertex closest to
-//     the probe point (strided in approximate mode, like range probes).
+//  1. Surface probe — scan the surface index for the vertices closest to
+//     the probe point, skipping blocks whose box lies beyond the k-th best
+//     found so far (strided in approximate mode, like range probes).
 //  2. Point descent — greedily walk from that vertex to a local minimum
 //     of the distance to the probe point.
 //  3. Best-first crawl — expand mesh edges outward from the descent's end
@@ -50,10 +51,11 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	cur.armCrawl(o.tuning(), o.crawlBudget)
 	before := len(out)
 
-	// Phase 1: probe the surface for the vertex closest to p. Exact mode
-	// scans the whole surface; approximate mode samples it with the range
-	// probe's rotating stride (the crawl still expands exactly — only the
-	// start quality, and hence the expansion work, degrades).
+	// Phase 1: probe the surface for the vertices closest to p. Exact mode
+	// covers the whole surface, block by block; approximate mode samples
+	// it with the range probe's rotating stride (the crawl still expands
+	// exactly — only the start quality, and hence the expansion work,
+	// degrades).
 	t0 := time.Now()
 	pos := cur.beginQuery(o.m)
 	stride := o.probeStride()
@@ -72,46 +74,17 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// the k-ball spans both, and a crawl seeded in one fold would stop at
 	// the k-th-best radius before reaching the other; any fold close to p
 	// presents surface close to p, so multi-starting from the top surface
-	// candidates seeds every nearby fold. The candidate list is a
-	// fixed-size insertion array — no allocation, at most maxKNNStarts
-	// entries ordered by distance.
+	// candidates seeds every nearby fold. The exact probe skips the blocks
+	// whose box lies strictly beyond the k-th-best distance (probeKNN): no
+	// vertex of such a block can be in the result or among the starts.
 	cur.kbest.Reset(k)
 	cur.knnSlot, cur.knnStride, cur.knnStart = o.surfaceSlot, stride, start
-	var cands [maxKNNStarts]knnStart
-	nc := 0
-	want := k
-	if want > maxKNNStarts {
-		want = maxKNNStarts
-	}
-	probed := int64(0)
-	// bound mirrors kbest.Bound() so the common probe iteration pays one
-	// float compare, not an Offer call; d == bound still calls Offer for
-	// the id tie-break.
-	bound := math.Inf(1)
-	for idx := start; idx < len(o.surface); idx += stride {
-		v := o.surface[idx]
-		probed++
-		d := pos[v].Dist2(p)
-		if d <= bound {
-			cur.kbest.Offer(d, v)
-			if cur.kbest.Full() {
-				bound = cur.kbest.Bound()
-			}
-		}
-		if nc == want && d >= cands[nc-1].d {
-			continue
-		}
-		i := nc
-		if nc < want {
-			nc++
-		} else {
-			i--
-		}
-		for i > 0 && cands[i-1].d > d {
-			cands[i] = cands[i-1]
-			i--
-		}
-		cands[i] = knnStart{d: d, v: v}
+	kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
+	var probed int64
+	if stride == 1 {
+		probed = o.probeKNN(cur, &kp, p, pos)
+	} else {
+		probed = kp.scan(&cur.kbest, o.surface, pos, p, start, len(o.surface), stride)
 	}
 	cur.stats.ProbeChecked += probed
 	cur.stats.SurfaceProbe += time.Since(t0)
@@ -124,9 +97,9 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// still searched.
 	for ci, rep := range o.compReps {
 		cur.seeds = cur.seeds[:0]
-		for i := 0; i < nc; i++ {
-			if o.compOf[cands[i].v] == int32(ci) {
-				cur.seeds = append(cur.seeds, cands[i].v)
+		for _, c := range kp.cands[:kp.nc] {
+			if o.compOf[c.v] == int32(ci) {
+				cur.seeds = append(cur.seeds, c.v)
 			}
 		}
 		if len(cur.seeds) == 0 {
@@ -157,10 +130,12 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 // registers.
 const maxKNNStarts = 8
 
-// knnStart is one probe candidate of the kNN surface scan.
+// knnStart is one probe candidate of the kNN surface scan: vertex v at
+// surface slot slot, squared distance d from the probe point.
 type knnStart struct {
-	d float64
-	v int32
+	d    float64
+	v    int32
+	slot int32
 }
 
 // KNN implements query.KNNEngine for OCTOPUS-CON on the resident cursor:

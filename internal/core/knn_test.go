@@ -33,7 +33,7 @@ func TestKNNMatchesBruteForceUnderSimulation(t *testing.T) {
 	m := buildBox(t, 9)
 	engines := []struct {
 		name string
-		eng  query.KNNEngine
+		eng  query.ParallelKNNEngine
 	}{
 		{"octopus", New(m)},
 		{"con", NewCon(m, 0)},
@@ -45,6 +45,9 @@ func TestKNNMatchesBruteForceUnderSimulation(t *testing.T) {
 
 	for step := 0; step < 4; step++ {
 		s.Step()
+		for _, e := range engines {
+			e.eng.Step()
+		}
 		for i := 0; i < 12; i++ {
 			p := m.Position(int32(r.Intn(m.NumVertices()))).Add(geom.V(
 				(r.Float64()*2-1)*diag*0.02,

@@ -19,34 +19,44 @@
 // Because every phase reads positions directly from the live mesh, the
 // strategy needs no maintenance when the simulation moves vertices — the
 // property that lets it beat both rebuilt and incrementally-maintained
-// indexes under the paper's massive-update workload.
+// indexes under the paper's massive-update workload. The one thing derived
+// from positions is the exact probe's block boxes (probe.go): a cache that
+// the first query of a position state rebuilds in one pass over the
+// surface, never a structure a writer has to keep up. A simulation that
+// writes positions in place announces the new state with Step, which is
+// O(1); a snapshot mesh's epochs announce themselves.
 //
 // # Concurrency
 //
-// Every engine in this package separates its immutable index state (the
-// surface index, the start-point grid, the selectivity histogram) from the
+// Every engine in this package separates its index state (the surface
+// index, the start-point grid, the selectivity histogram) from the
 // per-query mutable scratch, which lives in a Cursor. At query time the
-// engine is read-only: queries issued through distinct cursors (one per
-// goroutine, via NewCursor) may run concurrently, as may the legacy
-// single-cursor Query method from a single goroutine. On a
-// snapshot-enabled mesh, queries may also overlap mesh.Mesh.Deform: every
-// cursor pins a position epoch for the duration of each query, so result
-// sets are exact at the pinned epoch, never torn across a deformation
-// step. A single query may additionally fan out internally — the sharded
-// surface probe and the parallel crawl (pcrawl.go) spawn short-lived
+// index is read-only with one exception: the block boxes of the exact
+// probe, a mutex-guarded cache tagged with the position epoch and engine
+// generation it was computed from, which the first query that pins another
+// state rebuilds while later arrivals wait for it. Queries issued through
+// distinct cursors (one per goroutine, via NewCursor) may therefore run
+// concurrently, as may the legacy single-cursor Query method from a single
+// goroutine. On a snapshot-enabled mesh, queries may also overlap
+// mesh.Mesh.Deform: every cursor pins a position epoch for the duration of
+// each query, so result sets are exact at the pinned epoch, never torn
+// across a deformation step. A single query may additionally fan out
+// internally — the parallel crawl (pcrawl.go) spawns short-lived
 // goroutines that share the issuing cursor's scratch, which is safe
 // because they join before the query returns. What is NOT safe is running
 // queries concurrently with anything that mutates the index: Step,
-// restructuring, ApplySurfaceDelta, SetApproximation, SetCrawlWorkers,
-// SetCrawlBudget and SetDenseCrawl require exclusive
+// BeginMaintenance, restructuring, ApplySurfaceDelta, SetApproximation,
+// SetCrawlWorkers, SetCrawlBudget and SetDenseCrawl require exclusive
 // access (the query.Pipeline serializes them against queries), as does
-// in-place mutation of Positions() on a mesh without snapshots.
+// in-place mutation of Positions() on a mesh without snapshots — which
+// must be followed by Step before the next query.
 package core
 
 import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"octopus/internal/geom"
@@ -55,8 +65,9 @@ import (
 	"octopus/internal/query"
 )
 
-// Octopus is the general (non-convex-safe) OCTOPUS engine. All fields are
-// immutable during query execution; per-query scratch lives in Cursors.
+// Octopus is the general (non-convex-safe) OCTOPUS engine. All fields but
+// the probe summary are immutable during query execution; per-query
+// scratch lives in Cursors.
 type Octopus struct {
 	m *mesh.Mesh
 
@@ -87,14 +98,15 @@ type Octopus struct {
 	// denseSurface is true when surface == [0, len) — the surface-first
 	// layout — enabling the probe's direct position-scan fast path.
 	denseSurface bool
-	// probeWorkers > 1 shards the exact surface probe of a single query
-	// across that many goroutines (GOMAXPROCS; tests set it) once the
-	// surface has at least shardThreshold vertices
-	// (ShardedProbeThreshold; lowered in tests). The sharded probe visits
-	// surface slots in the same ascending order as the serial one, so
-	// results are identical.
-	probeWorkers   int
-	shardThreshold int
+
+	// summary holds the exact probe's block boxes, one slot per position
+	// buffer parity (probe.go). gen is the engine generation half of a
+	// slot's validity tag: it starts at 1 and is bumped by everything that
+	// can change what a slot describes without changing the position epoch
+	// — Step and BeginMaintenance (positions written in place) and
+	// ApplySurfaceDelta (slots move).
+	summary [2]probeSlot
+	gen     atomic.Uint64
 
 	// Crawl tuning (DESIGN.md §12): crawlWorkers is the worker-pool size
 	// large crawls of a single query are split across (1 = serial);
@@ -130,7 +142,7 @@ type Stats struct {
 	SurfaceProbe  time.Duration
 	DirectedWalk  time.Duration
 	Crawl         time.Duration
-	ProbeChecked  int64 // surface vertices tested
+	ProbeChecked  int64 // containment/distance tests of the probe: surface positions and block boxes
 	WalkVisited   int64 // vertices accessed during directed walks, fallback scans included
 	CrawlVisited  int64 // vertices expanded by the BFS
 	DirectedWalks int64 // queries that needed the walk
@@ -160,13 +172,12 @@ func (s *Stats) Add(o Stats) {
 // and allocates the resident cursor's reusable crawl structures.
 func New(m *mesh.Mesh) *Octopus {
 	o := &Octopus{
-		m:              m,
-		approx:         1,
-		shardThreshold: ShardedProbeThreshold,
-		probeWorkers:   runtime.GOMAXPROCS(0),
-		crawlWorkers:   runtime.GOMAXPROCS(0),
-		denseCrawl:     true,
+		m:            m,
+		approx:       1,
+		crawlWorkers: runtime.GOMAXPROCS(0),
+		denseCrawl:   true,
 	}
+	o.gen.Store(1)
 	o.resident = newCursor(o, m)
 	o.surface = m.SurfaceVertices() // ascending order: near-sequential probe
 	o.surfaceSlot = make(map[int32]int32, len(o.surface))
@@ -248,15 +259,26 @@ func (o *Octopus) refreshDense() {
 func (o *Octopus) Name() string { return "OCTOPUS" }
 
 // Step implements query.Engine. Mesh deformation changes no connectivity,
-// so OCTOPUS has nothing to maintain — the core of its advantage.
-func (o *Octopus) Step() {}
+// so OCTOPUS has nothing to maintain — the core of its advantage. All Step
+// does is start a new generation, O(1): positions written in place leave
+// the mesh's epoch where it was, so this is how the probe's block boxes
+// learn that they describe the previous step (the next exact query
+// rebuilds them). A mesh deformed through snapshots needs no Step.
+func (o *Octopus) Step() { o.gen.Add(1) }
 
 // BeginMaintenance implements maintain.Incremental with the nil task:
 // OCTOPUS reads positions through per-query pinned epochs, so positional
 // dirt needs no index work at all, and structural dirt is handled by the
 // explicit ApplySurfaceDelta path (under the scheduler's exclusive
-// section). The localized path in its purest form.
-func (o *Octopus) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
+// section). The localized path in its purest form. The scheduler calls
+// this instead of Step, so a non-empty region starts a new generation like
+// Step does.
+func (o *Octopus) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
+	if !d.Empty() {
+		o.gen.Add(1)
+	}
+	return nil
+}
 
 // SetApproximation sets the fraction of surface vertices probed per query
 // (§IV-H2). frac is clamped to (0, 1]; 1 restores exact execution. Not
@@ -267,12 +289,6 @@ func (o *Octopus) SetApproximation(frac float64) {
 	}
 	o.approx = frac
 }
-
-// ShardedProbeThreshold is the surface size above which an exact probe is
-// split across GOMAXPROCS probe workers: below it the probe is already a
-// fraction of the query cost and the fork/join overhead of sharding would
-// dominate.
-const ShardedProbeThreshold = 1 << 16
 
 // SetCrawlWorkers implements query.CrawlTuner: how many goroutines large
 // crawls of a single query are split across. The default is GOMAXPROCS;
@@ -334,46 +350,26 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.armCrawl(o.tuning(), o.crawlBudget)
 	before := len(out)
 
-	// Phase 1: surface probe. The surface array is in ascending id order,
-	// so both the exact pass and the strided sample walk the position
-	// array forward — sequential enough for hardware prefetching. The
-	// common pass performs only the containment test (the CS unit cost of
-	// the analytical model); the closest-vertex scan for the directed walk
-	// runs as a second pass only in the rare no-seed case.
+	// Phase 1: surface probe. The exact probe tests the block boxes and
+	// runs the containment kernel inside the blocks that meet q; the
+	// approximate probe samples the surface with a rotating stride. Both
+	// walk the position array forward and perform only the containment
+	// test (the CS unit cost of the analytical model); the closest-vertex
+	// scan for the directed walk runs as a second pass only in the rare
+	// no-seed case.
 	t0 := time.Now()
 	cur.seeds = cur.seeds[:0]
 	pos := cur.beginQuery(o.m)
 	stride := o.probeStride()
 	probed := int64(0)
 	start := 0
-	if stride > 1 {
+	if stride == 1 {
+		probed = o.probeRange(cur, q, pos)
+	} else {
 		start = cur.probeOffset % stride
 		cur.probeOffset++
-	}
-	switch {
-	case stride == 1 && o.probeWorkers > 1 && len(o.surface) >= o.shardThreshold:
-		// Large exact probe: shard the surface scan across goroutines
-		// inside this single query. Seeds are concatenated in shard order,
-		// preserving the serial probe's ascending order exactly.
-		o.probeSharded(cur, q, pos)
-		probed = int64(len(o.surface))
-	case stride == 1 && o.denseSurface:
-		// Surface-first layout: the surface index is the id prefix, so the
-		// probe is a pure sequential scan of pos[:len(surface)].
-		for i, p := range pos[:len(o.surface)] {
-			if q.Contains(p) {
-				cur.seeds = append(cur.seeds, int32(i))
-			}
-		}
-		probed = int64(len(o.surface))
-	default:
-		for idx := start; idx < len(o.surface); idx += stride {
-			v := o.surface[idx]
-			probed++
-			if q.Contains(pos[v]) {
-				cur.seeds = append(cur.seeds, v)
-			}
-		}
+		cur.seeds = o.appendContainedSlots(cur.seeds, q, pos, start, len(o.surface), stride)
+		probed = int64((len(o.surface) - start + stride - 1) / stride) // slots start, start+stride, ...
 	}
 	minVertex := int32(-1)
 	if len(cur.seeds) == 0 && len(o.surface) > 0 {
@@ -427,57 +423,29 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	return out
 }
 
-// probeSharded is the exact surface probe split across o.probeWorkers
-// goroutines: each worker scans a contiguous slot range into a private
-// per-shard seed buffer, and the buffers are concatenated in shard order
-// so the combined seed sequence is identical to the serial scan's. All
-// scratch — the shard buffers and the worker closures — lives on the
-// cursor and is reused across queries, so the sharded probe is
-// allocation-free in steady state (and concurrent cursors never share
-// shard state).
-func (o *Octopus) probeSharded(cur *Cursor, q geom.AABB, pos []geom.Vec3) {
-	workers := o.probeWorkers
-	cur.ensureShards(workers)
-	cur.shardQ = q
-	cur.shardPos = pos
-	cur.shardDense = o.denseSurface
-	cur.shardSurface = o.surface
-	n := len(o.surface)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			cur.shardParts[w] = cur.shardParts[w][:0]
-			continue
-		}
-		cur.shardWG.Add(1)
-		go cur.shardRun[w]() // prebuilt func value: no per-query closure
-	}
-	cur.shardWG.Wait()
-	for _, p := range cur.shardParts {
-		cur.seeds = append(cur.seeds, p...)
-	}
-}
-
 // MemoryFootprint implements query.Engine: the surface index (array +
-// hash) plus the resident cursor's crawl structures — the accounting of
-// Figures 6(b) and 10(b). Extra cursors report nothing here; their scratch
-// is per-worker and transient.
+// hash), the probe's two block-box arrays and the resident cursor's crawl
+// structures — the accounting of Figures 6(b) and 10(b). Extra cursors
+// report nothing here; their scratch is per-worker and transient.
 func (o *Octopus) MemoryFootprint() int64 {
 	return int64(cap(o.surface))*4 +
 		int64(len(o.surfaceSlot))*16 +
 		int64(len(o.compOf)+len(o.compReps))*4 +
+		o.probeMemoryBytes() +
 		o.resident.MemoryBytes()
 }
 
 // ApplySurfaceDelta folds a restructuring delta (§IV-E2) into the surface
 // index: hash-table inserts and deletes, no rebuild. Deltas may break the
 // surface-first layout, in which case the probe falls back to the
-// id-array path. Restructuring is the one event that can change mesh
-// connectivity, so the component labels and walk representatives are
-// rebuilt here too (an O(V+E) sweep on the rare path, per the paper's
-// accounting of restructuring as an infrequent, charged event). Not safe
-// concurrently with queries.
+// id-array path, and they move slots between blocks, so the next exact
+// query rebuilds the block boxes. Restructuring is the one event that can
+// change mesh connectivity, so the component labels and walk
+// representatives are rebuilt here too (an O(V+E) sweep on the rare path,
+// per the paper's accounting of restructuring as an infrequent, charged
+// event). Not safe concurrently with queries.
 func (o *Octopus) ApplySurfaceDelta(d mesh.SurfaceDelta) {
+	o.gen.Add(1)
 	defer o.refreshDense()
 	defer o.refreshComponents()
 	for _, v := range d.Removed {

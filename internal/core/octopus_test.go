@@ -47,7 +47,7 @@ func TestOctopusMatchesBruteForceUnderSimulation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for step := 0; step < 10; step++ {
 		s.Step()
-		o.Step() // no-op, part of the engine contract
+		o.Step() // the engine contract after in-place writes
 		for i := 0; i < 10; i++ {
 			q := geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), 0.02+r.Float64()*0.2)
 			checkOracle(t, "sim", o.Query(q, nil), query.BruteForce(m, q))
@@ -71,6 +71,7 @@ func TestOctopusNonConvexDisjointComponents(t *testing.T) {
 	diag := m.Bounds().Size().Len()
 	for step := 0; step < 3; step++ {
 		s.Step()
+		o.Step()
 		for i := 0; i < 10; i++ {
 			q := geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), diag*(0.1+0.25*r.Float64()))
 			checkOracle(t, "nonconvex-large", o.Query(q, nil), query.BruteForce(m, q))

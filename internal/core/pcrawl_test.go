@@ -340,9 +340,6 @@ func TestParallelCrawlMemoryBytes(t *testing.T) {
 		t.Fatal("parallel pool scratch not accounted")
 	}
 	want := cr.memoryBytes() + int64(cap(o.resident.seeds))*4 + o.resident.kbest.MemoryBytes()
-	for _, p := range o.resident.shardParts {
-		want += int64(cap(p)) * 4
-	}
 	if grown != want {
 		t.Fatalf("MemoryBytes = %d, want %d (sum of parts)", grown, want)
 	}
@@ -354,16 +351,13 @@ func TestParallelCrawlMemoryBytes(t *testing.T) {
 	}
 }
 
-// TestParallelCrawlWorkerDefaults checks the satellite default change:
-// probe and crawl workers default to GOMAXPROCS, n <= 0 restores the
-// default, and n == 1 forces the serial paths.
+// TestParallelCrawlWorkerDefaults checks the crawl worker default: crawl
+// workers default to GOMAXPROCS, n <= 0 restores the default, and n == 1
+// forces the serial paths.
 func TestParallelCrawlWorkerDefaults(t *testing.T) {
 	m := buildBox(t, 4)
 	o := New(m)
 	procs := runtime.GOMAXPROCS(0)
-	if o.probeWorkers != procs {
-		t.Fatalf("probeWorkers default = %d, want GOMAXPROCS %d", o.probeWorkers, procs)
-	}
 	if o.crawlWorkers != procs {
 		t.Fatalf("crawlWorkers default = %d, want GOMAXPROCS %d", o.crawlWorkers, procs)
 	}

@@ -7,35 +7,8 @@ import (
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/shard"
+	"octopus/internal/workload"
 )
-
-// TestShardedProbeSteadyStateAllocs pins the sharded exact probe's
-// allocation behavior: after warm-up, a query whose probe is sharded
-// across workers must not allocate — the per-shard seed buffers and the
-// worker closures live on the cursor and are reused, so the only possible
-// allocations are result-slice growth (excluded by reusing out) and
-// runtime goroutine bookkeeping (recycled in steady state).
-func TestShardedProbeSteadyStateAllocs(t *testing.T) {
-	m := buildBox(t, 8)
-	o := New(m)
-	o.probeWorkers = 4
-	o.shardThreshold = 1 // force sharding despite the small test surface
-
-	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.4)
-	out := make([]int32, 0, m.NumVertices())
-	for i := 0; i < 32; i++ { // warm up buffers, goroutine pool, idSet
-		out = o.Query(q, out[:0])
-	}
-	if len(out) == 0 {
-		t.Fatal("probe found nothing; test geometry broken")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		out = o.Query(q, out[:0])
-	})
-	if allocs > 1 {
-		t.Errorf("sharded probe allocates %.1f objects/query in steady state, want 0", allocs)
-	}
-}
 
 func mkpos(n int) []geom.Vec3 {
 	pos := make([]geom.Vec3, n)
@@ -48,56 +21,130 @@ func mkpos(n int) []geom.Vec3 {
 
 var sinkN int
 
+// BenchmarkProbeRangeLoop is the containment pass over a dense surface
+// prefix in a standalone loop: "inline" writes q.Contains in the loop (what
+// the probe did before it had a kernel), "kernel" calls appendContained,
+// the function the block probe and the stalled walk's scan share
+// (BenchmarkNoSeedEmpty times that scan in situ).
 func BenchmarkProbeRangeLoop(b *testing.B) {
-	pos := mkpos(70000)
+	pos := mkpos(70000)[:21000]
 	q := geom.BoxAround(geom.V(0.5, 0.25, 0.125), 0.01)
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		n := 0
-		for _, p := range pos[:21000] {
-			if q.Contains(p) {
-				n++
+	b.Run("inline", func(b *testing.B) {
+		for it := 0; it < b.N; it++ {
+			n := 0
+			for _, p := range pos {
+				if q.Contains(p) {
+					n++
+				}
 			}
+			sinkN += n
 		}
-		sinkN += n
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/21000, "ns/vtx")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pos)), "ns/vtx")
+	})
+	b.Run("kernel", func(b *testing.B) {
+		var seeds []int32
+		for it := 0; it < b.N; it++ {
+			seeds = appendContained(seeds[:0], q, pos, 0)
+			sinkN += len(seeds)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pos)), "ns/vtx")
+	})
 }
 
-func BenchmarkProbeFullScan(b *testing.B) {
-	pos := mkpos(70000)
-	q := geom.BoxAround(geom.V(0.5, 0.25, 0.125), 0.01)
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		n := 0
-		for _, p := range pos {
-			if q.Contains(p) {
-				n++
-			}
-		}
-		sinkN += n
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/70000, "ns/vtx")
-}
-
+// BenchmarkProbeGather is the containment pass through the id array, the
+// path of a non-dense surface index and of the approximate probe.
 func BenchmarkProbeGather(b *testing.B) {
 	pos := mkpos(70000)
-	ids := make([]int32, 21000)
-	for i := range ids {
-		ids[i] = int32(i * 3)
+	o := &Octopus{surface: make([]int32, 21000)}
+	for i := range o.surface {
+		o.surface[i] = int32(i * 3)
 	}
 	q := geom.BoxAround(geom.V(0.5, 0.25, 0.125), 0.01)
+	var seeds []int32
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		n := 0
-		for _, v := range ids {
-			if q.Contains(pos[v]) {
-				n++
-			}
-		}
-		sinkN += n
+		seeds = o.appendContainedSlots(seeds[:0], q, pos, 0, len(o.surface), 1)
+		sinkN += len(seeds)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/21000, "ns/vtx")
+}
+
+// BenchmarkProbeBlocks times the block probe on the two surfaces the
+// benchmark's workloads run it on — neuro-l5 (sim-step) and one sub-mesh
+// of the K=4 partition of neuro-l3 (live-inproc, serve-*) — with the
+// benchmark's query mix (selectivities 1e-4, 1e-3, 1e-2 in rotation; k in
+// [8, 32]). "rebuild" is the pass that recomputes every block box, the
+// cost the first exact query of an epoch carries; "range" and "knn" run
+// whole queries with the boxes warm; "step+range" starts a new generation
+// before every query, so each one pays a rebuild — the worst case, to be
+// read against "linear", the containment pass over the whole surface that
+// the blocks replace. probe-ns/op and tests/op are Stats.SurfaceProbe and
+// Stats.ProbeChecked per query.
+func BenchmarkProbeBlocks(b *testing.B) {
+	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"neuro-l5", l5}, {"neuro-l3-shard", part.Parts[0].Mesh}} {
+		o := New(c.m)
+		cur := o.NewCursor().(*Cursor)
+		g := workload.NewGenerator(c.m, 4096, 1)
+		var ranges []geom.AABB
+		for i := 0; i < 96; i++ {
+			ranges = append(ranges, g.QueryWithSelectivity([]float64{0.0001, 0.001, 0.01}[i%3]))
+		}
+		knns := g.KNNQueries(96, 8, 32, 0)
+		pos, S := c.m.Positions(), float64(o.SurfaceSize())
+		var out []int32
+		perQuery := func(b *testing.B, run func(i int)) {
+			run(0)
+			before := cur.Stats()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				run(it)
+			}
+			st := cur.Stats()
+			b.ReportMetric(float64(st.SurfaceProbe-before.SurfaceProbe)/float64(b.N), "probe-ns/op")
+			b.ReportMetric(float64(st.ProbeChecked-before.ProbeChecked)/float64(b.N), "tests/op")
+		}
+		b.Run(c.name+"/rebuild", func(b *testing.B) {
+			boxes := o.appendBlockBoxes(nil, pos)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				boxes = o.appendBlockBoxes(boxes[:0], pos)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/S, "ns/position")
+		})
+		b.Run(c.name+"/linear", func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				out = appendContained(out[:0], ranges[it%len(ranges)], pos[:o.SurfaceSize()], 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/S, "ns/position")
+		})
+		b.Run(c.name+"/range", func(b *testing.B) {
+			perQuery(b, func(i int) { out = cur.Query(ranges[i%len(ranges)], out[:0]) })
+		})
+		b.Run(c.name+"/knn", func(b *testing.B) {
+			perQuery(b, func(i int) { out = cur.KNN(knns[i%len(knns)].P, knns[i%len(knns)].K, out[:0]) })
+		})
+		b.Run(c.name+"/step+range", func(b *testing.B) {
+			perQuery(b, func(i int) {
+				o.Step()
+				out = cur.Query(ranges[i%len(ranges)], out[:0])
+			})
+		})
+	}
 }
 
 // BenchmarkNoSeedEmpty times the emptiness proof: a box disjoint from the

@@ -1,0 +1,831 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"octopus/internal/geom"
+	"octopus/internal/maintain"
+	"octopus/internal/mesh"
+	"octopus/internal/query"
+	"octopus/internal/shard"
+)
+
+// tetLattice builds n³ disjoint tetrahedra on a unit lattice, ids in
+// row-major order. Every vertex is a surface vertex and every tetrahedron
+// its own component, so a range result needs a probe seed in every
+// tetrahedron it touches and a kNN result comes from the probe alone (the
+// crawl never offers a surface vertex): nothing the probe misses can be
+// rescued by the walk or the crawl, which makes the mesh a sharp
+// instrument for the block boxes. The surface index is dense (slot i is
+// vertex i) and 32 consecutive tetrahedra are one block.
+func tetLattice(t testing.TB, n int) *mesh.Mesh {
+	t.Helper()
+	b := mesh.NewBuilder(4*n*n*n, n*n*n)
+	for z := 0; z < n; z++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				o := geom.V(float64(x), float64(y), float64(z))
+				b.AddTet(b.AddVertex(o), b.AddVertex(o.Add(geom.V(0.4, 0, 0))),
+					b.AddVertex(o.Add(geom.V(0, 0.4, 0))), b.AddVertex(o.Add(geom.V(0, 0, 0.4))))
+			}
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// scramble is an in-place deformation that leaves no block near the box
+// that described it: a point reflection through the mesh centre plus a
+// step-dependent shift. It is rigid, so the mesh stays well-shaped, and the
+// shifts cancel over six steps, so a long run stays where it started.
+func scramble(step int, pos []geom.Vec3) {
+	b := geom.EmptyBox()
+	for _, p := range pos {
+		b = b.Extend(p)
+	}
+	shift := []float64{0.25, -0.5, 0.75, -0.25, 0.5, -0.75}[step%6]
+	c2 := b.Min.Add(b.Max).Add(geom.V(shift, 0, 0))
+	for i, p := range pos {
+		pos[i] = c2.Sub(p)
+	}
+}
+
+// cloud builds an engine over a cell-less mesh whose every vertex is, by
+// fiat, a surface vertex (slot i is vertex i): full control over the
+// positions a block holds, for the geometry of the boxes.
+func cloud(t testing.TB, pos []geom.Vec3) (*mesh.Mesh, *Octopus) {
+	t.Helper()
+	b := mesh.NewBuilder(len(pos), 0)
+	for _, p := range pos {
+		b.AddVertex(p)
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(m)
+	for v := range pos {
+		o.surface = append(o.surface, int32(v))
+		o.surfaceSlot[int32(v)] = int32(v)
+	}
+	o.refreshDense()
+	return m, o
+}
+
+// surfaceFirstBox is buildBox in the datasets' layout: surface vertices
+// first, both partitions in Hilbert order.
+func surfaceFirstBox(t testing.TB, n int) *mesh.Mesh {
+	t.Helper()
+	m := buildBox(t, n)
+	m, err := m.Renumber(m.SurfaceFirstHilbertPerm(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// exactCursor is what the exactness checks drive: any cursor of the
+// OCTOPUS family or of a router over it.
+type exactCursor interface {
+	query.Cursor
+	query.KNNCursor
+	query.KNNBoundReporter
+}
+
+// checkExact runs a seeded batch of range and kNN queries through cur and
+// compares every answer, and every reported kNN ball, with brute force
+// over pos.
+func checkExact(t *testing.T, label string, cur exactCursor, pos []geom.Vec3, seed int64) {
+	t.Helper()
+	if len(pos) == 0 {
+		return
+	}
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < 10; i++ {
+		q := geom.BoxAround(pos[r.Intn(len(pos))], 0.3+2*r.Float64())
+		if d := query.Diff(cur.Query(q, nil), query.ScanPositions(pos, q, nil)); d != "" {
+			t.Fatalf("%s: range %d (%v): %s", label, i, q, d)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		p := pos[r.Intn(len(pos))].Add(geom.V(r.Float64()-0.5, r.Float64()-0.5, r.Float64()-0.5))
+		k := 1 + r.Intn(40)
+		want := query.ScanKNNPositions(pos, p, k, nil)
+		if got := cur.KNN(p, k, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: kNN %d (p=%v k=%d): got %v, want %v", label, i, p, k, got, want)
+		}
+		ball := math.Inf(1)
+		if len(want) == k {
+			ball = pos[want[k-1]].Dist2(p)
+		}
+		if got, ok := cur.LastKNNBound2(); !ok || got != ball {
+			t.Fatalf("%s: kNN %d: ball %v (ok=%v), want %v", label, i, got, ok, ball)
+		}
+	}
+}
+
+// movedInPlace is a maintain.DirtyMesh for a stop-the-world mesh: the test
+// reports every in-place write as an overflowed dirty region, which is
+// what reaches an engine's BeginMaintenance through the scheduler.
+type movedInPlace struct{ steps uint64 }
+
+func (d *movedInPlace) Epoch() uint64 { return 0 }
+
+func (d *movedInPlace) TakeDirty() mesh.DirtyRegion {
+	if d.steps == 0 {
+		return mesh.DirtyRegion{}
+	}
+	r := mesh.DirtyRegion{Overflow: true, Box: geom.EmptyBox(), To: d.steps}
+	d.steps = 0
+	return r
+}
+
+// neverStepped fails the test if the scheduler falls back to Step: the
+// scheduler path must reach the engine through BeginMaintenance alone.
+type neverStepped struct {
+	query.ParallelKNNEngine
+	maintain.Incremental
+	t *testing.T
+}
+
+func (e neverStepped) Step() { e.t.Error("scheduler called Step on an Incremental engine") }
+
+// TestInPlaceDeformIsAnnounced is the stop-the-world contract of the block
+// boxes: positions written in place, then the engine told — through Step,
+// or through BeginMaintenance where a scheduler stands in for Step — and
+// every answer equals brute force again. It runs over every wrapper that
+// stands in front of an *Octopus; each of them fails on the first query
+// after the first deformation if the announcement does not reach the
+// engine (boxes from before the step, seeds silently dropped).
+func TestInPlaceDeformIsAnnounced(t *testing.T) {
+	scheduled := func(t *testing.T, eng query.ParallelKNNEngine) func() {
+		src := &movedInPlace{}
+		sched := maintain.NewScheduler([]*maintain.TargetState{maintain.NewTargetState(maintain.Target{
+			Name: eng.Name(), Engine: neverStepped{eng, eng.(maintain.Incremental), t}, Mesh: src,
+		})}, maintain.Options{})
+		return func() {
+			src.steps++
+			sched.Tick()
+		}
+	}
+	hybrid := func(m *mesh.Mesh) *Hybrid {
+		h := NewHybrid(m, 0, Constants{CS: 1, CR: 4})
+		// An all-surface mesh breaks even at selectivity 0; put the
+		// threshold where the batch exercises both routes.
+		h.breakEven = 0.01
+		return h
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T, m *mesh.Mesh) (eng query.ParallelKNNEngine, announce func(), done func())
+	}{
+		{"octopus/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+			o := New(m)
+			return o, o.Step, func() {}
+		}},
+		{"hybrid/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+			h := hybrid(m)
+			return h, h.Step, func() {
+				if oct, scan := h.Routed(); oct == 0 || scan == 0 {
+					t.Errorf("hybrid routed %d to OCTOPUS and %d to the scan, want both routes exercised", oct, scan)
+				}
+			}
+		}},
+		{"sharded-router/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+			sm, err := shard.NewMesh(m, 4, shard.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return New(sub) })
+			return r, r.Step, func() {}
+		}},
+		{"octopus/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+			o := New(m)
+			return o, scheduled(t, o), func() {}
+		}},
+		{"hybrid/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+			h := hybrid(m)
+			return h, scheduled(t, h), func() {}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tetLattice(t, 8)
+			eng, announce, done := tc.build(t, m)
+			cur := eng.NewCursor().(exactCursor)
+			checkExact(t, "pristine", cur, m.Positions(), 1)
+			for step := 0; step < 3; step++ {
+				scramble(step, m.Positions())
+				announce()
+				checkExact(t, fmt.Sprintf("step %d", step), cur, m.Positions(), int64(10+step))
+			}
+			done()
+		})
+	}
+}
+
+// TestProbeSummaryInvalidation walks one engine through every other event
+// that changes what a block box must describe; after each, answers equal
+// brute force and the slot that served them carries the cursor's epoch.
+func TestProbeSummaryInvalidation(t *testing.T) {
+	tagFollows := func(t *testing.T, o *Octopus, cur *Cursor) {
+		t.Helper()
+		s := &o.summary[cur.LastEpoch()&1]
+		if !s.describes(cur.LastEpoch(), o.gen.Load()) {
+			t.Fatalf("slot tagged (epoch %d, gen %d) after a query at (epoch %d, gen %d)",
+				s.epoch.Load(), s.gen.Load(), cur.LastEpoch(), o.gen.Load())
+		}
+	}
+
+	t.Run("SetPosition+Step", func(t *testing.T) {
+		m := tetLattice(t, 8)
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		checkExact(t, "pristine", cur, m.Positions(), 1)
+		for v := int32(0); v < int32(m.NumVertices()); v += 3 {
+			m.SetPosition(v, m.Position(v).Add(geom.V(11, -7, 5)))
+		}
+		o.Step()
+		checkExact(t, "moved", cur, m.Positions(), 2)
+		tagFollows(t, o, cur)
+	})
+
+	t.Run("BeginMaintenance", func(t *testing.T) {
+		m := tetLattice(t, 8)
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		checkExact(t, "pristine", cur, m.Positions(), 1)
+		gen := o.gen.Load()
+		if task := o.BeginMaintenance(mesh.DirtyRegion{}); task != nil || o.gen.Load() != gen {
+			t.Fatalf("an empty region started generation %d (task %v), want %d and none", o.gen.Load(), task, gen)
+		}
+		scramble(0, m.Positions())
+		if task := o.BeginMaintenance(mesh.DirtyRegion{Overflow: true}); task != nil {
+			t.Fatalf("BeginMaintenance returned task %v, want nil", task)
+		}
+		checkExact(t, "moved", cur, m.Positions(), 2)
+	})
+
+	// A delta that swap-removes the first 200 slots and re-adds their
+	// vertices at the tail: the surface is the same set, but no longer
+	// dense or sorted, and the vertices of the far corner now sit in the
+	// blocks whose boxes described the near one.
+	t.Run("ApplySurfaceDelta", func(t *testing.T) {
+		m := tetLattice(t, 8)
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		checkExact(t, "pristine", cur, m.Positions(), 1)
+		var ids []int32
+		for v := int32(0); v < 200; v++ {
+			ids = append(ids, v)
+		}
+		o.ApplySurfaceDelta(mesh.SurfaceDelta{Removed: ids})
+		o.ApplySurfaceDelta(mesh.SurfaceDelta{Added: ids})
+		if o.denseSurface || slices.IsSorted(o.surface) || o.SurfaceSize() != m.NumVertices() {
+			t.Fatalf("delta left the surface dense=%v sorted=%v size=%d", o.denseSurface, slices.IsSorted(o.surface), o.SurfaceSize())
+		}
+		checkExact(t, "after delta", cur, m.Positions(), 2)
+		scramble(0, m.Positions())
+		o.Step()
+		checkExact(t, "after delta, moved", cur, m.Positions(), 3)
+	})
+
+	// Restructuring on a snapshot mesh advances the epoch by two on the
+	// same buffer; Deform switches buffers. The tag must follow both.
+	t.Run("SplitCell+Deform/snapshots", func(t *testing.T) {
+		m := surfaceFirstBox(t, 8)
+		m.EnableSnapshots()
+		m.EnableRestructuring()
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		checkExact(t, "pristine", cur, m.Positions(), 1)
+		for step := 0; step < 4; step++ {
+			before := m.Epoch()
+			_, delta, err := m.SplitCell(step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.ApplySurfaceDelta(delta)
+			if m.Epoch() != before+2 {
+				t.Fatalf("SplitCell moved the epoch %d -> %d, want +2", before, m.Epoch())
+			}
+			checkExact(t, fmt.Sprintf("split %d", step), cur, m.Positions(), int64(10+step))
+			tagFollows(t, o, cur)
+			m.Deform(func(pos []geom.Vec3) { scramble(step, pos) })
+			checkExact(t, fmt.Sprintf("deform %d", step), cur, m.Positions(), int64(20+step))
+			tagFollows(t, o, cur)
+		}
+	})
+}
+
+// TestBlockProbeUnderConcurrentDeform is the snapshot half of the validity
+// rule, under the race detector: four cursors query while a writer
+// publishes 200 deformations that each leave every block far from its
+// previous box. Every answer must equal brute force over the positions of
+// the epoch the cursor reports — a box array read at the wrong epoch, or
+// rebuilt under a reader, shows up as a wrong answer or a race.
+func TestBlockProbeUnderConcurrentDeform(t *testing.T) {
+	const publishes, readers = 200, 4
+	m := tetLattice(t, 8)
+	m.EnableSnapshots()
+	o := New(m)
+	o.SetCrawlWorkers(1) // the probe is under test; the crawl pool would only fight the readers for two cores
+
+	// history[e] holds the positions of epoch e. The writer fills slot e
+	// inside the Deform that publishes e, so a reader that pinned e reads
+	// it after the publishing store.
+	history := make([][]geom.Vec3, publishes+1)
+	history[0] = slices.Clone(m.Positions())
+	var answered atomic.Int64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cur := o.NewCursor().(*Cursor)
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; !done.Load(); i++ {
+				c := geom.V(10*r.Float64()-1, 10*r.Float64()-1, 10*r.Float64()-1)
+				if i%2 == 0 {
+					q := geom.BoxAround(c, 0.5+2*r.Float64())
+					got := cur.Query(q, nil)
+					if d := query.Diff(got, query.ScanPositions(history[cur.LastEpoch()], q, nil)); d != "" {
+						t.Errorf("reader %d: range at epoch %d: %s", w, cur.LastEpoch(), d)
+						return
+					}
+				} else {
+					k := 1 + r.Intn(32)
+					got := cur.KNN(c, k, nil)
+					if want := query.ScanKNNPositions(history[cur.LastEpoch()], c, k, nil); !slices.Equal(got, want) {
+						t.Errorf("reader %d: kNN at epoch %d: got %v, want %v", w, cur.LastEpoch(), got, want)
+						return
+					}
+				}
+				answered.Add(1)
+				runtime.Gosched() // five busy goroutines on few cores: hand the writer its turn
+			}
+		}(w)
+	}
+	for e := 1; e <= publishes; e++ {
+		m.Deform(func(pos []geom.Vec3) {
+			scramble(e, pos)
+			history[e] = slices.Clone(pos)
+		})
+		// Let a few answers land on every epoch, so publishes and queries
+		// genuinely interleave.
+		for target := answered.Load() + 2; answered.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if got := m.Epoch(); got != publishes {
+		t.Fatalf("published %d epochs, want %d", got, publishes)
+	}
+}
+
+// TestBlockGeometry covers the shapes a block can take: no block, a lone
+// vertex, one slot short of a block, exactly one, one over, and a long
+// surface whose last block is partial.
+func TestBlockGeometry(t *testing.T) {
+	for _, n := range []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1, 8*probeBlock + 120} {
+		t.Run(fmt.Sprintf("surface-%d", n), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(n)))
+			pos := make([]geom.Vec3, n)
+			for i := range pos {
+				// A drifting walk, so consecutive slots are near each other
+				// like a Hilbert-ordered surface.
+				pos[i] = geom.V(float64(i)/40+r.Float64(), 3*r.Float64(), 3*r.Float64())
+			}
+			m, o := cloud(t, pos)
+			cur := o.NewCursor().(*Cursor)
+			checkExact(t, "pristine", cur, m.Positions(), 1)
+			blocks := (n + probeBlock - 1) / probeBlock
+			if got := len(o.summary[0].boxes); got != blocks {
+				t.Fatalf("%d boxes over %d slots, want %d", got, n, blocks)
+			}
+			if got, want := o.probeMemoryBytes(), int64(2*blocks*48); got != want {
+				t.Fatalf("probeMemoryBytes = %d, want %d", got, want)
+			}
+			if n > 0 {
+				out := cur.Query(geom.BoxAround(geom.V(-50, -50, -50), 1), nil)
+				if len(out) != 0 {
+					t.Fatalf("disjoint box returned %v", out)
+				}
+			}
+			scramble(0, m.Positions())
+			o.Step()
+			checkExact(t, "moved", cur, m.Positions(), 2)
+		})
+	}
+}
+
+// TestBoundingBoxKernel holds the branch-free rebuild kernel to the plain
+// definition of a bounding box over every kind of coordinate it orders by
+// integer key: both signs, both zeros, subnormals, huge values and the
+// infinities. A NaN coordinate becomes the bound of its own axis and
+// leaves the other two alone.
+func TestBoundingBoxKernel(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), 1, -1}
+	coord := func() float64 {
+		switch r.Intn(4) {
+		case 0:
+			return special[r.Intn(len(special))]
+		case 1:
+			return math.Ldexp(r.Float64()-0.5, r.Intn(200)-100)
+		}
+		return 20*r.Float64() - 10
+	}
+	for trial := 0; trial < 500; trial++ {
+		pos := make([]geom.Vec3, 1+r.Intn(probeBlock))
+		want := geom.EmptyBox()
+		for i := range pos {
+			pos[i] = geom.V(coord(), coord(), coord())
+			want.Min, want.Max = want.Min.Min(pos[i]), want.Max.Max(pos[i])
+		}
+		if got := boundingBox(pos); got != want {
+			t.Fatalf("trial %d: boundingBox = %v, want %v", trial, got, want)
+		}
+		// Keys order like the values, and the map is its own inverse.
+		a, b := pos[0].X, pos[len(pos)-1].Y
+		if (a < b) != (orderedKey(a) < orderedKey(b)) && a != b {
+			t.Fatalf("keys misorder %v and %v", a, b)
+		}
+		if got := fromOrderedKey(orderedKey(a)); math.Float64bits(got) != math.Float64bits(a) {
+			t.Fatalf("key round trip: %v -> %v", a, got)
+		}
+
+		v := r.Intn(len(pos))
+		pos[v].Y = math.NaN()
+		got := boundingBox(pos)
+		if got.Min.X != want.Min.X || got.Max.X != want.Max.X || got.Min.Z != want.Min.Z || got.Max.Z != want.Max.Z {
+			t.Fatalf("trial %d: a NaN y moved the x or z bounds: %v, want %v", trial, got, want)
+		}
+		if got.Max.Y == got.Max.Y {
+			t.Fatalf("trial %d: a NaN y left the bound %v: it must become the bound, where nothing prunes on it", trial, got.Max.Y)
+		}
+	}
+}
+
+// TestBlockBoxFaceContact: a query that meets a block box only on a face
+// still contains the vertices that define the face (bounds are inclusive
+// on both sides), so the block must be scanned. Each case also reaches into
+// the other block, so the probe does find seeds and nothing falls to the
+// walk, which would otherwise cover for a skipped block.
+func TestBlockBoxFaceContact(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	unit := make([]geom.Vec3, probeBlock) // the 8 corners of the unit cube, then filler inside it
+	for i := range unit {
+		if i < 8 {
+			unit[i] = geom.V(float64(i&1), float64(i>>1&1), float64(i>>2&1))
+		} else {
+			unit[i] = geom.V(r.Float64(), r.Float64(), r.Float64())
+		}
+	}
+	axes := []geom.Vec3{geom.V(1, 0, 0), geom.V(0, 1, 0), geom.V(0, 0, 1)}
+	for a, axis := range axes {
+		// Block 0 is the unit cube, block 1 the same cube 5 further along
+		// the axis.
+		pos := slices.Clone(unit)
+		for _, p := range unit {
+			pos = append(pos, p.Add(axis.Scale(5)))
+		}
+		m, o := cloud(t, pos)
+		around := geom.Box(geom.V(-1, -1, -1), geom.V(2, 2, 2))
+		slab := func(lo, hi float64) geom.AABB {
+			q := around
+			q.Min = q.Min.Add(axis.Scale(lo + 1))
+			q.Max = q.Max.Add(axis.Scale(hi - 2))
+			return q
+		}
+		for _, tc := range []struct {
+			name   string
+			q      geom.AABB
+			onFace int32 // a vertex the query holds only by face contact
+		}{
+			{"max face of block 0", slab(1, 5.5), 7},
+			{"min face of block 1", slab(0.5, 5), probeBlock},
+		} {
+			got := o.Query(tc.q, nil)
+			if !slices.Contains(got, tc.onFace) {
+				t.Errorf("axis %d, %s: vertex %d at %v is not in the result of %v", a, tc.name, tc.onFace, pos[tc.onFace], tc.q)
+			}
+			if d := query.Diff(got, query.BruteForce(m, tc.q)); d != "" {
+				t.Errorf("axis %d, %s: %s", a, tc.name, d)
+			}
+		}
+	}
+}
+
+// TestBlockBoxNonFinitePositions: a vertex with a NaN coordinate is inside
+// no box, so it is never returned — and it must not take its block-mates
+// with it, wherever in the block it sits. Infinite coordinates are
+// ordinary (if distant) positions.
+func TestBlockBoxNonFinitePositions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	pos := make([]geom.Vec3, 3*probeBlock)
+	for i := range pos {
+		pos[i] = geom.V(float64(i)/10, 0.5, 0.5)
+	}
+	bad := map[int32]geom.Vec3{
+		0:                     geom.V(nan, 0.5, 0.5), // first slot of a block: would seed a running min
+		77:                    geom.V(7.7, nan, nan),
+		probeBlock + 5:        geom.V(inf, 0.5, 0.5),
+		probeBlock + 6:        geom.V(-inf, 0.5, 0.5),
+		2*probeBlock + 100:    geom.V(nan, nan, nan),
+		3*probeBlock - 1:      geom.V(38.3, 0.5, inf),
+		int32(probeBlock - 1): geom.V(nan, 0.5, 0.5), // last slot of a block
+	}
+	for v, p := range bad {
+		pos[v] = p
+	}
+	m, o := cloud(t, pos)
+	cur := o.NewCursor().(*Cursor)
+	everything := geom.Box(geom.V(-inf, -inf, -inf), geom.V(inf, inf, inf))
+	for _, q := range []geom.AABB{
+		geom.Box(geom.V(-1, 0, 0), geom.V(100, 1, 1)), // every finite vertex
+		geom.Box(geom.V(7, 0, 0), geom.V(8, 1, 1)),    // around the half-NaN vertex
+		geom.Box(geom.V(12, 0, 0), geom.V(14, 1, 1)),  // around the infinite ones
+		everything,
+	} {
+		got := cur.Query(q, nil)
+		if d := query.Diff(got, query.BruteForce(m, q)); d != "" {
+			t.Fatalf("%v: %s", q, d)
+		}
+		for _, v := range got {
+			if p := pos[v]; p.X != p.X || p.Y != p.Y || p.Z != p.Z {
+				t.Fatalf("%v returned vertex %d at %v", q, v, p)
+			}
+		}
+	}
+	finite := 0
+	for _, p := range pos {
+		if p.X == p.X && p.Y == p.Y && p.Z == p.Z {
+			finite++
+		}
+	}
+	if got := len(cur.Query(everything, nil)); got != finite || finite != len(pos)-4 {
+		t.Fatalf("the unbounded box returned %d vertices, want the %d without a NaN coordinate", got, finite)
+	}
+	// kNN next to each NaN vertex finds its finite block-mates.
+	for _, p := range []geom.Vec3{geom.V(0, 0.5, 0.5), geom.V(7.7, 0.5, 0.5), geom.V(35.6, 0.5, 0.5)} {
+		got := cur.KNN(p, 6, nil)
+		var want []int32
+		var kb query.KBest
+		kb.Reset(6)
+		for v, q := range pos {
+			if d := q.Dist2(p); d == d {
+				kb.Offer(d, int32(v))
+			}
+		}
+		want = kb.AppendSorted(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("kNN at %v: got %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestKNNBlockSkipRule pins the skip rule on a hand-built surface. With p
+// at the origin and k = 2, block 1 (scanned first: its box is nearest)
+// yields the candidates at squared distances 1 and 4, the second with id
+// 129. Block 0's box lies at squared distance exactly 4 and holds vertex 7
+// at exactly that distance: the smaller id of the tie, so the answer is
+// [128 7] and the block must be scanned although nothing in it beats the
+// bound. Block 2 lies strictly beyond and must not be.
+func TestKNNBlockSkipRule(t *testing.T) {
+	pos := make([]geom.Vec3, 3*probeBlock)
+	for i := range pos {
+		switch b := i / probeBlock; b {
+		case 0:
+			pos[i] = geom.V(-20-float64(i), 0, 0)
+		case 1:
+			pos[i] = geom.V(10+float64(i), 0, 0)
+		default:
+			pos[i] = geom.V(0, 100+float64(i), 0)
+		}
+	}
+	pos[7] = geom.V(-2, 0, 0)
+	pos[probeBlock] = geom.V(1, 0, 0)
+	pos[probeBlock+1] = geom.V(2, 0, 0)
+	m, o := cloud(t, pos)
+	cur := o.NewCursor().(*Cursor)
+	p := geom.V(0, 0, 0)
+
+	got := cur.KNN(p, 2, nil)
+	if want := []int32{probeBlock, 7}; !slices.Equal(got, want) || !slices.Equal(got, query.BruteForceKNN(m, p, 2)) {
+		t.Fatalf("kNN = %v, want %v (brute force %v)", got, want, query.BruteForceKNN(m, p, 2))
+	}
+	if ball, ok := cur.LastKNNBound2(); !ok || ball != 4 {
+		t.Fatalf("ball = %v (ok=%v), want 4", ball, ok)
+	}
+	// Three boxes to find the nearest, two more box tests, two blocks.
+	if checked := cur.Stats().ProbeChecked; checked != 3+2+2*probeBlock {
+		t.Fatalf("probe made %d tests, want %d: block 2 lies strictly beyond the bound and must be skipped", checked, 3+2+2*probeBlock)
+	}
+
+	// No block is skipped while the heap is not full: k beyond the surface
+	// returns every vertex, nearest first.
+	k := len(pos) + 9
+	if got, want := cur.KNN(p, k, nil), query.BruteForceKNN(m, p, k); !slices.Equal(got, want) {
+		t.Fatalf("k > surface: %d results, want %d", len(got), len(want))
+	}
+	if ball, ok := cur.LastKNNBound2(); !ok || !math.IsInf(ball, 1) {
+		t.Fatalf("k > surface: ball = %v (ok=%v), want +Inf", ball, ok)
+	}
+}
+
+// linearProbe is the probe the block boxes replace, kept as the reference:
+// one pass over the surface in slot order, collecting the range seeds, and
+// for kNN offering every vertex to a heap and keeping the closest few —
+// first come first kept among equals — as crawl starts.
+func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3, k int) (seeds []int32, kb query.KBest, starts []int32) {
+	kb.Reset(k)
+	want := min(k, maxKNNStarts)
+	type cand struct {
+		d float64
+		v int32
+	}
+	var cands []cand
+	for _, v := range o.surface {
+		if q.Contains(pos[v]) {
+			seeds = append(seeds, v)
+		}
+		d := pos[v].Dist2(p)
+		kb.Offer(d, v)
+		i := len(cands)
+		for i > 0 && cands[i-1].d > d {
+			i--
+		}
+		if i < want {
+			cands = slices.Insert(cands, i, cand{d, v})
+			cands = cands[:min(len(cands), want)]
+		}
+	}
+	for _, c := range cands {
+		starts = append(starts, c.v)
+	}
+	return seeds, kb, starts
+}
+
+// TestBlockProbeMatchesLinearPass holds the block probe to the linear pass
+// it replaces, element for element: the same range seeds in the same
+// order (so the same crawl and the same output order), the same kNN
+// candidates and the same crawl starts — on the dense layout, on the
+// id-array layout, and on a regular grid where distance ties abound.
+func TestBlockProbeMatchesLinearPass(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"dense", surfaceFirstBox(t, 10)},
+		{"id-array", buildBox(t, 10)},
+		{"lattice", tetLattice(t, 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := New(tc.m)
+			if want := tc.name != "id-array"; o.denseSurface != want {
+				t.Fatalf("denseSurface = %v, want %v", o.denseSurface, want)
+			}
+			cur := o.NewCursor().(*Cursor)
+			r := rand.New(rand.NewSource(13))
+			for i := 0; i < 60; i++ {
+				c := tc.m.Position(int32(r.Intn(tc.m.NumVertices())))
+				q := geom.BoxAround(c, 0.02+r.Float64()*0.3*tc.m.Bounds().Size().X)
+				k := 1 + r.Intn(24)
+				if i%3 == 0 {
+					c = c.Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.1))
+				}
+				pos := cur.beginQuery(tc.m)
+				seeds, kb, starts := linearProbe(o, pos, q, c, k)
+
+				cur.seeds = cur.seeds[:0]
+				o.probeRange(cur, q, pos)
+				if !slices.Equal(cur.seeds, seeds) {
+					t.Fatalf("query %d: seeds %v, linear pass %v", i, cur.seeds, seeds)
+				}
+
+				cur.kbest.Reset(k)
+				kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
+				o.probeKNN(cur, &kp, c, pos)
+				cur.endQuery(tc.m)
+				if got, want := cur.kbest.AppendSorted(nil), kb.AppendSorted(nil); !slices.Equal(got, want) {
+					t.Fatalf("query %d (k=%d): candidates %v, linear pass %v", i, k, got, want)
+				}
+				var got []int32
+				for _, c := range kp.cands[:kp.nc] {
+					got = append(got, c.v)
+				}
+				if !slices.Equal(got, starts) {
+					t.Fatalf("query %d (k=%d): crawl starts %v, linear pass %v", i, k, got, starts)
+				}
+			}
+		})
+	}
+}
+
+// TestApproximateProbeIgnoresSummary: the strided probe neither builds the
+// block boxes nor reads them. The boxes are left describing a state the
+// mesh has since moved away from (no Step), so a strided probe that
+// consulted them would drop the sampled vertices it is guaranteed to
+// return.
+func TestApproximateProbeIgnoresSummary(t *testing.T) {
+	m := tetLattice(t, 8)
+	o := New(m)
+	cur := o.NewCursor().(*Cursor)
+	r := rand.New(rand.NewSource(4))
+
+	tags := func() [4]uint64 {
+		return [4]uint64{o.summary[0].epoch.Load(), o.summary[0].gen.Load(), o.summary[1].epoch.Load(), o.summary[1].gen.Load()}
+	}
+	strided := func(label string) {
+		t.Helper()
+		before := tags()
+		const stride = 4
+		o.SetApproximation(1.0 / stride)
+		for i := 0; i < 100; i++ {
+			pos := m.Positions()
+			start := cur.probeOffset % stride
+			if i%2 == 0 {
+				q := geom.BoxAround(pos[r.Intn(len(pos))], 0.3+2*r.Float64())
+				got := cur.Query(q, nil)
+				exact := query.BruteForce(m, q)
+				for _, v := range got {
+					if _, ok := slices.BinarySearch(exact, v); !ok {
+						t.Fatalf("%s: query %d returned %d, not in the exact result", label, i, v)
+					}
+				}
+				for slot := start; slot < len(pos); slot += stride {
+					if q.Contains(pos[slot]) && !slices.Contains(got, int32(slot)) {
+						t.Fatalf("%s: query %d dropped sampled surface vertex %d", label, i, slot)
+					}
+				}
+			} else {
+				// The crawl visits every tetrahedron and offers the vertices
+				// off the sampling lattice; those on it come from the probe
+				// alone, so a block skipped on a stale box loses them.
+				p, k := pos[r.Intn(len(pos))], 1+r.Intn(8)
+				if got, want := cur.KNN(p, k, nil), query.BruteForceKNN(m, p, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: kNN %d = %v, want %v", label, i, got, want)
+				}
+			}
+		}
+		o.SetApproximation(1)
+		if after := tags(); after != before {
+			t.Fatalf("%s: strided queries moved the summary tags %v -> %v", label, before, after)
+		}
+	}
+
+	strided("never built")
+	if tags() != [4]uint64{} {
+		t.Fatalf("summary built without an exact query: %v", tags())
+	}
+	checkExact(t, "exact", cur, m.Positions(), 1)
+	scramble(0, m.Positions()) // no Step: the boxes now describe the wrong state
+	strided("stale")
+}
+
+// TestBlockProbeSteadyStateAllocs pins the probe's allocation behaviour:
+// after the first query of an epoch neither a range query nor a kNN query
+// allocates, and after the first rebuild a rebuild does not either — the
+// box arrays are reused.
+func TestBlockProbeSteadyStateAllocs(t *testing.T) {
+	m := surfaceFirstBox(t, 8)
+	o := New(m)
+	o.SetCrawlWorkers(1) // the worker pool's goroutines are not the probe's
+	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.4)
+	p := geom.V(0.3, 0.6, 0.2)
+	out := make([]int32, 0, m.NumVertices())
+	for i := 0; i < 4; i++ { // warm the cursor's buffers and both paths
+		out = o.Query(q, out[:0])
+		out = o.KNN(p, 16, out[:0])
+	}
+	if len(out) != 16 || len(o.Query(q, out[:0])) == 0 {
+		t.Fatal("queries found nothing; test geometry broken")
+	}
+	for name, run := range map[string]func(){
+		"range":         func() { out = o.Query(q, out[:0]) },
+		"kNN":           func() { out = o.KNN(p, 16, out[:0]) },
+		"rebuild+range": func() { o.Step(); out = o.Query(q, out[:0]) },
+		"rebuild+kNN":   func() { o.Step(); out = o.KNN(p, 16, out[:0]) },
+	} {
+		if raceEnabled && strings.HasSuffix(name, "kNN") {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per query in steady state, want 0", name, allocs)
+		}
+	}
+}

@@ -78,6 +78,7 @@ func TestOctopusExactOnRandomPartialGrids(t *testing.T) {
 		d := &sim.NoiseDeformer{Amplitude: 0.05, Frequency: 1.2, Seed: int64(trial)}
 		for step := 0; step < 2; step++ {
 			d.Step(step, m.Positions())
+			o.Step()
 			bounds := m.Bounds()
 			for i := 0; i < 8; i++ {
 				var q geom.AABB
@@ -119,6 +120,7 @@ func TestOctopusMaintenanceUnderDeformationAndRestructuring(t *testing.T) {
 
 	for step := 0; step < 25; step++ {
 		d.Step(step, m.Positions())
+		o.Step()
 
 		// Occasionally restructure.
 		if step%3 == 0 {

@@ -39,8 +39,8 @@
 //     head positions instead of the half-updated index (see
 //     internal/maintain and DESIGN.md §11). Outside a Pipeline the
 //     paper's strict update/monitor alternation applies.
-//   - A single query may itself fan out: engines with a sharded probe or
-//     a parallel crawl (CrawlTuner) spawn short-lived worker goroutines
+//   - A single query may itself fan out: engines with a parallel crawl
+//     (CrawlTuner) spawn short-lived worker goroutines
 //     that share the issuing cursor's scratch and join before the query
 //     returns, so the cursor contract is unchanged — the cursor is still
 //     "one goroutine" from the caller's point of view. Parallel crawls
@@ -77,8 +77,10 @@ type Engine interface {
 	Name() string
 
 	// Step performs per-time-step index maintenance after the simulation
-	// has updated vertex positions in place. For OCTOPUS and the linear
-	// scan this is (nearly) a no-op; throwaway indexes rebuild here.
+	// has updated vertex positions in place, and must be called before
+	// the next query even by engines with nothing to maintain: OCTOPUS
+	// only notes that positions changed (O(1)), the linear scan does
+	// nothing, throwaway indexes rebuild here.
 	Step()
 
 	// Query appends the ids of all vertices whose current position lies in

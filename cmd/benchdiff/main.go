@@ -4,7 +4,7 @@
 //
 //	benchdiff -base internal/bench/baseline/BENCH_crawl.json \
 //	          -new BENCH_crawl.json -tol 0.15 \
-//	          -cell 'crawl-scaling:dense:speedup-vs-hash[x]:+' \
+//	          -cell 'crawl-cost:20%:visited/query:=' \
 //	          -cell 'crawl-budget:0.500:recall[%]:='
 //
 // Cell syntax is table:row:col:direction, where row matches the first

@@ -46,8 +46,8 @@
 //	    simulate(m.Positions())              // update phase: exclusive
 //	    eng.Step()
 //	    results := octopus.ExecuteBatch(eng, queries, 0) // 0 = GOMAXPROCS
-//	    // results[i] answers queries[i]; in exact mode the same result
-//	    // set as serial execution (range order unspecified)
+//	    // results[i] answers queries[i]; in exact mode exactly what
+//	    // serial execution returns
 //	}
 //
 // Per-worker statistics are merged into the engine when the batch
@@ -55,17 +55,14 @@
 // pools, ParallelEngine.NewCursor hands out the same per-goroutine
 // cursors directly.
 //
-// A single query can also go wide on its own: the crawl engines split
-// large crawls across a worker pool (SetCrawlWorkers; GOMAXPROCS by
-// default) sharing an epoch-stamped visited array — and, for kNN, an
-// atomically tightened k-best bound — with work-stealing hand-off between
-// per-worker frontiers. Parallel crawls return the same result set as
-// serial ones (bit-exact (dist,id) order for kNN). The same engines
-// accept a per-query CrawlBudget (SetCrawlBudget): a budgeted crawl stops
-// at an expansion count or wall deadline, keeps everything discovered so
-// far, and reports its coverage (visited fraction, kNN bound gap) through
-// each QueryTrace — a real latency/recall dial. Both setters mutate
-// engine state and must not run concurrently with queries.
+// A single query stays on the goroutine that issued it — parallelism is
+// between queries, one cursor each — and the crawl engines answer it in
+// one deterministic order per cursor. They accept a per-query CrawlBudget
+// (SetCrawlBudget): a budgeted crawl stops at an expansion count or wall
+// deadline, keeps everything discovered so far, and reports its coverage
+// (visited fraction, kNN bound gap) through each QueryTrace — a real
+// latency/recall dial. The setter mutates engine state and must not run
+// concurrently with queries.
 //
 // # Querying while the mesh deforms
 //

@@ -11,19 +11,15 @@ import (
 	"octopus/internal/workload"
 )
 
-// Crawl measures the parallel multi-seed crawl and the budgeted
-// approximate mode (DESIGN.md §12) on the large convex dataset, where
-// big-box range queries spend nearly all their time in the crawl phase.
+// Crawl measures the crawl phase and the budgeted approximate mode
+// (DESIGN.md §12) on the large convex dataset, where big-box range queries
+// spend nearly all their time in the crawl phase.
 //
 // Three tables:
 //
-//   - crawl-scaling: mean crawl time per query for the legacy hash crawl,
-//     the dense epoch-stamped crawl, and the work-stealing parallel crawl
-//     at 2/4/8 workers, all over the same query stream with identical
-//     result sets. The speedup column is relative to the hash baseline —
-//     the acceptance series for the parallel-crawl work (the worker rows
-//     scale with physical cores; on a single-core host they measure pool
-//     overhead on top of the dense tier).
+//   - crawl-cost: what the crawl costs on large boxes — mean crawl time
+//     per query, nanoseconds per visited vertex and the (deterministic)
+//     visited count.
 //   - crawl-budget: the latency/recall dial of the approximate mode — a
 //     MaxVisited sweep against exact results on the same queries.
 //   - knn-budget: the same dial for kNN, with the reported bound gap.
@@ -37,66 +33,42 @@ func Crawl(cfg Config) ([]*Table, error) {
 	if n < 16 {
 		n = 16
 	}
-	// Large boxes (20% selectivity): the crawl dominates, every query
-	// crosses the escalation threshold, and the visited-set mechanism —
-	// not the probe — is what the row timings compare.
-	scaling := crawlScalingTable(m, gen.UniformQueries(n, 0.2))
+	// Large boxes (20% selectivity): the crawl dominates and the visited-set
+	// mechanism — not the probe — is what the row times.
+	cost := crawlCostTable(m, gen.UniformQueries(n, 0.2))
 	budget := crawlBudgetTable(m, gen.UniformQueries(n, 0.02))
 	knnBudget := knnBudgetTable(m, gen, cfg)
-	return []*Table{scaling, budget, knnBudget}, nil
+	return []*Table{cost, budget, knnBudget}, nil
 }
 
 // crawlReps repeats each timed query stream so single runs are stable
 // enough for the CI trend gate.
 const crawlReps = 3
 
-func crawlScalingTable(m *mesh.Mesh, queries []geom.AABB) *Table {
+func crawlCostTable(m *mesh.Mesh, queries []geom.AABB) *Table {
 	t := &Table{
-		ID:    "crawl-scaling",
-		Title: "Parallel crawl: mean crawl time per query, large boxes (EqSF1)",
-		Columns: []string{"config", "crawl[us/query]", "total[us/query]",
-			"speedup-vs-hash[x]", "visited/query"},
+		ID:      "crawl-cost",
+		Title:   "Crawl cost: mean crawl time per query, large boxes (EqSF1)",
+		Columns: []string{"boxes", "crawl[us/query]", "ns/visited", "visited/query"},
 	}
-	configs := []struct {
-		name    string
-		dense   bool
-		workers int
-	}{
-		{"hash (baseline)", false, 1},
-		{"dense", true, 1},
-		{"par-2", true, 2},
-		{"par-4", true, 4},
-		{"par-8", true, 8},
-	}
-	var hashCrawl float64
-	for _, c := range configs {
-		o := core.New(m)
-		o.SetDenseCrawl(c.dense)
-		o.SetCrawlWorkers(c.workers)
-		// Warm the scratch (mark array, worker pool) outside the timed
-		// region, as in a long-running simulation.
-		var out []int32
-		out = o.Query(queries[0], out[:0])
-		before := o.Stats()
-		start := time.Now()
-		for r := 0; r < crawlReps; r++ {
-			for _, q := range queries {
-				out = o.Query(q, out[:0])
-			}
+	o := core.New(m)
+	// Warm the scratch (mark array) outside the timed region, as in a
+	// long-running simulation.
+	var out []int32
+	out = o.Query(queries[0], out[:0])
+	before := o.Stats()
+	for r := 0; r < crawlReps; r++ {
+		for _, q := range queries {
+			out = o.Query(q, out[:0])
 		}
-		nq := float64(crawlReps * len(queries))
-		total := time.Since(start).Seconds() * 1e6 / nq
-		d := o.Stats()
-		crawl := (d.Crawl - before.Crawl).Seconds() * 1e6 / nq
-		visited := float64(d.CrawlVisited-before.CrawlVisited) / nq
-		if hashCrawl == 0 {
-			hashCrawl = crawl
-		}
-		t.AddRow(c.name, crawl, total, hashCrawl/crawl, visited)
 	}
+	nq := float64(crawlReps * len(queries))
+	d := o.Stats()
+	crawl := (d.Crawl - before.Crawl).Seconds() * 1e6 / nq
+	visited := float64(d.CrawlVisited-before.CrawlVisited) / nq
+	t.AddRow("20%", crawl, 1e3*crawl/visited, visited)
 	t.Notes = append(t.Notes,
-		"all configurations return identical result sets (the equivalence suite asserts it)",
-		"worker rows need physical cores to scale; the dense row is core-count independent")
+		"visited/query is a pure function of the seeded boxes; the time columns are this machine's")
 	return t
 }
 
@@ -111,7 +83,6 @@ func crawlBudgetTable(m *mesh.Mesh, queries []geom.AABB) *Table {
 			"crawl[us/query]"},
 	}
 	o := core.New(m)
-	o.SetCrawlWorkers(1)
 	cur := o.NewCursor().(*core.Cursor)
 
 	exact := make([]map[int32]bool, len(queries))
@@ -181,7 +152,6 @@ func knnBudgetTable(m *mesh.Mesh, gen *workload.Generator, cfg Config) *Table {
 	k := 256
 	probes := gen.KNNQueries(cfg.QueriesPerStep*2, k, k, 0.02)
 	o := core.New(m)
-	o.SetCrawlWorkers(1)
 	cur := o.NewCursor().(*core.Cursor)
 
 	truth := make([][]int32, len(probes))

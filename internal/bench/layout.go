@@ -93,7 +93,6 @@ func Layout(cfg Config) ([]*Table, error) {
 		queries := gen.UniformQueries(n, 0.01)
 
 		o := core.New(layout.m)
-		o.SetCrawlWorkers(1)
 		layout.o = o
 		var out []int32
 		out = o.Query(queries[0], out[:0]) // warm the scratch

@@ -33,7 +33,7 @@ func Experiments() []Experiment {
 		{"fig12", "surface approximation: accuracy and speedup", Fig12},
 		{"fig14", "deforming mesh dataset characterization table", Fig14},
 		{"fig15", "deforming meshes: response time and speedup", Fig15},
-		{"crawl", "extension: parallel multi-seed crawl scaling and the budgeted approximate mode (DESIGN.md §12)", Crawl},
+		{"crawl", "extension: crawl cost on large boxes and the budgeted approximate mode (DESIGN.md §12)", Crawl},
 		{"dist", "extension: wire-boundary serving — stateless router over shard servers, bit-equality and coherence counters vs in-process (DESIGN.md §15)", Dist},
 		{"hybrid", "extension: model-routed hybrid engine across the break-even (§IV-G)", HybridCrossover},
 		{"layout", "vertex-ordering ablation — crawl time, cache-proxy locality, the surface-first probe (DESIGN.md §7, §12) and Figure 13's Hilbert layout effect", Layout},

@@ -159,7 +159,6 @@ func sloCacheTable(cfg Config) (*Table, error) {
 	}
 	m.EnableDirtyTracking()
 	eng := core.New(m)
-	eng.SetCrawlWorkers(1)
 	cur, ok := eng.NewCursor().(*core.Cursor)
 	if !ok {
 		return nil, fmt.Errorf("slo-cache: core cursor type")

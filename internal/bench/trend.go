@@ -14,11 +14,12 @@ import (
 // regression beyond the tolerance.
 type GateCell struct {
 	// Table is the table ID inside the experiment file, e.g.
-	// "crawl-scaling".
+	// "layout-crawl".
 	Table string
-	// Row matches the first column of the row, e.g. "dense".
+	// Row matches the first column of the row, e.g. "hilbert".
 	Row string
-	// Col is the column name of the gated cell, e.g. "speedup-vs-hash[x]".
+	// Col is the column name of the gated cell, e.g.
+	// "speedup-vs-random[x]".
 	Col string
 	// Direction is '+' (higher is better — fail when the new value drops
 	// below baseline*(1-tol)), '-' (lower is better — fail when it rises

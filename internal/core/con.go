@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -39,14 +38,9 @@ type Con struct {
 	compOf   []int32
 	compReps []int32
 
-	// Crawl tuning and budget, mirroring Octopus (crawl tiers are engine
-	// agnostic: the crawl phase is identical between the variants).
-	crawlWorkers  int
-	denseCrawl    bool
-	crawlEscalate int
-	crawlParSeeds int
-	crawlParK     int
-	crawlBudget   query.CrawlBudget
+	// crawlBudget mirrors Octopus: the crawl phase is identical between
+	// the variants.
+	crawlBudget query.CrawlBudget
 
 	resident *Cursor
 	guard    query.ResidentGuard
@@ -62,12 +56,7 @@ func NewCon(m *mesh.Mesh, gridCells int) *Con {
 	if gridCells <= 0 {
 		gridCells = DefaultGridCells
 	}
-	c := &Con{
-		m:            m,
-		grid:         grid.Build(m, gridCells),
-		crawlWorkers: runtime.GOMAXPROCS(0),
-		denseCrawl:   true,
-	}
+	c := &Con{m: m, grid: grid.Build(m, gridCells)}
 	count, labels := m.ConnectedComponents()
 	c.compOf = labels
 	c.compReps = make([]int32, count)
@@ -95,31 +84,8 @@ func (c *Con) Step() {}
 // start-point grid, which staleness cannot make incorrect.
 func (c *Con) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
-// SetCrawlWorkers implements query.CrawlTuner; see Octopus.SetCrawlWorkers.
-func (c *Con) SetCrawlWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	c.crawlWorkers = n
-}
-
 // SetCrawlBudget implements query.CrawlTuner; see Octopus.SetCrawlBudget.
 func (c *Con) SetCrawlBudget(b query.CrawlBudget) { c.crawlBudget = b }
-
-// SetDenseCrawl enables or disables the dense/parallel crawl tiers; see
-// Octopus.SetDenseCrawl.
-func (c *Con) SetDenseCrawl(on bool) { c.denseCrawl = on }
-
-// tuning snapshots the engine's crawl knobs for one query.
-func (c *Con) tuning() crawlTuning {
-	return crawlTuning{
-		workers:    c.crawlWorkers,
-		dense:      c.denseCrawl,
-		escalateAt: c.crawlEscalate,
-		parSeedMin: c.crawlParSeeds,
-		parMinK:    c.crawlParK,
-	}
-}
 
 // NewCursor implements query.ParallelEngine.
 func (c *Con) NewCursor() query.Cursor { return newCursor(c, c.m) }
@@ -135,7 +101,7 @@ func (c *Con) Query(q geom.AABB, out []int32) []int32 {
 
 func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.Queries++
-	cur.armCrawl(c.tuning(), c.crawlBudget)
+	cur.armCrawl(c.crawlBudget)
 	before := len(out)
 	cur.beginQuery(c.m)
 

@@ -12,40 +12,27 @@ import (
 // crawler implements the two mesh-graph phases shared by OCTOPUS and
 // OCTOPUS-CON: the breadth-first crawl (§IV-B) and the directed walk
 // (§IV-D) with its exact fallback, the scan of the unprobed positions. It
-// owns the reusable visited structures and frontiers so queries do not
+// owns the reusable visited structure and frontiers so queries do not
 // allocate.
 //
-// The crawl has three execution tiers (DESIGN.md §12), chosen per query by
-// the tuning the engine installs through armCrawl:
-//
-//   - Hash crawl: the original path. The visited set is an open-addressing
-//     hash sized by the result, so small queries touch memory proportional
-//     to what they return — the footprint property of Figure 10(b).
-//   - Dense crawl: once a crawl has expanded escalateAt vertices it has
-//     proven large, and the hash set's probing and growth dominate; the
-//     visited set migrates to an epoch-stamped mark array with one word
-//     per vertex (allocated once per cursor, O(1) reset) and the BFS
-//     continues with plain array stamps — same traversal, same output
-//     order, 2-4x less time per vertex.
-//   - Parallel crawl: with crawl workers > 1, a crawl that escalates (or
-//     starts with enough probe seeds to split) hands its frontier to a
-//     work-stealing worker pool sharing the mark array via atomic claims
-//     (see pcrawl.go). Result sets are identical to serial; result order
-//     is not (order is unspecified by the Query contract).
+// There is one crawl (DESIGN.md §12). Its visited set is the mark array:
+// one epoch-stamped word per vertex, allocated by the first crawl that has
+// a seed and cleared in O(1) by an epoch bump. Every dataset and sub-mesh
+// is laid out in Hilbert order, so a vertex's neighbours have nearby ids
+// and marks[w] is touched with the locality the layout exists to buy. What
+// that gives up is Figure 10(b)'s footprint property: a cursor that has
+// crawled holds 4 bytes per mesh vertex, whatever its results were; only
+// the result queue, the seed buffer and the kNN heaps still grow with the
+// result.
 type crawler struct {
-	m       *mesh.Mesh
-	visited *idSet
-	heap    []heapItem // kNN crawl frontier
+	m    *mesh.Mesh
+	heap []heapItem // kNN crawl frontier
 
-	// marks is the dense visited array of the escalated tiers: marks[v] ==
-	// markEpoch means v was visited by the current crawl. Sized to the
-	// vertex count on first escalation; reset is an epoch bump.
+	// marks is the visited set: marks[v] == markEpoch means v was visited
+	// by the current crawl. Sized to the vertex count by bumpMarks; reset
+	// is an epoch bump.
 	marks     []uint32
 	markEpoch uint32
-
-	// par is the parallel crawl scratch (worker frontiers, result buffers,
-	// prebuilt goroutine closures), built lazily on first parallel crawl.
-	par *parCrawl
 
 	// pos is the position view of the query in flight, installed by
 	// Cursor.beginQuery: the epoch-pinned snapshot buffer, or the live
@@ -55,11 +42,10 @@ type crawler struct {
 	// epoch.
 	pos []geom.Vec3
 
-	// Per-query crawl tuning and budget state, installed by armCrawl at
-	// query start. expanded counts budget-relevant expansions across all
-	// crawl phases of the query (range crawl, or one kNN crawl per
-	// component); cov accumulates the coverage report.
-	tun      crawlTuning
+	// Per-query budget state, installed by armCrawl at query start.
+	// expanded counts budget-relevant expansions across all crawl phases of
+	// the query (range crawl, or one kNN crawl per component); cov
+	// accumulates the coverage report.
 	budLimit int64
 	deadline time.Time
 	expanded int64
@@ -70,84 +56,49 @@ type crawler struct {
 	walkVisited  int64 // vertices accessed by directed walks and their fallback scans
 }
 
-// crawlTuning is the per-query snapshot of an engine's crawl knobs.
-type crawlTuning struct {
-	workers    int  // resolved worker count (>= 1)
-	dense      bool // dense/parallel tiers enabled; false = legacy hash-only crawl
-	escalateAt int  // expansions before a hash crawl escalates to the mark array
-	parSeedMin int  // seed count at which a range crawl goes parallel immediately
-	parMinK    int  // k at which a kNN crawl goes parallel
-}
+// budgetStride is how many expansions pass between wall-clock budget
+// checks — the crawl's analog of the maintenance scheduler's slice
+// stride (checking time.Now per vertex would dominate the crawl).
+const budgetStride = 64
 
-// Crawl tier defaults. The thresholds gate overhead, not correctness:
-// below them the hash crawl's locality wins or the fork/join cost of the
-// worker pool would dominate. Tests lower them through the engines'
-// unexported fields to exercise every tier on small meshes.
-const (
-	// defaultCrawlEscalate is the expansion count at which a crawl has
-	// proven large enough for the dense mark array (and the worker pool).
-	// At ~100ns/vertex the hash prefix costs ~0.1ms — a few percent of
-	// the crawls the escalation exists for.
-	defaultCrawlEscalate = 1024
-	// defaultParSeedMin is the probe-seed count at which a range crawl
-	// skips the hash tier and splits the seeds across workers directly.
-	defaultParSeedMin = 128
-	// defaultParMinK is the k at which a kNN crawl (which expands O(k)
-	// vertices) is worth running on the worker pool.
-	defaultParMinK = 256
-	// budgetStride is how many expansions pass between wall-clock budget
-	// checks — the crawl's analog of the maintenance scheduler's slice
-	// stride (checking time.Now per vertex would dominate the crawl).
-	budgetStride = 64
-)
-
-func newCrawler(m *mesh.Mesh) crawler {
-	return crawler{m: m, visited: newIDSet()}
-}
-
-// armCrawl installs one query's crawl tuning and budget, resetting the
-// budget accounting and the coverage report. Engines call it at query
-// start, before any crawl phase runs.
-func (c *crawler) armCrawl(t crawlTuning, b query.CrawlBudget) {
-	if t.workers < 1 {
-		t.workers = 1
-	}
-	if t.escalateAt <= 0 {
-		t.escalateAt = defaultCrawlEscalate
-	}
-	if t.parSeedMin <= 0 {
-		t.parSeedMin = defaultParSeedMin
-	}
-	if t.parMinK <= 0 {
-		t.parMinK = defaultParMinK
-	}
-	c.tun = t
+// armCrawl installs one query's crawl budget, resetting the budget
+// accounting and the coverage report. Engines call it at query start,
+// before any crawl phase runs.
+func (c *crawler) armCrawl(b query.CrawlBudget) {
 	c.budLimit = b.MaxVisited
 	if b.Wall > 0 {
 		c.deadline = time.Now().Add(b.Wall)
 	} else {
 		c.deadline = time.Time{}
 	}
-	c.expanded = 0
-	c.cov = query.CrawlCoverage{}
+	c.resetCoverage()
 }
 
 // resetCoverage zeroes the per-query coverage accounting without changing
-// the tuning — used by query paths that bypass the crawl entirely (the
+// the budget — used by query paths that bypass the crawl entirely (the
 // hybrid's scan route), so LastCoverage never reports a stale truncation.
 func (c *crawler) resetCoverage() {
 	c.expanded = 0
 	c.cov = query.CrawlCoverage{}
 }
 
-// wallExpired reports whether the query's wall budget has run out. Callers
-// check it every budgetStride expansions, never per vertex.
+// overBudget reports whether the query's crawl budget has run out: the
+// expansion limit is checked before every expansion, the wall clock every
+// budgetStride expansions, never per vertex.
+func (c *crawler) overBudget() bool {
+	return c.budLimit > 0 && c.expanded >= c.budLimit ||
+		c.expanded&(budgetStride-1) == 0 && c.wallExpired()
+}
+
+// wallExpired is a function of its own so that overBudget stays small
+// enough to inline into the crawl loops.
 func (c *crawler) wallExpired() bool {
 	return !c.deadline.IsZero() && time.Now().After(c.deadline)
 }
 
-// bumpMarks prepares the dense mark array for a fresh crawl: sized to the
-// mesh, cleared in O(1) by an epoch bump (hard-cleared on the ~4G wrap).
+// bumpMarks prepares the mark array for a fresh crawl: sized to the mesh
+// (re-sized when restructuring has added vertices), cleared in O(1) by an
+// epoch bump (hard-cleared on the ~4G wrap).
 func (c *crawler) bumpMarks() {
 	if n := c.m.NumVertices(); len(c.marks) < n {
 		c.marks = make([]uint32, n)
@@ -155,9 +106,7 @@ func (c *crawler) bumpMarks() {
 	}
 	c.markEpoch++
 	if c.markEpoch == 0 {
-		for i := range c.marks {
-			c.marks[i] = 0
-		}
+		clear(c.marks)
 		c.markEpoch = 1
 	}
 }
@@ -168,117 +117,49 @@ func (c *crawler) bumpMarks() {
 // crawl cost proportional to the result size, not the dataset size. The
 // result slice doubles as the BFS queue: every discovered in-box vertex is
 // appended once and expanded when the head pointer reaches it, so the
-// output order is exactly the BFS discovery order.
+// output order is exactly the BFS discovery order from the seeds in the
+// order given — deterministic per cursor.
 //
-// Large crawls escalate to the dense tiers per the installed tuning; a
-// budget cutoff keeps everything discovered so far (a subset of the exact
-// result) and records the abandoned frontier in the coverage report.
+// No seed means no result and no marks: the emptiness proof of a stalled
+// walk allocates nothing. A budget cutoff keeps everything discovered so
+// far (a subset of the exact result) and records the abandoned frontier in
+// the coverage report.
 func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
-	base := len(out)
-	if c.tun.dense && c.tun.workers > 1 && len(seeds) >= c.tun.parSeedMin {
-		// Enough independent seeds to split across workers immediately:
-		// mark and dedupe them serially, then let the pool crawl.
-		c.bumpMarks()
-		p := c.ensurePar(c.tun.workers)
-		n := 0
-		for _, s := range seeds {
-			if c.marks[s] != c.markEpoch {
-				c.marks[s] = c.markEpoch
-				p.ws[n%len(p.ws)].stack = append(p.ws[n%len(p.ws)].stack, s)
-				n++
-			}
-		}
-		return c.crawlParallel(q, n, out)
+	if len(seeds) == 0 {
+		return out
 	}
-
-	c.visited.reset()
+	c.bumpMarks()
+	pos := c.pos
+	marks, epoch := c.marks, c.markEpoch
+	base := len(out)
 	for _, s := range seeds {
-		if c.visited.add(s) {
+		if marks[s] != epoch {
+			marks[s] = epoch
 			out = append(out, s)
 		}
 	}
-	pos := c.pos
 	for head := base; head < len(out); head++ {
-		if c.budLimit > 0 && c.expanded >= c.budLimit ||
-			c.expanded&(budgetStride-1) == 0 && c.wallExpired() {
+		if c.overBudget() {
 			c.cov.Truncated = true
 			c.cov.Frontier += int64(len(out) - head)
-			c.crawlVisited += int64(len(out) - base)
-			return out
+			break
 		}
-		if c.tun.dense && head-base >= c.tun.escalateAt {
-			return c.escalateCrawl(q, out, base, head)
-		}
-		v := out[head]
 		c.expanded++
-		for _, w := range c.m.Neighbors(v) {
+		for _, w := range c.m.Neighbors(out[head]) {
 			// Mark before testing: every vertex pays the position gather
 			// and containment test at most once, not once per incident
 			// edge. Out-of-box vertices enter the visited set but never
 			// the queue, so the result stays exact and the stop criterion
 			// (never expand past an outside vertex) is unchanged.
-			if c.visited.add(w) && q.Contains(pos[w]) {
-				out = append(out, w)
-			}
-		}
-	}
-	c.crawlVisited += int64(len(out) - base)
-	return out
-}
-
-// escalateCrawl moves a hash crawl that has proven large onto the dense
-// mark array: the hash set's contents (in-box and out-of-box visits alike)
-// are stamped into the marks, and the BFS continues — serially on the
-// marks, or on the worker pool when crawl workers are configured. The
-// pending queue entries out[head:] become the continuation's frontier.
-//
-// crawlVisited counts each discovered id exactly once, at its final
-// placement: the serial continuation keeps the whole queue in out, so the
-// full prefix is counted here; the parallel continuation moves the
-// unexpanded tail into the worker stacks, so only the kept prefix is
-// counted here and the collector counts what the workers produce.
-func (c *crawler) escalateCrawl(q geom.AABB, out []int32, base, head int) []int32 {
-	c.bumpMarks()
-	c.visited.stamp(c.marks, c.markEpoch)
-	if c.tun.workers > 1 {
-		p := c.ensurePar(c.tun.workers)
-		n := 0
-		for _, v := range out[head:] {
-			p.ws[n%len(p.ws)].stack = append(p.ws[n%len(p.ws)].stack, v)
-			n++
-		}
-		c.crawlVisited += int64(head - base)
-		return c.crawlParallel(q, n, out[:head])
-	}
-	c.crawlVisited += int64(len(out) - base)
-	return c.crawlDense(q, out, head)
-}
-
-// crawlDense is the BFS continuation on the dense mark array: identical
-// traversal and output order to the hash tier, with the visited test a
-// single array stamp. head indexes the next unexpanded entry of out.
-func (c *crawler) crawlDense(q geom.AABB, out []int32, head int) []int32 {
-	pos := c.pos
-	marks, epoch := c.marks, c.markEpoch
-	for ; head < len(out); head++ {
-		if c.budLimit > 0 && c.expanded >= c.budLimit ||
-			c.expanded&(budgetStride-1) == 0 && c.wallExpired() {
-			c.cov.Truncated = true
-			c.cov.Frontier += int64(len(out) - head)
-			return out
-		}
-		v := out[head]
-		c.expanded++
-		for _, w := range c.m.Neighbors(v) {
 			if marks[w] != epoch {
 				marks[w] = epoch
 				if q.Contains(pos[w]) {
 					out = append(out, w)
-					c.crawlVisited++
 				}
 			}
 		}
 	}
+	c.crawlVisited += int64(len(out) - base)
 	return out
 }
 
@@ -413,12 +294,8 @@ func heapPopItem(h *[]heapItem) heapItem {
 	return top
 }
 
-// memoryBytes reports the crawl structures' footprint: visited set, dense
-// mark array, kNN frontier and the parallel pool's per-worker scratch.
+// memoryBytes reports the crawl structures' footprint: the mark array and
+// the kNN frontier.
 func (c *crawler) memoryBytes() int64 {
-	b := c.visited.memoryBytes() + int64(cap(c.marks))*4 + int64(cap(c.heap))*16
-	if c.par != nil {
-		b += c.par.memoryBytes()
-	}
-	return b
+	return int64(cap(c.marks))*4 + int64(cap(c.heap))*16
 }

@@ -17,16 +17,17 @@ type cursorOwner interface {
 }
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
-// (visited set, BFS queue, kNN frontier), the seed buffer, the
-// approximate-probe sampling phase and a local Stats accumulator. The
-// engine that created a cursor holds only immutable index state at query
-// time (and the probe's self-synchronized block boxes), so any number of
-// cursors over the same engine may execute queries concurrently — one
-// cursor per goroutine.
+// (mark array, kNN frontier — the range BFS queues in the caller's out),
+// the seed buffer, the approximate-probe sampling phase and a local Stats
+// accumulator. The engine that created a cursor holds only immutable index
+// state at query time (and the probe's self-synchronized block boxes), so
+// any number of cursors over the same engine may execute queries
+// concurrently — one cursor per goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
-// one per worker (its buffers grow to roughly the largest result set the
-// worker has seen).
+// one per worker: nothing is allocated until its first seeded crawl, which
+// sizes the mark array to the mesh (4 bytes per vertex); the other buffers
+// grow to roughly the largest result set the worker has seen.
 type Cursor struct {
 	owner cursorOwner
 	crawler
@@ -62,7 +63,7 @@ type Cursor struct {
 }
 
 func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
-	return &Cursor{owner: owner, crawler: newCrawler(m)}
+	return &Cursor{owner: owner, crawler: crawler{m: m}}
 }
 
 // beginQuery installs the position view for one query and returns it:
@@ -181,8 +182,7 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (visited set, dense mark array, kNN frontier, the parallel
-// pool's per-worker frontiers and buffers), the seed buffer and the kNN
+// structures (mark array, kNN frontier), the seed buffer and the kNN
 // candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
 	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + c.kbest.MemoryBytes()

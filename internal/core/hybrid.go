@@ -73,17 +73,10 @@ func (h *Hybrid) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
 	return h.oct.BeginMaintenance(d)
 }
 
-// SetCrawlWorkers implements query.CrawlTuner on the OCTOPUS side (the
-// scan side has no crawl). Not safe concurrently with queries.
-func (h *Hybrid) SetCrawlWorkers(n int) { h.oct.SetCrawlWorkers(n) }
-
-// SetCrawlBudget implements query.CrawlTuner on the OCTOPUS side.
-// Scan-routed queries are always exact — the budget only applies when the
+// SetCrawlBudget implements query.CrawlTuner on the OCTOPUS side (the
+// scan side has no crawl). Scan-routed queries are always exact — the budget only applies when the
 // router picks the crawl. Not safe concurrently with queries.
 func (h *Hybrid) SetCrawlBudget(b query.CrawlBudget) { h.oct.SetCrawlBudget(b) }
-
-// SetDenseCrawl forwards to the OCTOPUS side; see Octopus.SetDenseCrawl.
-func (h *Hybrid) SetDenseCrawl(on bool) { h.oct.SetDenseCrawl(on) }
 
 // BreakEven returns the routing threshold (Equation 6).
 func (h *Hybrid) BreakEven() float64 { return h.breakEven }

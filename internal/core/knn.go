@@ -48,7 +48,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		return out
 	}
 	cur.stats.Queries++
-	cur.armCrawl(o.tuning(), o.crawlBudget)
+	cur.armCrawl(o.crawlBudget)
 	before := len(out)
 
 	// Phase 1: probe the surface for the vertices closest to p. Exact mode
@@ -153,7 +153,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 		return out
 	}
 	cur.stats.Queries++
-	cur.armCrawl(c.tuning(), c.crawlBudget)
+	cur.armCrawl(c.crawlBudget)
 	before := len(out)
 	cur.beginQuery(c.m)
 
@@ -237,32 +237,23 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // candidates and the frontier's closest vertex is farther than the k-th
 // best — no vertex beyond the frontier can then enter the result,
 // provided closer vertices are reachable without crossing the k-th-best
-// radius (see the file comment). Multiple starts share one visited set,
-// so overlapping expansions never offer a vertex twice. Vertices at
-// exactly the k-th-best distance keep expanding so id tie-breaks match
-// brute force.
-//
-// Large k routes to the parallel crawl (pcrawl.go), whose result set is
-// identical under the same reachability assumption: workers only ever
-// prune frontier entries farther than the shared bound at some instant,
-// and the bound only tightens towards its final value, so nothing within
-// the final k-th-best radius is ever pruned by either execution.
+// radius (see the file comment). Multiple starts share one visited set
+// (the mark array), so overlapping expansions never offer a vertex twice.
+// Vertices at exactly the k-th-best distance keep expanding so id
+// tie-breaks match brute force.
 func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32) {
-	if c.tun.dense && c.tun.workers > 1 && c.kbest.K() >= c.tun.parMinK {
-		c.knnCrawlParallel(p, starts)
-		return
-	}
+	c.bumpMarks()
 	pos := c.pos
-	c.visited.reset()
+	marks, epoch := c.marks, c.markEpoch
 	c.heap = c.heap[:0]
 	for _, s := range starts {
-		if c.visited.add(s) {
+		if marks[s] != epoch {
+			marks[s] = epoch
 			heapPushItem(&c.heap, heapItem{dist: pos[s].Dist2(p), v: s})
 		}
 	}
 	for len(c.heap) > 0 {
-		if c.budLimit > 0 && c.expanded >= c.budLimit ||
-			c.expanded&(budgetStride-1) == 0 && c.wallExpired() {
+		if c.overBudget() {
 			c.truncateKNN()
 			return
 		}
@@ -276,7 +267,8 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32) {
 		c.crawlVisited++
 		c.expanded++
 		for _, w := range c.m.Neighbors(item.v) {
-			if c.visited.add(w) {
+			if marks[w] != epoch {
+				marks[w] = epoch
 				d := pos[w].Dist2(p)
 				if !c.kbest.Full() || d <= c.kbest.Bound() {
 					heapPushItem(&c.heap, heapItem{dist: d, v: w})

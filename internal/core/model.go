@@ -86,39 +86,33 @@ func Calibrate(m *mesh.Mesh) Constants {
 	}
 	cs := time.Since(start).Seconds() / float64(scanned)
 
-	// CR: a full breadth-first traversal of the mesh graph with the same
-	// visited-set and queue machinery the crawl uses — the paper likewise
-	// averages "a long run of ... graph traversal".
-	var accessed int64
-	visited := newIDSet()
-	queue := make([]int32, 0, len(pos))
+	// CR: full breadth-first traversals of the mesh graph by the crawl
+	// itself (crawler.crawl over a box that holds every vertex) — the
+	// paper likewise averages "a long run of ... graph traversal", and
+	// running the engine's own loop means the constant cannot drift from
+	// the code it predicts. The unit is one adjacency access, so a round
+	// counts the edges it follows; the first, untimed round counts them and
+	// allocates the mark array.
 	all := geom.AABB{
 		Min: bounds.Min.Sub(geom.V(1, 1, 1)),
 		Max: bounds.Max.Add(geom.V(1, 1, 1)),
 	}
-	start = time.Now()
-	for time.Since(start) < 30*time.Millisecond {
-		visited.reset()
-		queue = queue[:0]
-		visited.add(0)
-		queue = append(queue, 0)
-		for head := 0; head < len(queue); head++ {
-			for _, w := range m.Neighbors(queue[head]) {
-				accessed++
-				if visited.add(w) && all.Contains(pos[w]) {
-					queue = append(queue, w)
-				}
-			}
-		}
-		if accessed == 0 {
-			break
-		}
+	bfs := crawler{m: m, pos: pos}
+	seed := []int32{0}
+	queue := bfs.crawl(all, seed, make([]int32, 0, len(pos)))
+	var edges int64
+	for _, v := range queue {
+		edges += int64(len(m.Neighbors(v)))
 	}
-	var cr float64
-	if accessed > 0 {
+	cr := cs
+	if edges > 0 {
+		var accessed int64
+		start = time.Now()
+		for time.Since(start) < 30*time.Millisecond {
+			queue = bfs.crawl(all, seed, queue[:0])
+			accessed += edges
+		}
 		cr = time.Since(start).Seconds() / float64(accessed)
-	} else {
-		cr = cs
 	}
 	sink(len(out), float64(len(queue)))
 	return Constants{CS: cs, CR: cr}

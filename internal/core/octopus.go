@@ -40,21 +40,19 @@
 // goroutine. On a snapshot-enabled mesh, queries may also overlap
 // mesh.Mesh.Deform: every cursor pins a position epoch for the duration of
 // each query, so result sets are exact at the pinned epoch, never torn
-// across a deformation step. A single query may additionally fan out
-// internally — the parallel crawl (pcrawl.go) spawns short-lived
-// goroutines that share the issuing cursor's scratch, which is safe
-// because they join before the query returns. What is NOT safe is running
-// queries concurrently with anything that mutates the index: Step,
-// BeginMaintenance, restructuring, ApplySurfaceDelta, SetApproximation,
-// SetCrawlWorkers, SetCrawlBudget and SetDenseCrawl require exclusive
-// access (the query.Pipeline serializes them against queries), as does
-// in-place mutation of Positions() on a mesh without snapshots — which
-// must be followed by Step before the next query.
+// across a deformation step. A query never leaves the goroutine that
+// issued it: there is one crawl (crawl.go), it runs on the cursor's mark
+// array, and its output order is deterministic per cursor. What is NOT
+// safe is running queries concurrently with anything that mutates the
+// index: Step, BeginMaintenance, restructuring, ApplySurfaceDelta,
+// SetApproximation and SetCrawlBudget require exclusive access (the
+// query.Pipeline serializes them against queries), as does in-place
+// mutation of Positions() on a mesh without snapshots — which must be
+// followed by Step before the next query.
 package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,20 +106,8 @@ type Octopus struct {
 	summary [2]probeSlot
 	gen     atomic.Uint64
 
-	// Crawl tuning (DESIGN.md §12): crawlWorkers is the worker-pool size
-	// large crawls of a single query are split across (1 = serial);
-	// denseCrawl enables the dense/parallel crawl tiers (false restores the
-	// original hash-only crawl, the layout bench's baseline). The
-	// escalate/seed/k thresholds are zero for the package defaults and
-	// lowered by tests to exercise every tier on small meshes.
-	crawlWorkers  int
-	denseCrawl    bool
-	crawlEscalate int
-	crawlParSeeds int
-	crawlParK     int
-
-	// crawlBudget is the per-query crawl budget of the approximate mode;
-	// the zero value is exact.
+	// crawlBudget is the per-query crawl budget of the approximate mode
+	// (DESIGN.md §12); the zero value is exact.
 	crawlBudget query.CrawlBudget
 
 	// resident is the cursor behind the single-threaded Query and KNN
@@ -169,14 +155,10 @@ func (s *Stats) Add(o Stats) {
 
 // New builds the OCTOPUS engine over m: it extracts the mesh surface once
 // (the paper's one-time preprocessing; 62 s for the 33 GB dataset there)
-// and allocates the resident cursor's reusable crawl structures.
+// and creates the resident cursor, whose crawl structures are allocated by
+// its first seeded crawl.
 func New(m *mesh.Mesh) *Octopus {
-	o := &Octopus{
-		m:            m,
-		approx:       1,
-		crawlWorkers: runtime.GOMAXPROCS(0),
-		denseCrawl:   true,
-	}
+	o := &Octopus{m: m, approx: 1}
 	o.gen.Store(1)
 	o.resident = newCursor(o, m)
 	o.surface = m.SurfaceVertices() // ascending order: near-sequential probe
@@ -290,44 +272,12 @@ func (o *Octopus) SetApproximation(frac float64) {
 	o.approx = frac
 }
 
-// SetCrawlWorkers implements query.CrawlTuner: how many goroutines large
-// crawls of a single query are split across. The default is GOMAXPROCS;
-// n == 1 forces the serial crawl and n <= 0 restores the default. The
-// parallel crawl produces the same result set as the serial one (the same
-// k-best set for kNN, bit-exact in (dist,id) order); range result ORDER
-// is scheduling-dependent, which the Query contract permits. Not safe
-// concurrently with queries.
-func (o *Octopus) SetCrawlWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	o.crawlWorkers = n
-}
-
 // SetCrawlBudget implements query.CrawlTuner: the per-query crawl budget
 // of the approximate mode (DESIGN.md §12). The zero budget restores exact
 // execution. Truncated queries report how far they got through the
 // cursor's LastCoverage (surfaced as QueryTrace.Coverage by the
 // pipeline). Not safe concurrently with queries.
 func (o *Octopus) SetCrawlBudget(b query.CrawlBudget) { o.crawlBudget = b }
-
-// SetDenseCrawl enables (the default) or disables the dense-visited and
-// parallel crawl tiers; off restores the original hash-only serial crawl.
-// It exists for the layout/crawl benches' baselines and A/B tests — there
-// is no operational reason to turn the tiers off. Not safe concurrently
-// with queries.
-func (o *Octopus) SetDenseCrawl(on bool) { o.denseCrawl = on }
-
-// tuning snapshots the engine's crawl knobs for one query.
-func (o *Octopus) tuning() crawlTuning {
-	return crawlTuning{
-		workers:    o.crawlWorkers,
-		dense:      o.denseCrawl,
-		escalateAt: o.crawlEscalate,
-		parSeedMin: o.crawlParSeeds,
-		parMinK:    o.crawlParK,
-	}
-}
 
 // SurfaceSize returns the number of vertices in the surface index.
 func (o *Octopus) SurfaceSize() int { return len(o.surface) }
@@ -347,7 +297,7 @@ func (o *Octopus) Query(q geom.AABB, out []int32) []int32 {
 
 func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.Queries++
-	cur.armCrawl(o.tuning(), o.crawlBudget)
+	cur.armCrawl(o.crawlBudget)
 	before := len(out)
 
 	// Phase 1: surface probe. The exact probe tests the block boxes and

@@ -251,18 +251,45 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
+// TestMemoryFootprintGrowsWithResults states the footprint bound that is
+// true of the mark-array crawl (it is not Figure 10(b)'s, which held for
+// the hash visited set this engine no longer has): a cursor holds nothing
+// until its first seeded crawl; from then on it holds 4 bytes per mesh
+// vertex of marks, whatever it was asked; and everything else — seed
+// buffer, kNN frontier, k-best heap — grows with the largest result, not
+// with the mesh.
 func TestMemoryFootprintGrowsWithResults(t *testing.T) {
 	m := buildBox(t, 14)
 	o := New(m)
-	small := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05)
-	o.Query(small, nil)
-	fpSmall := o.MemoryFootprint()
+	cur := o.NewCursor().(*Cursor)
+	if b := cur.MemoryBytes(); b != 0 {
+		t.Fatalf("fresh cursor holds %d bytes, want 0", b)
+	}
+	if out := cur.Query(geom.BoxAround(geom.V(5, 5, 5), 0.1), nil); len(out) != 0 {
+		t.Fatalf("disjoint box returned %d vertices", len(out))
+	}
+	if cap(cur.marks) != 0 {
+		t.Fatalf("an unseeded crawl allocated %d marks", cap(cur.marks))
+	}
 
-	o2 := New(m)
-	big := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.45)
-	o2.Query(big, nil)
-	fpBig := o2.MemoryFootprint()
-	if fpBig <= fpSmall {
-		t.Errorf("footprint did not grow with result size: %d vs %d", fpSmall, fpBig)
+	marks := int64(m.NumVertices()) * 4
+	rest := func(label string, results int) int64 {
+		t.Helper()
+		if got := int64(cap(cur.marks)) * 4; got != marks {
+			t.Fatalf("%s: %d bytes of marks, want 4 B x V = %d", label, got, marks)
+		}
+		r := cur.MemoryBytes() - marks
+		if bound := int64(64 * (results + 64)); r > bound {
+			t.Fatalf("%s: %d bytes beside the marks for %d results, want <= %d", label, r, results, bound)
+		}
+		return r
+	}
+	small := rest("small range", len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05), nil)))
+	rest("small kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)))
+	nBig := len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.45), nil))
+	big := rest("big range", nBig)
+	bigK := rest("big kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), nBig/2, nil)))
+	if big <= small || bigK <= big {
+		t.Errorf("result-sized scratch did not grow with the result: %d, %d, %d bytes", small, big, bigK)
 	}
 }

@@ -120,18 +120,24 @@ func checkExact(t *testing.T, label string, cur exactCursor, pos []geom.Vec3, se
 	}
 	for i := 0; i < 10; i++ {
 		p := pos[r.Intn(len(pos))].Add(geom.V(r.Float64()-0.5, r.Float64()-0.5, r.Float64()-0.5))
-		k := 1 + r.Intn(40)
-		want := query.ScanKNNPositions(pos, p, k, nil)
-		if got := cur.KNN(p, k, nil); !slices.Equal(got, want) {
-			t.Fatalf("%s: kNN %d (p=%v k=%d): got %v, want %v", label, i, p, k, got, want)
-		}
-		ball := math.Inf(1)
-		if len(want) == k {
-			ball = pos[want[k-1]].Dist2(p)
-		}
-		if got, ok := cur.LastKNNBound2(); !ok || got != ball {
-			t.Fatalf("%s: kNN %d: ball %v (ok=%v), want %v", label, i, got, ok, ball)
-		}
+		checkKNN(t, fmt.Sprintf("%s: kNN %d", label, i), cur, pos, p, 1+r.Intn(40))
+	}
+}
+
+// checkKNN compares one kNN answer slot for slot with brute force over pos,
+// and the reported ball with the k-th result's squared distance.
+func checkKNN(t *testing.T, label string, cur exactCursor, pos []geom.Vec3, p geom.Vec3, k int) {
+	t.Helper()
+	want := query.ScanKNNPositions(pos, p, k, nil)
+	if got := cur.KNN(p, k, nil); !slices.Equal(got, want) {
+		t.Fatalf("%s (p=%v k=%d): got %v, want %v", label, p, k, got, want)
+	}
+	ball := math.Inf(1)
+	if len(want) == k {
+		ball = pos[want[k-1]].Dist2(p)
+	}
+	if got, ok := cur.LastKNNBound2(); !ok || got != ball {
+		t.Fatalf("%s: ball %v (ok=%v), want %v", label, got, ok, ball)
 	}
 }
 
@@ -340,7 +346,6 @@ func TestBlockProbeUnderConcurrentDeform(t *testing.T) {
 	m := tetLattice(t, 8)
 	m.EnableSnapshots()
 	o := New(m)
-	o.SetCrawlWorkers(1) // the probe is under test; the crawl pool would only fight the readers for two cores
 
 	// history[e] holds the positions of epoch e. The writer fills slot e
 	// inside the Deform that publishes e, so a reader that pinned e reads
@@ -797,27 +802,29 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 	strided("stale")
 }
 
-// TestBlockProbeSteadyStateAllocs pins the probe's allocation behaviour:
-// after the first query of an epoch neither a range query nor a kNN query
-// allocates, and after the first rebuild a rebuild does not either — the
-// box arrays are reused.
+// TestBlockProbeSteadyStateAllocs pins the default engine's allocation
+// behaviour: after the first query of an epoch neither a range query nor a
+// kNN query allocates — whatever the crawl's length (the box query expands
+// well past a thousand vertices) and whatever k — and after the first
+// rebuild a rebuild does not either — the box arrays are reused.
 func TestBlockProbeSteadyStateAllocs(t *testing.T) {
-	m := surfaceFirstBox(t, 8)
+	m := surfaceFirstBox(t, 14)
 	o := New(m)
-	o.SetCrawlWorkers(1) // the worker pool's goroutines are not the probe's
 	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.4)
 	p := geom.V(0.3, 0.6, 0.2)
 	out := make([]int32, 0, m.NumVertices())
-	for i := 0; i < 4; i++ { // warm the cursor's buffers and both paths
+	for i := 0; i < 4; i++ { // warm the cursor's buffers and every path
 		out = o.Query(q, out[:0])
+		out = o.KNN(p, 300, out[:0])
 		out = o.KNN(p, 16, out[:0])
 	}
-	if len(out) != 16 || len(o.Query(q, out[:0])) == 0 {
-		t.Fatal("queries found nothing; test geometry broken")
+	if len(out) != 16 || len(o.Query(q, out[:0])) <= 1024 {
+		t.Fatal("queries found too little; test geometry broken")
 	}
 	for name, run := range map[string]func(){
 		"range":         func() { out = o.Query(q, out[:0]) },
 		"kNN":           func() { out = o.KNN(p, 16, out[:0]) },
+		"large-k kNN":   func() { out = o.KNN(p, 300, out[:0]) },
 		"rebuild+range": func() { o.Step(); out = o.Query(q, out[:0]) },
 		"rebuild+kNN":   func() { o.Step(); out = o.KNN(p, 16, out[:0]) },
 	} {

@@ -9,17 +9,14 @@ import "time"
 // range queries; the best candidates found so far for kNN), and reports
 // how far it got through CrawlCoverage. The zero value is exact: no limit.
 //
-// An ops budget (MaxVisited) is deterministic on a serial crawl — the same
-// query on the same state always truncates at the same point. A wall
-// budget, and any budget combined with parallel crawl workers, truncates
-// wherever the scheduler happened to be, so results are approximate AND
-// scheduling-dependent — the same contract as the approximate surface
-// probe.
+// An ops budget (MaxVisited) is deterministic — the same query on the same
+// state always truncates at the same vertex. A wall budget truncates
+// wherever the clock happened to run out, so results are approximate AND
+// timing-dependent — the same contract as the approximate surface probe.
 type CrawlBudget struct {
 	// MaxVisited bounds the number of vertices the crawl may expand per
 	// query (summed over components); 0 means unlimited. The crawl checks
-	// the bound per expansion, so the overshoot is at most one
-	// work-stealing batch in parallel mode.
+	// the bound before every expansion, so there is no overshoot.
 	MaxVisited int64
 	// Wall bounds the crawl's wall-clock time per query; 0 means
 	// unlimited. Checked every few dozen expansions, like the maintenance
@@ -100,16 +97,12 @@ type CoverageReporter interface {
 	LastCoverage() CrawlCoverage
 }
 
-// CrawlTuner is implemented by engines with a tunable crawl phase: the
-// OCTOPUS family and the sharded router (which forwards to its shard
-// engines). Both setters mutate engine state read by every query and are
+// CrawlTuner is implemented by engines whose crawl phase takes a budget:
+// the OCTOPUS family and the sharded router (which forwards to its shard
+// engines). The setter mutates engine state read by every query and is
 // not safe concurrently with queries — the same exclusion rule as
 // SetApproximation.
 type CrawlTuner interface {
-	// SetCrawlWorkers sets how many goroutines large crawls of a single
-	// query are split across. n <= 0 restores the GOMAXPROCS default;
-	// n == 1 forces the serial crawl.
-	SetCrawlWorkers(n int)
 	// SetCrawlBudget installs the per-query crawl budget; the zero budget
 	// restores exact execution.
 	SetCrawlBudget(b CrawlBudget)

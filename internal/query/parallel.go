@@ -115,7 +115,8 @@ func (c *StatelessCursor) Close() {}
 // assignment of queries to workers is nondeterministic — but each query's
 // result slice is produced by exactly one cursor and, in exact mode,
 // holds the same result set serial execution would produce (result order
-// is unspecified, per Engine.Query's contract). In OCTOPUS's
+// is unspecified by Engine.Query's contract; the core engines return the
+// serial order, being deterministic per cursor). In OCTOPUS's
 // approximate mode (SetApproximation < 1) the probe's sampling phase
 // follows each cursor's query history, so approximate result sets are
 // scheduling-dependent — approximation already trades exactness away.

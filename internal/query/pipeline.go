@@ -443,7 +443,7 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 				dec := ctl.TickDecide()
 				sched.SetBudget(dec.Budget)
 				if dec.CrawlChanged && tuner != nil {
-					// CrawlTuner setters are not safe concurrently with
+					// SetCrawlBudget is not safe concurrently with
 					// queries; Exclusive drains every target and holds all
 					// write locks, which excludes exactly the queries that
 					// could observe the torn budget. The controller's

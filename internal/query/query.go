@@ -30,8 +30,8 @@
 //   - Index maintenance still requires exclusion from queries on the
 //     same maintenance target: Engine.Step, restructuring,
 //     ApplySurfaceDelta and engine tuning setters (SetApproximation,
-//     SetCrawlWorkers, SetCrawlBudget, SetDenseCrawl) mutate
-//     engine-owned state that position epochs do not version.
+//     SetCrawlBudget) mutate engine-owned state that position epochs do
+//     not version.
 //     Inside a Pipeline the maintain.Scheduler owns that exclusion with
 //     one read-write lock per target (the engine, or each shard of a
 //     sharded router) and runs maintenance as budget-sliced resumable
@@ -39,14 +39,11 @@
 //     head positions instead of the half-updated index (see
 //     internal/maintain and DESIGN.md §11). Outside a Pipeline the
 //     paper's strict update/monitor alternation applies.
-//   - A single query may itself fan out: engines with a parallel crawl
-//     (CrawlTuner) spawn short-lived worker goroutines
-//     that share the issuing cursor's scratch and join before the query
-//     returns, so the cursor contract is unchanged — the cursor is still
-//     "one goroutine" from the caller's point of view. Parallel crawls
-//     produce the same result set as serial execution (bit-exact
-//     (dist,id) order for kNN); range result order is scheduling-
-//     dependent, which Engine.Query's contract permits.
+//   - A single query runs on the goroutine that issued it; parallelism
+//     is between queries. Engine.Query leaves range result order
+//     unspecified, but the core engines (internal/core) are deterministic
+//     per cursor: the same query on the same positions returns the same
+//     slice, the crawl's BFS discovery order from the probe's seeds.
 //
 // ExecuteBatch packages the stop-the-world pattern (a worker pool, one
 // cursor per worker, statistics merged after the pool drains); Pipeline
@@ -55,7 +52,8 @@
 //	eng := core.New(m)                       // any ParallelEngine
 //	results := query.ExecuteBatch(eng, queries, runtime.GOMAXPROCS(0))
 //	// results[i] answers queries[i]: the same result set as serial
-//	// execution (range order unspecified; kNN bit-identical, exact mode)
+//	// execution (kNN bit-identical; range order unspecified by the
+//	// contract, identical on the core engines; exact mode)
 package query
 
 import (

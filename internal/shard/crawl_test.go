@@ -8,12 +8,11 @@ import (
 	"octopus/internal/query"
 )
 
-// TestShardedParallelCrawlEquivalence checks that SetCrawlWorkers
-// forwarded through the router leaves results identical: per shard, the
-// inner engines run their crawls through the worker pool (the mesh is
-// large enough that big boxes cross the escalation threshold), and the
-// routed result set must match both the serial configuration and brute
-// force.
+// TestShardedParallelCrawlEquivalence checks the routed crawl against
+// brute force on a mesh large enough that big boxes make every shard
+// engine crawl thousands of vertices and a k=300 probe widens across
+// shards: range results equal as sets, kNN slot for slot. (The name is
+// kept so the suite's test ids stay stable across PRs.)
 func TestShardedParallelCrawlEquivalence(t *testing.T) {
 	m := buildBoxTet(t, 20, 1.0/20)
 	r := rand.New(rand.NewSource(21))
@@ -23,31 +22,21 @@ func TestShardedParallelCrawlEquivalence(t *testing.T) {
 		cur := router.NewCursor()
 		for i := 0; i < 12; i++ {
 			q := geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), diag*(0.1+0.35*r.Float64()))
-			router.SetCrawlWorkers(1)
-			serial := cur.Query(q, nil)
-			router.SetCrawlWorkers(4)
-			par := cur.Query(q, nil)
-			if d := query.Diff(par, serial); d != "" {
-				t.Fatalf("k=%d q#%d: parallel vs serial: %s", k, i, d)
-			}
-			if d := query.Diff(append([]int32(nil), serial...), query.BruteForce(m, q)); d != "" {
-				t.Fatalf("k=%d q#%d: serial vs brute force: %s", k, i, d)
+			if d := query.Diff(cur.Query(q, nil), query.BruteForce(m, q)); d != "" {
+				t.Fatalf("k=%d q#%d: routed vs brute force: %s", k, i, d)
 			}
 		}
-		// kNN stays bit-identical through the router at any worker count.
 		for i := 0; i < 6; i++ {
 			p := m.Position(int32(r.Intn(m.NumVertices())))
-			kq := 300 // over the parallel-kNN threshold
-			router.SetCrawlWorkers(1)
-			serial := router.KNN(p, kq, nil)
-			router.SetCrawlWorkers(4)
-			par := router.KNN(p, kq, nil)
-			if len(serial) != len(par) {
-				t.Fatalf("k=%d probe#%d: len %d vs %d", k, i, len(serial), len(par))
+			const kq = 300
+			got := router.KNN(p, kq, nil)
+			want := query.BruteForceKNN(m, p, kq)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d probe#%d: len %d, brute force %d", k, i, len(got), len(want))
 			}
-			for j := range serial {
-				if serial[j] != par[j] {
-					t.Fatalf("k=%d probe#%d slot %d: serial %d, parallel %d", k, i, j, serial[j], par[j])
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("k=%d probe#%d slot %d: got %d, brute force %d", k, i, j, got[j], want[j])
 				}
 			}
 		}
@@ -61,7 +50,6 @@ func TestShardedParallelCrawlEquivalence(t *testing.T) {
 func TestShardedParallelCrawlBudgetCoverage(t *testing.T) {
 	m := buildBoxTet(t, 14, 1.0/14)
 	router := routerOver(t, m, 4)
-	router.SetCrawlWorkers(1)
 	cur, ok := router.NewCursor().(*Cursor)
 	if !ok {
 		t.Fatal("router cursor type")

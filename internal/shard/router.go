@@ -220,20 +220,6 @@ func (r *Router) newCursor() *Fanout {
 	return NewFanout(&localLegs{r: r, curs: make([]ExecCursor, len(r.execs))}, &r.n, nil)
 }
 
-// SetCrawlWorkers implements query.CrawlTuner by forwarding to every
-// shard engine that is itself a CrawlTuner. Shard fan-out composes with
-// intra-crawl workers: each fanned-out shard query may split its own
-// crawl across n goroutines (a single cursor queries shards sequentially,
-// so the pools never run concurrently for one query). Not safe
-// concurrently with queries.
-func (r *Router) SetCrawlWorkers(n int) {
-	for _, x := range r.execs {
-		if ct, ok := x.eng.(query.CrawlTuner); ok {
-			ct.SetCrawlWorkers(n)
-		}
-	}
-}
-
 // SetCrawlBudget implements query.CrawlTuner by forwarding to every shard
 // engine that is itself a CrawlTuner. The budget applies per shard query,
 // so a range query fanned out to f shards may expand up to f×MaxVisited

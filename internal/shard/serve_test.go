@@ -27,7 +27,6 @@ import (
 func TestShardedKNNCoverageMergeAndBound(t *testing.T) {
 	m := buildBoxTet(t, 10, 1.0/10)
 	router := routerOver(t, m, 4)
-	router.SetCrawlWorkers(1)
 	cur, ok := router.NewCursor().(*Cursor)
 	if !ok {
 		t.Fatal("router cursor type")

@@ -91,8 +91,9 @@ type EngineCursor = core.Cursor
 
 // ExecuteBatch executes queries on eng with a pool of workers (one cursor
 // each) and returns one result slice per query. In exact mode each result
-// SET equals serial execution's (result order is unspecified, as for all
-// range queries; approximate OCTOPUS results are scheduling-dependent).
+// SET equals serial execution's (the Query contract leaves order
+// unspecified; the OCTOPUS engines are deterministic per cursor and return
+// the serial slice; approximate OCTOPUS results are scheduling-dependent).
 // workers <= 0 uses GOMAXPROCS. It must not run concurrently with Step,
 // deformation or restructuring — parallelism applies within the
 // monitoring phase, not across the simulation's update/monitor
@@ -123,10 +124,8 @@ type CrawlBudget = query.CrawlBudget
 type CrawlCoverage = query.CrawlCoverage
 
 // CrawlTuner is implemented by the crawl engines (Octopus, Con, Hybrid,
-// ShardedEngine): SetCrawlWorkers splits large crawls of a single query
-// across a worker pool (default GOMAXPROCS; 1 = serial, same result
-// sets), SetCrawlBudget installs the approximate mode. Neither is safe
-// concurrently with queries.
+// ShardedEngine): SetCrawlBudget installs the approximate mode. It is not
+// safe concurrently with queries.
 type CrawlTuner = query.CrawlTuner
 
 // Octopus is the paper's general engine (non-convex-safe).

@@ -86,9 +86,6 @@ func main() {
 
 	serve := func(i int, listenAddr string) *dist.TCPServer {
 		p := parts[i]
-		// Publishes must be able to overlap in-flight queries: switch the
-		// sub-mesh to the double-buffered position store before serving.
-		p.Mesh.EnableSnapshots()
 		srv := dist.NewServer(p, factory)
 		ln, err := net.Listen("tcp", listenAddr)
 		if err != nil {

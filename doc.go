@@ -66,17 +66,17 @@
 //
 // # Querying while the mesh deforms
 //
-// Deformation no longer has to stop the world. With position snapshots
-// enabled, the mesh keeps two position buffers and an atomic epoch
-// counter: Mesh.Deform writes the back buffer and publishes it with a
-// single atomic swap, and every cursor pins the head epoch for the
+// Deformation does not have to stop the world. The mesh keeps two
+// position buffers (the second allocated by the first Deform) and an
+// atomic epoch counter: Mesh.Deform writes the back buffer and publishes
+// it with a single atomic swap, and every cursor pins the head epoch for the
 // duration of each query, so a result set is never torn across a step —
 // it equals brute force evaluated at the pinned epoch, exactly. The
 // precise contract:
 //
-//   - Mesh.Deform may overlap queries freely once EnableSnapshots has
-//     run (Pipeline.Run enables it automatically). In-place mutation of
-//     Positions() remains stop-the-world.
+//   - Mesh.Deform may overlap queries freely. In-place mutation of
+//     Positions() — the paper's loop — is stop-the-world: no query in
+//     flight, and the engines' Step() before the next one.
 //   - Index maintenance mutates engine-owned state that position epochs
 //     do not version, so it must be excluded from queries on the same
 //     maintenance target. Inside a Pipeline, a pressure-aware scheduler

@@ -8,6 +8,7 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/dist"
 	"octopus/internal/geom"
+	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
@@ -61,7 +62,6 @@ func distTables(cfg Config, ds meshgen.Dataset, shards int) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sm1.EnableSnapshots()
 	ref := shard.NewRouter(sm1, factory)
 
 	m2, err := meshgen.Build(ds, cfg.Scale)
@@ -158,7 +158,6 @@ func distPublishTable(cfg Config, ds meshgen.Dataset, shards int) (*Table, error
 	if err != nil {
 		return nil, err
 	}
-	smRef.EnableSnapshots()
 
 	blob := distBlobFor(mRef, cfg.Seed)
 	for step := 0; step < steps; step++ {
@@ -244,7 +243,6 @@ func distServeTable(cfg Config, ds meshgen.Dataset, shards int) (*Table, error) 
 	if err != nil {
 		return nil, err
 	}
-	sm1.EnableSnapshots()
 	ref := shard.NewRouter(sm1, factory)
 
 	m2, err := meshgen.Build(ds, cfg.Scale)
@@ -407,7 +405,7 @@ func distDeformRow(t *Table, cfg Config, ds meshgen.Dataset, m1 *mesh.Mesh, sm1 
 		if err := cl.DeformErr(func(pos []geom.Vec3) { deformer.Step(step, pos) }); err != nil {
 			return err
 		}
-		ref.Step()
+		maintain.NewScheduler(ref.MaintainStates(), maintain.Options{}).Drain() // Step would publish again
 		if err := cl.MaintainToHead(); err != nil {
 			return err
 		}

@@ -61,7 +61,7 @@ func Live(cfg Config) ([]*Table, error) {
 				// Restore the dataset's original geometry so each run
 				// starts identically no matter how the previous one
 				// deformed it (serial here, so the in-place write is
-				// safe even in snapshot mode).
+				// safe).
 				copy(m.Positions(), orig)
 				deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
 				if err != nil {

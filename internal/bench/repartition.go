@@ -117,8 +117,9 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 			}
 		}
 		start := time.Now()
-		sm.Resync()   // publish: re-partition swap (incremental or full)
-		router.Step() // per-shard engine rebuilds for the touched shards
+		// Publish: the re-partition swap (incremental or full), then the
+		// engine rebuilds of the touched shards.
+		router.Step()
 		maint += time.Since(start)
 	}
 	if err := sm.Partition().Validate(m); err != nil {

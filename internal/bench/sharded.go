@@ -224,13 +224,11 @@ func shardedLive(cfg Config, ds meshgen.Dataset, factories []knnEngineFactory) (
 			var m *mesh.Mesh
 			if mode == "single" {
 				m = single
-				m.EnableSnapshots()
 				m.Deform(func(pos []geom.Vec3) { copy(pos, origSingle) })
 				eng = f.make(m)
 				dm = m
 			} else {
 				m = sharded
-				sm.EnableSnapshots()
 				sm.Deform(func(pos []geom.Vec3) { copy(pos, origSharded) })
 				eng = shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return f.make(sub) })
 				dm = sm

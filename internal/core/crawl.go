@@ -35,11 +35,9 @@ type crawler struct {
 	markEpoch uint32
 
 	// pos is the position view of the query in flight, installed by
-	// Cursor.beginQuery: the epoch-pinned snapshot buffer, or the live
-	// array on a mesh without snapshots (the stop-the-world contract).
-	// Every graph phase reads positions through
-	// it, never through m.Positions(), so a whole query sees exactly one
-	// epoch.
+	// Cursor.beginQuery: the epoch-pinned buffer. Every graph phase reads
+	// positions through it, never through m.Positions(), so a whole query
+	// sees exactly one epoch.
 	pos []geom.Vec3
 
 	// Per-query budget state, installed by armCrawl at query start.

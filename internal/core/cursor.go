@@ -35,13 +35,11 @@ type Cursor struct {
 	probeOffset int // rotates the approximate probe's sampling phase
 	stats       Stats
 
-	// epoch/pinHeld track the position snapshot of the query in flight:
-	// beginQuery pins the mesh's head epoch (crawler.pos becomes the
-	// pinned buffer) and endQuery releases it. epoch remains readable
-	// after the query as LastEpoch — the state the last result set was
-	// consistent with.
-	epoch   uint64
-	pinHeld bool
+	// epoch is the position snapshot of the query in flight: beginQuery
+	// pins the mesh's head epoch (crawler.pos becomes the pinned buffer)
+	// and endQuery releases it. It remains readable after the query as
+	// LastEpoch — the state the last result set was consistent with.
+	epoch uint64
 
 	// kbest is the bounded k-candidate max-heap of the kNN crawl (DESIGN.md
 	// §8): it holds the k closest vertices found so far and its Bound is
@@ -68,22 +66,15 @@ func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
 
 // beginQuery installs the position view for one query and returns it:
 // the mesh's head epoch is pinned for the duration of the query so no
-// concurrent Deform can rewrite the buffer mid-read. On a mesh without
-// snapshots the pin is a pass-through to the live array under the
-// stop-the-world contract.
+// concurrent Deform can rewrite the buffer mid-read. Every call is paired
+// with an endQuery.
 func (c *Cursor) beginQuery(m *mesh.Mesh) []geom.Vec3 {
 	c.epoch, c.pos = m.PinPositions()
-	c.pinHeld = m.SnapshotsEnabled()
 	return c.pos
 }
 
-// endQuery releases the pin taken by beginQuery, if any.
-func (c *Cursor) endQuery(m *mesh.Mesh) {
-	if c.pinHeld {
-		m.UnpinPositions(c.epoch)
-		c.pinHeld = false
-	}
-}
+// endQuery releases the pin taken by beginQuery.
+func (c *Cursor) endQuery(m *mesh.Mesh) { m.UnpinPositions(c.epoch) }
 
 // walkSeeds is phase 2 of a range query whose probe found no seed: the
 // greedy descent from start (start < 0: the engine had no start vertex)

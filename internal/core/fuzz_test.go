@@ -122,7 +122,7 @@ func checkRangeContract(t *testing.T, m *mesh.Mesh, name string, q geom.AABB, go
 // the documented guarantee via checkRangeContract. OCTOPUS additionally
 // must return every in-box surface vertex (the probe offers them all in
 // exact mode). The mesh then moves under the live engines — in place with
-// a Step, then, switched to snapshots, through Deform — and the same box
+// a Step, then through Deform — and the same box
 // is asked again after each move: the surface spans four probe blocks, so
 // a box array that outlives the positions it was computed from drops
 // seeds here.
@@ -169,7 +169,6 @@ func FuzzRangeQuery(f *testing.F) {
 		c.Step()
 		check("after an in-place step")
 
-		m.EnableSnapshots()
 		for step := 2; step < 5; step++ { // both buffers, and the first one again
 			m.Deform(func(pos []geom.Vec3) { move.Step(step, pos) })
 			check("after a published step")

@@ -36,19 +36,18 @@
 // generation it was computed from, which the first query that pins another
 // state rebuilds while later arrivals wait for it. Queries issued through
 // distinct cursors (one per goroutine, via NewCursor) may therefore run
-// concurrently, as may the legacy single-cursor Query method from a single
-// goroutine. On a snapshot-enabled mesh, queries may also overlap
-// mesh.Mesh.Deform: every cursor pins a position epoch for the duration of
-// each query, so result sets are exact at the pinned epoch, never torn
-// across a deformation step. A query never leaves the goroutine that
+// concurrently, as may the resident-cursor Query method from a single
+// goroutine. Queries may also overlap mesh.Mesh.Deform: every cursor pins
+// a position epoch for the duration of each query, so result sets are
+// exact at the pinned epoch, never torn across a deformation step. A query never leaves the goroutine that
 // issued it: there is one crawl (crawl.go), it runs on the cursor's mark
 // array, and its output order is deterministic per cursor. What is NOT
 // safe is running queries concurrently with anything that mutates the
 // index: Step, BeginMaintenance, restructuring, ApplySurfaceDelta,
 // SetApproximation and SetCrawlBudget require exclusive access (the
 // query.Pipeline serializes them against queries), as does in-place
-// mutation of Positions() on a mesh without snapshots — which must be
-// followed by Step before the next query.
+// mutation of Positions() — which must be followed by Step before the
+// next query.
 package core
 
 import (

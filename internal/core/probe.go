@@ -40,15 +40,14 @@ const probeBlock = 128
 // of states can alias. A slot is used only when both equal the querying
 // cursor's.
 //
-// One slot per parity suffices. On a snapshot mesh every reader pinned on
-// parity e&1 reads epoch e — publishing e+2 first waits for that parity's
-// pins to drain (mesh.publish), and restructuring's epoch += 2 on the same
-// buffer requires exclusive access — so all cursors that can be inside a
-// slot at once want the same boxes, and a rebuild never overlaps a reader
-// of the slot's previous contents. A stop-the-world mesh stays at epoch 0
-// and is told about in-place writes through the generation, which only
-// changes under exclusive access (Step, BeginMaintenance,
-// ApplySurfaceDelta).
+// One slot per parity suffices. Every reader pinned on parity e&1 reads
+// epoch e — publishing e+2 first waits for that parity's pins to drain
+// (mesh.publish), and restructuring's epoch += 2 on the same buffer
+// requires exclusive access — so all cursors that can be inside a slot at
+// once want the same boxes, and a rebuild never overlaps a reader of the
+// slot's previous contents. In-place writes to Positions() leave the epoch
+// alone and are told through the generation, which only changes under
+// exclusive access (Step, BeginMaintenance, ApplySurfaceDelta).
 //
 // epoch and gen are stored after the boxes are complete and at least one
 // of them changes with every rebuild, so a cursor that reads its own pair

@@ -307,11 +307,11 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 		checkExact(t, "after delta, moved", cur, m.Positions(), 3)
 	})
 
-	// Restructuring on a snapshot mesh advances the epoch by two on the
-	// same buffer; Deform switches buffers. The tag must follow both.
+	// Restructuring advances the epoch by two on the same buffer; Deform
+	// switches buffers. The tag must follow both — the first split lands
+	// before the mesh has a second buffer (epochs 0 -> 2 -> 3).
 	t.Run("SplitCell+Deform/snapshots", func(t *testing.T) {
 		m := surfaceFirstBox(t, 8)
-		m.EnableSnapshots()
 		m.EnableRestructuring()
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
@@ -335,7 +335,7 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 	})
 }
 
-// TestBlockProbeUnderConcurrentDeform is the snapshot half of the validity
+// TestBlockProbeUnderConcurrentDeform is the published half of the validity
 // rule, under the race detector: four cursors query while a writer
 // publishes 200 deformations that each leave every block far from its
 // previous box. Every answer must equal brute force over the positions of
@@ -344,7 +344,6 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 func TestBlockProbeUnderConcurrentDeform(t *testing.T) {
 	const publishes, readers = 200, 4
 	m := tetLattice(t, 8)
-	m.EnableSnapshots()
 	o := New(m)
 
 	// history[e] holds the positions of epoch e. The writer fills slot e

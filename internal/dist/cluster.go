@@ -55,16 +55,13 @@ type Cluster struct {
 }
 
 // NewCluster builds one server per shard of sm with engines from
-// factory. It enables position snapshots on every sub-mesh (publishes
-// must overlap in-flight queries atomically) — like Pipeline.Run, this
-// requires quiescence. The servers are not reachable until ServeLoopback
-// or ServeTCP.
+// factory. Like Pipeline.Run it requires quiescence (it enables dirty
+// tracking). The servers are not reachable until ServeLoopback or
+// ServeTCP.
 func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Cluster {
-	sm.EnableSnapshots()
 	// The control plane consumes the global mesh's dirty stream to
-	// publish deltas; tracking implies global snapshots, so Deform's fn
-	// runs against a preloaded back buffer and the old state survives to
-	// be diffed.
+	// publish deltas: Deform's fn runs against a preloaded back buffer
+	// and the old state survives to be diffed.
 	sm.Global().EnableDirtyTracking()
 	cl := &Cluster{sm: sm}
 	for _, p := range sm.Partition().Parts {
@@ -84,7 +81,6 @@ func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine
 // is a pure function of both), and the servers must still be at epoch 0.
 // Servers returns nil; do not call ServeLoopback/ServeTCP.
 func NewControlPlane(sm *shard.Mesh, tr Transport, addrs []string) *Cluster {
-	sm.EnableSnapshots()
 	sm.Global().EnableDirtyTracking()
 	cl := &Cluster{sm: sm, rpc: newClient(tr, addrs, controlPolicy, 1)}
 	if parts := sm.Partition().Parts; len(parts) > 0 {
@@ -164,10 +160,6 @@ func (cl *Cluster) Close() {
 		cl.rpc.close()
 	}
 }
-
-// EnableSnapshots implements query.DeformableMesh (a no-op — NewCluster
-// already enabled them).
-func (cl *Cluster) EnableSnapshots() {}
 
 // Epoch implements query.DeformableMesh: the number of published steps.
 func (cl *Cluster) Epoch() uint64 { return cl.epoch.Load() }
@@ -300,8 +292,8 @@ func (cl *Cluster) WireStats() WireStats {
 }
 
 // MaintainToHead drives every server's maintenance target to the
-// published head (the stop-the-world maintenance shim, one Maintain RPC
-// per shard).
+// published head (one Maintain RPC per shard, TargetState.ToHead behind
+// it).
 func (cl *Cluster) MaintainToHead() error {
 	for i := range cl.sm.Partition().Parts {
 		resp, err := cl.call(i, opMaintain, encodeMaintainReq())

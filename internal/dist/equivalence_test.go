@@ -12,6 +12,7 @@ import (
 	"octopus/internal/kdtree"
 	"octopus/internal/linearscan"
 	"octopus/internal/lurtree"
+	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/octree"
@@ -224,7 +225,6 @@ func newHarness(t *testing.T, build func(t *testing.T) *mesh.Mesh, k int, ec eng
 	}
 	h.sm1 = sm1
 	h.r1 = shard.NewRouter(sm1, ec.make)
-	sm1.EnableSnapshots()
 
 	sm2, err := shard.NewMesh(h.m2, k, shard.Options{})
 	if err != nil {
@@ -270,10 +270,11 @@ func (h *harness) deform(t *testing.T, d sim.Deformer, step int) {
 	}
 }
 
-// maintain drives both sides' per-shard maintenance to the head.
+// maintain drives both sides' per-shard maintenance to the head. The
+// in-process side drains its targets (Router.Step would publish again).
 func (h *harness) maintain(t *testing.T) {
 	t.Helper()
-	h.r1.Step()
+	maintain.NewScheduler(h.r1.MaintainStates(), maintain.Options{}).Drain()
 	if err := h.cl.MaintainToHead(); err != nil {
 		t.Fatal(err)
 	}

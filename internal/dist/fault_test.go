@@ -28,7 +28,6 @@ func buildSides(t *testing.T, h *harness, k int, ec engineCase) {
 	}
 	h.sm1 = sm1
 	h.r1 = shard.NewRouter(sm1, ec.make)
-	sm1.EnableSnapshots()
 	sm2, err := shard.NewMesh(h.m2, k, shard.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,8 @@ type serverCursor struct {
 	d2s  []float64
 }
 
-// NewServer builds a server for p with an engine from factory. The
-// sub-mesh must have position snapshots enabled (Cluster does this)
-// before any Publish overlaps queries.
+// NewServer builds a server for p with an engine from factory. Nothing
+// has to be prepared: publishes may overlap queries from the first one.
 func NewServer(p *shard.Part, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Server {
 	return &Server{
 		x:       shard.NewExec(p, factory),
@@ -151,9 +150,8 @@ func (s *Server) meta() metaResp {
 
 // publish applies one deformation step pushed by the cluster: the full
 // local position array (owned + ghosts — the ghost exchange) for the
-// next epoch. Publishes must arrive in order; with snapshots enabled the
-// buffer swap is atomic, so overlapping queries keep reading the epoch
-// they pinned.
+// next epoch. Publishes must arrive in order; the buffer swap is atomic,
+// so overlapping queries keep reading the epoch they pinned.
 func (s *Server) publish(q publishReq) (epochResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,11 +242,11 @@ func (s *Server) dirtyLog(q dirtyLogReq) dirtyLogResp {
 }
 
 // maintain drives the shard's maintenance target to the published head
-// (the stop-the-world shim, like Router.Step per shard).
+// (what Router.Step does per shard after its publish).
 func (s *Server) maintain() epochResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.x.Target().StepMonolithic()
+	s.x.Target().ToHead()
 	return epochResp{Epoch: s.x.Part().Mesh.Epoch()}
 }
 

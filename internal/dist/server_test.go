@@ -1,6 +1,10 @@
 package dist
 
 import (
+	"math"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +35,6 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := part.Parts[0]
-	p.Mesh.EnableSnapshots()
 	srv := NewServer(p, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
 
 	v := int32(0)
@@ -92,4 +95,160 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+}
+
+// TestServerPublishesUnderQueriesWithoutSetup: a server over a fresh
+// shard.Part — nothing prepared the sub-mesh for live publishes — takes
+// full and delta publishes while range and kNN requests are in flight.
+// Every publish lands at the epoch it names, and every answer that claims
+// epoch e equals the owned brute force over the positions published as e.
+// Meaningful under -race: a publish that wrote the array the readers scan
+// is a reported race.
+func TestServerPublishesUnderQueriesWithoutSetup(t *testing.T) {
+	m, err := meshgen.BuildBoxTet(5, 5, 5, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartition(m, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := part.Parts[0]
+	srv := NewServer(p, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
+
+	// history[e] is the local position array published as epoch e, stored
+	// before the publish that makes e answerable.
+	const publishes = 60
+	n := p.Mesh.NumVertices()
+	history := make([][]geom.Vec3, publishes+1)
+	history[0] = slices.Clone(p.Mesh.Positions())
+	ownedRange := func(pos []geom.Vec3, q geom.AABB) []int32 {
+		var ids []int32
+		for l, own := range p.Owned {
+			if own && q.Contains(pos[l]) {
+				ids = append(ids, p.ToGlobal[l])
+			}
+		}
+		return ids
+	}
+	ownedKNN := func(pos []geom.Vec3, c geom.Vec3, k int) []knnCand {
+		var cands []knnCand
+		for l, own := range p.Owned {
+			if own {
+				cands = append(cands, knnCand{D2: pos[l].Dist2(c), GID: p.ToGlobal[l]})
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].D2 != cands[j].D2 {
+				return cands[i].D2 < cands[j].D2
+			}
+			return cands[i].GID < cands[j].GID
+		})
+		return cands[:min(k, len(cands))]
+	}
+
+	var answered atomic.Int64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			epoch := uint64(0)
+			for i := 0; !done.Load(); i++ {
+				c := geom.V(0.1+0.2*float64((i+r)%5), 0.1+0.2*float64(i%4), 0.5)
+				if i%2 == 0 {
+					q := geom.BoxAround(c, 0.35)
+					b, err := srv.Handle(opRange, encodeRangeReq(rangeReq{Epoch: epoch, Box: q}))
+					if err != nil {
+						t.Errorf("range: %v", err)
+						return
+					}
+					resp, err := decodeRangeResp(b)
+					if err != nil {
+						t.Errorf("range reply: %v", err)
+						return
+					}
+					if resp.Skew {
+						epoch = resp.Epoch
+						continue
+					}
+					if d := query.Diff(resp.IDs, ownedRange(history[resp.Epoch], q)); resp.Epoch != epoch || d != "" {
+						t.Errorf("range asked at epoch %d, answered at %d: %s", epoch, resp.Epoch, d)
+						return
+					}
+				} else {
+					// Probe at a vertex's built position: the k-ball is
+					// then an edge-connected neighbourhood, the shape
+					// OCTOPUS's crawl is exact on.
+					c, k := history[0][(13*i+r)%n], 1+i%9
+					b, err := srv.Handle(opKNN, encodeKNNReq(knnReq{Epoch: epoch, P: c, K: k, Bound2: math.Inf(1)}))
+					if err != nil {
+						t.Errorf("kNN: %v", err)
+						return
+					}
+					resp, err := decodeKNNResp(b)
+					if err != nil {
+						t.Errorf("kNN reply: %v", err)
+						return
+					}
+					if resp.Skew {
+						epoch = resp.Epoch
+						continue
+					}
+					if want := ownedKNN(history[resp.Epoch], c, k); resp.Epoch != epoch || !slices.Equal(resp.Cands, want) {
+						t.Errorf("kNN asked at epoch %d, answered at %d: got %v, want %v", epoch, resp.Epoch, resp.Cands, want)
+						return
+					}
+				}
+				answered.Add(1)
+			}
+		}(r)
+	}
+
+	for e := uint64(1); e <= publishes && !t.Failed(); e++ {
+		// Offsets from the built positions, a tenth of the cell size at
+		// most: the mesh moves every epoch and never tangles.
+		next := slices.Clone(history[e-1])
+		wobble := func(l int) geom.Vec3 {
+			return history[0][l].Add(geom.V(0.02*math.Sin(float64(l)+float64(e)), 0.02*math.Cos(float64(2*l)-float64(e)), 0.01*float64(e%3)))
+		}
+		var b []byte
+		var err error
+		if e%2 == 1 {
+			// Full publish: every local vertex moves.
+			for l := range next {
+				next[l] = wobble(l)
+			}
+			history[e] = next
+			b, err = srv.Handle(opPublish, encodePublishReq(publishReq{Epoch: e, Pos: next}))
+		} else {
+			// Delta publish: every third local vertex moves.
+			req := publishDeltaReq{Epoch: e, Box: geom.EmptyBox()}
+			for l := int(e) % 3; l < n; l += 3 {
+				to := wobble(l)
+				req.Box = req.Box.Extend(next[l]).Extend(to)
+				next[l] = to
+				req.IDs, req.Pos = append(req.IDs, int32(l)), append(req.Pos, to)
+			}
+			history[e] = next
+			b, err = srv.Handle(opPublishDelta, encodePublishDeltaReq(req))
+		}
+		if err != nil {
+			t.Fatalf("publish %d: %v", e, err)
+		}
+		if resp, err := decodeEpochResp(b); err != nil || resp.Epoch != e {
+			t.Fatalf("publish %d left the shard at epoch %d (%v)", e, resp.Epoch, err)
+		}
+		// Let answers land on every epoch, so publishes and queries
+		// genuinely interleave.
+		for target := answered.Load() + 3; answered.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if got := p.Mesh.Epoch(); got != publishes && !t.Failed() {
+		t.Fatalf("shard at epoch %d after %d publishes", got, publishes)
+	}
 }

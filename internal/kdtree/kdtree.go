@@ -292,9 +292,8 @@ func NewEngine(m *mesh.Mesh, bucket int) *Engine {
 func (e *Engine) Name() string { return "KD-Tree" }
 
 // Step implements query.Engine: rebuild from scratch over a fresh
-// position snapshot. It doubles as the monolithic compatibility shim of
-// the maintenance scheduler and is safe mid-relocation (snap stays
-// per-vertex coherent).
+// position snapshot. It is safe mid-relocation (snap stays per-vertex
+// coherent).
 func (e *Engine) Step() {
 	e.snap = append(e.snap[:0], e.m.Positions()...)
 	e.tree = Build(e.snap, e.bucket)

@@ -156,32 +156,43 @@ func TestRebuildStateBuildsUnderTick(t *testing.T) {
 	}
 }
 
-// TestRebuildStateStepMonolithicRunsStickyTask pins the sticky branch:
-// the legacy Step path must run the rebuild (the engine it would Step
-// does not exist) and must not redo the fresh build with a full Step.
-func TestRebuildStateStepMonolithicRunsStickyTask(t *testing.T) {
+// TestRebuildStateToHead drives a migration rebuild the way Router.Step
+// does, with no scheduler: ToHead runs the pre-installed task (the engine
+// does not exist until it has), a second call finds the fresh engine at
+// the head and neither rebuilds nor Steps it, and later dirt taken from
+// the mesh reaches the engine's localized path.
+func TestRebuildStateToHead(t *testing.T) {
 	fm := &fakeMesh{epoch: 2}
+	built := 0
 	var fe *fakeEngine
 	ts := NewRebuildState("shard", fm, func() Stepper {
+		built++
 		fe = &fakeEngine{mesh: fm, work: 1, answer: fm.epoch}
 		return fe
 	})
-	ts.StepMonolithic()
-	if fe == nil {
-		t.Fatal("sticky rebuild task was discarded")
-	}
-	if fe.steps != 0 {
-		t.Fatalf("monolithic step redid the fresh build: steps = %d", fe.steps)
+	ts.ToHead()
+	if built != 1 {
+		t.Fatalf("built %d times, want 1", built)
 	}
 	if ts.BeginQuery() {
-		t.Fatal("target must be consistent after StepMonolithic")
+		t.Fatal("target must be consistent after ToHead")
 	}
 	ts.EndQuery()
-	// With the rebuild done, the next StepMonolithic is the ordinary
-	// full-Step path.
-	ts.StepMonolithic()
-	if fe.steps != 1 {
-		t.Fatalf("steps = %d after second StepMonolithic, want 1", fe.steps)
+	ts.ToHead()
+	if built != 1 || fe.steps != 0 || fe.begins != 0 {
+		t.Fatalf("a second ToHead at the head worked: built=%d steps=%d begins=%d", built, fe.steps, fe.begins)
+	}
+
+	fm.advance(1, 4, 9)
+	ts.ToHead()
+	if fe.begins != 1 || fe.answer != fm.epoch || fe.steps != 0 {
+		t.Fatalf("dirt not maintained: begins=%d answer=%d head=%d steps=%d", fe.begins, fe.answer, fm.epoch, fe.steps)
+	}
+	if len(fe.applied) != 2 || fe.applied[0] != 4 || fe.applied[1] != 9 {
+		t.Fatalf("ToHead relocated %v, want the taken dirty list [4 9]", fe.applied)
+	}
+	if st := ts.stats(); st.TasksStarted != 2 || st.TasksCompleted != 2 {
+		t.Fatalf("stats = %+v, want the rebuild and one maintenance task", st)
 	}
 }
 
@@ -208,7 +219,7 @@ func TestRebuildStateSeedPressurePreservesPriority(t *testing.T) {
 
 // TestSchedulerExclusiveCompletesRebuild: a Maintain hook firing while
 // a migration rebuild is still queued must observe the engine built —
-// Exclusive's drain runs sticky tasks like any other.
+// Exclusive's drain runs rebuild tasks like any other.
 func TestSchedulerExclusiveCompletesRebuild(t *testing.T) {
 	fm := &fakeMesh{}
 	built := 0

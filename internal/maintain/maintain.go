@@ -37,8 +37,8 @@
 // answer from their last consistent snapshot as usual.
 //
 // The per-vertex coherence invariant is what makes interruption safe:
-// a later monolithic Step, or simply finishing the task, restores a
-// uniform epoch no matter where the task stopped.
+// finishing the task (or a direct Step) restores a uniform epoch no
+// matter where the task stopped.
 package maintain
 
 import (
@@ -103,8 +103,7 @@ type Target struct {
 	Name string
 	// Engine performs the maintenance. It may additionally implement
 	// Incremental (localized resumable path) and EpochReporter
-	// (staleness accounting); with neither, Step runs every tick like
-	// the legacy pipeline did.
+	// (staleness accounting); with neither, Step runs every tick.
 	Engine Stepper
 	// Mesh is the target's dirty source; nil disables dirty collection
 	// and budget slicing (tasks then always run to completion within

@@ -88,8 +88,8 @@ func (s *Scheduler) Budget() time.Duration { return s.opt.Budget }
 // SetDirtyObserver installs fn to receive every dirty region Tick takes
 // from a target's mesh (writer goroutine, before the tick's slices run).
 // nil removes the observer. Writer goroutine only; regions consumed by
-// paths that bypass Tick — StepMonolithic, a drain's task creation — are
-// not observed, so an observer that must never miss a change (the result
+// paths that bypass Tick — ToHead, a drain's task creation — are not
+// observed, so an observer that must never miss a change (the result
 // cache) pairs the stream with a flush on target-set swaps.
 func (s *Scheduler) SetDirtyObserver(fn func(mesh.DirtyRegion)) { s.dirtyObs = fn }
 
@@ -239,8 +239,7 @@ func (s *Scheduler) Tick() {
 // fully drained — in-flight tasks completed, pending dirt applied — the
 // hook for rare whole-system mutation (restructuring a cell and feeding
 // the SurfaceDelta to the engine) inside a live run. fn therefore
-// observes every engine consistent at the head, exactly what the legacy
-// Step-then-Maintain sequence guaranteed. This is how the pipeline's
+// observes every engine consistent at the head. This is how the pipeline's
 // Maintain hook and the router's fine-grained serialization finally
 // compose: the hook excludes exactly the queries it must, per target,
 // instead of forcing the whole pipeline back onto one global lock — or

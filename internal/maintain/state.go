@@ -29,11 +29,6 @@ type TargetState struct {
 	havePending  bool
 	task         Task // in-flight task, nil when none
 	inconsistent bool // mid-task: queries must use the fallback
-	// sticky marks a task that must not be discarded by StepMonolithic:
-	// a migration rebuild's engine does not exist until the task runs,
-	// and the engine it replaces fronts a sub-mesh this target no longer
-	// serves (see NewRebuildState).
-	sticky bool
 
 	// Pressure: queries observed since the last tick, decayed into an
 	// EMA at collect time (FanoutStats-style atomic counters — the
@@ -64,7 +59,7 @@ func NewTargetState(t Target) *TargetState {
 }
 
 // NewRebuildState wraps a target whose engine does not exist yet: a
-// pre-installed sticky task constructs it via build on first run. Until
+// pre-installed task constructs it via build on first run. Until
 // then the target reports inconsistent, so every query answers through
 // the pinned-head position-scan fallback — exact, just index-less. The
 // sharded router uses this to model a shard migration: the re-partition
@@ -76,7 +71,6 @@ func NewTargetState(t Target) *TargetState {
 func NewRebuildState(name string, m DirtyMesh, build func() Stepper) *TargetState {
 	ts := &TargetState{t: Target{Name: name, Mesh: m}}
 	ts.inconsistent = true
-	ts.sticky = true
 	ts.task = &rebuildTask{ts: ts, build: build}
 	ts.started.Add(1)
 	return ts
@@ -84,8 +78,7 @@ func NewRebuildState(name string, m DirtyMesh, build func() Stepper) *TargetStat
 
 // rebuildTask constructs a target's engine and rewires the state's
 // capability interfaces to it. It always runs under the state's write
-// lock (runSlice, drainLocked or StepMonolithic), which makes the field
-// writes safe.
+// lock (runSlice or drainLocked), which makes the field writes safe.
 type rebuildTask struct {
 	ts    *TargetState
 	build func() Stepper
@@ -96,7 +89,6 @@ func (t *rebuildTask) Run(time.Duration) bool {
 	t.ts.t.Engine = e
 	t.ts.inc, _ = e.(Incremental)
 	t.ts.rep, _ = e.(EpochReporter)
-	t.ts.sticky = false
 	return true
 }
 
@@ -131,48 +123,22 @@ func (ts *TargetState) BeginQuery() (fallback bool) {
 // EndQuery exits a query entered with BeginQuery.
 func (ts *TargetState) EndQuery() { ts.mu.RUnlock() }
 
-// StepMonolithic performs the legacy whole-engine Step under the write
-// lock, discarding any in-flight task and pending dirt — Step rebuilds
-// from the engine's per-vertex shadow, which the coherence invariant
-// keeps valid mid-task, so dropping the task is safe and cheaper than
-// finishing it. This is the compatibility shim behind Router.Step.
-func (ts *TargetState) StepMonolithic() {
+// ToHead brings the target to the mesh head: the mesh's accumulated dirt
+// is folded in, then under the write lock the in-flight task is finished
+// and fresh tasks run until the engine needs nothing. It is
+// Scheduler.Drain for one target — the stop-the-world callers (the shard
+// router's Step, a shard server's maintain RPC) have no scheduler. Writer
+// goroutine only.
+func (ts *TargetState) ToHead() {
+	ts.takeDirt()
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.task != nil && ts.sticky {
-		// A rebuild task cannot be discarded — the engine it constructs
-		// does not exist yet. Run it to completion; the freshly built
-		// engine is consistent with the current positions by
-		// construction, so the monolithic Step below would only redo its
-		// work.
-		t0 := time.Now()
-		ts.task.Run(0)
-		ts.sliceNanos.Add(time.Since(t0).Nanoseconds())
-		ts.slices.Add(1)
-		ts.completed.Add(1)
-		ts.task = nil
-		ts.inconsistent = false
-		ts.pending = mesh.DirtyRegion{}
-		ts.havePending = false
-		if ts.t.Mesh != nil {
-			ts.t.Mesh.TakeDirty()
-		}
-		return
-	}
-	ts.task = nil
-	ts.inconsistent = false
-	ts.pending = mesh.DirtyRegion{}
-	ts.havePending = false
-	if ts.t.Mesh != nil {
-		ts.t.Mesh.TakeDirty() // drain: Step supersedes the accumulated dirt
-	}
-	ts.t.Engine.Step()
+	ts.drainLocked()
 }
 
 // drainLocked drives the target fully up to date: the in-flight task to
 // completion, then any pending dirt through fresh tasks until nothing is
-// left — the state the legacy Step-then-Maintain sequence guaranteed a
-// hook would observe. Caller holds mu.
+// left. Caller holds mu.
 func (ts *TargetState) drainLocked() {
 	rounds := 0
 	for {
@@ -203,12 +169,17 @@ func (ts *TargetState) drainLocked() {
 	}
 }
 
-// collect folds the mesh's freshly taken dirty region into the pending
-// accumulator and decays the pressure counter, returning the taken
-// region (ok reports a non-empty one) so Tick can feed the scheduler's
-// dirty observer. Writer goroutine only.
+// collect decays the pressure counter and takes the mesh's dirt,
+// returning the taken region (ok reports a non-empty one) so Tick can
+// feed the scheduler's dirty observer. Writer goroutine only.
 func (ts *TargetState) collect() (taken mesh.DirtyRegion, ok bool) {
 	ts.ema = ts.ema/2 + ts.pressure.Swap(0)
+	return ts.takeDirt()
+}
+
+// takeDirt folds the mesh's freshly taken dirty region into the pending
+// accumulator. Writer goroutine only.
+func (ts *TargetState) takeDirt() (taken mesh.DirtyRegion, ok bool) {
 	if ts.t.Mesh == nil {
 		return mesh.DirtyRegion{}, false
 	}
@@ -273,9 +244,8 @@ func (ts *TargetState) needsWork() bool {
 		// with no pending dirt there is nothing to ask about.
 		return false
 	}
-	// No interface at all: conservatively Step once per tick, like the
-	// legacy pipeline (covers engines whose Step is not a no-op but
-	// which predate the epoch machinery).
+	// No interface at all: conservatively Step once per tick (covers
+	// engines whose Step is not a no-op but which report no epoch).
 	return true
 }
 

@@ -121,15 +121,13 @@ func DefaultDirtyCap(n int) int {
 }
 
 // EnableDirtyTracking switches on dirty-region recording for every
-// subsequent Deform and restructuring operation. It requires (and, being
-// only meaningful there, enables) position snapshots — without a second
-// buffer the old state is overwritten in place and there is nothing to
-// diff against. Idempotent; must be called while the mesh is quiescent.
+// subsequent Deform and restructuring operation (a publish diffs the new
+// buffer against the old one; in-place writes to Positions() are not
+// seen). Idempotent; must be called while the mesh is quiescent.
 func (m *Mesh) EnableDirtyTracking() {
 	if m.dirtyOn {
 		return
 	}
-	m.EnableSnapshots()
 	m.dirtyOn = true
 	m.dirtyCap = DefaultDirtyCap(len(m.pos))
 	m.dirtyMark = make([]uint32, len(m.pos))

@@ -34,9 +34,6 @@ func TestDirtyTrackingRecordsMovers(t *testing.T) {
 	if !m.DirtyTrackingEnabled() {
 		t.Fatal("tracking not enabled")
 	}
-	if !m.SnapshotsEnabled() {
-		t.Fatal("dirty tracking must enable snapshots")
-	}
 
 	// First take is empty (nothing published yet).
 	if d := m.TakeDirty(); !d.Empty() {
@@ -105,7 +102,6 @@ func TestDirtyTrackingOverflow(t *testing.T) {
 
 func TestDirtyTrackingDisabledReportsInterval(t *testing.T) {
 	m := dirtyTestMesh(t)
-	m.EnableSnapshots()
 	if d := m.TakeDirty(); !d.Empty() {
 		t.Fatalf("no-steps region not empty: %+v", d)
 	}

@@ -9,12 +9,11 @@
 //     surface maintenance deltas (§IV-E2), and
 //   - Hilbert-order data reorganization for crawl cache locality (§IV-H1).
 //
-// A Mesh is safe for concurrent readers. By default, deformation and
-// restructuring must not run concurrently with queries — the paper's
-// strictly alternating update/monitor loop. EnableSnapshots switches the
-// position store to a double-buffered, epoch-versioned mode (positions.go)
-// in which Deform may overlap readers that pin their epoch via
-// PinPositions; restructuring always requires exclusive access.
+// A Mesh is safe for concurrent readers. The position store is
+// double-buffered and epoch-versioned (positions.go): Deform may overlap
+// readers that pin their epoch via PinPositions. In-place writes to
+// Positions() — the paper's strictly alternating update/monitor loop —
+// and restructuring require exclusive access.
 package mesh
 
 import (
@@ -68,13 +67,12 @@ func (c *Cell) VertexCount() int {
 // place (mesh deformation); connectivity is immutable except through the
 // restructuring operations in restructure.go.
 type Mesh struct {
-	// Versioned position store (positions.go). pos is the buffer holding
-	// even epochs — and, until EnableSnapshots allocates back, the only
-	// buffer, read and written directly under the legacy stop-the-world
-	// contract. With snapshots enabled the buffer holding the current
-	// state is bufs(epoch&1): Deform writes the other buffer and publishes
-	// with one atomic epoch increment; pins count readers per buffer so a
-	// writer never recycles a buffer still being read.
+	// Versioned position store (positions.go). pos holds even epochs,
+	// back odd ones (nil until the first Deform allocates it). The buffer
+	// holding the current state is buf(epoch): Deform writes the other
+	// buffer and publishes with one atomic epoch increment; pins count
+	// readers per buffer so a writer never recycles a buffer still being
+	// read.
 	pos      []geom.Vec3
 	back     []geom.Vec3
 	epoch    atomic.Uint64
@@ -132,16 +130,17 @@ func (m *Mesh) Position(v int32) geom.Vec3 { return m.front()[v] }
 
 // SetPosition moves vertex v in place in the current front buffer. This is
 // the paper's "mesh deformation" update: connectivity (and therefore the
-// surface index) is unaffected. With snapshots enabled, prefer Deform —
-// in-place writes to the front buffer require the legacy stop-the-world
-// contract.
+// surface index) is unaffected. Like every in-place write it requires
+// exclusive access (no query in flight) and an engine Step() before the
+// next query; Deform has neither requirement.
 func (m *Mesh) SetPosition(v int32, p geom.Vec3) { m.front()[v] = p }
 
 // Positions returns the position array holding the current epoch. Callers
 // may mutate elements to deform the mesh in bulk (the simulation's
-// in-place update) under the stop-the-world contract, but must not grow or
-// reallocate the slice. For deformation concurrent with queries, use
-// EnableSnapshots + Deform instead, and read through PinPositions.
+// in-place update) while no query is in flight, followed by the engines'
+// Step(), but must not grow or reallocate the slice. For deformation
+// concurrent with queries, use Deform instead, and read through
+// PinPositions.
 func (m *Mesh) Positions() []geom.Vec3 { return m.front() }
 
 // Neighbors returns the vertex ids adjacent to v (connected by a cell

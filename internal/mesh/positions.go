@@ -6,54 +6,47 @@ import (
 	"octopus/internal/geom"
 )
 
-// This file implements the versioned position store behind the live
-// deform+query pipeline (DESIGN.md §9): two position buffers and an atomic
-// epoch counter. The buffer holding epoch e is bufs[e&1]; writers prepare
-// the next state in the other buffer and publish it with a single atomic
-// epoch increment, so readers that captured the front buffer never observe
-// a half-written ("torn") position array. Pinning a buffer (a per-parity
-// reader count) keeps the writer from recycling it while a query is still
-// reading — the epoch a query pins is exactly the state its result set is
-// consistent with.
+// This file implements the versioned position store (DESIGN.md §9): two
+// position buffers and an atomic epoch counter. The buffer holding epoch e
+// is bufs[e&1]; writers prepare the next state in the other buffer and
+// publish it with a single atomic epoch increment, so readers that captured
+// the front buffer never observe a half-written ("torn") position array.
+// Pinning a buffer (a per-parity reader count) keeps the writer from
+// recycling it while a query is still reading — the epoch a query pins is
+// exactly the state its result set is consistent with.
 //
-// Snapshots are off by default: a mesh built by Builder has a single
-// buffer, Deform mutates it in place, and the pre-existing stop-the-world
-// contract applies unchanged with zero memory or synchronization overhead.
-// EnableSnapshots allocates the second buffer (2x position memory, the
-// scheme's whole cost) and must be called before any concurrent use.
+// The second buffer is allocated by the first publish (2x position memory,
+// the scheme's whole cost). A mesh that is never Deformed — the paper's
+// loop: write Positions() in place, then Step() the engines — allocates
+// nothing and pays two uncontended atomic adds per query for the pin.
 
-// EnableSnapshots switches the mesh to the double-buffered position store
-// so that Deform may run concurrently with pinned readers. It is
-// idempotent, costs one extra position array (24 bytes/vertex), and must
-// be called while the mesh is quiescent (no queries, no deformation in
-// flight) — typically right after Build/Renumber, before the simulation
-// starts.
+// EnableSnapshots allocates the second position buffer now instead of at
+// the first Deform (24 bytes/vertex), moving that allocation out of the
+// first step. Nothing depends on it having been called.
 func (m *Mesh) EnableSnapshots() {
-	if m.back != nil {
-		return
-	}
-	back := make([]geom.Vec3, len(m.pos))
-	copy(back, m.pos)
-	m.back = back
+	m.writerMu.Lock()
+	m.allocBack()
+	m.writerMu.Unlock()
 }
 
-// SnapshotsEnabled reports whether the double-buffered store is active.
-func (m *Mesh) SnapshotsEnabled() bool { return m.back != nil }
+// allocBack makes sure the odd-epoch buffer exists. Caller holds writerMu.
+// Readers touch back only after loading an odd epoch, and the first odd
+// epoch is stored after this returns, so the write needs no other fence.
+func (m *Mesh) allocBack() {
+	if m.back == nil {
+		m.back = make([]geom.Vec3, len(m.pos))
+	}
+}
 
 // Epoch returns the current position epoch: 0 until the first published
 // Deform, incremented by one per deformation step and by two per
 // restructuring operation that changes the vertex set (the state gets a
-// fresh epoch number without switching buffers). With snapshots disabled
-// it stays 0.
+// fresh epoch number without switching buffers). In-place writes to
+// Positions() do not advance it.
 func (m *Mesh) Epoch() uint64 { return m.epoch.Load() }
 
 // front returns the buffer holding the current epoch.
-func (m *Mesh) front() []geom.Vec3 {
-	if m.back == nil {
-		return m.pos
-	}
-	return m.buf(m.epoch.Load())
-}
+func (m *Mesh) front() []geom.Vec3 { return m.buf(m.epoch.Load()) }
 
 // buf returns the buffer that holds (or will hold) epoch e.
 func (m *Mesh) buf(e uint64) []geom.Vec3 {
@@ -69,13 +62,8 @@ func (m *Mesh) buf(e uint64) []geom.Vec3 {
 // UnpinPositions(epoch) releases it. Any number of readers may hold pins
 // concurrently; a Deform publishing a new epoch proceeds without waiting
 // (it writes the other buffer) and only a second subsequent Deform blocks
-// until the old buffer's pins drain. With snapshots disabled this is a
-// free pass-through to the live array under the legacy stop-the-world
-// contract.
+// until the old buffer's pins drain.
 func (m *Mesh) PinPositions() (uint64, []geom.Vec3) {
-	if m.back == nil {
-		return 0, m.pos
-	}
 	for {
 		e := m.epoch.Load()
 		m.pins[e&1].Add(1)
@@ -95,25 +83,17 @@ func (m *Mesh) PinPositions() (uint64, []geom.Vec3) {
 }
 
 // UnpinPositions releases a pin taken by PinPositions.
-func (m *Mesh) UnpinPositions(epoch uint64) {
-	if m.back == nil {
-		return
-	}
-	m.pins[epoch&1].Add(-1)
-}
+func (m *Mesh) UnpinPositions(epoch uint64) { m.pins[epoch&1].Add(-1) }
 
-// Deform applies one whole-mesh position update. With snapshots enabled,
-// fn receives the back buffer pre-loaded with a copy of the current
-// positions; when fn returns, the new state is published with a single
-// atomic epoch increment, so concurrent pinned readers are never torn:
-// they either see the epoch before the step or the epoch after it,
-// complete in both cases. Deforms serialize with each other; before
+// Deform applies one whole-mesh position update: fn receives the back
+// buffer pre-loaded with a copy of the current positions (the first call
+// allocates that buffer), and when fn returns the new state is published
+// with a single atomic epoch increment, so concurrent pinned readers are
+// never torn: they either see the epoch before the step or the epoch after
+// it, complete in both cases. Deforms serialize with each other; before
 // reusing a buffer the writer waits for that buffer's pinned readers to
 // drain (readers always finish: new pins go to the freshly published
 // buffer).
-//
-// With snapshots disabled, fn mutates the single live buffer in place and
-// the legacy contract applies: nothing may read positions concurrently.
 func (m *Mesh) Deform(fn func(pos []geom.Vec3)) {
 	m.publish(fn, true)
 }
@@ -131,12 +111,9 @@ func (m *Mesh) DeformOverwrite(fn func(pos []geom.Vec3)) {
 // publish runs one deformation step: wait out the target buffer's pins,
 // optionally pre-load it with the current state, apply fn, publish.
 func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
-	if m.back == nil {
-		fn(m.pos)
-		return
-	}
 	m.writerMu.Lock()
 	defer m.writerMu.Unlock()
+	m.allocBack()
 	e := m.epoch.Load()
 	target := m.buf(e + 1)
 	for m.pins[(e+1)&1].Load() != 0 {
@@ -153,18 +130,19 @@ func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 }
 
 // growPosition appends a new vertex position to the store (restructuring's
-// SplitCell path), keeping both buffers the same length, and returns the
+// SplitCell path), keeping both buffers the same length (a back buffer
+// not yet allocated takes the grown length when it is), and returns the
 // new vertex id. The caller must hold exclusive access (restructuring is
-// never concurrent with queries or Deform); with snapshots enabled the
-// epoch advances by two — same buffer parity, fresh state identity — so
-// epoch-tagged results remain unambiguous.
+// never concurrent with queries or Deform). The epoch advances by two —
+// same buffer parity, fresh state identity — so epoch-tagged results and
+// caches remain unambiguous.
 func (m *Mesh) growPosition(p geom.Vec3) int32 {
 	v := int32(len(m.pos))
 	m.pos = append(m.pos, p)
 	if m.back != nil {
 		m.back = append(m.back, p)
-		m.epoch.Add(2)
 	}
+	m.epoch.Add(2)
 	if m.dirtyOn {
 		// The new vertex set is a structural change by definition; the
 		// mark array must track the grown id space.

@@ -45,10 +45,8 @@ func NewEngine(m *mesh.Mesh, bucket int) *Engine {
 func (e *Engine) Name() string { return "OCTREE" }
 
 // Step implements query.Engine: full rebuild from scratch over a fresh
-// position snapshot. It doubles as the monolithic compatibility shim of
-// the maintenance scheduler — and, because relocation keeps snap
-// per-vertex coherent, it is safe to call even with a relocation task
-// abandoned halfway.
+// position snapshot. Because relocation keeps snap per-vertex coherent,
+// it is safe to call even with a relocation task abandoned halfway.
 func (e *Engine) Step() {
 	e.snap = e.snap[:0]
 	e.snap = append(e.snap, e.m.Positions()...)

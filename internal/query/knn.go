@@ -65,28 +65,25 @@ type KNNBoundReporter interface {
 	LastKNNBound2() (ball2 float64, ok bool)
 }
 
-// KNN implements KNNCursor by delegating to the stateless engine (whose
-// KNN method, like its Query method, touches no mutable engine state),
-// pinning a position epoch when the mesh runs in snapshot mode — the same
-// protocol as StatelessCursor.Query.
+// KNN implements KNNCursor under the same protocol as
+// StatelessCursor.Query: a SnapshotKNNEngine answers against the pinned
+// head, any other engine by delegation.
 func (c *StatelessCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	c.lastBoundOK = false
-	if c.Mesh != nil && c.Mesh.SnapshotsEnabled() {
-		if se, ok := c.Engine.(SnapshotKNNEngine); ok {
-			epoch, pos := c.Mesh.PinPositions()
-			c.lastEpoch = epoch
-			base := len(out)
-			out = se.KNNAt(pos, p, k, out)
-			c.lastBound2, c.lastBoundOK = math.Inf(1), true
-			if res := out[base:]; k > 0 && len(res) >= k {
-				c.lastBound2 = pos[res[k-1]].Dist2(p)
-			}
-			c.Mesh.UnpinPositions(epoch)
-			return out
+	if se, ok := c.Engine.(SnapshotKNNEngine); ok {
+		epoch, pos := c.Mesh.PinPositions()
+		c.lastEpoch = epoch
+		base := len(out)
+		out = se.KNNAt(pos, p, k, out)
+		c.lastBound2, c.lastBoundOK = math.Inf(1), true
+		if res := out[base:]; k > 0 && len(res) >= k {
+			c.lastBound2 = pos[res[k-1]].Dist2(p)
 		}
-		if er, ok := c.Engine.(EpochReporter); ok {
-			c.lastEpoch = er.AnswerEpoch()
-		}
+		c.Mesh.UnpinPositions(epoch)
+		return out
+	}
+	if er, ok := c.Engine.(EpochReporter); ok {
+		c.lastEpoch = er.AnswerEpoch()
 	}
 	if ke, ok := c.Engine.(KNNEngine); ok {
 		return ke.KNN(p, k, out)

@@ -13,10 +13,9 @@ import (
 // The engine holds only immutable index state at query time, so any
 // number of cursors over the same engine may execute queries concurrently
 // — one cursor per goroutine; a single cursor is not safe for concurrent
-// use. Queries may overlap mesh.Mesh.Deform on a snapshot-enabled mesh
-// (cursors pin the position epoch they read); they must still not overlap
-// index maintenance — Step, restructuring, ApplySurfaceDelta — which
-// Pipeline serializes internally.
+// use. Queries may overlap mesh.Mesh.Deform (cursors pin the position
+// epoch they read); they must still not overlap index maintenance — Step,
+// restructuring, ApplySurfaceDelta — which Pipeline serializes internally.
 type Cursor interface {
 	// Query appends the ids of all vertices whose current position lies
 	// in q to out and returns the extended slice, using only this
@@ -64,16 +63,14 @@ func (g *ResidentGuard) Leave() { g.busy.Store(false) }
 // StatelessCursor adapts an engine whose Query method touches no mutable
 // engine state (the linear scan, the rebuilt-per-step trees, the R-tree
 // baselines) to the Cursor interface: the "scratch" is the engine itself,
-// plus the epoch bookkeeping of the live pipeline. When Mesh is set and
-// snapshots are enabled, each query of a SnapshotEngine pins the head
-// epoch and executes through QueryAt against the pinned buffer; engines
-// that answer from an internal snapshot (EpochReporter) just have their
-// answer epoch recorded. Either way LastEpoch names the state the result
-// is consistent with.
+// plus the epoch bookkeeping. Each query of a SnapshotEngine pins the head
+// epoch of Mesh and executes through QueryAt against the pinned buffer;
+// engines that answer from an internal snapshot (EpochReporter) have
+// their answer epoch recorded. Either way LastEpoch names the state the
+// result is consistent with.
 type StatelessCursor struct {
 	Engine Engine
-	// Mesh enables epoch pinning/reporting; nil restores the plain
-	// delegate behavior.
+	// Mesh is the mesh Engine indexes: the position store queries pin.
 	Mesh *mesh.Mesh
 
 	lastEpoch   uint64
@@ -81,20 +78,18 @@ type StatelessCursor struct {
 	lastBoundOK bool
 }
 
-// Query implements Cursor by delegating to the stateless engine, pinning
-// a position epoch when the mesh runs in snapshot mode.
+// Query implements Cursor: a SnapshotEngine answers against the pinned
+// head, any other engine by delegation.
 func (c *StatelessCursor) Query(q geom.AABB, out []int32) []int32 {
-	if c.Mesh != nil && c.Mesh.SnapshotsEnabled() {
-		if se, ok := c.Engine.(SnapshotEngine); ok {
-			epoch, pos := c.Mesh.PinPositions()
-			c.lastEpoch = epoch
-			out = se.QueryAt(pos, q, out)
-			c.Mesh.UnpinPositions(epoch)
-			return out
-		}
-		if er, ok := c.Engine.(EpochReporter); ok {
-			c.lastEpoch = er.AnswerEpoch()
-		}
+	if se, ok := c.Engine.(SnapshotEngine); ok {
+		epoch, pos := c.Mesh.PinPositions()
+		c.lastEpoch = epoch
+		out = se.QueryAt(pos, q, out)
+		c.Mesh.UnpinPositions(epoch)
+		return out
+	}
+	if er, ok := c.Engine.(EpochReporter); ok {
+		c.lastEpoch = er.AnswerEpoch()
 	}
 	return c.Engine.Query(q, out)
 }
@@ -122,10 +117,9 @@ func (c *StatelessCursor) Close() {}
 // scheduling-dependent — approximation already trades exactness away.
 //
 // ExecuteBatch must not run concurrently with Step or restructuring, nor
-// with other queries on the engine's resident cursor. On a
-// snapshot-enabled mesh it may overlap Mesh.Deform (each query executes
-// against its pinned epoch); in-place deformation of Positions() must
-// still not overlap the batch. For a managed writer alongside the batch,
+// with other queries on the engine's resident cursor. It may overlap
+// Mesh.Deform (each query executes against its pinned epoch); in-place
+// deformation of Positions() must not overlap the batch. For a managed writer alongside the batch,
 // use Pipeline.
 func ExecuteBatch(eng ParallelEngine, queries []geom.AABB, workers int) [][]int32 {
 	return runBatch(eng, len(queries), workers, func(cur Cursor) func(int) []int32 {

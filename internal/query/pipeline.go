@@ -12,15 +12,12 @@ import (
 	"octopus/internal/mesh"
 )
 
-// DeformableMesh is the dataset surface the pipeline's writer needs: a
-// position store that can switch to epoch-versioned snapshots, apply one
-// whole-mesh update per step, and report the published epoch. *mesh.Mesh
-// implements it directly; shard.Mesh implements it over a whole
-// partition, publishing every shard in lockstep.
+// DeformableMesh is the dataset surface the pipeline's writer needs: an
+// epoch-versioned position store that applies one whole-mesh update per
+// step and reports the published epoch. *mesh.Mesh implements it
+// directly; shard.Mesh implements it over a whole partition, publishing
+// every shard in lockstep.
 type DeformableMesh interface {
-	// EnableSnapshots switches to the double-buffered position store so
-	// Deform may overlap pinned readers. Idempotent; requires quiescence.
-	EnableSnapshots()
 	// Deform applies one step: fn mutates pos (pre-loaded with the
 	// current state) in place, and the new state is published atomically.
 	Deform(fn func(pos []geom.Vec3))
@@ -84,9 +81,9 @@ type Pipeline struct {
 	// Engine answers the queries; every engine constructor in this
 	// repository returns a suitable ParallelKNNEngine.
 	Engine ParallelKNNEngine
-	// Mesh is the dataset being deformed; Run enables snapshots (and
-	// dirty tracking) on it. *mesh.Mesh is the single-mesh case;
-	// shard.Mesh drives a whole partition in lockstep.
+	// Mesh is the dataset being deformed; Run enables dirty tracking on
+	// it. *mesh.Mesh is the single-mesh case; shard.Mesh drives a whole
+	// partition in lockstep.
 	Mesh DeformableMesh
 	// Deform applies one simulation step's in-place update to pos (which
 	// is the back buffer, pre-loaded with the current positions). It runs
@@ -320,15 +317,14 @@ func (p *Pipeline) maintainStates() (states []*maintain.TargetState, single *mai
 	return []*maintain.TargetState{single}, single
 }
 
-// Run executes the pipeline: it enables position snapshots and dirty
-// tracking on the mesh, starts the writer, drains all queries through
-// the worker pool, then stops the writer (after MinSteps) and returns
-// the report. Cursor statistics are merged into the engine after the
-// pool drains, like ExecuteBatch. Run is not reentrant — one Run per
-// Pipeline at a time — but the Pipeline may be Run repeatedly; epochs
-// continue from the previous run's head.
+// Run executes the pipeline: it enables dirty tracking on the mesh,
+// starts the writer, drains all queries through the worker pool, then
+// stops the writer (after MinSteps) and returns the report. Cursor
+// statistics are merged into the engine after the pool drains, like
+// ExecuteBatch. Run is not reentrant — one Run per Pipeline at a time —
+// but the Pipeline may be Run repeatedly; epochs continue from the
+// previous run's head.
 func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
-	p.Mesh.EnableSnapshots()
 	if dt, ok := p.Mesh.(dirtyTracker); ok {
 		dt.EnableDirtyTracking()
 	}

@@ -4,13 +4,12 @@ package query_test
 // steps every deformer from internal/sim while range and kNN batches
 // drain through the pipeline's worker pool, across all 9 engines. The
 // snapshot-consistency companion (snapshot_test.go) checks the results;
-// this file checks the machinery — overlap actually happens, traces are
-// coherent, and the torn-read race of the pre-snapshot code is
-// demonstrably gone (see TestTornReadRaceDemo).
+// this file checks the machinery — overlap actually happens and traces
+// are coherent.
 
 import (
 	"math/rand"
-	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,13 +176,12 @@ func TestPipelineTickAndMaxSteps(t *testing.T) {
 }
 
 // TestExecuteBatchOverlapsDeform checks the batch executors directly
-// under a concurrent writer (the documented snapshot-mode relaxation of
-// the ExecuteBatch contract): batches run while Mesh.Deform publishes
+// under a concurrent writer (the ExecuteBatch contract allows it):
+// batches run while Mesh.Deform publishes
 // epochs, and with OCTOPUS (maintenance-free) every result matches brute
 // force at the cursor's pinned epoch replayed offline.
 func TestExecuteBatchOverlapsDeform(t *testing.T) {
 	m := buildBox(t, 6)
-	m.EnableSnapshots()
 	eng := core.New(m)
 	deformer := &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 3}
 	queries, probes := testWorkload(m, 40, 16, 4)
@@ -209,52 +207,6 @@ func TestExecuteBatchOverlapsDeform(t *testing.T) {
 	<-done
 }
 
-// TestTornReadRaceDemo documents the pre-PR failure mode. It deliberately
-// runs the OLD stop-the-world code path — snapshots disabled, so the pin
-// is a pass-through and the writer mutates the live position array in
-// place — while
-// a query executes concurrently. Under `go test -race` this reliably
-// reports a data race on the position array (reader: surface probe /
-// crawl; writer: deformer), which is exactly the torn-read hazard the
-// epoch-pinned snapshot store removes: TestPipelineRaceAllEngines runs
-// the same overlap through Mesh.Deform + pinned cursors and is
-// race-clean. Because a detected race fails the build, the demo only
-// runs when OCTOPUS_RACE_DEMO=1 is set:
-//
-//	OCTOPUS_RACE_DEMO=1 go test -race -run TornReadRaceDemo ./internal/query/
-func TestTornReadRaceDemo(t *testing.T) {
-	if os.Getenv("OCTOPUS_RACE_DEMO") != "1" {
-		t.Skip("set OCTOPUS_RACE_DEMO=1 to demonstrate the pre-snapshot data race under -race")
-	}
-	m := buildBox(t, 6)
-	eng := core.New(m)
-	deformer := &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 3}
-	queries, _ := testWorkload(m, 64, 0, 5)
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for step := 0; ; step++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// No snapshots: Deform falls back to in-place mutation of the
-			// buffer the concurrent queries are scanning.
-			m.Deform(func(pos []geom.Vec3) { deformer.Step(step, pos) })
-		}
-	}()
-	cur := eng.NewCursor()
-	for _, q := range queries {
-		cur.Query(q, nil)
-	}
-	cur.Close()
-	close(stop)
-	<-done
-}
-
 // TestHybridResidentScanRouteOverlapsDeform covers the resident
 // (Engine.Query/KNN) path of the hybrid under a concurrent writer: a
 // whole-mesh box forces the scan route, which must execute against the
@@ -263,7 +215,6 @@ func TestTornReadRaceDemo(t *testing.T) {
 // live-array reads.
 func TestHybridResidentScanRouteOverlapsDeform(t *testing.T) {
 	m := buildBox(t, 6)
-	m.EnableSnapshots()
 	h := core.NewHybrid(m, 0, core.Calibrate(m))
 	deformer := &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 17}
 
@@ -294,4 +245,38 @@ func TestHybridResidentScanRouteOverlapsDeform(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestInPlaceAfterPublish runs the paper's loop on a mesh whose front is
+// the second buffer: one Deform, then in-place writes to Positions()
+// followed by Step. Every engine must read the buffer the writes landed
+// in.
+func TestInPlaceAfterPublish(t *testing.T) {
+	for _, f := range engineFactories() {
+		t.Run(f.name, func(t *testing.T) {
+			m := buildBox(t, 6)
+			eng := f.make(m)
+			deformer := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 1.5, Seed: 23}
+			queries, probes := testWorkload(m, 24, 12, 6)
+			m.Deform(func(pos []geom.Vec3) { deformer.Step(0, pos) })
+			for step := 1; step <= 3; step++ {
+				deformer.Step(step, m.Positions())
+				eng.Step()
+				if m.Epoch() != 1 {
+					t.Fatalf("in-place step moved the epoch to %d", m.Epoch())
+				}
+				for i, q := range queries {
+					if d := query.Diff(eng.Query(q, nil), query.BruteForce(m, q)); d != "" {
+						t.Fatalf("step %d range %d: %s", step, i, d)
+					}
+				}
+				for i, p := range probes {
+					got, want := eng.KNN(p.P, p.K, nil), query.BruteForceKNN(m, p.P, p.K)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d kNN %d: got %v, want %v", step, i, got, want)
+					}
+				}
+			}
+		})
+	}
 }

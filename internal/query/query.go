@@ -21,12 +21,12 @@
 //     must not be used from two goroutines at once. The OCTOPUS family,
 //     the sharded router and the distributed engine enforce it on their
 //     resident cursors (ResidentGuard): a concurrent entry panics.
-//   - Mesh deformation through mesh.Mesh.Deform may overlap queries once
-//     the mesh has position snapshots enabled: Deform publishes each step
-//     into the inactive buffer with an atomic epoch swap, and cursors pin
-//     the epoch they execute against, so a query's result set equals
-//     brute force at its pinned epoch — never a torn mix of two steps.
-//     In-place mutation of Positions() remains stop-the-world.
+//   - Mesh deformation through mesh.Mesh.Deform may overlap queries:
+//     Deform publishes each step into the inactive buffer with an atomic
+//     epoch swap, and cursors pin the epoch they execute against, so a
+//     query's result set equals brute force at its pinned epoch — never a
+//     torn mix of two steps. In-place mutation of Positions() is
+//     stop-the-world: no query in flight, Step before the next one.
 //   - Index maintenance still requires exclusion from queries on the
 //     same maintenance target: Engine.Step, restructuring,
 //     ApplySurfaceDelta and engine tuning setters (SetApproximation,
@@ -124,8 +124,7 @@ type EpochReporter interface {
 // compute per-query staleness.
 type PinnedCursor interface {
 	// LastEpoch returns the epoch the cursor's most recent Query/KNN was
-	// consistent with (0 before the first query, and always 0 when the
-	// mesh has snapshots disabled).
+	// consistent with (0 before the first query).
 	LastEpoch() uint64
 }
 

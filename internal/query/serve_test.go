@@ -209,7 +209,6 @@ func TestCacheDisabledWithoutDirtyStream(t *testing.T) {
 // hiding the dirty-tracking and pinning interfaces from the pipeline.
 type plainMesh struct{ m *mesh.Mesh }
 
-func (p plainMesh) EnableSnapshots()                { p.m.EnableSnapshots() }
 func (p plainMesh) Deform(fn func(pos []geom.Vec3)) { p.m.Deform(fn) }
 func (p plainMesh) Epoch() uint64                   { return p.m.Epoch() }
 

@@ -11,6 +11,7 @@ import (
 	"octopus/internal/kdtree"
 	"octopus/internal/linearscan"
 	"octopus/internal/lurtree"
+	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 	"octopus/internal/octree"
 	"octopus/internal/query"
@@ -178,6 +179,12 @@ func equalIDs(a, b []int32) bool {
 	return true
 }
 
+// drainTargets brings every shard engine to the head after a Deform,
+// without publishing again (Router.Step would).
+func drainTargets(r *Router) {
+	maintain.NewScheduler(r.MaintainStates(), maintain.Options{}).Drain()
+}
+
 // newRouter builds the sharded mesh and router for one engine case.
 func newRouter(t *testing.T, m *mesh.Mesh, k int, ec engineCase) *Router {
 	t.Helper()
@@ -224,9 +231,9 @@ func TestEquivalenceStatic(t *testing.T) {
 }
 
 // TestEquivalenceDeforming is the deforming half: each step deforms the
-// shared global mesh, republishes the shards with epoch pinning enabled
-// (shard sub-meshes run double-buffered), performs per-engine
-// maintenance on both sides, and re-checks equivalence. The final step
+// shared global mesh, republishes the shards through Deform, performs
+// per-engine maintenance on both sides (the router's by draining its
+// targets, as a pipeline does), and re-checks equivalence. The final step
 // also runs the whole workload through concurrent router cursors
 // (ExecuteBatch) to exercise pinning under parallel execution.
 func TestEquivalenceDeforming(t *testing.T) {
@@ -246,7 +253,6 @@ func TestEquivalenceDeforming(t *testing.T) {
 					sCur := single.NewCursor()
 					sKNN := sCur.(query.KNNCursor)
 					r := newRouter(t, m, k, ec)
-					r.Mesh().EnableSnapshots()
 					cur := r.NewCursor()
 					knn := cur.(query.KNNCursor)
 					// Convex-contract engines get a convexity-preserving
@@ -267,7 +273,7 @@ func TestEquivalenceDeforming(t *testing.T) {
 						d.Step(step, m.Positions())
 						r.Mesh().Deform(func([]geom.Vec3) {})
 						single.Step()
-						r.Step()
+						drainTargets(r)
 						if got, want := r.Mesh().Epoch(), uint64(step+1); got != want {
 							t.Fatalf("step %d: shard epoch %d, want %d", step, got, want)
 						}

@@ -23,7 +23,7 @@ type Exec struct {
 	part *Part
 	ts   *maintain.TargetState
 	// eng is installed once: by NewExec, or — for the successor of a
-	// re-partitioned shard — by the target's sticky rebuild task, under
+	// re-partitioned shard — by the target's rebuild task, under
 	// the target's write lock. Queries read it under the read lock and
 	// only when the target is not mid-task, which a pending rebuild is.
 	eng query.ParallelKNNEngine
@@ -38,9 +38,9 @@ func NewExec(p *Part, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Exec {
 }
 
 // successor returns the executor replacing x after a re-partition rebuilt
-// the shard as p. Its engine does not exist yet: a sticky rebuild task
+// the shard as p. Its engine does not exist yet: a rebuild task
 // constructs it, under the scheduler's wall budget (live pipeline) or
-// inside StepMonolithic (stop-the-world Step). Until the task runs the
+// inside Router.Step. Until the task runs the
 // target reports mid-task, so every query takes the exact owned scan. The
 // new target inherits x's pressure EMA, so a hot shard's rebuild keeps its
 // priority.

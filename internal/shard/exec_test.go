@@ -166,7 +166,6 @@ func TestExecKNNCompleteness(t *testing.T) {
 			name: "fallback stale",
 			part: linePart(t, seq(12, unit), ownedFrom(12, 3), ident(12)),
 			exec: func(p *Part) *Exec {
-				p.Mesh.EnableSnapshots()
 				x := NewExec(p, func(m *mesh.Mesh) query.ParallelKNNEngine { return kdtree.NewEngine(m, 0) })
 				p.Mesh.Deform(func(pos []geom.Vec3) {
 					for i := range pos {

@@ -24,8 +24,9 @@ import (
 // single-mesh path's terms (queries never block each other, a step waits
 // only for the queries already in flight), and every query fans out over
 // one consistent global step. Index maintenance is NOT under this gate —
-// Router.Step serializes per shard, which is the point of sharding: one
-// shard's rebuild blocks only the queries that need that shard.
+// it runs under each shard's own target lock (the scheduler's slices, or
+// Router.Step once its publish is done), which is the point of sharding:
+// one shard's rebuild blocks only the queries that need that shard.
 //
 // The partition is live (DESIGN.md §13): restructuring the global mesh
 // after partitioning no longer panics. Deform and Resync detect pending
@@ -43,9 +44,8 @@ type Mesh struct {
 
 	// epoch counts published global deformation steps; after each step
 	// every shard sub-mesh is at this epoch.
-	epoch     atomic.Uint64
-	snapshots bool
-	dirty     bool
+	epoch atomic.Uint64
+	dirty bool
 
 	// onRepartition, when set (the Router installs it), is called with
 	// the rebuilt shard indices immediately after a partition swap, under
@@ -84,9 +84,10 @@ type RepartitionStats struct {
 }
 
 // NewMesh partitions m into k Hilbert shards and returns the sharded
-// container. The global mesh remains the deformation source of truth; its
-// positions may keep being driven by a sim.Simulation in stop-the-world
-// mode, or through Mesh.Deform in live mode.
+// container. The global mesh remains the deformation source of truth: a
+// sim.Simulation may keep writing its positions in place between queries
+// (followed by Router.Step), or Mesh.Deform applies each step while
+// queries run.
 //
 // The global mesh may be restructured (SplitCell, DeleteCell) after
 // partitioning: the next Deform or Resync re-partitions incrementally —
@@ -119,32 +120,13 @@ func (sm *Mesh) RepartitionStats() RepartitionStats {
 	return sm.stats
 }
 
-// EnableSnapshots implements query.DeformableMesh: it switches every shard
-// sub-mesh to the double-buffered position store so Deform may overlap
-// queries. Like mesh.Mesh.EnableSnapshots it is idempotent and must be
-// called while quiescent.
-func (sm *Mesh) EnableSnapshots() {
-	if sm.snapshots {
-		return
-	}
-	for _, p := range sm.part.Parts {
-		p.Mesh.EnableSnapshots()
-	}
-	sm.snapshots = true
-}
-
-// SnapshotsEnabled reports whether the shard sub-meshes run double-buffered.
-func (sm *Mesh) SnapshotsEnabled() bool { return sm.snapshots }
-
 // EnableDirtyTracking switches on dirty-region recording in every shard
 // sub-mesh, so each shard's maintenance target sees exactly the local
 // dirt its engine must repair — and on the global mesh, so restructuring
 // records the exact dirty cell set that incremental re-partitioning
-// re-keys (and Resync learns which vertices moved). Like the single-mesh
-// version it implies snapshots and must be called while quiescent; the
-// pipeline does it automatically.
+// re-keys. Like the single-mesh version it must be called while
+// quiescent; the pipeline does it automatically.
 func (sm *Mesh) EnableDirtyTracking() {
-	sm.EnableSnapshots()
 	sm.global.EnableDirtyTracking()
 	for _, p := range sm.part.Parts {
 		p.Mesh.EnableDirtyTracking()
@@ -153,17 +135,17 @@ func (sm *Mesh) EnableDirtyTracking() {
 }
 
 // Epoch implements query.DeformableMesh: the number of deformation steps
-// published through Deform (0 in stop-the-world mode, like mesh.Mesh).
+// published through Deform (Resync and Router.Step publish one each).
 func (sm *Mesh) Epoch() uint64 { return sm.epoch.Load() }
 
 // Deform applies one whole-mesh position update: fn mutates the global
 // position array in place (it is pre-loaded with the current state, like
 // mesh.Mesh.Deform's back buffer), and the new positions are then
 // published into every shard sub-mesh along with refreshed owned-vertex
-// bounding boxes. With snapshots enabled each shard publishes through its
-// own double-buffered store, one epoch per global step; router queries in
-// flight keep reading the step they pinned. Deforms serialize with each
-// other and with router queries through the coherence gate.
+// bounding boxes. Each shard publishes through its own double-buffered
+// store, one epoch per global step; router queries in flight keep reading
+// the step they pinned. Deforms serialize with each other and with router
+// queries through the coherence gate.
 //
 // If the global mesh was restructured since the last publish, Deform
 // first re-partitions under the same write gate — the sub-meshes and
@@ -191,67 +173,15 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 	sm.epoch.Add(1)
 }
 
-// Resync copies the global mesh's current positions into every shard
-// sub-mesh in place and refreshes the shard boxes — the stop-the-world
-// maintenance path for simulations that deform the global mesh directly
-// (Router.Step calls it each step; call it manually before building
-// engines over a partition whose global mesh has moved since). It must
-// not run concurrently with queries or Deform.
-//
-// Like Deform, Resync re-partitions first when the global mesh was
-// restructured. With dirty tracking enabled on the global mesh and a
-// publishing writer (global.Deform), the position copy is incremental:
-// only the recorded movers are scattered to their owner and ghost
-// replicas, instead of the full O(V*K) sweep.
-func (sm *Mesh) Resync() {
-	g := sm.global
-	if !g.DirtyTrackingEnabled() {
-		if d, pending := sm.pendingRestructure(); pending {
-			sm.applyRepartition(d, nil, false)
-		}
-		sm.fullResync()
-		return
-	}
-	d := g.TakeDirty()
-	if d.Structural || g.NumVertices() != len(sm.part.Owner) {
-		sm.applyRepartition(d, nil, false)
-	}
-	if d.Overflow {
-		sm.fullResync()
-		return
-	}
-	// Incremental scatter: each mover lands in its owner shard and every
-	// shard ghosting it; only owner shards of movers re-derive their
-	// boxes. Shards just rebuilt by the repartition above were scattered
-	// at build time, so rewriting their entries is redundant but
-	// harmless (same values).
-	part := sm.part
-	gpos := g.Positions()
-	touched := make(map[int32]bool)
-	for _, v := range d.Verts {
-		if int(v) >= len(part.Owner) {
-			continue // created and consumed in the same interval
-		}
-		o := part.Owner[v]
-		part.Parts[o].Mesh.Positions()[part.LocalID[v]] = gpos[v]
-		touched[o] = true
-		for _, ref := range part.ghostRefs[v] {
-			part.Parts[ref.shard].Mesh.Positions()[ref.local] = gpos[v]
-		}
-	}
-	for o := range touched {
-		p := part.Parts[o]
-		p.box = p.ownedBox(p.Mesh.Positions())
-	}
-}
-
-// fullResync is the whole-mesh scatter sweep.
-func (sm *Mesh) fullResync() {
-	global := sm.global.Positions()
-	for _, p := range sm.part.Parts {
-		p.box = p.scatterBox(p.Mesh.Positions(), global)
-	}
-}
+// Resync publishes the global mesh's current positions into every shard
+// sub-mesh and refreshes the shard boxes — Deform with nothing to apply,
+// for simulations that wrote the global positions in place (Router.Step
+// calls it each step; call it manually before building engines over a
+// partition whose global mesh has moved since). Like Deform it
+// re-partitions first when the global mesh was restructured, serializes
+// with router queries through the coherence gate, and advances Epoch by
+// one.
+func (sm *Mesh) Resync() { sm.Deform(func([]geom.Vec3) {}) }
 
 // pendingRestructure reports whether the global mesh was restructured
 // since the partition was (re)built, returning whatever dirty information
@@ -277,11 +207,8 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 		panic(fmt.Sprintf("shard: re-partition after restructuring failed (K=%d, %d -> %d global vertices): %v",
 			sm.part.K, len(sm.part.Owner), sm.global.NumVertices(), err))
 	}
-	for _, s := range st.Touched {
-		if sm.snapshots {
-			np.Parts[s].Mesh.EnableSnapshots()
-		}
-		if sm.dirty {
+	if sm.dirty {
+		for _, s := range st.Touched {
 			np.Parts[s].Mesh.EnableDirtyTracking()
 		}
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -178,50 +179,97 @@ func TestPartitionHilbertContiguity(t *testing.T) {
 }
 
 // TestStopTheWorldMaintenance drives the router exactly like the bench
-// harness does: the simulation deforms the global mesh in place, Step
-// republishes positions into every shard (resync) and refreshes the
-// shard boxes, and queries answer on the moved geometry.
+// harness does, for every engine and shard count: the simulation deforms
+// the global mesh in place, Step publishes the positions into every shard
+// (one epoch per Step), refreshes the shard boxes and brings every shard
+// engine to the head, and queries answer on the moved geometry. A Step
+// that finds the global mesh restructured re-partitions and builds each
+// touched shard's engine exactly once.
 func TestStopTheWorldMaintenance(t *testing.T) {
-	m := buildBoxTet(t, 5, 0.2)
-	r := routerOver(t, m, 4)
-	sm := r.Mesh()
-	if sm.Global() != m {
-		t.Fatal("Global() should return the source mesh")
-	}
-	if sm.K() != 4 {
-		t.Fatalf("K() = %d", sm.K())
-	}
-	if sm.SnapshotsEnabled() {
-		t.Fatal("snapshots should be off by default")
-	}
-	d := &sim.NoiseDeformer{Amplitude: 0.05, Frequency: 2, Seed: 13}
-	cur := r.NewCursor()
-	for step := 0; step < 3; step++ {
-		d.Step(step, m.Positions()) // in place: the paper's update phase
-		r.Step()                    // resync shards + per-shard engine maintenance
-		if sm.Epoch() != 0 {
-			t.Fatalf("stop-the-world mode must keep epoch 0, got %d", sm.Epoch())
+	for _, ec := range engineCases() {
+		for _, k := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/K=%d", ec.name, k), func(t *testing.T) {
+				m := buildBoxTet(t, 5, 0.2)
+				m.EnableRestructuring()
+				sm, err := NewMesh(m, k, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				built := 0
+				r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine {
+					built++
+					return ec.make(sub)
+				})
+				if sm.Global() != m || sm.K() != k || built != k {
+					t.Fatalf("Global() is the source mesh: %v, K() = %d, %d engines built; want true, %d, %d",
+						sm.Global() == m, sm.K(), built, k, k)
+				}
+				var d sim.Deformer = &sim.NoiseDeformer{Amplitude: 0.05, Frequency: 2, Seed: 13}
+				queries := equivQueries
+				if ec.convexOnly {
+					d = &sim.AffineDeformer{
+						Pivot: m.Bounds().Center(), MaxScale: 0.05,
+						MaxRotate: 0.1, MaxShift: 0.05, Seed: 13,
+					}
+					queries = equivCubeQueries
+				}
+				cur := r.NewCursor()
+				defer cur.Close()
+				check := func(label string, seed int64) {
+					t.Helper()
+					for qi, q := range queries(m, seed) {
+						if diff := query.Diff(cur.Query(q, nil), query.BruteForce(m, q)); diff != "" {
+							t.Fatalf("%s query %d: %s", label, qi, diff)
+						}
+					}
+					for pi, p := range equivProbes(m, seed+50) {
+						if got, want := cur.(query.KNNCursor).KNN(p.P, p.K, nil), query.BruteForceKNN(m, p.P, p.K); !equalIDs(got, want) {
+							t.Fatalf("%s kNN %d: got %v want %v", label, pi, got, want)
+						}
+					}
+				}
+				for step := 0; step < 3; step++ {
+					d.Step(step, m.Positions()) // in place: the paper's update phase
+					r.Step()
+					if got, want := sm.Epoch(), uint64(step+1); got != want {
+						t.Fatalf("step %d: shard epoch %d, want %d (one per Step)", step, got, want)
+					}
+					for _, p := range sm.Partition().Parts {
+						if p.Mesh.Epoch() != sm.Epoch() {
+							t.Fatalf("step %d: shard %d at epoch %d, container at %d", step, p.Index, p.Mesh.Epoch(), sm.Epoch())
+						}
+						if p.Box().IsEmpty() {
+							t.Fatal("empty shard box after Step")
+						}
+						if g := p.Ghosts(); k > 1 && g <= 0 {
+							t.Fatalf("shard %d: %d ghosts on a connected mesh at K=%d", p.Index, g, k)
+						}
+					}
+					check(fmt.Sprintf("step %d", step), int64(300+step))
+				}
+
+				// A pending re-partition: Step swaps the partition, publishes
+				// through it and runs each rebuild task once; the next Step
+				// finds the fresh engines at the head.
+				if _, _, err := m.SplitCell(0); err != nil {
+					t.Fatal(err)
+				}
+				r.Step()
+				st := sm.RepartitionStats()
+				if st.Generations != 1 || st.RebuiltShards == 0 || built != k+st.RebuiltShards {
+					t.Fatalf("%d engines built after a re-partitioning Step, want %d + %d rebuilt shards (%+v)",
+						built, k, st.RebuiltShards, st)
+				}
+				check("re-partitioned", 400)
+				d.Step(3, m.Positions())
+				r.Step()
+				if built != k+st.RebuiltShards || sm.RepartitionStats().Generations != 1 {
+					t.Fatalf("a Step with nothing pending built engines: %d, want %d", built, k+st.RebuiltShards)
+				}
+				check("after the rebuild", 401)
+			})
 		}
-		for _, p := range sm.Partition().Parts {
-			if p.Box().IsEmpty() {
-				t.Fatal("empty shard box after resync")
-			}
-			if g := p.Ghosts(); g <= 0 {
-				t.Fatalf("shard %d: %d ghosts on a connected mesh at K=4", p.Index, g)
-			}
-		}
-		for i := 0; i < 6; i++ {
-			q := geom.BoxAround(m.Position(int32(i*29%m.NumVertices())), 0.3)
-			if diff := query.Diff(cur.Query(q, nil), query.BruteForce(m, q)); diff != "" {
-				t.Fatalf("step %d query %d: %s", step, i, diff)
-			}
-			p := m.Position(int32(i * 41 % m.NumVertices()))
-			if got, want := cur.(query.KNNCursor).KNN(p, 7, nil), query.BruteForceKNN(m, p, 7); !equalIDs(got, want) {
-				t.Fatalf("step %d kNN %d: got %v want %v", step, i, got, want)
-			}
-		}
 	}
-	cur.Close()
 }
 
 // TestRestructuringAfterPartitionRepartitions pins the live contract

@@ -59,10 +59,8 @@ func TestIncrementalRepartitionAfterSplitBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// With snapshots enabled Step skips the stop-the-world Resync (Deform
-	// owns maintenance in pipeline mode); resync explicitly, which
-	// re-partitions incrementally, then Step runs the rebuild tasks.
-	sm.Resync()
+	// Step re-partitions incrementally, publishes through the new tables
+	// and runs the rebuild tasks.
 	r.Step()
 
 	if err := sm.Partition().Validate(m); err != nil {
@@ -192,10 +190,10 @@ func TestRebalanceWeighted(t *testing.T) {
 	checkRouterExact(t, "rebalanced", m, r)
 }
 
-// TestResyncIncrementalScatter is the incremental-Resync satellite: when
-// the global mesh publishes its movers through its own Deform, Resync
-// copies only those vertices into their owner and ghost replicas instead
-// of sweeping O(V*K) — and every replica must hold the new position.
+// TestResyncIncrementalScatter: when the global mesh publishes its movers
+// through its own Deform (its front is then the second buffer and its
+// dirty region is pending), Resync must still land every mover in its
+// owner and ghost replicas.
 func TestResyncIncrementalScatter(t *testing.T) {
 	m := buildBoxTet(t, 5, 0.2)
 	sm, err := NewMesh(m, 3, Options{})
@@ -216,8 +214,8 @@ func TestResyncIncrementalScatter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every replica — owner and ghost — of every mover holds the new
-	// position (Validate checks owners; ghosts are the incremental
-	// scatter's easy-to-miss half).
+	// position (Validate checks owners; ghosts are the scatter's
+	// easy-to-miss half).
 	for s, p := range sm.Partition().Parts {
 		pos := p.Mesh.Positions()
 		for l, g := range p.ToGlobal {

@@ -22,8 +22,8 @@ import (
 // maintenance stalls just the queries that need it — on a single mesh it
 // stalls all of them. Router implements maintain.StateProvider, so a
 // Pipeline's scheduler drives the per-shard targets directly (budgeted,
-// priority-ordered, concurrently); the stop-the-world Step below remains
-// as the compatibility shim for the paper's alternating loop.
+// priority-ordered, concurrently); Step below is the paper's alternating
+// loop on the same path — publish, then every target to the head.
 type Router struct {
 	sm      *Mesh
 	factory func(*mesh.Mesh) query.ParallelKNNEngine
@@ -71,8 +71,7 @@ func NewRouter(sm *Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Rout
 // onRepartition is the sharded mesh's partition-swap hook: every rebuilt
 // shard gets a successor executor over its new Part (see Exec.successor).
 // Runs under the same exclusion as the swap itself (the coherence gate's
-// write side, or stop-the-world Resync), so queries never observe a
-// half-swapped router.
+// write side), so queries never observe a half-swapped router.
 func (r *Router) onRepartition(touched []int) {
 	for _, s := range touched {
 		r.execs[s] = r.execs[s].successor(r.sm.part.Parts[s], r.factory)
@@ -180,20 +179,17 @@ func (r *Router) Engines() []query.ParallelKNNEngine {
 // Name implements query.Engine.
 func (r *Router) Name() string { return r.name }
 
-// Step implements query.Engine: the monolithic per-shard maintenance
-// shim. In stop-the-world mode it first re-publishes the global mesh's
-// current positions into every sub-mesh (the paper's update/monitor
-// alternation: the simulation deformed the global mesh in place, queries
-// are not running). Then every shard engine steps under its own target's
-// write lock, discarding any maintenance task the scheduler may have
-// left in flight (the full Step supersedes it). Inside a Pipeline the
-// scheduler drives the per-shard targets itself and never calls Step.
+// Step implements query.Engine, the stop-the-world entry of the paper's
+// update/monitor alternation: the simulation wrote the global mesh in
+// place and no query is running. It publishes the global positions into
+// every sub-mesh (Mesh.Resync: one epoch per Step) and brings every shard
+// target to the head. A caller that published through Mesh.Deform itself
+// drains the targets with a scheduler over MaintainStates instead, as
+// Pipeline.Run does.
 func (r *Router) Step() {
-	if !r.sm.snapshots {
-		r.sm.Resync()
-	}
+	r.sm.Resync()
 	for _, x := range r.execs {
-		x.ts.StepMonolithic()
+		x.ts.ToHead()
 	}
 }
 

@@ -82,8 +82,7 @@ type Part struct {
 
 	// box is the tight AABB over the owned vertices' current positions —
 	// the router's fan-out test. It is refreshed on every deformation
-	// step (inside Mesh.Deform's publish, or Router.Step in
-	// stop-the-world mode).
+	// step, inside Mesh.Deform's publish.
 	box geom.AABB
 }
 

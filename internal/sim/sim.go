@@ -25,10 +25,10 @@ func New(m *mesh.Mesh, d Deformer) *Simulation {
 
 // Step advances the simulation one time step, updating every vertex
 // position, and returns the step index just executed. The update runs
-// through Mesh.Deform: on a plain mesh it mutates positions in place
-// (the legacy stop-the-world loop); on a snapshot-enabled mesh it writes
-// the back buffer and publishes a new epoch, so queries through pinned
-// cursors may run concurrently with the step.
+// through Mesh.Deform: it writes the back buffer and publishes a new
+// epoch, so queries through pinned cursors may run concurrently with the
+// step. A driver that wants the paper's in-place update (no second
+// buffer, no copy) calls Deformer.Step on Mesh.Positions() itself.
 func (s *Simulation) Step() int {
 	step := s.step
 	s.Mesh.Deform(func(pos []geom.Vec3) { s.Deformer.Step(step, pos) })

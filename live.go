@@ -10,12 +10,10 @@ import (
 // Live deform+query pipeline: the facade over internal/query's
 // epoch-pinned concurrent execution (DESIGN.md §9).
 //
-// Enable position snapshots on the mesh (Mesh.EnableSnapshots — Pipeline
-// does it automatically), deform through Mesh.Deform instead of mutating
-// Positions() in place, and queries no longer need to stop the world:
-// each one pins the epoch it executes against, so its result set is
-// exactly brute force at that epoch even while deformation steps publish
-// concurrently.
+// Deform through Mesh.Deform instead of mutating Positions() in place and
+// queries do not need to stop the world: each one pins the epoch it
+// executes against, so its result set is exactly brute force at that
+// epoch even while deformation steps publish concurrently.
 
 // Pipeline runs a writer goroutine stepping the simulation at a
 // configurable tick while a worker pool drains range and kNN queries,

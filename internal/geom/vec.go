@@ -64,14 +64,29 @@ func (v Vec3) Normalize() Vec3 {
 	return v.Scale(1 / l)
 }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w, bit-identical to
+// math.Min per component. The builtin min agrees with math.Min on every
+// non-NaN pair (including min(-0, +0) = -0) and compiles to a few
+// instructions, where math.Min is an assembly call on amd64; it differs
+// only when an operand is NaN — math.Min lets -Inf win over NaN and
+// returns the canonical NaN, the builtin returns NaN as is — so a NaN
+// result takes math.Min's answer instead.
 func (v Vec3) Min(w Vec3) Vec3 {
-	return Vec3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	r := Vec3{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
+	if r != r {
+		return Vec3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	}
+	return r
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w, bit-identical to
+// math.Max per component in the same way as Min (+Inf wins over NaN).
 func (v Vec3) Max(w Vec3) Vec3 {
-	return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	r := Vec3{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
+	if r != r {
+		return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	}
+	return r
 }
 
 // Lerp returns the linear interpolation between v and w at parameter t,

@@ -109,6 +109,40 @@ func TestVecMinMax(t *testing.T) {
 	}
 }
 
+// TestVecMinMaxBitsMatchMath pins Vec3.Min/Max to math.Min/math.Max bit
+// for bit in each component: NaN in either argument (canonical, another
+// payload, and against the infinity math.Min/Max let win over it), both
+// zero signs in both orders, and the infinities EmptyBox is made of. A
+// comparison kernel (a < b ? a : b) fails the NaN and signed-zero rows;
+// the bare builtin min/max fails the NaN-against-infinity and payload
+// rows.
+func TestVecMinMaxBitsMatchMath(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	odd := math.Float64frombits(0x7ff4000000000123) // a non-canonical NaN
+	negZero := math.Copysign(0, -1)
+	pairs := [][2]float64{
+		{nan, 1}, {1, nan}, {nan, nan}, {odd, 1}, {1, odd}, {odd, nan},
+		{nan, -inf}, {-inf, nan}, {nan, inf}, {inf, nan}, {odd, -inf}, {inf, odd},
+		{negZero, 0}, {0, negZero}, {negZero, negZero},
+		{inf, -inf}, {-inf, inf}, {inf, 3}, {-inf, 3}, {3, inf}, {3, -inf},
+		{1, 2}, {2, 1}, {-1.5, 1.5}, {math.MaxFloat64, math.SmallestNonzeroFloat64},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		for axis := 0; axis < 3; axis++ {
+			v, w := [3]float64{7, 7, 7}, [3]float64{7, 7, 7}
+			v[axis], w[axis] = a, b
+			if got, want := V(v[0], v[1], v[2]).Min(V(w[0], w[1], w[2])).Component(axis), math.Min(a, b); !same(got, want) {
+				t.Errorf("Min(%v, %v) axis %d = %x, math.Min = %x", a, b, axis, math.Float64bits(got), math.Float64bits(want))
+			}
+			if got, want := V(v[0], v[1], v[2]).Max(V(w[0], w[1], w[2])).Component(axis), math.Max(a, b); !same(got, want) {
+				t.Errorf("Max(%v, %v) axis %d = %x, math.Max = %x", a, b, axis, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestVecLerp(t *testing.T) {
 	a, b := V(0, 0, 0), V(10, -10, 20)
 	if got := a.Lerp(b, 0); got != a {

@@ -1,6 +1,9 @@
 package mesh
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"octopus/internal/geom"
@@ -158,6 +161,111 @@ func TestDirtyTrackingStructural(t *testing.T) {
 	d = m.TakeDirty()
 	if !d.Structural || len(d.Cells) != 1 || d.Cells[0] != 1 {
 		t.Fatalf("DeleteCell region = %+v, want structural with cells [1]", d)
+	}
+}
+
+// recordDeformDirtyOracle is the loop recordDeformDirty replaced, kept as
+// its oracle: AABB.Extend by the old then the new position of every
+// mover, straight into the accumulator.
+func recordDeformDirtyOracle(d *DirtyRegion, mark []uint32, stamp uint32, cap int, old, now []geom.Vec3) {
+	for i := range now {
+		if old[i] == now[i] {
+			continue
+		}
+		d.Box = d.Box.Extend(old[i]).Extend(now[i])
+		if d.Overflow || mark[i] == stamp {
+			continue
+		}
+		mark[i] = stamp
+		if len(d.Verts) >= cap {
+			d.Overflow = true
+			d.Verts = nil
+			continue
+		}
+		d.Verts = append(d.Verts, int32(i))
+	}
+}
+
+// TestRecordDeformDirtyMatchesExtendLoop replays a sequence of steps —
+// a few movers, a step that crosses dirtyCap, a step where nothing moved,
+// and steps through signed zeros, infinities and NaN — and after each
+// one requires the same Box (bit for bit), Verts, Overflow and mark
+// array as the oracle loop run on a snapshot of the state before it.
+func TestRecordDeformDirtyMatchesExtendLoop(t *testing.T) {
+	const n = 300
+	b := NewBuilder(n, n)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		b.AddVertex(geom.V(r.Float64(), r.Float64(), r.Float64()))
+	}
+	for i := 0; i+3 < n; i++ {
+		b.AddTet(int32(i), int32(i+1), int32(i+2), int32(i+3))
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableDirtyTracking()
+	bits := func(b geom.AABB) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(b.Min.X), math.Float64bits(b.Min.Y), math.Float64bits(b.Min.Z),
+			math.Float64bits(b.Max.X), math.Float64bits(b.Max.Y), math.Float64bits(b.Max.Z),
+		}
+	}
+	moveSome := func(k int) func([]geom.Vec3) {
+		return func(pos []geom.Vec3) {
+			for _, i := range r.Perm(n)[:k] {
+				pos[i] = pos[i].Add(geom.V(r.NormFloat64(), r.NormFloat64(), r.NormFloat64()))
+			}
+		}
+	}
+	nz, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	still := func([]geom.Vec3) {}
+	steps := []struct {
+		name     string
+		fn       func([]geom.Vec3)
+		take     bool // consume the region after the step
+		empty    bool // Box must still be EmptyBox
+		overflow bool // the step must overflow the cap
+	}{
+		{name: "nothing moved on a fresh region", fn: still, empty: true},
+		{name: "few movers", fn: moveSome(10)},
+		{name: "crosses dirtyCap", fn: moveSome(m.dirtyCap), take: true, overflow: true},
+		{name: "nothing moved after a take", fn: still, empty: true},
+		{name: "signed zeros", fn: func(pos []geom.Vec3) { pos[3], pos[4] = geom.V(nz, 0, nz), geom.V(0, nz, 0) }},
+		{name: "-0 to +0 is no move", fn: func(pos []geom.Vec3) { pos[3] = geom.V(0, nz, 0) }},
+		{name: "infinities", fn: func(pos []geom.Vec3) { pos[5], pos[6] = geom.V(-inf, 1, inf), geom.V(inf, -inf, 2) }, take: true},
+		{name: "NaN beside the infinities", fn: func(pos []geom.Vec3) { pos[7], pos[9] = geom.V(nan, nan, nan), geom.V(-inf, inf, 0) }},
+		{name: "NaN never equals itself", fn: still, take: true},
+		{name: "NaN payload", fn: func(pos []geom.Vec3) { pos[8] = geom.V(1, math.Float64frombits(0x7ff4000000000123), 1) }},
+	}
+	for _, s := range steps {
+		want := m.dirty
+		want.Verts = append([]int32(nil), m.dirty.Verts...)
+		mark := append([]uint32(nil), m.dirtyMark...)
+		old := append([]geom.Vec3(nil), m.Positions()...)
+		m.Deform(s.fn)
+		recordDeformDirtyOracle(&want, mark, m.dirtyStamp, m.dirtyCap, old, m.Positions())
+
+		got := m.dirty
+		if bits(got.Box) != bits(want.Box) {
+			t.Fatalf("%s: Box %x, oracle %x", s.name, bits(got.Box), bits(want.Box))
+		}
+		if got.Overflow != want.Overflow || (got.Verts == nil) != (want.Verts == nil) || !slices.Equal(got.Verts, want.Verts) {
+			t.Fatalf("%s: Verts %v overflow %v, oracle %v overflow %v", s.name, got.Verts, got.Overflow, want.Verts, want.Overflow)
+		}
+		if !slices.Equal(m.dirtyMark, mark) {
+			t.Fatalf("%s: mark array diverged from the oracle's", s.name)
+		}
+		if s.overflow && !got.Overflow {
+			t.Fatalf("%s: %d movers past cap %d did not overflow", s.name, len(got.Verts), m.dirtyCap)
+		}
+		if s.empty && bits(got.Box) != bits(geom.EmptyBox()) {
+			t.Fatalf("%s: Box %v, want EmptyBox", s.name, got.Box)
+		}
+		if s.take {
+			m.TakeDirty()
+		}
 	}
 }
 

@@ -19,27 +19,36 @@ import (
 // Cross-shard snapshot coherence: a multi-shard query must not observe
 // shard A at step e and shard B at step e+1 — that would be the torn read
 // the position epochs eliminated, reintroduced at shard granularity.
-// Deform therefore takes the write side of an RW gate that every router
-// query holds for reading: deformation still overlaps queries on the
-// single-mesh path's terms (queries never block each other, a step waits
-// only for the queries already in flight), and every query fans out over
-// one consistent global step. Index maintenance is NOT under this gate —
-// it runs under each shard's own target lock (the scheduler's slices, or
+// Deform therefore publishes under the write side of an RW gate that
+// every router query holds for reading, so every query fans out over one
+// consistent global step. The gate covers only what queries can observe —
+// the partition swap, the scatter into the K sub-meshes (with each
+// shard's dirty diff, when tracking is on) and the epoch bump, ≈ 20 ns
+// per local position with every vertex moving — and not the caller's fn,
+// which writes the global array under a writer mutex while queries keep
+// running: no query reads the global array. A query waits for at most
+// one scatter (plus the queries already in flight ahead of it); queries
+// never block each other. Index maintenance is NOT under this gate — it
+// runs under each shard's own target lock (the scheduler's slices, or
 // Router.Step once its publish is done), which is the point of sharding:
 // one shard's rebuild blocks only the queries that need that shard.
 //
 // The partition is live (DESIGN.md §13): restructuring the global mesh
 // after partitioning no longer panics. Deform and Resync detect pending
 // structural dirt (or, with dirty tracking off, a grown vertex count) and
-// re-partition incrementally under the same write gate before publishing,
-// so the remap tables and the K sub-meshes swap atomically with respect
-// to queries and no query ever observes mixed partition generations.
+// re-partition incrementally inside the gate before the scatter, so the
+// remap tables and the K sub-meshes swap atomically with respect to
+// queries and no query ever observes mixed partition generations.
 type Mesh struct {
 	global *mesh.Mesh
 	part   *Partition
 
-	// deformMu is the cross-shard coherence gate: Deform (and partition
-	// swaps) write, router queries read.
+	// writeMu serializes the writers, Deform and Rebalance: it alone
+	// covers Deform's fn, which writes the global array no query reads.
+	writeMu sync.Mutex
+	// deformMu is the cross-shard coherence gate: a writer holds it for
+	// the partition swap, the scatter into the sub-meshes and the epoch
+	// bump; router queries read.
 	deformMu sync.RWMutex
 
 	// epoch counts published global deformation steps; after each step
@@ -144,22 +153,27 @@ func (sm *Mesh) Epoch() uint64 { return sm.epoch.Load() }
 // published into every shard sub-mesh along with refreshed owned-vertex
 // bounding boxes. Each shard publishes through its own double-buffered
 // store, one epoch per global step; router queries in flight keep reading
-// the step they pinned. Deforms serialize with each other and with router
-// queries through the coherence gate.
+// the step they pinned. fn runs under the writer mutex only (no query
+// reads the global array — router legs read sub-mesh buffers), so queries
+// keep running while it computes; the gate covers re-partition + scatter
+// + publish.
 //
 // If the global mesh was restructured since the last publish, Deform
-// first re-partitions under the same write gate — the sub-meshes and
-// remap tables swap atomically, then the scatter below publishes the new
-// positions through the new tables, so fn always sees the full (grown)
-// vertex array and queries never mix partition generations.
+// re-partitions inside the gate, before the scatter — the sub-meshes and
+// remap tables swap atomically, then the scatter publishes the new
+// positions through the new tables, so queries never mix partition
+// generations. fn always sees the full (grown) vertex array: restructuring
+// grows the global mesh itself, not the partition.
 func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
+	sm.writeMu.Lock()
+	defer sm.writeMu.Unlock()
+	global := sm.global.Positions()
+	fn(global)
 	sm.deformMu.Lock()
 	defer sm.deformMu.Unlock()
 	if d, pending := sm.pendingRestructure(); pending {
 		sm.applyRepartition(d, nil, false)
 	}
-	global := sm.global.Positions()
-	fn(global)
 	for _, p := range sm.part.Parts {
 		var b geom.AABB
 		// The scatter rewrites every local position, so the publish can
@@ -199,8 +213,8 @@ func (sm *Mesh) pendingRestructure() (mesh.DirtyRegion, bool) {
 }
 
 // applyRepartition swaps in the partition derived by Apply and notifies
-// the router. The caller must hold deformMu (or otherwise exclude
-// queries and deformation).
+// the router. The caller must hold writeMu and deformMu (or otherwise
+// exclude queries and deformation).
 func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure bool) ApplyStats {
 	np, st, err := sm.part.Apply(sm.global, d, weights)
 	if err != nil {
@@ -235,9 +249,12 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 // Rebalance re-partitions now with the given target owned-count shares
 // (nil keeps the current ones), folding in any pending structural dirt.
 // The pressure-driven balancer calls it when one shard's query pressure
-// dominates; it serializes with queries and Deform through the coherence
-// gate. It reports whether any cut point moved.
+// dominates; it serializes with Deform through the writer mutex and with
+// queries through the coherence gate. It reports whether any cut point
+// moved.
 func (sm *Mesh) Rebalance(weights []float64) bool {
+	sm.writeMu.Lock()
+	defer sm.writeMu.Unlock()
 	sm.deformMu.Lock()
 	defer sm.deformMu.Unlock()
 	var d mesh.DirtyRegion

@@ -96,25 +96,63 @@ func (p *Part) Ghosts() int { return len(p.ToGlobal) - p.NumOwned }
 
 // ownedBox recomputes the tight AABB over owned vertices from pos, which
 // must be indexed by local id.
+//
+// This and scatterBox fold the box in two Vec3 corners started at
+// EmptyBox's (+Inf, -Inf) with the builtin min/max, instead of chaining
+// AABB.Extend: no IsEmpty re-test, no 48-byte box through memory and no
+// call per vertex. The result is bit-equal to the Extend fold — the first
+// point lands as {p, p}, an empty owned set stays EmptyBox — for every
+// NaN-free position; exactBox redoes a NaN result with Extend.
 func (p *Part) ownedBox(pos []geom.Vec3) geom.AABB {
-	b := geom.EmptyBox()
+	e := geom.EmptyBox()
+	lo, hi := e.Min, e.Max
+	pos = pos[:len(p.Owned)]
 	for l, own := range p.Owned {
 		if own {
-			b = b.Extend(pos[l])
+			lo, hi = grow(lo, hi, pos[l])
 		}
 	}
-	return b
+	return p.exactBox(lo, hi, pos)
 }
 
 // scatterBox copies the owned and ghost vertex positions from the
 // global position array into dst (indexed by local id) and returns the
 // tight box over the owned ones — one fused pass, the per-step publish.
 func (p *Part) scatterBox(dst []geom.Vec3, global []geom.Vec3) geom.AABB {
-	b := geom.EmptyBox()
+	e := geom.EmptyBox()
+	lo, hi := e.Min, e.Max
+	dst = dst[:len(p.ToGlobal)]
+	owned := p.Owned[:len(p.ToGlobal)]
 	for l, g := range p.ToGlobal {
-		dst[l] = global[g]
-		if p.Owned[l] {
-			b = b.Extend(dst[l])
+		v := global[g]
+		dst[l] = v
+		if owned[l] {
+			lo, hi = grow(lo, hi, v)
+		}
+	}
+	return p.exactBox(lo, hi, dst)
+}
+
+// grow folds v into the box corners lo, hi with the builtin min/max,
+// which inline where AABB.Extend's math.Min/Max calls do not.
+func grow(lo, hi, v geom.Vec3) (geom.Vec3, geom.Vec3) {
+	return geom.Vec3{X: min(lo.X, v.X), Y: min(lo.Y, v.Y), Z: min(lo.Z, v.Z)},
+		geom.Vec3{X: max(hi.X, v.X), Y: max(hi.Y, v.Y), Z: max(hi.Z, v.Z)}
+}
+
+// exactBox returns the box grow folded over the owned positions of pos,
+// unless it holds a NaN: then some owned position did, and the builtins
+// and math.Min/Max part ways (math lets an infinity beat NaN and
+// canonicalizes it), so the Extend fold is redone.
+func (p *Part) exactBox(lo, hi geom.Vec3, pos []geom.Vec3) geom.AABB {
+	b := geom.AABB{Min: lo, Max: hi}
+	if b == b {
+		return b
+	}
+	b = geom.EmptyBox()
+	for l, own := range p.Owned {
+		if own {
+			b = b.Extend(pos[l])
 		}
 	}
 	return b

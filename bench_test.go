@@ -9,6 +9,8 @@ package octopus_test
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"octopus"
@@ -59,11 +61,11 @@ func BenchmarkFig14AnimationDatasets(b *testing.B)      { runExperiment(b, "fig1
 func BenchmarkFig15AnimationSpeedup(b *testing.B)       { runExperiment(b, "fig15") }
 
 // BenchmarkParallelScaling measures ExecuteBatch throughput against worker
-// count on the parallel-scaling reference workload (NeuroL3, 0.1%
-// selectivity): per worker count, one iteration executes the whole batch.
-// The per-op time of workers=N vs workers=1 is the scaling headline; the
-// "parallel" experiment driver prints the same sweep as a table with
-// built-in serial-equivalence checks.
+// count on the reference workload (NeuroL3, 0.1% selectivity): per worker
+// count, one iteration executes the whole batch. The per-op time of
+// workers=N vs workers=1 is the scaling headline. That a batch's results
+// equal serial execution is checked by the race-enabled batch-vs-brute-force
+// tests (parallel_test.go), not here.
 func BenchmarkParallelScaling(b *testing.B) {
 	m, err := meshgen.BuildCached(meshgen.NeuroL3, 1)
 	if err != nil {
@@ -73,7 +75,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 	queries := gen.UniformQueries(256, 0.001)
 	eng := octopus.New(m)
 
-	for _, workers := range bench.WorkerCounts() {
+	for _, workers := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -82,6 +84,18 @@ func BenchmarkParallelScaling(b *testing.B) {
 			b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})
 	}
+}
+
+// workerCounts returns the deduplicated, ascending worker counts
+// BenchmarkParallelScaling sweeps: 1, 2, 4 and GOMAXPROCS.
+func workerCounts() []int {
+	set := map[int]bool{1: true, 2: true, 4: true, runtime.GOMAXPROCS(0): true}
+	counts := make([]int, 0, len(set))
+	for w := range set {
+		counts = append(counts, w)
+	}
+	sort.Ints(counts)
+	return counts
 }
 
 // Micro-benchmarks: single-query costs on the reference dataset, the raw

@@ -58,8 +58,8 @@
 // A single query stays on the goroutine that issued it — parallelism is
 // between queries, one cursor each — and the crawl engines answer it in
 // one deterministic order per cursor. They accept a per-query CrawlBudget
-// (SetCrawlBudget): a budgeted crawl stops at an expansion count or wall
-// deadline, keeps everything discovered so far, and reports its coverage
+// (SetCrawlBudget): a budgeted crawl stops at an expansion count, keeps
+// everything discovered so far, and reports its coverage
 // (visited fraction, kNN bound gap) through each QueryTrace — a real
 // latency/recall dial. The setter mutates engine state and must not run
 // concurrently with queries.

@@ -78,7 +78,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 27 {
+	if len(exps) != 26 {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}

@@ -40,7 +40,6 @@ func Experiments() []Experiment {
 		{"knn", "extension: k-nearest-neighbor queries by mesh crawling vs index baselines (DESIGN.md §8)", KNN},
 		{"live", "extension: concurrent deform+query pipeline — latency and staleness vs deformation tick (DESIGN.md §9)", Live},
 		{"maintain", "extension: incremental maintenance — budget sweep vs p99 latency and staleness, all engines x sharded/unsharded (DESIGN.md §11)", Maintain},
-		{"parallel", "extension: batched query throughput vs worker count (cursor-parallel execution)", ParallelScaling},
 		{"repartition", "extension: live incremental re-partitioning — migration volume under restructuring storms and pressure-driven shard balancing (DESIGN.md §13)", Repartition},
 		{"sharded", "extension: Hilbert-partitioned shards — response time, fan-out and live staleness vs shard count (DESIGN.md §10)", Sharded},
 		{"slo", "extension: SLO-driven serving — adaptive controller, result cache drill and actuator ladder (DESIGN.md §14)", SLO},

@@ -158,11 +158,7 @@ func sloCacheTable(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	m.EnableDirtyTracking()
-	eng := core.New(m)
-	cur, ok := eng.NewCursor().(*core.Cursor)
-	if !ok {
-		return nil, fmt.Errorf("slo-cache: core cursor type")
-	}
+	cur := core.New(m).NewCursor()
 
 	gen := workload.NewGenerator(m, 4096, cfg.Seed)
 	nRange := cfg.Steps * cfg.QueriesPerStep
@@ -211,13 +207,13 @@ func sloCacheTable(cfg Config) (*Table, error) {
 				// The claimed epoch must be the head (Advance just
 				// validated every surviving entry through it), and the
 				// result must be bit-equal to fresh execution.
-				fresh := eng.Query(q, nil)
+				fresh := cur.Query(q, nil)
 				if epoch != head || !sameIDs(res, fresh) {
 					stats.rangeMismatch++
 				}
 				continue
 			}
-			cache.PutRange(q, eng.Query(q, nil), head)
+			cache.KeepRange(q, cur, cur.Query(q, nil))
 		}
 		for _, p := range probes {
 			stats.knnLookups++
@@ -229,10 +225,7 @@ func sloCacheTable(cfg Config) (*Table, error) {
 				}
 				continue
 			}
-			res := cur.KNN(p.P, p.K, nil)
-			if ball2, ok := cur.LastKNNBound2(); ok {
-				cache.PutKNN(p.P, p.K, res, head, ball2)
-			}
+			cache.KeepKNN(p.P, p.K, cur, cur.KNN(p.P, p.K, nil))
 		}
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
@@ -45,7 +44,6 @@ type crawler struct {
 	// the query (range crawl, or one kNN crawl per component); cov
 	// accumulates the coverage report.
 	budLimit int64
-	deadline time.Time
 	expanded int64
 	cov      query.CrawlCoverage
 
@@ -54,44 +52,19 @@ type crawler struct {
 	walkVisited  int64 // vertices accessed by directed walks and their fallback scans
 }
 
-// budgetStride is how many expansions pass between wall-clock budget
-// checks — the crawl's analog of the maintenance scheduler's slice
-// stride (checking time.Now per vertex would dominate the crawl).
-const budgetStride = 64
-
 // armCrawl installs one query's crawl budget, resetting the budget
 // accounting and the coverage report. Engines call it at query start,
 // before any crawl phase runs.
 func (c *crawler) armCrawl(b query.CrawlBudget) {
 	c.budLimit = b.MaxVisited
-	if b.Wall > 0 {
-		c.deadline = time.Now().Add(b.Wall)
-	} else {
-		c.deadline = time.Time{}
-	}
-	c.resetCoverage()
-}
-
-// resetCoverage zeroes the per-query coverage accounting without changing
-// the budget — used by query paths that bypass the crawl entirely (the
-// hybrid's scan route), so LastCoverage never reports a stale truncation.
-func (c *crawler) resetCoverage() {
 	c.expanded = 0
 	c.cov = query.CrawlCoverage{}
 }
 
-// overBudget reports whether the query's crawl budget has run out: the
-// expansion limit is checked before every expansion, the wall clock every
-// budgetStride expansions, never per vertex.
+// overBudget reports whether the query's crawl budget has run out; it is
+// checked before every expansion.
 func (c *crawler) overBudget() bool {
-	return c.budLimit > 0 && c.expanded >= c.budLimit ||
-		c.expanded&(budgetStride-1) == 0 && c.wallExpired()
-}
-
-// wallExpired is a function of its own so that overBudget stays small
-// enough to inline into the crawl loops.
-func (c *crawler) wallExpired() bool {
-	return !c.deadline.IsZero() && time.Now().After(c.deadline)
+	return c.budLimit > 0 && c.expanded >= c.budLimit
 }
 
 // bumpMarks prepares the mark array for a fresh crawl: sized to the mesh

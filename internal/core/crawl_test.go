@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
@@ -218,8 +217,7 @@ func TestParallelCrawlBudgetRange(t *testing.T) {
 }
 
 // TestParallelCrawlBudgetKNN checks the kNN coverage report: a truncated
-// crawl reports a bound gap in [0,1] and keeps the best candidates found,
-// and a wall budget truncates too.
+// crawl reports a bound gap in [0,1] and keeps the best candidates found.
 func TestParallelCrawlBudgetKNN(t *testing.T) {
 	m := buildBox(t, 10)
 	o := New(m)
@@ -255,11 +253,6 @@ func TestParallelCrawlBudgetKNN(t *testing.T) {
 		t.Fatal("zero recall under budget")
 	}
 
-	o.SetCrawlBudget(query.CrawlBudget{Wall: time.Nanosecond})
-	o.KNN(p, k, nil)
-	if !o.resident.LastCoverage().Truncated {
-		t.Fatal("1ns wall budget did not truncate")
-	}
 	o.SetCrawlBudget(query.CrawlBudget{})
 	back := o.KNN(p, k, nil)
 	for i := range exact {
@@ -351,8 +344,8 @@ func TestParallelCrawlTwoComponents(t *testing.T) {
 }
 
 // TestParallelCrawlHybridCoverageReset checks that a scan-routed hybrid
-// query clears the previous crawl's coverage — the stale-truncation trap
-// the hybrid's scan route must not fall into.
+// query does not report the previous crawl's coverage — the
+// stale-truncation trap the hybrid's scan route must not fall into.
 func TestParallelCrawlHybridCoverageReset(t *testing.T) {
 	m := buildBox(t, 8)
 	h := NewHybrid(m, 0, Constants{CS: 1, CR: 4})
@@ -375,12 +368,12 @@ func TestParallelCrawlHybridCoverageReset(t *testing.T) {
 	// Same trap on the resident-cursor path.
 	h.breakEven = 2
 	h.Query(q, nil)
-	if !h.oct.resident.LastCoverage().Truncated {
+	if !h.resident.LastCoverage().Truncated {
 		t.Fatal("resident budgeted crawl did not truncate")
 	}
 	h.breakEven = 0
 	h.Query(q, nil)
-	if cov := h.oct.resident.LastCoverage(); cov.Truncated || cov.Frontier != 0 {
+	if cov := h.resident.LastCoverage(); cov.Truncated || cov.Frontier != 0 {
 		t.Fatalf("resident scan-routed query reports stale coverage %+v", cov)
 	}
 }

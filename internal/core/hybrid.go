@@ -5,7 +5,6 @@ import (
 
 	"octopus/internal/geom"
 	"octopus/internal/histogram"
-	"octopus/internal/linearscan"
 	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 	"octopus/internal/query"
@@ -26,9 +25,9 @@ import (
 // All routing inputs (histogram, threshold) are immutable and the routing
 // counters are atomic, so Hybrid inherits the cursor-based concurrency of
 // its OCTOPUS side: queries through distinct cursors may run concurrently.
+// The scan side is query.ScanCursor, the linear scan's own cursor.
 type Hybrid struct {
 	oct  *Octopus
-	scan *linearscan.Scan
 	hist *histogram.Histogram
 
 	breakEven float64
@@ -49,11 +48,10 @@ func NewHybrid(m *mesh.Mesh, histCells int, consts Constants) *Hybrid {
 	S := float64(oct.SurfaceSize()) / float64(max(1, m.NumVertices()))
 	h := &Hybrid{
 		oct:       oct,
-		scan:      linearscan.New(m),
 		hist:      histogram.Build(m.Positions(), m.Bounds(), histCells),
 		breakEven: BreakEvenSelectivity(S, m.AvgDegree(), consts),
 	}
-	h.resident = hybridCursor{h: h, oct: oct.resident}
+	h.resident = hybridCursor{h: h, oct: oct.resident, scan: query.NewScanCursor(m)}
 	return h
 }
 
@@ -106,44 +104,55 @@ func (h *Hybrid) Query(q geom.AABB, out []int32) []int32 {
 	return h.resident.Query(q, out)
 }
 
-// hybridCursor routes each query and runs the OCTOPUS side on its own
-// core cursor (the scan side is stateless).
+// hybridCursor routes each query to one of its two inner cursors — a core
+// cursor for the OCTOPUS side, a scan cursor for the scan side — and
+// reports whichever answered last.
 type hybridCursor struct {
-	h   *Hybrid
-	oct *Cursor
+	h       *Hybrid
+	oct     *Cursor
+	scan    *query.ScanCursor
+	scanned bool // the most recent query was scan-routed
 }
 
 // NewCursor implements query.ParallelEngine.
 func (h *Hybrid) NewCursor() query.Cursor {
-	return &hybridCursor{h: h, oct: newCursor(h.oct, h.oct.m)}
+	return &hybridCursor{h: h, oct: newCursor(h.oct, h.oct.m), scan: query.NewScanCursor(h.oct.m)}
 }
 
-// Query implements query.Cursor. Scan-routed queries run against the same
-// epoch-pinned snapshot an OCTOPUS-routed query would use, so a hybrid
-// batch stays consistent no matter how each query is routed.
+// Query implements query.Cursor. Both sides pin the head epoch per query,
+// so a hybrid batch stays consistent no matter how each query is routed.
 func (c *hybridCursor) Query(q geom.AABB, out []int32) []int32 {
-	if c.h.route(q) {
-		c.oct.resetCoverage() // scans are exact
-		pos := c.oct.beginQuery(c.h.oct.m)
-		out = c.h.scan.QueryAt(pos, q, out)
-		c.oct.endQuery(c.h.oct.m)
-		return out
+	if c.scanned = c.h.route(q); c.scanned {
+		return c.scan.Query(q, out)
 	}
 	return c.h.oct.queryWith(c.oct, q, out)
 }
 
 // LastEpoch implements query.PinnedCursor.
-func (c *hybridCursor) LastEpoch() uint64 { return c.oct.LastEpoch() }
+func (c *hybridCursor) LastEpoch() uint64 {
+	if c.scanned {
+		return c.scan.LastEpoch()
+	}
+	return c.oct.LastEpoch()
+}
 
-// LastKNNBound2 implements query.KNNBoundReporter: both routes record the
-// ball on the inner OCTOPUS cursor (the scan route computes it from the
-// pinned positions, the crawl route from the candidate heap).
-func (c *hybridCursor) LastKNNBound2() (float64, bool) { return c.oct.LastKNNBound2() }
+// LastKNNBound2 implements query.KNNBoundReporter: the ball of whichever
+// side answered.
+func (c *hybridCursor) LastKNNBound2() (float64, bool) {
+	if c.scanned {
+		return c.scan.LastKNNBound2()
+	}
+	return c.oct.LastKNNBound2()
+}
 
 // LastCoverage implements query.CoverageReporter: scan-routed queries are
-// always exact (the inner cursor's coverage is reset on that route), so
-// the report is meaningful whichever side answered.
-func (c *hybridCursor) LastCoverage() query.CrawlCoverage { return c.oct.LastCoverage() }
+// always exact.
+func (c *hybridCursor) LastCoverage() query.CrawlCoverage {
+	if c.scanned {
+		return query.CrawlCoverage{}
+	}
+	return c.oct.LastCoverage()
+}
 
 // Close implements query.Cursor.
 func (c *hybridCursor) Close() { c.oct.Close() }

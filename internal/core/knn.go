@@ -211,21 +211,11 @@ func (h *Hybrid) routeKNN(k int) (useScan bool) {
 	return false
 }
 
-// KNN implements query.KNNCursor for the hybrid's cursor. Like range
-// queries, scan-routed probes execute against the cursor's epoch-pinned
-// snapshot.
+// KNN implements query.KNNCursor for the hybrid's cursor, routed like
+// Query.
 func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	if c.h.routeKNN(k) {
-		c.oct.resetCoverage() // scans are exact
-		pos := c.oct.beginQuery(c.h.oct.m)
-		base := len(out)
-		out = c.h.scan.KNNAt(pos, p, k, out)
-		c.oct.knnBound2, c.oct.knnBoundOK = math.Inf(1), true
-		if res := out[base:]; k > 0 && len(res) >= k {
-			c.oct.knnBound2 = pos[res[k-1]].Dist2(p)
-		}
-		c.oct.endQuery(c.h.oct.m)
-		return out
+	if c.scanned = c.h.routeKNN(k); c.scanned {
+		return c.scan.KNN(p, k, out)
 	}
 	return c.h.oct.knnWith(c.oct, p, k, out)
 }

@@ -117,4 +117,4 @@ func (e *LUEngine) MemoryFootprint() int64 {
 // NewCursor implements query.ParallelEngine. All mutation happens in
 // Step (cell relocation); Query only reads the grid and the shadow
 // positions, so the engine is stateless at query time.
-func (e *LUEngine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e, Mesh: e.m} }
+func (e *LUEngine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e} }

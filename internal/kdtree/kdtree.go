@@ -353,4 +353,4 @@ func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(l
 // NewCursor implements query.ParallelEngine. The tree is rebuilt only in
 // Step; Query is a read-only traversal, so the engine is stateless at
 // query time.
-func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e, Mesh: e.m} }
+func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e} }

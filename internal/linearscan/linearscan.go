@@ -2,6 +2,11 @@
 // vertex array per query. It needs no auxiliary structures and no
 // maintenance, but its query cost is Θ(V) — Equation 4 of the analytical
 // model — which is exactly the scaling problem OCTOPUS removes.
+//
+// The scan itself lives in internal/query (ScanPositions,
+// ScanKNNPositions), and so does its cursor: NewCursor returns a
+// query.ScanCursor, the one pinned scan the hybrid's scan route and the
+// pipeline's mid-maintenance fallback also answer through.
 package linearscan
 
 import (
@@ -33,43 +38,19 @@ func (s *Scan) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
 // Query implements query.Engine.
 func (s *Scan) Query(q geom.AABB, out []int32) []int32 {
-	return s.QueryAt(s.m.Positions(), q, out)
-}
-
-// QueryAt implements query.SnapshotEngine: the scan over an explicit
-// position snapshot, which is how epoch-pinned cursors execute it while
-// the mesh deforms concurrently.
-func (s *Scan) QueryAt(pos []geom.Vec3, q geom.AABB, out []int32) []int32 {
-	for i, p := range pos {
-		if q.Contains(p) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return query.ScanPositions(s.m.Positions(), q, out)
 }
 
 // KNN implements query.KNNEngine: one pass over the position array with a
 // bounded selection heap — Θ(V + k log k), the kNN analog of Equation 4's
 // scan cost, and the yardstick every kNN strategy is compared against.
 func (s *Scan) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	return s.KNNAt(s.m.Positions(), p, k, out)
-}
-
-// KNNAt implements query.SnapshotKNNEngine: KNN over an explicit position
-// snapshot.
-func (s *Scan) KNNAt(pos []geom.Vec3, p geom.Vec3, k int, out []int32) []int32 {
-	var b query.KBest
-	b.Reset(k)
-	for i, q := range pos {
-		b.Offer(q.Dist2(p), int32(i))
-	}
-	return b.AppendSorted(out)
+	return query.ScanKNNPositions(s.m.Positions(), p, k, out)
 }
 
 // MemoryFootprint implements query.Engine; the scan stores nothing.
 func (s *Scan) MemoryFootprint() int64 { return 0 }
 
-// NewCursor implements query.ParallelEngine. The scan carries no
-// query-time scratch — Query only reads the position array — so the
-// cursor is the engine plus the epoch-pinning bookkeeping.
-func (s *Scan) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: s, Mesh: s.m} }
+// NewCursor implements query.ParallelEngine: the scan carries no
+// query-time scratch, so its cursor is the pinned scan itself.
+func (s *Scan) NewCursor() query.Cursor { return query.NewScanCursor(s.m) }

@@ -153,4 +153,4 @@ func (e *Engine) MaintenanceCounts() (lazy, reinserts int64) {
 // move only in Step; Query is a read-only R-tree traversal (stack-local
 // recursion, no shared scratch), so the engine is stateless at query
 // time.
-func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e, Mesh: e.m} }
+func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e} }

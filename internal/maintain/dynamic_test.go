@@ -137,7 +137,7 @@ func TestRebuildStateBuildsUnderTick(t *testing.T) {
 	}
 	ts.EndQuery()
 
-	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond, Concurrency: 1})
+	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond})
 	s.Tick()
 	if built != 1 {
 		t.Fatalf("built %d times, want 1", built)

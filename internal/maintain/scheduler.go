@@ -19,10 +19,6 @@ type Options struct {
 	// StepTasks (engines without Incremental) cannot be sliced and may
 	// overshoot.
 	Budget time.Duration
-	// Concurrency bounds how many targets run slices in parallel within
-	// one tick; <= 0 uses GOMAXPROCS. A single-engine pipeline has one
-	// target; the sharded router has one per shard.
-	Concurrency int
 }
 
 // Scheduler drives budgeted, pressure-aware maintenance over a set of
@@ -198,13 +194,9 @@ func (s *Scheduler) Tick() {
 	if s.opt.Budget > 0 {
 		deadline = time.Now().Add(s.opt.Budget)
 	}
-	conc := s.opt.Concurrency
-	if conc <= 0 {
-		conc = runtime.GOMAXPROCS(0)
-	}
-	if conc > len(work) {
-		conc = len(work)
-	}
+	// Up to GOMAXPROCS targets run slices in parallel: a single-engine
+	// pipeline has one target, the sharded router one per shard.
+	conc := min(runtime.GOMAXPROCS(0), len(work))
 	if conc <= 1 {
 		for i, ts := range work {
 			ts.runSlice(deadline, i == 0)

@@ -148,7 +148,7 @@ func TestSchedulerBudgetSlicesAndResumes(t *testing.T) {
 	// effective budget cuts after the first stride.
 	fe := &fakeEngine{mesh: fm, work: 3 * sliceStride, delay: 10 * time.Microsecond}
 	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
-	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond, Concurrency: 1})
+	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond})
 
 	fm.advance(1)
 	s.Tick()
@@ -231,7 +231,7 @@ func TestSchedulerExclusiveFinishesInFlightTasks(t *testing.T) {
 	fm := &fakeMesh{}
 	fe := &fakeEngine{mesh: fm, work: 4 * sliceStride, delay: 5 * time.Microsecond}
 	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
-	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond, Concurrency: 1})
+	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond})
 
 	fm.advance(1)
 	s.Tick()

@@ -16,7 +16,7 @@ func TestSchedulerSetBudget(t *testing.T) {
 	fm := &fakeMesh{}
 	fe := &fakeEngine{mesh: fm, work: 3 * sliceStride, delay: 10 * time.Microsecond}
 	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
-	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond, Concurrency: 1})
+	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Nanosecond})
 	if got := s.Budget(); got != time.Nanosecond {
 		t.Fatalf("Budget() = %v, want the constructed 1ns", got)
 	}

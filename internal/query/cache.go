@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"sync"
 
 	"octopus/internal/geom"
@@ -39,9 +38,11 @@ import (
 //
 // All methods are safe for concurrent use (one mutex — the cache is a
 // fast-path shortcut, not a scalability bottleneck: a hit replaces an
-// entire index traversal). Only exact results may be cached: the caller
-// must not Put results truncated by a CrawlBudget or produced by the
-// approximate surface probe, since a later hit replays them bit-for-bit.
+// entire index traversal). Only exact results may be cached, since a later
+// hit replays them bit-for-bit: KeepRange and KeepKNN are the fill rule
+// every serving layer applies, and it refuses failed answers and answers
+// truncated by a CrawlBudget. Results of the approximate surface probe
+// carry no such mark — do not cache an engine running it.
 type ResultCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -200,6 +201,39 @@ func (c *ResultCache) PutKNN(p geom.Vec3, k int, res []int32, epoch uint64, ball
 	c.put(cacheKey{kind: 'k', p: p, k: k}, res, epoch, ball2)
 }
 
+// KeepRange is the fill rule for a fresh range answer: res, just returned
+// by cur for query q, is cached at cur's LastEpoch unless cur reports an
+// error (ErrorReporter) or a truncated crawl (CoverageReporter). The cache
+// takes ownership of res, as with PutRange.
+func (c *ResultCache) KeepRange(q geom.AABB, cur PinnedCursor, res []int32) {
+	if exactAnswer(cur) {
+		c.PutRange(q, res, cur.LastEpoch())
+	}
+}
+
+// KeepKNN is KeepRange's rule for a fresh kNN answer, which is cached only
+// when cur also reports its ball (KNNBoundReporter).
+func (c *ResultCache) KeepKNN(p geom.Vec3, k int, cur PinnedCursor, res []int32) {
+	br, ok := cur.(KNNBoundReporter)
+	if !ok || !exactAnswer(cur) {
+		return
+	}
+	if ball2, known := br.LastKNNBound2(); known {
+		c.PutKNN(p, k, res, cur.LastEpoch(), ball2)
+	}
+}
+
+// exactAnswer reports whether cur's most recent answer is exact: it did not
+// fail, and no crawl budget truncated it. Truncated is the exactness
+// signal — an untruncated crawl still reports Visited as work accounting.
+func exactAnswer(cur PinnedCursor) bool {
+	if er, ok := cur.(ErrorReporter); ok && er.LastError() != nil {
+		return false
+	}
+	cr, ok := cur.(CoverageReporter)
+	return !ok || !cr.LastCoverage().Truncated
+}
+
 func (c *ResultCache) put(key cacheKey, res []int32, epoch uint64, ball2 float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,8 +373,3 @@ func (c *ResultCache) flushLocked() {
 	c.head = 0
 	c.stats.Flushes++
 }
-
-// infBall2 is the kNN ball stored when the result holds fewer than k
-// vertices: the whole mesh is in the result, so any movement can reorder
-// it and every dirty box invalidates.
-var infBall2 = math.Inf(1)

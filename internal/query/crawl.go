@@ -1,31 +1,22 @@
 package query
 
-import "time"
-
 // CrawlBudget bounds the crawl phase of a single query — the approximate
 // mode layered on the crawl engines (DESIGN.md §12). A budgeted crawl
-// stops once it has expanded MaxVisited vertices or run for Wall, keeps
-// everything it has already discovered (a subset of the exact result for
-// range queries; the best candidates found so far for kNN), and reports
-// how far it got through CrawlCoverage. The zero value is exact: no limit.
-//
-// An ops budget (MaxVisited) is deterministic — the same query on the same
-// state always truncates at the same vertex. A wall budget truncates
-// wherever the clock happened to run out, so results are approximate AND
-// timing-dependent — the same contract as the approximate surface probe.
+// stops once it has expanded MaxVisited vertices, keeps everything it has
+// already discovered (a subset of the exact result for range queries; the
+// best candidates found so far for kNN), and reports how far it got
+// through CrawlCoverage. The zero value is exact: no limit. The budget is
+// deterministic — the same query on the same state always truncates at the
+// same vertex.
 type CrawlBudget struct {
 	// MaxVisited bounds the number of vertices the crawl may expand per
 	// query (summed over components); 0 means unlimited. The crawl checks
 	// the bound before every expansion, so there is no overshoot.
 	MaxVisited int64
-	// Wall bounds the crawl's wall-clock time per query; 0 means
-	// unlimited. Checked every few dozen expansions, like the maintenance
-	// scheduler's slice deadline.
-	Wall time.Duration
 }
 
 // Unlimited reports whether the budget imposes no bound (exact mode).
-func (b CrawlBudget) Unlimited() bool { return b.MaxVisited <= 0 && b.Wall <= 0 }
+func (b CrawlBudget) Unlimited() bool { return b.MaxVisited <= 0 }
 
 // CrawlCoverage reports how much of a query's crawl ran before a
 // CrawlBudget cut it off — the recall dial's readout, carried per query in

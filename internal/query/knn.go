@@ -28,7 +28,7 @@ type KNNEngine interface {
 }
 
 // KNNCursor is per-goroutine kNN scratch: the kNN analog of Cursor.Query.
-// Cursors of every engine in this repository implement it.
+// Cursor embeds it, so every cursor answers kNN.
 type KNNCursor interface {
 	KNN(p geom.Vec3, k int, out []int32) []int32
 }
@@ -41,21 +41,14 @@ type ParallelKNNEngine interface {
 	KNNEngine
 }
 
-// SnapshotKNNEngine is the kNN analog of SnapshotEngine: the engine's kNN
-// path evaluated against an explicit position snapshot.
-type SnapshotKNNEngine interface {
-	// KNNAt is KNN evaluated against pos, which must index the same
-	// vertex ids as the engine's mesh.
-	KNNAt(pos []geom.Vec3, p geom.Vec3, k int, out []int32) []int32
-}
-
 // KNNBoundReporter is implemented by cursors that can report the squared
 // k-th-best distance — the kNN ball — of their most recent KNN call. The
 // result cache uses it to build the invalidation ball: the cached result
 // can only change if a vertex moves into or out of the closed ball of
 // that radius around the probe. ok is false when the cursor's most
-// recent KNN could not determine the ball (the engine answered from an
-// internal snapshot the cursor cannot read positions of); such results
+// recent KNN could not determine the ball; such results, like those of
+// cursors that do not implement the interface (StatelessCursor, whose
+// engine answers from an internal snapshot it cannot read positions of),
 // are simply not cached. The value is only meaningful immediately after
 // a KNN call — a later range query does not reset it.
 type KNNBoundReporter interface {
@@ -64,39 +57,6 @@ type KNNBoundReporter interface {
 	// whole mesh is in the result and any movement can reorder it).
 	LastKNNBound2() (ball2 float64, ok bool)
 }
-
-// KNN implements KNNCursor under the same protocol as
-// StatelessCursor.Query: a SnapshotKNNEngine answers against the pinned
-// head, any other engine by delegation.
-func (c *StatelessCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	c.lastBoundOK = false
-	if se, ok := c.Engine.(SnapshotKNNEngine); ok {
-		epoch, pos := c.Mesh.PinPositions()
-		c.lastEpoch = epoch
-		base := len(out)
-		out = se.KNNAt(pos, p, k, out)
-		c.lastBound2, c.lastBoundOK = math.Inf(1), true
-		if res := out[base:]; k > 0 && len(res) >= k {
-			c.lastBound2 = pos[res[k-1]].Dist2(p)
-		}
-		c.Mesh.UnpinPositions(epoch)
-		return out
-	}
-	if er, ok := c.Engine.(EpochReporter); ok {
-		c.lastEpoch = er.AnswerEpoch()
-	}
-	if ke, ok := c.Engine.(KNNEngine); ok {
-		return ke.KNN(p, k, out)
-	}
-	panic("query: engine " + c.Engine.Name() + " does not implement KNNEngine")
-}
-
-// LastKNNBound2 implements KNNBoundReporter: the ball is known only on
-// the snapshot path, where the cursor holds the positions the result was
-// computed against. Engines answering from an internal snapshot
-// (EpochReporter) report ok=false — the cursor cannot read that
-// snapshot's positions, so their kNN results are not cached.
-func (c *StatelessCursor) LastKNNBound2() (float64, bool) { return c.lastBound2, c.lastBoundOK }
 
 // ExecuteKNNBatch executes kNN probes against eng using a pool of workers,
 // each with its own cursor, and returns one result slice per probe
@@ -112,11 +72,7 @@ func (c *StatelessCursor) LastKNNBound2() (float64, bool) { return c.lastBound2,
 // restructuring may overlap the batch.
 func ExecuteKNNBatch(eng ParallelKNNEngine, probes []KNNQuery, workers int) [][]int32 {
 	return runBatch(eng, len(probes), workers, func(cur Cursor) func(int) []int32 {
-		kc, ok := cur.(KNNCursor)
-		if !ok {
-			panic("query: cursor of " + eng.Name() + " does not implement KNNCursor")
-		}
-		return func(i int) []int32 { return kc.KNN(probes[i].P, probes[i].K, nil) }
+		return func(i int) []int32 { return cur.KNN(probes[i].P, probes[i].K, nil) }
 	})
 }
 
@@ -129,7 +85,7 @@ func BruteForceKNN(m *mesh.Mesh, p geom.Vec3, k int) []int32 {
 
 // ScanKNNPositions appends the k nearest ids to p by scanning pos — the
 // kNN scan over an explicit position array, shared by BruteForceKNN and
-// the pipeline's mid-maintenance fallback.
+// ScanCursor.
 func ScanKNNPositions(pos []geom.Vec3, p geom.Vec3, k int, out []int32) []int32 {
 	var b KBest
 	b.Reset(k)

@@ -1,12 +1,12 @@
 package query
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"octopus/internal/geom"
-	"octopus/internal/mesh"
 )
 
 // Cursor is per-worker query state bound to the engine that created it.
@@ -16,7 +16,13 @@ import (
 // use. Queries may overlap mesh.Mesh.Deform (cursors pin the position
 // epoch they read); they must still not overlap index maintenance — Step,
 // restructuring, ApplySurfaceDelta — which Pipeline serializes internally.
+//
+// Every cursor also answers kNN (KNNCursor) and reports the epoch its most
+// recent answer is exact at (PinnedCursor).
 type Cursor interface {
+	KNNCursor
+	PinnedCursor
+
 	// Query appends the ids of all vertices whose current position lies
 	// in q to out and returns the extended slice, using only this
 	// cursor's scratch for mutable state. In exact mode the result is
@@ -60,38 +66,32 @@ func (g *ResidentGuard) Enter(pkg string) {
 // Leave marks the resident cursor free again.
 func (g *ResidentGuard) Leave() { g.busy.Store(false) }
 
-// StatelessCursor adapts an engine whose Query method touches no mutable
-// engine state (the linear scan, the rebuilt-per-step trees, the R-tree
+// StatelessCursor adapts an engine that answers from a maintained internal
+// snapshot of the positions and touches no mutable engine state at query
+// time (the rebuilt-per-step trees, the lazily updated grid and R-tree
 // baselines) to the Cursor interface: the "scratch" is the engine itself,
-// plus the epoch bookkeeping. Each query of a SnapshotEngine pins the head
-// epoch of Mesh and executes through QueryAt against the pinned buffer;
-// engines that answer from an internal snapshot (EpochReporter) have
-// their answer epoch recorded. Either way LastEpoch names the state the
-// result is consistent with.
+// plus the answer epoch, which each query records from the engine's
+// AnswerEpoch so LastEpoch names the state the result is consistent with.
 type StatelessCursor struct {
-	Engine Engine
-	// Mesh is the mesh Engine indexes: the position store queries pin.
-	Mesh *mesh.Mesh
+	Engine interface {
+		Engine
+		KNNEngine
+		EpochReporter
+	}
 
-	lastEpoch   uint64
-	lastBound2  float64
-	lastBoundOK bool
+	lastEpoch uint64
 }
 
-// Query implements Cursor: a SnapshotEngine answers against the pinned
-// head, any other engine by delegation.
+// Query implements Cursor by delegation.
 func (c *StatelessCursor) Query(q geom.AABB, out []int32) []int32 {
-	if se, ok := c.Engine.(SnapshotEngine); ok {
-		epoch, pos := c.Mesh.PinPositions()
-		c.lastEpoch = epoch
-		out = se.QueryAt(pos, q, out)
-		c.Mesh.UnpinPositions(epoch)
-		return out
-	}
-	if er, ok := c.Engine.(EpochReporter); ok {
-		c.lastEpoch = er.AnswerEpoch()
-	}
+	c.lastEpoch = c.Engine.AnswerEpoch()
 	return c.Engine.Query(q, out)
+}
+
+// KNN implements KNNCursor by delegation.
+func (c *StatelessCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	c.lastEpoch = c.Engine.AnswerEpoch()
+	return c.Engine.KNN(p, k, out)
 }
 
 // LastEpoch implements PinnedCursor.
@@ -99,6 +99,59 @@ func (c *StatelessCursor) LastEpoch() uint64 { return c.lastEpoch }
 
 // Close implements Cursor; a stateless engine has nothing to merge.
 func (c *StatelessCursor) Close() {}
+
+// ScanCursor is the pinned linear scan (Equation 4) as a cursor, and the
+// only one: the linear-scan engine's cursor, the hybrid's scan route and
+// the pipeline's mid-maintenance fallback. Each query pins the mesh's head
+// epoch, scans the pinned buffer (ScanPositions, ScanKNNPositions) and
+// releases the pin, so every answer is exact at LastEpoch however far the
+// mesh deforms meanwhile. A kNN answer also records its ball, so every
+// scan answer is cacheable.
+type ScanCursor struct {
+	m     pinnedMesh
+	epoch uint64
+	ball2 float64
+}
+
+// NewScanCursor returns a scan cursor over m (a *mesh.Mesh).
+func NewScanCursor(m pinnedMesh) *ScanCursor { return &ScanCursor{m: m} }
+
+// Query implements Cursor.
+func (c *ScanCursor) Query(q geom.AABB, out []int32) []int32 {
+	epoch, pos := c.m.PinPositions()
+	out = ScanPositions(pos, q, out)
+	c.m.UnpinPositions(epoch)
+	c.epoch = epoch
+	return out
+}
+
+// KNN implements KNNCursor.
+func (c *ScanCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
+	epoch, pos := c.m.PinPositions()
+	base := len(out)
+	out = ScanKNNPositions(pos, p, k, out)
+	// Fewer than k vertices put the whole mesh in the result: any
+	// movement can reorder it, so the ball is infinite.
+	c.ball2 = math.Inf(1)
+	if res := out[base:]; k > 0 && len(res) >= k {
+		c.ball2 = pos[res[k-1]].Dist2(p)
+	}
+	c.m.UnpinPositions(epoch)
+	c.epoch = epoch
+	return out
+}
+
+// LastEpoch implements PinnedCursor: the epoch the most recent query
+// pinned.
+func (c *ScanCursor) LastEpoch() uint64 { return c.epoch }
+
+// LastKNNBound2 implements KNNBoundReporter: the squared distance of the
+// most recent KNN's k-th result (+Inf when the mesh held fewer than k
+// vertices). A scan always knows it.
+func (c *ScanCursor) LastKNNBound2() (float64, bool) { return c.ball2, true }
+
+// Close implements Cursor; a scan has nothing to merge.
+func (c *ScanCursor) Close() {}
 
 // ExecuteBatch executes queries against eng using a pool of workers, each
 // with its own cursor, and returns one result slice per query

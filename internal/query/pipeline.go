@@ -42,8 +42,9 @@ type PostTicker interface {
 	PostTick()
 }
 
-// pinnedMesh is the optional pinned-snapshot side of a DeformableMesh,
-// used by the mid-maintenance fallback scan (*mesh.Mesh implements it;
+// pinnedMesh is the pinned-snapshot side of a position store: what a
+// ScanCursor reads through, and the optional side of a DeformableMesh the
+// pipeline's mid-maintenance fallback needs (*mesh.Mesh implements it;
 // the sharded mesh handles its fallback inside the router instead).
 type pinnedMesh interface {
 	PinPositions() (uint64, []geom.Vec3)
@@ -70,8 +71,10 @@ type pinnedMesh interface {
 // wait, one shard's rebuild stalls only the queries fanning out to it,
 // and with a MaintenanceBudget even a rebuild-heavy engine stalls
 // queries for at most one slice: a query that lands mid-task answers
-// from a direct scan of the pinned head positions instead of the
-// half-updated index — exact at the head epoch, never a torn mix.
+// through the worker's ScanCursor — a scan of the pinned head positions —
+// instead of the half-updated index: exact at the head epoch, never a torn
+// mix. Whichever cursor answered, the query's trace and the cache fill
+// (ResultCache.KeepRange/KeepKNN) are read from that one cursor.
 //
 // The Maintain hook runs through Scheduler.Exclusive: every target's
 // write lock, in-flight tasks completed first. That composes the hook
@@ -131,15 +134,15 @@ type Pipeline struct {
 	// the latency distribution.
 	TargetLatency time.Duration
 	// CacheSize, when > 0, enables the epoch-keyed result cache with
-	// that entry capacity (see ResultCache): repeated queries answer
-	// from cache until a dirty-region AABB intersects their query box or
-	// kNN ball. Cache hits are exact — the trace reports the epoch the
-	// cached result is provably equal to fresh execution at, and Cached
-	// is set. Requires dirty regions to actually flow (a mesh with
-	// pinned snapshots, or a sharded StateProvider engine); otherwise
-	// the cache stays disabled. Caching assumes exact execution: do not
-	// combine it with the approximate surface probe, whose results are
-	// not replayable.
+	// that entry capacity (see ResultCache): answers the cache's fill rule
+	// admits are replayed for repeated queries until a dirty-region AABB
+	// intersects their query box or kNN ball. Cache hits are exact — the
+	// trace reports the epoch the cached result is provably equal to
+	// fresh execution at, and Cached is set. Requires dirty regions to
+	// actually flow (a mesh with pinned snapshots, or a sharded
+	// StateProvider engine); otherwise the cache stays disabled. Caching
+	// assumes exact execution: do not combine it with the approximate
+	// surface probe, whose results are not replayable.
 	CacheSize int
 
 	// sched is the scheduler of the most recent Run, kept for stats.
@@ -184,10 +187,11 @@ type QueryTrace struct {
 	// maintenance lock (maintenance cost is charged to query response
 	// time, as in the paper's accounting).
 	Latency time.Duration
-	// Epoch is the position epoch the result set is consistent with: the
-	// epoch the cursor pinned, the engine's last-maintenance epoch for
-	// engines that answer from an internal snapshot, or the pinned head
-	// epoch for mid-maintenance fallback scans.
+	// Epoch is the position epoch the result set is consistent with —
+	// the answering cursor's LastEpoch: the epoch it pinned (the
+	// mid-maintenance fallback scan included), or the engine's
+	// last-maintenance epoch for engines that answer from an internal
+	// snapshot.
 	Epoch uint64
 	// HeadEpoch is the mesh's published epoch when the query completed.
 	HeadEpoch uint64
@@ -478,15 +482,16 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 		total := len(queries) + len(probes)
 		for w := range cursors {
 			cursors[w] = p.Engine.NewCursor()
-			if _, ok := cursors[w].(KNNCursor); !ok && len(probes) > 0 {
-				panic("query: cursor of " + p.Engine.Name() + " does not implement KNNCursor")
+			// The mid-maintenance fallback: a scan of the pinned head
+			// positions, exact at the head epoch and typically cheaper than
+			// waiting out the rest of the engine's task.
+			var scan Cursor
+			if single != nil && pm != nil {
+				scan = NewScanCursor(pm)
 			}
 			wg.Add(1)
-			go func(cur Cursor) {
+			go func(engCur, scan Cursor) {
 				defer wg.Done()
-				kc, _ := cur.(KNNCursor)
-				pc, _ := cur.(PinnedCursor)
-				br, _ := cur.(KNNBoundReporter)
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= total {
@@ -544,57 +549,31 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 							continue
 						}
 					}
-					fallback := false
-					if single != nil {
-						fallback = single.BeginQuery() && pm != nil
+					// Pick the cursor that answers — the scan while the
+					// engine's index is mid-maintenance-slice, else the
+					// engine's — and read everything about the answer from
+					// it alone.
+					cur := engCur
+					if single != nil && single.BeginQuery() && scan != nil {
+						cur = scan
 					}
-					// ball2 is the kNN invalidation ball for the cache:
-					// the squared k-th-best distance of the fresh result.
-					ball2 := infBall2
-					haveBall := false
-					switch {
-					case fallback:
-						// The engine's index is mid-maintenance-slice:
-						// answer from a scan of the pinned head positions —
-						// exact at the head epoch, and typically cheaper
-						// than waiting out the rest of the task.
-						epoch, pos := pm.PinPositions()
-						if i < len(queries) {
-							res = ScanPositions(pos, queries[i], nil)
-						} else {
-							q := probes[i-len(queries)]
-							res = ScanKNNPositions(pos, q.P, q.K, nil)
-							if len(res) >= q.K && q.K > 0 {
-								ball2 = pos[res[q.K-1]].Dist2(q.P)
-							}
-							haveBall = true
-						}
-						pm.UnpinPositions(epoch)
-						trace.Epoch = epoch
-					case i < len(queries):
+					if i < len(queries) {
 						res = cur.Query(queries[i], nil)
-					default:
+					} else {
 						q := probes[i-len(queries)]
-						res = kc.KNN(q.P, q.K, nil)
-						if br != nil {
-							ball2, haveBall = br.LastKNNBound2()
-						}
+						res = cur.KNN(q.P, q.K, nil)
 					}
 					trace.Latency = time.Since(t0)
-					if !fallback && pc != nil {
-						trace.Epoch = pc.LastEpoch()
+					trace.Epoch = cur.LastEpoch()
+					if cr, ok := cur.(CoverageReporter); ok {
+						trace.Coverage = cr.LastCoverage()
 					}
-					if !fallback {
-						if cr, ok := cur.(CoverageReporter); ok {
-							trace.Coverage = cr.LastCoverage()
-						}
-						if er, ok := cur.(ErrorReporter); ok {
-							if err := er.LastError(); err != nil {
-								// Honest degraded trace: the (empty) result
-								// is a failure, not an exact answer.
-								trace.Err = err
-								degraded.Add(1)
-							}
+					if er, ok := cur.(ErrorReporter); ok {
+						if err := er.LastError(); err != nil {
+							// Honest degraded trace: the (empty) result is a
+							// failure, not an exact answer.
+							trace.Err = err
+							degraded.Add(1)
 						}
 					}
 					trace.HeadEpoch = p.Mesh.Epoch()
@@ -605,25 +584,17 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 						inflight.Add(-1)
 						ctl.Observe(trace.Latency)
 					}
-					// Cache fill: only exact results whose answer epoch is
-					// known (fallback scans pin it; engine paths report it
-					// through PinnedCursor), and for kNN only when the
-					// invalidation ball is known too. Truncated is the
-					// exactness signal — an untruncated crawl still reports
-					// Visited as work accounting. Put itself rejects entries
-					// that already predate the cache's epoch.
-					if cache != nil && trace.Err == nil && !trace.Coverage.Truncated &&
-						(fallback || pc != nil) {
+					if cache != nil {
 						if i < len(queries) {
-							cache.PutRange(queries[i], res, trace.Epoch)
-						} else if haveBall {
+							cache.KeepRange(queries[i], cur, res)
+						} else {
 							q := probes[i-len(queries)]
-							cache.PutKNN(q.P, q.K, res, trace.Epoch, ball2)
+							cache.KeepKNN(q.P, q.K, cur, res)
 						}
 					}
 					p.record(report, i, len(queries), res, trace)
 				}
-			}(cursors[w])
+			}(cursors[w], scan)
 		}
 		wg.Wait()
 		for _, cur := range cursors {

@@ -35,8 +35,8 @@
 //     Inside a Pipeline the maintain.Scheduler owns that exclusion with
 //     one read-write lock per target (the engine, or each shard of a
 //     sharded router) and runs maintenance as budget-sliced resumable
-//     tasks; a query landing mid-task answers from a scan of the pinned
-//     head positions instead of the half-updated index (see
+//     tasks; a query landing mid-task answers through a ScanCursor — the
+//     pinned linear scan — instead of the half-updated index (see
 //     internal/maintain and DESIGN.md §11). Outside a Pipeline the
 //     paper's strict update/monitor alternation applies.
 //   - A single query runs on the goroutine that issued it; parallelism
@@ -54,6 +54,13 @@
 //	// results[i] answers queries[i]: the same result set as serial
 //	// execution (kNN bit-identical; range order unspecified by the
 //	// contract, identical on the core engines; exact mode)
+//
+// ScanCursor is the one pinned linear scan (Equation 4): the linear-scan
+// engine's cursor, the hybrid's scan route and the pipeline's
+// mid-maintenance fallback all answer through it. Whatever cursor
+// answered, everything recorded about the answer — the trace's epoch,
+// coverage and error, and whether ResultCache.KeepRange/KeepKNN cache it
+// — is read from that one cursor.
 package query
 
 import (
@@ -90,18 +97,6 @@ type Engine interface {
 	MemoryFootprint() int64
 }
 
-// SnapshotEngine is implemented by engines whose range-query path can
-// execute against an explicit position snapshot instead of the live
-// array. A cursor that pins an epoch (mesh.Mesh.PinPositions) routes
-// queries through QueryAt so the whole query reads one consistent state —
-// the mechanism that lets queries overlap Mesh.Deform in the live
-// pipeline.
-type SnapshotEngine interface {
-	// QueryAt is Query evaluated against pos, which must index the same
-	// vertex ids as the engine's mesh.
-	QueryAt(pos []geom.Vec3, q geom.AABB, out []int32) []int32
-}
-
 // EpochReporter is implemented by engines whose answers are consistent
 // with a maintained internal snapshot of the positions (throwaway trees
 // rebuilt in Step, lazily updated grids and R-trees with shadow position
@@ -117,11 +112,11 @@ type EpochReporter interface {
 	AnswerEpoch() uint64
 }
 
-// PinnedCursor is implemented by cursors that can report which position
-// epoch their most recent query executed against: the OCTOPUS-family
-// cursors pin the head epoch per query, stateless cursors report either
-// their pinned epoch or the engine's AnswerEpoch. The pipeline uses it to
-// compute per-query staleness.
+// PinnedCursor is the epoch report every cursor gives (Cursor embeds it):
+// the OCTOPUS-family cursors and ScanCursor pin the head epoch per query,
+// StatelessCursor reports the engine's AnswerEpoch, the fan-out the epoch
+// its shards proved. The pipeline reads it for per-query staleness and the
+// result cache for the epoch an answer is filled at.
 type PinnedCursor interface {
 	// LastEpoch returns the epoch the cursor's most recent Query/KNN was
 	// consistent with (0 before the first query).
@@ -178,7 +173,7 @@ func BruteForce(m *mesh.Mesh, q geom.AABB) []int32 {
 
 // ScanPositions appends every id whose position in pos lies in q — the
 // range scan over an explicit position array, shared by BruteForce and
-// the pipeline's mid-maintenance fallback.
+// ScanCursor.
 func ScanPositions(pos []geom.Vec3, q geom.AABB, out []int32) []int32 {
 	for i, p := range pos {
 		if q.Contains(p) {

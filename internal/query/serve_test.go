@@ -337,7 +337,8 @@ func TestSLOPipelineConvergesUnderOverload(t *testing.T) {
 // slowMaintEngine wraps a linear scan with a deliberately slow budgeted
 // maintenance task: each Run slice burns ~1ms and the full task needs
 // ~40ms, so a budget-sliced pipeline with a short serving phase must
-// finish the bulk of it in the post-run drain.
+// finish the bulk of it in the post-run drain. Its cursor is the pinned
+// scan, like the linear scan's.
 type slowMaintEngine struct {
 	m      *mesh.Mesh
 	answer uint64
@@ -348,20 +349,12 @@ func (e *slowMaintEngine) Step()        { e.answer = e.m.Epoch() }
 func (e *slowMaintEngine) Query(q geom.AABB, out []int32) []int32 {
 	return query.ScanPositions(e.m.Positions(), q, out)
 }
-func (e *slowMaintEngine) QueryAt(pos []geom.Vec3, q geom.AABB, out []int32) []int32 {
-	return query.ScanPositions(pos, q, out)
-}
-func (e *slowMaintEngine) KNNAt(pos []geom.Vec3, p geom.Vec3, k int, out []int32) []int32 {
-	return query.ScanKNNPositions(pos, p, k, out)
-}
 func (e *slowMaintEngine) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	return query.ScanKNNPositions(e.m.Positions(), p, k, out)
 }
-func (e *slowMaintEngine) MemoryFootprint() int64 { return 0 }
-func (e *slowMaintEngine) NewCursor() query.Cursor {
-	return &query.StatelessCursor{Engine: e, Mesh: e.m}
-}
-func (e *slowMaintEngine) AnswerEpoch() uint64 { return e.answer }
+func (e *slowMaintEngine) MemoryFootprint() int64  { return 0 }
+func (e *slowMaintEngine) NewCursor() query.Cursor { return query.NewScanCursor(e.m) }
+func (e *slowMaintEngine) AnswerEpoch() uint64     { return e.answer }
 func (e *slowMaintEngine) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
 	if d.Empty() && e.answer == e.m.Epoch() {
 		return nil

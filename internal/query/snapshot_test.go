@@ -97,34 +97,13 @@ func (o *epochOracle) verify(t *testing.T, maxEpoch uint64) {
 	}
 }
 
-// bruteAt is brute force over an explicit position array.
-func bruteAt(pos []geom.Vec3, q geom.AABB) []int32 {
-	var out []int32
-	for i, p := range pos {
-		if q.Contains(p) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// bruteKNNAt is BruteForceKNN over an explicit position array.
-func bruteKNNAt(pos []geom.Vec3, p geom.Vec3, k int) []int32 {
-	var b query.KBest
-	b.Reset(k)
-	for i, q := range pos {
-		b.Offer(q.Dist2(p), int32(i))
-	}
-	return b.AppendSorted(nil)
-}
-
 // checkReport verifies every range and kNN result of a pipeline run
 // against brute force at the trace's epoch.
 func checkReport(t *testing.T, o *epochOracle, report *query.PipelineReport,
 	queries []geom.AABB, probes []query.KNNQuery) {
 	t.Helper()
 	for i, tr := range report.RangeTraces {
-		want := bruteAt(o.at(t, tr.Epoch), queries[i])
+		want := query.ScanPositions(o.at(t, tr.Epoch), queries[i], nil)
 		got := append([]int32(nil), report.RangeResults[i]...)
 		if d := query.Diff(got, want); d != "" {
 			t.Fatalf("range query %d at epoch %d (staleness %d): %s",
@@ -132,7 +111,7 @@ func checkReport(t *testing.T, o *epochOracle, report *query.PipelineReport,
 		}
 	}
 	for i, tr := range report.KNNTraces {
-		want := bruteKNNAt(o.at(t, tr.Epoch), probes[i].P, probes[i].K)
+		want := query.ScanKNNPositions(o.at(t, tr.Epoch), probes[i].P, probes[i].K, nil)
 		got := report.KNNResults[i]
 		if len(got) != len(want) {
 			t.Fatalf("probe %d at epoch %d: %d results, want %d", i, tr.Epoch, len(got), len(want))
@@ -283,30 +262,32 @@ func TestStalenessAccounting(t *testing.T) {
 
 // TestSnapshotEngineInterfaces asserts which side of the epoch contract
 // each engine implements, so a future engine cannot silently fall out of
-// the live pipeline's consistency guarantee.
+// the live pipeline's consistency guarantee: the linear scan answers
+// through the pinned scan (ScanCursor), the five maintained baselines
+// report the epoch of their internal snapshot (EpochReporter), and the
+// OCTOPUS family pins the head in its own cursors.
 func TestSnapshotEngineInterfaces(t *testing.T) {
 	m := buildBox(t, 3)
-	snapshotters := map[string]bool{"LinearScan": true}
+	scanners := map[string]bool{"LinearScan": true}
 	reporters := map[string]bool{
 		"OCTREE": true, "KD-Tree": true, "LU-Grid": true,
 		"LUR-Tree": true, "QU-Trade": true,
 	}
 	for _, f := range engineFactories() {
 		eng := f.make(m)
-		_, isSnap := query.ParallelKNNEngine(eng).(query.SnapshotEngine)
+		_, isScan := eng.NewCursor().(*query.ScanCursor)
 		_, isRep := query.ParallelKNNEngine(eng).(query.EpochReporter)
-		if _, isPinned := eng.NewCursor().(query.PinnedCursor); !isPinned {
-			t.Errorf("%s: cursor does not implement PinnedCursor", f.name)
-		}
-		if isSnap != snapshotters[f.name] {
-			t.Errorf("%s: SnapshotEngine = %v, want %v", f.name, isSnap, snapshotters[f.name])
+		if isScan != scanners[f.name] {
+			t.Errorf("%s: cursor is a ScanCursor = %v, want %v", f.name, isScan, scanners[f.name])
 		}
 		if isRep != reporters[f.name] {
 			t.Errorf("%s: EpochReporter = %v, want %v", f.name, isRep, reporters[f.name])
 		}
 	}
-	// Self-documenting: the OCTOPUS family needs neither interface — its
-	// cursors pin the head epoch and read the crawl through the pinned
-	// buffer directly.
-	var _ query.PinnedCursor = core.New(m).NewCursor().(*core.Cursor)
+	if _, ok := (&slowMaintEngine{m: m}).NewCursor().(*query.ScanCursor); !ok {
+		t.Error("slowMaintEngine: cursor is not a ScanCursor")
+	}
+	// Self-documenting: the OCTOPUS family needs neither — its cursors pin
+	// the head epoch and read the crawl through the pinned buffer directly.
+	var _ query.Cursor = core.New(m).NewCursor().(*core.Cursor)
 }

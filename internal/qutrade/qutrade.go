@@ -214,7 +214,7 @@ func (e *Engine) Window() float64 { return e.window }
 // NewCursor implements query.ParallelEngine. The window and escape
 // counters move only in Step; Query is a read-only R-tree traversal plus
 // a position filter, so the engine is stateless at query time.
-func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e, Mesh: e.m} }
+func (e *Engine) NewCursor() query.Cursor { return &query.StatelessCursor{Engine: e} }
 
 // EscapeRate returns the cumulative fraction of updates that triggered
 // structural maintenance.

@@ -66,7 +66,7 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 	// re-partition. This is also the no-tracking graceful path that
 	// replaced the old restructuring panic.
 	if part.K == 0 || n < oldN || (grown && !d.Structural) {
-		opts := Options{HilbertOrder: part.hilbertOrder, RebalanceTol: part.tol}
+		opts := Options{RebalanceTol: part.tol}
 		if part.tol < 0 {
 			opts.RebalanceTol = -1
 		}
@@ -310,24 +310,23 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 	}
 
 	np := &Partition{
-		K:            K,
-		Parts:        make([]*Part, K),
-		Owner:        newOwner,
-		LocalID:      make([]int32, n),
-		keys:         keys,
-		order:        order,
-		cuts:         cuts,
-		mapper:       part.mapper,
-		hilbertOrder: part.hilbertOrder,
-		tol:          part.tol,
-		weights:      w,
+		K:       K,
+		Parts:   make([]*Part, K),
+		Owner:   newOwner,
+		LocalID: make([]int32, n),
+		keys:    keys,
+		order:   order,
+		cuts:    cuts,
+		mapper:  part.mapper,
+		tol:     part.tol,
+		weights: w,
 	}
 	for s := 0; s < K; s++ {
 		if !touched[s] {
 			np.Parts[s] = part.Parts[s]
 			continue
 		}
-		p, err := buildPart(m, newOwner, s, part.hilbertOrder, ownedBy[s], cellsBy[s])
+		p, err := buildPart(m, newOwner, s, ownedBy[s], cellsBy[s])
 		if err != nil {
 			return nil, ApplyStats{}, err
 		}

@@ -74,7 +74,6 @@ func (x *Exec) Target() *maintain.TargetState { return x.ts }
 type ExecCursor struct {
 	x       *Exec
 	cur     query.Cursor
-	knn     query.KNNCursor
 	scratch []int32
 	// cov is the crawl coverage of the most recent Range or KNN; the
 	// owned-scan fallback is exact and leaves the zero value.
@@ -89,12 +88,7 @@ func (c *ExecCursor) bind(x *Exec) {
 		return
 	}
 	c.Close()
-	cur := x.eng.NewCursor()
-	kc, ok := cur.(query.KNNCursor)
-	if !ok {
-		panic("shard: cursor of " + x.eng.Name() + " does not implement KNNCursor")
-	}
-	c.x, c.cur, c.knn = x, cur, kc
+	c.x, c.cur = x, x.eng.NewCursor()
 }
 
 // Close closes the inner engine cursor, folding its statistics into the
@@ -202,7 +196,7 @@ func (x *Exec) KNN(cur *ExecCursor, p geom.Vec3, k int, full bool, bound2 float6
 	want := min(k, part.NumOwned)
 	kq := min(k+1, subV)
 	for {
-		cur.scratch = cur.knn.KNN(p, kq, cur.scratch[:0])
+		cur.scratch = cur.cur.KNN(p, kq, cur.scratch[:0])
 		owned := 0
 		dWant := 0.0
 		for _, l := range cur.scratch {
@@ -231,7 +225,7 @@ func (x *Exec) KNN(cur *ExecCursor, p geom.Vec3, k int, full bool, bound2 float6
 	}
 	// The round that produced the offered candidates is the one whose
 	// coverage describes this shard's contribution.
-	if cr, ok := cur.knn.(query.CoverageReporter); ok {
+	if cr, ok := cur.cur.(query.CoverageReporter); ok {
 		cur.cov = cr.LastCoverage()
 	}
 	return rounds

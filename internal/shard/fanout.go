@@ -69,8 +69,9 @@ type Fanout struct {
 	legs Legs
 	n    *FanoutCounters
 	// cache, when non-nil, answers repeat queries before any leg is
-	// called and is filled with every exact merge. The in-process router
-	// has none (the Pipeline's cache sits in front of it).
+	// called and is filled by its own rule (ResultCache.KeepRange/KeepKNN)
+	// with every exact merge. The in-process router has none (the
+	// Pipeline's cache sits in front of it).
 	cache *query.ResultCache
 
 	// The query being run.
@@ -111,8 +112,8 @@ func (f *Fanout) Query(q geom.AABB, out []int32) []int32 {
 	f.knn, f.q = false, q
 	base := len(out)
 	out = f.run(out)
-	if f.cache != nil && f.err == nil {
-		f.cache.PutRange(q, append([]int32(nil), out[base:]...), f.epoch)
+	if f.cache != nil {
+		f.cache.KeepRange(q, f, append([]int32(nil), out[base:]...))
 	}
 	return out
 }
@@ -133,8 +134,8 @@ func (f *Fanout) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	f.knn, f.p, f.k = true, p, k
 	base := len(out)
 	out = f.run(out)
-	if f.cache != nil && f.ballOK {
-		f.cache.PutKNN(p, k, append([]int32(nil), out[base:]...), f.epoch, f.ball2)
+	if f.cache != nil {
+		f.cache.KeepKNN(p, k, f, append([]int32(nil), out[base:]...))
 	}
 	return out
 }

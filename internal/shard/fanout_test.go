@@ -367,3 +367,33 @@ func TestFanoutCountersAndCache(t *testing.T) {
 		t.Fatal("Close did not reach the legs")
 	}
 }
+
+// TestFanoutCacheSkipsTruncated: a merge whose legs report a truncated
+// crawl is approximate, so a Fanout with a cache must not fill it — the
+// repeat of each query reaches the legs again and is no cache hit.
+func TestFanoutCacheSkipsTruncated(t *testing.T) {
+	cut := query.CrawlCoverage{Truncated: true, Visited: 3, Frontier: 5}
+	view := fakeView{epoch: 7, shards: []fakeShard{
+		{box: unit, ids: []int32{1}, cands: []fakeCand{{1, 1}}},
+		{box: unit, ids: []int32{2}, cands: []fakeCand{{2, 2}}, cov: cut},
+	}}
+	legs := &fakeLegs{t: t, views: []fakeView{view}}
+	var cnt FanoutCounters
+	cache := query.NewResultCache(0)
+	f := NewFanout(legs, &cnt, cache)
+	p := geom.V(0, 0, 0)
+	for pass := 0; pass < 2; pass++ {
+		if got := f.Query(unit, nil); !slices.Equal(got, []int32{1, 2}) || !f.LastCoverage().Truncated {
+			t.Fatalf("pass %d range: %v, coverage %+v", pass, got, f.LastCoverage())
+		}
+		if got := f.KNN(p, 2, nil); !slices.Equal(got, []int32{1, 2}) || !f.LastCoverage().Truncated {
+			t.Fatalf("pass %d knn: %v, coverage %+v", pass, got, f.LastCoverage())
+		}
+	}
+	if cnt.CacheHits.Load() != 0 || legs.begins != 4 {
+		t.Fatalf("%d cache hits, %d views over 4 queries: a truncated merge was cached", cnt.CacheHits.Load(), legs.begins)
+	}
+	if cs := cache.Stats(); cs.Puts != 0 || cs.Entries != 0 {
+		t.Fatalf("cache filled with truncated merges: %+v", cs)
+	}
+}

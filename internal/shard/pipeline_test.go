@@ -24,25 +24,6 @@ func replayPositions(orig []geom.Vec3, seed int64, epoch uint64) []geom.Vec3 {
 	return pos
 }
 
-func bruteAt(pos []geom.Vec3, q geom.AABB) []int32 {
-	var out []int32
-	for i, p := range pos {
-		if q.Contains(p) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-func bruteKNNAt(pos []geom.Vec3, p geom.Vec3, k int) []int32 {
-	var b query.KBest
-	b.Reset(k)
-	for i, q := range pos {
-		b.Offer(q.Dist2(p), int32(i))
-	}
-	return b.AppendSorted(nil)
-}
-
 // TestShardedPipelineEpochConsistency runs the live deform+query
 // pipeline over a sharded OCTOPUS engine: the writer publishes global
 // steps into every shard in lockstep while concurrent router cursors
@@ -95,7 +76,7 @@ func TestShardedPipelineEpochConsistency(t *testing.T) {
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 		}
@@ -106,7 +87,7 @@ func TestShardedPipelineEpochConsistency(t *testing.T) {
 	for i, res := range report.KNNResults {
 		tr := report.KNNTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteKNNAt(pos, probes[i].P, probes[i].K)
+		want := query.ScanKNNPositions(pos, probes[i].P, probes[i].K, nil)
 		if !equalIDs(res, want) {
 			t.Fatalf("kNN %d at epoch %d: got %v want %v", i, tr.Epoch, res, want)
 		}
@@ -160,7 +141,7 @@ func TestShardedPipelinePerShardMaintenance(t *testing.T) {
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 		}
@@ -168,7 +149,7 @@ func TestShardedPipelinePerShardMaintenance(t *testing.T) {
 	for i, res := range report.KNNResults {
 		tr := report.KNNTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteKNNAt(pos, probes[i].P, probes[i].K)
+		want := query.ScanKNNPositions(pos, probes[i].P, probes[i].K, nil)
 		if !equalIDs(res, want) {
 			t.Fatalf("kNN %d at epoch %d: got %v want %v", i, tr.Epoch, res, want)
 		}
@@ -215,7 +196,7 @@ func TestShardedPipelineBudgetedMaintenance(t *testing.T) {
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 		}
@@ -223,7 +204,7 @@ func TestShardedPipelineBudgetedMaintenance(t *testing.T) {
 	for i, res := range report.KNNResults {
 		tr := report.KNNTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteKNNAt(pos, probes[i].P, probes[i].K)
+		want := query.ScanKNNPositions(pos, probes[i].P, probes[i].K, nil)
 		if !equalIDs(res, want) {
 			t.Fatalf("kNN %d at epoch %d: got %v want %v", i, tr.Epoch, res, want)
 		}
@@ -294,7 +275,7 @@ func TestShardedPipelineMaintainHookComposes(t *testing.T) {
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 		}

@@ -366,14 +366,14 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 
 				for i, res := range report.RangeResults {
 					tr := report.RangeTraces[i]
-					want := bruteAt(snaps[tr.Epoch], queries[i])
+					want := query.ScanPositions(snaps[tr.Epoch], queries[i], nil)
 					if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 						t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 					}
 				}
 				for i, res := range report.KNNResults {
 					tr := report.KNNTraces[i]
-					want := bruteKNNAt(snaps[tr.Epoch], probes[i].P, probes[i].K)
+					want := query.ScanKNNPositions(snaps[tr.Epoch], probes[i].P, probes[i].K, nil)
 					if !equalIDs(res, want) {
 						t.Fatalf("kNN %d at epoch %d: got %v want %v", i, tr.Epoch, res, want)
 					}
@@ -453,7 +453,7 @@ func TestPressurePolicyRebalancesHotShard(t *testing.T) {
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
 		}

@@ -146,7 +146,7 @@ func TestShardedCacheReplayExactness(t *testing.T) {
 			cached++
 		}
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteAt(pos, queries[i])
+		want := query.ScanPositions(pos, queries[i], nil)
 		if df := query.Diff(append([]int32(nil), res...), want); df != "" {
 			t.Fatalf("range %d at epoch %d (cached=%v): %s", i, tr.Epoch, tr.Cached, df)
 		}
@@ -157,7 +157,7 @@ func TestShardedCacheReplayExactness(t *testing.T) {
 			cached++
 		}
 		pos := replayPositions(orig, seed, tr.Epoch)
-		want := bruteKNNAt(pos, probes[i].P, probes[i].K)
+		want := query.ScanKNNPositions(pos, probes[i].P, probes[i].K, nil)
 		if !equalIDs(res, want) {
 			t.Fatalf("kNN %d at epoch %d (cached=%v): got %v want %v", i, tr.Epoch, tr.Cached, res, want)
 		}

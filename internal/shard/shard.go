@@ -39,9 +39,9 @@ import (
 	"octopus/internal/mesh"
 )
 
-// DefaultHilbertOrder is the Hilbert curve order used to key vertices when
-// none is specified: 2^10 cells per axis, matching the layout order the
-// dataset generators use.
+// DefaultHilbertOrder is the Hilbert curve order used to key vertices and
+// to lay out every shard's sub-mesh: 2^10 cells per axis, matching the
+// layout order the dataset generators use.
 const DefaultHilbertOrder = 10
 
 // Part is one shard of a partition: a self-contained sub-mesh holding the
@@ -179,13 +179,12 @@ type Partition struct {
 	// vertex order, and the K cut points delimiting the shards in that
 	// order, so Apply can splice re-keyed vertices into the order and
 	// shift cuts without re-keying or re-sorting the whole mesh.
-	keys         []uint64   // keys[g] = Hilbert key of global vertex g
-	order        []int32    // global ids sorted by (key, id)
-	cuts         []cutPoint // len K; shard s owns order range [cuts[s], cuts[s+1])
-	mapper       *hilbert.Mapper
-	hilbertOrder uint
-	tol          float64   // owned-count tolerance around the target shares
-	weights      []float64 // target owned-count shares; nil = uniform
+	keys    []uint64   // keys[g] = Hilbert key of global vertex g
+	order   []int32    // global ids sorted by (key, id)
+	cuts    []cutPoint // len K; shard s owns order range [cuts[s], cuts[s+1])
+	mapper  *hilbert.Mapper
+	tol     float64   // owned-count tolerance around the target shares
+	weights []float64 // target owned-count shares; nil = uniform
 	// ghostRefs[g] lists every (shard, local id) replicating global
 	// vertex g as a ghost — the incremental Resync's scatter plan.
 	ghostRefs [][]ghostRef
@@ -212,10 +211,6 @@ const DefaultRebalanceTol = 0.25
 
 // Options tunes NewPartition.
 type Options struct {
-	// HilbertOrder is the curve order for vertex keying; 0 uses
-	// DefaultHilbertOrder.
-	HilbertOrder uint
-
 	// RebalanceTol is the owned-count tolerance for incremental
 	// re-partitioning: 0 uses DefaultRebalanceTol, a negative value
 	// freezes the cut points (Apply migrates restructured vertices to
@@ -243,20 +238,15 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: k = %d, want >= 1", k)
 	}
-	order := opts.HilbertOrder
-	if order == 0 {
-		order = DefaultHilbertOrder
-	}
 	n := m.NumVertices()
 	if k > n {
 		k = n
 	}
 	part := &Partition{
-		K:            k,
-		Owner:        make([]int32, n),
-		LocalID:      make([]int32, n),
-		hilbertOrder: order,
-		tol:          opts.rebalanceTol(),
+		K:       k,
+		Owner:   make([]int32, n),
+		LocalID: make([]int32, n),
+		tol:     opts.rebalanceTol(),
 	}
 	if n == 0 {
 		return part, nil
@@ -265,7 +255,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	// Key every vertex and sort by (key, id): the id tie-break makes the
 	// cut deterministic even on degenerate geometry where many vertices
 	// share a Hilbert cell.
-	mapper := hilbert.NewMapper(order, m.Bounds())
+	mapper := hilbert.NewMapper(DefaultHilbertOrder, m.Bounds())
 	pos := m.Positions()
 	keys := make([]uint64, n)
 	for v := 0; v < n; v++ {
@@ -326,7 +316,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	}
 
 	for s := 0; s < k; s++ {
-		p, err := buildPart(m, part.Owner, s, order, ownedBy[s], cellsBy[s])
+		p, err := buildPart(m, part.Owner, s, ownedBy[s], cellsBy[s])
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +378,7 @@ func (part *Partition) AppendReplicas(g int32, dst []Replica) []Replica {
 // (sorted by global id) and cell list: the sub-mesh over those cells,
 // relaid out surface-first/Hilbert, plus the remap tables and cut-edge
 // list.
-func buildPart(m *mesh.Mesh, owner []int32, s int, order uint, ownedIDs, shardCells []int32) (*Part, error) {
+func buildPart(m *mesh.Mesh, owner []int32, s int, ownedIDs, shardCells []int32) (*Part, error) {
 	want := int32(s)
 
 	// Owned vertices enter in global-id order first, ghosts after (in
@@ -465,7 +455,7 @@ func buildPart(m *mesh.Mesh, owner []int32, s int, order uint, ownedIDs, shardCe
 	// Relayout: surface vertices (including the cut faces) first, Hilbert
 	// order within each group — the same layout the dataset generators
 	// produce, so per-shard engines keep their dense-probe fast path.
-	perm := sub.SurfaceFirstHilbertPerm(order)
+	perm := sub.SurfaceFirstHilbertPerm(DefaultHilbertOrder)
 	sub, err = sub.Renumber(perm)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", s, err)

@@ -159,10 +159,10 @@ func TestDeformFnRunsOutsideGate(t *testing.T) {
 		t.Fatalf("queries during fn answered at epochs %d/%d, want the published 1", rangeEpoch, knnEpoch)
 	}
 	at := replayPositions(orig, seed, 1)
-	if diff := query.Diff(got, bruteAt(at, q)); diff != "" {
+	if diff := query.Diff(got, query.ScanPositions(at, q, nil)); diff != "" {
 		t.Fatalf("range during fn: %s", diff)
 	}
-	if want := bruteKNNAt(at, p, 5); !equalIDs(gotKNN, want) {
+	if want := query.ScanKNNPositions(at, p, 5, nil); !equalIDs(gotKNN, want) {
 		t.Fatalf("kNN during fn: got %v want %v", gotKNN, want)
 	}
 	if sm.Epoch() != 2 {

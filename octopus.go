@@ -113,8 +113,8 @@ func ExecuteKNNBatch(eng ParallelKNNEngine, probes []KNNQuery, workers int) [][]
 
 // CrawlBudget bounds the crawl phase of a single query — the approximate
 // mode of the crawl engines: a budgeted crawl stops at MaxVisited
-// expansions or after Wall, keeps everything discovered so far, and
-// reports its coverage per query. Install it with SetCrawlBudget on
+// expansions, keeps everything discovered so far, and reports its
+// coverage per query. Install it with SetCrawlBudget on
 // Octopus, Con, Hybrid or ShardedEngine; the zero value is exact.
 type CrawlBudget = query.CrawlBudget
 

@@ -164,8 +164,9 @@
 // fallback until their budgeted rebuild tasks complete, so queries never
 // block on a migration and never see a torn partition
 // (ShardedMesh.RepartitionStats reports the migration volume). A
-// pressure-driven balancer (ShardedEngine.SetPressurePolicy) uses the
-// same machinery to shift boundaries away from query-hot shards.
+// pressure-driven balancer (ShardedEngine.SetPressurePolicy, one
+// setting: the hot/mean pressure Factor that trips it) uses the same
+// machinery to shift boundaries away from query-hot shards.
 // See DESIGN.md §10 and §13.
 //
 // # Distributed serving

@@ -78,7 +78,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 26 {
+	if len(exps) != 25 {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
@@ -142,7 +142,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 		"dist":        "TestDistExperimentSmoke",
 		"fig6":        "the fig6x subtest: the same driver over a superset of the engines",
 		"layout":      "TestLayoutQuick",
-		"live":        "TestLiveExperimentSmoke",
 		"maintain":    "TestMaintainExperimentSmoke",
 		"repartition": "TestRepartExperimentSmoke",
 		"sharded":     "TestShardExperimentSmoke",

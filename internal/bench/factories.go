@@ -27,8 +27,8 @@ type knnEngineFactory struct {
 }
 
 // knnEngineFactories is the canonical list of every kNN-capable engine,
-// shared by the knn and live experiments so both always benchmark
-// identically configured engines. The scan comes first so experiments can
+// shared by the knn, maintain and sharded experiments so all of them
+// benchmark identically configured engines. The scan comes first so experiments can
 // compute speedups against it.
 func knnEngineFactories() []knnEngineFactory {
 	return []knnEngineFactory{

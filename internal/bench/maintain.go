@@ -83,11 +83,10 @@ func Maintain(cfg Config) ([]*Table, error) {
 
 	ds := meshgen.NeuroL2
 	// One private mesh and one partition for the whole sweep: the
-	// pipeline irreversibly enables dirty tracking, so the shared
-	// BuildCached instance must not be used, but rebuilding per run
-	// would dwarf the measurement. Each run restores the pristine
-	// geometry in place (serial here, so safe) so every engine deforms
-	// identical positions.
+	// pipeline deforms it, so the shared BuildCached instance must not
+	// be used, but rebuilding per run would dwarf the measurement. Each
+	// run restores the pristine geometry in place (serial here, so safe)
+	// so every engine deforms identical positions.
 	m, err := meshgen.Build(ds, cfg.Scale)
 	if err != nil {
 		return nil, err

@@ -18,15 +18,15 @@ import (
 // Two stressors, two tables:
 //
 //   - "repartition": SplitCell/DeleteCell storms against a sharded mesh,
-//     K in {2, 4, 8}, in three modes — live (dirty tracking on, cuts
-//     shift within the default tolerance), frozen (tracking on, cut
-//     shifts disabled) and full (tracking off, every storm forces a
-//     from-scratch re-partition). The migrated-cell and rebuilt-shard
-//     fractions are the experiment's headline: live migration touches a
-//     small slice of the mesh where the full rebuild pays 100% every
-//     time, while keeping the owned-count imbalance near the full
-//     rebuild's. The migration counters are workload-deterministic
-//     (fixed seed, no wall-clock), so CI trend-gates them.
+//     K in {2, 4, 8}, in three modes — live (incremental Apply, cuts
+//     shift within the default tolerance), frozen (cut shifts disabled)
+//     and full (the baseline: a fresh partition and fresh engines after
+//     every storm). The migrated-cell and rebuilt-shard fractions are
+//     the experiment's headline: live migration touches a small slice
+//     of the mesh where the full rebuild pays 100% every time, while
+//     keeping the owned-count imbalance near the full rebuild's. The
+//     migration counters are workload-deterministic (fixed seed, no
+//     wall-clock), so CI trend-gates them.
 //   - "repartition-pressure": a query workload aimed at one shard's
 //     region, run through the live pipeline with the pressure balancer
 //     on vs off. The balancer sheds owned vertices off the hot shard
@@ -61,7 +61,7 @@ func repartitionTables(cfg Config, shardCounts []int) ([]*Table, error) {
 		}
 	}
 	storm.Notes = append(storm.Notes,
-		"live = incremental Apply (re-key dirty cells, shift cuts within tolerance); frozen = cuts pinned (RebalanceTol < 0); full = no dirty tracking, from-scratch re-partition per storm",
+		"live = incremental Apply (re-key dirty cells, shift cuts within tolerance); frozen = cuts pinned (RebalanceTol < 0); full = from-scratch shard.NewMesh + NewRouter per storm",
 		"migrated-cells[%] = cells that changed shard membership / live cells, averaged over storms; full mode is 100 by construction",
 		"rebuilt-shards[%] = shards rebuilt / (generations x K); untouched shards keep their sub-meshes and engines",
 		"maint = wall time of re-partition publishes plus per-shard engine rebuilds; not trend-gated (runner-dependent)",
@@ -75,7 +75,10 @@ func repartitionTables(cfg Config, shardCounts []int) ([]*Table, error) {
 }
 
 // repartitionStorm drives `storms` rounds of restructuring ops through
-// one sharded mesh and reports the accumulated migration statistics.
+// one sharded mesh and reports the accumulated migration statistics. The
+// full mode partitions and builds engines from scratch after every storm
+// instead, and its row is computed from each fresh partition: everything
+// migrates and every shard is rebuilt.
 func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error) {
 	const n = 10
 	m, err := meshgen.BuildBoxTet(n, n, n, 1.0/n)
@@ -87,16 +90,14 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 	if mode == "frozen" {
 		opts.RebalanceTol = -1
 	}
+	factory := func(sub *mesh.Mesh) query.ParallelKNNEngine {
+		return kdtree.NewEngine(sub, 0)
+	}
 	sm, err := shard.NewMesh(m, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	if mode != "full" {
-		sm.EnableDirtyTracking()
-	}
-	router := shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine {
-		return kdtree.NewEngine(sub, 0)
-	})
+	router := shard.NewRouter(sm, factory)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
 	// Storms hit the bottom slab of the box (cells are laid out in grid
@@ -105,6 +106,7 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 	cluster := m.NumCells() / 8
 	ops := 0
 	var maint time.Duration
+	var full shard.RepartitionStats
 	for storm := 0; storm < storms; storm++ {
 		for i := 0; i < 24; i++ {
 			if _, _, err := m.SplitCell(rng.Intn(cluster)); err == nil {
@@ -117,15 +119,36 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 			}
 		}
 		start := time.Now()
-		// Publish: the re-partition swap (incremental or full), then the
-		// engine rebuilds of the touched shards.
-		router.Step()
+		if mode != "full" {
+			// Publish: the incremental re-partition swap, then the engine
+			// rebuilds of the touched shards.
+			router.Step()
+			maint += time.Since(start)
+			continue
+		}
+		if sm, err = shard.NewMesh(m, k, opts); err != nil {
+			return nil, err
+		}
+		router = shard.NewRouter(sm, factory)
 		maint += time.Since(start)
+		maxOwned := 0
+		for _, p := range sm.Partition().Parts {
+			maxOwned = max(maxOwned, p.NumOwned)
+		}
+		full.Generations++
+		full.MigratedVerts += m.NumVertices()
+		full.MigratedCells += m.NumCells()
+		full.TotalCellsSeen += m.NumCells()
+		full.RebuiltShards += k
+		full.ImbalanceAfter = float64(maxOwned*k) / float64(m.NumVertices())
 	}
 	if err := sm.Partition().Validate(m); err != nil {
 		return nil, fmt.Errorf("repartition %s K=%d: %w", mode, k, err)
 	}
 	st := sm.RepartitionStats()
+	if mode == "full" {
+		st = full
+	}
 	if st.Generations == 0 {
 		return nil, fmt.Errorf("repartition %s K=%d: no partition swaps in %d storms", mode, k, storms)
 	}
@@ -171,9 +194,7 @@ func repartitionPressure(cfg Config) (*Table, error) {
 		mode := "frozen"
 		if balanced {
 			mode = "balanced"
-			router.SetPressurePolicy(shard.PressurePolicy{
-				Factor: 1.3, MinPressure: 4, Shed: 0.4, Cooldown: 2,
-			})
+			router.SetPressurePolicy(shard.PressurePolicy{Factor: 1.3})
 		}
 		hot := sm.Partition().Parts[0]
 		hotBefore := hot.NumOwned

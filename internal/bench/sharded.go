@@ -189,11 +189,10 @@ func shardedLive(cfg Config, ds meshgen.Dataset, factories []knnEngineFactory) (
 		nQueries = 384
 	}
 
-	// Two private meshes (pipelines irreversibly enable snapshots and
-	// deform as they go), shared across engines with a pristine-position
-	// restore between runs: one for single-mesh mode, one partitioned
-	// K=4. The restore goes through Deform so the sharded side
-	// republishes every sub-mesh.
+	// Two private meshes (pipelines deform as they go), shared across
+	// engines with a pristine-position restore between runs: one for
+	// single-mesh mode, one partitioned K=4. The restore goes through
+	// Deform so the sharded side republishes every sub-mesh.
 	single, err := meshgen.Build(ds, cfg.Scale)
 	if err != nil {
 		return nil, err

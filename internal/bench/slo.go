@@ -157,7 +157,6 @@ func sloCacheTable(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.EnableDirtyTracking()
 	cur := core.New(m).NewCursor()
 
 	gen := workload.NewGenerator(m, 4096, cfg.Seed)

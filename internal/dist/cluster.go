@@ -55,14 +55,11 @@ type Cluster struct {
 }
 
 // NewCluster builds one server per shard of sm with engines from
-// factory. Like Pipeline.Run it requires quiescence (it enables dirty
-// tracking). The servers are not reachable until ServeLoopback or
-// ServeTCP.
+// factory. The control plane consumes the global mesh's dirty stream to
+// publish deltas, and each server's sub-mesh records its own dirt for its
+// maintenance target. The servers are not reachable until ServeLoopback
+// or ServeTCP.
 func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Cluster {
-	// The control plane consumes the global mesh's dirty stream to
-	// publish deltas: Deform's fn runs against a preloaded back buffer
-	// and the old state survives to be diffed.
-	sm.Global().EnableDirtyTracking()
 	cl := &Cluster{sm: sm}
 	for _, p := range sm.Partition().Parts {
 		cl.servers = append(cl.servers, NewServer(p, factory))
@@ -81,7 +78,6 @@ func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine
 // is a pure function of both), and the servers must still be at epoch 0.
 // Servers returns nil; do not call ServeLoopback/ServeTCP.
 func NewControlPlane(sm *shard.Mesh, tr Transport, addrs []string) *Cluster {
-	sm.Global().EnableDirtyTracking()
 	cl := &Cluster{sm: sm, rpc: newClient(tr, addrs, controlPolicy, 1)}
 	if parts := sm.Partition().Parts; len(parts) > 0 {
 		cl.epoch.Store(parts[0].Mesh.Epoch())

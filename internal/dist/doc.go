@@ -54,7 +54,7 @@
 //   - Cluster is the serving-side harness: it builds one Server per
 //     shard of a shard.Mesh and owns the publish fan-out. Deform applies
 //     a step to the global positions and consumes the mesh's dirty
-//     tracking: a localized step ships as PublishDelta RPCs — only the
+//     region: a localized step ships as PublishDelta RPCs — only the
 //     moved vertices each shard can see (owned plus ghost ring),
 //     translated to local ids, applied into the sub-mesh's back buffer
 //     before the atomic swap, so the result is bit-equal to a full
@@ -64,7 +64,8 @@
 //     Either way every shard receives exactly one publish per step
 //     (empty deltas included), keeping the cluster's epochs in lockstep;
 //     MaintainToHead then drives every server's maintenance target to
-//     the published epoch. The steady-state publish path allocates
+//     the published epoch, localized by the dirt the server's own
+//     sub-mesh recorded when the publish landed. The steady-state publish path allocates
 //     nothing: encode buffers and remap scratch are reused across steps.
 //
 //   - Result caching: EnableCache gives a Router a query.ResultCache

@@ -115,7 +115,6 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			m := buildMesh(t, 5)
-			m.EnableDirtyTracking()
 			eng := tc.make(m)
 			r := rand.New(rand.NewSource(11))
 			sliced := 0
@@ -171,7 +170,6 @@ func TestIncrementalStructuralFallsBackToRebuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := buildMesh(t, 4)
 			m.EnableRestructuring()
-			m.EnableDirtyTracking()
 			eng := tc.make(m)
 
 			ci := -1
@@ -207,7 +205,6 @@ func TestIncrementalStructuralFallsBackToRebuild(t *testing.T) {
 // maintain, so the scheduler must never see work from them.
 func TestMaintenanceFreeEnginesReturnNilTasks(t *testing.T) {
 	m := buildMesh(t, 3)
-	m.EnableDirtyTracking()
 	engines := []query.ParallelKNNEngine{
 		core.New(m),
 		core.NewCon(m, 0),
@@ -237,7 +234,6 @@ func TestMaintenanceFreeEnginesReturnNilTasks(t *testing.T) {
 // throughout.
 func TestOctreeRelocationStraysAndRebuildTrigger(t *testing.T) {
 	m := buildMesh(t, 4)
-	m.EnableDirtyTracking()
 	eng := octree.NewEngine(m, 16)
 	r := rand.New(rand.NewSource(7))
 	for round := 0; round < 30; round++ {

@@ -7,9 +7,10 @@
 // rebuild-per-step baseline stalls the whole query side for the duration
 // of the rebuild. This package breaks the monolith three ways:
 //
-//   - mesh.Mesh records dirty regions (moved vertices + coarse AABB +
-//     restructured cells, dirty.go in internal/mesh), so engines know
-//     what actually changed instead of assuming everything did;
+//   - every mesh.Mesh records dirty regions from construction (moved
+//     vertices + coarse AABB + restructured cells, dirty.go in
+//     internal/mesh; there is nothing to enable), so engines know what
+//     actually changed instead of assuming everything did;
 //   - engines implement Incremental: BeginMaintenance(dirty) returns a
 //     resumable Task whose Run(budget) performs a bounded slice of the
 //     work — genuinely localized where the structure allows it (tree

@@ -116,13 +116,7 @@ func (b *Builder) Build() (*Mesh, error) {
 	cells := make([]Cell, len(b.cells))
 	copy(cells, b.cells)
 
-	return &Mesh{
-		pos:       pos,
-		adjStart:  adjStart,
-		adjList:   adjList,
-		cells:     cells,
-		liveCells: len(cells),
-	}, nil
+	return newMesh(pos, adjStart, adjList, cells), nil
 }
 
 func pack(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

@@ -1,26 +1,29 @@
 package mesh
 
 import (
-	"sort"
+	"slices"
 
 	"octopus/internal/geom"
 )
 
 // This file implements dirty-region tracking, the mesh side of the
-// incremental-maintenance subsystem (DESIGN.md §11). With tracking
-// enabled, every published deformation step records which vertices
-// actually moved — their ids, and a coarse AABB covering both their old
-// and new positions — and every restructuring operation records the cells
-// it touched. Index engines consume the accumulated region through
-// TakeDirty (reset on consume) and maintain only the dirty part of their
-// structures instead of paying a monolithic per-step rebuild.
+// incremental-maintenance subsystem (DESIGN.md §11). Every mesh records
+// its dirt from construction: every published deformation step records
+// which vertices actually moved — their ids, and a coarse AABB covering
+// both their old and new positions — and every restructuring operation
+// records the cells it touched. Index engines consume the accumulated
+// region through TakeDirty (reset on consume) and maintain only the dirty
+// part of their structures instead of paying a monolithic per-step
+// rebuild. In-place writes to Positions() are not seen: they publish no
+// epoch, and the engines' Step covers them.
 //
-// Tracking costs one position-compare pass per published step and is off
-// by default; the live pipeline enables it automatically. Measured on
-// neuro-l3 at K = 4 with every vertex moving (each position a mover, the
-// mover list filled to its cap), the pass costs ≈ 13–14 ns per position,
-// about twice the scatter that publishes the shard (≈ 6–10 ns); before
-// its box fold stopped calling math.Min/Max it cost ≈ 75–110.
+// Recording costs one position-compare pass per published step, plus a
+// 4-byte mark per vertex allocated with the second position buffer, so a
+// mesh that is never Deformed pays nothing. Measured on neuro-l3 at K = 4
+// with every vertex moving (each position a mover, the mover list filled
+// to its cap), the pass costs ≈ 13–14 ns per position, about twice the
+// scatter that publishes the shard (≈ 6–10 ns); before its box fold
+// stopped calling math.Min/Max it cost ≈ 75–110.
 
 // DirtyRegion describes where the mesh changed over an epoch interval.
 // The zero value means "nothing changed".
@@ -112,58 +115,28 @@ func (d *DirtyRegion) Merge(o DirtyRegion) {
 	d.Verts = merged
 }
 
-// DefaultDirtyCap returns the default tracking cap for a mesh of n
-// vertices: past half the mesh, enumerating movers costs more than a
-// full sweep saves, so tracking overflows instead.
-func DefaultDirtyCap(n int) int {
-	cap := n / 2
-	if cap < 64 {
-		cap = 64
-	}
-	return cap
+// defaultDirtyCap returns the tracking cap for a mesh of n vertices:
+// past half the mesh, enumerating movers costs more than a full sweep
+// saves, so tracking overflows instead.
+func defaultDirtyCap(n int) int {
+	return max(n/2, 64)
 }
-
-// EnableDirtyTracking switches on dirty-region recording for every
-// subsequent Deform and restructuring operation (a publish diffs the new
-// buffer against the old one; in-place writes to Positions() are not
-// seen). Idempotent; must be called while the mesh is quiescent.
-func (m *Mesh) EnableDirtyTracking() {
-	if m.dirtyOn {
-		return
-	}
-	m.dirtyOn = true
-	m.dirtyCap = DefaultDirtyCap(len(m.pos))
-	m.dirtyMark = make([]uint32, len(m.pos))
-	m.dirtyStamp = 1
-	m.dirty = DirtyRegion{Box: geom.EmptyBox(), From: m.Epoch(), To: m.Epoch()}
-}
-
-// DirtyTrackingEnabled reports whether dirty-region recording is on.
-func (m *Mesh) DirtyTrackingEnabled() bool { return m.dirtyOn }
 
 // TakeDirty returns the dirty region accumulated since the last call (or
-// since tracking was enabled) and resets the accumulator — the consume
-// side of the contract. With tracking disabled it still reports the epoch
-// interval, flagged Overflow whenever the epoch advanced, so consumers
-// can fall back to whole-mesh maintenance. TakeDirty must not run
-// concurrently with Deform or restructuring (the scheduler calls it from
-// the writer goroutine between steps).
+// since construction) and resets the accumulator — the consume side of
+// the contract. TakeDirty must not run concurrently with Deform or
+// restructuring (the scheduler calls it from the writer goroutine between
+// steps).
 func (m *Mesh) TakeDirty() DirtyRegion {
 	head := m.Epoch()
-	if !m.dirtyOn {
-		d := DirtyRegion{From: m.dirtyFrom, To: head, Box: geom.EmptyBox()}
-		d.Overflow = head != m.dirtyFrom
-		m.dirtyFrom = head
-		return d
-	}
 	d := m.dirty
 	d.To = head
-	sort.Slice(d.Verts, func(i, j int) bool { return d.Verts[i] < d.Verts[j] })
-	d.Cells = sortDedupInt32(d.Cells)
-	sort.Slice(d.AddedVerts, func(i, j int) bool { return d.AddedVerts[i] < d.AddedVerts[j] })
+	slices.Sort(d.Verts)
+	slices.Sort(d.Cells)
+	d.Cells = slices.Compact(d.Cells)
+	slices.Sort(d.AddedVerts)
 	m.dirty = DirtyRegion{Box: geom.EmptyBox(), From: head, To: head}
 	m.dirtyStamp++
-	m.dirtyFrom = head
 	return d
 }
 
@@ -219,9 +192,6 @@ func (m *Mesh) recordDeformDirty(old, now []geom.Vec3) {
 // recordStructuralDirty marks a restructuring operation covering the
 // given cells (the retired cell plus any replacements).
 func (m *Mesh) recordStructuralDirty(touched geom.AABB, cells ...int32) {
-	if !m.dirtyOn {
-		return
-	}
 	m.dirty.Structural = true
 	m.dirty.Cells = append(m.dirty.Cells, cells...)
 	m.dirty.Box = m.dirty.Box.Union(touched)
@@ -229,25 +199,7 @@ func (m *Mesh) recordStructuralDirty(touched geom.AABB, cells ...int32) {
 
 // recordAddedVert marks a vertex created by restructuring.
 func (m *Mesh) recordAddedVert(v int32) {
-	if !m.dirtyOn {
-		return
-	}
 	m.dirty.AddedVerts = append(m.dirty.AddedVerts, v)
-}
-
-// sortDedupInt32 sorts s ascending and drops duplicates in place.
-func sortDedupInt32(s []int32) []int32 {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // cellBox returns the AABB of cell ci's vertices at the current epoch.

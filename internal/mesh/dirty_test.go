@@ -29,14 +29,6 @@ func dirtyTestMesh(t *testing.T) *Mesh {
 
 func TestDirtyTrackingRecordsMovers(t *testing.T) {
 	m := dirtyTestMesh(t)
-	if m.DirtyTrackingEnabled() {
-		t.Fatal("tracking must be off by default")
-	}
-	m.EnableDirtyTracking()
-	m.EnableDirtyTracking() // idempotent
-	if !m.DirtyTrackingEnabled() {
-		t.Fatal("tracking not enabled")
-	}
 
 	// First take is empty (nothing published yet).
 	if d := m.TakeDirty(); !d.Empty() {
@@ -87,7 +79,6 @@ func TestDirtyTrackingRecordsMovers(t *testing.T) {
 
 func TestDirtyTrackingOverflow(t *testing.T) {
 	m := dirtyTestMesh(t)
-	m.EnableDirtyTracking()
 	m.dirtyCap = 1 // force overflow on the second mover
 	m.Deform(func(pos []geom.Vec3) {
 		for i := range pos {
@@ -103,28 +94,40 @@ func TestDirtyTrackingOverflow(t *testing.T) {
 	}
 }
 
-func TestDirtyTrackingDisabledReportsInterval(t *testing.T) {
-	m := dirtyTestMesh(t)
-	if d := m.TakeDirty(); !d.Empty() {
-		t.Fatalf("no-steps region not empty: %+v", d)
+// TestDirtyRecordedFromConstruction pins that recording is not a mode:
+// the first Deform of a freshly built or renumbered mesh yields its exact
+// movers, and a mesh only ever written in place — the paper's loop, as
+// the sim-step workload runs it — records nothing and allocates no mark
+// array.
+func TestDirtyRecordedFromConstruction(t *testing.T) {
+	built := dirtyTestMesh(t)
+	renumbered, err := built.Renumber([]int32{4, 3, 2, 1, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Deform(func(pos []geom.Vec3) { pos[0] = geom.V(9, 9, 9) })
-	d := m.TakeDirty()
-	if !d.Overflow {
-		t.Fatal("untracked deformation must report Overflow")
-	}
-	if d.From != 0 || d.To != 1 {
-		t.Fatalf("interval = (%d, %d], want (0, 1]", d.From, d.To)
-	}
-	if d := m.TakeDirty(); !d.Empty() {
-		t.Fatalf("interval not consumed: %+v", d)
+	for name, m := range map[string]*Mesh{"built": built, "renumbered": renumbered} {
+		m.Positions()[0] = geom.V(7, 7, 7)
+		if d := m.TakeDirty(); !d.Empty() || !d.Box.IsEmpty() {
+			t.Fatalf("%s: an in-place write recorded %+v", name, d)
+		}
+		if m.dirtyMark != nil {
+			t.Fatalf("%s: a never-Deformed mesh allocated a mark array", name)
+		}
+		m.Deform(func(pos []geom.Vec3) { pos[2] = geom.V(9, 9, 9) })
+		d := m.TakeDirty()
+		if d.Overflow || d.Structural || !slices.Equal(d.Verts, []int32{2}) || d.From != 0 || d.To != 1 {
+			t.Fatalf("%s: first Deform recorded %+v, want verts [2] over (0, 1]", name, d)
+		}
+		if !d.Box.Contains(geom.V(9, 9, 9)) {
+			t.Fatalf("%s: dirty box %v misses the mover", name, d.Box)
+		}
 	}
 }
 
 func TestDirtyTrackingStructural(t *testing.T) {
 	m := dirtyTestMesh(t)
 	m.EnableRestructuring()
-	m.EnableDirtyTracking()
+	m.EnableSnapshots() // SplitCell then grows an allocated mark array
 	base := int32(len(m.Cells()))
 	x, _, err := m.SplitCell(0)
 	if err != nil {
@@ -205,7 +208,7 @@ func TestRecordDeformDirtyMatchesExtendLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableDirtyTracking()
+	m.EnableSnapshots() // allocates the mark array the oracle copies
 	bits := func(b geom.AABB) [6]uint64 {
 		return [6]uint64{
 			math.Float64bits(b.Min.X), math.Float64bits(b.Min.Y), math.Float64bits(b.Min.Z),

@@ -79,16 +79,6 @@ type Mesh struct {
 	pins     [2]atomic.Int64
 	writerMu sync.Mutex
 
-	// Dirty-region tracking (dirty.go): which vertices moved and which
-	// cells were restructured since the last TakeDirty. Off by default;
-	// the incremental-maintenance scheduler enables and consumes it.
-	dirtyOn    bool
-	dirtyCap   int
-	dirty      DirtyRegion
-	dirtyMark  []uint32
-	dirtyStamp uint32
-	dirtyFrom  uint64
-
 	// CSR adjacency over vertices: the neighbours of vertex v are
 	// adjList[adjStart[v]:adjStart[v+1]].
 	adjStart []int32
@@ -111,6 +101,32 @@ type Mesh struct {
 	// surface memoizes SurfaceVertices while faces == nil.
 	surfaceOnce sync.Once
 	surface     []int32
+
+	// Dirty-region tracking (dirty.go): which vertices moved and which
+	// cells were restructured since the last TakeDirty, recorded from
+	// construction; the incremental-maintenance scheduler consumes it.
+	// dirtyMark is allocated with back. The block sits last, behind the
+	// adjacency every crawled vertex reads: placed before it, a sim-step
+	// run (in-place writes, no publish, no diff) measured 3–4 % slower.
+	dirtyCap   int
+	dirty      DirtyRegion
+	dirtyMark  []uint32
+	dirtyStamp uint32
+}
+
+// newMesh assembles a mesh over freshly built arrays, with its dirty
+// accumulator empty at epoch 0 — every construction path goes through it.
+func newMesh(pos []geom.Vec3, adjStart, adjList []int32, cells []Cell) *Mesh {
+	return &Mesh{
+		pos:        pos,
+		adjStart:   adjStart,
+		adjList:    adjList,
+		cells:      cells,
+		liveCells:  len(cells),
+		dirtyCap:   defaultDirtyCap(len(pos)),
+		dirty:      DirtyRegion{Box: geom.EmptyBox()},
+		dirtyStamp: 1,
+	}
 }
 
 // NumVertices returns the number of vertices, including vertices added by

@@ -20,21 +20,25 @@ import (
 // loop: write Positions() in place, then Step() the engines — allocates
 // nothing and pays two uncontended atomic adds per query for the pin.
 
-// EnableSnapshots allocates the second position buffer now instead of at
-// the first Deform (24 bytes/vertex), moving that allocation out of the
-// first step. Nothing depends on it having been called.
+// EnableSnapshots allocates the second position buffer and the dirty
+// mark array now instead of at the first Deform (28 bytes/vertex), moving
+// that allocation out of the first step. Nothing depends on it having
+// been called.
 func (m *Mesh) EnableSnapshots() {
 	m.writerMu.Lock()
 	m.allocBack()
 	m.writerMu.Unlock()
 }
 
-// allocBack makes sure the odd-epoch buffer exists. Caller holds writerMu.
-// Readers touch back only after loading an odd epoch, and the first odd
-// epoch is stored after this returns, so the write needs no other fence.
+// allocBack makes sure the odd-epoch buffer exists, and with it the mark
+// array the publish diff deduplicates movers through. Caller holds
+// writerMu. Readers touch back only after loading an odd epoch, and the
+// first odd epoch is stored after this returns, so the write needs no
+// other fence.
 func (m *Mesh) allocBack() {
 	if m.back == nil {
 		m.back = make([]geom.Vec3, len(m.pos))
+		m.dirtyMark = make([]uint32, len(m.pos))
 	}
 }
 
@@ -123,33 +127,28 @@ func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 		copy(target, m.buf(e))
 	}
 	fn(target)
-	if m.dirtyOn {
-		m.recordDeformDirty(m.buf(e), target)
-	}
+	m.recordDeformDirty(m.buf(e), target)
 	m.epoch.Store(e + 1) // the single publishing store
 }
 
 // growPosition appends a new vertex position to the store (restructuring's
-// SplitCell path), keeping both buffers the same length (a back buffer
-// not yet allocated takes the grown length when it is), and returns the
-// new vertex id. The caller must hold exclusive access (restructuring is
-// never concurrent with queries or Deform). The epoch advances by two —
-// same buffer parity, fresh state identity — so epoch-tagged results and
-// caches remain unambiguous.
+// SplitCell path), keeping both buffers and the mark array the same
+// length (a back buffer not yet allocated takes the grown length when it
+// is), and returns the new vertex id. The caller must hold exclusive
+// access (restructuring is never concurrent with queries or Deform). The
+// epoch advances by two — same buffer parity, fresh state identity — so
+// epoch-tagged results and caches remain unambiguous. The new vertex set
+// is a structural change by definition.
 func (m *Mesh) growPosition(p geom.Vec3) int32 {
 	v := int32(len(m.pos))
 	m.pos = append(m.pos, p)
 	if m.back != nil {
 		m.back = append(m.back, p)
+		m.dirtyMark = append(m.dirtyMark, 0)
 	}
 	m.epoch.Add(2)
-	if m.dirtyOn {
-		// The new vertex set is a structural change by definition; the
-		// mark array must track the grown id space.
-		m.dirtyMark = append(m.dirtyMark, 0)
-		m.dirty.Structural = true
-		m.dirty.Box = m.dirty.Box.Extend(p)
-	}
+	m.dirty.Structural = true
+	m.dirty.Box = m.dirty.Box.Extend(p)
 	return v
 }
 

@@ -69,13 +69,7 @@ func (m *Mesh) Renumber(perm []int32) (*Mesh, error) {
 		cells = append(cells, c)
 	}
 
-	return &Mesh{
-		pos:       pos,
-		adjStart:  adjStart,
-		adjList:   adjList,
-		cells:     cells,
-		liveCells: len(cells),
-	}, nil
+	return newMesh(pos, adjStart, adjList, cells), nil
 }
 
 // HilbertPerm returns the permutation (old → new) that orders vertices by

@@ -25,13 +25,6 @@ type DeformableMesh interface {
 	Epoch() uint64
 }
 
-// dirtyTracker is the optional dirty-recording side of a DeformableMesh;
-// both *mesh.Mesh and shard.Mesh implement it, and Run enables it so the
-// maintenance scheduler sees localized dirty regions.
-type dirtyTracker interface {
-	EnableDirtyTracking()
-}
-
 // PostTicker is the optional self-tuning hook of an engine: the
 // pipeline's writer calls PostTick after every maintenance tick, once
 // the scheduler has collected each target's query-pressure sample. The
@@ -84,9 +77,9 @@ type Pipeline struct {
 	// Engine answers the queries; every engine constructor in this
 	// repository returns a suitable ParallelKNNEngine.
 	Engine ParallelKNNEngine
-	// Mesh is the dataset being deformed; Run enables dirty tracking on
-	// it. *mesh.Mesh is the single-mesh case; shard.Mesh drives a whole
-	// partition in lockstep.
+	// Mesh is the dataset being deformed; its dirty regions (recorded by
+	// every publish) feed the maintenance scheduler. *mesh.Mesh is the
+	// single-mesh case; shard.Mesh drives a whole partition in lockstep.
 	Mesh DeformableMesh
 	// Deform applies one simulation step's in-place update to pos (which
 	// is the back buffer, pre-loaded with the current positions). It runs
@@ -139,8 +132,9 @@ type Pipeline struct {
 	// intersects their query box or kNN ball. Cache hits are exact — the
 	// trace reports the epoch the cached result is provably equal to
 	// fresh execution at, and Cached is set. Requires dirty regions to
-	// actually flow (a mesh with pinned snapshots, or a sharded
-	// StateProvider engine); otherwise the cache stays disabled. Caching
+	// flow to the scheduler (a Mesh with TakeDirty and pinned snapshots,
+	// like *mesh.Mesh, or a sharded StateProvider engine); otherwise the
+	// cache stays disabled. Caching
 	// assumes exact execution: do not combine it with the approximate
 	// surface probe, whose results are not replayable.
 	CacheSize int
@@ -321,17 +315,16 @@ func (p *Pipeline) maintainStates() (states []*maintain.TargetState, single *mai
 	return []*maintain.TargetState{single}, single
 }
 
-// Run executes the pipeline: it enables dirty tracking on the mesh,
-// starts the writer, drains all queries through the worker pool, then
-// stops the writer (after MinSteps) and returns the report. Cursor
-// statistics are merged into the engine after the pool drains, like
-// ExecuteBatch. Run is not reentrant — one Run per Pipeline at a time —
+// Run executes the pipeline: it starts the writer, drains all queries
+// through the worker pool, then stops the writer (after MinSteps) and
+// returns the report. Cursor statistics are merged into the engine after
+// the pool drains, like ExecuteBatch. The first tick hands the scheduler
+// whatever dirt the mesh recorded before Run (maintaining an engine that
+// was already current is redundant, never wrong). Run is not reentrant —
+// one Run per Pipeline at a time —
 // but the Pipeline may be Run repeatedly; epochs continue from the
 // previous run's head.
 func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
-	if dt, ok := p.Mesh.(dirtyTracker); ok {
-		dt.EnableDirtyTracking()
-	}
 	states, single := p.maintainStates()
 
 	// SLO controller: owns the maintenance budget (and, under sustained
@@ -364,7 +357,7 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 
 	// Result cache: enabled only when dirty regions actually flow to the
 	// scheduler — a StateProvider's per-shard sub-meshes, or a single
-	// target whose mesh supports both dirty tracking and pinned
+	// target whose mesh supports both TakeDirty and pinned
 	// snapshots (the same condition maintainStates uses for budget
 	// slicing). Without that stream the cache could never invalidate.
 	var cache *ResultCache

@@ -23,7 +23,7 @@ import (
 // ApplyStats reports what one Apply call did.
 type ApplyStats struct {
 	// Full reports that Apply fell back to a from-scratch NewPartition
-	// (no usable dirty information for a restructured mesh).
+	// (no structural dirt for a grown mesh, or a shrunk or empty one).
 	Full bool
 	// Touched lists the shards that were rebuilt.
 	Touched []int
@@ -61,10 +61,9 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 	grown := n != oldN
 
 	// Without structural dirty information a grown mesh cannot be keyed
-	// incrementally (the dirty cell set is unknown), and a shrunk or
-	// empty partition has nothing to splice into: fall back to a full
-	// re-partition. This is also the no-tracking graceful path that
-	// replaced the old restructuring panic.
+	// incrementally (the dirty cell set is unknown — d was taken from the
+	// mesh by another consumer), and a shrunk or empty partition has
+	// nothing to splice into: fall back to a full re-partition.
 	if part.K == 0 || n < oldN || (grown && !d.Structural) {
 		opts := Options{RebalanceTol: part.tol}
 		if part.tol < 0 {

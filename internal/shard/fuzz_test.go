@@ -95,9 +95,6 @@ func FuzzPartition(f *testing.F) {
 			return
 		}
 		m.EnableRestructuring()
-		if burst&8 != 0 {
-			sm.EnableDirtyTracking() // incremental Apply path
-		}
 		rr := rand.New(rand.NewSource(seed ^ int64(burst)))
 		for op := 0; op < nOps; op++ {
 			ci := rr.Intn(m.NumCells())

@@ -23,19 +23,18 @@ import (
 // every router query holds for reading, so every query fans out over one
 // consistent global step. The gate covers only what queries can observe —
 // the partition swap, the scatter into the K sub-meshes (with each
-// shard's dirty diff, when tracking is on) and the epoch bump, ≈ 20 ns
-// per local position with every vertex moving — and not the caller's fn,
-// which writes the global array under a writer mutex while queries keep
-// running: no query reads the global array. A query waits for at most
-// one scatter (plus the queries already in flight ahead of it); queries
-// never block each other. Index maintenance is NOT under this gate — it
+// shard's dirty diff) and the epoch bump, ≈ 20 ns per local position with
+// every vertex moving — and not the caller's fn, which writes the global
+// array under a writer mutex while queries keep running: no query reads
+// the global array. A query waits for at most one scatter (plus the
+// queries already in flight ahead of it); queries never block each other. Index maintenance is NOT under this gate — it
 // runs under each shard's own target lock (the scheduler's slices, or
 // Router.Step once its publish is done), which is the point of sharding:
 // one shard's rebuild blocks only the queries that need that shard.
 //
 // The partition is live (DESIGN.md §13): restructuring the global mesh
 // after partitioning no longer panics. Deform and Resync detect pending
-// structural dirt (or, with dirty tracking off, a grown vertex count) and
+// structural dirt — the global mesh records it from construction — and
 // re-partition incrementally inside the gate before the scatter, so the
 // remap tables and the K sub-meshes swap atomically with respect to
 // queries and no query ever observes mixed partition generations.
@@ -54,7 +53,6 @@ type Mesh struct {
 	// epoch counts published global deformation steps; after each step
 	// every shard sub-mesh is at this epoch.
 	epoch atomic.Uint64
-	dirty bool
 
 	// onRepartition, when set (the Router installs it), is called with
 	// the rebuilt shard indices immediately after a partition swap, under
@@ -70,7 +68,8 @@ type RepartitionStats struct {
 	// Generations counts partition swaps (incremental or full).
 	Generations int
 	// FullRebuilds counts swaps that fell back to a from-scratch
-	// re-partition (restructuring without dirty tracking).
+	// re-partition (the global mesh shrank, or a grown mesh came without
+	// its structural dirt; see Partition.Apply).
 	FullRebuilds int
 	// PressureRebalances counts swaps triggered by query pressure rather
 	// than structural change.
@@ -99,10 +98,9 @@ type RepartitionStats struct {
 // queries run.
 //
 // The global mesh may be restructured (SplitCell, DeleteCell) after
-// partitioning: the next Deform or Resync re-partitions incrementally —
-// with dirty tracking on it re-keys only the dirty cells' vertices and
-// rebuilds only the shards whose owned set changed; without tracking a
-// vertex-count change forces a full re-partition. See RepartitionStats.
+// partitioning: the next Deform or Resync re-partitions incrementally,
+// re-keying only the dirty cells' vertices and rebuilding only the shards
+// whose owned set or cell set changed. See RepartitionStats.
 func NewMesh(m *mesh.Mesh, k int, opts Options) (*Mesh, error) {
 	part, err := NewPartition(m, k, opts)
 	if err != nil {
@@ -127,20 +125,6 @@ func (sm *Mesh) RepartitionStats() RepartitionStats {
 	sm.deformMu.RLock()
 	defer sm.deformMu.RUnlock()
 	return sm.stats
-}
-
-// EnableDirtyTracking switches on dirty-region recording in every shard
-// sub-mesh, so each shard's maintenance target sees exactly the local
-// dirt its engine must repair — and on the global mesh, so restructuring
-// records the exact dirty cell set that incremental re-partitioning
-// re-keys. Like the single-mesh version it must be called while
-// quiescent; the pipeline does it automatically.
-func (sm *Mesh) EnableDirtyTracking() {
-	sm.global.EnableDirtyTracking()
-	for _, p := range sm.part.Parts {
-		p.Mesh.EnableDirtyTracking()
-	}
-	sm.dirty = true
 }
 
 // Epoch implements query.DeformableMesh: the number of deformation steps
@@ -197,19 +181,11 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 // one.
 func (sm *Mesh) Resync() { sm.Deform(func([]geom.Vec3) {}) }
 
-// pendingRestructure reports whether the global mesh was restructured
-// since the partition was (re)built, returning whatever dirty information
-// is available. With tracking enabled it consumes the global dirty
-// region; without, it falls back to comparing vertex counts (which
-// cannot see DeleteCell — enable tracking for exact structural
-// maintenance, as the old panic contract also only checked counts).
+// pendingRestructure consumes the global mesh's dirty region and reports
+// whether it was restructured since the partition was (re)built.
 func (sm *Mesh) pendingRestructure() (mesh.DirtyRegion, bool) {
-	g := sm.global
-	if g.DirtyTrackingEnabled() {
-		d := g.TakeDirty()
-		return d, d.Structural || g.NumVertices() != len(sm.part.Owner)
-	}
-	return mesh.DirtyRegion{}, g.NumVertices() != len(sm.part.Owner)
+	d := sm.global.TakeDirty()
+	return d, d.Structural
 }
 
 // applyRepartition swaps in the partition derived by Apply and notifies
@@ -220,11 +196,6 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 	if err != nil {
 		panic(fmt.Sprintf("shard: re-partition after restructuring failed (K=%d, %d -> %d global vertices): %v",
 			sm.part.K, len(sm.part.Owner), sm.global.NumVertices(), err))
-	}
-	if sm.dirty {
-		for _, s := range st.Touched {
-			np.Parts[s].Mesh.EnableDirtyTracking()
-		}
 	}
 	sm.part = np
 	sm.stats.Generations++
@@ -257,10 +228,6 @@ func (sm *Mesh) Rebalance(weights []float64) bool {
 	defer sm.writeMu.Unlock()
 	sm.deformMu.Lock()
 	defer sm.deformMu.Unlock()
-	var d mesh.DirtyRegion
-	if sm.global.DirtyTrackingEnabled() {
-		d = sm.global.TakeDirty()
-	}
-	st := sm.applyRepartition(d, weights, true)
+	st := sm.applyRepartition(sm.global.TakeDirty(), weights, true)
 	return st.BoundaryShifts > 0 || len(st.Touched) > 0
 }

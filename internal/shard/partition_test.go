@@ -274,9 +274,9 @@ func TestStopTheWorldMaintenance(t *testing.T) {
 
 // TestRestructuringAfterPartitionRepartitions pins the live contract
 // that replaced the old panic guard: growing the vertex set after the
-// cut triggers a re-partition at the next Resync (full here — dirty
-// tracking is off), after which the partition invariants hold and every
-// query over the grown mesh is exact.
+// cut triggers an incremental re-partition at the next Resync (the
+// global mesh recorded the split), after which the partition invariants
+// hold and every query over the grown mesh is exact.
 func TestRestructuringAfterPartitionRepartitions(t *testing.T) {
 	m := buildBoxTet(t, 4, 0.25)
 	m.EnableRestructuring()
@@ -290,8 +290,8 @@ func TestRestructuringAfterPartitionRepartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sm.RepartitionStats()
-	if st.Generations != 1 || st.FullRebuilds != 1 {
-		t.Fatalf("want one full re-partition without tracking, got %+v", st)
+	if st.Generations != 1 || st.FullRebuilds != 0 {
+		t.Fatalf("want one incremental re-partition, got %+v", st)
 	}
 	if total := sm.Partition().Owner; len(total) != m.NumVertices() {
 		t.Fatalf("owner table has %d entries, mesh has %d vertices", len(total), m.NumVertices())

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,12 +34,11 @@ func checkRouterExact(t *testing.T, label string, m *mesh.Mesh, r *Router) {
 	}
 }
 
-// TestIncrementalRepartitionAfterSplitBurst is the tentpole's core
-// property: with dirty tracking on, a burst of SplitCells re-partitions
-// incrementally — no full rebuild, only a fraction of vertices migrate,
-// at least one shard keeps its sub-mesh (and therefore its engine) by
-// pointer identity — and the partition invariants plus query exactness
-// hold on the grown mesh.
+// TestIncrementalRepartitionAfterSplitBurst is the core property of live
+// re-partitioning: a burst of SplitCells re-partitions incrementally — no
+// full rebuild, only a fraction of vertices migrate, at least one shard
+// keeps its sub-mesh (and therefore its engine) by pointer identity — and
+// the partition invariants plus query exactness hold on the grown mesh.
 func TestIncrementalRepartitionAfterSplitBurst(t *testing.T) {
 	m := buildBoxTet(t, 6, 1.0/6)
 	m.EnableRestructuring()
@@ -47,7 +47,6 @@ func TestIncrementalRepartitionAfterSplitBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	sm.EnableDirtyTracking()
 
 	before := make([]*mesh.Mesh, sm.K())
 	for s, p := range sm.Partition().Parts {
@@ -89,6 +88,58 @@ func TestIncrementalRepartitionAfterSplitBurst(t *testing.T) {
 	checkRouterExact(t, "after split burst", m, r)
 }
 
+// TestDeleteCellRepartitionsWithoutSetup pins that a sharded mesh sees a
+// DeleteCell with nothing enabled anywhere: the burst leaves the vertex
+// count unchanged, so only the structural dirt the global mesh records
+// from construction can trigger the re-partition at the next Resync —
+// one generation, after which no sub-mesh holds a dead cell.
+func TestDeleteCellRepartitionsWithoutSetup(t *testing.T) {
+	m := buildBoxTet(t, 5, 0.2)
+	sm, err := NewMesh(m, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return kdtree.NewEngine(sub, 0) })
+	dead := []int{3, 200, 410, 731}
+	for _, ci := range dead {
+		if _, err := m.DeleteCell(ci); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sm.Resync()
+	if st := sm.RepartitionStats(); st.Generations != 1 || st.FullRebuilds != 0 {
+		t.Fatalf("want one incremental generation after a DeleteCell burst, got %+v", st)
+	}
+	if err := sm.Partition().Validate(m); err != nil {
+		t.Fatal(err)
+	}
+	// A tet is its vertex set: compare sorted global ids.
+	globalKey := func(verts []int32, toGlobal []int32) [4]int32 {
+		var k [4]int32
+		for i, v := range verts {
+			k[i] = v
+			if toGlobal != nil {
+				k[i] = toGlobal[v]
+			}
+		}
+		slices.Sort(k[:])
+		return k
+	}
+	deadKeys := map[[4]int32]bool{}
+	for _, ci := range dead {
+		deadKeys[globalKey(m.Cells()[ci].Verts[:4], nil)] = true
+	}
+	for s, p := range sm.Partition().Parts {
+		for ci, c := range p.Mesh.Cells() {
+			if !c.Dead && deadKeys[globalKey(c.Verts[:4], p.ToGlobal)] {
+				t.Fatalf("shard %d still holds dead cell %v as local cell %d", s, globalKey(c.Verts[:4], p.ToGlobal), ci)
+			}
+		}
+	}
+	r.Step()
+	checkRouterExact(t, "after a DeleteCell burst", m, r)
+}
+
 // TestQueriesExactDuringPendingMigration pins the mid-migration window:
 // after the partition swap but before the touched shards' rebuild tasks
 // have run, their engines do not exist — queries must answer through the
@@ -102,7 +153,6 @@ func TestQueriesExactDuringPendingMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return kdtree.NewEngine(sub, 0) })
-	sm.EnableDirtyTracking()
 
 	for ci := 0; ci < 4; ci++ {
 		if _, _, err := m.SplitCell(ci); err != nil {
@@ -136,7 +186,6 @@ func TestFrozenToleranceSkipsRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	sm.EnableDirtyTracking()
 
 	for ci := 0; ci < 8; ci++ {
 		if _, _, err := m.SplitCell(ci); err != nil {
@@ -169,7 +218,6 @@ func TestRebalanceWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	sm.EnableDirtyTracking()
 
 	before := sm.Partition().Parts[0].NumOwned
 	if !sm.Rebalance([]float64{0.4, 1, 1, 1}) {
@@ -200,7 +248,6 @@ func TestResyncIncrementalScatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm.EnableDirtyTracking()
 
 	movers := []int32{0, 7, 33, 90, int32(m.NumVertices() - 1)}
 	sm.Global().Deform(func(pos []geom.Vec3) {
@@ -237,7 +284,6 @@ func TestRepartitionStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	sm.EnableDirtyTracking()
 
 	for round := 0; round < 3; round++ {
 		if _, _, err := m.SplitCell(round * 7); err != nil {
@@ -384,7 +430,7 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 					t.Fatalf("expected >= 3 re-partition generations, got %+v", st)
 				}
 				if st.FullRebuilds != 0 {
-					t.Fatalf("dirty tracking is on — no generation may fall back to a full rebuild: %+v", st)
+					t.Fatalf("the global mesh records its dirt — no generation may fall back to a full rebuild: %+v", st)
 				}
 				if err := sm.Partition().Validate(m); err != nil {
 					t.Fatal(err)
@@ -418,7 +464,7 @@ func TestPressurePolicyRebalancesHotShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	router.SetPressurePolicy(PressurePolicy{Factor: 1.5, MinPressure: 4, Shed: 0.4, Cooldown: 2})
+	router.SetPressurePolicy(PressurePolicy{Factor: 1.5})
 
 	hot := sm.Partition().Parts[0]
 	hotOwned := hot.NumOwned

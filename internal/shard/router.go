@@ -97,18 +97,20 @@ func (r *Router) MaintainStates() []*maintain.TargetState {
 // its Hilbert neighbors — load balancing without any structural change.
 type PressurePolicy struct {
 	// Factor triggers a rebalance when the hottest shard's pressure EMA
-	// exceeds Factor x the mean EMA. <= 0 disables the balancer.
+	// exceeds Factor x the mean EMA (and the pressureFloor). <= 0
+	// disables the balancer.
 	Factor float64
-	// MinPressure is an absolute floor for the hottest EMA (no rebalance
-	// on idle noise); <= 0 uses 16.
-	MinPressure int64
-	// Shed is the fraction of the hot shard's target share to give away;
-	// outside (0, 1) uses 0.5.
-	Shed float64
-	// Cooldown is the minimum number of ticks between rebalances; <= 0
-	// uses 8.
-	Cooldown int
 }
+
+// The balancer's fixed constants: the hottest EMA must reach
+// pressureFloor (no rebalance on idle noise), a trip gives away
+// pressureShed of the hot shard's target share, and trips are at least
+// pressureCooldown ticks apart.
+const (
+	pressureFloor    = 4
+	pressureShed     = 0.4
+	pressureCooldown = 2
+)
 
 // SetPressurePolicy installs the balancer policy. Not safe concurrently
 // with a running pipeline; set it before Run.
@@ -121,16 +123,11 @@ func (r *Router) SetPressurePolicy(p PressurePolicy) { r.pp = p }
 // under the coherence gate; the rebuilt shards' engines are constructed
 // by budgeted rebuild tasks like any migration.
 func (r *Router) PostTick() {
-	pp := r.pp
-	if pp.Factor <= 0 || len(r.execs) < 2 {
+	if r.pp.Factor <= 0 || len(r.execs) < 2 {
 		return
 	}
 	r.sinceRebalance++
-	cd := pp.Cooldown
-	if cd <= 0 {
-		cd = 8
-	}
-	if r.sinceRebalance < cd {
+	if r.sinceRebalance < pressureCooldown {
 		return
 	}
 	hot, hotEMA, total := -1, int64(0), int64(0)
@@ -141,23 +138,15 @@ func (r *Router) PostTick() {
 			hot, hotEMA = s, e
 		}
 	}
-	minP := pp.MinPressure
-	if minP <= 0 {
-		minP = 16
-	}
 	mean := float64(total) / float64(len(r.execs))
-	if hot < 0 || hotEMA < minP || float64(hotEMA) < pp.Factor*mean {
+	if hot < 0 || hotEMA < pressureFloor || float64(hotEMA) < r.pp.Factor*mean {
 		return
-	}
-	shed := pp.Shed
-	if shed <= 0 || shed >= 1 {
-		shed = 0.5
 	}
 	w := make([]float64, len(r.execs))
 	for s := range w {
 		w[s] = 1
 	}
-	w[hot] = 1 - shed
+	w[hot] = 1 - pressureShed
 	if r.sm.Rebalance(w) {
 		r.sinceRebalance = 0
 	}

@@ -183,7 +183,6 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	sm.EnableDirtyTracking()
 	d := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 2, Seed: 12}
 
 	inFn := make(chan struct{})
@@ -231,8 +230,8 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 }
 
 // BenchmarkDeform times the sharded writer step on the benchmark's
-// live-inproc shape — neuro-l3, K = 4, dirty tracking on as the pipeline
-// sets it — and reports ns per local (owned + ghost) position. "static"
+// live-inproc shape — neuro-l3, K = 4, each sub-mesh diffing its
+// publish — and reports ns per local (owned + ghost) position. "static"
 // runs an empty fn, so the dirty diff only compares; "moving" flips every
 // vertex between two states, so every position is a mover, with fn and
 // the dirty consume (the scheduler's work) off the clock.
@@ -245,7 +244,6 @@ func BenchmarkDeform(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sm.EnableDirtyTracking()
 	local := 0
 	for _, p := range sm.Partition().Parts {
 		local += len(p.ToGlobal)

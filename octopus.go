@@ -213,8 +213,10 @@ type RepartitionStats = shard.RepartitionStats
 
 // ShardPressurePolicy configures a ShardedEngine's pressure-driven
 // balancer (ShardedEngine.SetPressurePolicy): when one shard's
-// query-pressure EMA dominates, the router sheds part of that shard's
-// target share to its Hilbert neighbors at the next re-partition.
+// query-pressure EMA exceeds Factor x the mean, the router sheds 40% of
+// that shard's target share to its Hilbert neighbors at the next
+// re-partition (at most once every two ticks, and never on an EMA below
+// 4). Factor is the one setting; <= 0 disables the balancer.
 type ShardPressurePolicy = shard.PressurePolicy
 
 // NewShardedMesh cuts m into k shards of (nearly) equal vertex count

@@ -40,6 +40,41 @@ func TestMaintainExperimentSmoke(t *testing.T) {
 	if want := engines * 3 * 2; len(tables[1].Rows) != want {
 		t.Fatalf("maintain-local table has %d rows, want %d", len(tables[1].Rows), want)
 	}
+
+	// The sharded staleness bound: with per-shard maintenance, K=4 must not
+	// be meaningfully staler than the single mesh for an engine with
+	// nothing to maintain, which answers at the pinned epoch either way.
+	stale := map[string]float64{}
+	for ri := range tables[0].Rows {
+		engine, mode := tables[0].Cell(ri, 1), tables[0].Cell(ri, 2)
+		if mode != "incremental" || !maintenanceFree[strings.TrimPrefix(engine, "K=4 ")] {
+			continue
+		}
+		v, err := strconv.ParseFloat(tables[0].Cell(ri, 8), 64)
+		if err != nil {
+			t.Fatalf("parse stale-mean %q: %v", tables[0].Cell(ri, 8), err)
+		}
+		stale[engine] = v
+	}
+	pairs := 0
+	for engine, single := range stale {
+		sharded, ok := stale["K=4 "+engine]
+		if !ok {
+			continue
+		}
+		pairs++
+		if sharded > single+1.0 {
+			t.Fatalf("%s: sharded staleness %.3f regressed vs single-mesh %.3f", engine, sharded, single)
+		}
+	}
+	if pairs == 0 {
+		t.Fatalf("no single and K=4 incremental rows of a maintenance-free engine: %v", stale)
+	}
+}
+
+// maintenanceFree names the engines whose BeginMaintenance returns nil.
+var maintenanceFree = map[string]bool{
+	"LinearScan": true, "OCTOPUS": true, "OCTOPUS-CON": true, "OCTOPUS-Hybrid": true,
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {

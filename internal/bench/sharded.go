@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"octopus/internal/geom"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
@@ -15,17 +14,13 @@ import (
 
 // Sharded is the partitioned-execution experiment (DESIGN.md §10). For
 // every engine and dataset it sweeps the shard count K over {1, 2, 4, 8}
-// and reports:
-//
-//   - the standard measurement loop's response time (maintenance + query,
-//     the Figure-6 accounting) against the unsharded engine, plus the
-//     router's measured fan-out: the average number of shards a range
-//     query touches and a kNN query actually scans (after KBest-bound
-//     pruning) — the locality the Hilbert cut buys;
-//   - a live-pipeline section comparing result staleness and latency of
-//     the unsharded engine against K=4 on the largest dataset of the
-//     sweep: per-shard maintenance lets queries keep draining while
-//     individual shards rebuild, so staleness must not regress.
+// and reports the standard measurement loop's response time (maintenance
+// + query, the Figure-6 accounting) against the unsharded engine, plus
+// the router's measured fan-out: the average number of shards a range
+// query touches and a kNN query actually scans (after KBest-bound
+// pruning) — the locality the Hilbert cut buys. The live pipeline's
+// latency and staleness, unsharded against K=4, are the maintain
+// experiment's incremental rows.
 func Sharded(cfg Config) ([]*Table, error) {
 	return shardedTables(cfg,
 		[]meshgen.Dataset{meshgen.NeuroL2, meshgen.DSHorse},
@@ -71,17 +66,13 @@ func shardedTables(cfg Config, datasets []meshgen.Dataset, factories []knnEngine
 		}
 	}
 
-	live, err := shardedLive(cfg, datasets[0], factories)
-	if err != nil {
-		return nil, err
-	}
 	t.Notes = append(t.Notes,
 		"vs-unsharded = unsharded engine's total response / this row's (higher = sharding helps)",
 		"total = maintenance + query time (Figure-6 accounting); sharded rows include the per-step O(V) position scatter into the sub-meshes as maintenance",
 		"fan-out = shards touched per range query / scanned per kNN after bound pruning",
 		"ghosts = replicated cut-ring vertices as a share of all shard-local vertices",
 	)
-	return []*Table{t, live}, nil
+	return []*Table{t}, nil
 }
 
 // shardedRunResult carries one (engine, K) measurement.
@@ -167,96 +158,4 @@ func shardedRun(ds meshgen.Dataset, cfg Config, f knnEngineFactory, k int, smCac
 		}
 	}
 	return res, nil
-}
-
-// shardedLive compares the live pipeline's latency and staleness of each
-// engine unsharded vs sharded K=4 on one dataset: the per-shard
-// maintenance acceptance check.
-func shardedLive(cfg Config, ds meshgen.Dataset, factories []knnEngineFactory) (*Table, error) {
-	t := &Table{
-		ID:    "sharded-live",
-		Title: fmt.Sprintf("Sharded live pipeline on %s: staleness with per-shard maintenance (K=4) vs single mesh", ds),
-		Columns: []string{
-			"engine", "mode", "steps", "lat-mean[us]", "lat-p99[us]",
-			"stale-mean[epochs]", "stale-max[epochs]",
-		},
-	}
-	nQueries := cfg.Steps * cfg.QueriesPerStep
-	if nQueries < 64 {
-		nQueries = 64
-	}
-	if nQueries > 384 {
-		nQueries = 384
-	}
-
-	// Two private meshes (pipelines deform as they go), shared across
-	// engines with a pristine-position restore between runs: one for
-	// single-mesh mode, one partitioned K=4. The restore goes through
-	// Deform so the sharded side republishes every sub-mesh.
-	single, err := meshgen.Build(ds, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	sharded, err := meshgen.Build(ds, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	sm, err := shard.NewMesh(sharded, 4, shard.Options{})
-	if err != nil {
-		return nil, err
-	}
-	// One pristine copy per mesh: the two Build calls produce identical
-	// geometry today, but each restore must only ever depend on its own
-	// mesh's initial state.
-	origSingle := append([]geom.Vec3(nil), single.Positions()...)
-	origSharded := append([]geom.Vec3(nil), sharded.Positions()...)
-
-	for _, f := range factories {
-		for _, mode := range []string{"single", "K=4"} {
-			deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
-			if err != nil {
-				return nil, err
-			}
-
-			var eng query.ParallelKNNEngine
-			var dm query.DeformableMesh
-			var m *mesh.Mesh
-			if mode == "single" {
-				m = single
-				m.Deform(func(pos []geom.Vec3) { copy(pos, origSingle) })
-				eng = f.make(m)
-				dm = m
-			} else {
-				m = sharded
-				sm.Deform(func(pos []geom.Vec3) { copy(pos, origSharded) })
-				eng = shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return f.make(sub) })
-				dm = sm
-			}
-			gen := workload.NewGenerator(m, 4096, cfg.Seed)
-			queries := gen.UniformQueries(nQueries, cfg.Selectivity)
-			probes := gen.KNNQueries(nQueries/4, 4, 16, 0.05)
-			pl := &query.Pipeline{
-				Engine:   eng,
-				Mesh:     dm,
-				Deform:   deformer.Step,
-				Tick:     500 * time.Microsecond,
-				MinSteps: 2,
-			}
-			report := pl.Run(queries, probes)
-			traces := report.Traces()
-			latMean, latP99 := query.LatencyStats(traces, 0.99)
-			staleMean, staleMax := query.StalenessStats(traces)
-			t.AddRow(
-				f.name, mode, report.Steps,
-				float64(latMean.Nanoseconds())/1e3,
-				float64(latP99.Nanoseconds())/1e3,
-				staleMean, staleMax,
-			)
-		}
-	}
-	t.Notes = append(t.Notes,
-		"K=4: router serializes maintenance per shard, so one shard's rebuild stalls only the queries that fan out to it",
-		"staleness = head epoch - answer epoch at completion; OCTOPUS-family engines answer at the pinned epoch in both modes",
-	)
-	return t, nil
 }

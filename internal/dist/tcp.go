@@ -247,20 +247,6 @@ func readFrame(r io.Reader) (tag byte, id uint32, payload []byte, err error) {
 	return hdr[0], id, payload, nil
 }
 
-// Serve accepts connections on ln and serves h's RPCs until the listener
-// is closed; each connection demuxes its requests onto per-request
-// goroutines. It returns the listener's final Accept error (net.ErrClosed
-// after a clean Close).
-func Serve(ln net.Listener, h Handler) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go serveConn(conn, h)
-	}
-}
-
 // TCPServer serves one shard over a listener while tracking the accepted
 // connections, so Stop can sever in-flight clients too — the process
 // kill of the fault drills, not just a refused redial. cmd/shardserver
@@ -282,8 +268,10 @@ func NewTCPServer(ln net.Listener, h Handler) *TCPServer {
 // Addr returns the listener's address.
 func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
 
-// Serve accepts and serves connections until Stop (or a listener error),
-// which it returns like the package-level Serve.
+// Serve accepts connections and serves their RPCs until Stop (or a
+// listener error); each connection demuxes its requests onto
+// per-request goroutines. It returns the listener's final Accept error
+// (net.ErrClosed after Stop).
 func (s *TCPServer) Serve() error {
 	for {
 		conn, err := s.ln.Accept()

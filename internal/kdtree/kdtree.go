@@ -260,21 +260,17 @@ func (t *Tree) MemoryBytes() int64 {
 }
 
 // Engine adapts the kd-tree to the query.Engine lifecycle with a full
-// rebuild per step — or, under the incremental-maintenance scheduler
-// (maintain.Incremental), a budget-sliced relocation of only the dirty
-// vertices, with the rebuild reserved for structural change and drift
-// degradation (DESIGN.md §11).
+// rebuild per step — the paper's throwaway-index baseline. Under the
+// incremental-maintenance scheduler (maintain.Incremental) it instead
+// relocates only the dirty vertices between leaf buckets, with the
+// rebuild reserved for structural change and drift degradation
+// (DESIGN.md §11). The tree is built over the embedded shadow; see the
+// octree engine for why the throwaway index snapshots instead of
+// aliasing the live array.
 type Engine struct {
-	m      *mesh.Mesh
+	maintain.Shadow
 	bucket int
 	tree   *Tree
-	// snap is the engine-owned position copy the tree is built over
-	// (reused across rebuilds); see the octree engine for why the
-	// throwaway index snapshots instead of aliasing the live array.
-	// Incremental maintenance keeps snap in lockstep with the tree per
-	// vertex.
-	snap        []geom.Vec3
-	answerEpoch uint64
 	// leafMoves counts leaf-to-leaf relocations since the last full
 	// rebuild — the tree-quality trigger (the splits go stale as the
 	// geometry drifts).
@@ -283,8 +279,8 @@ type Engine struct {
 
 // NewEngine builds the initial tree. bucket <= 0 uses DefaultBucketSize.
 func NewEngine(m *mesh.Mesh, bucket int) *Engine {
-	e := &Engine{m: m, bucket: bucket}
-	e.Step()
+	e := &Engine{Shadow: maintain.NewShadow(m), bucket: bucket}
+	e.tree = Build(e.Pos, bucket)
 	return e
 }
 
@@ -292,13 +288,11 @@ func NewEngine(m *mesh.Mesh, bucket int) *Engine {
 func (e *Engine) Name() string { return "KD-Tree" }
 
 // Step implements query.Engine: rebuild from scratch over a fresh
-// position snapshot. It is safe mid-relocation (snap stays per-vertex
-// coherent).
+// position snapshot. It is safe mid-relocation (the shadow stays
+// per-vertex coherent).
 func (e *Engine) Step() {
-	e.snap = append(e.snap[:0], e.m.Positions()...)
-	e.tree = Build(e.snap, e.bucket)
+	e.tree = Build(e.Capture(), e.bucket)
 	e.leafMoves = 0
-	e.answerEpoch = e.m.Epoch()
 }
 
 // BeginMaintenance implements maintain.Incremental: relocate exactly the
@@ -306,38 +300,15 @@ func (e *Engine) Step() {
 // rebuild on structural change or once drift has moved more than half
 // the vertices across leaves since the last build.
 func (e *Engine) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
-	head := e.m.Epoch()
-	if d.Structural || len(e.snap) != e.m.NumVertices() {
-		return maintain.StepTask(e)
-	}
-	if head == e.answerEpoch && d.Empty() {
-		return nil
-	}
-	if e.leafMoves > len(e.snap)/2 {
-		return maintain.StepTask(e)
-	}
-	verts := maintain.NormalizeDirty(d, e.answerEpoch, head)
-	newPos := maintain.CapturePositions(e.m.Positions(), verts)
-	return &maintain.RelocationTask{
-		Verts: verts,
-		N:     len(newPos),
-		Apply: func(i int, v int32) {
-			np := newPos[i]
-			if e.snap[v] == np {
-				return
-			}
-			if e.tree.Relocate(v, e.snap[v], np) {
-				e.leafMoves++
-			}
-			e.snap[v] = np
-		},
-		Done: func() { e.answerEpoch = head },
-	}
+	return e.Begin(d, e, e.leafMoves > len(e.Pos)/2, maintain.Rule{Move: e.relocate})
 }
 
-// AnswerEpoch implements query.EpochReporter: queries answer at the state
-// captured by the last rebuild.
-func (e *Engine) AnswerEpoch() uint64 { return e.answerEpoch }
+// relocate is the kd-tree's move rule.
+func (e *Engine) relocate(v int32, old, now geom.Vec3) {
+	if e.tree.Relocate(v, old, now) {
+		e.leafMoves++
+	}
+}
 
 // Query implements query.Engine.
 func (e *Engine) Query(q geom.AABB, out []int32) []int32 { return e.tree.Query(q, out) }
@@ -348,7 +319,7 @@ func (e *Engine) KNN(p geom.Vec3, k int, out []int32) []int32 { return e.tree.KN
 
 // MemoryFootprint implements query.Engine: the tree plus the position
 // snapshot it was built over.
-func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.snap))*24 }
+func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.Pos))*24 }
 
 // NewCursor implements query.ParallelEngine. The tree is rebuilt only in
 // Step; Query is a read-only traversal, so the engine is stateless at

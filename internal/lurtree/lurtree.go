@@ -17,17 +17,13 @@ import (
 	"octopus/internal/rtree"
 )
 
-// Engine is the LUR-Tree query engine.
+// Engine is the LUR-Tree query engine. The tree's point boxes are exact
+// for the embedded shadow, so ranking kNN candidates against the same
+// copy keeps every answer exact at AnswerEpoch even while the mesh
+// deforms concurrently.
 type Engine struct {
-	m    *mesh.Mesh
+	maintain.Shadow
 	tree *rtree.Tree
-
-	// last is the shadow position copy taken at the last Step. The tree's
-	// point boxes are exact for those positions, so ranking kNN candidates
-	// against the same copy keeps every answer exact at answerEpoch even
-	// while the mesh deforms concurrently.
-	last        []geom.Vec3
-	answerEpoch uint64
 
 	// stats
 	lazyUpdates int64
@@ -40,84 +36,46 @@ func New(m *mesh.Mesh, fanout int) *Engine {
 	if fanout <= 0 {
 		fanout = rtree.DefaultFanout
 	}
-	n := m.NumVertices()
-	ids := make([]int32, n)
-	boxes := make([]geom.AABB, n)
-	for i := 0; i < n; i++ {
+	e := &Engine{Shadow: maintain.NewShadow(m)}
+	ids := make([]int32, len(e.Pos))
+	boxes := make([]geom.AABB, len(e.Pos))
+	for i, p := range e.Pos {
 		ids[i] = int32(i)
-		p := m.Position(int32(i))
 		boxes[i] = geom.AABB{Min: p, Max: p}
 	}
-	e := &Engine{m: m, tree: rtree.BulkLoad(ids, boxes, fanout)}
-	e.last = append(e.last, m.Positions()...)
-	e.answerEpoch = m.Epoch()
+	e.tree = rtree.BulkLoad(ids, boxes, fanout)
 	return e
 }
 
 // Name implements query.Engine.
 func (e *Engine) Name() string { return "LUR-Tree" }
 
-// Step implements query.Engine: apply the lazy-update rule to every vertex.
-func (e *Engine) Step() {
-	pos := e.m.Positions()
-	for i := range pos {
-		id := int32(i)
-		p := pos[i]
-		box := geom.AABB{Min: p, Max: p}
-		if e.tree.UpdateInPlace(id, box) {
-			e.lazyUpdates++
-			continue
-		}
-		// The object escaped its leaf MBR — or is a brand-new vertex from
-		// restructuring, which Delete reports as not found: either way it
-		// is (re)inserted as a structural update.
-		_ = e.tree.Delete(id)
-		e.tree.Insert(id, box)
-		e.reinserts++
-	}
-	e.last = append(e.last[:0], pos...)
-	e.answerEpoch = e.m.Epoch()
+// Step implements query.Engine: the maintenance task run to completion
+// over every vertex — the lazy-update rule applied to each one that
+// moved, and to every vertex restructuring added.
+func (e *Engine) Step() { e.Sweep(maintain.Rule{Move: e.move}) }
+
+// BeginMaintenance implements maintain.Incremental: the lazy-update rule
+// applied to only the dirty vertices, as a resumable, budget-sliced task.
+// This is the LUR-Tree's own maintenance policy minus the all-vertices
+// sweep that made it pay ~80% of its query response time in maintenance.
+func (e *Engine) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
+	return e.Begin(d, e, false, maintain.Rule{Move: e.move})
 }
 
-// AnswerEpoch implements query.EpochReporter: queries answer at the state
-// captured by the last Step.
-func (e *Engine) AnswerEpoch() uint64 { return e.answerEpoch }
-
-// BeginMaintenance implements maintain.Incremental: apply the lazy-update
-// rule to only the dirty vertices — in-place MBR update when the point
-// stayed inside its leaf, delete + re-insert when it escaped — as a
-// resumable, budget-sliced task. This is the LUR-Tree's own maintenance
-// policy minus the all-vertices sweep that made it pay ~80% of its query
-// response time in maintenance.
-func (e *Engine) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
-	head := e.m.Epoch()
-	if d.Structural || len(e.last) != e.m.NumVertices() {
-		return maintain.StepTask(e)
+// move is the lazy-update rule: an in-place point-box update when the
+// point stayed inside its leaf MBR; otherwise — it escaped, or it is a
+// vertex the tree does not hold yet, whose Delete is a no-op — a
+// delete + re-insert.
+func (e *Engine) move(v int32, _, now geom.Vec3) {
+	box := geom.AABB{Min: now, Max: now}
+	if e.tree.UpdateInPlace(v, box) {
+		e.lazyUpdates++
+		return
 	}
-	if head == e.answerEpoch && d.Empty() {
-		return nil
-	}
-	verts := maintain.NormalizeDirty(d, e.answerEpoch, head)
-	newPos := maintain.CapturePositions(e.m.Positions(), verts)
-	return &maintain.RelocationTask{
-		Verts: verts,
-		N:     len(newPos),
-		Apply: func(i int, v int32) {
-			np := newPos[i]
-			if e.last[v] == np {
-				return
-			}
-			box := geom.AABB{Min: np, Max: np}
-			if e.tree.UpdateInPlace(v, box) {
-				e.lazyUpdates++
-			} else if err := e.tree.Delete(v); err == nil {
-				e.tree.Insert(v, box)
-				e.reinserts++
-			}
-			e.last[v] = np
-		},
-		Done: func() { e.answerEpoch = head },
-	}
+	_ = e.tree.Delete(v)
+	e.tree.Insert(v, box)
+	e.reinserts++
 }
 
 // Query implements query.Engine. Entries are exact point boxes, so every
@@ -133,12 +91,12 @@ func (e *Engine) Query(q geom.AABB, out []int32) []int32 {
 // KNN implements query.KNNEngine via the R-tree's pruned descent. Entry
 // boxes are exact point boxes after Step, so the MBR bound is tight.
 func (e *Engine) KNN(p geom.Vec3, k int, out []int32) []int32 {
-	return e.tree.KNN(p, e.last, k, out)
+	return e.tree.KNN(p, e.Pos, k, out)
 }
 
 // MemoryFootprint implements query.Engine: the tree plus the shadow
 // position copy.
-func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.last))*24 }
+func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.Pos))*24 }
 
 // Tree exposes the underlying R-tree for invariant checks in tests.
 func (e *Engine) Tree() *rtree.Tree { return e.tree }

@@ -64,21 +64,22 @@ func TestSchedulerSyncTargetsSwapsLive(t *testing.T) {
 	}
 }
 
-// TestSchedulerAddRemoveTargetIdempotent pins the mutators' edge cases:
-// double add keeps one registration, double remove folds once.
-func TestSchedulerAddRemoveTargetIdempotent(t *testing.T) {
+// TestSchedulerSyncTargetsIdempotent pins the mutator's edge cases: a
+// target named twice is registered once, retiring it folds exactly one
+// task, and retiring it again folds nothing.
+func TestSchedulerSyncTargetsIdempotent(t *testing.T) {
 	fm := &fakeMesh{}
 	fe := &fakeEngine{mesh: fm, work: 2}
 	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
 	s := NewScheduler(nil, Options{})
-	s.AddTarget(ts)
-	s.AddTarget(ts)
+	s.SyncTargets([]*TargetState{ts, ts})
+	s.SyncTargets([]*TargetState{ts})
 	if got := s.Stats().Targets; got != 1 {
 		t.Fatalf("double add -> %d targets, want 1", got)
 	}
 	fm.advance(1, 1)
 	s.Tick()
-	s.RemoveTarget(ts)
+	s.SyncTargets(nil)
 	st := s.Stats()
 	if st.Targets != 0 {
 		t.Fatalf("targets = %d after remove, want 0", st.Targets)
@@ -86,17 +87,17 @@ func TestSchedulerAddRemoveTargetIdempotent(t *testing.T) {
 	if st.TasksCompleted != 1 || st.SlicesRun != 1 {
 		t.Fatalf("retired fold = %+v, want exactly one task", st)
 	}
-	s.RemoveTarget(ts) // unknown target: no-op, not a double-fold
+	s.SyncTargets(nil) // already retired: no-op, not a double-fold
 	if got := s.Stats().TasksCompleted; got != 1 {
 		t.Fatalf("double remove double-folded: tasks = %d", got)
 	}
 }
 
-// TestSchedulerRemoveTargetExcludesPreRegistrationWork pins the
-// per-run baseline across dynamic registration: a state that lived
-// under an earlier scheduler brings none of that history with it, and
-// retiring it folds only the activity this scheduler saw.
-func TestSchedulerRemoveTargetExcludesPreRegistrationWork(t *testing.T) {
+// TestSchedulerSyncTargetsExcludesPreRegistrationWork pins the per-run
+// baseline across dynamic registration: a state that lived under an
+// earlier scheduler brings none of that history with it, and retiring it
+// folds only the activity this scheduler saw.
+func TestSchedulerSyncTargetsExcludesPreRegistrationWork(t *testing.T) {
 	fm := &fakeMesh{}
 	fe := &fakeEngine{mesh: fm, work: 2}
 	ts := NewTargetState(Target{Name: "t", Engine: fe, Mesh: fm})
@@ -106,13 +107,13 @@ func TestSchedulerRemoveTargetExcludesPreRegistrationWork(t *testing.T) {
 	s1.Tick() // this task belongs to s1's run
 
 	s2 := NewScheduler(nil, Options{})
-	s2.AddTarget(ts)
+	s2.SyncTargets([]*TargetState{ts})
 	if got := s2.Stats().TasksCompleted; got != 0 {
 		t.Fatalf("fresh registration inherited %d tasks", got)
 	}
 	fm.advance(1, 2)
 	s2.Tick()
-	s2.RemoveTarget(ts)
+	s2.SyncTargets(nil)
 	if st := s2.Stats(); st.TasksCompleted != 1 || st.SlicesRun != 1 {
 		t.Fatalf("retired stats = %+v, want exactly s2's own task", st)
 	}

@@ -8,7 +8,9 @@ package maintain_test
 // i.e. exactly like a freshly built engine.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,6 +198,125 @@ func TestIncrementalStructuralFallsBackToRebuild(t *testing.T) {
 			}
 			r := rand.New(rand.NewSource(3))
 			verify(t, eng, m, r, 0)
+		})
+	}
+}
+
+// TestStepMatchesTask runs one deformation sequence through two copies of
+// every snapshot baseline: one maintained by the paper loop (in-place
+// writes, then Step), the other by dirty-region tasks under a 1ns budget.
+// Step is the task run over every vertex, so the two must answer every
+// range and kNN query identically, and both must equal brute force —
+// through localized moves, whole-mesh drift, excursions past the build
+// bounds, a SplitCell whose new vertex sits exactly at the origin (the
+// zero value a grown shadow holds for it, which the skip of unchanged
+// vertices must not mistake for "unmoved"), and a DeleteCell.
+func TestStepMatchesTask(t *testing.T) {
+	for _, tc := range incrementalCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			mStep, mTask := buildMesh(t, 5), buildMesh(t, 5)
+			byStep, byTask := tc.make(mStep), tc.make(mTask)
+			r := rand.New(rand.NewSource(23))
+
+			// step applies fn to both meshes and maintains each engine its
+			// own way.
+			step := func(fn func(pos []geom.Vec3)) {
+				fn(mStep.Positions())
+				byStep.Step()
+				mTask.Deform(fn)
+				drive(t, byTask, mTask, 1)
+			}
+			check := func(stage string) {
+				t.Helper()
+				for i := 0; i < 16; i++ {
+					c := mStep.Position(int32(r.Intn(mStep.NumVertices())))
+					q := geom.BoxAround(c, 0.05+0.3*r.Float64())
+					want := query.BruteForce(mStep, q)
+					for _, eng := range []query.ParallelKNNEngine{byStep, byTask} {
+						got := append([]int32(nil), eng.Query(q, nil)...)
+						if d := query.Diff(got, want); d != "" {
+							t.Fatalf("%s: %s range %d (%v): %s", stage, eng.Name(), i, q, d)
+						}
+					}
+				}
+				for i := 0; i < 8; i++ {
+					p := mStep.Position(int32(r.Intn(mStep.NumVertices()))).Add(geom.V(0.01*r.Float64(), 0, 0.01*r.Float64()))
+					k := 1 + r.Intn(9)
+					want := query.BruteForceKNN(mStep, p, k)
+					for _, eng := range []query.ParallelKNNEngine{byStep, byTask} {
+						got := eng.(query.KNNEngine).KNN(p, k, nil)
+						if len(got) != len(want) {
+							t.Fatalf("%s: kNN %d: %d results, want %d", stage, i, len(got), len(want))
+						}
+						for j := range got {
+							if got[j] != want[j] {
+								t.Fatalf("%s: kNN %d: result[%d] = %d, want %d", stage, i, j, got[j], want[j])
+							}
+						}
+					}
+				}
+			}
+
+			for round := 0; round < 9; round++ {
+				n := mStep.NumVertices()
+				moved := make([]int32, 0, n)
+				delta := make([]geom.Vec3, 0, n)
+				switch round % 3 {
+				case 0: // localized: a handful of vertices jump
+					for j := 0; j < 5; j++ {
+						moved = append(moved, int32(r.Intn(n)))
+						delta = append(delta, geom.V(0.3*r.Float64()-0.15, 0.3*r.Float64()-0.15, 0.3*r.Float64()-0.15))
+					}
+				case 1: // whole-mesh drift
+					for v := 0; v < n; v++ {
+						moved = append(moved, int32(v))
+						delta = append(delta, geom.V(0.02*r.Float64(), 0.02*r.Float64(), 0.02*r.Float64()))
+					}
+				default: // excursions far outside the build bounds
+					for j := 0; j < 3; j++ {
+						moved = append(moved, int32(r.Intn(n)))
+						delta = append(delta, geom.V(3+r.Float64(), -2, 5*r.Float64()))
+					}
+				}
+				step(func(pos []geom.Vec3) {
+					for j, v := range moved {
+						pos[v] = pos[v].Add(delta[j])
+					}
+				})
+				check(fmt.Sprintf("round %d", round))
+			}
+
+			var cells []int // live cells: the first is split, a later one deleted
+			for i, c := range mStep.Cells() {
+				if !c.Dead {
+					cells = append(cells, i)
+				}
+			}
+			ci, cd := cells[0], cells[7]
+			x, _, err := mStep.SplitCell(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if xt, _, err := mTask.SplitCell(ci); err != nil || xt != x {
+				t.Fatalf("task mesh split gave vertex %d (%v), want %d", xt, err, x)
+			}
+			step(func(pos []geom.Vec3) { pos[x] = geom.Vec3{} })
+			check("split")
+			origin := geom.BoxAround(geom.Vec3{}, 1e-9)
+			for _, eng := range []query.ParallelKNNEngine{byStep, byTask} {
+				if !slices.Contains(eng.Query(origin, nil), x) {
+					t.Fatalf("%s: split vertex %d at the origin is not indexed", eng.Name(), x)
+				}
+			}
+
+			if _, err := mStep.DeleteCell(cd); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mTask.DeleteCell(cd); err != nil {
+				t.Fatal(err)
+			}
+			step(func(pos []geom.Vec3) { pos[x] = pos[x].Add(geom.V(0.01, 0.02, 0.03)) })
+			check("delete")
 		})
 	}
 }

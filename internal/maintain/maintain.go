@@ -45,7 +45,6 @@ package maintain
 import (
 	"time"
 
-	"octopus/internal/geom"
 	"octopus/internal/mesh"
 )
 
@@ -83,10 +82,18 @@ type Incremental interface {
 	BeginMaintenance(d mesh.DirtyRegion) Task
 }
 
-// EpochReporter mirrors query.EpochReporter (declared locally so the
-// dependency points query -> maintain, not back): engines answering from
-// an internal snapshot report the epoch it is consistent with.
+// EpochReporter is implemented by engines whose answers are consistent
+// with a maintained internal snapshot of the positions (throwaway trees
+// rebuilt in Step, lazily updated grids and R-trees; every Shadow
+// embedder) rather than with the live array. Their results are exact at
+// AnswerEpoch — the epoch of the last maintenance — no matter how far the
+// mesh has deformed since, which is precisely the staleness the live
+// pipeline charges them for.
 type EpochReporter interface {
+	// AnswerEpoch returns the position epoch (mesh.Mesh.Epoch at the last
+	// Build/Step) that Query and KNN results are consistent with. It must
+	// only be read when maintenance cannot run concurrently (the pipeline
+	// serializes Step against queries).
 	AnswerEpoch() uint64
 }
 
@@ -130,93 +137,4 @@ type stepTask struct{ e Stepper }
 func (t stepTask) Run(time.Duration) bool {
 	t.e.Step()
 	return true
-}
-
-// sliceStride is how many per-vertex operations a RelocationTask applies
-// between deadline checks: large enough to amortize the clock read (tens
-// of nanoseconds against ~100ns-50us per operation), small enough to
-// keep slice overshoot near one stride of work even for the heaviest
-// per-vertex updates (R-tree delete + insert).
-const sliceStride = 64
-
-// RelocationTask is the shared resumable-task shape of every localized
-// engine path: apply a per-vertex update over a captured dirty set (or
-// the full id range), a bounded number per slice.
-type RelocationTask struct {
-	// Verts lists the dirty vertex ids; nil means the full range [0, N).
-	Verts []int32
-	// N is the range length when Verts is nil.
-	N int
-	// Apply relocates the i-th vertex of the set; v is its id.
-	Apply func(i int, v int32)
-	// Done runs once when the last vertex has been applied (typically:
-	// publish the task's target epoch as the engine's answer epoch).
-	Done func()
-
-	next int
-}
-
-// Run implements Task.
-func (t *RelocationTask) Run(budget time.Duration) bool {
-	n := t.N
-	if t.Verts != nil {
-		n = len(t.Verts)
-	}
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
-	for t.next < n {
-		hi := t.next + sliceStride
-		if hi > n {
-			hi = n
-		}
-		for ; t.next < hi; t.next++ {
-			v := int32(t.next)
-			if t.Verts != nil {
-				v = t.Verts[t.next]
-			}
-			t.Apply(t.next, v)
-		}
-		if !deadline.IsZero() && t.next < n && time.Now().After(deadline) {
-			return false
-		}
-	}
-	if t.Done != nil {
-		t.Done()
-		t.Done = nil
-	}
-	return true
-}
-
-// NormalizeDirty resolves a dirty region into the vertex set a
-// relocation task must apply, relative to the engine's consistent epoch
-// and the head it targets. nil means "relocate the full id range" —
-// either the region overflowed, or it does not provably cover the whole
-// (answerEpoch, head] interval (a dirty source other than the engine's
-// own mesh tracker, or none at all), so a partial list cannot be
-// trusted. A non-nil empty slice means the epoch advanced with zero
-// movers: the task only needs to publish the new answer epoch.
-func NormalizeDirty(d mesh.DirtyRegion, answerEpoch, head uint64) []int32 {
-	if d.Overflow || d.From > answerEpoch || d.To < head {
-		return nil
-	}
-	if d.Verts == nil {
-		return []int32{}
-	}
-	return d.Verts
-}
-
-// CapturePositions copies the current positions of the given vertices
-// out of pos — the capture step of a localized task, taken under the
-// target's write lock before any slice runs. verts nil copies everything.
-func CapturePositions(pos []geom.Vec3, verts []int32) []geom.Vec3 {
-	if verts == nil {
-		return append([]geom.Vec3(nil), pos...)
-	}
-	out := make([]geom.Vec3, len(verts))
-	for i, v := range verts {
-		out[i] = pos[v]
-	}
-	return out
 }

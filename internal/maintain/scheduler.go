@@ -46,8 +46,8 @@ type Scheduler struct {
 	retired TargetStats
 
 	// mu guards states/base/retired mutation against concurrent Stats
-	// readers. Tick, Exclusive, Drain and the target-set mutators all run
-	// on the writer goroutine and need no lock among themselves.
+	// readers. Tick, Exclusive, Drain and SyncTargets all run on the
+	// writer goroutine and need no lock among themselves.
 	mu sync.Mutex
 
 	// dirtyObs, when set, receives every dirty region Tick collects from
@@ -63,15 +63,9 @@ type Scheduler struct {
 // NewScheduler builds a scheduler over the given target states.
 func NewScheduler(states []*TargetState, opt Options) *Scheduler {
 	s := &Scheduler{opt: opt, base: make(map[*TargetState]TargetStats)}
-	for _, ts := range states {
-		s.states = append(s.states, ts)
-		s.base[ts] = ts.stats()
-	}
+	s.SyncTargets(states)
 	return s
 }
-
-// Targets returns the scheduled target states, in registration order.
-func (s *Scheduler) Targets() []*TargetState { return s.states }
 
 // SetBudget replaces the per-tick maintenance budget for subsequent
 // ticks — the SLO controller's primary actuator. Writer goroutine only,
@@ -89,32 +83,17 @@ func (s *Scheduler) Budget() time.Duration { return s.opt.Budget }
 // cache) pairs the stream with a flush on target-set swaps.
 func (s *Scheduler) SetDirtyObserver(fn func(mesh.DirtyRegion)) { s.dirtyObs = fn }
 
-// AddTarget registers a target mid-run; idempotent. Writer goroutine
-// only, like Tick.
-func (s *Scheduler) AddTarget(ts *TargetState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(ts)
-}
-
-// RemoveTarget unregisters a target mid-run, folding its per-run
-// activity into the retired accumulator so aggregate stats never go
-// backwards across a shard-set swap. Writer goroutine only.
-func (s *Scheduler) RemoveTarget(ts *TargetState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.removeLocked(ts)
-}
-
 // SyncTargets reconciles the scheduled set with want (the engine's
-// current MaintainStates): stale targets are retired, new ones
-// registered. The pipeline calls it after every step so a re-partition's
-// replacement targets run under the budget from the very next tick.
-// It reports whether the set changed — a target swap means result
-// membership may have changed without a dirty trail through the
-// surviving targets (a re-partition's fresh sub-meshes start with empty
-// accumulators), so epoch-keyed caches must flush on true.
-// Writer goroutine only.
+// current MaintainStates); it is the one target-set mutator. Targets not
+// in want are retired, their per-run activity folded into the retired
+// accumulator so aggregate stats never go backwards across a swap; new
+// ones are registered once, however often want names them. The pipeline
+// calls it after every step so a re-partition's replacement targets run
+// under the budget from the very next tick. It reports whether the set
+// changed — a target swap means result membership may have changed
+// without a dirty trail through the surviving targets (a re-partition's
+// fresh sub-meshes start with empty accumulators), so epoch-keyed caches
+// must flush on true. Writer goroutine only.
 func (s *Scheduler) SyncTargets(want []*TargetState) (changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,46 +102,29 @@ func (s *Scheduler) SyncTargets(want []*TargetState) (changed bool) {
 		keep[ts] = true
 	}
 	for i := len(s.states) - 1; i >= 0; i-- {
-		if !keep[s.states[i]] {
-			s.removeLocked(s.states[i])
-			changed = true
+		ts := s.states[i]
+		if keep[ts] {
+			continue
 		}
+		b, t := s.base[ts], ts.stats()
+		delete(s.base, ts)
+		s.states = append(s.states[:i], s.states[i+1:]...)
+		s.retired.SlicesRun += t.SlicesRun - b.SlicesRun
+		s.retired.TasksStarted += t.TasksStarted - b.TasksStarted
+		s.retired.TasksCompleted += t.TasksCompleted - b.TasksCompleted
+		s.retired.FallbackQueries += t.FallbackQueries - b.FallbackQueries
+		s.retired.SliceTime += t.SliceTime - b.SliceTime
+		changed = true
 	}
 	for _, ts := range want {
-		if _, ok := s.base[ts]; !ok {
-			changed = true
+		if _, ok := s.base[ts]; ok {
+			continue
 		}
-		s.addLocked(ts)
+		s.states = append(s.states, ts)
+		s.base[ts] = ts.stats()
+		changed = true
 	}
 	return changed
-}
-
-func (s *Scheduler) addLocked(ts *TargetState) {
-	if _, ok := s.base[ts]; ok {
-		return
-	}
-	s.states = append(s.states, ts)
-	s.base[ts] = ts.stats()
-}
-
-func (s *Scheduler) removeLocked(ts *TargetState) {
-	b, ok := s.base[ts]
-	if !ok {
-		return
-	}
-	delete(s.base, ts)
-	for i, x := range s.states {
-		if x == ts {
-			s.states = append(s.states[:i], s.states[i+1:]...)
-			break
-		}
-	}
-	t := ts.stats()
-	s.retired.SlicesRun += t.SlicesRun - b.SlicesRun
-	s.retired.TasksStarted += t.TasksStarted - b.TasksStarted
-	s.retired.TasksCompleted += t.TasksCompleted - b.TasksCompleted
-	s.retired.FallbackQueries += t.FallbackQueries - b.FallbackQueries
-	s.retired.SliceTime += t.SliceTime - b.SliceTime
 }
 
 // Tick runs one maintenance round. It must be called from the writer

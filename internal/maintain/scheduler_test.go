@@ -64,10 +64,10 @@ func (e *fakeEngine) BeginMaintenance(d mesh.DirtyRegion) Task {
 	}
 	e.begins++
 	head := e.mesh.epoch
-	return &RelocationTask{
-		Verts: d.Verts,
-		N:     e.work,
-		Apply: func(i int, v int32) {
+	return &relocationTask{
+		verts: d.Verts,
+		n:     e.work,
+		apply: func(i int, v int32) {
 			if e.delay > 0 {
 				t0 := time.Now()
 				for time.Since(t0) < e.delay {
@@ -75,18 +75,18 @@ func (e *fakeEngine) BeginMaintenance(d mesh.DirtyRegion) Task {
 			}
 			e.applied = append(e.applied, v)
 		},
-		Done: func() { e.answer = head },
+		done: func() { e.answer = head },
 	}
 }
 
 func TestRelocationTaskResumes(t *testing.T) {
 	var got []int32
-	task := &RelocationTask{
-		N:     3*sliceStride + 10,
-		Apply: func(i int, v int32) { got = append(got, v) },
+	task := &relocationTask{
+		n:     3*sliceStride + 10,
+		apply: func(i int, v int32) { got = append(got, v) },
 	}
 	doneCalls := 0
-	task.Done = func() { doneCalls++ }
+	task.done = func() { doneCalls++ }
 
 	slices := 0
 	for !task.Run(1) { // 1ns budget: exactly one stride per slice
@@ -110,7 +110,7 @@ func TestRelocationTaskResumes(t *testing.T) {
 		t.Fatalf("Done ran %d times, want exactly 1", doneCalls)
 	}
 	// Unbudgeted run completes in one call.
-	task2 := &RelocationTask{N: 10 * sliceStride, Apply: func(int, int32) {}}
+	task2 := &relocationTask{n: 10 * sliceStride, apply: func(int, int32) {}}
 	if !task2.Run(0) {
 		t.Fatal("unbudgeted Run must complete")
 	}
@@ -429,8 +429,8 @@ func TestSchedulerAccessors(t *testing.T) {
 	fm := &fakeMesh{}
 	ts := NewTargetState(Target{Name: "t0", Engine: &nilEngine{}, Mesh: fm})
 	s := NewScheduler([]*TargetState{ts}, Options{Budget: time.Millisecond})
-	if len(s.Targets()) != 1 || s.Targets()[0].Name() != "t0" {
-		t.Fatalf("targets = %v", s.Targets())
+	if got := s.Stats(); got.Targets != 1 || got.PerTarget[0].Name != "t0" {
+		t.Fatalf("targets = %+v", got.PerTarget)
 	}
 	st := Stats{Ticks: 4, SliceTime: 2 * time.Millisecond}
 	if got := st.BudgetUtilization(time.Millisecond); got != 0.5 {
@@ -443,11 +443,11 @@ func TestSchedulerAccessors(t *testing.T) {
 
 func TestCapturePositions(t *testing.T) {
 	pos := []geom.Vec3{{X: 1}, {X: 2}, {X: 3}}
-	all := CapturePositions(pos, nil)
+	all := capturePositions(pos, nil)
 	if len(all) != 3 || all[2].X != 3 {
 		t.Fatalf("full capture = %v", all)
 	}
-	some := CapturePositions(pos, []int32{2, 0})
+	some := capturePositions(pos, []int32{2, 0})
 	if len(some) != 2 || some[0].X != 3 || some[1].X != 1 {
 		t.Fatalf("subset capture = %v", some)
 	}

@@ -103,8 +103,7 @@ func TestSyncTargetsReportsChanges(t *testing.T) {
 	if !s.SyncTargets([]*TargetState{a, b}) {
 		t.Fatal("swap (add+remove) not reported")
 	}
-	got := s.Targets()
-	if len(got) != 2 {
-		t.Fatalf("targets after syncs = %d, want 2", len(got))
+	if got := s.Stats().Targets; got != 2 {
+		t.Fatalf("targets after syncs = %d, want 2", got)
 	}
 }

@@ -15,19 +15,17 @@ import (
 // between leaf buckets — a resumable, budget-sliced task — and falls back
 // to the full rebuild only on structural change or when drift has
 // degraded the tree (DESIGN.md §11).
+//
+// The tree is built over the embedded shadow, reused across rebuilds.
+// Building over a copy instead of aliasing the live array makes every
+// query exact at the rebuild's epoch and race-free under concurrent
+// deformation — the throwaway index is a snapshot index either way, now
+// explicitly so. Relocation keeps the shadow in lockstep with the tree
+// per vertex: it is the "old position" every relocation starts from.
 type Engine struct {
-	m      *mesh.Mesh
+	maintain.Shadow
 	bucket int
 	tree   *Tree
-	// snap is the engine-owned position copy the tree is built over
-	// (reused across rebuilds). Building over a copy instead of aliasing
-	// the live array makes every query exact at the rebuild's epoch and
-	// race-free under concurrent deformation — the throwaway index is a
-	// snapshot index either way, now explicitly so. Incremental
-	// maintenance keeps snap in lockstep with the tree per vertex: it is
-	// the "old position" every relocation starts from.
-	snap        []geom.Vec3
-	answerEpoch uint64
 	// leafMoves counts bucket-to-bucket relocations since the last full
 	// rebuild — the tree-quality trigger.
 	leafMoves int
@@ -36,8 +34,8 @@ type Engine struct {
 // NewEngine builds the initial tree over m. bucket <= 0 uses
 // DefaultBucketSize.
 func NewEngine(m *mesh.Mesh, bucket int) *Engine {
-	e := &Engine{m: m, bucket: bucket}
-	e.Step()
+	e := &Engine{Shadow: maintain.NewShadow(m), bucket: bucket}
+	e.build(e.Pos)
 	return e
 }
 
@@ -45,18 +43,19 @@ func NewEngine(m *mesh.Mesh, bucket int) *Engine {
 func (e *Engine) Name() string { return "OCTREE" }
 
 // Step implements query.Engine: full rebuild from scratch over a fresh
-// position snapshot. Because relocation keeps snap per-vertex coherent,
-// it is safe to call even with a relocation task abandoned halfway.
-func (e *Engine) Step() {
-	e.snap = e.snap[:0]
-	e.snap = append(e.snap, e.m.Positions()...)
+// position snapshot. Because relocation keeps the shadow per-vertex
+// coherent, it is safe to call even with a relocation task abandoned
+// halfway.
+func (e *Engine) Step() { e.build(e.Capture()) }
+
+// build replaces the tree with one over pos, bounded by pos's own box.
+func (e *Engine) build(pos []geom.Vec3) {
 	bounds := geom.EmptyBox()
-	for _, p := range e.snap {
+	for _, p := range pos {
 		bounds = bounds.Extend(p)
 	}
-	e.tree = Build(e.snap, bounds, e.bucket)
+	e.tree = Build(pos, bounds, e.bucket)
 	e.leafMoves = 0
-	e.answerEpoch = e.m.Epoch()
 }
 
 // BeginMaintenance implements maintain.Incremental: relocate exactly the
@@ -66,32 +65,14 @@ func (e *Engine) Step() {
 // when accumulated drift has degraded the tree — many bucket hops since
 // the last build, or too many strays outside the root box.
 func (e *Engine) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
-	head := e.m.Epoch()
-	if d.Structural || len(e.snap) != e.m.NumVertices() {
-		return maintain.StepTask(e)
-	}
-	if head == e.answerEpoch && d.Empty() {
-		return nil
-	}
-	if e.leafMoves > len(e.snap)/2 || e.tree.Strays() > e.bucketSize() {
-		return maintain.StepTask(e)
-	}
-	verts := maintain.NormalizeDirty(d, e.answerEpoch, head)
-	newPos := maintain.CapturePositions(e.m.Positions(), verts)
-	return &maintain.RelocationTask{
-		Verts: verts,
-		N:     len(newPos),
-		Apply: func(i int, v int32) {
-			np := newPos[i]
-			if e.snap[v] == np {
-				return
-			}
-			if e.tree.Relocate(v, e.snap[v], np) {
-				e.leafMoves++
-			}
-			e.snap[v] = np
-		},
-		Done: func() { e.answerEpoch = head },
+	degraded := e.leafMoves > len(e.Pos)/2 || e.tree.Strays() > e.bucketSize()
+	return e.Begin(d, e, degraded, maintain.Rule{Move: e.relocate})
+}
+
+// relocate is the octree's move rule.
+func (e *Engine) relocate(v int32, old, now geom.Vec3) {
+	if e.tree.Relocate(v, old, now) {
+		e.leafMoves++
 	}
 }
 
@@ -102,10 +83,6 @@ func (e *Engine) bucketSize() int {
 	}
 	return DefaultBucketSize
 }
-
-// AnswerEpoch implements query.EpochReporter: queries answer at the state
-// captured by the last rebuild.
-func (e *Engine) AnswerEpoch() uint64 { return e.answerEpoch }
 
 // Query implements query.Engine.
 func (e *Engine) Query(q geom.AABB, out []int32) []int32 {
@@ -118,7 +95,7 @@ func (e *Engine) KNN(p geom.Vec3, k int, out []int32) []int32 { return e.tree.KN
 
 // MemoryFootprint implements query.Engine: the tree plus the position
 // snapshot it was built over.
-func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.snap))*24 }
+func (e *Engine) MemoryFootprint() int64 { return e.tree.MemoryBytes() + int64(len(e.Pos))*24 }
 
 // Tree exposes the current tree for inspection in tests and diagnostics.
 func (e *Engine) Tree() *Tree { return e.tree }

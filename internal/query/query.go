@@ -68,6 +68,7 @@ import (
 	"sort"
 
 	"octopus/internal/geom"
+	"octopus/internal/maintain"
 	"octopus/internal/mesh"
 )
 
@@ -97,20 +98,9 @@ type Engine interface {
 	MemoryFootprint() int64
 }
 
-// EpochReporter is implemented by engines whose answers are consistent
-// with a maintained internal snapshot of the positions (throwaway trees
-// rebuilt in Step, lazily updated grids and R-trees with shadow position
-// copies) rather than with the live array. Their results are exact at
-// AnswerEpoch — the epoch of the last maintenance — no matter how far the
-// mesh has deformed since, which is precisely the staleness the live
-// bench charges them for.
-type EpochReporter interface {
-	// AnswerEpoch returns the position epoch (mesh.Mesh.Epoch at the last
-	// Build/Step) that Query and KNN results are consistent with. It must
-	// only be read when maintenance cannot run concurrently (the pipeline
-	// serializes Step against queries).
-	AnswerEpoch() uint64
-}
+// EpochReporter is the one answer-epoch interface; see
+// maintain.EpochReporter.
+type EpochReporter = maintain.EpochReporter
 
 // PinnedCursor is the epoch report every cursor gives (Cursor embeds it):
 // the OCTOPUS-family cursors and ScanCursor pin the head epoch per query,

@@ -2,7 +2,8 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"octopus/internal/geom"
 )
@@ -68,8 +69,14 @@ func cellEdges(t CellType) [][2]int {
 // built Mesh owns its own storage.
 func (b *Builder) Build() (*Mesh, error) {
 	n := int32(len(b.pos))
+	tets, hexes := 0, 0
 	for i := range b.cells {
 		c := &b.cells[i]
+		if c.Type == Tetrahedron {
+			tets++
+		} else {
+			hexes++
+		}
 		nv := c.VertexCount()
 		for k := 0; k < nv; k++ {
 			if c.Verts[k] < 0 || c.Verts[k] >= n {
@@ -82,34 +89,57 @@ func (b *Builder) Build() (*Mesh, error) {
 			}
 		}
 	}
+	if err := checkEdgeSlots(tets, hexes); err != nil {
+		return nil, err
+	}
 
-	// Gather directed edges as packed 64-bit keys, sort, deduplicate.
-	var dir []uint64
+	// Counting-sort the directed edges by source vertex: size each vertex's
+	// slot range with every cell edge counted (shared edges repeat), then
+	// drop each edge's far end into its source's range.
+	slotEnd := make([]int32, n+1) // slots of v end at slotEnd[v+1]
+	for i := range b.cells {
+		c := &b.cells[i]
+		for _, e := range cellEdges(c.Type) {
+			slotEnd[c.Verts[e[0]]+1]++
+			slotEnd[c.Verts[e[1]]+1]++
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		slotEnd[v+1] += slotEnd[v]
+	}
+	slots := make([]int32, slotEnd[n])
+	fill := slices.Clone(slotEnd[:n])
 	for i := range b.cells {
 		c := &b.cells[i]
 		for _, e := range cellEdges(c.Type) {
 			a, bb := c.Verts[e[0]], c.Verts[e[1]]
-			dir = append(dir, pack(a, bb), pack(bb, a))
+			slots[fill[a]] = bb
+			fill[a]++
+			slots[fill[bb]] = a
+			fill[bb]++
 		}
 	}
-	sort.Slice(dir, func(i, j int) bool { return dir[i] < dir[j] })
 
+	// Deduplicate and sort each short list in place, compacting the
+	// survivors to the front of slots; they become the exact-size CSR. A
+	// vertex's list repeats every shared edge (a tet-grid vertex has 14
+	// neighbours in ≈ 70 slots), so duplicates are dropped first, against
+	// a stamp per vertex, and only the survivors are sorted.
 	adjStart := make([]int32, n+1)
-	adjList := make([]int32, 0, len(dir))
-	var prev uint64 = ^uint64(0)
-	for _, k := range dir {
-		if k == prev {
-			continue
-		}
-		prev = k
-		from := int32(k >> 32)
-		to := int32(k & 0xffffffff)
-		adjStart[from+1]++
-		adjList = append(adjList, to)
-	}
+	stamp := make([]int32, n) // stamp[w] == v+1: w is already in v's list
 	for v := int32(0); v < n; v++ {
-		adjStart[v+1] += adjStart[v]
+		w := adjStart[v]
+		for _, x := range slots[slotEnd[v]:slotEnd[v+1]] {
+			if stamp[x] != v+1 {
+				stamp[x] = v + 1
+				slots[w] = x
+				w++
+			}
+		}
+		slices.Sort(slots[adjStart[v]:w])
+		adjStart[v+1] = w
 	}
+	adjList := slices.Clone(slots[:adjStart[n]])
 
 	pos := make([]geom.Vec3, len(b.pos))
 	copy(pos, b.pos)
@@ -119,4 +149,13 @@ func (b *Builder) Build() (*Mesh, error) {
 	return newMesh(pos, adjStart, adjList, cells), nil
 }
 
-func pack(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+// checkEdgeSlots rejects a cell list whose directed edges, counted before
+// deduplication (12 per tetrahedron, 24 per hexahedron), overflow Build's
+// int32 slot offsets: about 179 M tetrahedra or 89 M hexahedra.
+func checkEdgeSlots(tets, hexes int) error {
+	slots := 2 * (tets*len(tetEdges) + hexes*len(hexEdges))
+	if slots > math.MaxInt32 {
+		return fmt.Errorf("mesh: %d tetrahedra and %d hexahedra need %d edge slots, more than %d", tets, hexes, slots, math.MaxInt32)
+	}
+	return nil
+}

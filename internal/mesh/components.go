@@ -3,8 +3,28 @@ package mesh
 // ConnectedComponents returns the number of connected components of the
 // mesh graph and a label array mapping each vertex to its component id in
 // [0, count). Isolated vertices (possible after restructuring) each form
-// their own component.
+// their own component. The returned labels alias internal storage and must
+// not be modified.
+//
+// Until restructuring is enabled the adjacency cannot change, so the
+// labelling is computed once and shared by every engine built over the
+// mesh (core.New and con.New each ask for it); its graph search touches
+// the whole adjacency, the bulk of an engine's construction on a mesh
+// larger than the cache. Once restructuring is enabled every call labels
+// the graph anew.
 func (m *Mesh) ConnectedComponents() (count int, labels []int32) {
+	if m.faces != nil {
+		return m.components()
+	}
+	m.memoMu.Lock()
+	defer m.memoMu.Unlock()
+	if m.compLabels == nil {
+		m.compCount, m.compLabels = m.components()
+	}
+	return m.compCount, m.compLabels
+}
+
+func (m *Mesh) components() (count int, labels []int32) {
 	n := int32(m.NumVertices())
 	labels = make([]int32, n)
 	for i := range labels {

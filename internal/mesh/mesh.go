@@ -98,9 +98,14 @@ type Mesh struct {
 	faces     *faceTable
 	incidence *incidenceTable
 
-	// surface memoizes SurfaceVertices while faces == nil.
-	surfaceOnce sync.Once
-	surface     []int32
+	// Topology memos, valid while faces == nil, guarded by memoMu. surface
+	// memoizes SurfaceVertices: nil until computed, or seeded by the
+	// Renumber that made this mesh. compLabels and compCount memoize
+	// ConnectedComponents; compLabels is nil until computed.
+	memoMu     sync.Mutex
+	surface    []int32
+	compLabels []int32
+	compCount  int
 
 	// Dirty-region tracking (dirty.go): which vertices moved and which
 	// cells were restructured since the last TakeDirty, recorded from

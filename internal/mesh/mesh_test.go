@@ -216,8 +216,7 @@ func TestTetGridConforming(t *testing.T) {
 		t.Fatalf("got %d vertices, %d cells", m.NumVertices(), m.NumCells())
 	}
 	// All faces must be shared by exactly 1 (boundary) or 2 (interior) tets.
-	ft := newFaceTable(m.cells)
-	for k, n := range ft.count {
+	for k, n := range oracleFaceCounts(m.cells) {
 		if n != 1 && n != 2 {
 			t.Fatalf("face %v shared by %d cells", k, n)
 		}

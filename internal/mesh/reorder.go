@@ -1,8 +1,9 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"octopus/internal/geom"
 	"octopus/internal/hilbert"
@@ -11,7 +12,10 @@ import (
 // Renumber returns a copy of the mesh with vertices renumbered (and
 // stored) according to perm, where perm[old] = new. Cells and adjacency
 // are remapped; the receiver is untouched. Renumbering a restructured mesh
-// is not supported — renumber first, restructure later.
+// is not supported — renumber first, restructure later. If the receiver's
+// surface list is memoized, the copy's is seeded with it, mapped through
+// perm and re-sorted: a permutation does not change which vertices are on
+// the surface, only their ids.
 //
 // Vertex layout is the lever behind both data-organization optimizations
 // of this reproduction: Hilbert ordering for crawl cache locality (paper
@@ -54,7 +58,7 @@ func (m *Mesh) Renumber(perm []int32) (*Mesh, error) {
 		for i, w := range m.Neighbors(old) {
 			dst[i] = perm[w]
 		}
-		sortInt32(dst)
+		slices.Sort(dst)
 	}
 
 	cells := make([]Cell, 0, m.liveCells)
@@ -69,7 +73,19 @@ func (m *Mesh) Renumber(perm []int32) (*Mesh, error) {
 		cells = append(cells, c)
 	}
 
-	return newMesh(pos, adjStart, adjList, cells), nil
+	rm := newMesh(pos, adjStart, adjList, cells)
+	m.memoMu.Lock()
+	memo := m.surface
+	m.memoMu.Unlock()
+	if memo != nil {
+		surf := make([]int32, len(memo))
+		for i, v := range memo {
+			surf[i] = perm[v]
+		}
+		slices.Sort(surf)
+		rm.surface = surf
+	}
+	return rm, nil
 }
 
 // HilbertPerm returns the permutation (old → new) that orders vertices by
@@ -134,36 +150,35 @@ func (m *Mesh) SurfaceFirstHilbertPerm(order uint) []int32 {
 	return m.surfaceFirst(m.HilbertPerm(order))
 }
 
-// surfaceFirst builds a surface-first permutation; within indexes the
-// groups (old → rank) or nil for natural order.
+// surfaceFirst builds a surface-first permutation; within orders each
+// group (a permutation, old → rank) or is nil for natural order. It is a
+// stable partition in O(V): vertices are visited in rank order, through
+// within's inverse, and dealt to the surface or the interior group.
 func (m *Mesh) surfaceFirst(within []int32) []int32 {
 	n := len(m.pos)
+	surface := m.SurfaceVertices()
 	onSurface := make([]bool, n)
-	surfCount := 0
-	for _, v := range m.SurfaceVertices() {
+	for _, v := range surface {
 		onSurface[v] = true
-		surfCount++
 	}
-	rank := func(old int32) int32 {
-		if within == nil {
-			return old
+	byRank := make([]int32, n) // byRank[rank] = old id
+	for old := range byRank {
+		r := int32(old)
+		if within != nil {
+			r = within[old]
 		}
-		return within[old]
+		byRank[r] = int32(old)
 	}
-	order := make([]int32, n) // order[i] = old id in output position order
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if onSurface[va] != onSurface[vb] {
-			return onSurface[va]
-		}
-		return rank(va) < rank(vb)
-	})
 	perm := make([]int32, n)
-	for newID, old := range order {
-		perm[old] = int32(newID)
+	nextSurface, nextInterior := int32(0), int32(len(surface))
+	for _, old := range byRank {
+		if onSurface[old] {
+			perm[old] = nextSurface
+			nextSurface++
+		} else {
+			perm[old] = nextInterior
+			nextInterior++
+		}
 	}
 	return perm
 }
@@ -179,20 +194,23 @@ func (m *Mesh) ReorderHilbert(order uint) (*Mesh, []int32, error) {
 // permFromKeys converts sort keys into a permutation (old → new), breaking
 // ties by old id.
 func permFromKeys(keys []uint64) []int32 {
-	n := len(keys)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	type keyed struct {
+		key uint64
+		id  int32
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
+	order := make([]keyed, len(keys))
+	for i, k := range keys {
+		order[i] = keyed{k, int32(i)}
+	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a.id, b.id)
 	})
-	perm := make([]int32, n)
-	for newID, old := range order {
-		perm[old] = int32(newID)
+	perm := make([]int32, len(keys))
+	for newID, o := range order {
+		perm[o.id] = int32(newID)
 	}
 	return perm
 }

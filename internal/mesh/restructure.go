@@ -2,7 +2,7 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"octopus/internal/geom"
 )
@@ -156,13 +156,13 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 
 	// Adjacency: x connects to a, b, cc, d; each of them gains x.
 	m.patched[x] = []int32{a, b, cc, d}
-	sortInt32(m.patched[x])
+	slices.Sort(m.patched[x])
 	for _, v := range [4]int32{a, b, cc, d} {
 		nb := m.Neighbors(v)
 		upd := make([]int32, 0, len(nb)+1)
 		upd = append(upd, nb...)
 		upd = append(upd, x)
-		sortInt32(upd)
+		slices.Sort(upd)
 		m.patched[v] = upd
 	}
 
@@ -223,8 +223,8 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 			delta.Removed = append(delta.Removed, v)
 		}
 	}
-	sortInt32(delta.Added)
-	sortInt32(delta.Removed)
+	slices.Sort(delta.Added)
+	slices.Sort(delta.Removed)
 	m.recordStructuralDirty(m.cellBox(ci), int32(ci))
 	return delta, nil
 }
@@ -251,7 +251,7 @@ func (m *Mesh) recomputeNeighbors(v int32) []int32 {
 	for w := range set {
 		out = append(out, w)
 	}
-	sortInt32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -265,10 +265,6 @@ func (m *Mesh) Centroid(ci int) geom.Vec3 {
 		sum = sum.Add(pos[c.Verts[k]])
 	}
 	return sum.Scale(1 / float64(n))
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // sortTriple sorts the first three entries of a faceKey (triangle faces).

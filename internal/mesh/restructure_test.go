@@ -3,7 +3,6 @@ package mesh
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"octopus/internal/geom"
@@ -125,14 +124,20 @@ func checkIncrementalFaceTable(t *testing.T, m *Mesh) {
 	if m.faces == nil {
 		t.Fatal("restructuring state missing")
 	}
-	fresh := newFaceTable(m.cells)
-	if len(fresh.count) != len(m.faces.count) {
-		t.Fatalf("face table size: incremental %d, fresh %d", len(m.faces.count), len(fresh.count))
+	fresh := oracleFaceCounts(m.cells)
+	if len(fresh) != len(m.faces.count) {
+		t.Fatalf("face table size: incremental %d, fresh %d", len(m.faces.count), len(fresh))
 	}
-	for k, n := range fresh.count {
+	for k, n := range fresh {
 		if m.faces.count[k] != n {
 			t.Fatalf("face %v: incremental %d, fresh %d", k, m.faces.count[k], n)
 		}
+	}
+	if got, want := m.SurfaceVertices(), oracleSurface(fresh); !slices.Equal(got, want) {
+		t.Fatalf("restructured surface %v, want %v", got, want)
+	}
+	if got, want := m.BoundaryFaceCount(), oracleBoundaryCount(fresh); got != want {
+		t.Fatalf("restructured boundary faces %d, want %d", got, want)
 	}
 }
 
@@ -344,15 +349,48 @@ func TestReorderAfterRestructureFails(t *testing.T) {
 func TestSurfaceVerticesSorted(t *testing.T) {
 	m := buildTetGrid(t, 3, 2, 2)
 	s := m.SurfaceVertices()
-	if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
+	if !slices.IsSorted(s) {
 		t.Error("surface vertices not sorted")
+	}
+}
+
+// TestConnectedComponentsMemo: before restructuring every call shares one
+// labelling; once restructuring changes the graph, calls label it anew.
+func TestConnectedComponentsMemo(t *testing.T) {
+	m := buildTetGrid(t, 3, 3, 3)
+	n1, first := m.ConnectedComponents()
+	n2, second := m.ConnectedComponents()
+	if n1 != 1 || n2 != 1 || &first[0] != &second[0] {
+		t.Fatalf("unrestructured grid: counts %d, %d, shared labelling %v", n1, n2, &first[0] == &second[0])
+	}
+
+	x, _, err := m.SplitCell(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, labels := m.ConnectedComponents(); n != 1 || len(labels) != m.NumVertices() || labels[x] != 0 {
+		t.Fatalf("after a split: %d components over %d labels, want 1 over %d", n, len(labels), m.NumVertices())
+	}
+	// Deleting every cell around vertex 0 isolates it.
+	for ci, c := range m.cells {
+		if !c.Dead && slices.Contains(c.Verts[:c.VertexCount()], 0) {
+			if _, err := m.DeleteCell(ci); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, labels := m.ConnectedComponents(); n != 2 || labels[0] == labels[1] {
+		t.Fatalf("isolated vertex 0: %d components, labels %d and %d", n, labels[0], labels[1])
+	}
+	if !slices.Equal(first, second) || first[0] != 0 {
+		t.Fatal("restructuring wrote into a labelling handed out before it")
 	}
 }
 
 // TestSurfaceVerticesMemo: before restructuring the surface list is
 // memoized, but every caller gets its own copy (core.New mutates its
-// surface array in place); once a cell is deleted the list follows the
-// live face table instead of the memo.
+// surface array in place); once a cell is deleted every call derives the
+// list from the live cells instead of the memo.
 func TestSurfaceVerticesMemo(t *testing.T) {
 	m := buildTetGrid(t, 3, 3, 3)
 	first := m.SurfaceVertices()
@@ -381,7 +419,7 @@ func TestSurfaceVerticesMemo(t *testing.T) {
 	if slices.Equal(got, want) {
 		t.Fatal("surface unchanged after deletions exposed new vertices")
 	}
-	if fresh := newFaceTable(m.cells).surfaceVertices(); !slices.Equal(got, fresh) {
+	if fresh := oracleSurface(oracleFaceCounts(m.cells)); !slices.Equal(got, fresh) {
 		t.Fatalf("restructured surface %v, want %v (stale memo?)", got, fresh)
 	}
 }

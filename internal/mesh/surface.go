@@ -1,6 +1,6 @@
 package mesh
 
-import "sort"
+import "slices"
 
 // faceKey canonically identifies a polyhedral face by its sorted vertex
 // ids. Triangular faces use -1 in the last slot so they can never collide
@@ -52,10 +52,87 @@ func makeFaceKey(c *Cell, f [4]int) faceKey {
 	return k
 }
 
+// boundaryFaces calls fn with the canonical key of every face that occurs
+// exactly once among the live cells' faces: the surface faces. Faces are
+// matched locally at their lowest vertex, without a hash map: a counting
+// sort buckets every face key by k[0], each bucket's [3]int32 remainders
+// are sorted, and a run of length 1 is a boundary face. That is O(V + F)
+// plus one short sort per vertex — the paper's once-in-the-face-list
+// criterion without the list's global sort. numVerts must exceed every
+// vertex id the cells reference.
+func boundaryFaces(cells []Cell, numVerts int, fn func(faceKey)) {
+	end := make([]int32, numVerts+1) // bucket v ends at end[v+1]
+	for i := range cells {
+		c := &cells[i]
+		if c.Dead {
+			continue
+		}
+		for _, f := range cellFaces(c.Type) {
+			end[makeFaceKey(c, f)[0]+1]++
+		}
+	}
+	for v := 0; v < numVerts; v++ {
+		end[v+1] += end[v]
+	}
+	rest := make([][3]int32, end[numVerts])
+	fill := slices.Clone(end[:numVerts])
+	for i := range cells {
+		c := &cells[i]
+		if c.Dead {
+			continue
+		}
+		for _, f := range cellFaces(c.Type) {
+			k := makeFaceKey(c, f)
+			rest[fill[k[0]]] = [3]int32{k[1], k[2], k[3]}
+			fill[k[0]]++
+		}
+	}
+	for v := 0; v < numVerts; v++ {
+		bucket := rest[end[v]:end[v+1]]
+		slices.SortFunc(bucket, func(x, y [3]int32) int { return slices.Compare(x[:], y[:]) })
+		for i := 0; i < len(bucket); {
+			j := i + 1
+			for j < len(bucket) && bucket[j] == bucket[i] {
+				j++
+			}
+			if j == i+1 {
+				r := bucket[i]
+				fn(faceKey{int32(v), r[0], r[1], r[2]})
+			}
+			i = j
+		}
+	}
+}
+
+// surfaceOf returns the sorted ids of the vertices on at least one
+// boundary face of the live cells; it is never nil.
+func surfaceOf(cells []Cell, numVerts int) []int32 {
+	on := make([]bool, numVerts)
+	count := 0
+	boundaryFaces(cells, numVerts, func(k faceKey) {
+		for _, v := range k {
+			if v >= 0 && !on[v] {
+				on[v] = true
+				count++
+			}
+		}
+	})
+	out := make([]int32, 0, count)
+	for v, s := range on {
+		if s {
+			out = append(out, int32(v))
+		}
+	}
+	return out
+}
+
 // faceTable counts, for every face in the global face list, how many live
-// cells share it. A face with count 1 is a boundary (surface) face — the
-// paper's criterion "a face F belongs to the mesh surface if it occurs once
-// in the list" (§IV-E1).
+// cells share it — a face with count 1 is a boundary face. It exists for
+// restructuring only: EnableRestructuring builds it once and SplitCell and
+// DeleteCell keep its counts live, so DeleteCell can tell whether one
+// vertex is on the surface (isSurfaceVertex) without re-deriving it. The
+// surface list and the boundary face count always come from
+// boundaryFaces over the cell list.
 type faceTable struct {
 	count map[faceKey]int32
 }
@@ -79,51 +156,28 @@ func newFaceTable(cells []Cell) *faceTable {
 // caller owns the returned slice.
 //
 // Until restructuring is enabled the cell list cannot change, so the list
-// is computed once and each call returns a copy — every engine built over
-// the mesh asks for it, and the face table it is derived from is tens of
-// MB on the level-5 neuron against 0.2 MB for the ids. The table itself
-// is not kept. Once restructuring maintains a live face table, every call
-// derives the list from it.
+// is computed once, by boundaryFaces, and each call returns a copy — every
+// engine built over the mesh asks for it. Renumber carries the memo over
+// to the copy it returns (the surface is a vertex set, so the permutation
+// maps it), which is why a dataset or shard sub-mesh laid out
+// surface-first never derives its surface twice. Once restructuring is
+// enabled the cell list can change, so every call derives the list anew.
 func (m *Mesh) SurfaceVertices() []int32 {
 	if m.faces != nil {
-		return m.faces.surfaceVertices()
+		return surfaceOf(m.cells, len(m.pos))
 	}
-	m.surfaceOnce.Do(func() { m.surface = newFaceTable(m.cells).surfaceVertices() })
+	m.memoMu.Lock()
+	defer m.memoMu.Unlock()
+	if m.surface == nil {
+		m.surface = surfaceOf(m.cells, len(m.pos))
+	}
 	return append([]int32(nil), m.surface...)
-}
-
-func (ft *faceTable) surfaceVertices() []int32 {
-	onSurface := make(map[int32]struct{})
-	for k, n := range ft.count {
-		if n != 1 {
-			continue
-		}
-		for _, v := range k {
-			if v >= 0 {
-				onSurface[v] = struct{}{}
-			}
-		}
-	}
-	out := make([]int32, 0, len(onSurface))
-	for v := range onSurface {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // BoundaryFaceCount returns the number of faces on the mesh surface.
 func (m *Mesh) BoundaryFaceCount() int {
-	ft := m.faces
-	if ft == nil {
-		ft = newFaceTable(m.cells)
-	}
 	n := 0
-	for _, c := range ft.count {
-		if c == 1 {
-			n++
-		}
-	}
+	boundaryFaces(m.cells, len(m.pos), func(faceKey) { n++ })
 	return n
 }
 

@@ -126,7 +126,10 @@ func Read(r io.Reader) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("meshio: implausible counts V=%d C=%d", nv, nc)
 	}
 
-	b := mesh.NewBuilder(int(nv), int(nc))
+	// The counts are only capacity hints, capped so that memory grows with
+	// the bytes actually read rather than with what a header claims.
+	const maxHint = 1 << 16
+	b := mesh.NewBuilder(int(min(nv, maxHint)), int(min(nc, maxHint)))
 	for i := uint64(0); i < nv; i++ {
 		var p geom.Vec3
 		for axis := 0; axis < 3; axis++ {

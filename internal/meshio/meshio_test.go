@@ -2,7 +2,9 @@ package meshio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"octopus/internal/geom"
@@ -132,6 +134,65 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// hugeHeader is a 28-byte input whose header claims 2³¹ vertices and 2³¹
+// cells — within the format's count limit — followed by half a
+// coordinate.
+func hugeHeader() []byte {
+	data := append([]byte(nil), magic[:]...)
+	data = binary.LittleEndian.AppendUint32(data, Version)
+	data = binary.LittleEndian.AppendUint64(data, 1<<31)
+	data = binary.LittleEndian.AppendUint64(data, 1<<31)
+	return append(data, 0, 0, 0, 0)
+}
+
+// TestReadHugeHeaderBounded: a header's counts must not size memory up
+// front. Pre-sizing from them asked for ≈ 51 GB and died with an
+// unrecoverable out-of-memory error instead of returning one.
+func TestReadHugeHeaderBounded(t *testing.T) {
+	data := hugeHeader()
+	if len(data) != 28 {
+		t.Fatalf("input is %d bytes, want 28", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("expected an error for a truncated huge mesh")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("Read allocated %d MB for a 28-byte input", grew>>20)
+	}
+}
+
+// FuzzRead: Read never panics, and a mesh it accepts writes back as
+// exactly the bytes it was read from.
+func FuzzRead(f *testing.F) {
+	tet, _ := meshgen.BuildBoxTet(2, 1, 1, 0.5)
+	hex, _ := meshgen.BuildBoxHex(2, 1, 1, 1)
+	for _, m := range []*mesh.Mesh{tet, hex} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(hugeHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("accepted %d bytes but writes back %d different ones", len(data), buf.Len())
+		}
+	})
 }
 
 func TestReadRejectsBadVersionAndNaN(t *testing.T) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"octopus/internal/mesh"
@@ -131,20 +132,14 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 
 	// 3. Splice: drop the changed vertices from the retained order and
 	// merge them back at their new (key, id) positions — one linear pass.
-	vLess := func(a, b int32) bool {
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	}
-	sort.Slice(changed, func(i, j int) bool { return vLess(changed[i], changed[j]) })
+	slices.SortFunc(changed, func(a, b int32) int { return compareKeyed(keys, a, b) })
 	order := make([]int32, 0, n)
 	j := 0
 	for _, v := range part.order {
 		if changedMark[v] {
 			continue
 		}
-		for j < len(changed) && vLess(changed[j], v) {
+		for j < len(changed) && compareKeyed(keys, changed[j], v) < 0 {
 			order = append(order, changed[j])
 			j++
 		}
@@ -269,7 +264,7 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 			continue
 		}
 		list := append([]int32(nil), order[idx[s]:idx[s+1]]...)
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
+		slices.Sort(list)
 		ownedBy[s] = list
 	}
 	cellsBy := make([][]int32, K)

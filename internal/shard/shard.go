@@ -31,8 +31,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"octopus/internal/geom"
 	"octopus/internal/hilbert"
@@ -265,13 +266,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	for i := range byKey {
 		byKey[i] = int32(i)
 	}
-	sort.Slice(byKey, func(a, b int) bool {
-		va, vb := byKey[a], byKey[b]
-		if keys[va] != keys[vb] {
-			return keys[va] < keys[vb]
-		}
-		return va < vb
-	})
+	slices.SortFunc(byKey, func(a, b int32) int { return compareKeyed(keys, a, b) })
 
 	// Assign contiguous ranges: shard s owns byKey[s*n/k : (s+1)*n/k].
 	// k <= n makes every range non-empty. ownedBy[s] is the shard's owned
@@ -283,7 +278,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 		for _, v := range chunk {
 			part.Owner[v] = int32(s)
 		}
-		sort.Slice(chunk, func(a, b int) bool { return chunk[a] < chunk[b] })
+		slices.Sort(chunk)
 		ownedBy[s] = chunk
 	}
 
@@ -339,6 +334,15 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	}
 	part.rebuildGhostRefs()
 	return part, nil
+}
+
+// compareKeyed orders global vertex ids by (Hilbert key, id) — the
+// partition's vertex order.
+func compareKeyed(keys []uint64, a, b int32) int {
+	if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
 // rebuildGhostRefs derives the ghost scatter plan from the parts' remap

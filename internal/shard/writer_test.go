@@ -276,3 +276,22 @@ func BenchmarkDeform(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkNewMesh times the benchmark's live-inproc setup: partitioning
+// neuro-l3 K = 4 ways (every sub-mesh built, laid out surface-first and
+// renumbered) plus one core.New per shard.
+func BenchmarkNewMesh(b *testing.B) {
+	m, err := meshgen.BuildCached(meshgen.NeuroL3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		sm, err := NewMesh(m, 4, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range sm.Partition().Parts {
+			core.New(p.Mesh)
+		}
+	}
+}

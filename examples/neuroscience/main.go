@@ -80,7 +80,6 @@ func main() {
 	// Rare restructuring: split one cell (adds an interior vertex) and
 	// delete another (exposes interior faces); OCTOPUS consumes the deltas
 	// as surface-index inserts/deletes, no rebuild.
-	m.EnableRestructuring()
 	if _, delta, err := m.SplitCell(0); err == nil {
 		eng.ApplySurfaceDelta(delta)
 	}

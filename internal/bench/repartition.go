@@ -85,7 +85,6 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 	if err != nil {
 		return nil, err
 	}
-	m.EnableRestructuring()
 	opts := shard.Options{}
 	if mode == "frozen" {
 		opts.RebalanceTol = -1

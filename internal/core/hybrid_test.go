@@ -68,7 +68,6 @@ func TestHybridBreakEvenMatchesModel(t *testing.T) {
 
 func TestHybridRestructuring(t *testing.T) {
 	m := buildBox(t, 4)
-	m.EnableRestructuring()
 	h := NewHybrid(m, 64, Constants{CS: 1, CR: 4})
 	delta, err := m.DeleteCell(0)
 	if err != nil {

@@ -81,7 +81,6 @@ var (
 // each case took the path it is named for.
 func TestNoSeedExactness(t *testing.T) {
 	m, centerA, centerB := buildNoSeedMesh(t)
-	m.EnableRestructuring()
 	cases := []struct {
 		name string
 		q    geom.AABB

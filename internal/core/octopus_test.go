@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"octopus/internal/geom"
@@ -192,7 +193,6 @@ func TestApproximationAccuracyAndExactness(t *testing.T) {
 
 func TestSurfaceDeltaMaintenance(t *testing.T) {
 	m := buildBox(t, 5)
-	m.EnableRestructuring()
 	o := New(m)
 	r := rand.New(rand.NewSource(7))
 
@@ -218,9 +218,8 @@ func TestSurfaceDeltaMaintenance(t *testing.T) {
 		o.ApplySurfaceDelta(delta)
 
 		// The engine's surface index must equal the mesh's recomputed one.
-		if o.SurfaceSize() != len(m.SurfaceVertices()) {
-			t.Fatalf("step %d: surface index size %d, mesh says %d",
-				step, o.SurfaceSize(), len(m.SurfaceVertices()))
+		if got, want := slices.Sorted(slices.Values(o.surface)), m.SurfaceVertices(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: surface index %v, mesh says %v", step, got, want)
 		}
 		// And queries must stay exact.
 		q := geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), 0.25)

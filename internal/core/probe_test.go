@@ -312,7 +312,6 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 	// before the mesh has a second buffer (epochs 0 -> 2 -> 3).
 	t.Run("SplitCell+Deform/snapshots", func(t *testing.T) {
 		m := surfaceFirstBox(t, 8)
-		m.EnableRestructuring()
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
 		checkExact(t, "pristine", cur, m.Positions(), 1)

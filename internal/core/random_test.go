@@ -114,7 +114,6 @@ func TestOctopusExactOnRandomPartialGrids(t *testing.T) {
 func TestOctopusMaintenanceUnderDeformationAndRestructuring(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	m := buildRandomPartialGrid(t, 4, 0.8, r)
-	m.EnableRestructuring()
 	o := New(m)
 	d := &sim.NoiseDeformer{Amplitude: 0.03, Frequency: 1.5, Seed: 2}
 

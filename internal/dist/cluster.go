@@ -24,7 +24,10 @@ import (
 // (Deform cannot return one) and surfaced through Err.
 //
 // The cluster serves a pinned partition generation: the shard.Mesh must
-// not be restructured or re-partitioned while served. The control plane
+// not be restructured or re-partitioned while served. A restructured
+// global mesh is refused, not served: the first Deform that finds a
+// structural change in the dirty stream publishes nothing, and that
+// Deform and every later one fail with the same error. The control plane
 // (Deform, MaintainToHead) is single-goroutine; queries through a Router
 // may run concurrently with it.
 type Cluster struct {
@@ -34,8 +37,9 @@ type Cluster struct {
 	rpc   *client // nil until served (or built by NewControlPlane)
 	tsrvs []*TCPServer
 
-	epoch atomic.Uint64
-	err   atomic.Value // latched control-plane error (Deform)
+	epoch   atomic.Uint64
+	err     atomic.Value // latched control-plane error (Deform)
+	refused error        // sticky: the global mesh was restructured
 
 	// Publish scratch, reused across shards and steps so the per-step
 	// hot path allocates nothing: the full-publish scatter buffer, the
@@ -179,9 +183,12 @@ func (cl *Cluster) Err() error {
 // the ghost ring, so the ghost exchange stays exact) and each shard
 // receives a PublishDelta of its (local id, position) pairs plus the
 // dirty AABB the router-side caches invalidate by. When the dirty
-// tracker overflowed (or the step was structural, or FullPublish is
-// set), the step falls back to the full local position arrays — bigger,
-// never wrong. A failed publish latches into Err and leaves the affected
+// tracker overflowed (or FullPublish is set), the step falls back to the
+// full local position arrays — bigger, never wrong. A structural change
+// (a SplitCell or DeleteCell on the global mesh) cannot be published at
+// all: the shards' sub-meshes and remap tables describe the old cells, so
+// the step is refused and the cluster stays at its epoch for good (see
+// Cluster). A failed publish latches into Err and leaves the affected
 // servers at the old epoch; the router's epoch gate then refuses to
 // merge them with the advanced ones, so a half-published step degrades
 // to skew errors, never to torn results.
@@ -199,12 +206,20 @@ func (cl *Cluster) Deform(fn func(pos []geom.Vec3)) {
 // DeformErr is Deform with the error returned (the control plane's
 // native form). See Deform for the fn contract.
 func (cl *Cluster) DeformErr(fn func(pos []geom.Vec3)) error {
+	if cl.refused != nil {
+		return cl.refused
+	}
 	g := cl.sm.Global()
 	g.Deform(fn)
 	d := g.TakeDirty()
+	if d.Structural {
+		cl.refused = fmt.Errorf("dist: the global mesh was restructured (%d cells touched); a Cluster serves a pinned partition and must be rebuilt", len(d.Cells))
+		cl.err.CompareAndSwap(nil, cl.refused)
+		return cl.refused
+	}
 	global := g.Positions()
 	epoch := cl.epoch.Add(1)
-	if cl.FullPublish || d.Overflow || d.Structural {
+	if cl.FullPublish || d.Overflow {
 		return cl.publishFull(epoch, global)
 	}
 	return cl.publishDeltas(epoch, d, global)

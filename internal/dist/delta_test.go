@@ -1,11 +1,13 @@
 package dist_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"octopus/internal/dist"
 	"octopus/internal/geom"
+	"octopus/internal/linearscan"
 	"octopus/internal/mesh"
 	"octopus/internal/query"
 	"octopus/internal/shard"
@@ -187,4 +189,40 @@ func TestDistDeltaEmptyStep(t *testing.T) {
 	}
 	h.maintain(t)
 	h.checkAll(t, "after empty step", cur, knn, equivQueries(h.m1, 601), equivProbes(h.m1, 602), 1)
+}
+
+// TestClusterRefusesRestructuredMesh: a split cell on the served global
+// mesh cannot be published (the shards' sub-meshes and remap tables
+// describe the old cells, so the new vertex would reach no shard). The
+// next Deform must publish nothing, leave the epoch alone and fail, and
+// so must every later one; Err latches the refusal.
+func TestClusterRefusesRestructuredMesh(t *testing.T) {
+	sm, err := shard.NewMesh(buildBoxTet(t, 4, 0.25), 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := dist.NewCluster(sm, func(m *mesh.Mesh) query.ParallelKNNEngine { return linearscan.New(m) })
+	cl.ServeLoopback(dist.NewLoopback())
+	t.Cleanup(cl.Close)
+
+	if _, _, err := sm.Global().SplitCell(0); err != nil {
+		t.Fatal(err)
+	}
+	first := cl.DeformErr(func([]geom.Vec3) {})
+	if first == nil {
+		t.Fatal("a Deform after a restructure published")
+	}
+	cl.Deform(func([]geom.Vec3) {})
+	if err := cl.DeformErr(func([]geom.Vec3) {}); !errors.Is(err, first) {
+		t.Fatalf("a later Deform returned %v, want the sticky %v", err, first)
+	}
+	if err := cl.Err(); !errors.Is(err, first) {
+		t.Fatalf("Err() = %v, want %v", err, first)
+	}
+	if got := cl.Epoch(); got != 0 {
+		t.Fatalf("refused steps advanced the cluster to epoch %d", got)
+	}
+	if ws := cl.WireStats(); ws.Publish.Calls != 0 || ws.PublishDelta.Calls != 0 {
+		t.Fatalf("refused steps published %d full / %d delta", ws.Publish.Calls, ws.PublishDelta.Calls)
+	}
 }

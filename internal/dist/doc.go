@@ -59,8 +59,10 @@
 //     translated to local ids, applied into the sub-mesh's back buffer
 //     before the atomic swap, so the result is bit-equal to a full
 //     publish by construction. When a step moves too much (dirty-set
-//     overflow, structural change, or FullPublish set) it falls back to
-//     pushing each shard's full local position array as a Publish RPC.
+//     overflow, or FullPublish set) it falls back to pushing each shard's
+//     full local position array as a Publish RPC. A structural change
+//     (a split or deleted cell) is refused: that Deform and every later
+//     one publish nothing and fail.
 //     Either way every shard receives exactly one publish per step
 //     (empty deltas included), keeping the cluster's epochs in lockstep;
 //     MaintainToHead then drives every server's maintenance target to
@@ -82,5 +84,6 @@
 // The distributed tier serves a pinned partition generation: live
 // re-partitioning (shard.Mesh restructuring, pressure rebalancing)
 // remains an in-process feature — a Cluster must be rebuilt to pick up a
-// new partition.
+// new partition, and one whose global mesh is restructured refuses to
+// publish rather than serve the old cells.
 package dist

@@ -171,7 +171,6 @@ func TestIncrementalStructuralFallsBackToRebuild(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			m := buildMesh(t, 4)
-			m.EnableRestructuring()
 			eng := tc.make(m)
 
 			ci := -1

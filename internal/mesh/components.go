@@ -6,16 +6,13 @@ package mesh
 // their own component. The returned labels alias internal storage and must
 // not be modified.
 //
-// Until restructuring is enabled the adjacency cannot change, so the
-// labelling is computed once and shared by every engine built over the
-// mesh (core.New and con.New each ask for it); its graph search touches
-// the whole adjacency, the bulk of an engine's construction on a mesh
-// larger than the cache. Once restructuring is enabled every call labels
-// the graph anew.
+// The labelling is computed once and shared by every engine built over
+// the mesh (core.New and con.New each ask for it); its graph search
+// touches the whole adjacency, the bulk of an engine's construction on a
+// mesh larger than the cache. Restructuring drops the memo
+// (recordStructuralDirty), so the next call labels the changed graph into
+// a new array and a labelling handed out before stays untouched.
 func (m *Mesh) ConnectedComponents() (count int, labels []int32) {
-	if m.faces != nil {
-		return m.components()
-	}
 	m.memoMu.Lock()
 	defer m.memoMu.Unlock()
 	if m.compLabels == nil {

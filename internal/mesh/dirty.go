@@ -190,8 +190,10 @@ func (m *Mesh) recordDeformDirty(old, now []geom.Vec3) {
 }
 
 // recordStructuralDirty marks a restructuring operation covering the
-// given cells (the retired cell plus any replacements).
+// given cells (the retired cell plus any replacements) and drops the
+// topology memos the operation made stale.
 func (m *Mesh) recordStructuralDirty(touched geom.AABB, cells ...int32) {
+	m.forgetTopology()
 	m.dirty.Structural = true
 	m.dirty.Cells = append(m.dirty.Cells, cells...)
 	m.dirty.Box = m.dirty.Box.Union(touched)

@@ -126,7 +126,6 @@ func TestDirtyRecordedFromConstruction(t *testing.T) {
 
 func TestDirtyTrackingStructural(t *testing.T) {
 	m := dirtyTestMesh(t)
-	m.EnableRestructuring()
 	m.EnableSnapshots() // SplitCell then grows an allocated mark array
 	base := int32(len(m.Cells()))
 	x, _, err := m.SplitCell(0)

@@ -1,9 +1,5 @@
 package mesh
 
-// ForgetSurface drops the memoized surface list, so the next
-// SurfaceVertices derives it again.
-func (m *Mesh) ForgetSurface() {
-	m.memoMu.Lock()
-	m.surface = nil
-	m.memoMu.Unlock()
-}
+// ForgetSurface drops the topology memos, as a restructuring operation
+// does, so the next SurfaceVertices derives the list again.
+func (m *Mesh) ForgetSurface() { m.forgetTopology() }

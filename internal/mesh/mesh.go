@@ -6,7 +6,8 @@
 //     in-place deformation of vertex positions,
 //   - extraction of the mesh surface via the global face list (§IV-E1),
 //   - rare connectivity restructuring (cell split / delete) with incremental
-//     surface maintenance deltas (§IV-E2), and
+//     surface maintenance deltas (§IV-E2), each vertex's surface status
+//     decided locally from the faces of its incident cells, and
 //   - Hilbert-order data reorganization for crawl cache locality (§IV-H1).
 //
 // A Mesh is safe for concurrent readers. The position store is
@@ -94,14 +95,15 @@ type Mesh struct {
 	// liveCells counts cells with Dead == false.
 	liveCells int
 
-	// restructuring state, built lazily by EnableRestructuring.
-	faces     *faceTable
+	// incidence maps each vertex to its cells; the first SplitCell or
+	// DeleteCell builds it (prepareRestructure).
 	incidence *incidenceTable
 
-	// Topology memos, valid while faces == nil, guarded by memoMu. surface
-	// memoizes SurfaceVertices: nil until computed, or seeded by the
-	// Renumber that made this mesh. compLabels and compCount memoize
-	// ConnectedComponents; compLabels is nil until computed.
+	// Topology memos, guarded by memoMu and dropped by every restructuring
+	// operation (recordStructuralDirty). surface memoizes SurfaceVertices:
+	// nil until computed, or seeded by the Renumber that made this mesh.
+	// compLabels and compCount memoize ConnectedComponents; compLabels is
+	// nil until computed.
 	memoMu     sync.Mutex
 	surface    []int32
 	compLabels []int32
@@ -132,6 +134,15 @@ func newMesh(pos []geom.Vec3, adjStart, adjList []int32, cells []Cell) *Mesh {
 		dirty:      DirtyRegion{Box: geom.EmptyBox()},
 		dirtyStamp: 1,
 	}
+}
+
+// forgetTopology drops the topology memos, so the next SurfaceVertices and
+// ConnectedComponents derive them from the current cells. A labelling
+// handed out before stays valid: the next call allocates a new one.
+func (m *Mesh) forgetTopology() {
+	m.memoMu.Lock()
+	m.surface, m.compLabels, m.compCount = nil, nil, 0
+	m.memoMu.Unlock()
 }
 
 // NumVertices returns the number of vertices, including vertices added by

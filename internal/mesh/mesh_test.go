@@ -349,7 +349,6 @@ func TestEdgeCountWithPatchedOverlay(t *testing.T) {
 	}
 
 	check("pristine")
-	m.EnableRestructuring()
 	if _, _, err := m.SplitCell(0); err != nil {
 		t.Fatal(err)
 	}

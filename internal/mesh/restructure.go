@@ -21,9 +21,9 @@ type SurfaceDelta struct {
 // Empty reports whether the delta changes nothing.
 func (d SurfaceDelta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// incidenceTable maps each vertex to the cells containing it. It is built
-// lazily when restructuring is first enabled; deformation-only workloads
-// never pay for it.
+// incidenceTable maps each vertex to the cells containing it. The first
+// restructuring operation builds it (prepareRestructure); deformation-only
+// workloads never pay for it.
 type incidenceTable struct {
 	start []int32
 	list  []int32
@@ -83,13 +83,10 @@ func (t *incidenceTable) add(v, cell int32) {
 	t.extra[v] = append(t.extra[v], cell)
 }
 
-// EnableRestructuring builds the face-count and vertex-incidence tables
-// required by SplitCell and DeleteCell. Calling it on a mesh that will only
-// deform is unnecessary. It is idempotent.
-func (m *Mesh) EnableRestructuring() {
-	if m.faces == nil {
-		m.faces = newFaceTable(m.cells)
-	}
+// prepareRestructure builds the restructuring state on the first SplitCell
+// or DeleteCell: the vertex-incidence table and the patch layer over the
+// CSR adjacency.
+func (m *Mesh) prepareRestructure() {
 	if m.incidence == nil {
 		m.incidence = newIncidenceTable(len(m.pos), m.cells)
 	}
@@ -105,7 +102,6 @@ func (m *Mesh) EnableRestructuring() {
 // so the returned delta is always empty; it is returned for symmetry with
 // DeleteCell.
 func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error) {
-	m.EnableRestructuring()
 	if ci < 0 || ci >= len(m.cells) {
 		return -1, SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
 	}
@@ -116,6 +112,7 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 	if c.Type != Tetrahedron {
 		return -1, SurfaceDelta{}, fmt.Errorf("mesh: SplitCell supports tetrahedra only, got %v", c.Type)
 	}
+	m.prepareRestructure()
 
 	a, b, cc, d := c.Verts[0], c.Verts[1], c.Verts[2], c.Verts[3]
 	front := m.front()
@@ -143,17 +140,6 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 		}
 	}
 
-	// Face accounting: each outer face of the old tet is now contributed by
-	// exactly one new tet, so its count is unchanged. The six interior faces
-	// around x each appear in exactly two new tets.
-	for _, e := range tetEdges {
-		p, q := c.Verts[e[0]], c.Verts[e[1]]
-		var k faceKey
-		k[0], k[1], k[2], k[3] = x, p, q, -1
-		sortTriple(&k)
-		m.faces.count[k] += 2
-	}
-
 	// Adjacency: x connects to a, b, cc, d; each of them gains x.
 	m.patched[x] = []int32{a, b, cc, d}
 	slices.Sort(m.patched[x])
@@ -177,7 +163,6 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 // returned SurfaceDelta lists vertices that joined or left the surface set
 // and is the exact maintenance stream for the surface index.
 func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
-	m.EnableRestructuring()
 	if ci < 0 || ci >= len(m.cells) {
 		return SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
 	}
@@ -185,24 +170,14 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	if c.Dead {
 		return SurfaceDelta{}, fmt.Errorf("mesh: cell %d already deleted", ci)
 	}
+	m.prepareRestructure()
 
-	affected := make([]int32, 0, c.VertexCount())
-	for k := 0; k < c.VertexCount(); k++ {
-		affected = append(affected, c.Verts[k])
-	}
-	wasSurface := make(map[int32]bool, len(affected))
-	for _, v := range affected {
-		wasSurface[v] = m.isSurfaceVertex(v)
-	}
-
-	// Remove the cell and its face contributions.
-	for _, f := range cellFaces(c.Type) {
-		k := makeFaceKey(c, f)
-		if m.faces.count[k] <= 1 {
-			delete(m.faces.count, k)
-		} else {
-			m.faces.count[k]--
-		}
+	// Only the cell's own vertices can change surface status: each is
+	// tested locally before and after the cell leaves.
+	affected := c.Verts[:c.VertexCount()]
+	var wasSurface [8]bool
+	for i, v := range affected {
+		wasSurface[i] = m.isSurfaceVertex(v)
 	}
 	c.Dead = true
 	m.liveCells--
@@ -214,12 +189,11 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	}
 
 	var delta SurfaceDelta
-	for _, v := range affected {
-		now := m.isSurfaceVertex(v)
-		switch {
-		case now && !wasSurface[v]:
+	for i, v := range affected {
+		switch now := m.isSurfaceVertex(v); {
+		case now && !wasSurface[i]:
 			delta.Added = append(delta.Added, v)
-		case !now && wasSurface[v]:
+		case !now && wasSurface[i]:
 			delta.Removed = append(delta.Removed, v)
 		}
 	}
@@ -265,17 +239,4 @@ func (m *Mesh) Centroid(ci int) geom.Vec3 {
 		sum = sum.Add(pos[c.Verts[k]])
 	}
 	return sum.Scale(1 / float64(n))
-}
-
-// sortTriple sorts the first three entries of a faceKey (triangle faces).
-func sortTriple(k *faceKey) {
-	if k[1] < k[0] {
-		k[0], k[1] = k[1], k[0]
-	}
-	if k[2] < k[1] {
-		k[1], k[2] = k[2], k[1]
-	}
-	if k[1] < k[0] {
-		k[0], k[1] = k[1], k[0]
-	}
 }

@@ -42,7 +42,7 @@ func TestSplitCellSingleTet(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Error(err)
 	}
-	checkIncrementalFaceTable(t, m)
+	checkLocalSurfaceRule(t, m)
 }
 
 func TestSplitCellErrors(t *testing.T) {
@@ -101,7 +101,7 @@ func TestDeleteCellExposesApex(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Error(err)
 	}
-	checkIncrementalFaceTable(t, m)
+	checkLocalSurfaceRule(t, m)
 }
 
 func TestDeleteCellErrors(t *testing.T) {
@@ -117,23 +117,19 @@ func TestDeleteCellErrors(t *testing.T) {
 	}
 }
 
-// checkIncrementalFaceTable verifies the incrementally maintained face table
-// matches one rebuilt from scratch.
-func checkIncrementalFaceTable(t *testing.T, m *Mesh) {
+// checkLocalSurfaceRule verifies isSurfaceVertex at every vertex, and the
+// surface list and boundary face count, against face counts rebuilt from
+// scratch. m must have been restructured (it holds the incidence table).
+func checkLocalSurfaceRule(t *testing.T, m *Mesh) {
 	t.Helper()
-	if m.faces == nil {
-		t.Fatal("restructuring state missing")
-	}
 	fresh := oracleFaceCounts(m.cells)
-	if len(fresh) != len(m.faces.count) {
-		t.Fatalf("face table size: incremental %d, fresh %d", len(m.faces.count), len(fresh))
-	}
-	for k, n := range fresh {
-		if m.faces.count[k] != n {
-			t.Fatalf("face %v: incremental %d, fresh %d", k, m.faces.count[k], n)
+	want := oracleSurface(fresh)
+	for v := int32(0); v < int32(m.NumVertices()); v++ {
+		if got := m.isSurfaceVertex(v); got != slices.Contains(want, v) {
+			t.Fatalf("isSurfaceVertex(%d) = %v, want %v", v, got, !got)
 		}
 	}
-	if got, want := m.SurfaceVertices(), oracleSurface(fresh); !slices.Equal(got, want) {
+	if got := m.SurfaceVertices(); !slices.Equal(got, want) {
 		t.Fatalf("restructured surface %v, want %v", got, want)
 	}
 	if got, want := m.BoundaryFaceCount(), oracleBoundaryCount(fresh); got != want {
@@ -141,41 +137,28 @@ func checkIncrementalFaceTable(t *testing.T, m *Mesh) {
 	}
 }
 
-// surfaceSet returns the surface vertex set as a map.
-func surfaceSet(m *Mesh) map[int32]bool {
-	s := make(map[int32]bool)
-	for _, v := range m.SurfaceVertices() {
-		s[v] = true
-	}
-	return s
-}
-
-// TestRestructureRandomSequence applies a random sequence of splits and
-// deletes to a grid mesh and after every operation cross-checks every
-// incrementally maintained structure against a from-scratch rebuild, and the
-// reported deltas against the actual surface-set difference.
-func TestRestructureRandomSequence(t *testing.T) {
-	m := buildTetGrid(t, 3, 3, 3)
-	m.EnableRestructuring()
-	r := rand.New(rand.NewSource(42))
-
-	prevSurf := surfaceSet(m)
-	for step := 0; step < 60; step++ {
-		// Pick a random live cell.
-		live := []int{}
+// restructureRandomly applies steps random splits (tetrahedra only) and
+// deletes to m and after every operation checks the structure, the local
+// surface rule, and the reported delta against the actual surface-set
+// difference.
+func restructureRandomly(t *testing.T, m *Mesh, r *rand.Rand, steps int) {
+	t.Helper()
+	prev := m.SurfaceVertices()
+	for step := 0; step < steps; step++ {
+		var live []int
 		for i := range m.cells {
 			if !m.cells[i].Dead {
 				live = append(live, i)
 			}
 		}
 		if len(live) == 0 {
-			break
+			return
 		}
 		ci := live[r.Intn(len(live))]
 
 		var delta SurfaceDelta
 		var err error
-		if r.Intn(2) == 0 {
+		if m.cells[ci].Type == Tetrahedron && r.Intn(2) == 0 {
 			_, delta, err = m.SplitCell(ci)
 		} else {
 			delta, err = m.DeleteCell(ci)
@@ -186,36 +169,39 @@ func TestRestructureRandomSequence(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		checkIncrementalFaceTable(t, m)
+		checkLocalSurfaceRule(t, m)
 
-		nowSurf := surfaceSet(m)
-		// Check the delta matches the actual diff.
-		for _, v := range delta.Added {
-			if !nowSurf[v] || prevSurf[v] {
-				t.Fatalf("step %d: spurious Added %d", step, v)
+		now := m.SurfaceVertices()
+		var added, removed []int32
+		for _, v := range now {
+			if !slices.Contains(prev, v) {
+				added = append(added, v)
 			}
 		}
-		for _, v := range delta.Removed {
-			if nowSurf[v] || !prevSurf[v] {
-				t.Fatalf("step %d: spurious Removed %d", step, v)
+		for _, v := range prev {
+			if !slices.Contains(now, v) {
+				removed = append(removed, v)
 			}
 		}
-		added, removed := 0, 0
-		for v := range nowSurf {
-			if !prevSurf[v] {
-				added++
-			}
+		if !slices.Equal(delta.Added, added) || !slices.Equal(delta.Removed, removed) {
+			t.Fatalf("step %d: delta +%v -%v, actual diff +%v -%v",
+				step, delta.Added, delta.Removed, added, removed)
 		}
-		for v := range prevSurf {
-			if !nowSurf[v] {
-				removed++
-			}
-		}
-		if added != len(delta.Added) || removed != len(delta.Removed) {
-			t.Fatalf("step %d: delta (%d,%d) but actual diff (%d,%d)",
-				step, len(delta.Added), len(delta.Removed), added, removed)
-		}
-		prevSurf = nowSurf
+		prev = now
+	}
+}
+
+// TestRestructureRandomSequence applies random sequences of splits and
+// deletes to a tet grid and to random mixed tet/hex meshes — faces shared
+// by one, two and three cells, triangles and quads — checking every
+// operation against from-scratch oracles.
+func TestRestructureRandomSequence(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	restructureRandomly(t, buildTetGrid(t, 3, 3, 3), r, 60)
+	for trial := 0; trial < 40; trial++ {
+		n := 12 + r.Intn(30)
+		m := buildCells(t, r, n, randomMixedCells(r, n, 4+r.Intn(30)))
+		restructureRandomly(t, m, r, 20)
 	}
 }
 
@@ -354,8 +340,10 @@ func TestSurfaceVerticesSorted(t *testing.T) {
 	}
 }
 
-// TestConnectedComponentsMemo: before restructuring every call shares one
-// labelling; once restructuring changes the graph, calls label it anew.
+// TestConnectedComponentsMemo: every call shares one labelling until a
+// restructure drops it; the next call labels the changed graph into a new
+// array, shared again by later calls, and a labelling handed out before
+// stays untouched.
 func TestConnectedComponentsMemo(t *testing.T) {
 	m := buildTetGrid(t, 3, 3, 3)
 	n1, first := m.ConnectedComponents()
@@ -363,6 +351,7 @@ func TestConnectedComponentsMemo(t *testing.T) {
 	if n1 != 1 || n2 != 1 || &first[0] != &second[0] {
 		t.Fatalf("unrestructured grid: counts %d, %d, shared labelling %v", n1, n2, &first[0] == &second[0])
 	}
+	want := slices.Clone(first)
 
 	x, _, err := m.SplitCell(0)
 	if err != nil {
@@ -379,18 +368,22 @@ func TestConnectedComponentsMemo(t *testing.T) {
 			}
 		}
 	}
-	if n, labels := m.ConnectedComponents(); n != 2 || labels[0] == labels[1] {
-		t.Fatalf("isolated vertex 0: %d components, labels %d and %d", n, labels[0], labels[1])
+	n3, third := m.ConnectedComponents()
+	if n3 != 2 || third[0] == third[1] {
+		t.Fatalf("isolated vertex 0: %d components, labels %d and %d", n3, third[0], third[1])
 	}
-	if !slices.Equal(first, second) || first[0] != 0 {
+	if _, fourth := m.ConnectedComponents(); &third[0] != &fourth[0] {
+		t.Fatal("two calls after a restructure labelled the graph twice")
+	}
+	if &third[0] == &first[0] || !slices.Equal(first, want) {
 		t.Fatal("restructuring wrote into a labelling handed out before it")
 	}
 }
 
-// TestSurfaceVerticesMemo: before restructuring the surface list is
-// memoized, but every caller gets its own copy (core.New mutates its
-// surface array in place); once a cell is deleted every call derives the
-// list from the live cells instead of the memo.
+// TestSurfaceVerticesMemo: the surface list is memoized, but every caller
+// gets its own copy (core.New mutates its surface array in place); a
+// deleted cell drops the memo, so the next call derives the list from the
+// live cells.
 func TestSurfaceVerticesMemo(t *testing.T) {
 	m := buildTetGrid(t, 3, 3, 3)
 	first := m.SurfaceVertices()

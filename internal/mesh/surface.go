@@ -1,6 +1,9 @@
 package mesh
 
-import "slices"
+import (
+	"iter"
+	"slices"
+)
 
 // faceKey canonically identifies a polyhedral face by its sorted vertex
 // ids. Triangular faces use -1 in the last slot so they can never collide
@@ -90,14 +93,23 @@ func boundaryFaces(cells []Cell, numVerts int, fn func(faceKey)) {
 	for v := 0; v < numVerts; v++ {
 		bucket := rest[end[v]:end[v+1]]
 		slices.SortFunc(bucket, func(x, y [3]int32) int { return slices.Compare(x[:], y[:]) })
-		for i := 0; i < len(bucket); {
+		for r := range singles(bucket) {
+			fn(faceKey{int32(v), r[0], r[1], r[2]})
+		}
+	}
+}
+
+// singles yields every element that occurs exactly once in the sorted
+// slice s: a face key in a run of length 1 is a boundary face.
+func singles[E comparable](s []E) iter.Seq[E] {
+	return func(yield func(E) bool) {
+		for i := 0; i < len(s); {
 			j := i + 1
-			for j < len(bucket) && bucket[j] == bucket[i] {
+			for j < len(s) && s[j] == s[i] {
 				j++
 			}
-			if j == i+1 {
-				r := bucket[i]
-				fn(faceKey{int32(v), r[0], r[1], r[2]})
+			if j == i+1 && !yield(s[i]) {
+				return
 			}
 			i = j
 		}
@@ -126,46 +138,18 @@ func surfaceOf(cells []Cell, numVerts int) []int32 {
 	return out
 }
 
-// faceTable counts, for every face in the global face list, how many live
-// cells share it — a face with count 1 is a boundary face. It exists for
-// restructuring only: EnableRestructuring builds it once and SplitCell and
-// DeleteCell keep its counts live, so DeleteCell can tell whether one
-// vertex is on the surface (isSurfaceVertex) without re-deriving it. The
-// surface list and the boundary face count always come from
-// boundaryFaces over the cell list.
-type faceTable struct {
-	count map[faceKey]int32
-}
-
-func newFaceTable(cells []Cell) *faceTable {
-	ft := &faceTable{count: make(map[faceKey]int32, len(cells)*2)}
-	for i := range cells {
-		c := &cells[i]
-		if c.Dead {
-			continue
-		}
-		for _, f := range cellFaces(c.Type) {
-			ft.count[makeFaceKey(c, f)]++
-		}
-	}
-	return ft
-}
-
 // SurfaceVertices returns the sorted ids of all vertices lying on at least
 // one boundary face: the vertex set the paper's surface index keeps. The
 // caller owns the returned slice.
 //
-// Until restructuring is enabled the cell list cannot change, so the list
-// is computed once, by boundaryFaces, and each call returns a copy — every
-// engine built over the mesh asks for it. Renumber carries the memo over
-// to the copy it returns (the surface is a vertex set, so the permutation
-// maps it), which is why a dataset or shard sub-mesh laid out
-// surface-first never derives its surface twice. Once restructuring is
-// enabled the cell list can change, so every call derives the list anew.
+// The list is computed once, by boundaryFaces, and each call returns a
+// copy — every engine built over the mesh asks for it. Restructuring drops
+// the memo (recordStructuralDirty), so the next call derives the list from
+// the live cells. Renumber carries the memo over to the copy it returns
+// (the surface is a vertex set, so the permutation maps it), which is why
+// a dataset or shard sub-mesh laid out surface-first never derives its
+// surface twice.
 func (m *Mesh) SurfaceVertices() []int32 {
-	if m.faces != nil {
-		return surfaceOf(m.cells, len(m.pos))
-	}
 	m.memoMu.Lock()
 	defer m.memoMu.Unlock()
 	if m.surface == nil {
@@ -190,23 +174,27 @@ func (m *Mesh) SurfaceToVolumeRatio() float64 {
 	return float64(len(m.SurfaceVertices())) / float64(m.NumVertices())
 }
 
-// isSurfaceVertex reports whether v lies on a boundary face, evaluated
-// against the live face table. Only valid when restructuring state is
-// enabled.
+// isSurfaceVertex reports whether v lies on a boundary face: boundaryFaces'
+// rule restricted to the faces that contain v. Every cell sharing such a
+// face is incident to v, so the keys gathered from v's live incident cells
+// hold every copy of each face, and a run of length 1 among them is a
+// boundary face. Needs the incidence table (prepareRestructure).
 func (m *Mesh) isSurfaceVertex(v int32) bool {
+	var keys []faceKey
 	for _, ci := range m.incidence.cellsOf(v) {
 		c := &m.cells[ci]
 		if c.Dead {
 			continue
 		}
 		for _, f := range cellFaces(c.Type) {
-			if !faceHasVertexIdx(c, f, v) {
-				continue
-			}
-			if m.faces.count[makeFaceKey(c, f)] == 1 {
-				return true
+			if faceHasVertexIdx(c, f, v) {
+				keys = append(keys, makeFaceKey(c, f))
 			}
 		}
+	}
+	slices.SortFunc(keys, func(x, y faceKey) int { return slices.Compare(x[:], y[:]) })
+	for range singles(keys) {
+		return true
 	}
 	return false
 }

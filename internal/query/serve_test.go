@@ -137,7 +137,6 @@ func TestCacheReplayExactnessUnderRestructuring(t *testing.T) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			m := buildBox(t, 5)
-			m.EnableRestructuring()
 			eng := f.make(m)
 			re := eng.(query.Restructurable)
 			o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 79})

@@ -172,7 +172,6 @@ func TestSnapshotConsistencyUnderRestructuring(t *testing.T) {
 		}
 		t.Run(f.name, func(t *testing.T) {
 			m := buildBox(t, 5)
-			m.EnableRestructuring()
 			eng := f.make(m)
 			re, ok := eng.(query.Restructurable)
 			if !ok {

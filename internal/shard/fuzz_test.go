@@ -94,7 +94,6 @@ func FuzzPartition(f *testing.F) {
 		if nOps == 0 {
 			return
 		}
-		m.EnableRestructuring()
 		rr := rand.New(rand.NewSource(seed ^ int64(burst)))
 		for op := 0; op < nOps; op++ {
 			ci := rr.Intn(m.NumCells())

@@ -190,7 +190,6 @@ func TestStopTheWorldMaintenance(t *testing.T) {
 		for _, k := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/K=%d", ec.name, k), func(t *testing.T) {
 				m := buildBoxTet(t, 5, 0.2)
-				m.EnableRestructuring()
 				sm, err := NewMesh(m, k, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -279,7 +278,6 @@ func TestStopTheWorldMaintenance(t *testing.T) {
 // hold and every query over the grown mesh is exact.
 func TestRestructuringAfterPartitionRepartitions(t *testing.T) {
 	m := buildBoxTet(t, 4, 0.25)
-	m.EnableRestructuring()
 	r := routerOver(t, m, 2)
 	if _, _, err := m.SplitCell(0); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,6 @@ func checkRouterExact(t *testing.T, label string, m *mesh.Mesh, r *Router) {
 // the partition invariants plus query exactness hold on the grown mesh.
 func TestIncrementalRepartitionAfterSplitBurst(t *testing.T) {
 	m := buildBoxTet(t, 6, 1.0/6)
-	m.EnableRestructuring()
 	sm, err := NewMesh(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,6 @@ func TestDeleteCellRepartitionsWithoutSetup(t *testing.T) {
 // publish and fall back via staleness; both paths stay bit-exact.
 func TestQueriesExactDuringPendingMigration(t *testing.T) {
 	m := buildBoxTet(t, 5, 0.2)
-	m.EnableRestructuring()
 	sm, err := NewMesh(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +178,6 @@ func TestQueriesExactDuringPendingMigration(t *testing.T) {
 // (counts drift instead) while queries stay exact.
 func TestFrozenToleranceSkipsRebalance(t *testing.T) {
 	m := buildBoxTet(t, 6, 1.0/6)
-	m.EnableRestructuring()
 	sm, err := NewMesh(m, 4, Options{RebalanceTol: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +275,6 @@ func TestResyncIncrementalScatter(t *testing.T) {
 // with nil weights are cheap no-ops that still count a generation.
 func TestRepartitionStatsAccumulate(t *testing.T) {
 	m := buildBoxTet(t, 5, 0.2)
-	m.EnableRestructuring()
 	sm, err := NewMesh(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +321,6 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/K=%d", ec.name, K), func(t *testing.T) {
 				const steps = 8
 				m := buildBoxTet(t, 5, 0.2)
-				m.EnableRestructuring()
 				orig := append([]geom.Vec3(nil), m.Positions()...)
 				sm, err := NewMesh(m, K, Options{})
 				if err != nil {

@@ -152,7 +152,6 @@ func TestPublicApproximationAndStats(t *testing.T) {
 func TestPublicRestructuring(t *testing.T) {
 	m := buildBlock(t, 4)
 	o := octopus.New(m)
-	m.EnableRestructuring()
 	delta, err := m.DeleteCell(0)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,11 @@
 //     carries a request id, so one pooled connection serves many
 //     concurrent in-flight RPCs — a slow query never head-of-line-blocks
 //     a fast one — with per-call deadlines, and a demux goroutine
-//     delivering each response to its waiter (DESIGN.md §16). The router
+//     delivering each response to its waiter (DESIGN.md §16). A frame
+//     leaves in one Write and arrives through a buffered reader; request
+//     buffers, waiters and handler goroutines are reused per
+//     connection, so a warmed RPC allocates only its two responses (the
+//     one the server encodes and the one the client hands over). The router
 //     retries transport failures with exponential backoff under
 //     RetryPolicy and returns an honest error when a shard stays
 //     unreachable — it never silently narrows a result. Both endpoints

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"octopus/internal/geom"
 )
@@ -69,20 +70,17 @@ type knnReq struct {
 	Bound2 float64
 }
 
-// knnCand is one owned candidate: its squared distance to the probe and
-// its global id — exactly what the router's KBest is offered.
-type knnCand struct {
-	D2  float64
-	GID int32
-}
-
 // knnResp answers a knnReq; Skew as in rangeResp. Rounds counts the
-// widening re-queries the server ran (statistics only).
+// widening re-queries the server ran (statistics only). The candidates
+// are the shard's owned (squared distance to the probe, global id)
+// pairs — exactly what the router's KBest is offered — held as parallel
+// slices, the form the server's KBest drains into.
 type knnResp struct {
 	Epoch  uint64
 	Skew   bool
 	Rounds int
-	Cands  []knnCand
+	GIDs   []int32
+	D2s    []float64
 }
 
 // publishReq pushes one deformation step: the shard sub-mesh's full
@@ -222,6 +220,20 @@ func (r *reader) box(what string) geom.AABB {
 
 func (r *reader) bool(what string) bool { return r.u8(what) != 0 }
 
+// skip consumes n elements of size bytes each — a run the caller reads
+// straight from r.b once the message has validated — and returns the
+// offset they start at. A count the buffer cannot hold fails before
+// anything is sized by it.
+func (r *reader) skip(n, size int, what string) int {
+	at := r.off
+	if r.err != nil || n > (len(r.b)-r.off)/size {
+		r.fail(what)
+		return at
+	}
+	r.off += n * size
+	return at
+}
+
 // done reports decode success and that the message held nothing extra
 // (trailing bytes mean a version skew the leading byte failed to catch).
 func (r *reader) done() error {
@@ -264,8 +276,9 @@ func decodeMetaResp(b []byte) (metaResp, error) {
 	return m, r.done()
 }
 
-func encodeRangeReq(q rangeReq) []byte {
-	b := make([]byte, 0, 1+8+48)
+// appendRangeReq encodes q into b (append-style: the router reuses one
+// buffer per query cursor).
+func appendRangeReq(b []byte, q rangeReq) []byte {
 	b = append(b, protoVersion)
 	b = appendU64(b, q.Epoch)
 	return appendBox(b, q.Box)
@@ -290,25 +303,28 @@ func encodeRangeResp(resp rangeResp) []byte {
 	return b
 }
 
-func decodeRangeResp(b []byte) (rangeResp, error) {
+// decodeRangeResp decodes a rangeResp whose IDs are out with the
+// message's ids appended — the router decodes straight into the query's
+// result. Nothing is appended unless the whole message is valid.
+func decodeRangeResp(b []byte, out []int32) (rangeResp, error) {
 	r := reader{b: b}
 	r.checkVersion()
 	resp := rangeResp{Epoch: r.u64("epoch"), Skew: r.bool("skew")}
 	n := int(r.u32("count"))
-	if r.err == nil && n > (len(b)-r.off)/4 {
-		r.fail("ids")
+	at := r.skip(n, 4, "ids")
+	if err := r.done(); err != nil {
+		return resp, err
 	}
-	if r.err == nil && n > 0 {
-		resp.IDs = make([]int32, n)
-		for i := range resp.IDs {
-			resp.IDs[i] = int32(r.u32("id"))
-		}
+	out = slices.Grow(out, n)
+	for i := 0; i < n; i++ {
+		out = append(out, int32(binary.LittleEndian.Uint32(b[at+4*i:])))
 	}
-	return resp, r.done()
+	resp.IDs = out
+	return resp, nil
 }
 
-func encodeKNNReq(q knnReq) []byte {
-	b := make([]byte, 0, 1+8+24+4+1+8)
+// appendKNNReq encodes q into b, append-style like appendRangeReq.
+func appendKNNReq(b []byte, q knnReq) []byte {
 	b = append(b, protoVersion)
 	b = appendU64(b, q.Epoch)
 	b = appendVec3(b, q.P)
@@ -330,36 +346,39 @@ func decodeKNNReq(b []byte) (knnReq, error) {
 	return q, r.done()
 }
 
+// encodeKNNResp encodes resp; len(resp.GIDs) must equal len(resp.D2s).
 func encodeKNNResp(resp knnResp) []byte {
-	b := make([]byte, 0, 1+8+1+4+4+12*len(resp.Cands))
+	b := make([]byte, 0, 1+8+1+4+4+12*len(resp.GIDs))
 	b = append(b, protoVersion)
 	b = appendU64(b, resp.Epoch)
 	b = appendBool(b, resp.Skew)
 	b = appendU32(b, uint32(resp.Rounds))
-	b = appendU32(b, uint32(len(resp.Cands)))
-	for _, c := range resp.Cands {
-		b = appendF64(b, c.D2)
-		b = appendU32(b, uint32(c.GID))
+	b = appendU32(b, uint32(len(resp.GIDs)))
+	for i, gid := range resp.GIDs {
+		b = appendF64(b, resp.D2s[i])
+		b = appendU32(b, uint32(gid))
 	}
 	return b
 }
 
-func decodeKNNResp(b []byte) (knnResp, error) {
+// decodeKNNResp decodes a knnResp, handing each candidate to offer in
+// message order instead of filling GIDs and D2s — the router offers them
+// straight into its KBest. offer runs only once the whole message has
+// validated.
+func decodeKNNResp(b []byte, offer func(d2 float64, gid int32)) (knnResp, error) {
 	r := reader{b: b}
 	r.checkVersion()
 	resp := knnResp{Epoch: r.u64("epoch"), Skew: r.bool("skew"), Rounds: int(r.u32("rounds"))}
 	n := int(r.u32("count"))
-	if r.err == nil && n > (len(b)-r.off)/12 {
-		r.fail("candidates")
+	at := r.skip(n, 12, "candidates")
+	if err := r.done(); err != nil {
+		return resp, err
 	}
-	if r.err == nil && n > 0 {
-		resp.Cands = make([]knnCand, n)
-		for i := range resp.Cands {
-			resp.Cands[i].D2 = r.f64("d2")
-			resp.Cands[i].GID = int32(r.u32("gid"))
-		}
+	for i := 0; i < n; i++ {
+		c := b[at+12*i:]
+		offer(math.Float64frombits(binary.LittleEndian.Uint64(c)), int32(binary.LittleEndian.Uint32(c[8:])))
 	}
-	return resp, r.done()
+	return resp, nil
 }
 
 // appendPublishReq encodes q into b (append-style so the control plane

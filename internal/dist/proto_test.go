@@ -27,7 +27,7 @@ func TestProtoRoundTrip(t *testing.T) {
 
 	t.Run("rangeReq", func(t *testing.T) {
 		in := rangeReq{Epoch: 7, Box: box}
-		out, err := decodeRangeReq(encodeRangeReq(in))
+		out, err := decodeRangeReq(appendRangeReq(nil, in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestProtoRoundTrip(t *testing.T) {
 			{Epoch: 10, Skew: true},
 			{Epoch: 11}, // empty result, not skew
 		} {
-			out, err := decodeRangeResp(encodeRangeResp(in))
+			out, err := decodeRangeResp(encodeRangeResp(in), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestProtoRoundTrip(t *testing.T) {
 			{Epoch: 3, P: geom.V(0.1, -0.2, 0.3), K: 8, Full: true, Bound2: 1.25},
 			{Epoch: 4, P: geom.V(0, 0, 0), K: 1, Full: false, Bound2: math.Inf(1)},
 		} {
-			out, err := decodeKNNReq(encodeKNNReq(in))
+			out, err := decodeKNNReq(appendKNNReq(nil, in))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,11 +69,15 @@ func TestProtoRoundTrip(t *testing.T) {
 
 	t.Run("knnResp", func(t *testing.T) {
 		for _, in := range []knnResp{
-			{Epoch: 5, Rounds: 2, Cands: []knnCand{{D2: 0, GID: 1}, {D2: 0.5, GID: 0}, {D2: math.MaxFloat64, GID: 7}}},
+			{Epoch: 5, Rounds: 2, GIDs: []int32{1, 0, 7}, D2s: []float64{0, 0.5, math.MaxFloat64}},
 			{Epoch: 6, Skew: true},
 			{Epoch: 7},
 		} {
-			out, err := decodeKNNResp(encodeKNNResp(in))
+			out, cands, err := decodeKNNCands(encodeKNNResp(in))
+			for _, c := range cands {
+				out.GIDs = append(out.GIDs, c.GID)
+				out.D2s = append(out.D2s, c.D2)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,14 +166,14 @@ func TestProtoRejectsMalformed(t *testing.T) {
 	t.Run("version-mismatch", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] = protoVersion + 1
-		if _, err := decodeRangeResp(bad); err == nil {
+		if _, err := decodeRangeResp(bad, nil); err == nil {
 			t.Fatal("decoded a message with a future protocol version")
 		}
 	})
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 1; cut < len(good); cut++ {
-			if _, err := decodeRangeResp(good[:cut]); err == nil {
+			if _, err := decodeRangeResp(good[:cut], nil); err == nil {
 				t.Fatalf("decoded a message truncated to %d/%d bytes", cut, len(good))
 			}
 		}
@@ -193,8 +197,29 @@ func TestProtoRejectsMalformed(t *testing.T) {
 
 	t.Run("trailing-bytes", func(t *testing.T) {
 		bad := append(append([]byte(nil), good...), 0xFF)
-		if _, err := decodeRangeResp(bad); err == nil {
+		if _, err := decodeRangeResp(bad, nil); err == nil {
 			t.Fatal("decoded a message with trailing bytes")
+		}
+	})
+
+	t.Run("consumes-nothing-on-error", func(t *testing.T) {
+		// The router decodes into the query's result and KBest: a reply
+		// that fails to decode must leave both untouched, whatever its
+		// valid prefix held.
+		out := make([]int32, 1, 8)
+		resp, err := decodeRangeResp(append(append([]byte(nil), good...), 0xFF), out)
+		if err == nil || len(out) != 1 || out[:4][1] != 0 || resp.IDs != nil {
+			t.Fatalf("a rejected range reply appended ids: err=%v out=%v", err, out[:4])
+		}
+		knn := encodeKNNResp(knnResp{Epoch: 1, GIDs: []int32{4, 5}, D2s: []float64{1, 2}})
+		offered := 0
+		for _, bad := range [][]byte{knn[:len(knn)-1], append(append([]byte(nil), knn...), 0)} {
+			if _, err := decodeKNNResp(bad, func(float64, int32) { offered++ }); err == nil {
+				t.Fatal("decoded a malformed kNN reply")
+			}
+		}
+		if offered != 0 {
+			t.Fatalf("rejected kNN replies offered %d candidates", offered)
 		}
 	})
 
@@ -206,7 +231,7 @@ func TestProtoRejectsMalformed(t *testing.T) {
 		bad[len(bad)-3] = 0xFF
 		bad[len(bad)-2] = 0xFF
 		bad[len(bad)-1] = 0x7F
-		if _, err := decodeKNNResp(bad); err == nil {
+		if _, _, err := decodeKNNCands(bad); err == nil {
 			t.Fatal("decoded a candidate count larger than the message")
 		}
 		badPub := encodePublishReq(publishReq{Epoch: 1})
@@ -235,4 +260,20 @@ func TestProtoRejectsMalformed(t *testing.T) {
 			t.Fatal("handled an unknown op")
 		}
 	})
+}
+
+// knnCand is one decoded kNN candidate.
+type knnCand struct {
+	D2  float64
+	GID int32
+}
+
+// decodeKNNCands decodes a kNN reply with its candidates collected in
+// message order.
+func decodeKNNCands(b []byte) (knnResp, []knnCand, error) {
+	var cands []knnCand
+	resp, err := decodeKNNResp(b, func(d2 float64, gid int32) {
+		cands = append(cands, knnCand{D2: d2, GID: gid})
+	})
+	return resp, cands, err
 }

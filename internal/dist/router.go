@@ -62,7 +62,7 @@ func NewRouter(tr Transport, addrs []string, policy RetryPolicy) *Router {
 
 // newFanout returns a query cursor over the router's remote legs.
 func (r *Router) newFanout() *shard.Fanout {
-	return shard.NewFanout(remoteLegs{r}, &r.n, r.cache)
+	return shard.NewFanout(&remoteLegs{r: r}, &r.n, r.cache)
 }
 
 // EnableCache attaches a result cache holding up to capacity entries
@@ -272,38 +272,41 @@ func (r *Router) KNN(p geom.Vec3, k int, out []int32) ([]int32, uint64, error) {
 // (nothing is held, so End is empty), a leg is one RPC whose reply either
 // proves the view's epoch or reports skew, and a skewed view is dropped so
 // the next Begin refreshes it from the servers. Remote shards report no
-// crawl coverage.
-type remoteLegs struct{ r *Router }
-
-func (l remoteLegs) Begin() ([]geom.AABB, uint64, error) { return l.r.meta() }
-func (l remoteLegs) End()                                {}
-func (l remoteLegs) Skewed()                             { l.r.invalidateMeta() }
-func (l remoteLegs) Close()                              {}
-
-func (l remoteLegs) Range(s int, epoch uint64, q geom.AABB, out []int32, _ *query.CrawlCoverage) ([]int32, bool, error) {
-	b, err := l.r.rpc.call(s, opRange, encodeRangeReq(rangeReq{Epoch: epoch, Box: q}))
-	if err != nil {
-		return out, false, err
-	}
-	resp, err := decodeRangeResp(b)
-	if err != nil {
-		return out, false, err
-	}
-	return append(out, resp.IDs...), !resp.Skew, nil
+// crawl coverage. Each Fanout owns its legs, so the request encode buffer
+// is reused query after query (Conn does not retain req), and replies
+// decode straight into the query's out or KBest.
+type remoteLegs struct {
+	r   *Router
+	enc []byte
 }
 
-func (l remoteLegs) KNN(s int, epoch uint64, p geom.Vec3, k int, kb *query.KBest, _ *query.CrawlCoverage) (int, bool, error) {
-	req := knnReq{Epoch: epoch, P: p, K: k, Full: kb.Full(), Bound2: kb.Bound()}
-	b, err := l.r.rpc.call(s, opKNN, encodeKNNReq(req))
+func (l *remoteLegs) Begin() ([]geom.AABB, uint64, error) { return l.r.meta() }
+func (l *remoteLegs) End()                                {}
+func (l *remoteLegs) Skewed()                             { l.r.invalidateMeta() }
+func (l *remoteLegs) Close()                              {}
+
+func (l *remoteLegs) Range(s int, epoch uint64, q geom.AABB, out []int32, _ *query.CrawlCoverage) ([]int32, bool, error) {
+	l.enc = appendRangeReq(l.enc[:0], rangeReq{Epoch: epoch, Box: q})
+	b, err := l.r.rpc.call(s, opRange, l.enc)
+	if err != nil {
+		return out, false, err
+	}
+	resp, err := decodeRangeResp(b, out)
+	if err != nil {
+		return out, false, err
+	}
+	return resp.IDs, !resp.Skew, nil
+}
+
+func (l *remoteLegs) KNN(s int, epoch uint64, p geom.Vec3, k int, kb *query.KBest, _ *query.CrawlCoverage) (int, bool, error) {
+	l.enc = appendKNNReq(l.enc[:0], knnReq{Epoch: epoch, P: p, K: k, Full: kb.Full(), Bound2: kb.Bound()})
+	b, err := l.r.rpc.call(s, opKNN, l.enc)
 	if err != nil {
 		return 0, false, err
 	}
-	resp, err := decodeKNNResp(b)
+	resp, err := decodeKNNResp(b, kb.Offer)
 	if err != nil {
 		return 0, false, err
-	}
-	for _, c := range resp.Cands {
-		kb.Offer(c.D2, c.GID)
 	}
 	return resp.Rounds, !resp.Skew, nil
 }

@@ -46,7 +46,8 @@ type Server struct {
 const dirtyLogCap = 256
 
 // serverCursor is the pooled per-request query state: the shard cursor
-// plus the kNN response scratch.
+// plus the response scratch the reply is encoded from (range ids land in
+// gids too).
 type serverCursor struct {
 	shard.ExecCursor
 	kb   query.KBest
@@ -72,7 +73,8 @@ func (s *Server) Shard() int { return s.x.Part().Index }
 
 // Handle executes one decoded-from-the-wire RPC and encodes its
 // response. Transports call it; the returned error is an application
-// error (reported to the client verbatim, never retried).
+// error (reported to the client verbatim, never retried). Every decoder
+// copies what it keeps, so req is not retained (the Handler contract).
 func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 	switch op {
 	case opMeta:
@@ -87,13 +89,13 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeRangeResp(s.rangeQuery(q)), nil
+		return s.rangeQuery(q), nil
 	case opKNN:
 		q, err := decodeKNNReq(req)
 		if err != nil {
 			return nil, err
 		}
-		return encodeKNNResp(s.knnQuery(q)), nil
+		return s.knnQuery(q), nil
 	case opPublish:
 		q, err := decodePublishReq(req)
 		if err != nil {
@@ -251,21 +253,22 @@ func (s *Server) maintain() epochResp {
 }
 
 // rangeQuery answers a range request at exactly q.Epoch, or reports
-// skew. Epochs are monotonic, so the head reading q.Epoch both before
-// and after the shard executed proves that whatever it pinned in between
-// — the engine's cursor, or the owned scan — was exactly q.Epoch.
-func (s *Server) rangeQuery(q rangeReq) rangeResp {
+// skew, and returns the encoded reply. Epochs are monotonic, so the head
+// reading q.Epoch both before and after the shard executed proves that
+// whatever it pinned in between — the engine's cursor, or the owned scan
+// — was exactly q.Epoch.
+func (s *Server) rangeQuery(q rangeReq) []byte {
 	m := s.x.Part().Mesh
 	if e := m.Epoch(); e != q.Epoch {
-		return rangeResp{Epoch: e, Skew: true}
+		return encodeRangeResp(rangeResp{Epoch: e, Skew: true})
 	}
 	c := s.pool.Get().(*serverCursor)
-	ids := s.x.Range(&c.ExecCursor, q.Box, nil)
-	s.pool.Put(c)
+	defer s.pool.Put(c)
+	c.gids = s.x.Range(&c.ExecCursor, q.Box, c.gids[:0])
 	if e := m.Epoch(); e != q.Epoch {
-		return rangeResp{Epoch: e, Skew: true}
+		return encodeRangeResp(rangeResp{Epoch: e, Skew: true})
 	}
-	return rangeResp{Epoch: q.Epoch, IDs: ids}
+	return encodeRangeResp(rangeResp{Epoch: q.Epoch, IDs: c.gids})
 }
 
 // knnQuery answers a kNN request at exactly q.Epoch (the same proof as
@@ -273,26 +276,22 @@ func (s *Server) rangeQuery(q rangeReq) rangeResp {
 // found under the router's shipped (Full, Bound2) and capped to the local
 // top-k. Capping cannot change the global top-k: a dropped candidate is
 // worse than k returned ones under the (dist, id) total order, so it
-// could never displace them downstream.
-func (s *Server) knnQuery(q knnReq) knnResp {
+// could never displace them downstream. Returns the encoded reply.
+func (s *Server) knnQuery(q knnReq) []byte {
 	m := s.x.Part().Mesh
 	if e := m.Epoch(); e != q.Epoch {
-		return knnResp{Epoch: e, Skew: true}
+		return encodeKNNResp(knnResp{Epoch: e, Skew: true})
 	}
 	if q.K <= 0 {
-		return knnResp{Epoch: q.Epoch}
+		return encodeKNNResp(knnResp{Epoch: q.Epoch})
 	}
 	c := s.pool.Get().(*serverCursor)
 	defer s.pool.Put(c)
 	c.kb.Reset(q.K)
 	rounds := s.x.KNN(&c.ExecCursor, q.P, q.K, q.Full, q.Bound2, &c.kb)
 	if e := m.Epoch(); e != q.Epoch {
-		return knnResp{Epoch: e, Skew: true}
+		return encodeKNNResp(knnResp{Epoch: e, Skew: true})
 	}
 	c.gids, c.d2s = c.kb.AppendSortedDists(c.gids[:0], c.d2s[:0])
-	cands := make([]knnCand, len(c.gids))
-	for i, gid := range c.gids {
-		cands[i] = knnCand{D2: c.d2s[i], GID: gid}
-	}
-	return knnResp{Epoch: q.Epoch, Rounds: rounds, Cands: cands}
+	return encodeKNNResp(knnResp{Epoch: q.Epoch, Rounds: rounds, GIDs: c.gids, D2s: c.d2s})
 }

@@ -159,12 +159,12 @@ func TestServerPublishesUnderQueriesWithoutSetup(t *testing.T) {
 				c := geom.V(0.1+0.2*float64((i+r)%5), 0.1+0.2*float64(i%4), 0.5)
 				if i%2 == 0 {
 					q := geom.BoxAround(c, 0.35)
-					b, err := srv.Handle(opRange, encodeRangeReq(rangeReq{Epoch: epoch, Box: q}))
+					b, err := srv.Handle(opRange, appendRangeReq(nil, rangeReq{Epoch: epoch, Box: q}))
 					if err != nil {
 						t.Errorf("range: %v", err)
 						return
 					}
-					resp, err := decodeRangeResp(b)
+					resp, err := decodeRangeResp(b, nil)
 					if err != nil {
 						t.Errorf("range reply: %v", err)
 						return
@@ -182,12 +182,12 @@ func TestServerPublishesUnderQueriesWithoutSetup(t *testing.T) {
 					// then an edge-connected neighbourhood, the shape
 					// OCTOPUS's crawl is exact on.
 					c, k := history[0][(13*i+r)%n], 1+i%9
-					b, err := srv.Handle(opKNN, encodeKNNReq(knnReq{Epoch: epoch, P: c, K: k, Bound2: math.Inf(1)}))
+					b, err := srv.Handle(opKNN, appendKNNReq(nil, knnReq{Epoch: epoch, P: c, K: k, Bound2: math.Inf(1)}))
 					if err != nil {
 						t.Errorf("kNN: %v", err)
 						return
 					}
-					resp, err := decodeKNNResp(b)
+					resp, cands, err := decodeKNNCands(b)
 					if err != nil {
 						t.Errorf("kNN reply: %v", err)
 						return
@@ -196,8 +196,8 @@ func TestServerPublishesUnderQueriesWithoutSetup(t *testing.T) {
 						epoch = resp.Epoch
 						continue
 					}
-					if want := ownedKNN(history[resp.Epoch], c, k); resp.Epoch != epoch || !slices.Equal(resp.Cands, want) {
-						t.Errorf("kNN asked at epoch %d, answered at %d: got %v, want %v", epoch, resp.Epoch, resp.Cands, want)
+					if want := ownedKNN(history[resp.Epoch], c, k); resp.Epoch != epoch || !slices.Equal(cands, want) {
+						t.Errorf("kNN asked at epoch %d, answered at %d: got %v, want %v", epoch, resp.Epoch, cands, want)
 						return
 					}
 				}

@@ -35,7 +35,10 @@ type Conn interface {
 // *Server is the production handler; the transport tests inject blocking
 // handlers to pin the multiplexing semantics down without sleeps.
 // Handle must be safe for concurrent use — the transports dispatch
-// concurrent in-flight requests concurrently.
+// concurrent in-flight requests concurrently. req is not retained after
+// Handle returns (the rule Conn has for Call): the TCP server reads the
+// next request into the same buffer. The returned response belongs to
+// the transport.
 type Handler interface {
 	Handle(op byte, req []byte) ([]byte, error)
 }
@@ -151,8 +154,11 @@ func (c *loopbackConn) Call(op byte, req []byte, deadline time.Time) ([]byte, er
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		return nil, transportErrorf("loopback: deadline exceeded calling %q", c.addr)
 	}
-	// The handler runs on the caller's goroutine; req/resp are copied by
-	// the codec layer (encode allocates), matching the wire's isolation.
+	// The handler runs on the caller's goroutine, on the caller's req
+	// buffer — the router reuses it for its next request once Call
+	// returns, as the TCP server reuses its pooled request buffers. The
+	// decoders copy what they keep, and the response is freshly encoded,
+	// so neither side sees the other's later writes: the wire's isolation.
 	return srv.Handle(op, req)
 }
 

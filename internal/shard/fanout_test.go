@@ -293,6 +293,29 @@ func TestFanoutKNNPrunesStrictly(t *testing.T) {
 	}
 }
 
+// TestPlanKNNOrder: the visit plan is sorted by (D2, Shard) — ties at
+// equal box distance go to the lower shard — and, with out's capacity in
+// place, planning allocates nothing (it runs once per kNN query, in
+// process and on the wire).
+func TestPlanKNNOrder(t *testing.T) {
+	boxes := []geom.AABB{boxAt(3), boxAt(0), boxAt(2), boxAt(2), boxAt(-1)}
+	p := geom.V(0.5, 0.5, 0.5)
+	out := PlanKNNOrder(boxes, p, make([]ShardDist, 0, len(boxes)))
+	var got []int
+	for i, sd := range out {
+		got = append(got, sd.Shard)
+		if sd.D2 != boxes[sd.Shard].Dist2(p) {
+			t.Fatalf("plan entry %d: D2 %v, want %v", i, sd.D2, boxes[sd.Shard].Dist2(p))
+		}
+	}
+	if want := []int{1, 4, 2, 3, 0}; !slices.Equal(got, want) {
+		t.Fatalf("plan order %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { out = PlanKNNOrder(boxes, p, out[:0]) }); allocs != 0 {
+		t.Fatalf("PlanKNNOrder allocates %.1f times per plan, want 0", allocs)
+	}
+}
+
 // TestFanoutKNNDegenerate: k <= 0 and a shardless cluster answer nothing
 // at the view's epoch without calling a leg or reporting a ball; fewer
 // than k vertices in the whole mesh make the ball +Inf.

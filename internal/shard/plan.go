@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"octopus/internal/geom"
 )
@@ -41,14 +42,17 @@ func PlanKNNOrder(boxes []geom.AABB, p geom.Vec3, out []ShardDist) []ShardDist {
 	for s, b := range boxes {
 		out = append(out, ShardDist{Shard: s, D2: b.Dist2(p)})
 	}
-	plan := out[base:]
-	sort.Slice(plan, func(i, j int) bool {
-		if plan[i].D2 != plan[j].D2 {
-			return plan[i].D2 < plan[j].D2
-		}
-		return plan[i].Shard < plan[j].Shard
-	})
+	slices.SortFunc(out[base:], compareShardDist)
 	return out
+}
+
+// compareShardDist orders a kNN plan by (D2, Shard). It captures nothing,
+// so sorting a plan allocates nothing.
+func compareShardDist(a, b ShardDist) int {
+	if a.D2 != b.D2 {
+		return cmp.Compare(a.D2, b.D2)
+	}
+	return cmp.Compare(a.Shard, b.Shard)
 }
 
 // Boxes appends the per-shard owned-vertex bounding boxes, in shard

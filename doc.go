@@ -141,7 +141,7 @@
 //	eng, _ := octopus.NewShardedEngine(m, 4, func(sub *octopus.Mesh) octopus.ParallelKNNEngine {
 //	    return octopus.New(sub)
 //	})
-//	ids := eng.Query(box, nil)       // fans out to box-intersecting shards
+//	ids := eng.Query(box, nil)       // fans out to the shards owning cells in box
 //	nn := eng.KNN(p, 10, nil)        // best-first over shards, pruned by the k-th distance
 //
 // Each shard's sub-mesh carries a one-cell ghost ring, so the cut faces

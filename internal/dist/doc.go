@@ -1,10 +1,10 @@
 // Package dist puts a network boundary at the shard.Router seam: shard
 // servers own sub-meshes (each a maintain.TargetState-driven engine over
 // one shard.Part) and answer range/kNN/epoch RPCs over a compact binary
-// protocol, while a stateless router tier fans queries out to
-// box-intersecting servers and merges responses under the global
-// query.KBest (dist, id) contract — results bit-equal to the in-process
-// shard.Router. See DESIGN.md §15 (wire boundary) and §16 (delta
+// protocol, while a stateless router tier fans queries out to the
+// servers whose summary meets the query and merges responses under the
+// global query.KBest (dist, id) contract — results bit-equal to the
+// in-process shard.Router. See DESIGN.md §15 (wire boundary) and §16 (delta
 // publishes, the multiplexed wire, router-side caching).
 //
 // The pieces:
@@ -22,8 +22,16 @@
 //     total order).
 //
 //   - Router is the stateless tier: it holds no mesh data, only cached
-//     shard metadata (owned boxes and the common epoch) refreshed from
-//     the servers. It runs no query loop of its own: Range, KNN and the
+//     shard metadata refreshed from the servers: one shard.Summary per
+//     shard — the owned box and the 8³ occupancy bitmap of the owned
+//     vertices over the partition's frame — and the common epoch. A Meta
+//     reply (protocol version 2) carries all three for one shard, at one
+//     epoch: the server computes the bitmap once per epoch, outside its
+//     control-plane lock, and replies only when it belongs to the epoch
+//     of the box. The plan skips a shard whose bitmap misses a range
+//     query's box or a kNN bound's cube, so most legs that would come
+//     back empty are never sent; a query every shard is pruned from
+//     answers empty at the metadata's epoch without an RPC. It runs no query loop of its own: Range, KNN and the
 //     Engine's cursors are shard.Fanout — the cursor the in-process
 //     router uses — over the router's shard.Legs: the cached metadata as
 //     the view to plan from, one RPC per leg.

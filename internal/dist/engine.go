@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"unsafe"
 
 	"octopus/internal/geom"
 	"octopus/internal/query"
@@ -81,7 +82,8 @@ func (e *Engine) KNN(p geom.Vec3, k int, out []int32) []int32 {
 func (e *Engine) NewCursor() query.Cursor { return e.r.newFanout() }
 
 // MemoryFootprint implements query.Engine: the router tier is stateless
-// — its footprint is the cached metadata, charged nominally.
+// — its footprint is the cached metadata, one shard.Summary per shard
+// and the epoch they share.
 func (e *Engine) MemoryFootprint() int64 {
-	return int64(e.r.Shards()) * 56 // one box + epoch entry per shard
+	return int64(e.r.Shards())*int64(unsafe.Sizeof(shard.Summary{})) + 8
 }

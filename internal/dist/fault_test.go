@@ -57,17 +57,13 @@ func newFaultHarness(t *testing.T) (*harness, *dist.Loopback) {
 // dead. Returns ok=false when the shard boxes overlap too much for one
 // to be isolated (then that sub-check is skipped).
 func soloBox(h *harness, avoid int) (geom.AABB, bool) {
-	parts := h.cl.Mesh().Partition().Parts
-	boxes := make([]geom.AABB, len(parts))
-	for i, p := range parts {
-		boxes[i] = p.Box()
-	}
-	for s, b := range boxes {
+	sums := h.cl.Mesh().Partition().Summaries(nil)
+	for s := range sums {
 		if s == avoid {
 			continue
 		}
-		cand := geom.BoxAround(b.Center(), 0.01)
-		if plan := shard.PlanRangeFanout(boxes, cand, nil); len(plan) == 1 && plan[0] == s {
+		cand := geom.BoxAround(sums[s].Box.Center(), 0.01)
+		if plan := shard.PlanRangeFanout(sums, cand, nil); len(plan) == 1 && plan[0] == s {
 			return cand, true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"octopus/internal/geom"
+	"octopus/internal/shard"
 )
 
 // Wire protocol (DESIGN.md §15): little-endian, length-delimited by the
@@ -16,12 +17,13 @@ import (
 // precondition for the router's results being bit-equal to the
 // in-process shard.Router.
 
-// protoVersion is bumped on any incompatible message change.
-const protoVersion = 1
+// protoVersion is bumped on any incompatible message change. Version 2
+// added the occupancy frame and bitmap to metaResp.
+const protoVersion = 2
 
 // RPC op codes (the transport frames carry one per request).
 const (
-	opMeta         = byte(1) // shard metadata: index, owned box, epoch
+	opMeta         = byte(1) // shard metadata: index, epoch, owned box, occupancy
 	opRange        = byte(2) // range query at a pinned epoch
 	opKNN          = byte(3) // kNN scan at a pinned epoch under a global bound
 	opPublish      = byte(4) // push one step's local positions (ghost exchange)
@@ -34,12 +36,14 @@ const (
 const numOps = 8
 
 // metaResp is the Meta response: the shard's identity and the routing
-// metadata the stateless tier caches.
+// metadata the stateless tier caches — the owned box and the occupancy
+// bitmap with its frame, both at exactly Epoch.
 type metaResp struct {
 	Shard    int
 	Epoch    uint64
 	NumOwned int
 	Box      geom.AABB
+	Occ      shard.Occupancy
 }
 
 // rangeReq asks for the owned vertices inside Box at exactly Epoch.
@@ -256,12 +260,17 @@ func (r *reader) checkVersion() {
 func encodeMetaReq() []byte { return []byte{protoVersion} }
 
 func encodeMetaResp(m metaResp) []byte {
-	b := make([]byte, 0, 1+4+8+4+48)
+	b := make([]byte, 0, 1+4+8+4+48+48+8*len(m.Occ.Bits))
 	b = append(b, protoVersion)
 	b = appendU32(b, uint32(m.Shard))
 	b = appendU64(b, m.Epoch)
 	b = appendU32(b, uint32(m.NumOwned))
-	return appendBox(b, m.Box)
+	b = appendBox(b, m.Box)
+	b = appendBox(b, m.Occ.Frame)
+	for _, w := range m.Occ.Bits {
+		b = appendU64(b, w)
+	}
+	return b
 }
 
 func decodeMetaResp(b []byte) (metaResp, error) {
@@ -272,6 +281,10 @@ func decodeMetaResp(b []byte) (metaResp, error) {
 		Epoch:    r.u64("epoch"),
 		NumOwned: int(r.u32("numOwned")),
 		Box:      r.box("box"),
+	}
+	m.Occ.Frame = r.box("frame")
+	for i := range m.Occ.Bits {
+		m.Occ.Bits[i] = r.u64("occupancy")
 	}
 	return m, r.done()
 }

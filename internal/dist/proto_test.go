@@ -3,9 +3,11 @@ package dist
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"octopus/internal/geom"
+	"octopus/internal/shard"
 )
 
 // TestProtoRoundTrip drives every message type through its encode/decode
@@ -15,8 +17,12 @@ func TestProtoRoundTrip(t *testing.T) {
 	box := geom.Box(geom.V(-1.5, 0, math.Copysign(0, -1)), geom.V(2.25, 1e300, 3))
 
 	t.Run("metaResp", func(t *testing.T) {
-		in := metaResp{Shard: 3, Epoch: 41, NumOwned: 1234, Box: box}
-		out, err := decodeMetaResp(encodeMetaResp(in))
+		in := metaResp{Shard: 3, Epoch: 41, NumOwned: 1234, Box: box, Occ: testOcc}
+		b := encodeMetaResp(in)
+		if want := 1 + 4 + 8 + 4 + 48 + 112; len(b) != want {
+			t.Fatalf("metaResp is %d bytes, want %d (the occupancy frame and bitmap add 112)", len(b), want)
+		}
+		out, err := decodeMetaResp(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +192,42 @@ func TestProtoRejectsMalformed(t *testing.T) {
 				t.Fatalf("decoded a delta publish truncated to %d/%d bytes", cut, len(goodDelta))
 			}
 		}
+		goodMeta := encodeMetaResp(metaResp{Shard: 1, Epoch: 2, NumOwned: 3, Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), Occ: testOcc})
+		for cut := 1; cut < len(goodMeta); cut++ {
+			if _, err := decodeMetaResp(goodMeta[:cut]); err == nil {
+				t.Fatalf("decoded a metaResp truncated to %d/%d bytes", cut, len(goodMeta))
+			}
+		}
+		if _, err := decodeMetaResp(append(goodMeta, 0)); err == nil {
+			t.Fatal("decoded a metaResp with a trailing byte")
+		}
 		goodLog := encodeDirtyLogResp(dirtyLogResp{Head: 4, Complete: true,
 			Recs: []dirtyLogRec{{Epoch: 4, Tracked: true, Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))}}})
 		for cut := 1; cut < len(goodLog); cut++ {
 			if _, err := decodeDirtyLogResp(goodLog[:cut]); err == nil {
 				t.Fatalf("decoded a dirty log truncated to %d/%d bytes", cut, len(goodLog))
 			}
+		}
+	})
+
+	t.Run("version-1-meta", func(t *testing.T) {
+		// A version-1 server's Meta reply: no occupancy, so the router
+		// could only mis-decode it. Both its own length and the length a
+		// version-2 reply has are refused on the version byte.
+		v1 := []byte{1}
+		v1 = appendU32(v1, 0)
+		v1 = appendU64(v1, 5)
+		v1 = appendU32(v1, 10)
+		v1 = appendBox(v1, geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)))
+		padded := append(append([]byte(nil), v1...), make([]byte, 112)...)
+		for _, b := range [][]byte{v1, padded} {
+			if _, err := decodeMetaResp(b); err == nil || !strings.Contains(err.Error(), "version 1") {
+				t.Fatalf("decoded a %d-byte version-1 metaResp: %v", len(b), err)
+			}
+		}
+		srv := &Server{}
+		if _, err := srv.Handle(opMeta, []byte{1}); err == nil {
+			t.Fatal("served a version-1 Meta request")
 		}
 	})
 
@@ -260,6 +296,13 @@ func TestProtoRejectsMalformed(t *testing.T) {
 			t.Fatal("handled an unknown op")
 		}
 	})
+}
+
+// testOcc is an occupancy with edge-case floats in its frame and a mix
+// of set and clear words.
+var testOcc = shard.Occupancy{
+	Frame: geom.Box(geom.V(math.Inf(-1), -0.5, math.Copysign(0, -1)), geom.V(1, 2, math.MaxFloat64)),
+	Bits:  [8]uint64{1, 0, 1 << 63, ^uint64(0), 0x0102040810204080, 0, 7, 1 << 31},
 }
 
 // knnCand is one decoded kNN candidate.

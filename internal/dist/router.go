@@ -21,9 +21,10 @@ var ErrEpochSkew = shard.ErrEpochSkew
 const maxMetaSweeps = 4
 
 // Router is the stateless routing tier: it owns no mesh data, only the
-// shard addresses and cached routing metadata (per-shard owned boxes and
-// the common epoch) it refreshes from the servers. Queries run on a
-// shard.Fanout whose legs are that metadata and the RPC stubs below: a
+// shard addresses and cached routing metadata (per-shard summaries —
+// owned box and occupancy bitmap — and the common epoch) it refreshes
+// from the servers. Queries run on a shard.Fanout whose legs are that
+// metadata and the RPC stubs below: a
 // merge completes only when every response proved the metadata's epoch,
 // so results are bit-equal to the in-process router over the same
 // geometry.
@@ -41,9 +42,13 @@ type Router struct {
 	rpc *client
 
 	mu     sync.Mutex
-	boxes  []geom.AABB // valid when metaOK; replaced wholesale, never mutated
+	sums   []shard.Summary // valid when metaOK; replaced wholesale, never mutated
 	epoch  uint64
 	metaOK bool
+	// refreshing, while a query refreshes the metadata, is closed when
+	// that refresh ends; the queries that need metadata meanwhile wait
+	// for it instead of sending K Meta RPCs of their own.
+	refreshing chan struct{}
 
 	cache  *query.ResultCache // nil until EnableCache
 	syncMu sync.Mutex         // serializes SyncCache's read-advance cycle
@@ -173,8 +178,8 @@ func (r *Router) WireStats() WireStats { return r.rpc.wire.snapshot() }
 // Shards returns the number of shard servers routed over.
 func (r *Router) Shards() int { return len(r.rpc.addrs) }
 
-// Refresh fetches fresh metadata from every shard: the owned boxes and
-// the epoch vector. It succeeds only when every shard reports the same
+// Refresh fetches fresh metadata from every shard: the summaries and the
+// epoch vector. It succeeds only when every shard reports the same
 // epoch (publishes are lockstep; a mixed vector means a publish sweep is
 // in flight) — bounded re-sweeps, then ErrEpochSkew.
 func (r *Router) Refresh() error {
@@ -182,16 +187,32 @@ func (r *Router) Refresh() error {
 	return err
 }
 
-// meta returns the cached (boxes, epoch), refreshing on first use or
-// after an invalidation.
-func (r *Router) meta() ([]geom.AABB, uint64, error) {
+// meta returns the cached (summaries, epoch), refreshing on first use or
+// after an invalidation. Concurrent callers share one refresh: the first
+// sends the Meta RPCs and the others wait for its result (or, if it
+// failed, refresh themselves).
+func (r *Router) meta() ([]shard.Summary, uint64, error) {
 	r.mu.Lock()
-	if r.metaOK {
-		boxes, epoch := r.boxes, r.epoch
+	for !r.metaOK && r.refreshing != nil {
+		wait := r.refreshing
 		r.mu.Unlock()
-		return boxes, epoch, nil
+		<-wait
+		r.mu.Lock()
 	}
+	if r.metaOK {
+		sums, epoch := r.sums, r.epoch
+		r.mu.Unlock()
+		return sums, epoch, nil
+	}
+	done := make(chan struct{})
+	r.refreshing = done
 	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.refreshing = nil
+		r.mu.Unlock()
+		close(done)
+	}()
 	return r.refreshMeta()
 }
 
@@ -201,7 +222,7 @@ func (r *Router) invalidateMeta() {
 	r.mu.Unlock()
 }
 
-func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
+func (r *Router) refreshMeta() ([]shard.Summary, uint64, error) {
 	addrs := r.rpc.addrs
 	backoff := r.rpc.policy.Backoff
 	for sweep := 0; sweep < maxMetaSweeps; sweep++ {
@@ -209,7 +230,7 @@ func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		boxes := make([]geom.AABB, len(addrs))
+		sums := make([]shard.Summary, len(addrs))
 		var epoch uint64
 		mixed := false
 		for s := range addrs {
@@ -224,7 +245,7 @@ func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 			if m.Shard != s {
 				return nil, 0, fmt.Errorf("dist: server at %s claims shard %d, want %d", addrs[s], m.Shard, s)
 			}
-			boxes[s] = m.Box
+			sums[s] = shard.Summary{Box: m.Box, Occ: m.Occ}
 			if s == 0 {
 				epoch = m.Epoch
 			} else if m.Epoch != epoch {
@@ -236,16 +257,17 @@ func (r *Router) refreshMeta() ([]geom.AABB, uint64, error) {
 			continue // a publish sweep is in flight; re-sweep
 		}
 		r.mu.Lock()
-		r.boxes, r.epoch, r.metaOK = boxes, epoch, true
+		r.sums, r.epoch, r.metaOK = sums, epoch, true
 		r.mu.Unlock()
-		return boxes, epoch, nil
+		return sums, epoch, nil
 	}
 	return nil, 0, ErrEpochSkew
 }
 
-// Range answers a range query: fan out to the box-intersecting shards at
-// the metadata's epoch, merge owned global ids. Returns the ids, the
-// epoch the result is exact at, and an error when a shard stayed
+// Range answers a range query: fan out to the shards whose summary meets
+// q at the metadata's epoch, merge owned global ids. A query every shard
+// is pruned from answers empty at that epoch without an RPC. Returns the
+// ids, the epoch the result is exact at, and an error when a shard stayed
 // unreachable (after retries) or the cluster never settled on one epoch
 // — out then comes back unchanged, never a silently narrowed result.
 func (r *Router) Range(q geom.AABB, out []int32) ([]int32, uint64, error) {
@@ -256,8 +278,9 @@ func (r *Router) Range(q geom.AABB, out []int32) ([]int32, uint64, error) {
 }
 
 // KNN answers a k-nearest-neighbor probe: best-first over shards by box
-// distance under a global query.KBest, each shard scanned server-side
-// under the shipped (Full, Bound2) state — the distributed form of the
+// distance under a global query.KBest, skipping shards whose occupancy
+// misses the bound's cube, each shard scanned server-side under the
+// shipped (Full, Bound2) state — the distributed form of the
 // in-process widening contract. Returns the ids nearest first (ties by
 // ascending global id), the epoch, and an honest error on unreachable
 // shards or persistent skew.
@@ -280,10 +303,10 @@ type remoteLegs struct {
 	enc []byte
 }
 
-func (l *remoteLegs) Begin() ([]geom.AABB, uint64, error) { return l.r.meta() }
-func (l *remoteLegs) End()                                {}
-func (l *remoteLegs) Skewed()                             { l.r.invalidateMeta() }
-func (l *remoteLegs) Close()                              {}
+func (l *remoteLegs) Begin() ([]shard.Summary, uint64, error) { return l.r.meta() }
+func (l *remoteLegs) End()                                    {}
+func (l *remoteLegs) Skewed()                                 { l.r.invalidateMeta() }
+func (l *remoteLegs) Close()                                  {}
 
 func (l *remoteLegs) Range(s int, epoch uint64, q geom.AABB, out []int32, _ *query.CrawlCoverage) ([]int32, bool, error) {
 	l.enc = appendRangeReq(l.enc[:0], rangeReq{Epoch: epoch, Box: q})

@@ -25,7 +25,8 @@ type Server struct {
 	x *shard.Exec
 
 	// mu serializes the control plane (Publish, Maintain) and guards the
-	// owned box against concurrent Meta reads.
+	// owned box against concurrent Meta reads. The occupancy bitmap needs
+	// no lock: shard.Part computes it per epoch, safely against publishes.
 	mu sync.Mutex
 
 	// log is the dirty log (guarded by mu): one record per published
@@ -133,20 +134,25 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 	return nil, fmt.Errorf("dist: unknown op %d", op)
 }
 
-// meta reads the owned box and the epoch it belongs to in one critical
-// section: a publish bumps the epoch and then refreshes the box, both
-// under s.mu, so an epoch read after unlocking could label the previous
-// step's box with the new epoch — a pair the router would cache and
-// prune on.
+// meta returns the owned box and the occupancy bitmap of one epoch, and
+// that epoch. The box and the epoch are read in one critical section: a
+// publish bumps the epoch and then refreshes the box, both under s.mu,
+// so an epoch read after unlocking could label the previous step's box
+// with the new epoch — a pair the router would cache and prune on. The
+// bitmap is computed (once per epoch) outside s.mu, so a publish never
+// waits for its pass; it names the epoch it was computed at, and a reply
+// goes out only when that is the epoch the box belongs to — else a
+// publish landed in between and meta tries again.
 func (s *Server) meta() metaResp {
 	p := s.x.Part()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return metaResp{
-		Shard:    p.Index,
-		Epoch:    p.Mesh.Epoch(),
-		NumOwned: p.NumOwned,
-		Box:      p.Box(),
+	for {
+		occ, at := p.Occupancy()
+		s.mu.Lock()
+		epoch, box := p.Mesh.Epoch(), p.Box()
+		s.mu.Unlock()
+		if epoch == at {
+			return metaResp{Shard: p.Index, Epoch: epoch, NumOwned: p.NumOwned, Box: box, Occ: occ}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"octopus/internal/core"
 	"octopus/internal/geom"
@@ -95,6 +96,164 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+}
+
+// TestServerMetaOccupancyMatchesItsEpoch: an opMeta reply's occupancy
+// bitmap is the one of the owned positions at the epoch the reply names,
+// with the partition's frame, while full and delta publishes land
+// concurrently. The script moves one owned vertex between the frame's
+// far corners, through the two publish kinds in turn, so consecutive
+// epochs differ in their bitmap as well as their box; every reply is
+// checked against a bitmap recomputed from that epoch's scripted
+// positions. Meaningful under -race and on more than one processor.
+func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
+	m, err := meshgen.BuildBoxTet(4, 4, 4, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := m.Bounds()
+	part, err := shard.NewPartition(m, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := part.Parts[0]
+	srv := NewServer(p, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
+
+	v := int32(0)
+	for !p.Owned[v] {
+		v++
+	}
+	const steps = 2000
+	hist := [][]geom.Vec3{slices.Clone(p.Mesh.Positions())}
+	corners := []geom.Vec3{frame.Min, frame.Max, geom.V(frame.Max.X, frame.Min.Y, frame.Max.Z)}
+	for e := 1; e <= steps; e++ {
+		pos := slices.Clone(hist[e-1])
+		pos[v] = corners[e%len(corners)]
+		hist = append(hist, pos)
+	}
+	want := make([]shard.Occupancy, len(hist))
+	for e, pos := range hist {
+		want[e] = shard.OccupancyOf(frame, pos, p.Owned)
+	}
+	if want[1] == want[2] {
+		t.Fatal("test geometry broken: consecutive epochs share a bitmap")
+	}
+
+	var done atomic.Bool
+	var replies atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				b, err := srv.Handle(opMeta, encodeMetaReq())
+				if err != nil {
+					t.Errorf("meta: %v", err)
+					return
+				}
+				resp, err := decodeMetaResp(b)
+				if err != nil {
+					t.Errorf("meta reply: %v", err)
+					return
+				}
+				replies.Add(1)
+				if resp.Epoch >= uint64(len(want)) || resp.Occ != want[resp.Epoch] {
+					t.Errorf("meta reply at epoch %d: occupancy %x, want the bitmap of that epoch", resp.Epoch, resp.Occ.Bits)
+					return
+				}
+			}
+		}()
+	}
+	for e := uint64(1); e <= steps; e++ {
+		var err error
+		if e%2 == 0 {
+			_, err = srv.Handle(opPublish, encodePublishReq(publishReq{Epoch: e, Pos: hist[e]}))
+		} else {
+			_, err = srv.Handle(opPublishDelta, encodePublishDeltaReq(publishDeltaReq{
+				Epoch: e, Box: frame, IDs: []int32{v}, Pos: []geom.Vec3{hist[e][v]},
+			}))
+		}
+		if err != nil {
+			t.Fatalf("publish %d: %v", e, err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if replies.Load() == 0 {
+		t.Fatal("no meta reply was checked")
+	}
+}
+
+// gateMeta holds every Meta request until release is closed, counting
+// the requests that arrived.
+type gateMeta struct {
+	Handler
+	arrived atomic.Int64
+	release chan struct{}
+}
+
+func (g *gateMeta) Handle(op byte, req []byte) ([]byte, error) {
+	if op == opMeta {
+		g.arrived.Add(1)
+		<-g.release
+	}
+	return g.Handler.Handle(op, req)
+}
+
+// TestRouterSharesOneMetaRefresh: queries that find the router's
+// metadata stale at the same time — as every in-flight query does right
+// after a publish — share one refresh: one Meta RPC per shard, not one
+// per query, and every query plans from the same summaries.
+func TestRouterSharesOneMetaRefresh(t *testing.T) {
+	m, err := meshgen.BuildBoxTet(4, 4, 4, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := shard.NewMesh(m, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewCluster(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
+	defer cl.Close()
+	lb := NewLoopback()
+	gate := &gateMeta{Handler: cl.Servers()[0], release: make(chan struct{})}
+	lb.Register("shard-0", gate)
+	lb.Register("shard-1", cl.Servers()[1])
+	r := NewRouter(lb, []string{"shard-0", "shard-1"}, RetryPolicy{})
+	defer r.Close()
+
+	const queries = 8
+	sums := make([][]shard.Summary, queries)
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, _, err := r.meta()
+			if err != nil {
+				t.Errorf("meta: %v", err)
+			}
+			sums[i] = s
+		}()
+	}
+	for gate.arrived.Load() == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(20 * time.Millisecond) // let the other queries pile up behind it
+	if n := gate.arrived.Load(); n != 1 {
+		t.Errorf("%d Meta requests reached shard 0 while one refresh was in flight, want 1", n)
+	}
+	close(gate.release)
+	wg.Wait()
+	if n := r.WireStats().Meta.Calls; n != 2 {
+		t.Errorf("%d queries sent %d Meta RPCs to 2 shards, want 2", queries, n)
+	}
+	for i := range sums {
+		if len(sums[i]) != 2 || &sums[i][0] != &sums[0][0] {
+			t.Fatalf("query %d planned from other summaries than query 0", i)
+		}
+	}
 }
 
 // TestServerPublishesUnderQueriesWithoutSetup: a server over a fresh

@@ -312,6 +312,7 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 		order:   order,
 		cuts:    cuts,
 		mapper:  part.mapper,
+		frame:   part.frame,
 		tol:     part.tol,
 		weights: w,
 	}
@@ -320,7 +321,7 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 			np.Parts[s] = part.Parts[s]
 			continue
 		}
-		p, err := buildPart(m, newOwner, s, ownedBy[s], cellsBy[s])
+		p, err := buildPart(m, np.frame, newOwner, s, ownedBy[s], cellsBy[s])
 		if err != nil {
 			return nil, ApplyStats{}, err
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"octopus/internal/core"
@@ -17,6 +18,11 @@ import (
 // at most one pass over its sub-mesh (WalkVisited), and the legs merged
 // must equal brute force on the global mesh — as must the router's own
 // answer.
+//
+// Those are the box-only candidate legs. The plan the router runs also
+// asks each shard's occupancy bitmap, and the test holds it to its two
+// promises on the same traffic: it keeps every leg that has an owned hit,
+// and it drops at least three quarters of the legs that have none.
 func TestEmptyLegsBoundedAndExact(t *testing.T) {
 	m, err := meshgen.Build(meshgen.NeuroL1, 1)
 	if err != nil {
@@ -32,7 +38,7 @@ func TestEmptyLegsBoundedAndExact(t *testing.T) {
 		n = 90
 	}
 	r := routerOver(t, m, 4)
-	boxes := r.sm.part.Boxes(nil)
+	sums := r.sm.part.Summaries(nil)
 	curs := make([]ExecCursor, len(r.execs))
 	stats := func(c *ExecCursor) core.Stats {
 		if c.cur == nil {
@@ -41,6 +47,7 @@ func TestEmptyLegsBoundedAndExact(t *testing.T) {
 		return c.cur.(*core.Cursor).Stats()
 	}
 	legs, emptyLegs, kept := 0, 0, 0
+	ownedEmpty, pruned := 0, 0
 	for i := 0; i < n; i++ {
 		q := gen.QueryWithSelectivity([]float64{0.0001, 0.001, 0.01}[i%3])
 		want := query.BruteForce(m, q)
@@ -48,13 +55,27 @@ func TestEmptyLegsBoundedAndExact(t *testing.T) {
 			continue
 		}
 		kept++
+		plan := PlanRangeFanout(sums, q, nil)
 		var merged []int32
-		for _, s := range PlanRangeFanout(boxes, q, nil) {
+		for s := range sums {
+			if !sums[s].Box.Intersects(q) {
+				continue
+			}
 			x, cur := r.execs[s], &curs[s]
 			holds := len(query.ScanPositions(x.part.Mesh.Positions(), q, nil)) > 0
 			before, had := stats(cur), len(merged)
 			merged = x.Range(cur, q, merged)
 			legs++
+			inPlan := slices.Contains(plan, s)
+			if len(merged) > had && !inPlan {
+				t.Fatalf("query %d: the occupancy plan drops shard %d, which owns %d ids in the box", i, s, len(merged)-had)
+			}
+			if len(merged) == had {
+				ownedEmpty++
+				if !inPlan {
+					pruned++
+				}
+			}
 			if holds {
 				continue
 			}
@@ -86,4 +107,12 @@ func TestEmptyLegsBoundedAndExact(t *testing.T) {
 	}
 	t.Logf("%d queries, %d planned legs, %d on a sub-mesh that holds nothing in the box; WalkStalls %d (%.2f per query)",
 		kept, legs, emptyLegs, stalls, float64(stalls)/float64(kept))
+	if ownedEmpty == 0 {
+		t.Fatalf("none of %d legs was owned-empty; the occupancy plan was not exercised", legs)
+	}
+	t.Logf("occupancy plan: %d legs (%.3f per query), pruned %d of %d owned-empty legs (%.1f %%)",
+		legs-pruned, float64(legs-pruned)/float64(kept), pruned, ownedEmpty, 100*float64(pruned)/float64(ownedEmpty))
+	if 4*pruned < 3*ownedEmpty {
+		t.Errorf("occupancy plan pruned %d of %d owned-empty legs, want at least 75 %%", pruned, ownedEmpty)
+	}
 }

@@ -24,10 +24,10 @@ const maxQueryRounds = 4
 // call; across the wire it is the router's cached metadata and an RPC
 // whose reply proves the epoch it answered at.
 type Legs interface {
-	// Begin opens a view: the shards' owned-vertex boxes, in shard order,
-	// and the epoch they — and every reply merged under the view — are
-	// valid at. The boxes are only read, and only until End.
-	Begin() (boxes []geom.AABB, epoch uint64, err error)
+	// Begin opens a view: the shards' summaries, in shard order, and the
+	// epoch they — and every reply merged under the view — are valid at.
+	// The summaries are only read, and only until End.
+	Begin() (sums []Summary, epoch uint64, err error)
 	// End closes the view a successful Begin opened.
 	End()
 	// Range appends shard s's owned vertices inside q at epoch to out and
@@ -97,9 +97,9 @@ func NewFanout(legs Legs, n *FanoutCounters, cache *query.ResultCache) *Fanout {
 	return &Fanout{legs: legs, n: n, cache: cache}
 }
 
-// Query implements query.Cursor: fan out to the shards whose owned box
-// intersects q and concatenate their owned hits. Result order is
-// unspecified, like every engine's. The result is exact at LastEpoch;
+// Query implements query.Cursor: fan out to the shards whose summary
+// meets q (PlanRangeFanout) and concatenate their owned hits. Result
+// order is unspecified, like every engine's. The result is exact at LastEpoch;
 // when a leg fails or the shards never settle on one epoch, out comes
 // back unchanged — never a partial merge — and LastError says why.
 func (f *Fanout) Query(q geom.AABB, out []int32) []int32 {
@@ -119,7 +119,8 @@ func (f *Fanout) Query(q geom.AABB, out []int32) []int32 {
 }
 
 // KNN implements query.KNNCursor: best-first over shards by owned-box
-// distance under one global query.KBest. The result is nearest first
+// distance under one global query.KBest, skipping a shard whose
+// occupancy misses the current bound's cube. The result is nearest first
 // with ties broken by ascending global id — bit-identical to
 // query.BruteForceKNN whenever every shard is exact on its sub-mesh.
 // Failures follow Query's contract.
@@ -165,7 +166,7 @@ func (f *Fanout) run(out []int32) []int32 {
 // round plans and merges under one view. done is false when a leg failed
 // (f.err is set) or proved another epoch; res is then out, unchanged.
 func (f *Fanout) round(out []int32) (res []int32, done bool) {
-	boxes, epoch, err := f.legs.Begin()
+	sums, epoch, err := f.legs.Begin()
 	if err != nil {
 		f.err = err
 		return out, false
@@ -173,9 +174,9 @@ func (f *Fanout) round(out []int32) (res []int32, done bool) {
 	defer f.legs.End()
 	f.cov = query.CrawlCoverage{}
 	if f.knn {
-		res, done = f.mergeKNN(boxes, epoch, out)
+		res, done = f.mergeKNN(sums, epoch, out)
 	} else {
-		res, done = f.mergeRange(boxes, epoch, out)
+		res, done = f.mergeRange(sums, epoch, out)
 	}
 	if !done {
 		return out, false
@@ -184,8 +185,8 @@ func (f *Fanout) round(out []int32) (res []int32, done bool) {
 	return res, true
 }
 
-func (f *Fanout) mergeRange(boxes []geom.AABB, epoch uint64, out []int32) ([]int32, bool) {
-	f.plan = PlanRangeFanout(boxes, f.q, f.plan[:0])
+func (f *Fanout) mergeRange(sums []Summary, epoch uint64, out []int32) ([]int32, bool) {
+	f.plan = PlanRangeFanout(sums, f.q, f.plan[:0])
 	for _, s := range f.plan {
 		var ok bool
 		out, ok, f.err = f.legs.Range(s, epoch, f.q, out, &f.cov)
@@ -197,21 +198,30 @@ func (f *Fanout) mergeRange(boxes []geom.AABB, epoch uint64, out []int32) ([]int
 	return out, true
 }
 
-func (f *Fanout) mergeKNN(boxes []geom.AABB, epoch uint64, out []int32) ([]int32, bool) {
-	if f.k <= 0 || len(boxes) == 0 {
+func (f *Fanout) mergeKNN(sums []Summary, epoch uint64, out []int32) ([]int32, bool) {
+	if f.k <= 0 || len(sums) == 0 {
 		return out, true
 	}
 	// The shard containing (or nearest to) p is scanned first, so the
 	// bound tightens as early as possible.
-	f.order = PlanKNNOrder(boxes, f.p, f.order[:0])
+	f.order = PlanKNNOrder(sums, f.p, f.order[:0])
 	f.kb.Reset(f.k)
 	scanned, widened := 0, 0
 	for _, sd := range f.order {
-		// Prune strictly: a shard at exactly the bound distance can still
-		// hold an equal-distance vertex with a smaller global id, which
-		// the (dist, id) ordering ranks ahead of the current k-th.
-		if f.kb.Full() && sd.D2 > f.kb.Bound() {
-			break
+		if f.kb.Full() {
+			// Prune strictly: a shard at exactly the bound distance can
+			// still hold an equal-distance vertex with a smaller global
+			// id, which the (dist, id) ordering ranks ahead of the
+			// current k-th.
+			if sd.D2 > f.kb.Bound() {
+				break
+			}
+			// A shard whose box is within the bound but whose occupied
+			// cells all miss the bound's cube holds nothing that could
+			// enter the heap; the shards after it still might.
+			if !sums[sd.Shard].Occ.MeetsCube(f.p, f.kb.Bound()) {
+				continue
+			}
 		}
 		scanned++
 		rounds, ok, err := f.legs.KNN(sd.Shard, epoch, f.p, f.k, &f.kb, &f.cov)

@@ -25,6 +25,7 @@ type fakeCand struct {
 // fakeShard is one shard's scripted behaviour under one view.
 type fakeShard struct {
 	box    geom.AABB
+	occ    *Occupancy // nil: everyCell
 	ids    []int32    // range reply
 	cands  []fakeCand // kNN reply
 	rounds int        // kNN widening rounds
@@ -51,7 +52,7 @@ type fakeLegs struct {
 	calls               []int // shards called, across all rounds
 }
 
-func (l *fakeLegs) Begin() ([]geom.AABB, uint64, error) {
+func (l *fakeLegs) Begin() ([]Summary, uint64, error) {
 	if l.cur != nil {
 		l.t.Error("Begin inside an open view")
 	}
@@ -60,11 +61,14 @@ func (l *fakeLegs) Begin() ([]geom.AABB, uint64, error) {
 	}
 	l.cur = &l.views[min(l.begins, len(l.views)-1)]
 	l.begins++
-	boxes := make([]geom.AABB, len(l.cur.shards))
+	sums := make([]Summary, len(l.cur.shards))
 	for s, sh := range l.cur.shards {
-		boxes[s] = sh.box
+		sums[s] = Summary{Box: sh.box, Occ: everyCell}
+		if sh.occ != nil {
+			sums[s].Occ = *sh.occ
+		}
 	}
-	return boxes, l.cur.epoch, nil
+	return sums, l.cur.epoch, nil
 }
 
 func (l *fakeLegs) End() {
@@ -111,6 +115,16 @@ func (l *fakeLegs) Skewed() { l.skews++ }
 func (l *fakeLegs) Close()  { l.closed = true }
 
 var unit = geom.AABB{Min: geom.V(0, 0, 0), Max: geom.V(1, 1, 1)}
+
+// occAt is an occupancy over the frame [0, 8]³ — unit cells — with the
+// given cells set.
+func occAt(cells ...[3]uint) *Occupancy {
+	o := &Occupancy{Frame: geom.AABB{Max: geom.V(occSide, occSide, occSide)}}
+	for _, c := range cells {
+		o.Bits[c[2]] |= 1 << (8*c[1] + c[0])
+	}
+	return o
+}
 
 // boxAt is a unit box whose nearest point to the origin is (x, 0, 0).
 func boxAt(x float64) geom.AABB {
@@ -293,14 +307,90 @@ func TestFanoutKNNPrunesStrictly(t *testing.T) {
 	}
 }
 
+// TestFanoutKNNPrunesByOccupancy: with the heap full at bound 4 (a cube
+// of half-width 2 around p), a shard whose box is well within the bound
+// but whose only occupied cell lies beyond the cube is skipped without a
+// call — though the shard after it is still visited — while a shard
+// whose one vertex sits exactly at the bound, on a cell edge, is called,
+// and its equal-distance candidate with the smaller id wins.
+func TestFanoutKNNPrunesByOccupancy(t *testing.T) {
+	p := geom.V(1, 0.5, 0.5)
+	view := fakeView{shards: []fakeShard{
+		{box: unit, cands: []fakeCand{{1, 5}, {4, 9}}},
+		// Box 0.25 away; its vertices sit in cell x = 4 (x in [4, 5)),
+		// beyond the cube's x <= 3. The candidate would win if called.
+		{box: geom.AABB{Min: geom.V(1.5, 0, 0), Max: geom.V(6, 1, 1)}, occ: occAt([3]uint{4, 0, 0}), cands: []fakeCand{{0.1, 1}}},
+		// One vertex at x = 3: d² = 4 exactly, on the edge of cell 3.
+		{box: geom.AABB{Min: geom.V(3, 0.5, 0.5), Max: geom.V(3, 0.5, 0.5)}, occ: occAt([3]uint{3, 0, 0}), cands: []fakeCand{{4, 3}}},
+	}}
+	legs := &fakeLegs{t: t, views: []fakeView{view}}
+	var cnt FanoutCounters
+	f := NewFanout(legs, &cnt, nil)
+	got := f.KNN(p, 2, nil)
+	if want := []int32{5, 3}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if want := []int{0, 2}; !slices.Equal(legs.calls, want) {
+		t.Fatalf("scanned shards %v, want %v (shard 1's cells miss the cube)", legs.calls, want)
+	}
+	if got, want := counters(&cnt), [7]int64{0, 0, 1, 2, 0, 0, 0}; got != want {
+		t.Fatalf("counters %v, want %v", got, want)
+	}
+	// The same view with the heap not yet full after shard 0 (k = 3):
+	// nothing is pruned by occupancy before the bound exists.
+	legs = &fakeLegs{t: t, views: []fakeView{view}}
+	f = NewFanout(legs, new(FanoutCounters), nil)
+	if got, want := f.KNN(p, 3, nil), []int32{1, 5, 3}; !slices.Equal(got, want) {
+		t.Fatalf("k=3: got %v, want %v", got, want)
+	}
+	if want := []int{0, 1, 2}; !slices.Equal(legs.calls, want) {
+		t.Fatalf("k=3: scanned shards %v, want %v", legs.calls, want)
+	}
+}
+
+// TestFanoutRangePrunesByOccupancy: a shard whose box meets the query but
+// whose occupied cells do not is never called; a query whose every leg
+// is pruned answers empty at the view's epoch.
+func TestFanoutRangePrunesByOccupancy(t *testing.T) {
+	wide := geom.AABB{Max: geom.V(8, 8, 8)}
+	view := fakeView{epoch: 3, shards: []fakeShard{
+		{box: wide, occ: occAt([3]uint{0, 0, 0}), ids: []int32{1}},
+		{box: wide, occ: occAt([3]uint{7, 7, 7}), ids: []int32{2}},
+	}}
+	legs := &fakeLegs{t: t, views: []fakeView{view}}
+	var cnt FanoutCounters
+	f := NewFanout(legs, &cnt, nil)
+	q := geom.AABB{Min: geom.V(0.5, 0.5, 0.5), Max: geom.V(1, 1, 1)} // cells 0..1 on every axis
+	if got := f.Query(q, nil); !slices.Equal(got, []int32{1}) || f.LastEpoch() != 3 {
+		t.Fatalf("got %v at %d, want [1] at 3", got, f.LastEpoch())
+	}
+	if !slices.Equal(legs.calls, []int{0}) {
+		t.Fatalf("called %v, want [0]", legs.calls)
+	}
+	mid := geom.AABB{Min: geom.V(3, 3, 3), Max: geom.V(4.5, 4.5, 4.5)}
+	if got := f.Query(mid, []int32{-1}); !slices.Equal(got, []int32{-1}) || f.LastEpoch() != 3 || f.LastError() != nil {
+		t.Fatalf("all legs pruned: got %v at %d err %v, want nothing at 3", got, f.LastEpoch(), f.LastError())
+	}
+	if !slices.Equal(legs.calls, []int{0}) || legs.begins != 2 {
+		t.Fatalf("calls %v begins %d: a pruned query reached a leg", legs.calls, legs.begins)
+	}
+	if got, want := counters(&cnt), [7]int64{2, 1, 0, 0, 0, 0, 0}; got != want {
+		t.Fatalf("counters %v, want %v", got, want)
+	}
+}
+
 // TestPlanKNNOrder: the visit plan is sorted by (D2, Shard) — ties at
 // equal box distance go to the lower shard — and, with out's capacity in
 // place, planning allocates nothing (it runs once per kNN query, in
 // process and on the wire).
 func TestPlanKNNOrder(t *testing.T) {
 	boxes := []geom.AABB{boxAt(3), boxAt(0), boxAt(2), boxAt(2), boxAt(-1)}
+	sums := make([]Summary, len(boxes))
+	for s, b := range boxes {
+		sums[s] = Summary{Box: b, Occ: everyCell}
+	}
 	p := geom.V(0.5, 0.5, 0.5)
-	out := PlanKNNOrder(boxes, p, make([]ShardDist, 0, len(boxes)))
+	out := PlanKNNOrder(sums, p, make([]ShardDist, 0, len(boxes)))
 	var got []int
 	for i, sd := range out {
 		got = append(got, sd.Shard)
@@ -311,8 +401,36 @@ func TestPlanKNNOrder(t *testing.T) {
 	if want := []int{1, 4, 2, 3, 0}; !slices.Equal(got, want) {
 		t.Fatalf("plan order %v, want %v", got, want)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { out = PlanKNNOrder(boxes, p, out[:0]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { out = PlanKNNOrder(sums, p, out[:0]) }); allocs != 0 {
 		t.Fatalf("PlanKNNOrder allocates %.1f times per plan, want 0", allocs)
+	}
+}
+
+// TestPlanAndOccupancyAllocs: planning a range query and both occupancy
+// tests allocate nothing — they run once per shard per query.
+func TestPlanAndOccupancyAllocs(t *testing.T) {
+	sums := []Summary{
+		{Box: unit, Occ: *occAt([3]uint{0, 0, 0})},
+		{Box: boxAt(2), Occ: *occAt([3]uint{2, 0, 0}, [3]uint{3, 1, 0})},
+	}
+	q := geom.AABB{Min: geom.V(0.5, 0.2, 0.2), Max: geom.V(2.5, 0.8, 0.8)}
+	plan := PlanRangeFanout(sums, q, make([]int, 0, len(sums)))
+	if !slices.Equal(plan, []int{0, 1}) {
+		t.Fatalf("plan %v, want [0 1]", plan)
+	}
+	p := geom.V(0.5, 0.5, 0.5)
+	met := false
+	for name, fn := range map[string]func(){
+		"PlanRangeFanout": func() { plan = PlanRangeFanout(sums, q, plan[:0]) },
+		"Meets":           func() { met = sums[1].Occ.Meets(q) },
+		"MeetsCube":       func() { met = sums[1].Occ.MeetsCube(p, 4) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Fatalf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+	if !met {
+		t.Fatal("shard 1's cell (2, 0, 0) lies inside the cube of half-width 2 around p")
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Fan-out planning from shard metadata alone: the inputs are nothing but
-// the per-shard owned-vertex boxes — plain data that serializes — so the
-// Fanout makes the same routing decisions whether its legs are in-process
-// executors or shard servers (DESIGN.md §15).
+// the per-shard summaries — owned-vertex box and occupancy bitmap, plain
+// data that serializes — so the Fanout makes the same routing decisions
+// whether its legs are in-process executors or shard servers (DESIGN.md
+// §15).
 
 // ShardDist is one entry of a kNN visit plan: a shard id and the squared
 // distance from the probe to the shard's owned-vertex box.
@@ -20,11 +21,12 @@ type ShardDist struct {
 }
 
 // PlanRangeFanout appends to out the ids of the shards whose owned box
-// intersects the query box, in ascending shard order — exactly the set
-// the router fans a range query out to.
-func PlanRangeFanout(boxes []geom.AABB, q geom.AABB, out []int) []int {
-	for s, b := range boxes {
-		if b.Intersects(q) {
+// intersects the query box and whose occupancy bitmap has a cell in it,
+// in ascending shard order — exactly the set the router fans a range
+// query out to. A shard dropped by either test owns nothing in q.
+func PlanRangeFanout(sums []Summary, q geom.AABB, out []int) []int {
+	for s := range sums {
+		if sums[s].Box.Intersects(q) && sums[s].Occ.Meets(q) {
 			out = append(out, s)
 		}
 	}
@@ -37,10 +39,10 @@ func PlanRangeFanout(boxes []geom.AABB, q geom.AABB, out []int) []int {
 // next entry's D2; ties at the bound must not be pruned (an
 // equal-distance candidate with a smaller global id still wins under the
 // (dist, id) order).
-func PlanKNNOrder(boxes []geom.AABB, p geom.Vec3, out []ShardDist) []ShardDist {
+func PlanKNNOrder(sums []Summary, p geom.Vec3, out []ShardDist) []ShardDist {
 	base := len(out)
-	for s, b := range boxes {
-		out = append(out, ShardDist{Shard: s, D2: b.Dist2(p)})
+	for s := range sums {
+		out = append(out, ShardDist{Shard: s, D2: sums[s].Box.Dist2(p)})
 	}
 	slices.SortFunc(out[base:], compareShardDist)
 	return out
@@ -55,14 +57,21 @@ func compareShardDist(a, b ShardDist) int {
 	return cmp.Compare(a.Shard, b.Shard)
 }
 
-// Boxes appends the per-shard owned-vertex bounding boxes, in shard
-// order — the complete input of the fan-out planner, and the metadata a
-// shard server publishes to the router tier. The boxes are valid at the
+// Summaries appends the per-shard summaries, in shard order — the
+// complete input of the in-process fan-out planner. They are valid at the
 // partition's current published epoch; callers that must not observe a
-// mid-publish state read them under the coherence gate.
-func (pt *Partition) Boxes(out []geom.AABB) []geom.AABB {
+// mid-publish state read them under the coherence gate. A shard whose
+// bitmap for this epoch another caller is computing right now is
+// summarized with every cell set — it is pruned by its box alone — so
+// the queries that arrive just after a publish do not queue behind the
+// pass.
+func (pt *Partition) Summaries(out []Summary) []Summary {
 	for _, p := range pt.Parts {
-		out = append(out, p.box)
+		occ, _, ok := p.occupancy(false)
+		if !ok {
+			occ = everyCell
+		}
+		out = append(out, Summary{Box: p.box, Occ: occ})
 	}
 	return out
 }

@@ -255,8 +255,8 @@ func (r *Router) FanoutStats() (rangeQ, rangeFan, knnQ, knnScanned, knnWiden int
 type Cursor = Fanout
 
 // localLegs is one cursor's in-process Legs: the view is the coherence
-// gate, held from Begin to End so the head epoch and the owned boxes stay
-// fixed for the whole query, and a leg is the shard's Exec on this
+// gate, held from Begin to End so the head epoch and the shard summaries
+// stay fixed for the whole query, and a leg is the shard's Exec on this
 // cursor's ExecCursor. The gate makes skew impossible and an Exec cannot
 // fail, so the fan-out's loop runs exactly once.
 //
@@ -267,16 +267,16 @@ type Cursor = Fanout
 // fallback — no shard is ever skipped or answered against the wrong
 // geometry.
 type localLegs struct {
-	r     *Router
-	curs  []ExecCursor
-	boxes []geom.AABB
+	r    *Router
+	curs []ExecCursor
+	sums []Summary
 }
 
-func (l *localLegs) Begin() ([]geom.AABB, uint64, error) {
+func (l *localLegs) Begin() ([]Summary, uint64, error) {
 	sm := l.r.sm
 	sm.deformMu.RLock()
-	l.boxes = sm.part.Boxes(l.boxes[:0])
-	return l.boxes, sm.Epoch(), nil
+	l.sums = sm.part.Summaries(l.sums[:0])
+	return l.sums, sm.Epoch(), nil
 }
 
 func (l *localLegs) End() { l.r.sm.deformMu.RUnlock() }

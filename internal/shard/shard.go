@@ -22,9 +22,10 @@
 // global mesh, propagating deformation into every shard; Router wraps one
 // query engine per shard and implements query.ParallelKNNEngine. Its
 // cursors are Fanouts: range queries fan out to the shards whose
-// owned-vertex bounding box intersects the query and concatenate the
-// remapped results; kNN visits shards best-first by box distance under a
-// shared query.KBest bound that prunes shards that cannot contribute. The
+// owned-vertex bounding box intersects the query and whose occupancy
+// bitmap has a cell in it, and concatenate the remapped results; kNN
+// visits shards best-first by box distance under a shared query.KBest
+// bound that prunes shards that cannot contribute. The
 // Fanout reaches the shards through a Legs — Execs behind the coherence
 // gate here, RPC stubs in internal/dist — so planning, merging, pruning
 // and the epoch proof exist once. See DESIGN.md §10.
@@ -34,6 +35,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"octopus/internal/geom"
 	"octopus/internal/hilbert"
@@ -85,6 +88,13 @@ type Part struct {
 	// the router's fan-out test. It is refreshed on every deformation
 	// step, inside Mesh.Deform's publish.
 	box geom.AABB
+
+	// frame is the partition's frame, which the occupancy bitmap grids;
+	// occ caches the bitmap of the last epoch it was asked for, and occMu
+	// lets one caller compute it.
+	frame geom.AABB
+	occ   atomic.Pointer[occMemo]
+	occMu sync.Mutex
 }
 
 // Box returns the tight bounding box of the shard's owned vertices at
@@ -184,6 +194,7 @@ type Partition struct {
 	order   []int32    // global ids sorted by (key, id)
 	cuts    []cutPoint // len K; shard s owns order range [cuts[s], cuts[s+1])
 	mapper  *hilbert.Mapper
+	frame   geom.AABB // the mapper's bounds: every part's occupancy frame
 	tol     float64   // owned-count tolerance around the target shares
 	weights []float64 // target owned-count shares; nil = uniform
 	// ghostRefs[g] lists every (shard, local id) replicating global
@@ -256,7 +267,8 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	// Key every vertex and sort by (key, id): the id tie-break makes the
 	// cut deterministic even on degenerate geometry where many vertices
 	// share a Hilbert cell.
-	mapper := hilbert.NewMapper(DefaultHilbertOrder, m.Bounds())
+	frame := m.Bounds()
+	mapper := hilbert.NewMapper(DefaultHilbertOrder, frame)
 	pos := m.Positions()
 	keys := make([]uint64, n)
 	for v := 0; v < n; v++ {
@@ -311,7 +323,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	}
 
 	for s := 0; s < k; s++ {
-		p, err := buildPart(m, part.Owner, s, ownedBy[s], cellsBy[s])
+		p, err := buildPart(m, frame, part.Owner, s, ownedBy[s], cellsBy[s])
 		if err != nil {
 			return nil, err
 		}
@@ -327,6 +339,7 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 	part.keys = keys
 	part.order = byKey
 	part.mapper = mapper
+	part.frame = frame
 	part.cuts = make([]cutPoint, k)
 	for s := 0; s < k; s++ {
 		v := byKey[s*n/k]
@@ -381,8 +394,8 @@ func (part *Partition) AppendReplicas(g int32, dst []Replica) []Replica {
 // buildPart assembles shard s from its pre-bucketed owned vertices
 // (sorted by global id) and cell list: the sub-mesh over those cells,
 // relaid out surface-first/Hilbert, plus the remap tables and cut-edge
-// list.
-func buildPart(m *mesh.Mesh, owner []int32, s int, ownedIDs, shardCells []int32) (*Part, error) {
+// list. frame is the partition's occupancy frame.
+func buildPart(m *mesh.Mesh, frame geom.AABB, owner []int32, s int, ownedIDs, shardCells []int32) (*Part, error) {
 	want := int32(s)
 
 	// Owned vertices enter in global-id order first, ghosts after (in
@@ -438,6 +451,7 @@ func buildPart(m *mesh.Mesh, owner []int32, s int, ownedIDs, shardCells []int32)
 		ToGlobal: toGlobal,
 		Owned:    make([]bool, len(toGlobal)),
 		NumOwned: numOwned,
+		frame:    frame,
 	}
 	for i := 0; i < numOwned; i++ {
 		p.Owned[i] = true
@@ -488,8 +502,9 @@ func (p *Part) applyPerm(perm []int32) {
 
 // Validate checks the partition's structural invariants against the
 // global mesh it was built from: exact vertex coverage, round-tripping
-// remap tables, owned-AABB containment, sub-mesh validity and cut-edge
-// symmetry. Intended for tests and the fuzz harness.
+// remap tables, owned-AABB containment, occupancy-bitmap coverage,
+// sub-mesh validity and cut-edge symmetry. Intended for tests and the
+// fuzz harness.
 func (part *Partition) Validate(m *mesh.Mesh) error {
 	n := m.NumVertices()
 	if len(part.Owner) != n || len(part.LocalID) != n {
@@ -512,7 +527,8 @@ func (part *Partition) Validate(m *mesh.Mesh) error {
 
 // validateShard checks one shard's structural invariants: sub-mesh
 // validity, round-tripping remap tables, owner-table agreement, position
-// coherence with the global mesh, and owned-AABB containment. Apply
+// coherence with the global mesh, owned-AABB containment, and every owned
+// vertex's cell set in the current epoch's occupancy bitmap. Apply
 // re-runs it on every touched shard after a migration; Validate runs it
 // on all of them. ownedSeen, when non-nil, accumulates per-global-vertex
 // ownership counts for Validate's exact-coverage check.
@@ -529,6 +545,7 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 	numOwned := 0
 	pos := p.Mesh.Positions()
 	gpos := m.Positions()
+	occ, _ := p.Occupancy()
 	for l, g := range p.ToGlobal {
 		if g < 0 || int(g) >= n {
 			return fmt.Errorf("shard %d: local %d maps to out-of-range global %d", s, l, g)
@@ -549,6 +566,9 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 			}
 			if !p.box.Contains(pos[l]) {
 				return fmt.Errorf("shard %d: owned vertex %d outside shard box", s, l)
+			}
+			if !occ.Meets(geom.AABB{Min: pos[l], Max: pos[l]}) {
+				return fmt.Errorf("shard %d: owned vertex %d's cell is not set in the occupancy bitmap", s, l)
 			}
 		} else if part.Owner[g] == int32(s) {
 			return fmt.Errorf("shard %d: global %d marked ghost but owner table says owned", s, g)

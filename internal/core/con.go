@@ -118,7 +118,10 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	if !ok {
 		start = -1
 	}
-	cur.walkSeeds(q, start, true, 0)
+	cur.stats.DirectedWalks++
+	if !cur.walkFrom(q, start) {
+		cur.scanStalled(q, 0)
+	}
 	t2 := time.Now()
 	cur.stats.DirectedWalk += t2.Sub(t1)
 

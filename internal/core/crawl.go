@@ -140,20 +140,14 @@ func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 // meshes it can stall in a local minimum of the graph distance (ok ==
 // false), a case the paper treats as "query does not intersect the mesh".
 // Approximate query modes accept that — they already trade accuracy for
-// time; exact queries hand a stall to scanSeeds (Cursor.walkSeeds).
+// time; exact queries hand a stall to scanSeeds (Cursor.scanStalled).
 func (c *crawler) greedyWalk(q geom.AABB, start int32) (seed int32, ok bool) {
 	pos := c.pos
 	cur := start
 	curDist := q.Dist2(pos[cur])
 	c.walkVisited++
 	for curDist > 0 {
-		best := int32(-1)
-		bestDist := curDist
-		for _, w := range c.m.Neighbors(cur) {
-			if d := q.Dist2(pos[w]); d < bestDist {
-				best, bestDist = w, d
-			}
-		}
+		best, bestDist := nearestOf(q, pos, c.m.Neighbors(cur), curDist)
 		if best < 0 {
 			return 0, false
 		}
@@ -245,7 +239,20 @@ func heapPopItem(h *[]heapItem) heapItem {
 	last := len(s) - 1
 	s[0] = s[last]
 	s = s[:last]
-	i := 0
+	heapDown(s, 0)
+	*h = s
+	return top
+}
+
+// heapInit orders s as a min-heap (by dist) in O(len(s)).
+func heapInit(s []heapItem) {
+	for i := len(s)/2 - 1; i >= 0; i-- {
+		heapDown(s, i)
+	}
+}
+
+// heapDown sifts s[i] down to its place in the min-heap s.
+func heapDown(s []heapItem, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -256,13 +263,11 @@ func heapPopItem(h *[]heapItem) heapItem {
 			smallest = r
 		}
 		if smallest == i {
-			break
+			return
 		}
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
 	}
-	*h = s
-	return top
 }
 
 // memoryBytes reports the crawl structures' footprint: the mark array and

@@ -35,6 +35,11 @@ type Cursor struct {
 	probeOffset int // rotates the approximate probe's sampling phase
 	stats       Stats
 
+	// blocks holds one (squared distance, block index) item per block box
+	// of the exact probe: the order in which the kNN probe visits the
+	// blocks, and the start search of a no-seed range query (probe.go).
+	blocks []heapItem
+
 	// epoch is the position snapshot of the query in flight: beginQuery
 	// pins the mesh's head epoch (crawler.pos becomes the pinned buffer)
 	// and endQuery releases it. It remains readable after the query as
@@ -76,23 +81,27 @@ func (c *Cursor) beginQuery(m *mesh.Mesh) []geom.Vec3 {
 // endQuery releases the pin taken by beginQuery.
 func (c *Cursor) endQuery(m *mesh.Mesh) { m.UnpinPositions(c.epoch) }
 
-// walkSeeds is phase 2 of a range query whose probe found no seed: the
-// greedy descent from start (start < 0: the engine had no start vertex)
-// and, when that finds nothing and the query is exact, the scan of
-// pos[unprobed:] — the one place a stall is turned into either seeds or
-// a proof that the mesh holds nothing in q.
-func (c *Cursor) walkSeeds(q geom.AABB, start int32, exact bool, unprobed int) {
-	c.stats.DirectedWalks++
-	if start >= 0 {
-		if seed, ok := c.greedyWalk(q, start); ok {
-			c.seeds = append(c.seeds, seed)
-			return
-		}
+// walkFrom is the directed walk of a range query whose probe found no
+// seed: the greedy descent from start (start < 0: the engine had no start
+// vertex), seeding the crawl with the vertex it arrives at. It reports
+// false when the descent stalls.
+func (c *Cursor) walkFrom(q geom.AABB, start int32) bool {
+	if start < 0 {
+		return false
 	}
-	if exact {
-		c.stats.WalkStalls++
-		c.seeds = c.scanSeeds(q, unprobed, c.seeds)
+	seed, ok := c.greedyWalk(q, start)
+	if ok {
+		c.seeds = append(c.seeds, seed)
 	}
+	return ok
+}
+
+// scanStalled ends an exact walk that found no seed: the scan of
+// pos[unprobed:], the one place a stall is turned into either seeds or a
+// proof that the mesh holds nothing in q.
+func (c *Cursor) scanStalled(q geom.AABB, unprobed int) {
+	c.stats.WalkStalls++
+	c.seeds = c.scanSeeds(q, unprobed, c.seeds)
 }
 
 // LastEpoch implements query.PinnedCursor: the position epoch the
@@ -173,8 +182,8 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (mark array, kNN frontier), the seed buffer and the kNN
-// candidate heap.
+// structures (mark array, kNN frontier), the seed buffer, the block
+// distances of the exact probe and the kNN candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
-	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + c.kbest.MemoryBytes()
+	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks))*16 + c.kbest.MemoryBytes()
 }

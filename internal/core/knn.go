@@ -14,8 +14,9 @@ import (
 // the same three phases as a range query:
 //
 //  1. Surface probe — scan the surface index for the vertices closest to
-//     the probe point, skipping blocks whose box lies beyond the k-th best
-//     found so far (strided in approximate mode, like range probes).
+//     the probe point, block by block nearest-first, stopping at the first
+//     block whose box lies beyond the k-th best found so far (strided in
+//     approximate mode, like range probes).
 //  2. Point descent — greedily walk from that vertex to a local minimum
 //     of the distance to the probe point.
 //  3. Best-first crawl — expand mesh edges outward from the descent's end
@@ -95,6 +96,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// probed surface vertices). Components with no probe candidate start
 	// from their precomputed representative, so disjoint sub-meshes are
 	// still searched.
+	cur.stats.DirectedWalks++
 	for ci, rep := range o.compReps {
 		cur.seeds = cur.seeds[:0]
 		for _, c := range kp.cands[:kp.nc] {
@@ -106,7 +108,6 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 			cur.seeds = append(cur.seeds, rep)
 		}
 		t1 := time.Now()
-		cur.stats.DirectedWalks++
 		for i, s := range cur.seeds {
 			cur.seeds[i] = cur.pointDescent(p, s)
 		}
@@ -167,13 +168,13 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 	if ok {
 		startComp = c.compOf[gridStart]
 	}
+	cur.stats.DirectedWalks++
 	for ci, rep := range c.compReps {
 		s := rep
 		if int32(ci) == startComp {
 			s = gridStart
 		}
 		t1 := time.Now()
-		cur.stats.DirectedWalks++
 		cur.seeds = append(cur.seeds[:0], cur.pointDescent(p, s))
 		t2 := time.Now()
 		cur.stats.DirectedWalk += t2.Sub(t1)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
+	"octopus/internal/shard"
+	"octopus/internal/sim"
 )
 
 // buildNoSeedMesh builds the non-convex, four-component mesh of the
@@ -168,6 +172,114 @@ func TestNoSeedBounded(t *testing.T) {
 	}
 	if b := cur.MemoryBytes(); b >= 64<<10 {
 		t.Errorf("cursor scratch grew to %d bytes proving emptiness, want < 64 KB", b)
+	}
+}
+
+// noSeedBoxes draws n boxes that hold no surface vertex of o at pos: three
+// of four around an interior vertex (the boxes the walk must find a seed
+// for), the rest anywhere in the bounds (mostly empty ones, which only the
+// scan can answer).
+func noSeedBoxes(o *Octopus, pos []geom.Vec3, r *rand.Rand, n int) []geom.AABB {
+	bounds := geom.EmptyBox()
+	for _, p := range pos {
+		bounds = bounds.Extend(p)
+	}
+	size := bounds.Size()
+	var boxes []geom.AABB
+	for i := 0; len(boxes) < n; i++ {
+		c := geom.V(bounds.Min.X+r.Float64()*size.X, bounds.Min.Y+r.Float64()*size.Y, bounds.Min.Z+r.Float64()*size.Z)
+		if i%4 != 3 {
+			v := int32(r.Intn(len(pos)))
+			if _, onSurface := o.surfaceSlot[v]; onSurface {
+				continue
+			}
+			c = pos[v]
+		}
+		q := geom.BoxAround(c, size.Len()*(0.002+0.02*r.Float64()))
+		if len(o.appendContainedSlots(nil, q, pos, 0, o.SurfaceSize(), 1)) == 0 {
+			boxes = append(boxes, q)
+		}
+	}
+	return boxes
+}
+
+// TestNoSeedBlockStart drives the exact no-seed start — the nearest
+// vertex of the block whose box is nearest the query, one retry from the
+// exact closest surface vertex when that walk stalls, then the scan — over
+// random no-seed boxes on neuro-l1 and on every sub-mesh of the K=4
+// partition of neuro-l3, after an in-place write plus Step and again after
+// a Deform. Every answer meets brute force (checkRangeContract: equal
+// whenever the in-box vertices are edge-connected), and no mesh stalls more
+// often than a walk from the sampled start the block start replaced
+// (every 1+S/2048-th surface slot) stalls on the same boxes.
+func TestNoSeedBlockStart(t *testing.T) {
+	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type named struct {
+		name string
+		m    *mesh.Mesh
+	}
+	meshes := []named{{"neuro-l1", l1}}
+	for i, p := range part.Parts {
+		meshes = append(meshes, named{fmt.Sprintf("neuro-l3-shard-%d", i), p.Mesh})
+	}
+	rescued := 0
+	for mi, c := range meshes {
+		name, m := c.name, c.m
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		ref := o.NewCursor().(*Cursor)
+		d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 3}
+		r := rand.New(rand.NewSource(int64(mi)))
+		moves := []struct {
+			label string
+			move  func(step int)
+		}{
+			{"in place+Step", func(step int) { d.Step(step, m.Positions()); o.Step() }},
+			{"Deform", func(step int) { m.Deform(func(pos []geom.Vec3) { d.Step(step, pos) }) }},
+		}
+		for step, mv := range moves {
+			mv.move(step)
+			label := name + "/" + mv.label
+			boxes := noSeedBoxes(o, m.Positions(), r, 100)
+			before := cur.Stats()
+			sampledStalls, blockStalls := int64(0), int64(0)
+			for i, q := range boxes {
+				checkRangeContract(t, m, fmt.Sprintf("%s box %d", label, i), q, cur.Query(q, nil), query.BruteForce(m, q))
+				pos := ref.beginQuery(m)
+				if _, ok := ref.greedyWalk(q, o.sampledStart(q, pos, 0, 1)); !ok {
+					sampledStalls++
+				}
+				if v := o.blockStart(ref, q, pos); v < 0 || !ref.walkFrom(q, v) {
+					blockStalls++
+				}
+				ref.seeds = ref.seeds[:0]
+				ref.endQuery(m)
+			}
+			st := cur.Stats()
+			if walks := st.DirectedWalks - before.DirectedWalks; walks != int64(len(boxes)) {
+				t.Fatalf("%s: %d walks for %d no-seed boxes", label, walks, len(boxes))
+			}
+			stalls := st.WalkStalls - before.WalkStalls
+			if stalls > sampledStalls {
+				t.Errorf("%s: %d of %d walks stalled, the sampled start stalls %d", label, stalls, len(boxes), sampledStalls)
+			}
+			rescued += int(blockStalls - stalls)
+			t.Logf("%s: stalls %d (block start alone %d, sampled start %d) of %d", label, stalls, blockStalls, sampledStalls, len(boxes))
+		}
+	}
+	if rescued == 0 {
+		t.Error("no block start stalled where the retry arrived; the boxes never exercise the retry")
 	}
 }
 

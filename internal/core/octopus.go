@@ -8,11 +8,13 @@
 //     faces; connectivity-derived, hence stable under deformation) and
 //     collect those inside the query box as crawl seeds.
 //  2. Directed walk — if no surface vertex is inside the box (query fully
-//     interior to the mesh, or disjoint from it), greedily walk from the
-//     closest surface vertex towards the box to find a seed. An exact
-//     query whose walk stalls scans the positions the probe did not test
-//     and seeds the crawl from every vertex inside the box — or proves
-//     there is none.
+//     interior to the mesh, or disjoint from it), greedily walk from a
+//     surface vertex near the box towards it to find a seed. An exact
+//     query starts from the nearest vertex of the block whose box is
+//     nearest; if that walk stalls it is retried once from the closest
+//     surface vertex, and a second stall scans the positions the probe
+//     did not test and seeds the crawl from every vertex inside the box —
+//     or proves there is none.
 //  3. Crawling — BFS along mesh edges from the seeds, never expanding past
 //     a vertex outside the box.
 //
@@ -51,7 +53,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,38 +304,29 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	// runs the containment kernel inside the blocks that meet q; the
 	// approximate probe samples the surface with a rotating stride. Both
 	// walk the position array forward and perform only the containment
-	// test (the CS unit cost of the analytical model); the closest-vertex
-	// scan for the directed walk runs as a second pass only in the rare
-	// no-seed case.
+	// test (the CS unit cost of the analytical model). Only in the no-seed
+	// case is a walk start looked for: the exact probe asks its block
+	// boxes which block is nearest q and takes that block's vertex nearest
+	// q; the approximate probe, which has no boxes, samples its lattice.
 	t0 := time.Now()
 	cur.seeds = cur.seeds[:0]
 	pos := cur.beginQuery(o.m)
 	stride := o.probeStride()
+	exact := stride == 1
 	probed := int64(0)
-	start := 0
-	if stride == 1 {
+	minVertex := int32(-1)
+	if exact {
 		probed = o.probeRange(cur, q, pos)
+		if len(cur.seeds) == 0 {
+			minVertex = o.blockStart(cur, q, pos)
+		}
 	} else {
-		start = cur.probeOffset % stride
+		start := cur.probeOffset % stride
 		cur.probeOffset++
 		cur.seeds = o.appendContainedSlots(cur.seeds, q, pos, start, len(o.surface), stride)
 		probed = int64((len(o.surface) - start + stride - 1) / stride) // slots start, start+stride, ...
-	}
-	minVertex := int32(-1)
-	if len(cur.seeds) == 0 && len(o.surface) > 0 {
-		// No seed: find a surface vertex near the query to start the
-		// directed walk. The walk only needs a reasonable start, not the
-		// exact closest vertex (its cost is insignificant either way,
-		// Figure 10(a)), so the distance pass samples the surface instead
-		// of paying a full second scan.
-		sampleStride := stride * (1 + len(o.surface)/2048)
-		minDist := math.Inf(1)
-		for idx := start; idx < len(o.surface); idx += sampleStride {
-			v := o.surface[idx]
-			if d := q.Dist2(pos[v]); d < minDist {
-				minDist = d
-				minVertex = v
-			}
+		if len(cur.seeds) == 0 {
+			minVertex = o.sampledStart(q, pos, start, stride)
 		}
 	}
 	cur.stats.ProbeChecked += probed
@@ -342,22 +334,26 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.SurfaceProbe += t1.Sub(t0)
 
 	// Phase 2: directed walk, only when the probe found no seed. The
-	// greedy descent from the closest sampled surface vertex answers the
-	// common interior query in a few hops. In exact mode a stall (or a
-	// mesh with no surface vertex to start from) falls back to one
-	// sequential pass over the positions the probe did not test, every
-	// vertex inside the box becoming a seed: no seed proves the mesh holds
-	// nothing in the box, and a seeded crawl then covers every component
-	// and isolated vertex, so the no-seed answer is exactly brute force's.
-	// Approximate mode keeps the paper's plain greedy walk (accuracy is
-	// already being traded away).
-	if len(cur.seeds) == 0 {
-		if exact := stride == 1; exact || minVertex >= 0 {
-			unprobed := 0
-			if o.denseSurface {
-				unprobed = len(o.surface)
+	// greedy descent from the start answers the common interior query in
+	// a few hops. In exact mode a stalled descent is retried once from the
+	// exact closest surface vertex (a best-first search over the same
+	// block boxes), and a second stall (or a mesh with no surface vertex
+	// to start from) falls back to one sequential pass over the positions
+	// the probe did not test, every vertex inside the box becoming a seed:
+	// no seed proves the mesh holds nothing in the box, and a seeded crawl
+	// then covers every component and isolated vertex, so the no-seed
+	// answer is exactly brute force's. Approximate mode keeps the paper's
+	// plain greedy walk (accuracy is already being traded away).
+	if len(cur.seeds) == 0 && (exact || minVertex >= 0) {
+		cur.stats.DirectedWalks++
+		if !cur.walkFrom(q, minVertex) && exact {
+			if v := o.closestSurfaceVertex(cur, q, pos); v == minVertex || !cur.walkFrom(q, v) {
+				unprobed := 0
+				if o.denseSurface {
+					unprobed = len(o.surface)
+				}
+				cur.scanStalled(q, unprobed)
 			}
-			cur.walkSeeds(q, minVertex, exact, unprobed)
 		}
 		t2 := time.Now()
 		cur.stats.DirectedWalk += t2.Sub(t1)

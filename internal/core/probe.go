@@ -16,11 +16,16 @@ import (
 // lets a probe test a few hundred boxes instead of every surface position:
 // the range probe runs the containment kernel only inside blocks whose box
 // meets the query, the kNN probe only inside blocks whose box is not
-// strictly beyond the running k-th-best distance. Blocks are visited in
-// ascending slot order, so the seeds, the crawl and every result are
-// exactly what the linear pass over the surface produces. A layout without
-// that locality (restructuring deltas swap slots around) only makes the
-// boxes loose — more blocks scanned, never a wrong answer.
+// strictly beyond the running k-th-best distance. The range probe visits
+// the blocks in ascending slot order, so its seeds and the crawl are
+// exactly what the linear pass over the surface produces; the kNN probe
+// visits them nearest-first, and since it keeps its crawl starts ordered
+// by (distance, slot), its results are the linear pass's too. The boxes
+// also answer the probe's two nearest-neighbour questions — which block to
+// scan next for kNN, and where a no-seed range query's walk starts — so
+// neither samples the surface. A layout without that locality
+// (restructuring deltas swap slots around) only makes the boxes loose —
+// more blocks scanned, never a wrong answer.
 //
 // The boxes are a cache of the positions, not an index to maintain: they
 // are rebuilt from scratch by the first exact query that pins a state they
@@ -280,44 +285,138 @@ func (o *Octopus) blockSlots(b int) (lo, hi int) {
 	return lo, min(lo+probeBlock, len(o.surface))
 }
 
-// scanBlock offers the vertices of block b to the kNN probe.
-func (o *Octopus) scanBlock(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Vec3, b int) int64 {
-	lo, hi := o.blockSlots(b)
-	return kp.scan(&cur.kbest, o.surface, pos, p, lo, hi, 1)
+// probeKNN is the exact kNN probe: it takes every block box's distance to
+// p in one pass into the cursor's scratch and visits the blocks
+// nearest-first, stopping at the first whose box lies strictly beyond the
+// running k-th-best bound. Every block not scanned then has every vertex
+// strictly outside the final ball (the bound only tightens), so no skipped
+// vertex belongs to the result or to the crawl starts (want <= k), and the
+// crawl may go on treating every surface vertex as offered (probedInKNN).
+// A block at exactly the bound is scanned: it may hold the smaller id of a
+// tie. It returns the number of tests made, block boxes and positions
+// alike.
+func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) int64 {
+	order := boxGaps(cur.blocks, o.probeBoxes(cur.epoch, pos), geom.AABB{Min: p, Max: p})
+	heapInit(order)
+	tests := int64(len(order))
+	// kp.bound is +Inf until the heap is full, so nothing is skipped
+	// before there are k candidates.
+	for len(order) > 0 && order[0].dist <= kp.bound {
+		lo, hi := o.blockSlots(int(heapPopItem(&order).v))
+		tests += kp.scan(&cur.kbest, o.surface, pos, p, lo, hi, 1)
+	}
+	cur.blocks = order
+	return tests
 }
 
-// probeKNN is the exact kNN probe: the block nearest to p is scanned first
-// to establish a k-th-best bound, then every other block, in slot order,
-// whose box is not strictly beyond the running bound. A skipped block has
-// every vertex strictly outside the final ball (the bound only tightens),
-// so no skipped vertex belongs to the result or to the crawl starts (want
-// <= k), and the crawl may go on treating every surface vertex as offered
-// (probedInKNN). A block at exactly the bound is scanned: it may hold the
-// smaller id of a tie. It returns the number of tests made, block boxes
-// and positions alike.
-func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) int64 {
-	boxes := o.probeBoxes(cur.epoch, pos)
-	if len(boxes) == 0 {
-		return 0
-	}
-	first, firstDist := 0, math.Inf(1)
+// boxGaps fills dst with one item per block box: the squared distance
+// between the box and q (0 where they meet) and the block's index. It is
+// the one pass over the boxes that both nearest-neighbour questions of
+// the probe start from — q is the query box of a no-seed range query, or
+// the degenerate box around a kNN probe point, where each distance equals
+// the block box's AABB.Dist2(p) bit for bit (a block box is never
+// inverted, so at most one of axisGap2's two tests can pass).
+func boxGaps(dst []heapItem, boxes []geom.AABB, q geom.AABB) []heapItem {
+	minX, minY, minZ := q.Min.X, q.Min.Y, q.Min.Z
+	maxX, maxY, maxZ := q.Max.X, q.Max.Y, q.Max.Z
+	dst = dst[:0]
 	for b := range boxes {
-		if d := boxes[b].Dist2(p); d < firstDist {
+		bx := &boxes[b]
+		d := axisGap2(bx.Min.X, bx.Max.X, minX, maxX) +
+			axisGap2(bx.Min.Y, bx.Max.Y, minY, maxY) +
+			axisGap2(bx.Min.Z, bx.Max.Z, minZ, maxZ)
+		dst = append(dst, heapItem{dist: d, v: int32(b)})
+	}
+	return dst
+}
+
+// axisGap2 is the squared gap along one axis between the intervals
+// [lo, hi] and [qlo, qhi], 0 where they meet. For a point (lo == hi) it
+// makes AABB.Dist2's two tests in the same order, so a distance summed
+// from three of them is Dist2's bit for bit. A NaN compares false and
+// gives 0: a NaN bound prunes nothing. It is small enough to inline, which
+// AABB.Dist2 is not.
+func axisGap2(lo, hi, qlo, qhi float64) float64 {
+	if g := qlo - hi; g > 0 {
+		return g * g
+	}
+	if g := lo - qhi; g > 0 {
+		return g * g
+	}
+	return 0
+}
+
+// nearestOf returns the vertex of ids whose position is nearest q and its
+// squared distance, among those strictly nearer than bound (-1 and bound
+// when there is none); the first of equals wins. It is the one distance
+// kernel of the directed walk: every step of the greedy descent and the
+// search for its start run it. Like appendContained it holds the six
+// bounds in locals, so no iteration copies the box.
+func nearestOf(q geom.AABB, pos []geom.Vec3, ids []int32, bound float64) (int32, float64) {
+	minX, minY, minZ := q.Min.X, q.Min.Y, q.Min.Z
+	maxX, maxY, maxZ := q.Max.X, q.Max.Y, q.Max.Z
+	best := int32(-1)
+	for _, v := range ids {
+		p := &pos[v]
+		if d := axisGap2(p.X, p.X, minX, maxX) + axisGap2(p.Y, p.Y, minY, maxY) + axisGap2(p.Z, p.Z, minZ, maxZ); d < bound {
+			best, bound = v, d
+		}
+	}
+	return best, bound
+}
+
+// blockStart returns where the exact probe's no-seed walk starts: the
+// surface vertex nearest q inside the block whose box is nearest q, ties
+// going to the lower block (-1 when no box is at a finite distance). It
+// leaves every block's distance in cur.blocks, for closestSurfaceVertex.
+func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
+	cur.blocks = boxGaps(cur.blocks, o.probeBoxes(cur.epoch, pos), q)
+	first, firstDist := -1, math.Inf(1)
+	for b := range cur.blocks {
+		if d := cur.blocks[b].dist; d < firstDist {
 			first, firstDist = b, d
 		}
 	}
-	tests := int64(len(boxes)) + o.scanBlock(cur, kp, p, pos, first)
-	for b := range boxes {
-		if b == first {
-			continue
-		}
-		tests++
-		// kp.bound is +Inf until the heap is full, so nothing is skipped
-		// before there are k candidates.
-		if boxes[b].Dist2(p) > kp.bound {
-			continue
-		}
-		tests += o.scanBlock(cur, kp, p, pos, b)
+	if first < 0 {
+		return -1
 	}
-	return tests
+	lo, hi := o.blockSlots(first)
+	v, _ := nearestOf(q, pos, o.surface[lo:hi], math.Inf(1))
+	return v
+}
+
+// closestSurfaceVertex returns the surface vertex nearest q (-1 when none
+// is at a finite distance), searching best-first over the block distances
+// blockStart left in cur.blocks: blocks in ascending box distance, until
+// the next box is no nearer than the best vertex found. It is the start of
+// the one retry a stalled walk gets before the scan.
+func (o *Octopus) closestSurfaceVertex(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
+	order := cur.blocks
+	heapInit(order)
+	best, bestDist := int32(-1), math.Inf(1)
+	for len(order) > 0 && order[0].dist < bestDist {
+		lo, hi := o.blockSlots(int(heapPopItem(&order).v))
+		if v, d := nearestOf(q, pos, o.surface[lo:hi], bestDist); v >= 0 {
+			best, bestDist = v, d
+		}
+	}
+	cur.blocks = order
+	return best
+}
+
+// sampledStart is the approximate probe's walk start: the surface vertex
+// nearest q among a sample of its sampling lattice (slots start,
+// start+stride, ...), thinned to about 2 048 vertices. The approximate
+// probe builds no block boxes to search.
+func (o *Octopus) sampledStart(q geom.AABB, pos []geom.Vec3, start, stride int) int32 {
+	sampleStride := stride * (1 + len(o.surface)/2048)
+	minVertex, minDist := int32(-1), math.Inf(1)
+	for idx := start; idx < len(o.surface); idx += sampleStride {
+		v := o.surface[idx]
+		if d := q.Dist2(pos[v]); d < minDist {
+			minDist = d
+			minVertex = v
+		}
+	}
+	return minVertex
 }

@@ -78,7 +78,11 @@ func BenchmarkProbeGather(b *testing.B) {
 // whole queries with the boxes warm; "step+range" starts a new generation
 // before every query, so each one pays a rebuild — the worst case, to be
 // read against "linear", the containment pass over the whole surface that
-// the blocks replace. probe-ns/op and tests/op are Stats.SurfaceProbe and
+// the blocks replace; "noseed" runs range boxes of the same mix whose
+// probe finds no seed, so each one also searches the boxes for its walk
+// start and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
+// Stats.WalkStalls, per query), and it fails if the warmed cursor
+// allocates. probe-ns/op and tests/op are Stats.SurfaceProbe and
 // Stats.ProbeChecked per query.
 func BenchmarkProbeBlocks(b *testing.B) {
 	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
@@ -106,6 +110,13 @@ func BenchmarkProbeBlocks(b *testing.B) {
 		}
 		knns := g.KNNQueries(96, 8, 32, 0)
 		pos, S := c.m.Positions(), float64(o.SurfaceSize())
+		var noseed []geom.AABB
+		for i := 0; len(noseed) < 96 && i < 4096; i++ {
+			q := g.QueryWithSelectivity([]float64{0.0001, 0.001, 0.01}[i%3])
+			if len(o.appendContainedSlots(nil, q, pos, 0, o.SurfaceSize(), 1)) == 0 {
+				noseed = append(noseed, q)
+			}
+		}
 		var out []int32
 		perQuery := func(b *testing.B, run func(i int)) {
 			run(0)
@@ -134,6 +145,22 @@ func BenchmarkProbeBlocks(b *testing.B) {
 		})
 		b.Run(c.name+"/range", func(b *testing.B) {
 			perQuery(b, func(i int) { out = cur.Query(ranges[i%len(ranges)], out[:0]) })
+		})
+		b.Run(c.name+"/noseed", func(b *testing.B) {
+			if len(noseed) == 0 {
+				b.Fatal("no range box without a surface seed")
+			}
+			for i := range noseed { // warm the cursor on every box
+				out = cur.Query(noseed[i], out[:0])
+			}
+			if allocs := testing.AllocsPerRun(len(noseed), func() { out = cur.Query(noseed[0], out[:0]) }); allocs != 0 {
+				b.Fatalf("a warmed no-seed range query allocates %.1f objects, want 0", allocs)
+			}
+			before := cur.Stats()
+			perQuery(b, func(i int) { out = cur.Query(noseed[i%len(noseed)], out[:0]) })
+			st := cur.Stats()
+			b.ReportMetric(float64(st.DirectedWalk-before.DirectedWalk)/float64(b.N), "walk-ns/op")
+			b.ReportMetric(float64(st.WalkStalls-before.WalkStalls)/float64(b.N), "stalls/op")
 		})
 		b.Run(c.name+"/knn", func(b *testing.B) {
 			perQuery(b, func(i int) { out = cur.KNN(knns[i%len(knns)].P, knns[i%len(knns)].K, out[:0]) })

@@ -607,7 +607,8 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 // 129. Block 0's box lies at squared distance exactly 4 and holds vertex 7
 // at exactly that distance: the smaller id of the tie, so the answer is
 // [128 7] and the block must be scanned although nothing in it beats the
-// bound. Block 2 lies strictly beyond and must not be.
+// bound. Block 2 lies strictly beyond and must not be. Each box's distance
+// is taken once.
 func TestKNNBlockSkipRule(t *testing.T) {
 	pos := make([]geom.Vec3, 3*probeBlock)
 	for i := range pos {
@@ -634,9 +635,9 @@ func TestKNNBlockSkipRule(t *testing.T) {
 	if ball, ok := cur.LastKNNBound2(); !ok || ball != 4 {
 		t.Fatalf("ball = %v (ok=%v), want 4", ball, ok)
 	}
-	// Three boxes to find the nearest, two more box tests, two blocks.
-	if checked := cur.Stats().ProbeChecked; checked != 3+2+2*probeBlock {
-		t.Fatalf("probe made %d tests, want %d: block 2 lies strictly beyond the bound and must be skipped", checked, 3+2+2*probeBlock)
+	// Three box distances, two scanned blocks.
+	if checked := cur.Stats().ProbeChecked; checked != 3+2*probeBlock {
+		t.Fatalf("probe made %d tests, want %d: block 2 lies strictly beyond the bound and must be skipped", checked, 3+2*probeBlock)
 	}
 
 	// No block is skipped while the heap is not full: k beyond the surface
@@ -803,24 +804,39 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 // TestBlockProbeSteadyStateAllocs pins the default engine's allocation
 // behaviour: after the first query of an epoch neither a range query nor a
 // kNN query allocates — whatever the crawl's length (the box query expands
-// well past a thousand vertices) and whatever k — and after the first
-// rebuild a rebuild does not either — the box arrays are reused.
+// well past a thousand vertices), whatever k, and whether the range probe
+// finds a seed, walks to one, or walks, stalls, retries and scans — and
+// after the first rebuild a rebuild does not either — the box arrays are
+// reused.
 func TestBlockProbeSteadyStateAllocs(t *testing.T) {
 	m := surfaceFirstBox(t, 14)
 	o := New(m)
 	q := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.4)
+	interior := geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.04) // one interior vertex
+	disjoint := geom.BoxAround(geom.V(2, 2, 2), 0.1)
 	p := geom.V(0.3, 0.6, 0.2)
 	out := make([]int32, 0, m.NumVertices())
 	for i := 0; i < 4; i++ { // warm the cursor's buffers and every path
 		out = o.Query(q, out[:0])
+		out = o.Query(interior, out[:0])
+		out = o.Query(disjoint, out[:0])
 		out = o.KNN(p, 300, out[:0])
 		out = o.KNN(p, 16, out[:0])
 	}
-	if len(out) != 16 || len(o.Query(q, out[:0])) <= 1024 {
+	if len(out) != 16 || len(o.Query(q, out[:0])) <= 1024 || len(o.Query(interior, out[:0])) != 1 {
 		t.Fatal("queries found too little; test geometry broken")
+	}
+	before := o.Stats()
+	o.Query(interior, nil)
+	o.Query(disjoint, nil)
+	if s := o.Stats(); s.DirectedWalks-before.DirectedWalks != 2 || s.WalkStalls-before.WalkStalls != 1 {
+		t.Fatalf("no-seed boxes took %d walks and %d stalls, want 2 and 1; test geometry broken",
+			s.DirectedWalks-before.DirectedWalks, s.WalkStalls-before.WalkStalls)
 	}
 	for name, run := range map[string]func(){
 		"range":         func() { out = o.Query(q, out[:0]) },
+		"walked range":  func() { out = o.Query(interior, out[:0]) },
+		"stalled range": func() { out = o.Query(disjoint, out[:0]) },
 		"kNN":           func() { out = o.KNN(p, 16, out[:0]) },
 		"large-k kNN":   func() { out = o.KNN(p, 300, out[:0]) },
 		"rebuild+range": func() { o.Step(); out = o.Query(q, out[:0]) },

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
 	"octopus/internal/query"
@@ -63,10 +65,29 @@ type Cursor struct {
 	// root, so it must be captured pre-drain). Surfaced as LastKNNBound2.
 	knnBound2  float64
 	knnBoundOK bool
+
+	// knnKeep and knnCeiling2 restrict what a kNN offers to its result
+	// (RestrictKNN): only vertices v with knnKeep[v] (every vertex when
+	// nil) and at squared distance at most knnCeiling2 (+Inf: no ceiling).
+	knnKeep     []bool
+	knnCeiling2 float64
 }
 
 func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
-	return &Cursor{owner: owner, crawler: crawler{m: m}}
+	return &Cursor{owner: owner, crawler: crawler{m: m}, knnCeiling2: math.Inf(1)}
+}
+
+// RestrictKNN implements query.KNNRestrictor: the cursor's later kNN
+// queries rank only the vertices v with keep[v] whose squared distance
+// is at most ceiling2, and return fewer than k when fewer qualify. The
+// probe and the crawl still read and cross every vertex; only what they
+// offer to the result is filtered. On OCTOPUS the ceiling also caps the
+// k-th-best bound the probe and the crawl stop at; CON, with no probe to
+// offer what its crawl cannot reach, cuts its answer at the ceiling
+// instead. keep nil and ceiling2 = +Inf lift the restriction.
+// keep is read, never written, and must cover every vertex of the mesh.
+func (c *Cursor) RestrictKNN(keep []bool, ceiling2 float64) {
+	c.knnKeep, c.knnCeiling2 = keep, ceiling2
 }
 
 // beginQuery installs the position view for one query and returns it:

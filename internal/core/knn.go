@@ -80,7 +80,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// vertex of such a block can be in the result or among the starts.
 	cur.kbest.Reset(k)
 	cur.knnSlot, cur.knnStride, cur.knnStart = o.surfaceSlot, stride, start
-	kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
+	kp := knnProbe{want: min(k, maxKNNStarts), bound: cur.knnCeiling2, keep: cur.knnKeep}
 	var probed int64
 	if stride == 1 {
 		probed = o.probeKNN(cur, &kp, p, pos)
@@ -113,7 +113,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		}
 		t2 := time.Now()
 		cur.stats.DirectedWalk += t2.Sub(t1)
-		cur.knnCrawl(p, cur.seeds)
+		cur.knnCrawl(p, cur.seeds, cur.knnCeiling2)
 		cur.stats.Crawl += time.Since(t2)
 	}
 
@@ -178,14 +178,25 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 		cur.seeds = append(cur.seeds[:0], cur.pointDescent(p, s))
 		t2 := time.Now()
 		cur.stats.DirectedWalk += t2.Sub(t1)
-		cur.knnCrawl(p, cur.seeds)
+		cur.knnCrawl(p, cur.seeds, math.Inf(1))
 		cur.stats.Crawl += time.Since(t2)
 	}
 
-	cur.endQuery(c.m)
 	// Capture the kNN ball before AppendSorted drains the heap.
 	cur.knnBound2, cur.knnBoundOK = cur.kbest.Bound(), true
 	out = cur.kbest.AppendSorted(out)
+	// CON has no surface probe to offer what a crawl cannot reach, so a
+	// RestrictKNN ceiling does not prune its crawl: a descent that ends
+	// beyond the ceiling would stop it at once. The ceiling cuts the
+	// answer instead, and a cut answer holds fewer than k.
+	n := len(out)
+	for n > before && cur.pos[out[n-1]].Dist2(p) > cur.knnCeiling2 {
+		n--
+	}
+	if n < len(out) {
+		out, cur.knnBound2 = out[:n], math.Inf(1)
+	}
+	cur.endQuery(c.m)
 	cur.stats.Results += int64(len(out) - before)
 	return out
 }
@@ -231,11 +242,15 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // radius (see the file comment). Multiple starts share one visited set
 // (the mark array), so overlapping expansions never offer a vertex twice.
 // Vertices at exactly the k-th-best distance keep expanding so id
-// tie-breaks match brute force.
-func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32) {
+// tie-breaks match brute force. Under RestrictKNN the crawl still crosses
+// masked-out vertices but offers none of them. ceiling2 (+Inf: none) caps
+// the stop radius the same strict way, so a vertex exactly at the ceiling
+// is still offered.
+func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 	c.bumpMarks()
 	pos := c.pos
 	marks, epoch := c.marks, c.markEpoch
+	keep := c.knnKeep
 	c.heap = c.heap[:0]
 	for _, s := range starts {
 		if marks[s] != epoch {
@@ -249,10 +264,10 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32) {
 			return
 		}
 		item := heapPopItem(&c.heap)
-		if c.kbest.Full() && item.dist > c.kbest.Bound() {
+		if c.kbest.Full() && item.dist > c.kbest.Bound() || item.dist > ceiling2 {
 			return
 		}
-		if !c.probedInKNN(item.v) {
+		if (keep == nil || keep[item.v]) && !c.probedInKNN(item.v) {
 			c.kbest.Offer(item.dist, item.v)
 		}
 		c.crawlVisited++
@@ -261,7 +276,7 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32) {
 			if marks[w] != epoch {
 				marks[w] = epoch
 				d := pos[w].Dist2(p)
-				if !c.kbest.Full() || d <= c.kbest.Bound() {
+				if (!c.kbest.Full() || d <= c.kbest.Bound()) && !(d > ceiling2) {
 					heapPushItem(&c.heap, heapItem{dist: d, v: w})
 				}
 			}

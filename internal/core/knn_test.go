@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
 	"octopus/internal/query"
+	"octopus/internal/shard"
 	"octopus/internal/sim"
 )
 
@@ -126,5 +132,133 @@ func TestKNNCursorStatsMerge(t *testing.T) {
 	}
 	if cur.Stats().Queries != 0 {
 		t.Fatal("cursor stats not reset by Close")
+	}
+}
+
+// restrictedBruteForce ranks the vertices v with keep[v] (every vertex
+// when keep is nil) at squared distance at most ceiling2 by (squared
+// distance, id) and returns the best k, with the k-th's squared distance
+// (+Inf when fewer than k qualify).
+func restrictedBruteForce(m *mesh.Mesh, p geom.Vec3, k int, keep []bool, ceiling2 float64) ([]int32, float64) {
+	var kb query.KBest
+	kb.Reset(k)
+	for v, q := range m.Positions() {
+		if d := q.Dist2(p); (keep == nil || keep[v]) && d <= ceiling2 {
+			kb.Offer(d, int32(v))
+		}
+	}
+	bound := kb.Bound()
+	return kb.AppendSorted(nil), bound
+}
+
+// TestKNNRestricted drives RestrictKNN on neuro-l1 and one sub-mesh of the
+// K=4 partition of neuro-l3, both after a Deform, with OCTOPUS, and with
+// CON on a deformed box (CON's stale-grid start is not exact on the
+// neuron meshes even unrestricted). Masks are the shard's own ownership, a random half-space and random
+// per-vertex coins; ceilings are +Inf, 0, an unrestricted neighbour's
+// squared distance exactly (a tie at the ceiling must be offered) and a
+// random radius. Every answer, and its k-th-best bound, equals brute force
+// over the kept vertices within the ceiling; and a later unrestricted call
+// on the same cursor is bit-identical to a fresh cursor's answer.
+func TestKNNRestricted(t *testing.T) {
+	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := part.Parts[1]
+	box := buildBox(t, 9)
+	meshes := []struct {
+		name  string
+		m     *mesh.Mesh
+		owned []bool
+		con   bool
+	}{
+		{"neuro-l1", l1, nil, false},
+		{"neuro-l3-shard-1", sub.Mesh, sub.Owned, false},
+		{"box", box, nil, true},
+	}
+	probes := 60
+	if testing.Short() {
+		probes = 20
+	}
+	inf := math.Inf(1)
+	for mi, c := range meshes {
+		m := c.m
+		d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 5}
+		m.Deform(func(pos []geom.Vec3) { d.Step(0, pos) })
+		r := rand.New(rand.NewSource(int64(mi) + 1))
+		diag := m.Bounds().Size().Len()
+		n := m.NumVertices()
+		engines := []query.ParallelKNNEngine{New(m)}
+		if c.con {
+			engines = append(engines, NewCon(m, 0))
+		}
+		for _, eng := range engines {
+			cur := eng.NewCursor().(*Cursor)
+			for i := 0; i < probes; i++ {
+				pos := m.Positions()
+				p := pos[r.Intn(n)].Add(geom.V(
+					(r.Float64()*2-1)*diag*0.03,
+					(r.Float64()*2-1)*diag*0.03,
+					(r.Float64()*2-1)*diag*0.03,
+				))
+				k := 1 + r.Intn(40)
+
+				var keep []bool
+				switch i % 4 {
+				case 0:
+					keep = c.owned // nil on neuro-l1
+				case 1:
+					keep = make([]bool, n)
+					cut := pos[r.Intn(n)].X
+					for v := range keep {
+						keep[v] = pos[v].X < cut
+					}
+				case 2:
+					keep = make([]bool, n)
+					for v := range keep {
+						keep[v] = r.Intn(3) != 0
+					}
+				}
+				ceiling2 := inf
+				switch r.Intn(4) {
+				case 1:
+					ceiling2 = 0
+				case 2:
+					ids, _ := restrictedBruteForce(m, p, 2*k, nil, inf)
+					ceiling2 = pos[ids[r.Intn(len(ids))]].Dist2(p)
+				case 3:
+					ceiling2 = r.Float64() * diag * diag * 1e-3
+				}
+				label := fmt.Sprintf("%s/%T probe %d (k=%d, ceiling2=%g)", c.name, eng, i, k, ceiling2)
+
+				cur.RestrictKNN(keep, ceiling2)
+				want, wantBound := restrictedBruteForce(m, p, k, keep, ceiling2)
+				knnOracle(t, label, cur.KNN(p, k, nil), want)
+				if b, ok := cur.LastKNNBound2(); !ok || b != wantBound {
+					t.Fatalf("%s: LastKNNBound2 = %v, %v, want %v", label, b, ok, wantBound)
+				}
+
+				cur.RestrictKNN(nil, inf)
+				fresh := eng.NewCursor().(*Cursor)
+				got, ref := cur.KNN(p, k, nil), fresh.KNN(p, k, nil)
+				if !slices.Equal(got, ref) {
+					t.Fatalf("%s: unrestricted after restricted = %v, a fresh cursor %v", label, got, ref)
+				}
+				gb, _ := cur.LastKNNBound2()
+				rb, _ := fresh.LastKNNBound2()
+				if math.Float64bits(gb) != math.Float64bits(rb) {
+					t.Fatalf("%s: unrestricted bound %v after restricted, a fresh cursor %v", label, gb, rb)
+				}
+			}
+		}
 	}
 }

@@ -235,24 +235,29 @@ func (o *Octopus) probeRange(cur *Cursor, q geom.AABB, pos []geom.Vec3) int64 {
 // fixed-size insertion array ordered by (distance, slot) — no allocation,
 // and the same set whatever order the slots are scanned in — and a mirror
 // of the result heap's bound, so the common iteration pays one float
-// compare, not an Offer call.
+// compare, not an Offer call. Under RestrictKNN the bound starts at the
+// ceiling instead of +Inf, and only vertices in keep (every vertex when
+// nil) are offered; the crawl starts are chosen from all of them.
 type knnProbe struct {
 	cands [maxKNNStarts]knnStart
 	nc    int
 	want  int
 	bound float64
+	keep  []bool
 }
 
 // scan offers surface slots lo, lo+stride, ... below hi to the result heap
 // and to the crawl-start candidates, returning the number scanned. d ==
-// bound still calls Offer, for the id tie-break.
+// bound still calls Offer, for the id tie-break. Every offered vertex lies
+// within the bound, so once the heap is full its bound is the smaller of
+// the ceiling and the k-th best.
 func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p geom.Vec3, lo, hi, stride int) int64 {
 	n := int64(0)
 	for idx := lo; idx < hi; idx += stride {
 		v, slot := surface[idx], int32(idx)
 		n++
 		d := pos[v].Dist2(p)
-		if d <= kp.bound {
+		if d <= kp.bound && (kp.keep == nil || kp.keep[v]) {
 			kb.Offer(d, v)
 			if kb.Full() {
 				kp.bound = kb.Bound()
@@ -288,10 +293,11 @@ func (o *Octopus) blockSlots(b int) (lo, hi int) {
 // probeKNN is the exact kNN probe: it takes every block box's distance to
 // p in one pass into the cursor's scratch and visits the blocks
 // nearest-first, stopping at the first whose box lies strictly beyond the
-// running k-th-best bound. Every block not scanned then has every vertex
-// strictly outside the final ball (the bound only tightens), so no skipped
-// vertex belongs to the result or to the crawl starts (want <= k), and the
-// crawl may go on treating every surface vertex as offered (probedInKNN).
+// running k-th-best bound (capped by a RestrictKNN ceiling). Every block
+// not scanned then has every vertex strictly outside the final ball (the
+// bound only tightens), so no skipped vertex belongs to the result or to
+// the crawl starts (want <= k), and the crawl may go on treating every
+// surface vertex as offered (probedInKNN).
 // A block at exactly the bound is scanned: it may hold the smaller id of a
 // tie. It returns the number of tests made, block boxes and positions
 // alike.
@@ -299,8 +305,9 @@ func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Ve
 	order := boxGaps(cur.blocks, o.probeBoxes(cur.epoch, pos), geom.AABB{Min: p, Max: p})
 	heapInit(order)
 	tests := int64(len(order))
-	// kp.bound is +Inf until the heap is full, so nothing is skipped
-	// before there are k candidates.
+	// kp.bound is the ceiling (+Inf unrestricted) until the heap is full,
+	// so nothing within the ceiling is skipped before there are k
+	// candidates.
 	for len(order) > 0 && order[0].dist <= kp.bound {
 		lo, hi := o.blockSlots(int(heapPopItem(&order).v))
 		tests += kp.scan(&cur.kbest, o.surface, pos, p, lo, hi, 1)

@@ -807,7 +807,8 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 // well past a thousand vertices), whatever k, and whether the range probe
 // finds a seed, walks to one, or walks, stalls, retries and scans — and
 // after the first rebuild a rebuild does not either — the box arrays are
-// reused.
+// reused. A kNN restricted to a mask under a ceiling (a shard leg's) does
+// not allocate either.
 func TestBlockProbeSteadyStateAllocs(t *testing.T) {
 	m := surfaceFirstBox(t, 14)
 	o := New(m)
@@ -816,14 +817,27 @@ func TestBlockProbeSteadyStateAllocs(t *testing.T) {
 	disjoint := geom.BoxAround(geom.V(2, 2, 2), 0.1)
 	p := geom.V(0.3, 0.6, 0.2)
 	out := make([]int32, 0, m.NumVertices())
+	// A shard leg's cursor: every other vertex kept, the ceiling at the
+	// unrestricted 40th-best distance.
+	restricted := o.NewCursor().(*Cursor)
+	keep := make([]bool, m.NumVertices())
+	for v := range keep {
+		keep[v] = v%2 == 0
+	}
+	nn := o.KNN(p, 40, nil)
+	restricted.RestrictKNN(keep, m.Position(nn[len(nn)-1]).Dist2(p))
 	for i := 0; i < 4; i++ { // warm the cursor's buffers and every path
 		out = o.Query(q, out[:0])
 		out = o.Query(interior, out[:0])
 		out = o.Query(disjoint, out[:0])
 		out = o.KNN(p, 300, out[:0])
 		out = o.KNN(p, 16, out[:0])
+		out = restricted.KNN(p, 32, out[:0])
 	}
-	if len(out) != 16 || len(o.Query(q, out[:0])) <= 1024 || len(o.Query(interior, out[:0])) != 1 {
+	if len(out) == 0 || len(out) == 32 {
+		t.Fatalf("restricted kNN found %d of 32; test geometry broken", len(out))
+	}
+	if len(o.KNN(p, 16, out[:0])) != 16 || len(o.Query(q, out[:0])) <= 1024 || len(o.Query(interior, out[:0])) != 1 {
 		t.Fatal("queries found too little; test geometry broken")
 	}
 	before := o.Stats()
@@ -834,13 +848,14 @@ func TestBlockProbeSteadyStateAllocs(t *testing.T) {
 			s.DirectedWalks-before.DirectedWalks, s.WalkStalls-before.WalkStalls)
 	}
 	for name, run := range map[string]func(){
-		"range":         func() { out = o.Query(q, out[:0]) },
-		"walked range":  func() { out = o.Query(interior, out[:0]) },
-		"stalled range": func() { out = o.Query(disjoint, out[:0]) },
-		"kNN":           func() { out = o.KNN(p, 16, out[:0]) },
-		"large-k kNN":   func() { out = o.KNN(p, 300, out[:0]) },
-		"rebuild+range": func() { o.Step(); out = o.Query(q, out[:0]) },
-		"rebuild+kNN":   func() { o.Step(); out = o.KNN(p, 16, out[:0]) },
+		"range":          func() { out = o.Query(q, out[:0]) },
+		"walked range":   func() { out = o.Query(interior, out[:0]) },
+		"stalled range":  func() { out = o.Query(disjoint, out[:0]) },
+		"kNN":            func() { out = o.KNN(p, 16, out[:0]) },
+		"large-k kNN":    func() { out = o.KNN(p, 300, out[:0]) },
+		"restricted kNN": func() { out = restricted.KNN(p, 32, out[:0]) },
+		"rebuild+range":  func() { o.Step(); out = o.Query(q, out[:0]) },
+		"rebuild+kNN":    func() { o.Step(); out = o.KNN(p, 16, out[:0]) },
 	} {
 		if raceEnabled && strings.HasSuffix(name, "kNN") {
 			continue

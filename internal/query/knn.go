@@ -58,6 +58,18 @@ type KNNBoundReporter interface {
 	LastKNNBound2() (ball2 float64, ok bool)
 }
 
+// KNNRestrictor is implemented by kNN cursors that can rank a subset of
+// the mesh: after RestrictKNN(keep, ceiling2) a KNN call returns the k
+// best by (squared distance, id) of the vertices v with keep[v] and
+// squared distance at most ceiling2 — fewer than k when fewer qualify —
+// and may prune its search with that ceiling. keep nil and ceiling2 = +Inf
+// mean unrestricted. The restriction is cursor state: it holds for every
+// later KNN until replaced, and range queries ignore it. A shard leg uses
+// it to rank only the vertices it owns, within the global k-th best.
+type KNNRestrictor interface {
+	RestrictKNN(keep []bool, ceiling2 float64)
+}
+
 // ExecuteKNNBatch executes kNN probes against eng using a pool of workers,
 // each with its own cursor, and returns one result slice per probe
 // (results[i] answers probes[i], nearest first). workers <= 0 uses

@@ -244,7 +244,8 @@ func (r *Router) MemoryFootprint() int64 {
 // FanoutStats reports accumulated routing statistics: range queries and
 // the total shards they fanned out to, kNN queries with the shards
 // actually scanned (not pruned by the KBest bound), and the kNN widening
-// rounds (re-queries needed when ghost hits crowded out owned results).
+// rounds (re-queries a leg needed to prove its owned contribution
+// complete; see Exec.KNN).
 func (r *Router) FanoutStats() (rangeQ, rangeFan, knnQ, knnScanned, knnWiden int64) {
 	return r.n.RangeQueries.Load(), r.n.RangeFanout.Load(),
 		r.n.KNNQueries.Load(), r.n.KNNScanned.Load(), r.n.KNNWidenings.Load()

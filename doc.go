@@ -57,12 +57,13 @@
 //
 // A single query stays on the goroutine that issued it — parallelism is
 // between queries, one cursor each — and the crawl engines answer it in
-// one deterministic order per cursor. They accept a per-query CrawlBudget
-// (SetCrawlBudget): a budgeted crawl stops at an expansion count, keeps
-// everything discovered so far, and reports its coverage
-// (visited fraction, kNN bound gap) through each QueryTrace — a real
-// latency/recall dial. The setter mutates engine state and must not run
-// concurrently with queries.
+// one deterministic order per cursor. Their cursors take a CrawlBudget
+// (BudgetedCursor.SetBudget): a sampled surface probe, and a crawl that
+// stops at an expansion count, keeps everything discovered so far, and
+// reports its coverage (visited fraction, kNN bound gap) through each
+// QueryTrace — a real latency/recall dial. The budget is cursor state,
+// read once per query, so tuning one cursor never disturbs another's
+// queries.
 //
 // # Querying while the mesh deforms
 //
@@ -163,10 +164,7 @@
 // and engines. Rebuilt shards answer exactly through the owned-scan
 // fallback until their budgeted rebuild tasks complete, so queries never
 // block on a migration and never see a torn partition
-// (ShardedMesh.RepartitionStats reports the migration volume). A
-// pressure-driven balancer (ShardedEngine.SetPressurePolicy, one
-// setting: the hot/mean pressure Factor that trips it) uses the same
-// machinery to shift boundaries away from query-hot shards.
+// (ShardedMesh.RepartitionStats reports the migration volume).
 // See DESIGN.md §10 and §13.
 //
 // # Distributed serving

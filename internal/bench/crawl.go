@@ -104,11 +104,7 @@ func crawlBudgetTable(m *mesh.Mesh, queries []geom.AABB) *Table {
 	}
 
 	for _, frac := range []float64{1, 0.5, 0.25, 0.1} {
-		if frac >= 1 {
-			o.SetCrawlBudget(query.CrawlBudget{}) // exact
-		} else {
-			o.SetCrawlBudget(query.CrawlBudget{MaxVisited: int64(frac * meanVisited)})
-		}
+		cur.SetBudget(fracBudget(frac, meanVisited))
 		var out []int32
 		var recall, visFrac float64
 		before := o.Stats()
@@ -133,11 +129,19 @@ func crawlBudgetTable(m *mesh.Mesh, queries []geom.AABB) *Table {
 		crawl := (d.Crawl - before.Crawl).Seconds() * 1e6 / nq
 		t.AddRow(frac, 100*recall/nq, 100*visFrac/nq, crawl)
 	}
-	o.SetCrawlBudget(query.CrawlBudget{})
 	t.Notes = append(t.Notes,
 		"budget is MaxVisited as a fraction of the exact crawl's mean visited count",
 		"truncated results are always a subset of the exact result")
 	return t
+}
+
+// fracBudget is the sweep's budget at frac of the exact crawl's mean
+// visited count; frac >= 1 is exact.
+func fracBudget(frac, meanVisited float64) query.CrawlBudget {
+	if frac >= 1 {
+		return query.CrawlBudget{}
+	}
+	return query.CrawlBudget{MaxVisited: int64(frac * meanVisited)}
 }
 
 // knnBudgetTable sweeps MaxVisited on large-k kNN probes: recall@k, the
@@ -166,11 +170,7 @@ func knnBudgetTable(m *mesh.Mesh, gen *workload.Generator, cfg Config) *Table {
 	}
 
 	for _, frac := range []float64{1, 0.5, 0.25, 0.1} {
-		if frac >= 1 {
-			o.SetCrawlBudget(query.CrawlBudget{})
-		} else {
-			o.SetCrawlBudget(query.CrawlBudget{MaxVisited: int64(frac * meanVisited)})
-		}
+		cur.SetBudget(fracBudget(frac, meanVisited))
 		var out []int32
 		var recall, gap float64
 		start := time.Now()
@@ -194,7 +194,6 @@ func knnBudgetTable(m *mesh.Mesh, gen *workload.Generator, cfg Config) *Table {
 		np := float64(len(probes))
 		t.AddRow(frac, 100*recall/np, gap/np, perQuery)
 	}
-	o.SetCrawlBudget(query.CrawlBudget{})
 	t.Notes = append(t.Notes,
 		"bound-gap 0 means the k-th-best radius was fully proven; 1 means the crawl stopped before any bound formed",
 		"recall counts matches against the exact (dist,id)-ordered result")

@@ -63,16 +63,16 @@ func Fig12(cfg Config) ([]*Table, error) {
 		accRow := []interface{}{frac * 100}
 		spdRow := []interface{}{frac * 100}
 		for i := range selectivities {
-			o := core.New(m)
-			o.SetApproximation(frac)
+			cur := core.New(m).NewCursor().(*core.Cursor)
+			cur.SetBudget(query.CrawlBudget{SurfaceFrac: frac})
 			var out []int32
 			for _, qt := range querySets[i] { // warm-up pass
-				out = o.Query(qt.box, out[:0])
+				out = cur.Query(qt.box, out[:0])
 			}
 			got, want := 0, 0
 			start := time.Now()
 			for _, qt := range querySets[i] {
-				out = o.Query(qt.box, out[:0])
+				out = cur.Query(qt.box, out[:0])
 				got += len(out)
 				want += qt.truth
 			}

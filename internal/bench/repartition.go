@@ -183,18 +183,17 @@ func repartitionPressure(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sm, err := shard.NewMesh(m, 4, shard.Options{})
+		mode, opts := "frozen", shard.Options{}
+		if balanced {
+			mode, opts.Pressure = "balanced", shard.PressurePolicy{Factor: 1.3}
+		}
+		sm, err := shard.NewMesh(m, 4, opts)
 		if err != nil {
 			return nil, err
 		}
 		router := shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine {
 			return kdtree.NewEngine(sub, 0)
 		})
-		mode := "frozen"
-		if balanced {
-			mode = "balanced"
-			router.SetPressurePolicy(shard.PressurePolicy{Factor: 1.3})
-		}
 		hot := sm.Partition().Parts[0]
 		hotBefore := hot.NumOwned
 		// Aim every range query inside the hot shard's box so its

@@ -195,7 +195,7 @@ func TestApproximationTinySurfaceProbe(t *testing.T) {
 	}
 
 	o := New(m)
-	o.SetApproximation(0.01) // stride 100 on an 8-vertex surface
+	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 0.01}) // stride 100 on an 8-vertex surface
 	q := m.Bounds()
 	for i := 0; i < 120; i++ {
 		if got := o.Query(q, nil); len(got) != m.NumVertices() {

@@ -38,10 +38,6 @@ type Con struct {
 	compOf   []int32
 	compReps []int32
 
-	// crawlBudget mirrors Octopus: the crawl phase is identical between
-	// the variants.
-	crawlBudget query.CrawlBudget
-
 	resident *Cursor
 	guard    query.ResidentGuard
 
@@ -84,9 +80,6 @@ func (c *Con) Step() {}
 // start-point grid, which staleness cannot make incorrect.
 func (c *Con) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
-// SetCrawlBudget implements query.CrawlTuner; see Octopus.SetCrawlBudget.
-func (c *Con) SetCrawlBudget(b query.CrawlBudget) { c.crawlBudget = b }
-
 // NewCursor implements query.ParallelEngine.
 func (c *Con) NewCursor() query.Cursor { return newCursor(c, c.m) }
 
@@ -101,7 +94,7 @@ func (c *Con) Query(q geom.AABB, out []int32) []int32 {
 
 func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.Queries++
-	cur.armCrawl(c.crawlBudget)
+	cur.armCrawl()
 	before := len(out)
 	cur.beginQuery(c.m)
 

@@ -39,11 +39,11 @@ type crawler struct {
 	// sees exactly one epoch.
 	pos []geom.Vec3
 
-	// Per-query budget state, installed by armCrawl at query start.
-	// expanded counts budget-relevant expansions across all crawl phases of
-	// the query (range crawl, or one kNN crawl per component); cov
-	// accumulates the coverage report.
-	budLimit int64
+	// budget is the cursor's CrawlBudget (Cursor.SetBudget). expanded
+	// counts budget-relevant expansions across all crawl phases of the
+	// query (range crawl, or one kNN crawl per component); cov accumulates
+	// the coverage report. armCrawl resets both at query start.
+	budget   query.CrawlBudget
 	expanded int64
 	cov      query.CrawlCoverage
 
@@ -52,11 +52,9 @@ type crawler struct {
 	walkVisited  int64 // vertices accessed by directed walks and their fallback scans
 }
 
-// armCrawl installs one query's crawl budget, resetting the budget
-// accounting and the coverage report. Engines call it at query start,
-// before any crawl phase runs.
-func (c *crawler) armCrawl(b query.CrawlBudget) {
-	c.budLimit = b.MaxVisited
+// armCrawl resets the budget accounting and the coverage report. Engines
+// call it at query start, before any crawl phase runs.
+func (c *crawler) armCrawl() {
 	c.expanded = 0
 	c.cov = query.CrawlCoverage{}
 }
@@ -64,7 +62,7 @@ func (c *crawler) armCrawl(b query.CrawlBudget) {
 // overBudget reports whether the query's crawl budget has run out; it is
 // checked before every expansion.
 func (c *crawler) overBudget() bool {
-	return c.budLimit > 0 && c.expanded >= c.budLimit
+	return c.budget.MaxVisited > 0 && c.expanded >= c.budget.MaxVisited
 }
 
 // bumpMarks prepares the mark array for a fresh crawl: sized to the mesh

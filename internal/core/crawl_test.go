@@ -174,7 +174,7 @@ func TestParallelCrawlBudgetRange(t *testing.T) {
 		t.Fatalf("exact VisitedFrac = %v, want 1", cov.VisitedFrac())
 	}
 
-	o.SetCrawlBudget(query.CrawlBudget{MaxVisited: int64(len(exact)) / 4})
+	o.resident.SetBudget(query.CrawlBudget{MaxVisited: int64(len(exact)) / 4})
 	trunc := o.Query(q, nil)
 	cov = o.resident.LastCoverage()
 	if !cov.Truncated {
@@ -209,7 +209,7 @@ func TestParallelCrawlBudgetRange(t *testing.T) {
 		}
 	}
 
-	o.SetCrawlBudget(query.CrawlBudget{})
+	o.resident.SetBudget(query.CrawlBudget{})
 	back := o.Query(q, nil)
 	if d := query.Diff(back, append([]int32(nil), exact...)); d != "" {
 		t.Fatalf("zero budget not exact: %s", d)
@@ -224,7 +224,7 @@ func TestParallelCrawlBudgetKNN(t *testing.T) {
 	p := m.Bounds().Center()
 	k := 400
 	exact := o.KNN(p, k, nil)
-	o.SetCrawlBudget(query.CrawlBudget{MaxVisited: 40})
+	o.resident.SetBudget(query.CrawlBudget{MaxVisited: 40})
 	trunc := o.KNN(p, k, nil)
 	cov := o.resident.LastCoverage()
 	if !cov.Truncated {
@@ -253,7 +253,7 @@ func TestParallelCrawlBudgetKNN(t *testing.T) {
 		t.Fatal("zero recall under budget")
 	}
 
-	o.SetCrawlBudget(query.CrawlBudget{})
+	o.resident.SetBudget(query.CrawlBudget{})
 	back := o.KNN(p, k, nil)
 	for i := range exact {
 		if back[i] != exact[i] {
@@ -350,11 +350,12 @@ func TestParallelCrawlTwoComponents(t *testing.T) {
 func TestParallelCrawlHybridCoverageReset(t *testing.T) {
 	m := buildBox(t, 8)
 	h := NewHybrid(m, 0, Constants{CS: 1, CR: 4})
-	h.SetCrawlBudget(query.CrawlBudget{MaxVisited: 1})
 	cur, ok := h.NewCursor().(*hybridCursor)
 	if !ok {
 		t.Fatal("hybrid cursor type")
 	}
+	cur.SetBudget(query.CrawlBudget{MaxVisited: 1})
+	h.resident.SetBudget(query.CrawlBudget{MaxVisited: 1})
 	q := geom.BoxAround(m.Bounds().Center(), m.Bounds().Size().Len()*0.3)
 	h.breakEven = 2 // force the crawl route
 	cur.Query(q, nil)

@@ -20,11 +20,11 @@ type cursorOwner interface {
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
 // (mark array, kNN frontier — the range BFS queues in the caller's out),
-// the seed buffer, the approximate-probe sampling phase and a local Stats
-// accumulator. The engine that created a cursor holds only immutable index
-// state at query time (and the probe's self-synchronized block boxes), so
-// any number of cursors over the same engine may execute queries
-// concurrently — one cursor per goroutine.
+// the seed buffer, the crawl budget with the approximate probe's sampling
+// phase and a local Stats accumulator. The engine that created a cursor
+// holds only immutable index state at query time (and the probe's
+// self-synchronized block boxes), so any number of cursors over the same
+// engine may execute queries concurrently — one cursor per goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
 // one per worker: nothing is allocated until its first seeded crawl, which
@@ -89,6 +89,10 @@ func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
 func (c *Cursor) RestrictKNN(keep []bool, ceiling2 float64) {
 	c.knnKeep, c.knnCeiling2 = keep, ceiling2
 }
+
+// SetBudget implements query.BudgetedCursor; CON has no probe to sample
+// and ignores SurfaceFrac.
+func (c *Cursor) SetBudget(b query.CrawlBudget) { c.budget = b }
 
 // beginQuery installs the position view for one query and returns it:
 // the mesh's head epoch is pinned for the duration of the query so no

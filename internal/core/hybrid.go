@@ -71,11 +71,6 @@ func (h *Hybrid) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
 	return h.oct.BeginMaintenance(d)
 }
 
-// SetCrawlBudget implements query.CrawlTuner on the OCTOPUS side (the
-// scan side has no crawl). Scan-routed queries are always exact — the budget only applies when the
-// router picks the crawl. Not safe concurrently with queries.
-func (h *Hybrid) SetCrawlBudget(b query.CrawlBudget) { h.oct.SetCrawlBudget(b) }
-
 // BreakEven returns the routing threshold (Equation 6).
 func (h *Hybrid) BreakEven() float64 { return h.breakEven }
 
@@ -127,6 +122,10 @@ func (c *hybridCursor) Query(q geom.AABB, out []int32) []int32 {
 	}
 	return c.h.oct.queryWith(c.oct, q, out)
 }
+
+// SetBudget implements query.BudgetedCursor on the OCTOPUS side (the
+// scan side has no crawl): scan-routed queries are always exact.
+func (c *hybridCursor) SetBudget(b query.CrawlBudget) { c.oct.SetBudget(b) }
 
 // LastEpoch implements query.PinnedCursor.
 func (c *hybridCursor) LastEpoch() uint64 {

@@ -49,7 +49,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		return out
 	}
 	cur.stats.Queries++
-	cur.armCrawl(o.crawlBudget)
+	cur.armCrawl()
 	before := len(out)
 
 	// Phase 1: probe the surface for the vertices closest to p. Exact mode
@@ -59,7 +59,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// degrades).
 	t0 := time.Now()
 	pos := cur.beginQuery(o.m)
-	stride := o.probeStride()
+	stride := o.probeStride(cur.budget.SurfaceFrac)
 	start := 0
 	if stride > 1 {
 		start = cur.probeOffset % stride
@@ -154,7 +154,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 		return out
 	}
 	cur.stats.Queries++
-	cur.armCrawl(c.crawlBudget)
+	cur.armCrawl()
 	before := len(out)
 	cur.beginQuery(c.m)
 

@@ -103,7 +103,7 @@ func TestKNNEdgeCases(t *testing.T) {
 func TestKNNApproximateModeStaysExact(t *testing.T) {
 	m := buildBox(t, 8)
 	o := New(m)
-	o.SetApproximation(0.1)
+	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 0.1})
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 30; i++ {
 		p := m.Position(int32(r.Intn(m.NumVertices())))

@@ -290,7 +290,7 @@ func TestNoSeedApproximateNeverScans(t *testing.T) {
 	m, _, _ := buildNoSeedMesh(t)
 	exact := New(m)
 	approx := New(m)
-	approx.SetApproximation(0.5)
+	approx.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 0.5})
 	queries := []geom.AABB{
 		noSeedBoxA, // stalls in the decoy
 		noSeedBoxBoth,

@@ -45,11 +45,12 @@
 // issued it: there is one crawl (crawl.go), it runs on the cursor's mark
 // array, and its output order is deterministic per cursor. What is NOT
 // safe is running queries concurrently with anything that mutates the
-// index: Step, BeginMaintenance, restructuring, ApplySurfaceDelta,
-// SetApproximation and SetCrawlBudget require exclusive access (the
-// query.Pipeline serializes them against queries), as does in-place
-// mutation of Positions() — which must be followed by Step before the
-// next query.
+// index: Step, BeginMaintenance, restructuring and ApplySurfaceDelta
+// require exclusive access (the query.Pipeline serializes them against
+// queries), as does in-place mutation of Positions() — which must be
+// followed by Step before the next query. Tuning is not among them: the
+// approximate mode is a CrawlBudget held by each cursor (SetBudget) and
+// read only by that cursor's queries.
 package core
 
 import (
@@ -91,8 +92,6 @@ type Octopus struct {
 	compOf   []int32
 	compReps []int32
 
-	// approx is the fraction of the surface probed per query; 1 = exact.
-	approx float64
 	// denseSurface is true when surface == [0, len) — the surface-first
 	// layout — enabling the probe's direct position-scan fast path.
 	denseSurface bool
@@ -105,10 +104,6 @@ type Octopus struct {
 	// ApplySurfaceDelta (slots move).
 	summary [2]probeSlot
 	gen     atomic.Uint64
-
-	// crawlBudget is the per-query crawl budget of the approximate mode
-	// (DESIGN.md §12); the zero value is exact.
-	crawlBudget query.CrawlBudget
 
 	// resident is the cursor behind the single-threaded Query and KNN
 	// methods; guard panics when two goroutines enter it at once.
@@ -158,7 +153,7 @@ func (s *Stats) Add(o Stats) {
 // and creates the resident cursor, whose crawl structures are allocated by
 // its first seeded crawl.
 func New(m *mesh.Mesh) *Octopus {
-	o := &Octopus{m: m, approx: 1}
+	o := &Octopus{m: m}
 	o.gen.Store(1)
 	o.resident = newCursor(o, m)
 	o.surface = m.SurfaceVertices() // ascending order: near-sequential probe
@@ -200,23 +195,20 @@ func (o *Octopus) refreshComponents() {
 	}
 }
 
-// probeStride returns the surface-probe sampling stride of the current
-// approximation setting: 1 in exact mode, else ~1/approx clamped to the
-// surface length. The clamp matters: a stride beyond the surface length
-// would let the rotating start offset skip the whole surface — zero
+// probeStride returns the surface-probe sampling stride of a cursor's
+// CrawlBudget.SurfaceFrac: 1 for the full surface, else ~1/frac clamped
+// to the surface length. The clamp matters: a stride beyond the surface
+// length would let the rotating start offset skip the whole surface — zero
 // vertices probed and, because the closest-vertex scan shares the offset,
 // no walk start either, silently returning empty. Clamping keeps at least
 // one probe per query on arbitrarily small surfaces. Both the range probe
 // and the kNN probe use this stride, so their sampling behavior can never
 // drift apart.
-func (o *Octopus) probeStride() int {
-	if o.approx >= 1 {
+func (o *Octopus) probeStride(frac float64) int {
+	if frac <= 0 || frac >= 1 {
 		return 1
 	}
-	stride := int(1 / o.approx)
-	if stride < 1 {
-		stride = 1
-	}
+	stride := int(1 / frac)
 	if stride > len(o.surface) && len(o.surface) > 0 {
 		stride = len(o.surface)
 	}
@@ -262,23 +254,6 @@ func (o *Octopus) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
 	return nil
 }
 
-// SetApproximation sets the fraction of surface vertices probed per query
-// (§IV-H2). frac is clamped to (0, 1]; 1 restores exact execution. Not
-// safe concurrently with queries.
-func (o *Octopus) SetApproximation(frac float64) {
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
-	o.approx = frac
-}
-
-// SetCrawlBudget implements query.CrawlTuner: the per-query crawl budget
-// of the approximate mode (DESIGN.md §12). The zero budget restores exact
-// execution. Truncated queries report how far they got through the
-// cursor's LastCoverage (surfaced as QueryTrace.Coverage by the
-// pipeline). Not safe concurrently with queries.
-func (o *Octopus) SetCrawlBudget(b query.CrawlBudget) { o.crawlBudget = b }
-
 // SurfaceSize returns the number of vertices in the surface index.
 func (o *Octopus) SurfaceSize() int { return len(o.surface) }
 
@@ -297,7 +272,7 @@ func (o *Octopus) Query(q geom.AABB, out []int32) []int32 {
 
 func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.stats.Queries++
-	cur.armCrawl(o.crawlBudget)
+	cur.armCrawl()
 	before := len(out)
 
 	// Phase 1: surface probe. The exact probe tests the block boxes and
@@ -311,7 +286,7 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	t0 := time.Now()
 	cur.seeds = cur.seeds[:0]
 	pos := cur.beginQuery(o.m)
-	stride := o.probeStride()
+	stride := o.probeStride(cur.budget.SurfaceFrac)
 	exact := stride == 1
 	probed := int64(0)
 	minVertex := int32(-1)

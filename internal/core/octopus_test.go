@@ -157,7 +157,7 @@ func TestApproximationAccuracyAndExactness(t *testing.T) {
 	}
 
 	accuracy := func(frac float64) float64 {
-		o.SetApproximation(frac)
+		o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: frac})
 		gotTotal, wantTotal := 0, 0
 		for _, q := range queries {
 			got := o.Query(q, nil)
@@ -175,7 +175,7 @@ func TestApproximationAccuracyAndExactness(t *testing.T) {
 	}
 
 	// Exact mode must be exact.
-	o.SetApproximation(1)
+	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 1})
 	for _, q := range queries {
 		checkOracle(t, "approx=1", o.Query(q, nil), query.BruteForce(m, q))
 	}
@@ -185,7 +185,7 @@ func TestApproximationAccuracyAndExactness(t *testing.T) {
 		t.Errorf("accuracy at 10%% approximation = %.2f", acc)
 	}
 	// Out-of-range fractions reset to exact.
-	o.SetApproximation(-1)
+	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: -1})
 	for _, q := range queries {
 		checkOracle(t, "approx reset", o.Query(q, nil), query.BruteForce(m, q))
 	}

@@ -758,7 +758,7 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 		t.Helper()
 		before := tags()
 		const stride = 4
-		o.SetApproximation(1.0 / stride)
+		cur.SetBudget(query.CrawlBudget{SurfaceFrac: 1.0 / stride})
 		for i := 0; i < 100; i++ {
 			pos := m.Positions()
 			start := cur.probeOffset % stride
@@ -786,7 +786,7 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 				}
 			}
 		}
-		o.SetApproximation(1)
+		cur.SetBudget(query.CrawlBudget{})
 		if after := tags(); after != before {
 			t.Fatalf("%s: strided queries moved the summary tags %v -> %v", label, before, after)
 		}

@@ -8,11 +8,24 @@ import (
 	"octopus/internal/query"
 )
 
+// budgetedOctopus is OCTOPUS whose every new cursor runs under a fixed
+// crawl budget: a pipeline over it budgets all its workers' queries.
+type budgetedOctopus struct {
+	*core.Octopus
+	b query.CrawlBudget
+}
+
+func (e budgetedOctopus) NewCursor() query.Cursor {
+	cur := e.Octopus.NewCursor()
+	cur.(query.BudgetedCursor).SetBudget(e.b)
+	return cur
+}
+
 // TestPipelineCoverageTraces checks the approximate mode's reporting
-// path end to end: a CrawlBudget installed on the engine truncates big
+// path end to end: a CrawlBudget on the workers' cursors truncates big
 // crawls inside the live pipeline, and each query's QueryTrace carries
 // the crawl coverage — Truncated with a visited count under budget,
-// zero coverage once the budget is removed.
+// zero coverage over the unbudgeted engine.
 func TestPipelineCoverageTraces(t *testing.T) {
 	m := buildBox(t, 8)
 	eng := core.New(m)
@@ -25,10 +38,8 @@ func TestPipelineCoverageTraces(t *testing.T) {
 		probes[i].K = 200
 	}
 
-	var tuner query.CrawlTuner = eng // the engine implements the tuning surface
-	tuner.SetCrawlBudget(query.CrawlBudget{MaxVisited: 25})
 	pl := &query.Pipeline{
-		Engine:   eng,
+		Engine:   budgetedOctopus{eng, query.CrawlBudget{MaxVisited: 25}},
 		Mesh:     m,
 		Deform:   newAllDeformers(0.002).Step,
 		Workers:  2,
@@ -66,7 +77,7 @@ func TestPipelineCoverageTraces(t *testing.T) {
 		t.Fatal("no kNN trace reports truncation for k=200 under a 25-expansion budget")
 	}
 
-	tuner.SetCrawlBudget(query.CrawlBudget{})
+	pl.Engine = eng
 	report = pl.Run(queries, probes)
 	for i, tr := range report.Traces() {
 		if tr.Coverage.Truncated || tr.Coverage.Frontier != 0 {

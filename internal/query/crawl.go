@@ -1,22 +1,22 @@
 package query
 
-// CrawlBudget bounds the crawl phase of a single query — the approximate
-// mode layered on the crawl engines (DESIGN.md §12). A budgeted crawl
-// stops once it has expanded MaxVisited vertices, keeps everything it has
-// already discovered (a subset of the exact result for range queries; the
-// best candidates found so far for kNN), and reports how far it got
-// through CrawlCoverage. The zero value is exact: no limit. The budget is
-// deterministic — the same query on the same state always truncates at the
-// same vertex.
+// CrawlBudget is the approximate mode of the crawl engines (DESIGN.md
+// §12), held per cursor (BudgetedCursor). A budgeted crawl stops once it
+// has expanded MaxVisited vertices, keeps everything it has already
+// discovered (a subset of the exact result for range queries; the best
+// candidates found so far for kNN), and reports how far it got through
+// CrawlCoverage. The zero value is exact. The budget is deterministic —
+// the same query on the same state always truncates at the same vertex.
 type CrawlBudget struct {
 	// MaxVisited bounds the number of vertices the crawl may expand per
 	// query (summed over components); 0 means unlimited. The crawl checks
 	// the bound before every expansion, so there is no overshoot.
 	MaxVisited int64
+	// SurfaceFrac is the fraction of the surface the OCTOPUS probe
+	// samples, with a stride of about 1/SurfaceFrac rotating per query;
+	// 0 (or any value outside (0, 1)) probes the full surface.
+	SurfaceFrac float64
 }
-
-// Unlimited reports whether the budget imposes no bound (exact mode).
-func (b CrawlBudget) Unlimited() bool { return b.MaxVisited <= 0 }
 
 // CrawlCoverage reports how much of a query's crawl ran before a
 // CrawlBudget cut it off — the recall dial's readout, carried per query in
@@ -88,13 +88,11 @@ type CoverageReporter interface {
 	LastCoverage() CrawlCoverage
 }
 
-// CrawlTuner is implemented by engines whose crawl phase takes a budget:
-// the OCTOPUS family and the sharded router (which forwards to its shard
-// engines). The setter mutates engine state read by every query and is
-// not safe concurrently with queries — the same exclusion rule as
-// SetApproximation.
-type CrawlTuner interface {
-	// SetCrawlBudget installs the per-query crawl budget; the zero budget
-	// restores exact execution.
-	SetCrawlBudget(b CrawlBudget)
+// BudgetedCursor is implemented by the OCTOPUS-family cursors and the
+// in-process sharded router's, which hands the budget to every shard
+// leg. Like a KNNRestrictor's restriction, the budget is cursor state:
+// read at the start of each later query until replaced, and needing no
+// exclusion beyond the cursor's own one-goroutine rule.
+type BudgetedCursor interface {
+	SetBudget(b CrawlBudget)
 }

@@ -74,11 +74,12 @@ type KNNRestrictor interface {
 // each with its own cursor, and returns one result slice per probe
 // (results[i] answers probes[i], nearest first). workers <= 0 uses
 // GOMAXPROCS. In exact mode results are deterministic and identical to
-// serial execution for every engine (ties broken by vertex id). OCTOPUS's
-// approximate mode (SetApproximation < 1) samples the surface with each
+// serial execution for every engine (ties broken by vertex id): the
+// batch's cursors are fresh, so they run exact. Under a sampled probe
+// (CrawlBudget.SurfaceFrac) OCTOPUS samples the surface with each
 // cursor's own rotating phase, so the crawl's starting points — and, on
 // geometry where the crawl's reachability assumption fails, the results —
-// can be scheduling-dependent, exactly as for approximate range batches.
+// depend on which cursor ran which probe, as for approximate range queries.
 //
 // The same exclusion rule as ExecuteBatch applies: no Step, deformation or
 // restructuring may overlap the batch.

@@ -27,9 +27,9 @@ type Cursor interface {
 	// in q to out and returns the extended slice, using only this
 	// cursor's scratch for mutable state. In exact mode the result is
 	// deterministic for a given engine and mesh state; OCTOPUS's
-	// approximate mode (SetApproximation < 1) rotates its sampling
-	// phase with the cursor's own query history, so approximate results
-	// depend on which cursor ran which query.
+	// sampled probe (CrawlBudget.SurfaceFrac) rotates its sampling phase
+	// with the cursor's own query history, so approximate results depend
+	// on which cursor ran which query.
 	Query(q geom.AABB, out []int32) []int32
 
 	// Close folds whatever statistics the cursor accumulated back into
@@ -164,9 +164,10 @@ func (c *ScanCursor) Close() {}
 // result slice is produced by exactly one cursor and, in exact mode,
 // holds the same result set serial execution would produce (result order
 // is unspecified by Engine.Query's contract; the core engines return the
-// serial order, being deterministic per cursor). In OCTOPUS's
-// approximate mode (SetApproximation < 1) the probe's sampling phase
-// follows each cursor's query history, so approximate result sets are
+// serial order, being deterministic per cursor). The batch's cursors are
+// fresh, so they run exact: an approximate batch (CrawlBudget on each
+// cursor) needs a hand-rolled pool, and since OCTOPUS's sampled probe
+// follows each cursor's query history, its result sets are
 // scheduling-dependent — approximation already trades exactness away.
 //
 // ExecuteBatch must not run concurrently with Step or restructuring, nor

@@ -118,10 +118,10 @@ type Pipeline struct {
 	// an SLOController compares the sliding p99 of served queries
 	// against it and adapts the maintenance budget (between
 	// MaintenanceBudget — or a 2ms default when unset — and 1/32 of it),
-	// the admission window, and, under sustained overload, the engine's
-	// CrawlBudget, serving approximate results with honest CrawlCoverage
-	// instead of queuing. The controller owns those knobs during Run:
-	// a crawl budget it installed is reset to exact at Run exit. When an
+	// the admission window, and, under sustained overload, the crawl
+	// budget of every worker's cursor, serving approximate results with
+	// honest CrawlCoverage instead of queuing. The budget lives on the
+	// run's cursors only, so the engine is exact again after Run. When an
 	// admission window is full, excess queries are shed — their trace
 	// has Shed set, their result slice is nil — rather than queued into
 	// the latency distribution.
@@ -398,8 +398,6 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	drained := make(chan struct{})
 	writerDone := make(chan struct{})
 	steps := 0
-	tuner, _ := p.Engine.(CrawlTuner)
-	crawlInstalled := false
 	go func() {
 		defer close(writerDone)
 		for step := 0; ; step++ {
@@ -435,16 +433,6 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 			if ctl != nil {
 				dec := ctl.TickDecide()
 				sched.SetBudget(dec.Budget)
-				if dec.CrawlChanged && tuner != nil {
-					// SetCrawlBudget is not safe concurrently with
-					// queries; Exclusive drains every target and holds all
-					// write locks, which excludes exactly the queries that
-					// could observe the torn budget. The controller's
-					// cooldown keeps these drains rare.
-					b := CrawlBudget{MaxVisited: dec.CrawlMaxVisited}
-					sched.Exclusive(func() { tuner.SetCrawlBudget(b) })
-					crawlInstalled = dec.CrawlMaxVisited != 0
-				}
 			}
 			if p.Maintain != nil {
 				sched.Exclusive(func() { p.Maintain(step) })
@@ -485,6 +473,11 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 			wg.Add(1)
 			go func(engCur, scan Cursor) {
 				defer wg.Done()
+				// The controller's crawl budget is cursor state: the
+				// worker hands each change to its own cursor before the
+				// next engine query, so no query ever sees another's.
+				budgeted, _ := engCur.(BudgetedCursor)
+				crawlMax := int64(0)
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= total {
@@ -549,6 +542,12 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 					cur := engCur
 					if single != nil && single.BeginQuery() && scan != nil {
 						cur = scan
+					}
+					if ctl != nil && budgeted != nil {
+						if mv := ctl.crawlMax.Load(); mv != crawlMax {
+							crawlMax = mv
+							budgeted.SetBudget(CrawlBudget{MaxVisited: mv})
+						}
 					}
 					if i < len(queries) {
 						res = cur.Query(queries[i], nil)
@@ -616,12 +615,6 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	drainStart := time.Now()
 	syncTargets()
 	sched.Drain()
-	if crawlInstalled && tuner != nil {
-		// The controller owns the crawl budget during Run; leave the
-		// engine in exact mode, not whatever the last overload set. The
-		// drain above completed every task and no queries are in flight.
-		tuner.SetCrawlBudget(CrawlBudget{})
-	}
 	report.DrainWall = time.Since(drainStart)
 	return report
 }

@@ -28,10 +28,10 @@
 //     torn mix of two steps. In-place mutation of Positions() is
 //     stop-the-world: no query in flight, Step before the next one.
 //   - Index maintenance still requires exclusion from queries on the
-//     same maintenance target: Engine.Step, restructuring,
-//     ApplySurfaceDelta and engine tuning setters (SetApproximation,
-//     SetCrawlBudget) mutate engine-owned state that position epochs do
-//     not version.
+//     same maintenance target: Engine.Step, restructuring and
+//     ApplySurfaceDelta mutate engine-owned state that position epochs do
+//     not version. Tuning does not: the approximate mode is a CrawlBudget
+//     held by each cursor (BudgetedCursor), read once per query.
 //     Inside a Pipeline the maintain.Scheduler owns that exclusion with
 //     one read-write lock per target (the engine, or each shard of a
 //     sharded router) and runs maintenance as budget-sliced resumable

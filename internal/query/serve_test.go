@@ -318,15 +318,15 @@ func TestSLOPipelineConvergesUnderOverload(t *testing.T) {
 		t.Fatal("admission must always serve at least its window")
 	}
 
-	// The controller owned the crawl budget during the run; after Run the
-	// engine must be back to exact execution.
+	// The controller's crawl budget lived on the run's cursors only: after
+	// Run the engine must answer exactly.
 	pos := m.Positions()
 	probe := pos[len(pos)/2]
 	got := eng.KNN(probe, 5, nil)
 	want := query.BruteForceKNN(m, probe, 5)
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("post-Run kNN differs from brute force (got %v want %v) — crawl budget not reset", got, want)
+			t.Fatalf("post-Run kNN differs from brute force (got %v want %v) — crawl budget leaked past Run", got, want)
 		}
 	}
 	t.Logf("overload: %d/%d ticks, shed %d/%d, shift %d, tightenings %d",

@@ -61,8 +61,8 @@ type SLOController struct {
 
 // Controller tuning constants. Multiplicative increase/decrease on the
 // budget keeps convergence within ~5 ticks over the whole dynamic range;
-// the crawl dial moves on a cooldown because installing a budget costs a
-// Scheduler.Exclusive drain.
+// the crawl dial moves on a cooldown so each budget holds long enough for
+// its effect on the p99 to show before the next move.
 const (
 	sloRingSize      = 256
 	sloOverloadAfter = 4 // consecutive misses before window/crawl act
@@ -124,8 +124,8 @@ type SLODecision struct {
 	// limit is AdmissionLimit(workers, WindowShift).
 	WindowShift int
 	// CrawlMaxVisited is the per-query crawl budget (0 = exact);
-	// CrawlChanged reports that it differs from the previous tick and
-	// must be (re-)installed on the engine.
+	// CrawlChanged reports that it differs from the previous tick (the
+	// pipeline's workers read it from crawlMax before each query).
 	CrawlMaxVisited int64
 	CrawlChanged    bool
 }

@@ -78,7 +78,9 @@ type ExecCursor struct {
 	// restrict is cur as a query.KNNRestrictor, nil when its engine
 	// ranks every vertex.
 	restrict query.KNNRestrictor
-	scratch  []int32
+	// budget is handed to every inner cursor the cursor binds.
+	budget  query.CrawlBudget
+	scratch []int32
 	// cov is the crawl coverage of the most recent Range or KNN; the
 	// owned-scan fallback is exact and leaves the zero value.
 	cov query.CrawlCoverage
@@ -94,6 +96,16 @@ func (c *ExecCursor) bind(x *Exec) {
 	c.Close()
 	c.x, c.cur = x, x.eng.NewCursor()
 	c.restrict, _ = c.cur.(query.KNNRestrictor)
+	c.SetBudget(c.budget)
+}
+
+// SetBudget sets the crawl budget of the cursor's later queries: on the
+// bound inner cursor now, and on whichever one it binds next.
+func (c *ExecCursor) SetBudget(b query.CrawlBudget) {
+	c.budget = b
+	if bc, ok := c.cur.(query.BudgetedCursor); ok {
+		bc.SetBudget(b)
+	}
 }
 
 // Close closes the inner engine cursor, folding its statistics into the

@@ -58,6 +58,9 @@ type Mesh struct {
 	// the rebuilt shard indices immediately after a partition swap, under
 	// the same exclusion as the swap itself.
 	onRepartition func(touched []int)
+	// pressure is the Router's balancer policy (Options.Pressure), fixed
+	// at construction.
+	pressure PressurePolicy
 
 	stats RepartitionStats // guarded by deformMu
 }
@@ -106,7 +109,7 @@ func NewMesh(m *mesh.Mesh, k int, opts Options) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mesh{global: m, part: part}, nil
+	return &Mesh{global: m, part: part, pressure: opts.Pressure}, nil
 }
 
 // Global returns the global source mesh.

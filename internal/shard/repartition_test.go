@@ -454,12 +454,11 @@ func TestPressurePolicyRebalancesHotShard(t *testing.T) {
 	const seed = 12
 	m := buildBoxTet(t, 6, 1.0/6)
 	orig := append([]geom.Vec3(nil), m.Positions()...)
-	sm, err := NewMesh(m, 4, Options{})
+	sm, err := NewMesh(m, 4, Options{Pressure: PressurePolicy{Factor: 1.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	router := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-	router.SetPressurePolicy(PressurePolicy{Factor: 1.5})
 
 	hot := sm.Partition().Parts[0]
 	hotOwned := hot.NumOwned

@@ -10,8 +10,8 @@ import (
 )
 
 // Router executes queries across the shards of a Mesh, one inner engine
-// per shard. It implements query.ParallelKNNEngine through Fanout cursors
-// over its in-process legs: what happens inside one shard — the owned
+// per shard. It implements query.ParallelKNNEngine through Cursors, each
+// a Fanout over in-process legs: what happens inside one shard — the owned
 // filter, the widening loop, the owned-scan fallback — is Exec's, the
 // fan-out plan, merge and kNN pruning are Fanout's, and the router
 // supplies what is local to this tier: the executors, the coherence gate
@@ -35,12 +35,12 @@ type Router struct {
 	// side); the slice header never changes.
 	execs []*Exec
 
-	// Pressure-driven rebalance policy; writer goroutine only.
-	pp             PressurePolicy
+	// sinceRebalance counts PostTicks since the last pressure
+	// rebalance; writer goroutine only.
 	sinceRebalance int
 
 	name     string
-	resident *Fanout
+	resident *Cursor
 	guard    query.ResidentGuard
 
 	// n is what every cursor of the router counts into.
@@ -91,10 +91,11 @@ func (r *Router) MaintainStates() []*maintain.TargetState {
 	return states
 }
 
-// PressurePolicy configures the pressure-driven shard balancer: when one
-// shard's query-pressure EMA dominates, the router shrinks its target
-// owned-count share so the next re-partition sheds boundary vertices to
-// its Hilbert neighbors — load balancing without any structural change.
+// PressurePolicy configures the pressure-driven shard balancer, set at
+// construction through Options.Pressure: when one shard's query-pressure
+// EMA dominates, the router shrinks its target owned-count share so the
+// next re-partition sheds boundary vertices to its Hilbert neighbors —
+// load balancing without any structural change.
 type PressurePolicy struct {
 	// Factor triggers a rebalance when the hottest shard's pressure EMA
 	// exceeds Factor x the mean EMA (and the pressureFloor). <= 0
@@ -112,10 +113,6 @@ const (
 	pressureCooldown = 2
 )
 
-// SetPressurePolicy installs the balancer policy. Not safe concurrently
-// with a running pipeline; set it before Run.
-func (r *Router) SetPressurePolicy(p PressurePolicy) { r.pp = p }
-
 // PostTick implements query.PostTicker: called by the pipeline's writer
 // after each maintenance tick, it checks the per-shard pressure EMAs the
 // scheduler just collected and, when one shard dominates, rebalances the
@@ -123,7 +120,8 @@ func (r *Router) SetPressurePolicy(p PressurePolicy) { r.pp = p }
 // under the coherence gate; the rebuilt shards' engines are constructed
 // by budgeted rebuild tasks like any migration.
 func (r *Router) PostTick() {
-	if r.pp.Factor <= 0 || len(r.execs) < 2 {
+	factor := r.sm.pressure.Factor
+	if factor <= 0 || len(r.execs) < 2 {
 		return
 	}
 	r.sinceRebalance++
@@ -139,7 +137,7 @@ func (r *Router) PostTick() {
 		}
 	}
 	mean := float64(total) / float64(len(r.execs))
-	if hot < 0 || hotEMA < pressureFloor || float64(hotEMA) < r.pp.Factor*mean {
+	if hot < 0 || hotEMA < pressureFloor || float64(hotEMA) < factor*mean {
 		return
 	}
 	w := make([]float64, len(r.execs))
@@ -201,22 +199,9 @@ func (r *Router) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // NewCursor implements query.ParallelEngine.
 func (r *Router) NewCursor() query.Cursor { return r.newCursor() }
 
-func (r *Router) newCursor() *Fanout {
-	return NewFanout(&localLegs{r: r, curs: make([]ExecCursor, len(r.execs))}, &r.n, nil)
-}
-
-// SetCrawlBudget implements query.CrawlTuner by forwarding to every shard
-// engine that is itself a CrawlTuner. The budget applies per shard query,
-// so a range query fanned out to f shards may expand up to f×MaxVisited
-// vertices; the cursor's LastCoverage merges the per-shard reports under
-// CrawlCoverage.Add's contract — counters sum, Truncated ORs, BoundGap
-// takes the max. Not safe concurrently with queries.
-func (r *Router) SetCrawlBudget(b query.CrawlBudget) {
-	for _, x := range r.execs {
-		if ct, ok := x.eng.(query.CrawlTuner); ok {
-			ct.SetCrawlBudget(b)
-		}
-	}
+func (r *Router) newCursor() *Cursor {
+	legs := &localLegs{r: r, curs: make([]ExecCursor, len(r.execs))}
+	return &Cursor{Fanout: NewFanout(legs, &r.n, nil), legs: legs}
 }
 
 // MemoryFootprint implements query.Engine: the shard engines' auxiliary
@@ -252,8 +237,23 @@ func (r *Router) FanoutStats() (rangeQ, rangeFan, knnQ, knnScanned, knnWiden int
 }
 
 // Cursor is the router's per-goroutine cursor: the one Fanout, over
-// in-process legs.
-type Cursor = Fanout
+// in-process legs, which also take a crawl budget.
+type Cursor struct {
+	*Fanout
+	legs *localLegs
+}
+
+// SetBudget implements query.BudgetedCursor: every shard leg runs under
+// b, including one that binds an engine a re-partition rebuilt. The
+// budget applies per leg, so a range query fanned out to f shards may
+// expand up to f×MaxVisited vertices; LastCoverage merges the legs'
+// reports under CrawlCoverage.Add's contract. (The bare Fanout, the dist
+// cursor, carries no budget over the wire and does not implement it.)
+func (c *Cursor) SetBudget(b query.CrawlBudget) {
+	for s := range c.legs.curs {
+		c.legs.curs[s].SetBudget(b)
+	}
+}
 
 // localLegs is one cursor's in-process Legs: the view is the coherence
 // gate, held from Begin to End so the head epoch and the shard summaries

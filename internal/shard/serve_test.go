@@ -50,7 +50,7 @@ func TestShardedKNNCoverageMergeAndBound(t *testing.T) {
 	}
 
 	const budget = 16
-	router.SetCrawlBudget(query.CrawlBudget{MaxVisited: budget})
+	cur.SetBudget(query.CrawlBudget{MaxVisited: budget})
 	res := cur.KNN(p, k, nil)
 	if len(res) == 0 {
 		t.Fatal("budgeted kNN returned nothing")
@@ -77,7 +77,7 @@ func TestShardedKNNCoverageMergeAndBound(t *testing.T) {
 		t.Fatal("budgeted kNN lost the invalidation-ball report")
 	}
 
-	router.SetCrawlBudget(query.CrawlBudget{})
+	cur.SetBudget(query.CrawlBudget{})
 	back := cur.KNN(p, k, nil)
 	if !equalIDs(back, exact) {
 		t.Fatalf("zero budget not exact: got %v want %v", back, exact)

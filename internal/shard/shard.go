@@ -221,13 +221,16 @@ type ghostRef struct {
 // share before Apply shifts the cut points.
 const DefaultRebalanceTol = 0.25
 
-// Options tunes NewPartition.
+// Options tunes NewPartition and NewMesh.
 type Options struct {
 	// RebalanceTol is the owned-count tolerance for incremental
 	// re-partitioning: 0 uses DefaultRebalanceTol, a negative value
 	// freezes the cut points (Apply migrates restructured vertices to
 	// their key's owner but never shifts boundaries to rebalance).
 	RebalanceTol float64
+	// Pressure is the pressure-driven balancer of the Router over the
+	// Mesh; the zero value disables it. NewPartition ignores it.
+	Pressure PressurePolicy
 }
 
 func (o Options) rebalanceTol() float64 {

@@ -111,11 +111,12 @@ func ExecuteKNNBatch(eng ParallelKNNEngine, probes []KNNQuery, workers int) [][]
 	return query.ExecuteKNNBatch(eng, probes, workers)
 }
 
-// CrawlBudget bounds the crawl phase of a single query — the approximate
-// mode of the crawl engines: a budgeted crawl stops at MaxVisited
-// expansions, keeps everything discovered so far, and reports its
-// coverage per query. Install it with SetCrawlBudget on
-// Octopus, Con, Hybrid or ShardedEngine; the zero value is exact.
+// CrawlBudget is the approximate mode of the crawl engines: SurfaceFrac
+// samples that fraction of the OCTOPUS surface probe, and a budgeted
+// crawl stops at MaxVisited expansions, keeps everything discovered so
+// far, and reports its coverage per query. It is cursor state: set it
+// with SetBudget on a cursor of Octopus, Con, Hybrid or ShardedEngine
+// (each a BudgetedCursor); the zero value is exact.
 type CrawlBudget = query.CrawlBudget
 
 // CrawlCoverage reports how much of a query's crawl ran before the budget
@@ -123,10 +124,10 @@ type CrawlBudget = query.CrawlBudget
 // carried per query in QueryTrace.Coverage.
 type CrawlCoverage = query.CrawlCoverage
 
-// CrawlTuner is implemented by the crawl engines (Octopus, Con, Hybrid,
-// ShardedEngine): SetCrawlBudget installs the approximate mode. It is not
-// safe concurrently with queries.
-type CrawlTuner = query.CrawlTuner
+// BudgetedCursor is implemented by the cursors of the crawl engines
+// (Octopus, Con, Hybrid, ShardedEngine): SetBudget sets the CrawlBudget
+// of the cursor's later queries.
+type BudgetedCursor = query.BudgetedCursor
 
 // Octopus is the paper's general engine (non-convex-safe).
 type Octopus = core.Octopus
@@ -210,14 +211,6 @@ type ShardPartition = shard.Partition
 // owned-count imbalance before/after the latest generation. Read it with
 // ShardedMesh.RepartitionStats.
 type RepartitionStats = shard.RepartitionStats
-
-// ShardPressurePolicy configures a ShardedEngine's pressure-driven
-// balancer (ShardedEngine.SetPressurePolicy): when one shard's
-// query-pressure EMA exceeds Factor x the mean, the router sheds 40% of
-// that shard's target share to its Hilbert neighbors at the next
-// re-partition (at most once every two ticks, and never on an EMA below
-// 4). Factor is the one setting; <= 0 disables the balancer.
-type ShardPressurePolicy = shard.PressurePolicy
 
 // NewShardedMesh cuts m into k shards of (nearly) equal vertex count
 // along the Hilbert order of the current positions. k is clamped to the

@@ -142,8 +142,9 @@ func TestPublicApproximationAndStats(t *testing.T) {
 	if s.Queries != 1 || s.Total() <= 0 {
 		t.Fatalf("stats: %+v", s)
 	}
-	o.SetApproximation(0.5)
-	got := o.Query(q, nil)
+	cur := o.NewCursor()
+	cur.(octopus.BudgetedCursor).SetBudget(octopus.CrawlBudget{SurfaceFrac: 0.5})
+	got := cur.Query(q, nil)
 	if len(got) == 0 {
 		t.Error("approximate query empty")
 	}

@@ -37,9 +37,9 @@ type Cursor struct {
 	probeOffset int // rotates the approximate probe's sampling phase
 	stats       Stats
 
-	// blocks holds one (squared distance, block index) item per block box
-	// of the exact probe: the order in which the kNN probe visits the
-	// blocks, and the start search of a no-seed range query (probe.go).
+	// blocks is the heap of the exact probe's nearest-first searches over
+	// its two levels of boxes (probe.go): the kNN probe, and the start
+	// searches of a no-seed range query.
 	blocks []heapItem
 
 	// epoch is the position snapshot of the query in flight: beginQuery
@@ -55,10 +55,13 @@ type Cursor struct {
 	// candidate, so the crawl skips vertices the probe already offered:
 	// knnSlot/knnStride/knnStart describe the probe's coverage (surface
 	// slot map plus sampling phase; knnSlot nil when nothing was probed).
+	// knnDense marks an exact probe over a dense surface-first layout,
+	// whose coverage is the id prefix [0, len(knnSlot)).
 	kbest     query.KBest
 	knnSlot   map[int32]int32
 	knnStride int
 	knnStart  int
+	knnDense  bool
 
 	// knnBound2/knnBoundOK record the k-th-best squared distance of the
 	// last kNN before AppendSorted drains the heap (Bound reads the heap
@@ -135,8 +138,13 @@ func (c *Cursor) LastEpoch() uint64 { return c.epoch }
 
 // probedInKNN reports whether the current kNN query's surface probe
 // already offered v to the candidate heap: v must be a surface vertex
-// whose slot lies on the probe's sampling lattice.
+// whose slot lies on the probe's sampling lattice. It runs on every vertex
+// the kNN crawl pops, so the exact probe of a dense layout answers with
+// one compare instead of the slot map lookup.
 func (c *Cursor) probedInKNN(v int32) bool {
+	if c.knnDense {
+		return int(v) < len(c.knnSlot)
+	}
 	if c.knnSlot == nil {
 		return false
 	}
@@ -207,8 +215,8 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (mark array, kNN frontier), the seed buffer, the block
-// distances of the exact probe and the kNN candidate heap.
+// structures (mark array, kNN frontier), the seed buffer, the box heap
+// of the exact probe and the kNN candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
 	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks))*16 + c.kbest.MemoryBytes()
 }

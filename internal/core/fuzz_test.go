@@ -11,6 +11,7 @@ package core
 // boxes, whole-mesh boxes, degenerate thin slabs, post-delete queries).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -173,6 +174,37 @@ func FuzzRangeQuery(f *testing.F) {
 		for step := 2; step < 5; step++ { // both buffers, and the first one again
 			m.Deform(func(pos []geom.Vec3) { move.Step(step, pos) })
 			check("after a published step")
+		}
+	})
+}
+
+// FuzzBlockProbe holds the two-level block probe to the linear pass it
+// replaces (linearProbe) on random clouds: from one slot to several
+// coarse boxes, coordinates on a small integer grid so that distance ties
+// abound, with and without the layout's locality, with and without
+// non-finite coordinates. Every range box must yield the same seeds in the
+// same order, every kNN the same candidates and the same crawl starts.
+func FuzzBlockProbe(f *testing.F) {
+	f.Add(int64(1), uint16(1), uint8(2), true, uint8(0))
+	f.Add(int64(2), uint16(probeBlock*probeFan+1), uint8(3), true, uint8(20))
+	f.Add(int64(3), uint16(3*probeBlock*probeFan+7), uint8(4), false, uint8(0))
+	f.Add(int64(4), uint16(probeBlock*probeFan), uint8(1), true, uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, spread uint8, drift bool, nonFinite uint8) {
+		n %= 4 * probeBlock * probeFan
+		if n == 0 || spread == 0 {
+			t.Skip("empty cloud")
+		}
+		r := rand.New(rand.NewSource(seed))
+		m, o := tieCloud(t, r, int(n), int(spread), drift, int(nonFinite))
+		cur := o.NewCursor().(*Cursor)
+		pos := m.Positions()
+		for i := 0; i < 16; i++ {
+			c := pos[r.Intn(len(pos))]
+			if i%4 == 3 || !finite(c.X, c.Y, c.Z) {
+				c = geom.V(r.Float64()*float64(n)/8, r.Float64()*float64(spread), r.Float64()*float64(spread))
+			}
+			q := geom.BoxAround(c, float64(r.Intn(int(spread)+2))*0.5)
+			matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, q, c, 1+r.Intn(40))
 		}
 	})
 }

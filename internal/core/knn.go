@@ -14,9 +14,9 @@ import (
 // the same three phases as a range query:
 //
 //  1. Surface probe — scan the surface index for the vertices closest to
-//     the probe point, block by block nearest-first, stopping at the first
-//     block whose box lies beyond the k-th best found so far (strided in
-//     approximate mode, like range probes).
+//     the probe point, descending two levels of block boxes nearest-first
+//     and stopping at the first box beyond the k-th best found so far
+//     (strided in approximate mode, like range probes).
 //  2. Point descent — greedily walk from that vertex to a local minimum
 //     of the distance to the probe point.
 //  3. Best-first crawl — expand mesh edges outward from the descent's end
@@ -75,15 +75,19 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// the k-ball spans both, and a crawl seeded in one fold would stop at
 	// the k-th-best radius before reaching the other; any fold close to p
 	// presents surface close to p, so multi-starting from the top surface
-	// candidates seeds every nearby fold. The exact probe skips the blocks
-	// whose box lies strictly beyond the k-th-best distance (probeKNN): no
-	// vertex of such a block can be in the result or among the starts.
+	// candidates seeds every nearby fold. The exact probe skips the boxes
+	// of either level that lie strictly beyond the k-th-best distance
+	// (probeKNN): no vertex under such a box can be in the result or among
+	// the starts.
 	cur.kbest.Reset(k)
 	cur.knnSlot, cur.knnStride, cur.knnStart = o.surfaceSlot, stride, start
+	cur.knnDense = stride == 1 && o.denseSurface
 	kp := knnProbe{want: min(k, maxKNNStarts), bound: cur.knnCeiling2, keep: cur.knnKeep}
 	var probed int64
 	if stride == 1 {
-		probed = o.probeKNN(cur, &kp, p, pos)
+		boxes, positions := o.probeKNN(cur, &kp, p, pos)
+		cur.stats.ProbeBoxes += boxes
+		probed = boxes + positions
 	} else {
 		probed = kp.scan(&cur.kbest, o.surface, pos, p, start, len(o.surface), stride)
 	}
@@ -163,7 +167,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 	cur.stats.SurfaceProbe += time.Since(t0) // grid lookup plays the probe's role
 
 	cur.kbest.Reset(k)
-	cur.knnSlot = nil // no surface probe: the crawl offers everything
+	cur.knnSlot, cur.knnDense = nil, false // no surface probe: the crawl offers everything
 	startComp := int32(-1)
 	if ok {
 		startComp = c.compOf[gridStart]

@@ -13,6 +13,7 @@ import (
 	"octopus/internal/query"
 	"octopus/internal/shard"
 	"octopus/internal/sim"
+	"octopus/internal/workload"
 )
 
 // knnOracle compares a kNN result against brute force, including the
@@ -261,4 +262,111 @@ func TestKNNRestricted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTwoLevelProbeOnBenchmarkMeshes runs the two-level probe on the
+// surfaces the benchmark's workloads run it on — neuro-l5 and one sub-mesh
+// of the K=4 partition of neuro-l3 — as built and after 25 published noise
+// steps: 600 kNN per state (1 200 per mesh, k in [8, 32]) must equal brute
+// force slot for slot, ball included. On no-seed range boxes the walk
+// start must be the flat pass's over the leaves, the retry's start must be
+// as near as the nearest surface vertex, and the boxes must stall
+// no more often than under the one-level rule the leaves replaced (the
+// walk started in the nearest of the 4×-larger blocks, with the same
+// retry from the closest surface vertex).
+func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
+	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshes := []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"neuro-l3-shard", part.Parts[0].Mesh}}
+	if !testing.Short() {
+		l5, err := meshgen.Build(meshgen.NeuroL5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meshes = append(meshes, struct {
+			name string
+			m    *mesh.Mesh
+		}{"neuro-l5", l5})
+	}
+	for mi, c := range meshes {
+		m := c.m
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		ref := o.NewCursor().(*Cursor)
+		g := workload.NewGenerator(m, 4096, int64(mi+1))
+		d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 7}
+		r := rand.New(rand.NewSource(int64(mi)))
+		for _, state := range []string{"static", "deformed"} {
+			if state == "deformed" {
+				for step := 0; step < 25; step++ {
+					m.Deform(func(pos []geom.Vec3) { d.Step(step, pos) })
+				}
+			}
+			label := c.name + "/" + state
+			pos := m.Positions()
+			for i, q := range g.KNNQueries(600, 8, 32, 0) {
+				checkKNN(t, fmt.Sprintf("%s kNN %d", label, i), cur, pos, q.P, q.K)
+			}
+
+			before := cur.Stats().WalkStalls
+			oneLevel := int64(0)
+			boxes := noSeedBoxes(o, pos, r, 100)
+			for i, q := range boxes {
+				checkRangeContract(t, m, fmt.Sprintf("%s box %d", label, i), q, cur.Query(q, nil), query.BruteForce(m, q))
+				ref.beginQuery(m)
+				if got, want := o.blockStart(ref, q, pos), oneLevelStart(o, q, pos, probeBlock); got != want {
+					t.Fatalf("%s box %d: the two-level start is %d, a flat pass over the leaves %d", label, i, got, want)
+				}
+				nearest, dist := nearestOf(q, pos, o.surface, math.Inf(1))
+				if got := o.closestSurfaceVertex(ref, q, pos); got < 0 || q.Dist2(pos[got]) != dist {
+					t.Fatalf("%s box %d: closest surface vertex %d, want %d at squared distance %v", label, i, got, nearest, dist)
+				}
+				if start := oneLevelStart(o, q, pos, 4*probeBlock); !ref.walkFrom(q, start) {
+					if v := o.closestSurfaceVertex(ref, q, pos); v == start || !ref.walkFrom(q, v) {
+						oneLevel++
+					}
+				}
+				ref.seeds = ref.seeds[:0]
+				ref.endQuery(m)
+			}
+			stalls := cur.Stats().WalkStalls - before
+			if stalls > oneLevel {
+				t.Errorf("%s: %d of %d no-seed walks stalled, %d under the one-level rule", label, stalls, len(boxes), oneLevel)
+			}
+			t.Logf("%s: no-seed stalls %d (one-level rule %d) of %d", label, stalls, oneLevel, len(boxes))
+		}
+	}
+}
+
+// oneLevelStart is the no-seed walk start of a flat pass over blocks of
+// block surface slots: the vertex nearest q inside the block whose box is
+// nearest q, ties going to the lower block (-1 when none is at a finite
+// distance).
+func oneLevelStart(o *Octopus, q geom.AABB, pos []geom.Vec3, block int) int32 {
+	best, bestDist := -1, math.Inf(1)
+	var blockPos []geom.Vec3
+	for lo := 0; lo < o.SurfaceSize(); lo += block {
+		blockPos = blockPos[:0]
+		for _, v := range o.surface[lo:min(lo+block, o.SurfaceSize())] {
+			blockPos = append(blockPos, pos[v])
+		}
+		bx := unionBox(appendLeafBoxes(nil, blockPos))
+		if d := gap2(&bx, &q); d < bestDist {
+			best, bestDist = lo, d
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	v, _ := nearestOf(q, pos, o.surface[best:min(best+block, o.SurfaceSize())], math.Inf(1))
+	return v
 }

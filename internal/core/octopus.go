@@ -10,7 +10,7 @@
 //  2. Directed walk — if no surface vertex is inside the box (query fully
 //     interior to the mesh, or disjoint from it), greedily walk from a
 //     surface vertex near the box towards it to find a seed. An exact
-//     query starts from the nearest vertex of the block whose box is
+//     query starts from the nearest vertex of the leaf whose box is
 //     nearest; if that walk stalls it is retried once from the closest
 //     surface vertex, and a second stall scans the positions the probe
 //     did not test and seeds the crawl from every vertex inside the box —
@@ -124,6 +124,7 @@ type Stats struct {
 	DirectedWalk  time.Duration
 	Crawl         time.Duration
 	ProbeChecked  int64 // containment/distance tests of the probe: surface positions and block boxes
+	ProbeBoxes    int64 // the block-box tests among ProbeChecked, both levels
 	WalkVisited   int64 // vertices accessed during directed walks, fallback scans included
 	CrawlVisited  int64 // vertices expanded by the BFS
 	DirectedWalks int64 // queries that needed the walk
@@ -142,6 +143,7 @@ func (s *Stats) Add(o Stats) {
 	s.DirectedWalk += o.DirectedWalk
 	s.Crawl += o.Crawl
 	s.ProbeChecked += o.ProbeChecked
+	s.ProbeBoxes += o.ProbeBoxes
 	s.WalkVisited += o.WalkVisited
 	s.CrawlVisited += o.CrawlVisited
 	s.DirectedWalks += o.DirectedWalks
@@ -275,14 +277,15 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	cur.armCrawl()
 	before := len(out)
 
-	// Phase 1: surface probe. The exact probe tests the block boxes and
-	// runs the containment kernel inside the blocks that meet q; the
-	// approximate probe samples the surface with a rotating stride. Both
-	// walk the position array forward and perform only the containment
-	// test (the CS unit cost of the analytical model). Only in the no-seed
-	// case is a walk start looked for: the exact probe asks its block
-	// boxes which block is nearest q and takes that block's vertex nearest
-	// q; the approximate probe, which has no boxes, samples its lattice.
+	// Phase 1: surface probe. The exact probe descends its two levels of
+	// block boxes and runs the containment kernel inside the leaves that
+	// meet q; the approximate probe samples the surface with a rotating
+	// stride. Both walk the position array forward and perform only the
+	// containment test (the CS unit cost of the analytical model). Only in
+	// the no-seed case is a walk start looked for: the exact probe asks
+	// its block boxes which leaf is nearest q and takes that leaf's vertex
+	// nearest q; the approximate probe, which has no boxes, samples its
+	// lattice.
 	t0 := time.Now()
 	cur.seeds = cur.seeds[:0]
 	pos := cur.beginQuery(o.m)
@@ -291,7 +294,9 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	probed := int64(0)
 	minVertex := int32(-1)
 	if exact {
-		probed = o.probeRange(cur, q, pos)
+		boxes, positions := o.probeRange(cur, q, pos)
+		cur.stats.ProbeBoxes += boxes
+		probed = boxes + positions
 		if len(cur.seeds) == 0 {
 			minVertex = o.blockStart(cur, q, pos)
 		}
@@ -344,9 +349,10 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 }
 
 // MemoryFootprint implements query.Engine: the surface index (array +
-// hash), the probe's two block-box arrays and the resident cursor's crawl
-// structures — the accounting of Figures 6(b) and 10(b). Extra cursors
-// report nothing here; their scratch is per-worker and transient.
+// hash), the probe's block boxes (both levels, both parities) and the
+// resident cursor's crawl structures — the accounting of Figures 6(b)
+// and 10(b). Extra cursors report nothing here; their scratch is
+// per-worker and transient.
 func (o *Octopus) MemoryFootprint() int64 {
 	return int64(cap(o.surface))*4 +
 		int64(len(o.surfaceSlot))*16 +
@@ -358,7 +364,7 @@ func (o *Octopus) MemoryFootprint() int64 {
 // ApplySurfaceDelta folds a restructuring delta (§IV-E2) into the surface
 // index: hash-table inserts and deletes, no rebuild. Deltas may break the
 // surface-first layout, in which case the probe falls back to the
-// id-array path, and they move slots between blocks, so the next exact
+// id-array path, and they move slots between leaves, so the next exact
 // query rebuilds the block boxes. Restructuring is the one event that can
 // change mesh connectivity, so the component labels and walk
 // representatives are rebuilt here too (an O(V+E) sweep on the rare path,

@@ -73,17 +73,19 @@ func BenchmarkProbeGather(b *testing.B) {
 // benchmark's workloads run it on — neuro-l5 (sim-step) and one sub-mesh
 // of the K=4 partition of neuro-l3 (live-inproc, serve-*) — with the
 // benchmark's query mix (selectivities 1e-4, 1e-3, 1e-2 in rotation; k in
-// [8, 32]). "rebuild" is the pass that recomputes every block box, the
-// cost the first exact query of an epoch carries; "range" and "knn" run
-// whole queries with the boxes warm; "step+range" starts a new generation
+// [8, 32]). "rebuild" is the pass that recomputes every block box of
+// both levels, the cost the first exact query of an epoch carries;
+// "range" and "knn" run whole queries with the boxes warm; "step+range" starts a new generation
 // before every query, so each one pays a rebuild — the worst case, to be
 // read against "linear", the containment pass over the whole surface that
 // the blocks replace; "noseed" runs range boxes of the same mix whose
 // probe finds no seed, so each one also searches the boxes for its walk
 // start and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
 // Stats.WalkStalls, per query), and it fails if the warmed cursor
-// allocates. probe-ns/op and tests/op are Stats.SurfaceProbe and
-// Stats.ProbeChecked per query.
+// allocates. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
+// (Stats.ProbeBoxes) and positions/op split the probe's tests
+// (Stats.ProbeChecked) between the boxes of both levels and the surface
+// positions scanned inside the leaves.
 func BenchmarkProbeBlocks(b *testing.B) {
 	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
 	if err != nil {
@@ -127,13 +129,15 @@ func BenchmarkProbeBlocks(b *testing.B) {
 			}
 			st := cur.Stats()
 			b.ReportMetric(float64(st.SurfaceProbe-before.SurfaceProbe)/float64(b.N), "probe-ns/op")
-			b.ReportMetric(float64(st.ProbeChecked-before.ProbeChecked)/float64(b.N), "tests/op")
+			boxes := st.ProbeBoxes - before.ProbeBoxes
+			b.ReportMetric(float64(boxes)/float64(b.N), "boxes/op")
+			b.ReportMetric(float64(st.ProbeChecked-before.ProbeChecked-boxes)/float64(b.N), "positions/op")
 		}
 		b.Run(c.name+"/rebuild", func(b *testing.B) {
-			boxes := o.appendBlockBoxes(nil, pos)
+			boxes := o.buildBlockBoxes(blockBoxes{}, pos)
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				boxes = o.appendBlockBoxes(boxes[:0], pos)
+				boxes = o.buildBlockBoxes(boxes, pos)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/S, "ns/position")
 		})

@@ -399,11 +399,16 @@ func TestBlockProbeUnderConcurrentDeform(t *testing.T) {
 	}
 }
 
-// TestBlockGeometry covers the shapes a block can take: no block, a lone
-// vertex, one slot short of a block, exactly one, one over, and a long
-// surface whose last block is partial.
+// TestBlockGeometry covers the shapes the two levels can take: no leaf, a
+// lone vertex, one slot short of a leaf, exactly one, one over, one slot
+// short of four leaves, exactly four, one over, exactly one coarse box,
+// one slot into a second, and a long surface (1 144 slots) whose last
+// coarse box is ragged: fewer than probeFan leaves, the last of them
+// partial. Every leaf box is the tight box of its slots and every coarse
+// box the union of its leaves'.
 func TestBlockGeometry(t *testing.T) {
-	for _, n := range []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1, 8*probeBlock + 120} {
+	full := probeFan * probeBlock
+	for _, n := range []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1, 4*probeBlock - 1, 4 * probeBlock, 4*probeBlock + 1, full, full + 1, 1144} {
 		t.Run(fmt.Sprintf("surface-%d", n), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(n)))
 			pos := make([]geom.Vec3, n)
@@ -415,11 +420,33 @@ func TestBlockGeometry(t *testing.T) {
 			m, o := cloud(t, pos)
 			cur := o.NewCursor().(*Cursor)
 			checkExact(t, "pristine", cur, m.Positions(), 1)
-			blocks := (n + probeBlock - 1) / probeBlock
-			if got := len(o.summary[0].boxes); got != blocks {
-				t.Fatalf("%d boxes over %d slots, want %d", got, n, blocks)
+			leaves := (n + probeBlock - 1) / probeBlock
+			coarse := (leaves + probeFan - 1) / probeFan
+			bb := o.summary[0].boxes
+			if len(bb.leaf) != leaves || len(bb.coarse) != coarse {
+				t.Fatalf("%d leaves and %d coarse boxes over %d slots, want %d and %d", len(bb.leaf), len(bb.coarse), n, leaves, coarse)
 			}
-			if got, want := o.probeMemoryBytes(), int64(2*blocks*48); got != want {
+			for b := range bb.leaf {
+				lo, hi := o.blockSlots(b)
+				want := geom.EmptyBox()
+				for _, p := range pos[lo:hi] {
+					want = want.Extend(p)
+				}
+				if bb.leaf[b] != want {
+					t.Fatalf("leaf %d = %v, want %v", b, bb.leaf[b], want)
+				}
+			}
+			for c := range bb.coarse {
+				lo, hi := bb.leaves(c)
+				want := bb.leaf[lo]
+				for _, l := range bb.leaf[lo:hi] {
+					want = want.Union(l)
+				}
+				if bb.coarse[c] != want {
+					t.Fatalf("coarse %d (leaves %d..%d) = %v, want %v", c, lo, hi-1, bb.coarse[c], want)
+				}
+			}
+			if got, want := o.probeMemoryBytes(), int64(2*(leaves+coarse)*48); got != want {
 				t.Fatalf("probeMemoryBytes = %d, want %d", got, want)
 			}
 			if n > 0 {
@@ -459,8 +486,8 @@ func TestBoundingBoxKernel(t *testing.T) {
 			pos[i] = geom.V(coord(), coord(), coord())
 			want.Min, want.Max = want.Min.Min(pos[i]), want.Max.Max(pos[i])
 		}
-		if got := boundingBox(pos); got != want {
-			t.Fatalf("trial %d: boundingBox = %v, want %v", trial, got, want)
+		if got := appendLeafBoxes(nil, pos)[0]; got != want {
+			t.Fatalf("trial %d: leaf box = %v, want %v", trial, got, want)
 		}
 		// Keys order like the values, and the map is its own inverse.
 		a, b := pos[0].X, pos[len(pos)-1].Y
@@ -473,7 +500,7 @@ func TestBoundingBoxKernel(t *testing.T) {
 
 		v := r.Intn(len(pos))
 		pos[v].Y = math.NaN()
-		got := boundingBox(pos)
+		got := appendLeafBoxes(nil, pos)[0]
 		if got.Min.X != want.Min.X || got.Max.X != want.Max.X || got.Min.Z != want.Min.Z || got.Max.Z != want.Max.Z {
 			t.Fatalf("trial %d: a NaN y moved the x or z bounds: %v, want %v", trial, got, want)
 		}
@@ -535,25 +562,36 @@ func TestBlockBoxFaceContact(t *testing.T) {
 
 // TestBlockBoxNonFinitePositions: a vertex with a NaN coordinate is inside
 // no box, so it is never returned — and it must not take its block-mates
-// with it, wherever in the block it sits. Infinite coordinates are
-// ordinary (if distant) positions.
+// with it, wherever in the leaf sits, nor the other leaves of its coarse
+// box. Infinite coordinates are ordinary (if distant) positions. The
+// surface spans two coarse boxes, the second ragged; it holds a leaf whose
+// every x is NaN (its coarse box then has a NaN bound while the leaf's
+// own box is NaN on both sides) and a leaf whose every x is +Inf.
 func TestBlockBoxNonFinitePositions(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	pos := make([]geom.Vec3, 3*probeBlock)
+	nanLeaf, infLeaf := probeFan+1, probeFan+2
+	pos := make([]geom.Vec3, (probeFan+3)*probeBlock+9)
 	for i := range pos {
 		pos[i] = geom.V(float64(i)/10, 0.5, 0.5)
 	}
 	bad := map[int32]geom.Vec3{
-		0:                     geom.V(nan, 0.5, 0.5), // first slot of a block: would seed a running min
+		0:                     geom.V(nan, 0.5, 0.5), // first slot of a leaf: would seed a running min
 		77:                    geom.V(7.7, nan, nan),
-		probeBlock + 5:        geom.V(inf, 0.5, 0.5),
-		probeBlock + 6:        geom.V(-inf, 0.5, 0.5),
-		2*probeBlock + 100:    geom.V(nan, nan, nan),
-		3*probeBlock - 1:      geom.V(38.3, 0.5, inf),
-		int32(probeBlock - 1): geom.V(nan, 0.5, 0.5), // last slot of a block
+		133:                   geom.V(inf, 0.5, 0.5),
+		134:                   geom.V(-inf, 0.5, 0.5),
+		356:                   geom.V(nan, nan, nan),
+		383:                   geom.V(38.3, 0.5, inf),
+		int32(probeBlock - 1): geom.V(nan, 0.5, 0.5), // last slot of a leaf
+		int32(len(pos) - 1):   geom.V(nan, 0.5, 0.5), // last slot of the surface
 	}
 	for v, p := range bad {
 		pos[v] = p
+	}
+	for i := nanLeaf * probeBlock; i < (nanLeaf+1)*probeBlock; i++ {
+		pos[i].X = nan
+	}
+	for i := infLeaf * probeBlock; i < (infLeaf+1)*probeBlock; i++ {
+		pos[i].X = inf
 	}
 	m, o := cloud(t, pos)
 	cur := o.NewCursor().(*Cursor)
@@ -562,6 +600,8 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 		geom.Box(geom.V(-1, 0, 0), geom.V(100, 1, 1)), // every finite vertex
 		geom.Box(geom.V(7, 0, 0), geom.V(8, 1, 1)),    // around the half-NaN vertex
 		geom.Box(geom.V(12, 0, 0), geom.V(14, 1, 1)),  // around the infinite ones
+		geom.Box(geom.V(50, 0, 0), geom.V(60, 1, 1)),  // the second coarse box, beside the NaN leaf
+		geom.Box(geom.V(60, 0, 0), geom.V(inf, 1, 1)), // the +Inf leaf and the ragged tail
 		everything,
 	} {
 		got := cur.Query(q, nil)
@@ -574,17 +614,21 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 			}
 		}
 	}
+	if bb := o.summary[cur.LastEpoch()&1].boxes; len(bb.coarse) != 2 || !math.IsNaN(bb.coarse[1].Max.X) || !math.IsNaN(bb.leaf[nanLeaf].Min.X) {
+		t.Fatalf("coarse boxes %v, NaN leaf %v: want two, the second with a NaN x bound over a leaf NaN on both sides", bb.coarse, bb.leaf[nanLeaf])
+	}
 	finite := 0
 	for _, p := range pos {
 		if p.X == p.X && p.Y == p.Y && p.Z == p.Z {
 			finite++
 		}
 	}
-	if got := len(cur.Query(everything, nil)); got != finite || finite != len(pos)-4 {
+	if got := len(cur.Query(everything, nil)); got != finite || finite != len(pos)-5-probeBlock {
 		t.Fatalf("the unbounded box returned %d vertices, want the %d without a NaN coordinate", got, finite)
 	}
 	// kNN next to each NaN vertex finds its finite block-mates.
-	for _, p := range []geom.Vec3{geom.V(0, 0.5, 0.5), geom.V(7.7, 0.5, 0.5), geom.V(35.6, 0.5, 0.5)} {
+	for _, p := range []geom.Vec3{geom.V(0, 0.5, 0.5), geom.V(7.7, 0.5, 0.5), geom.V(35.6, 0.5, 0.5),
+		geom.V(float64(nanLeaf*probeBlock+probeBlock/2)/10, 0.5, 0.5), pos[len(pos)-2]} {
 		got := cur.KNN(p, 6, nil)
 		var want []int32
 		var kb query.KBest
@@ -601,43 +645,61 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 	}
 }
 
-// TestKNNBlockSkipRule pins the skip rule on a hand-built surface. With p
-// at the origin and k = 2, block 1 (scanned first: its box is nearest)
-// yields the candidates at squared distances 1 and 4, the second with id
-// 129. Block 0's box lies at squared distance exactly 4 and holds vertex 7
-// at exactly that distance: the smaller id of the tie, so the answer is
-// [128 7] and the block must be scanned although nothing in it beats the
-// bound. Block 2 lies strictly beyond and must not be. Each box's distance
-// is taken once.
+// TestKNNBlockSkipRule pins the skip rule of both levels on a hand-built
+// surface of three coarse boxes. With p at the origin and k = 2, coarse
+// box 1 (at distance 0) is expanded first and pushes its 16 leaves; its
+// first leaf (scanned first: its box is nearest) yields the candidates at
+// squared distances 1 and 4, the second with id near := probeFan *
+// probeBlock + 1. Coarse box 0 lies at 2.25, within that bound, and is
+// expanded: all 16 of its leaves are tested, and only leaf 0, whose box
+// lies at squared distance exactly 4, is pushed. It holds vertex 7 at
+// exactly that distance: the smaller id of the tie, so the answer is
+// [near-1 7], and the leaf must be pushed and scanned although nothing in
+// it beats the bound. The other leaves and the whole of coarse box 2
+// (ragged: one leaf) lie strictly beyond and must not be scanned — coarse
+// box 2 not even descended into.
 func TestKNNBlockSkipRule(t *testing.T) {
-	pos := make([]geom.Vec3, 3*probeBlock)
+	near := int32(probeFan*probeBlock + 1)
+	pos := make([]geom.Vec3, (2*probeFan+1)*probeBlock)
 	for i := range pos {
-		switch b := i / probeBlock; b {
-		case 0:
+		j := float64(i % probeBlock)
+		switch b := i / probeBlock; {
+		case b == 0:
 			pos[i] = geom.V(-20-float64(i), 0, 0)
-		case 1:
+		case b < probeFan && b%2 == 0: // squared distance >= 1.5² + 3²
+			pos[i] = geom.V(-1.5, 3+j/probeBlock, 0)
+		case b < probeFan: // >= 3² + 3²; with the leaves above, a coarse box 1.5 away
+			pos[i] = geom.V(-3-j/probeBlock, -3-j/probeBlock, 0)
+		case b == probeFan:
 			pos[i] = geom.V(10+float64(i), 0, 0)
-		default:
+		case b < 2*probeFan:
 			pos[i] = geom.V(0, 100+float64(i), 0)
+		default:
+			pos[i] = geom.V(0, 0, 100+float64(i))
 		}
 	}
 	pos[7] = geom.V(-2, 0, 0)
-	pos[probeBlock] = geom.V(1, 0, 0)
-	pos[probeBlock+1] = geom.V(2, 0, 0)
+	pos[near-1] = geom.V(1, 0, 0)
+	pos[near] = geom.V(2, 0, 0)
 	m, o := cloud(t, pos)
 	cur := o.NewCursor().(*Cursor)
 	p := geom.V(0, 0, 0)
 
 	got := cur.KNN(p, 2, nil)
-	if want := []int32{probeBlock, 7}; !slices.Equal(got, want) || !slices.Equal(got, query.BruteForceKNN(m, p, 2)) {
+	if want := []int32{near - 1, 7}; !slices.Equal(got, want) || !slices.Equal(got, query.BruteForceKNN(m, p, 2)) {
 		t.Fatalf("kNN = %v, want %v (brute force %v)", got, want, query.BruteForceKNN(m, p, 2))
 	}
 	if ball, ok := cur.LastKNNBound2(); !ok || ball != 4 {
 		t.Fatalf("ball = %v (ok=%v), want 4", ball, ok)
 	}
-	// Three box distances, two scanned blocks.
-	if checked := cur.Stats().ProbeChecked; checked != 3+2*probeBlock {
-		t.Fatalf("probe made %d tests, want %d: block 2 lies strictly beyond the bound and must be skipped", checked, 3+2*probeBlock)
+	if bb := o.summary[cur.LastEpoch()&1].boxes; len(bb.coarse) != 3 || gap2(&bb.coarse[0], &geom.AABB{Min: p, Max: p}) != 2.25 {
+		t.Fatalf("coarse boxes %v; test geometry broken", bb.coarse)
+	}
+	// Box distances: three coarse boxes and the leaves of coarse boxes 1
+	// and 0. Positions: two scanned leaves.
+	st := cur.Stats()
+	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*probeFan || positions != 2*probeBlock {
+		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*probeFan, 2*probeBlock)
 	}
 
 	// No block is skipped while the heap is not full: k beyond the surface
@@ -654,7 +716,8 @@ func TestKNNBlockSkipRule(t *testing.T) {
 // linearProbe is the probe the block boxes replace, kept as the reference:
 // one pass over the surface in slot order, collecting the range seeds, and
 // for kNN offering every vertex to a heap and keeping the closest few —
-// first come first kept among equals — as crawl starts.
+// first come first kept among equals — as crawl starts. A vertex at a NaN
+// distance ranks nowhere.
 func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3, k int) (seeds []int32, kb query.KBest, starts []int32) {
 	kb.Reset(k)
 	want := min(k, maxKNNStarts)
@@ -668,6 +731,9 @@ func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3, k int) (
 			seeds = append(seeds, v)
 		}
 		d := pos[v].Dist2(p)
+		if d != d {
+			continue
+		}
 		kb.Offer(d, v)
 		i := len(cands)
 		for i > 0 && cands[i-1].d > d {
@@ -684,57 +750,122 @@ func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3, k int) (
 	return seeds, kb, starts
 }
 
+// tieCloud is a cloud engine over n positions on an integer grid of side
+// spread, so distance ties abound. With drift the grid slides along x
+// with the slot, like a Hilbert-ordered surface; without it the layout
+// has no locality and every box is loose. One position in every
+// nonFinite (0: none) gets a NaN, +Inf or -Inf coordinate, and leaf
+// n/probeBlock/2 has a NaN x throughout.
+func tieCloud(t testing.TB, r *rand.Rand, n, spread int, drift bool, nonFinite int) (*mesh.Mesh, *Octopus) {
+	nan, inf := math.NaN(), math.Inf(1)
+	pos := make([]geom.Vec3, n)
+	for i := range pos {
+		pos[i] = geom.V(float64(r.Intn(spread)), float64(r.Intn(spread)), float64(r.Intn(spread)))
+		if drift {
+			pos[i].X += float64(i / 8)
+		}
+		if nonFinite > 0 && r.Intn(nonFinite) == 0 {
+			switch r.Intn(3) {
+			case 0:
+				pos[i].X = nan
+			case 1:
+				pos[i].Y = inf
+			default:
+				pos[i].Z = -inf
+			}
+		}
+	}
+	if leaf := n / probeBlock / 2; nonFinite > 0 && n >= 2*probeBlock {
+		for i := leaf * probeBlock; i < (leaf+1)*probeBlock; i++ {
+			pos[i].X = nan
+		}
+	}
+	return cloud(t, pos)
+}
+
+// matchLinearPass runs the block probe of o and linearProbe on the same
+// range box q and kNN point p, and fails unless the range seeds (order
+// included), the kNN candidates and the crawl starts are equal.
+func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, q geom.AABB, p geom.Vec3, k int) {
+	t.Helper()
+	pos := cur.beginQuery(o.m)
+	defer cur.endQuery(o.m)
+	seeds, kb, starts := linearProbe(o, pos, q, p, k)
+
+	cur.seeds = cur.seeds[:0]
+	o.probeRange(cur, q, pos)
+	if !slices.Equal(cur.seeds, seeds) {
+		t.Fatalf("%s: seeds %v, linear pass %v", label, cur.seeds, seeds)
+	}
+
+	cur.kbest.Reset(k)
+	kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
+	o.probeKNN(cur, &kp, p, pos)
+	if got, want := cur.kbest.AppendSorted(nil), kb.AppendSorted(nil); !slices.Equal(got, want) {
+		t.Fatalf("%s (k=%d): candidates %v, linear pass %v", label, k, got, want)
+	}
+	var got []int32
+	for _, c := range kp.cands[:kp.nc] {
+		got = append(got, c.v)
+	}
+	if !slices.Equal(got, starts) {
+		t.Fatalf("%s (k=%d): crawl starts %v, linear pass %v", label, k, got, starts)
+	}
+}
+
 // TestBlockProbeMatchesLinearPass holds the block probe to the linear pass
 // it replaces, element for element: the same range seeds in the same
 // order (so the same crawl and the same output order), the same kNN
 // candidates and the same crawl starts — on the dense layout, on the
-// id-array layout, and on a regular grid where distance ties abound.
+// id-array layout, on a regular grid where distance ties abound, and on a
+// cloud with non-finite coordinates. Every surface ends in a ragged coarse
+// box, and the cloud's coarse boxes hold ±Inf and NaN leaves.
 func TestBlockProbeMatchesLinearPass(t *testing.T) {
+	type engine struct {
+		m *mesh.Mesh
+		o *Octopus
+	}
+	withEngine := func(m *mesh.Mesh) engine { return engine{m, New(m)} }
 	for _, tc := range []struct {
-		name string
-		m    *mesh.Mesh
+		name  string
+		build func() engine
 	}{
-		{"dense", surfaceFirstBox(t, 10)},
-		{"id-array", buildBox(t, 10)},
-		{"lattice", tetLattice(t, 6)},
+		{"dense", func() engine { return withEngine(surfaceFirstBox(t, 10)) }},
+		{"id-array", func() engine { return withEngine(buildBox(t, 10)) }},
+		{"lattice", func() engine { return withEngine(tetLattice(t, 6)) }},
+		{"non-finite", func() engine {
+			m, o := tieCloud(t, rand.New(rand.NewSource(5)), 2*probeFan*probeBlock+5*probeBlock+3, 3, true, 40)
+			return engine{m, o}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := New(tc.m)
+			e := tc.build()
+			m, o := e.m, e.o
 			if want := tc.name != "id-array"; o.denseSurface != want {
 				t.Fatalf("denseSurface = %v, want %v", o.denseSurface, want)
 			}
+			if leaves := (o.SurfaceSize() + probeBlock - 1) / probeBlock; leaves <= probeFan || leaves%probeFan == 0 {
+				t.Fatalf("%d leaves: want more than one coarse box, the last ragged", leaves)
+			}
 			cur := o.NewCursor().(*Cursor)
 			r := rand.New(rand.NewSource(13))
+			bounds := geom.EmptyBox()
+			for _, p := range m.Positions() {
+				if finite(p.X, p.Y, p.Z) {
+					bounds = bounds.Extend(p)
+				}
+			}
 			for i := 0; i < 60; i++ {
-				c := tc.m.Position(int32(r.Intn(tc.m.NumVertices())))
-				q := geom.BoxAround(c, 0.02+r.Float64()*0.3*tc.m.Bounds().Size().X)
+				c := m.Position(int32(r.Intn(m.NumVertices())))
+				for !finite(c.X, c.Y, c.Z) {
+					c = m.Position(int32(r.Intn(m.NumVertices())))
+				}
+				q := geom.BoxAround(c, 0.02+r.Float64()*0.3*bounds.Size().X)
 				k := 1 + r.Intn(24)
 				if i%3 == 0 {
 					c = c.Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.1))
 				}
-				pos := cur.beginQuery(tc.m)
-				seeds, kb, starts := linearProbe(o, pos, q, c, k)
-
-				cur.seeds = cur.seeds[:0]
-				o.probeRange(cur, q, pos)
-				if !slices.Equal(cur.seeds, seeds) {
-					t.Fatalf("query %d: seeds %v, linear pass %v", i, cur.seeds, seeds)
-				}
-
-				cur.kbest.Reset(k)
-				kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
-				o.probeKNN(cur, &kp, c, pos)
-				cur.endQuery(tc.m)
-				if got, want := cur.kbest.AppendSorted(nil), kb.AppendSorted(nil); !slices.Equal(got, want) {
-					t.Fatalf("query %d (k=%d): candidates %v, linear pass %v", i, k, got, want)
-				}
-				var got []int32
-				for _, c := range kp.cands[:kp.nc] {
-					got = append(got, c.v)
-				}
-				if !slices.Equal(got, starts) {
-					t.Fatalf("query %d (k=%d): crawl starts %v, linear pass %v", i, k, got, starts)
-				}
+				matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, q, c, k)
 			}
 		})
 	}

@@ -117,10 +117,12 @@
 //
 // Every engine also answers kNN queries ("the k vertices closest to this
 // probe point" — the shape of the paper's monitoring scenarios), again
-// with zero maintenance for OCTOPUS: a surface probe finds the closest
-// surface vertex, a greedy descent walks towards the probe point, and a
-// best-first crawl expands mesh edges outward, keeping the k best
-// candidates in a bounded heap and stopping at the k-th-best radius.
+// with zero maintenance for OCTOPUS: a search of the surface finds the
+// closest surface vertex, a greedy descent walks towards the probe point,
+// a best-first crawl expands mesh edges outward, keeping the k best
+// candidates in a bounded heap and stopping at the k-th-best radius, and
+// the surface probe then offers every surface vertex inside that radius
+// the crawl did not reach.
 // Results are nearest first with ties broken by vertex id — identical to
 // BruteForceKNN on well-shaped meshes (DESIGN.md §8 states the exact
 // guarantee):

@@ -12,8 +12,9 @@ import (
 // KNN is the extension experiment for the k-nearest-neighbor subsystem:
 // on two neuroscience detail levels, every kNN-capable engine answers the
 // same probe batch for each k, timed per query and checked against the
-// brute-force ground truth. OCTOPUS answers by mesh crawling (surface
-// probe → point descent → bounded best-first crawl) with zero per-step
+// brute-force ground truth. OCTOPUS answers by mesh crawling (start
+// search → point descent → bounded best-first crawl → surface probe under
+// the crawl's bound → crawls from the folds) with zero per-step
 // maintenance; the tree and grid baselines pay their usual rebuild or
 // relocation costs in Step before the batch, which is charged to the
 // reported maintenance column exactly as in the range experiments.

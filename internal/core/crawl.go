@@ -41,11 +41,14 @@ type crawler struct {
 
 	// budget is the cursor's CrawlBudget (Cursor.SetBudget). expanded
 	// counts budget-relevant expansions across all crawl phases of the
-	// query (range crawl, or one kNN crawl per component); cov accumulates
-	// the coverage report. armCrawl resets both at query start.
+	// query (range crawl, or every kNN crawl); cov accumulates the
+	// coverage report, and knnCut2 is the squared distance of the nearest
+	// kNN frontier vertex a cutoff abandoned. armCrawl resets them at
+	// query start.
 	budget   query.CrawlBudget
 	expanded int64
 	cov      query.CrawlCoverage
+	knnCut2  float64
 
 	// counters (cumulative across queries)
 	crawlVisited int64 // vertices discovered by range crawls / expanded by kNN crawls
@@ -57,6 +60,7 @@ type crawler struct {
 func (c *crawler) armCrawl() {
 	c.expanded = 0
 	c.cov = query.CrawlCoverage{}
+	c.knnCut2 = math.Inf(1)
 }
 
 // overBudget reports whether the query's crawl budget has run out; it is
@@ -196,9 +200,10 @@ func (c *crawler) pointDescent(p geom.Vec3, start int32) int32 {
 	}
 }
 
-// knnGap converts a truncated kNN crawl's state into the coverage
+// knnGap converts a truncated kNN query's state into the coverage
 // report's bound gap: frontier is the squared distance of the closest
-// abandoned frontier vertex, bound the squared k-th-best distance.
+// abandoned frontier vertex, bound the squared k-th-best distance of the
+// returned answer.
 func knnGap(frontier, bound float64) float64 {
 	if math.IsInf(bound, 1) {
 		return 1 // the k-best set was not even full

@@ -38,9 +38,12 @@ type Cursor struct {
 	stats       Stats
 
 	// blocks is the heap of the exact probe's nearest-first searches over
-	// its two levels of boxes (probe.go): the kNN probe, and the start
-	// searches of a no-seed range query.
+	// its two levels of boxes (probe.go): the kNN start search and the
+	// probe that resumes it, and the start searches of a no-seed range
+	// query. aside holds the leaves the kNN start search scanned or left
+	// beyond its bound, for the probe to push back.
 	blocks []heapItem
+	aside  []heapItem
 
 	// epoch is the position snapshot of the query in flight: beginQuery
 	// pins the mesh's head epoch (crawler.pos becomes the pinned buffer)
@@ -50,13 +53,14 @@ type Cursor struct {
 
 	// kbest is the bounded k-candidate max-heap of the kNN crawl (DESIGN.md
 	// §8): it holds the k closest vertices found so far and its Bound is
-	// the crawl's stop radius. The surface probe and the crawl both feed
+	// the crawl's stop radius. The crawls and the surface probe all feed
 	// the heap, and a vertex occupying two slots would evict a legitimate
-	// candidate, so the crawl skips vertices the probe already offered:
-	// knnSlot/knnStride/knnStart describe the probe's coverage (surface
-	// slot map plus sampling phase; knnSlot nil when nothing was probed).
-	// knnDense marks an exact probe over a dense surface-first layout,
-	// whose coverage is the id prefix [0, len(knnSlot)).
+	// candidate: the probe skips the vertices the first crawl marked, and
+	// the fold crawl skips those the probe covers. knnSlot/knnStride/
+	// knnStart describe the probe's coverage (surface slot map plus
+	// sampling phase; knnSlot nil while nothing is probed). knnDense marks
+	// an exact probe over a dense surface-first layout, whose coverage is
+	// the id prefix [0, len(knnSlot)).
 	kbest     query.KBest
 	knnSlot   map[int32]int32
 	knnStride int
@@ -87,7 +91,8 @@ func newCursor(owner cursorOwner, m *mesh.Mesh) *Cursor {
 // offer to the result is filtered. On OCTOPUS the ceiling also caps the
 // k-th-best bound the probe and the crawl stop at; CON, with no probe to
 // offer what its crawl cannot reach, cuts its answer at the ceiling
-// instead. keep nil and ceiling2 = +Inf lift the restriction.
+// instead. keep nil and ceiling2 = +Inf lift the restriction; ceiling2 is
+// never NaN.
 // keep is read, never written, and must cover every vertex of the mesh.
 func (c *Cursor) RestrictKNN(keep []bool, ceiling2 float64) {
 	c.knnKeep, c.knnCeiling2 = keep, ceiling2
@@ -137,10 +142,14 @@ func (c *Cursor) scanStalled(q geom.AABB, unprobed int) {
 func (c *Cursor) LastEpoch() uint64 { return c.epoch }
 
 // probedInKNN reports whether the current kNN query's surface probe
-// already offered v to the candidate heap: v must be a surface vertex
-// whose slot lies on the probe's sampling lattice. It runs on every vertex
-// the kNN crawl pops, so the exact probe of a dense layout answers with
-// one compare instead of the slot map lookup.
+// covers v: v must be a surface vertex whose slot lies on the probe's
+// sampling lattice. The probe has then offered v, or found it strictly
+// beyond the final bound, or v was marked by the crawl before it — which
+// the fold crawl, in the same mark epoch, never reaches. It is false for
+// every vertex before the probe (knnSlot nil), so the first crawl offers
+// surface and interior alike. It runs on every vertex a kNN crawl pops,
+// so the exact probe of a dense layout answers with one compare instead
+// of the slot map lookup.
 func (c *Cursor) probedInKNN(v int32) bool {
 	if c.knnDense {
 		return int(v) < len(c.knnSlot)
@@ -216,7 +225,8 @@ func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoun
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
 // structures (mark array, kNN frontier), the seed buffer, the box heap
-// of the exact probe and the kNN candidate heap.
+// of the exact probe with the kNN start search's leaves set aside, and the
+// kNN candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
-	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks))*16 + c.kbest.MemoryBytes()
+	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks)+cap(c.aside))*16 + c.kbest.MemoryBytes()
 }

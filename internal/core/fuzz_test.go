@@ -178,12 +178,14 @@ func FuzzRangeQuery(f *testing.F) {
 	})
 }
 
-// FuzzBlockProbe holds the two-level block probe to the linear pass it
-// replaces (linearProbe) on random clouds: from one slot to several
-// coarse boxes, coordinates on a small integer grid so that distance ties
-// abound, with and without the layout's locality, with and without
-// non-finite coordinates. Every range box must yield the same seeds in the
-// same order, every kNN the same candidates and the same crawl starts.
+// FuzzBlockProbe holds the two-level block probe to the linear passes it
+// replaces (linearProbe, linearFolds) on random clouds: from one slot to
+// several coarse boxes, coordinates on a small integer grid so that
+// distance ties abound, with and without the layout's locality, with and
+// without non-finite coordinates, unrestricted and under RestrictKNN.
+// Every range box must yield the same seeds in the same order; every kNN
+// the same start, the same candidates after a stand-in crawl and the same
+// folds, and an answer equal to brute force (matchLinearPass).
 func FuzzBlockProbe(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint8(2), true, uint8(0))
 	f.Add(int64(2), uint16(probeBlock*probeFan+1), uint8(3), true, uint8(20))
@@ -204,7 +206,7 @@ func FuzzBlockProbe(f *testing.F) {
 				c = geom.V(r.Float64()*float64(n)/8, r.Float64()*float64(spread), r.Float64()*float64(spread))
 			}
 			q := geom.BoxAround(c, float64(r.Intn(int(spread)+2))*0.5)
-			matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, q, c, 1+r.Intn(40))
+			matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, r, q, c, 1+r.Intn(40))
 		}
 	})
 }

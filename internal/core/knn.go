@@ -10,26 +10,43 @@ import (
 // This file implements k-nearest-neighbor queries for the OCTOPUS family
 // by mesh crawling — the same machinery that answers range queries without
 // index maintenance, aimed at the paper's naturally kNN-shaped monitoring
-// scenarios ("the k synapses closest to this probe point"). Execution has
-// the same three phases as a range query:
+// scenarios ("the k synapses closest to this probe point"). The crawl goes
+// first and the probe last, so the probe runs under the k-th-best bound of
+// what the crawl found instead of making its own from surface distances
+// (DESIGN.md §8):
 //
-//  1. Surface probe — scan the surface index for the vertices closest to
-//     the probe point, descending two levels of block boxes nearest-first
-//     and stopping at the first box beyond the k-th best found so far
-//     (strided in approximate mode, like range probes).
-//  2. Point descent — greedily walk from that vertex to a local minimum
-//     of the distance to the probe point.
-//  3. Best-first crawl — expand mesh edges outward from the descent's end
-//     in order of increasing distance, keeping the k best candidates in a
-//     bounded max-heap (Cursor.kbest) and stopping once the frontier's
-//     next vertex is farther than the current k-th best.
+//  1. Start search — the surface vertex nearest the probe point, by a
+//     nearest-first search over the two levels of block boxes that leaves
+//     its heap to be resumed in step 3 (sampled in approximate mode).
+//  2. Descent and crawl — greedily walk from that vertex to a local
+//     minimum of the distance to p, then expand mesh edges best-first,
+//     keeping the k best candidates in a bounded max-heap (Cursor.kbest)
+//     and stopping once the frontier's next vertex is farther than the
+//     current k-th best.
+//  3. Surface probe — resume the start search's heap under the crawl's
+//     bound and offer every surface vertex within it that the crawl did
+//     not mark. The crawl's push and stop tests are strict, so a vertex it
+//     marked was either offered or seen strictly beyond a bound that has
+//     only tightened since: no surface vertex is missing from the result,
+//     even one in a concave pocket the crawl cannot reach. The one
+//     exception, the frontier a budget cutoff abandons, is unmarked and so
+//     handed to the probe.
+//  4. Folds — crawl again, in the same mark epoch, from the min(k, 8)
+//     unmarked surface vertices nearest p within the final bound and from
+//     the representative of every other connected component that holds
+//     none of them, offering only what the probe did not. When p sits between two folds of the
+//     mesh (two branches of a neuron) the k-ball spans both, and a crawl
+//     seeded in one stops at the k-th-best radius before reaching the
+//     other; any fold inside the ball presents surface inside the ball,
+//     and that surface is unmarked — a crawl that had reached it would
+//     have marked it — so seeding from the nearest unmarked surface still
+//     seeds every fold the ball meets. Disjoint sub-meshes (the
+//     two-neuron datasets, restructured fragments) are searched from
+//     their representatives.
 //
-// Phases 2 and 3 run once per connected component (descending from the
-// component's precomputed representative), so disjoint sub-meshes — the
-// two-neuron datasets, restructured fragments — are searched exactly. Like
-// the range crawl, the stop criterion assumes the distance field over the
-// mesh graph has no deep local ridges: the k-th-best radius must not cut
-// the graph between the start and a closer pocket. On the solid,
+// Like the range crawl, the stop criterion assumes the distance field over
+// the mesh graph has no deep local ridges: the k-th-best radius must not
+// cut the graph between a start and a closer pocket. On the solid,
 // well-shaped meshes of the evaluation this holds and results equal brute
 // force; DESIGN.md discusses the limitation.
 
@@ -51,93 +68,121 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	cur.stats.Queries++
 	cur.armCrawl()
 	before := len(out)
-
-	// Phase 1: probe the surface for the vertices closest to p. Exact mode
-	// covers the whole surface, block by block; approximate mode samples
-	// it with the range probe's rotating stride (the crawl still expands
-	// exactly — only the start quality, and hence the expansion work,
-	// degrades).
-	t0 := time.Now()
 	pos := cur.beginQuery(o.m)
+	cur.kbest.Reset(k)
+	cur.bumpMarks() // one visited set for every crawl of the query
+	ceiling2 := cur.knnCeiling2
+
+	// Step 1: the surface vertex nearest p — beyond a RestrictKNN ceiling
+	// too: the descent from it is what reaches the interior vertices
+	// within the ceiling when no surface vertex is. Exact mode searches
+	// the block boxes; approximate mode samples the surface with
+	// the range probe's rotating stride and builds no boxes (the crawl
+	// still expands exactly — only the start quality, and hence the
+	// expansion work, degrades).
+	clock := time.Now()
 	stride := o.probeStride(cur.budget.SurfaceFrac)
 	start := 0
-	if stride > 1 {
+	var bb blockBoxes
+	var s0 int32
+	if stride == 1 {
+		bb = o.probeBoxes(cur.epoch, pos)
+		var boxes, positions int64
+		s0, boxes, positions = o.knnStartSearch(cur, bb, p, pos)
+		cur.stats.ProbeBoxes += boxes
+		cur.stats.ProbeChecked += boxes + positions
+	} else {
 		start = cur.probeOffset % stride
 		cur.probeOffset++
+		s0 = o.sampledStart(geom.AABB{Min: p, Max: p}, pos, start, stride)
 	}
-	// The probe does two things with every surface vertex it scans. First,
-	// it offers the vertex to the result heap directly: the distance is
-	// already computed, so in exact mode no surface vertex can ever be
-	// missing from the result — even one in a concave pocket the crawl
-	// cannot reach — and only interior vertices depend on the crawl.
-	// Second, it keeps the closest few as crawl starts: when the probe
-	// point sits between two folds of the mesh (two branches of a neuron),
-	// the k-ball spans both, and a crawl seeded in one fold would stop at
-	// the k-th-best radius before reaching the other; any fold close to p
-	// presents surface close to p, so multi-starting from the top surface
-	// candidates seeds every nearby fold. The exact probe skips the boxes
-	// of either level that lie strictly beyond the k-th-best distance
-	// (probeKNN): no vertex under such a box can be in the result or among
-	// the starts.
-	cur.kbest.Reset(k)
+	cur.stats.SurfaceProbe += lap(&clock)
+
+	// Step 2: descend from it and crawl, offering every vertex popped —
+	// nothing has been offered yet.
+	cur.stats.DirectedWalks++
+	cur.knnSlot, cur.knnDense = nil, false
+	startComp := int32(-1)
+	if s0 >= 0 {
+		startComp = o.compOf[s0]
+		cur.seeds = append(cur.seeds[:0], cur.pointDescent(p, s0))
+		cur.stats.DirectedWalk += lap(&clock)
+		cur.knnCrawl(p, cur.seeds, ceiling2)
+		cur.stats.Crawl += lap(&clock)
+	}
+
+	// Step 3: the surface the crawl did not mark, within its bound. From
+	// here on the crawl skips the vertices the probe covers
+	// (probedInKNN).
 	cur.knnSlot, cur.knnStride, cur.knnStart = o.surfaceSlot, stride, start
 	cur.knnDense = stride == 1 && o.denseSurface
-	kp := knnProbe{want: min(k, maxKNNStarts), bound: cur.knnCeiling2, keep: cur.knnKeep}
-	var probed int64
-	if stride == 1 {
-		boxes, positions := o.probeKNN(cur, &kp, p, pos)
-		cur.stats.ProbeBoxes += boxes
-		probed = boxes + positions
-	} else {
-		probed = kp.scan(&cur.kbest, o.surface, pos, p, start, len(o.surface), stride)
+	kp := knnProbe{
+		want:  min(k, maxKNNStarts),
+		bound: min(ceiling2, cur.kbest.Bound()),
+		keep:  cur.knnKeep,
+		marks: cur.marks,
+		epoch: cur.markEpoch,
 	}
-	cur.stats.ProbeChecked += probed
-	cur.stats.SurfaceProbe += time.Since(t0)
+	if stride == 1 {
+		boxes, positions := o.probeKNN(cur, bb, &kp, p, pos)
+		cur.stats.ProbeBoxes += boxes
+		cur.stats.ProbeChecked += boxes + positions
+	} else {
+		cur.stats.ProbeChecked += kp.scan(&cur.kbest, o.surface, pos, p, start, len(o.surface), stride)
+	}
+	cur.stats.SurfaceProbe += lap(&clock)
 
-	// Phases 2+3, once per component: descend every start of the
-	// component to a local minimum, then crawl best-first from all of them
-	// at once into the shared k-candidate heap (already primed with the
-	// probed surface vertices). Components with no probe candidate start
-	// from their precomputed representative, so disjoint sub-meshes are
-	// still searched.
-	cur.stats.DirectedWalks++
+	// Step 4: the folds, and every component step 2 did not start in
+	// that holds no fold, from its representative: one crawl from all of
+	// their descents.
+	folds := kp.folds()
+	cur.seeds = cur.seeds[:0]
+	for _, c := range folds {
+		cur.seeds = append(cur.seeds, c.v)
+	}
 	for ci, rep := range o.compReps {
-		cur.seeds = cur.seeds[:0]
-		for _, c := range kp.cands[:kp.nc] {
-			if o.compOf[c.v] == int32(ci) {
-				cur.seeds = append(cur.seeds, c.v)
-			}
+		started := int32(ci) == startComp
+		for _, c := range folds {
+			started = started || o.compOf[c.v] == int32(ci)
 		}
-		if len(cur.seeds) == 0 {
+		if !started {
 			cur.seeds = append(cur.seeds, rep)
 		}
-		t1 := time.Now()
+	}
+	if len(cur.seeds) > 0 {
 		for i, s := range cur.seeds {
 			cur.seeds[i] = cur.pointDescent(p, s)
 		}
-		t2 := time.Now()
-		cur.stats.DirectedWalk += t2.Sub(t1)
-		cur.knnCrawl(p, cur.seeds, cur.knnCeiling2)
-		cur.stats.Crawl += time.Since(t2)
+		cur.stats.DirectedWalk += lap(&clock)
+		cur.knnCrawl(p, cur.seeds, ceiling2)
+		cur.stats.Crawl += lap(&clock)
 	}
 
 	cur.endQuery(o.m)
-	// Capture the kNN ball before AppendSorted drains the heap.
-	cur.knnBound2, cur.knnBoundOK = cur.kbest.Bound(), true
+	cur.captureKNNBall()
 	out = cur.kbest.AppendSorted(out)
 	cur.stats.Results += int64(len(out) - before)
 	return out
 }
 
-// maxKNNStarts bounds the surface candidates a kNN probe keeps as crawl
-// starts (min(k, maxKNNStarts) are kept): enough to seed every mesh fold
-// near the probe point, small enough that the insertion array stays in
-// registers.
+// lap returns the time since *clock and restarts it: the phase timer of
+// a query whose phases alternate.
+func lap(clock *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*clock)
+	*clock = now
+	return d
+}
+
+// maxKNNStarts bounds the folds step 4 crawls from (min(k, maxKNNStarts)
+// of the unmarked surface vertices nearest p within the final bound):
+// enough to seed every mesh fold near the probe point, small enough that
+// the insertion array stays in registers.
 const maxKNNStarts = 8
 
-// knnStart is one probe candidate of the kNN surface scan: vertex v at
+// knnFold is a fold candidate of the kNN surface probe: vertex v at
 // surface slot slot, squared distance d from the probe point.
-type knnStart struct {
+type knnFold struct {
 	d    float64
 	v    int32
 	slot int32
@@ -168,6 +213,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 
 	cur.kbest.Reset(k)
 	cur.knnSlot, cur.knnDense = nil, false // no surface probe: the crawl offers everything
+	cur.bumpMarks()
 	startComp := int32(-1)
 	if ok {
 		startComp = c.compOf[gridStart]
@@ -186,8 +232,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 		cur.stats.Crawl += time.Since(t2)
 	}
 
-	// Capture the kNN ball before AppendSorted drains the heap.
-	cur.knnBound2, cur.knnBoundOK = cur.kbest.Bound(), true
+	cur.captureKNNBall()
 	out = cur.kbest.AppendSorted(out)
 	// CON has no surface probe to offer what a crawl cannot reach, so a
 	// RestrictKNN ceiling does not prune its crawl: a descent that ends
@@ -236,22 +281,23 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 	return c.h.oct.knnWith(c.oct, p, k, out)
 }
 
-// knnCrawl expands mesh edges best-first from the given start vertices
-// (all of one connected component), offering every reached vertex to the
-// cursor's k-candidate heap. The frontier (the crawler's heap) is
+// knnCrawl expands mesh edges best-first from the given start vertices,
+// offering every reached vertex the probe does not cover (probedInKNN) to
+// the cursor's k-candidate heap. The frontier (the crawler's heap) is
 // ordered by distance to p; expansion stops when the heap holds k
 // candidates and the frontier's closest vertex is farther than the k-th
 // best — no vertex beyond the frontier can then enter the result,
 // provided closer vertices are reachable without crossing the k-th-best
-// radius (see the file comment). Multiple starts share one visited set
-// (the mark array), so overlapping expansions never offer a vertex twice.
-// Vertices at exactly the k-th-best distance keep expanding so id
+// radius (see the file comment). The starts and every crawl of the query
+// share one visited set (the mark array, armed by the caller with
+// bumpMarks), so overlapping expansions never offer a vertex twice, and a
+// marked vertex was either offered or seen strictly beyond the bound:
+// vertices at exactly the k-th-best distance are pushed and popped, so id
 // tie-breaks match brute force. Under RestrictKNN the crawl still crosses
 // masked-out vertices but offers none of them. ceiling2 (+Inf: none) caps
-// the stop radius the same strict way, so a vertex exactly at the ceiling
-// is still offered.
+// the stop radius the same strict way, so a vertex exactly at the
+// ceiling is still offered.
 func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
-	c.bumpMarks()
 	pos := c.pos
 	marks, epoch := c.marks, c.markEpoch
 	keep := c.knnKeep
@@ -288,16 +334,29 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 	}
 }
 
-// truncateKNN records a kNN crawl's budget cutoff in the coverage report:
-// the abandoned frontier size and the convergence gap between the closest
-// abandoned vertex and the k-th-best distance found so far.
+// truncateKNN records a kNN crawl's budget cutoff in the coverage report
+// — the abandoned frontier's size, and its nearest distance for the bound
+// gap (captureKNNBall) — and hands the frontier back to the probe: its
+// vertices were marked but never offered, so they are unmarked, and the
+// probe that follows offers the surface vertices among them.
 func (c *Cursor) truncateKNN() {
 	c.cov.Truncated = true
 	c.cov.Frontier += int64(len(c.heap))
-	if len(c.heap) > 0 {
-		if g := knnGap(c.heap[0].dist, c.kbest.Bound()); g > c.cov.BoundGap {
-			c.cov.BoundGap = g
-		}
+	if len(c.heap) > 0 && c.heap[0].dist < c.knnCut2 {
+		c.knnCut2 = c.heap[0].dist
+	}
+	for _, it := range c.heap {
+		c.marks[it.v] = 0 // never the current epoch: bumpMarks skips 0
 	}
 	c.heap = c.heap[:0]
+}
+
+// captureKNNBall records the kNN ball before AppendSorted drains the heap
+// (Bound reads the heap root), and the bound gap of a budget-cut query
+// against it: the gap of the returned answer, after the probe.
+func (c *Cursor) captureKNNBall() {
+	c.knnBound2, c.knnBoundOK = c.kbest.Bound(), true
+	if c.cov.Frontier > 0 {
+		c.cov.BoundGap = knnGap(c.knnCut2, c.knnBound2)
+	}
 }

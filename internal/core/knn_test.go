@@ -136,6 +136,40 @@ func TestKNNCursorStatsMerge(t *testing.T) {
 	}
 }
 
+// TestKNNBudgetHandsFrontierToProbe cuts the first crawl after 4
+// expansions, long before it holds k = 64 candidates, at probe points on
+// the surface, where the abandoned frontier is mostly surface. The cutoff
+// hands the frontier back to the probe, so every surface vertex strictly
+// inside the returned ball is in the answer, the answer holds k, and the
+// bound gap is the answer's (strictly between 0 and 1), not the cutoff's
+// (1: the heap was not full then).
+func TestKNNBudgetHandsFrontierToProbe(t *testing.T) {
+	m := surfaceFirstBox(t, 10)
+	o := New(m)
+	cur := o.NewCursor().(*Cursor)
+	cur.SetBudget(query.CrawlBudget{MaxVisited: 4})
+	pos := m.Positions()
+	r := rand.New(rand.NewSource(3))
+	const k = 64
+	for i := 0; i < 40; i++ {
+		p := pos[o.surface[r.Intn(len(o.surface))]].Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.01))
+		got := cur.KNN(p, k, nil)
+		cov := cur.LastCoverage()
+		if !cov.Truncated || cov.Frontier == 0 {
+			t.Fatalf("probe %d: coverage %+v, want a cut crawl; test geometry broken", i, cov)
+		}
+		ball, _ := cur.LastKNNBound2()
+		if len(got) != k || !(cov.BoundGap > 0 && cov.BoundGap < 1) {
+			t.Fatalf("probe %d: %d results, bound gap %v; want %d and a gap in (0, 1)", i, len(got), cov.BoundGap, k)
+		}
+		for _, v := range o.surface {
+			if pos[v].Dist2(p) < ball && !slices.Contains(got, v) {
+				t.Fatalf("probe %d: surface vertex %d lies inside the ball %v but is not in the answer %v", i, v, ball, got)
+			}
+		}
+	}
+}
+
 // restrictedBruteForce ranks the vertices v with keep[v] (every vertex
 // when keep is nil) at squared distance at most ceiling2 by (squared
 // distance, id) and returns the best k, with the k-th's squared distance

@@ -24,13 +24,15 @@ import (
 // The range probe descends coarse → leaf in ascending slot order and runs
 // the containment kernel only inside leaves whose box meets the query, so
 // its seeds and the crawl are exactly what the linear pass over the
-// surface produces. The kNN probe searches one nearest-first heap of
-// coarse and leaf items, scanning leaves until the next item lies strictly
-// beyond the running k-th-best distance; since it keeps its crawl starts
-// ordered by (distance, slot), its results are the linear pass's too. The
-// same two levels answer the probe's other nearest-neighbour question —
-// where a no-seed range query's walk starts, and where a stalled walk
-// retries — so no path samples the surface or passes over every leaf. A
+// surface produces. A kNN searches one nearest-first heap of coarse and
+// leaf items twice: first for the surface vertex nearest the probe point,
+// where its crawl starts, then — resumed after the crawl — scanning leaves
+// until the next item lies strictly beyond the k-th-best distance. Both
+// rank vertices by (distance, slot), so the start, the vertices offered
+// and the folds are the linear pass's. The same two levels answer the
+// probe's other nearest-neighbour question — where a no-seed range
+// query's walk starts, and where a stalled walk retries — so no path
+// samples the surface or passes over every leaf. A
 // layout without that locality (restructuring deltas swap slots around)
 // only makes the boxes loose — more leaves scanned, never a wrong answer.
 //
@@ -298,48 +300,56 @@ func disjoint(bx, q *geom.AABB) bool {
 		bx.Min.Z > q.Max.Z || bx.Max.Z < q.Min.Z
 }
 
-// knnProbe is the state of one kNN surface probe: the min(k, maxKNNStarts)
-// closest surface vertices seen so far, kept as crawl starts in a
-// fixed-size insertion array ordered by (distance, slot) — no allocation,
-// and the same set whatever order the slots are scanned in — and a mirror
-// of the result heap's bound, so the common iteration pays one float
-// compare, not an Offer call. Under RestrictKNN the bound starts at the
-// ceiling instead of +Inf, and only vertices in keep (every vertex when
-// nil) are offered; the crawl starts are chosen from all of them.
+// knnProbe is the state of one kNN surface probe (step 3 of knnWith): a
+// mirror of the result heap's bound, so the common iteration pays one
+// float compare, not an Offer call, and the min(k, maxKNNStarts) fold
+// candidates, kept in a fixed-size insertion array ordered by (distance,
+// slot) — no allocation, and the same set whatever order the slots are
+// scanned in. The bound starts at the smaller of the RestrictKNN ceiling
+// and the crawl's k-th best; only vertices in keep (every vertex when
+// nil) are offered, and the fold candidates are chosen from all of them.
+// A vertex whose marks entry is epoch was marked by the crawl and is
+// neither.
 type knnProbe struct {
-	cands [maxKNNStarts]knnStart
+	cands [maxKNNStarts]knnFold
 	nc    int
 	want  int
 	bound float64
 	keep  []bool
+	marks []uint32
+	epoch uint32
 }
 
-// scan offers surface slots lo, lo+stride, ... below hi to the result heap
-// and to the crawl-start candidates, returning the number scanned. d ==
-// bound still calls Offer, for the id tie-break. Every offered vertex lies
-// within the bound, so once the heap is full its bound is the smaller of
-// the ceiling and the k-th best. A NaN distance (a NaN coordinate) fails
-// every compare: it is neither offered nor a start, whatever order the
-// slots come in.
+// scan offers the unmarked surface slots lo, lo+stride, ... below hi that
+// lie within the bound to the result heap and to the fold candidates,
+// returning the number of slots read. d == bound still calls Offer, for
+// the id tie-break. Every offered vertex lies within the bound, so once
+// the heap is full its bound is the smaller of the ceiling and the k-th
+// best. A NaN distance fails the bound test: it is neither offered nor a
+// fold.
 func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p geom.Vec3, lo, hi, stride int) int64 {
 	n := int64(0)
 	for idx := lo; idx < hi; idx += stride {
-		v, slot := surface[idx], int32(idx)
+		v := surface[idx]
 		n++
+		if kp.marks[v] == kp.epoch {
+			continue
+		}
 		d := pos[v].Dist2(p)
-		if d <= kp.bound && (kp.keep == nil || kp.keep[v]) {
+		if !(d <= kp.bound) {
+			continue
+		}
+		if kp.keep == nil || kp.keep[v] {
 			kb.Offer(d, v)
 			if kb.Full() {
 				kp.bound = kb.Bound()
 			}
 		}
-		nc := kp.nc
+		slot, nc := int32(idx), kp.nc
 		if nc == kp.want {
 			if last := kp.cands[nc-1]; !(d < last.d || d == last.d && slot < last.slot) {
 				continue
 			}
-		} else if d != d {
-			continue
 		}
 		i := nc
 		if nc < kp.want {
@@ -351,9 +361,22 @@ func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p ge
 			kp.cands[i] = kp.cands[i-1]
 			i--
 		}
-		kp.cands[i] = knnStart{d: d, v: v, slot: slot}
+		kp.cands[i] = knnFold{d: d, v: v, slot: slot}
 	}
 	return n
+}
+
+// folds returns the fold candidates that lie within the final bound: of
+// the unmarked surface vertices the probe scanned, the min(k,
+// maxKNNStarts) nearest p by (distance, slot) that are at most kp.bound
+// away. A candidate was kept under the bound of its scan, which may since
+// have tightened.
+func (kp *knnProbe) folds() []knnFold {
+	n := kp.nc
+	for n > 0 && kp.cands[n-1].d > kp.bound {
+		n--
+	}
+	return kp.cands[:n]
 }
 
 // blockSlots returns the surface slot range [lo, hi) of leaf b.
@@ -362,27 +385,72 @@ func (o *Octopus) blockSlots(b int) (lo, hi int) {
 	return lo, min(lo+probeBlock, len(o.surface))
 }
 
-// probeKNN is the exact kNN probe: one nearest-first heap over both
-// levels of boxes. It starts from every coarse box's distance to p; a
-// popped coarse box pushes those of its leaves that lie within the
-// running k-th-best bound (capped by a RestrictKNN ceiling), a popped leaf
-// is scanned, and the search stops at the first item strictly beyond the
-// bound. A coarse box is never farther than its leaves, so every leaf not
-// scanned then has every vertex strictly outside the final ball (the
-// bound only tightens): no skipped vertex belongs to the result or to the
-// crawl starts (want <= k), and the crawl may go on treating every
-// surface vertex as offered (probedInKNN). An item at exactly the bound
-// is taken: its leaf may hold the smaller id of a tie. It returns the
-// number of distance tests made on boxes of either level and on surface
-// positions.
-func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
-	bb := o.probeBoxes(cur.epoch, pos)
+// knnStartSearch is step 1 of the exact kNN: the surface vertex nearest p
+// by (squared distance, slot), -1 when none is at a non-NaN distance. It
+// searches both levels of boxes nearest-first, scanning leaves until the
+// next item lies strictly beyond the best vertex found — a leaf at exactly
+// that distance may hold the lower slot of a tie. The search leaves
+// cur.blocks for the probe to resume (probeKNN) under the crawl's bound,
+// which may be the larger one: a popped coarse box pushes the leaves
+// within the best distance so far and sets the others aside in
+// cur.aside, with the leaves it scans, for the probe to push back. It
+// returns the number of distance tests made on boxes of either level and
+// on surface positions.
+func (o *Octopus) knnStartSearch(cur *Cursor, bb blockBoxes, p geom.Vec3, pos []geom.Vec3) (start int32, boxes, positions int64) {
 	q := geom.AABB{Min: p, Max: p}
 	order := bb.coarseGaps(cur.blocks, &q)
 	boxes = int64(len(order))
-	// kp.bound is the ceiling (+Inf unrestricted) until the heap is full,
-	// so nothing within the ceiling is skipped before there are k
-	// candidates.
+	aside := cur.aside[:0]
+	start, startSlot, startDist := int32(-1), len(o.surface), math.Inf(1)
+	for len(order) > 0 && order[0].dist <= startDist {
+		it := heapPopItem(&order)
+		if c := int(it.v) - len(bb.leaf); c >= 0 {
+			first, end := bb.leaves(c)
+			boxes += int64(end - first)
+			for b := first; b < end; b++ {
+				leaf := heapItem{dist: gap2(&bb.leaf[b], &q), v: int32(b)}
+				if leaf.dist <= startDist {
+					heapPushItem(&order, leaf)
+				} else {
+					aside = append(aside, leaf)
+				}
+			}
+			continue
+		}
+		aside = append(aside, it)
+		lo, hi := o.blockSlots(int(it.v))
+		positions += int64(hi - lo)
+		for idx := lo; idx < hi; idx++ {
+			v := o.surface[idx]
+			if d := pos[v].Dist2(p); d < startDist || d == startDist && idx < startSlot {
+				start, startSlot, startDist = v, idx, d
+			}
+		}
+	}
+	cur.blocks, cur.aside = order, aside
+	return start, boxes, positions
+}
+
+// probeKNN is step 3 of the exact kNN: it pushes back the leaves the start
+// search set aside that lie within the probe's bound and resumes the
+// search (knnStartSearch) under it. A popped coarse box pushes those of
+// its leaves that lie within the bound, a popped leaf is scanned, and the
+// probe stops at the first item strictly beyond the bound. A coarse box
+// is never farther than its leaves, so every leaf not scanned then has
+// every vertex strictly outside the final ball (the bound only tightens):
+// no vertex left out belongs to the result or to the folds, and the crawl
+// may go on treating every surface vertex as offered (probedInKNN). An
+// item at exactly the bound is taken: its leaf may hold the smaller id of
+// a tie. It returns the number of distance tests made on leaf boxes and
+// the number of surface slots read.
+func (o *Octopus) probeKNN(cur *Cursor, bb blockBoxes, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
+	q := geom.AABB{Min: p, Max: p}
+	order := cur.blocks
+	for _, it := range cur.aside {
+		if it.dist <= kp.bound {
+			heapPushItem(&order, it)
+		}
+	}
 	for len(order) > 0 && order[0].dist <= kp.bound {
 		b := int(heapPopItem(&order).v)
 		if b >= len(bb.leaf) {
@@ -397,7 +465,7 @@ func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Ve
 }
 
 // coarseGaps fills dst with one item per coarse box, heap-ordered: the
-// start of the nearest-first searches (probeKNN, blockStart,
+// start of the nearest-first searches (knnStartSearch, blockStart,
 // closestSurfaceVertex), which share one heap in the cursor's scratch. An
 // item's dist is the squared distance between its box and the query box q
 // (0 where they meet; for the degenerate box around a kNN probe point, the

@@ -75,7 +75,10 @@ func BenchmarkProbeGather(b *testing.B) {
 // benchmark's query mix (selectivities 1e-4, 1e-3, 1e-2 in rotation; k in
 // [8, 32]). "rebuild" is the pass that recomputes every block box of
 // both levels, the cost the first exact query of an epoch carries;
-// "range" and "knn" run whole queries with the boxes warm; "step+range" starts a new generation
+// "range" and "knn" run whole queries with the boxes warm — a kNN's probe
+// figures add its start search to the probe that runs under the crawl's
+// bound, and its positions count the start leaves twice, once in each;
+// "step+range" starts a new generation
 // before every query, so each one pays a rebuild — the worst case, to be
 // read against "linear", the containment pass over the whole surface that
 // the blocks replace; "noseed" runs range boxes of the same mix whose

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,8 +22,9 @@ import (
 // tetLattice builds n³ disjoint tetrahedra on a unit lattice, ids in
 // row-major order. Every vertex is a surface vertex and every tetrahedron
 // its own component, so a range result needs a probe seed in every
-// tetrahedron it touches and a kNN result comes from the probe alone (the
-// crawl never offers a surface vertex): nothing the probe misses can be
+// tetrahedron it touches and a kNN result, but for the one tetrahedron the
+// first crawl reaches, comes from the probe alone (the fold crawl never
+// offers a surface vertex): nothing the probe misses can be
 // rescued by the walk or the crawl, which makes the mesh a sharp
 // instrument for the block boxes. The surface index is dense (slot i is
 // vertex i) and 32 consecutive tetrahedra are one block.
@@ -646,18 +648,22 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 }
 
 // TestKNNBlockSkipRule pins the skip rule of both levels on a hand-built
-// surface of three coarse boxes. With p at the origin and k = 2, coarse
-// box 1 (at distance 0) is expanded first and pushes its 16 leaves; its
-// first leaf (scanned first: its box is nearest) yields the candidates at
-// squared distances 1 and 4, the second with id near := probeFan *
-// probeBlock + 1. Coarse box 0 lies at 2.25, within that bound, and is
-// expanded: all 16 of its leaves are tested, and only leaf 0, whose box
-// lies at squared distance exactly 4, is pushed. It holds vertex 7 at
-// exactly that distance: the smaller id of the tie, so the answer is
-// [near-1 7], and the leaf must be pushed and scanned although nothing in
-// it beats the bound. The other leaves and the whole of coarse box 2
-// (ragged: one leaf) lie strictly beyond and must not be scanned — coarse
-// box 2 not even descended into.
+// surface of three coarse boxes. With p at the origin and k = 2, the start
+// search pops coarse box 1 (at distance 0), pushes all 16 of its leaves
+// (no vertex found yet: every leaf is within +Inf) and scans its first
+// leaf, whose box is nearest: vertex near-1 at squared distance 1, near :=
+// probeFan*probeBlock + 1 at 4. Coarse box 0 lies at 2.25, beyond that
+// start, so the search stops, the scanned leaf set aside. The crawl (a
+// cloud has no edges) offers near-1 alone, and the heap is not full. The
+// probe pushes the start leaf back under +Inf and re-scans it first: it
+// skips the marked near-1 and offers near, which fills the heap at bound
+// 4. Coarse box 0 lies within it and is expanded: all 16 of its leaves
+// are tested, and only leaf 0, whose box lies at squared distance exactly
+// 4, is pushed. It holds vertex 7 at exactly that distance: the smaller
+// id of the tie, so the answer is [near-1 7], and the leaf must be pushed
+// and scanned although nothing in it beats the bound. The other leaves
+// and the whole of coarse box 2 (ragged: one leaf) lie strictly beyond
+// and must not be scanned — coarse box 2 not even descended into.
 func TestKNNBlockSkipRule(t *testing.T) {
 	near := int32(probeFan*probeBlock + 1)
 	pos := make([]geom.Vec3, (2*probeFan+1)*probeBlock)
@@ -695,11 +701,12 @@ func TestKNNBlockSkipRule(t *testing.T) {
 	if bb := o.summary[cur.LastEpoch()&1].boxes; len(bb.coarse) != 3 || gap2(&bb.coarse[0], &geom.AABB{Min: p, Max: p}) != 2.25 {
 		t.Fatalf("coarse boxes %v; test geometry broken", bb.coarse)
 	}
-	// Box distances: three coarse boxes and the leaves of coarse boxes 1
-	// and 0. Positions: two scanned leaves.
+	// Box distances: three coarse boxes and the leaves of coarse box 1 in
+	// the start search, the leaves of coarse box 0 in the probe.
+	// Positions: the start leaf twice (search, then probe) and leaf 0.
 	st := cur.Stats()
-	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*probeFan || positions != 2*probeBlock {
-		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*probeFan, 2*probeBlock)
+	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*probeFan || positions != 3*probeBlock {
+		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*probeFan, 3*probeBlock)
 	}
 
 	// No block is skipped while the heap is not full: k beyond the surface
@@ -714,40 +721,51 @@ func TestKNNBlockSkipRule(t *testing.T) {
 }
 
 // linearProbe is the probe the block boxes replace, kept as the reference:
-// one pass over the surface in slot order, collecting the range seeds, and
-// for kNN offering every vertex to a heap and keeping the closest few —
-// first come first kept among equals — as crawl starts. A vertex at a NaN
-// distance ranks nowhere.
-func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3, k int) (seeds []int32, kb query.KBest, starts []int32) {
-	kb.Reset(k)
-	want := min(k, maxKNNStarts)
+// one pass over the surface in slot order. It collects the range seeds of
+// q and the kNN start: the vertex nearest p, the lowest slot among
+// equals, a NaN distance never taken (-1 when none is).
+func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3) (seeds []int32, start int32) {
+	start, best := -1, math.Inf(1)
+	for _, v := range o.surface {
+		if q.Contains(pos[v]) {
+			seeds = append(seeds, v)
+		}
+		if d := pos[v].Dist2(p); d < best || d == best && start < 0 {
+			start, best = v, d
+		}
+	}
+	return seeds, start
+}
+
+// linearFolds is the kNN probe's reference, one pass in slot order after
+// a crawl that left the heap kb and marked the vertices in marked: it
+// offers kb every unmarked surface vertex that keep admits (nil: every
+// vertex) within min(ceiling2, kb's bound), and returns the folds — the
+// first min(k, maxKNNStarts) unmarked vertices by distance, slot order
+// among equals, within the final bound.
+func linearFolds(o *Octopus, pos []geom.Vec3, p geom.Vec3, kb *query.KBest, keep, marked []bool, ceiling2 float64) []int32 {
+	bound := min(ceiling2, kb.Bound())
 	type cand struct {
 		d float64
 		v int32
 	}
 	var cands []cand
 	for _, v := range o.surface {
-		if q.Contains(pos[v]) {
-			seeds = append(seeds, v)
-		}
-		d := pos[v].Dist2(p)
-		if d != d {
-			continue
-		}
-		kb.Offer(d, v)
-		i := len(cands)
-		for i > 0 && cands[i-1].d > d {
-			i--
-		}
-		if i < want {
-			cands = slices.Insert(cands, i, cand{d, v})
-			cands = cands[:min(len(cands), want)]
+		if d := pos[v].Dist2(p); !marked[v] && d <= bound {
+			if keep == nil || keep[v] {
+				kb.Offer(d, v)
+			}
+			cands = append(cands, cand{d, v})
 		}
 	}
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.d, b.d) })
+	var folds []int32
 	for _, c := range cands {
-		starts = append(starts, c.v)
+		if len(folds) < min(kb.K(), maxKNNStarts) && c.d <= min(ceiling2, kb.Bound()) {
+			folds = append(folds, c.v)
+		}
 	}
-	return seeds, kb, starts
+	return folds
 }
 
 // tieCloud is a cloud engine over n positions on an integer grid of side
@@ -783,14 +801,34 @@ func tieCloud(t testing.TB, r *rand.Rand, n, spread int, drift bool, nonFinite i
 	return cloud(t, pos)
 }
 
-// matchLinearPass runs the block probe of o and linearProbe on the same
-// range box q and kNN point p, and fails unless the range seeds (order
-// included), the kNN candidates and the crawl starts are equal.
-func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, q geom.AABB, p geom.Vec3, k int) {
+// matchLinearPass runs the block probe of o and the linear passes on the
+// same range box q and kNN point p, under a random restriction (no mask,
+// or a coin per vertex; no ceiling, a ceiling of 0, or one exactly at a
+// vertex's non-NaN distance), and fails unless the range seeds (order
+// included), the kNN start, the candidates the probe leaves in the heap
+// after a stand-in crawl and the folds are equal — and the whole kNN
+// query equals brute force over what the restriction admits.
+func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *rand.Rand, q geom.AABB, p geom.Vec3, k int) {
 	t.Helper()
 	pos := cur.beginQuery(o.m)
-	defer cur.endQuery(o.m)
-	seeds, kb, starts := linearProbe(o, pos, q, p, k)
+	var keep []bool
+	if r.Intn(2) == 0 {
+		keep = make([]bool, len(pos))
+		for v := range keep {
+			keep[v] = r.Intn(3) != 0
+		}
+	}
+	ceiling2 := math.Inf(1)
+	switch r.Intn(4) {
+	case 1:
+		ceiling2 = 0
+	case 2:
+		if d := pos[r.Intn(len(pos))].Dist2(p); d == d { // a ceiling is never NaN
+			ceiling2 = d
+		}
+	}
+	label = fmt.Sprintf("%s (k=%d, ceiling2=%v, masked=%v)", label, k, ceiling2, keep != nil)
+	seeds, start := linearProbe(o, pos, q, p)
 
 	cur.seeds = cur.seeds[:0]
 	o.probeRange(cur, q, pos)
@@ -799,17 +837,49 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, q geom
 	}
 
 	cur.kbest.Reset(k)
-	kp := knnProbe{want: min(k, maxKNNStarts), bound: math.Inf(1)}
-	o.probeKNN(cur, &kp, p, pos)
-	if got, want := cur.kbest.AppendSorted(nil), kb.AppendSorted(nil); !slices.Equal(got, want) {
-		t.Fatalf("%s (k=%d): candidates %v, linear pass %v", label, k, got, want)
+	cur.bumpMarks()
+	bb := o.probeBoxes(cur.epoch, pos)
+	if got, _, _ := o.knnStartSearch(cur, bb, p, pos); got != start {
+		t.Fatalf("%s: kNN start %d, linear pass %d", label, got, start)
 	}
-	var got []int32
-	for _, c := range kp.cands[:kp.nc] {
-		got = append(got, c.v)
+	// A stand-in for the crawl: mark the start and a random third of the
+	// surface, offering each admitted vertex within the ceiling, as the
+	// crawl offers what it pops.
+	var ref query.KBest
+	ref.Reset(k)
+	marked := make([]bool, len(pos))
+	for _, v := range o.surface {
+		if v == start || r.Intn(3) == 0 {
+			marked[v], cur.marks[v] = true, cur.markEpoch
+			if d := pos[v].Dist2(p); (keep == nil || keep[v]) && d <= ceiling2 {
+				cur.kbest.Offer(d, v)
+				ref.Offer(d, v)
+			}
+		}
 	}
-	if !slices.Equal(got, starts) {
-		t.Fatalf("%s (k=%d): crawl starts %v, linear pass %v", label, k, got, starts)
+	kp := knnProbe{want: min(k, maxKNNStarts), bound: min(ceiling2, cur.kbest.Bound()), keep: keep, marks: cur.marks, epoch: cur.markEpoch}
+	o.probeKNN(cur, bb, &kp, p, pos)
+	wantFolds := linearFolds(o, pos, p, &ref, keep, marked, ceiling2)
+	var folds []int32
+	for _, c := range kp.folds() {
+		folds = append(folds, c.v)
+	}
+	if !slices.Equal(folds, wantFolds) {
+		t.Fatalf("%s: folds %v, linear pass %v", label, folds, wantFolds)
+	}
+	if got, want := cur.kbest.AppendSorted(nil), ref.AppendSorted(nil); !slices.Equal(got, want) {
+		t.Fatalf("%s: candidates %v, linear pass %v", label, got, want)
+	}
+	cur.endQuery(o.m)
+
+	cur.RestrictKNN(keep, ceiling2)
+	defer cur.RestrictKNN(nil, math.Inf(1))
+	want, wantBall := restrictedBruteForce(o.m, p, k, keep, ceiling2)
+	if got := cur.KNN(p, k, nil); !slices.Equal(got, want) {
+		t.Fatalf("%s: kNN %v, brute force %v", label, got, want)
+	}
+	if ball, ok := cur.LastKNNBound2(); !ok || ball != wantBall {
+		t.Fatalf("%s: ball %v, brute force %v", label, ball, wantBall)
 	}
 }
 
@@ -865,7 +935,7 @@ func TestBlockProbeMatchesLinearPass(t *testing.T) {
 				if i%3 == 0 {
 					c = c.Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.1))
 				}
-				matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, q, c, k)
+				matchLinearPass(t, fmt.Sprintf("query %d", i), o, cur, r, q, c, k)
 			}
 		})
 	}

@@ -45,11 +45,11 @@ type CrawlCoverage struct {
 	// Frontier is the number of discovered-but-unexpanded vertices
 	// abandoned at the cutoff (0 when the crawl ran to completion).
 	Frontier int64
-	// BoundGap is the kNN convergence gap at the cutoff: 1 − d_f/d_k,
-	// where d_f is the distance of the closest abandoned frontier vertex
-	// and d_k the k-th-best distance found. 0 means converged (the
-	// frontier could not have improved the result); 1 means the k-best set
-	// was not even full yet. Always 0 for range queries.
+	// BoundGap is the kNN convergence gap of the returned answer:
+	// 1 − d_f/d_k, where d_f is the distance of the closest abandoned
+	// frontier vertex and d_k the k-th-best distance of the answer. 0
+	// means converged (the frontier could not have improved the result);
+	// 1 means the answer holds fewer than k. Always 0 for range queries.
 	BoundGap float64
 }
 

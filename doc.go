@@ -23,7 +23,7 @@
 //	eng := octopus.New(m)                       // builds the surface index once
 //	for step := 0; step < steps; step++ {
 //	    simulate(m.Positions())                 // your in-place deformation
-//	    eng.Step()                              // required after in-place writes; O(1), nothing to maintain
+//	    eng.Step()                              // required after in-place writes: refits the probe boxes, O(surface)
 //	    ids := eng.Query(octopus.Box(lo, hi), nil)
 //	    // ... analyze ids ...
 //	}

@@ -41,7 +41,7 @@ func main() {
 		var out []int32
 		for step := 0; step < steps; step++ {
 			deformer.Step(step, m.Positions())
-			eng.Step() // required after in-place writes; O(1)
+			eng.Step() // required after in-place writes: refits the probe boxes
 
 			// A camera frustum approximated by its bounding box, plus a
 			// few detail queries around random vertices.

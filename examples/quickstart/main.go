@@ -58,7 +58,7 @@ func main() {
 				0.003*math.Sin(float64(step)+8*pos[i].X),
 			))
 		}
-		eng.Step() // required after in-place writes; O(1): OCTOPUS has nothing to maintain
+		eng.Step() // required after in-place writes: refits the probe boxes, one pass over the surface
 
 		q := octopus.BoxAround(octopus.V(0.5, 0.5, 0.5), 0.15)
 		got := eng.Query(q, nil)

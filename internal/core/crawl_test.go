@@ -132,7 +132,7 @@ func TestCrawlOrderMatchesReferenceBFS(t *testing.T) {
 		for i, q := range randomBoxes(m, 14, 40, 0.03, 0.45) {
 			got := o.Query(q, nil)
 			var seeds []int32
-			for _, v := range o.surface {
+			for _, v := range o.idx.Slots() {
 				if q.Contains(m.Position(v)) {
 					seeds = append(seeds, v)
 				}

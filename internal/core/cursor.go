@@ -22,9 +22,10 @@ type cursorOwner interface {
 // (mark array, kNN frontier — the range BFS queues in the caller's out),
 // the seed buffer, the crawl budget with the approximate probe's sampling
 // phase and a local Stats accumulator. The engine that created a cursor
-// holds only immutable index state at query time (and the probe's
-// self-synchronized block boxes), so any number of cursors over the same
-// engine may execute queries concurrently — one cursor per goroutine.
+// holds only immutable index state at query time, and the block boxes a
+// query reads belong to the position buffer it pinned, so any number of
+// cursors over the same engine may execute queries concurrently — one
+// cursor per goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
 // one per worker: nothing is allocated until its first seeded crawl, which
@@ -56,16 +57,13 @@ type Cursor struct {
 	// the crawl's stop radius. The crawls and the surface probe all feed
 	// the heap, and a vertex occupying two slots would evict a legitimate
 	// candidate: the probe skips the vertices the first crawl marked, and
-	// the fold crawl skips those the probe covers. knnSlot/knnStride/
-	// knnStart describe the probe's coverage (surface slot map plus
-	// sampling phase; knnSlot nil while nothing is probed). knnDense marks
-	// an exact probe over a dense surface-first layout, whose coverage is
-	// the id prefix [0, len(knnSlot)).
+	// the fold crawl skips those the probe covers. knnIdx/knnStride/
+	// knnStart describe the probe's coverage (surface index plus sampling
+	// phase; knnIdx nil while nothing is probed).
 	kbest     query.KBest
-	knnSlot   map[int32]int32
+	knnIdx    *mesh.SurfaceIndex
 	knnStride int
 	knnStart  int
-	knnDense  bool
 
 	// knnBound2/knnBoundOK record the k-th-best squared distance of the
 	// last kNN before AppendSorted drains the heap (Bound reads the heap
@@ -146,25 +144,15 @@ func (c *Cursor) LastEpoch() uint64 { return c.epoch }
 // sampling lattice. The probe has then offered v, or found it strictly
 // beyond the final bound, or v was marked by the crawl before it — which
 // the fold crawl, in the same mark epoch, never reaches. It is false for
-// every vertex before the probe (knnSlot nil), so the first crawl offers
-// surface and interior alike. It runs on every vertex a kNN crawl pops,
-// so the exact probe of a dense layout answers with one compare instead
-// of the slot map lookup.
+// every vertex before the probe (knnIdx nil), so the first crawl offers
+// surface and interior alike. It runs on every vertex a kNN crawl pops;
+// on a dense layout the slot lookup is one compare.
 func (c *Cursor) probedInKNN(v int32) bool {
-	if c.knnDense {
-		return int(v) < len(c.knnSlot)
-	}
-	if c.knnSlot == nil {
+	if c.knnIdx == nil {
 		return false
 	}
-	slot, ok := c.knnSlot[v]
-	if !ok {
-		return false
-	}
-	if c.knnStride <= 1 {
-		return true
-	}
-	return (int(slot)-c.knnStart)%c.knnStride == 0
+	slot, ok := c.knnIdx.Slot(v)
+	return ok && (c.knnStride <= 1 || (int(slot)-c.knnStart)%c.knnStride == 0)
 }
 
 // Query implements query.Cursor: it executes q against the owning engine

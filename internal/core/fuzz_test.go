@@ -141,7 +141,7 @@ func FuzzRangeQuery(f *testing.F) {
 		m := fuzzMesh(t, 8, seed)
 		q := geom.Box(geom.V(ax, ay, az), geom.V(bx, by, bz))
 		o, c := New(m), NewCon(m, 64)
-		if blocks := (o.SurfaceSize() + probeBlock - 1) / probeBlock; blocks < 4 {
+		if blocks := (o.SurfaceSize() + mesh.ProbeBlock - 1) / mesh.ProbeBlock; blocks < 4 {
 			t.Fatalf("fuzz mesh spans %d probe blocks, want at least 4", blocks)
 		}
 		check := func(stage string) {
@@ -155,7 +155,7 @@ func FuzzRangeQuery(f *testing.F) {
 				inGot[v] = true
 			}
 			pos := m.Positions()
-			for v := range o.surfaceSlot {
+			for _, v := range o.idx.Slots() {
 				if q.Contains(pos[v]) && !inGot[v] {
 					t.Fatalf("OCTOPUS %s missed in-box surface vertex %d", stage, v)
 				}
@@ -188,11 +188,11 @@ func FuzzRangeQuery(f *testing.F) {
 // folds, and an answer equal to brute force (matchLinearPass).
 func FuzzBlockProbe(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint8(2), true, uint8(0))
-	f.Add(int64(2), uint16(probeBlock*probeFan+1), uint8(3), true, uint8(20))
-	f.Add(int64(3), uint16(3*probeBlock*probeFan+7), uint8(4), false, uint8(0))
-	f.Add(int64(4), uint16(probeBlock*probeFan), uint8(1), true, uint8(5))
+	f.Add(int64(2), uint16(mesh.ProbeBlock*mesh.ProbeFan+1), uint8(3), true, uint8(20))
+	f.Add(int64(3), uint16(3*mesh.ProbeBlock*mesh.ProbeFan+7), uint8(4), false, uint8(0))
+	f.Add(int64(4), uint16(mesh.ProbeBlock*mesh.ProbeFan), uint8(1), true, uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, spread uint8, drift bool, nonFinite uint8) {
-		n %= 4 * probeBlock * probeFan
+		n %= 4 * mesh.ProbeBlock * mesh.ProbeFan
 		if n == 0 || spread == 0 {
 			t.Skip("empty cloud")
 		}
@@ -211,12 +211,14 @@ func FuzzBlockProbe(f *testing.F) {
 	})
 }
 
-// FuzzSurfaceDelta fuzzes restructuring delta application: a random
-// split/delete sequence is applied to the mesh with the resulting
-// SurfaceDelta stream fed to the engine, then queries must still match
-// brute force and the mesh must still validate. This exercises the O(1)
-// surface-slot maintenance, the dense-layout invalidation and the
-// component-label rebuild.
+// FuzzSurfaceDelta fuzzes restructuring: a random split/delete sequence
+// is applied to the mesh, which folds each SurfaceDelta into its surface
+// index, with the delta stream fed to the engine. After every operation
+// the index's slot map must invert its slot order and the current boxes
+// must equal a recomputation; at the end queries must still match brute
+// force and the mesh must still validate. This exercises the O(1)
+// surface-slot maintenance, the dense-layout invalidation, the refit and
+// the component-label rebuild.
 func FuzzSurfaceDelta(f *testing.F) {
 	f.Add(int64(1), uint8(3), 0.3, 0.3, 0.3, 0.6)
 	f.Add(int64(7), uint8(9), 0.0, 0.0, 0.0, 2.0)  // many ops, whole-mesh query
@@ -252,6 +254,7 @@ func FuzzSurfaceDelta(f *testing.F) {
 				t.Fatalf("op %d: %v", i, err)
 			}
 			o.ApplySurfaceDelta(delta)
+			checkIndex(t, fmt.Sprintf("op %d", i), o)
 		}
 		if err := m.Validate(); err != nil {
 			t.Fatalf("mesh invalid after restructuring: %v", err)
@@ -260,7 +263,7 @@ func FuzzSurfaceDelta(f *testing.F) {
 		q := geom.BoxAround(geom.V(qx, qy, qz), r)
 		checkRangeContract(t, m, "OCTOPUS", q, o.Query(q, nil), query.BruteForce(m, q))
 		// The surface index must agree with a fresh extraction.
-		if got, want := slices.Sorted(slices.Values(o.surface)), m.SurfaceVertices(); !slices.Equal(got, want) {
+		if got, want := slices.Sorted(slices.Values(o.idx.Slots())), m.SurfaceVertices(); !slices.Equal(got, want) {
 			t.Fatalf("surface %v after deltas, fresh extraction says %v", got, want)
 		}
 	})

@@ -59,17 +59,15 @@ func NewHybrid(m *mesh.Mesh, histCells int, consts Constants) *Hybrid {
 func (h *Hybrid) Name() string { return "OCTOPUS-Hybrid" }
 
 // Step implements query.Engine; neither routed engine needs maintenance,
-// but the OCTOPUS side must hear that positions were written in place
-// (Octopus.Step).
+// but positions written in place leave the OCTOPUS side's block boxes to
+// refit (Octopus.Step).
 func (h *Hybrid) Step() { h.oct.Step() }
 
 // BeginMaintenance implements maintain.Incremental with the nil task:
 // neither routed side maintains positional state (the stale histogram
-// only ever costs routing quality, never correctness). The region is
-// forwarded for the same reason Step is.
-func (h *Hybrid) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
-	return h.oct.BeginMaintenance(d)
-}
+// only ever costs routing quality, never correctness), and the publish
+// that recorded the region refit the boxes.
+func (h *Hybrid) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
 // BreakEven returns the routing threshold (Equation 6).
 func (h *Hybrid) BreakEven() float64 { return h.breakEven }

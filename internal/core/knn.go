@@ -77,16 +77,15 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// too: the descent from it is what reaches the interior vertices
 	// within the ceiling when no surface vertex is. Exact mode searches
 	// the block boxes; approximate mode samples the surface with
-	// the range probe's rotating stride and builds no boxes (the crawl
+	// the range probe's rotating stride and reads no boxes (the crawl
 	// still expands exactly — only the start quality, and hence the
 	// expansion work, degrades).
 	clock := time.Now()
 	stride := o.probeStride(cur.budget.SurfaceFrac)
 	start := 0
-	var bb blockBoxes
+	bb := o.idx.Boxes(cur.epoch)
 	var s0 int32
 	if stride == 1 {
-		bb = o.probeBoxes(cur.epoch, pos)
 		var boxes, positions int64
 		s0, boxes, positions = o.knnStartSearch(cur, bb, p, pos)
 		cur.stats.ProbeBoxes += boxes
@@ -101,7 +100,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// Step 2: descend from it and crawl, offering every vertex popped —
 	// nothing has been offered yet.
 	cur.stats.DirectedWalks++
-	cur.knnSlot, cur.knnDense = nil, false
+	cur.knnIdx = nil
 	startComp := int32(-1)
 	if s0 >= 0 {
 		startComp = o.compOf[s0]
@@ -114,8 +113,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// Step 3: the surface the crawl did not mark, within its bound. From
 	// here on the crawl skips the vertices the probe covers
 	// (probedInKNN).
-	cur.knnSlot, cur.knnStride, cur.knnStart = o.surfaceSlot, stride, start
-	cur.knnDense = stride == 1 && o.denseSurface
+	cur.knnIdx, cur.knnStride, cur.knnStart = o.idx, stride, start
 	kp := knnProbe{
 		want:  min(k, maxKNNStarts),
 		bound: min(ceiling2, cur.kbest.Bound()),
@@ -128,7 +126,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		cur.stats.ProbeBoxes += boxes
 		cur.stats.ProbeChecked += boxes + positions
 	} else {
-		cur.stats.ProbeChecked += kp.scan(&cur.kbest, o.surface, pos, p, start, len(o.surface), stride)
+		cur.stats.ProbeChecked += kp.scan(&cur.kbest, o.idx.Slots(), pos, p, start, o.SurfaceSize(), stride)
 	}
 	cur.stats.SurfaceProbe += lap(&clock)
 
@@ -212,7 +210,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 	cur.stats.SurfaceProbe += time.Since(t0) // grid lookup plays the probe's role
 
 	cur.kbest.Reset(k)
-	cur.knnSlot, cur.knnDense = nil, false // no surface probe: the crawl offers everything
+	cur.knnIdx = nil // no surface probe: the crawl offers everything
 	cur.bumpMarks()
 	startComp := int32(-1)
 	if ok {

@@ -152,7 +152,7 @@ func TestKNNBudgetHandsFrontierToProbe(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const k = 64
 	for i := 0; i < 40; i++ {
-		p := pos[o.surface[r.Intn(len(o.surface))]].Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.01))
+		p := pos[o.idx.Slots()[r.Intn(len(o.idx.Slots()))]].Add(geom.V(r.Float64(), r.Float64(), r.Float64()).Scale(0.01))
 		got := cur.KNN(p, k, nil)
 		cov := cur.LastCoverage()
 		if !cov.Truncated || cov.Frontier == 0 {
@@ -162,7 +162,7 @@ func TestKNNBudgetHandsFrontierToProbe(t *testing.T) {
 		if len(got) != k || !(cov.BoundGap > 0 && cov.BoundGap < 1) {
 			t.Fatalf("probe %d: %d results, bound gap %v; want %d and a gap in (0, 1)", i, len(got), cov.BoundGap, k)
 		}
-		for _, v := range o.surface {
+		for _, v := range o.idx.Slots() {
 			if pos[v].Dist2(p) < ball && !slices.Contains(got, v) {
 				t.Fatalf("probe %d: surface vertex %d lies inside the ball %v but is not in the answer %v", i, v, ball, got)
 			}
@@ -357,14 +357,14 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 			for i, q := range boxes {
 				checkRangeContract(t, m, fmt.Sprintf("%s box %d", label, i), q, cur.Query(q, nil), query.BruteForce(m, q))
 				ref.beginQuery(m)
-				if got, want := o.blockStart(ref, q, pos), oneLevelStart(o, q, pos, probeBlock); got != want {
+				if got, want := o.blockStart(ref, q, pos), oneLevelStart(o, q, pos, mesh.ProbeBlock); got != want {
 					t.Fatalf("%s box %d: the two-level start is %d, a flat pass over the leaves %d", label, i, got, want)
 				}
-				nearest, dist := nearestOf(q, pos, o.surface, math.Inf(1))
+				nearest, dist := nearestOf(q, pos, o.idx.Slots(), math.Inf(1))
 				if got := o.closestSurfaceVertex(ref, q, pos); got < 0 || q.Dist2(pos[got]) != dist {
 					t.Fatalf("%s box %d: closest surface vertex %d, want %d at squared distance %v", label, i, got, nearest, dist)
 				}
-				if start := oneLevelStart(o, q, pos, 4*probeBlock); !ref.walkFrom(q, start) {
+				if start := oneLevelStart(o, q, pos, 4*mesh.ProbeBlock); !ref.walkFrom(q, start) {
 					if v := o.closestSurfaceVertex(ref, q, pos); v == start || !ref.walkFrom(q, v) {
 						oneLevel++
 					}
@@ -387,13 +387,11 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 // distance).
 func oneLevelStart(o *Octopus, q geom.AABB, pos []geom.Vec3, block int) int32 {
 	best, bestDist := -1, math.Inf(1)
-	var blockPos []geom.Vec3
 	for lo := 0; lo < o.SurfaceSize(); lo += block {
-		blockPos = blockPos[:0]
-		for _, v := range o.surface[lo:min(lo+block, o.SurfaceSize())] {
-			blockPos = append(blockPos, pos[v])
+		bx := geom.EmptyBox()
+		for _, v := range o.idx.Slots()[lo:min(lo+block, o.SurfaceSize())] {
+			bx = bx.Extend(pos[v])
 		}
-		bx := unionBox(appendLeafBoxes(nil, blockPos))
 		if d := gap2(&bx, &q); d < bestDist {
 			best, bestDist = lo, d
 		}
@@ -401,6 +399,6 @@ func oneLevelStart(o *Octopus, q geom.AABB, pos []geom.Vec3, block int) int32 {
 	if best < 0 {
 		return -1
 	}
-	v, _ := nearestOf(q, pos, o.surface[best:min(best+block, o.SurfaceSize())], math.Inf(1))
+	v, _ := nearestOf(q, pos, o.idx.Slots()[best:min(best+block, o.SurfaceSize())], math.Inf(1))
 	return v
 }

@@ -113,7 +113,7 @@ func TestNoSeedExactness(t *testing.T) {
 	}
 
 	o := New(m)
-	if !o.denseSurface {
+	if !o.idx.Dense() {
 		t.Fatal("test mesh is not surface-first")
 	}
 	check("octopus/surface-first", o, o.Stats, 3)
@@ -127,7 +127,7 @@ func TestNoSeedExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.ApplySurfaceDelta(delta)
-	if o.denseSurface {
+	if o.idx.Dense() {
 		t.Fatal("deleting the lone tetrahedron kept the surface-first layout")
 	}
 	check("octopus/restructured", o, o.Stats, 4)
@@ -190,13 +190,13 @@ func noSeedBoxes(o *Octopus, pos []geom.Vec3, r *rand.Rand, n int) []geom.AABB {
 		c := geom.V(bounds.Min.X+r.Float64()*size.X, bounds.Min.Y+r.Float64()*size.Y, bounds.Min.Z+r.Float64()*size.Z)
 		if i%4 != 3 {
 			v := int32(r.Intn(len(pos)))
-			if _, onSurface := o.surfaceSlot[v]; onSurface {
+			if _, onSurface := o.idx.Slot(v); onSurface {
 				continue
 			}
 			c = pos[v]
 		}
 		q := geom.BoxAround(c, size.Len()*(0.002+0.02*r.Float64()))
-		if len(o.appendContainedSlots(nil, q, pos, 0, o.SurfaceSize(), 1)) == 0 {
+		if len(appendContainedSlots(nil, q, pos, o.idx.Slots(), 1)) == 0 {
 			boxes = append(boxes, q)
 		}
 	}

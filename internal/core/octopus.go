@@ -21,41 +21,40 @@
 // Because every phase reads positions directly from the live mesh, the
 // strategy needs no maintenance when the simulation moves vertices — the
 // property that lets it beat both rebuilt and incrementally-maintained
-// indexes under the paper's massive-update workload. The one thing derived
-// from positions is the exact probe's block boxes (probe.go): a cache that
-// the first query of a position state rebuilds in one pass over the
-// surface, never a structure a writer has to keep up. A simulation that
-// writes positions in place announces the new state with Step, which is
-// O(1); a snapshot mesh's epochs announce themselves.
+// indexes under the paper's massive-update workload. The surface index and
+// the exact probe's block boxes over it belong to the mesh
+// (mesh.SurfaceIndex): every writer of a position buffer refits that
+// buffer's boxes in one pass over the surface before a reader can see it.
+// A simulation that writes positions in place is such a writer, and Step
+// is its refit; a published Deform refits inside the publish.
 //
 // # Concurrency
 //
 // Every engine in this package separates its index state (the surface
 // index, the start-point grid, the selectivity histogram) from the
 // per-query mutable scratch, which lives in a Cursor. At query time the
-// index is read-only with one exception: the block boxes of the exact
-// probe, a mutex-guarded cache tagged with the position epoch and engine
-// generation it was computed from, which the first query that pins another
-// state rebuilds while later arrivals wait for it. Queries issued through
-// distinct cursors (one per goroutine, via NewCursor) may therefore run
+// index is read-only: no query builds, refits or locks anything, and the
+// block boxes a cursor reads are those of the position buffer it pinned,
+// which the pin keeps the writer off. Queries issued through distinct
+// cursors (one per goroutine, via NewCursor) may therefore run
 // concurrently, as may the resident-cursor Query method from a single
 // goroutine. Queries may also overlap mesh.Mesh.Deform: every cursor pins
 // a position epoch for the duration of each query, so result sets are
-// exact at the pinned epoch, never torn across a deformation step. A query never leaves the goroutine that
-// issued it: there is one crawl (crawl.go), it runs on the cursor's mark
-// array, and its output order is deterministic per cursor. What is NOT
-// safe is running queries concurrently with anything that mutates the
-// index: Step, BeginMaintenance, restructuring and ApplySurfaceDelta
-// require exclusive access (the query.Pipeline serializes them against
-// queries), as does in-place mutation of Positions() — which must be
-// followed by Step before the next query. Tuning is not among them: the
-// approximate mode is a CrawlBudget held by each cursor (SetBudget) and
-// read only by that cursor's queries.
+// exact at the pinned epoch, never torn across a deformation step. A
+// query never leaves the goroutine that issued it: there is one crawl
+// (crawl.go), it runs on the cursor's mark array, and its output order is
+// deterministic per cursor. What is NOT safe is running queries
+// concurrently with anything that writes the index or the buffer they
+// read: Step, restructuring and ApplySurfaceDelta require exclusive
+// access (the query.Pipeline serializes them against queries), as does
+// in-place mutation of Positions() — which must be followed by Step
+// before the next query. Tuning is not among them: the approximate mode
+// is a CrawlBudget held by each cursor (SetBudget) and read only by that
+// cursor's queries.
 package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"octopus/internal/geom"
@@ -64,21 +63,15 @@ import (
 	"octopus/internal/query"
 )
 
-// Octopus is the general (non-convex-safe) OCTOPUS engine. All fields but
-// the probe summary are immutable during query execution; per-query
-// scratch lives in Cursors.
+// Octopus is the general (non-convex-safe) OCTOPUS engine. Its fields are
+// immutable during query execution; per-query scratch lives in Cursors.
 type Octopus struct {
 	m *mesh.Mesh
 
-	// surface is the surface index: a packed array of the vertex ids on
-	// the mesh surface, kept in ascending id order so the probe walks the
-	// position array near-sequentially (random probe order costs several
-	// times more memory bandwidth and would erase the win over the scan).
-	surface []int32
-	// surfaceSlot maps a surface vertex id to its slot in surface,
-	// enabling O(1) insert/delete maintenance under restructuring
-	// (§IV-E2).
-	surfaceSlot map[int32]int32
+	// idx is the mesh's surface index and block boxes. Its ascending id
+	// order walks the position array near-sequentially (random probe
+	// order costs several times more memory bandwidth).
+	idx *mesh.SurfaceIndex
 
 	// compOf labels every vertex with its connected-component id and
 	// compReps holds one descent start per component (a surface vertex
@@ -91,19 +84,6 @@ type Octopus struct {
 	// positions instead (DESIGN.md §4).
 	compOf   []int32
 	compReps []int32
-
-	// denseSurface is true when surface == [0, len) — the surface-first
-	// layout — enabling the probe's direct position-scan fast path.
-	denseSurface bool
-
-	// summary holds the exact probe's block boxes, one slot per position
-	// buffer parity (probe.go). gen is the engine generation half of a
-	// slot's validity tag: it starts at 1 and is bumped by everything that
-	// can change what a slot describes without changing the position epoch
-	// — Step and BeginMaintenance (positions written in place) and
-	// ApplySurfaceDelta (slots move).
-	summary [2]probeSlot
-	gen     atomic.Uint64
 
 	// resident is the cursor behind the single-threaded Query and KNN
 	// methods; guard panics when two goroutines enter it at once.
@@ -150,20 +130,13 @@ func (s *Stats) Add(o Stats) {
 	s.WalkStalls += o.WalkStalls
 }
 
-// New builds the OCTOPUS engine over m: it extracts the mesh surface once
-// (the paper's one-time preprocessing; 62 s for the 33 GB dataset there)
-// and creates the resident cursor, whose crawl structures are allocated by
-// its first seeded crawl.
+// New builds the OCTOPUS engine over m: the first engine over a mesh
+// extracts its surface index (the paper's one-time preprocessing; 62 s for
+// the 33 GB dataset there), later ones share it. It creates the resident
+// cursor, whose crawl structures are allocated by its first seeded crawl.
 func New(m *mesh.Mesh) *Octopus {
-	o := &Octopus{m: m}
-	o.gen.Store(1)
+	o := &Octopus{m: m, idx: m.SurfaceIndex()}
 	o.resident = newCursor(o, m)
-	o.surface = m.SurfaceVertices() // ascending order: near-sequential probe
-	o.surfaceSlot = make(map[int32]int32, len(o.surface))
-	for i, v := range o.surface {
-		o.surfaceSlot[v] = int32(i)
-	}
-	o.refreshDense()
 	o.refreshComponents()
 	return o
 }
@@ -181,7 +154,7 @@ func (o *Octopus) refreshComponents() {
 		o.compReps[i] = -1
 	}
 	assigned := 0
-	for _, v := range o.surface {
+	for _, v := range o.idx.Slots() {
 		if c := labels[v]; o.compReps[c] < 0 {
 			o.compReps[c] = v
 			assigned++
@@ -210,54 +183,31 @@ func (o *Octopus) probeStride(frac float64) int {
 	if frac <= 0 || frac >= 1 {
 		return 1
 	}
-	stride := int(1 / frac)
-	if stride > len(o.surface) && len(o.surface) > 0 {
-		stride = len(o.surface)
+	stride, n := int(1/frac), o.SurfaceSize()
+	if stride > n && n > 0 {
+		stride = n
 	}
 	return stride
-}
-
-// refreshDense detects the surface-first vertex layout (surface ids form
-// the prefix 0..len-1), which lets the probe scan the position array
-// directly instead of gathering through the id array. Dataset generators
-// emit this layout; restructuring deltas may break it.
-func (o *Octopus) refreshDense() {
-	o.denseSurface = true
-	for i, v := range o.surface {
-		if v != int32(i) {
-			o.denseSurface = false
-			return
-		}
-	}
 }
 
 // Name implements query.Engine.
 func (o *Octopus) Name() string { return "OCTOPUS" }
 
-// Step implements query.Engine. Mesh deformation changes no connectivity,
-// so OCTOPUS has nothing to maintain — the core of its advantage. All Step
-// does is start a new generation, O(1): positions written in place leave
-// the mesh's epoch where it was, so this is how the probe's block boxes
-// learn that they describe the previous step (the next exact query
-// rebuilds them). A mesh deformed through snapshots needs no Step.
-func (o *Octopus) Step() { o.gen.Add(1) }
+// Step implements query.Engine after positions were written in place.
+// Deformation changes no connectivity, so OCTOPUS has no index to
+// maintain — the core of its advantage. Step does the writer's one duty:
+// it refits the block boxes of the written buffer (mesh.RefitSurface),
+// one O(S) pass. A mesh deformed through Deform needs no Step.
+func (o *Octopus) Step() { o.m.RefitSurface() }
 
 // BeginMaintenance implements maintain.Incremental with the nil task:
-// OCTOPUS reads positions through per-query pinned epochs, so positional
-// dirt needs no index work at all, and structural dirt is handled by the
-// explicit ApplySurfaceDelta path (under the scheduler's exclusive
-// section). The localized path in its purest form. The scheduler calls
-// this instead of Step, so a non-empty region starts a new generation like
-// Step does.
-func (o *Octopus) BeginMaintenance(d mesh.DirtyRegion) maintain.Task {
-	if !d.Empty() {
-		o.gen.Add(1)
-	}
-	return nil
-}
+// positional dirt needs no index work (the publish that recorded it refit
+// the boxes), and structural dirt is handled by the explicit
+// ApplySurfaceDelta path (under the scheduler's exclusive section).
+func (o *Octopus) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
 // SurfaceSize returns the number of vertices in the surface index.
-func (o *Octopus) SurfaceSize() int { return len(o.surface) }
+func (o *Octopus) SurfaceSize() int { return len(o.idx.Slots()) }
 
 // NewCursor implements query.ParallelEngine: it returns fresh per-worker
 // query scratch over this engine.
@@ -303,8 +253,9 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	} else {
 		start := cur.probeOffset % stride
 		cur.probeOffset++
-		cur.seeds = o.appendContainedSlots(cur.seeds, q, pos, start, len(o.surface), stride)
-		probed = int64((len(o.surface) - start + stride - 1) / stride) // slots start, start+stride, ...
+		slots := o.idx.Slots()
+		cur.seeds = appendContainedSlots(cur.seeds, q, pos, slots[min(start, len(slots)):], stride)
+		probed = int64((len(slots) - start + stride - 1) / stride) // slots start, start+stride, ...
 		if len(cur.seeds) == 0 {
 			minVertex = o.sampledStart(q, pos, start, stride)
 		}
@@ -329,8 +280,8 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 		if !cur.walkFrom(q, minVertex) && exact {
 			if v := o.closestSurfaceVertex(cur, q, pos); v == minVertex || !cur.walkFrom(q, v) {
 				unprobed := 0
-				if o.denseSurface {
-					unprobed = len(o.surface)
+				if o.idx.Dense() {
+					unprobed = o.SurfaceSize()
 				}
 				cur.scanStalled(q, unprobed)
 			}
@@ -348,52 +299,22 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	return out
 }
 
-// MemoryFootprint implements query.Engine: the surface index (array +
-// hash), the probe's block boxes (both levels, both parities) and the
-// resident cursor's crawl structures — the accounting of Figures 6(b)
-// and 10(b). Extra cursors report nothing here; their scratch is
-// per-worker and transient.
+// MemoryFootprint implements query.Engine: the surface index with the
+// boxes that exist (SurfaceIndex.MemoryBytes), the component labels and
+// the resident cursor's crawl structures — the accounting of Figures
+// 6(b) and 10(b). Extra cursors' scratch is per-worker and transient.
 func (o *Octopus) MemoryFootprint() int64 {
-	return int64(cap(o.surface))*4 +
-		int64(len(o.surfaceSlot))*16 +
+	return o.idx.MemoryBytes() +
 		int64(len(o.compOf)+len(o.compReps))*4 +
-		o.probeMemoryBytes() +
 		o.resident.MemoryBytes()
 }
 
-// ApplySurfaceDelta folds a restructuring delta (§IV-E2) into the surface
-// index: hash-table inserts and deletes, no rebuild. Deltas may break the
-// surface-first layout, in which case the probe falls back to the
-// id-array path, and they move slots between leaves, so the next exact
-// query rebuilds the block boxes. Restructuring is the one event that can
-// change mesh connectivity, so the component labels and walk
-// representatives are rebuilt here too (an O(V+E) sweep on the rare path,
-// per the paper's accounting of restructuring as an infrequent, charged
-// event). Not safe concurrently with queries.
-func (o *Octopus) ApplySurfaceDelta(d mesh.SurfaceDelta) {
-	o.gen.Add(1)
-	defer o.refreshDense()
-	defer o.refreshComponents()
-	for _, v := range d.Removed {
-		slot, ok := o.surfaceSlot[v]
-		if !ok {
-			continue
-		}
-		last := int32(len(o.surface) - 1)
-		moved := o.surface[last]
-		o.surface[slot] = moved
-		o.surfaceSlot[moved] = slot
-		o.surface = o.surface[:last]
-		delete(o.surfaceSlot, v)
-	}
-	for _, v := range d.Added {
-		if _, ok := o.surfaceSlot[v]; ok {
-			continue
-		}
-		o.surfaceSlot[v] = int32(len(o.surface))
-		o.surface = append(o.surface, v)
-	}
-}
+// ApplySurfaceDelta takes a restructuring delta (§IV-E2), which the mesh
+// has already folded into the surface index. Restructuring can change
+// connectivity, so the component labels and walk representatives are
+// rebuilt (O(V+E), charged to the rare event). Not safe concurrently
+// with queries.
+func (o *Octopus) ApplySurfaceDelta(mesh.SurfaceDelta) { o.refreshComponents() }
 
 // mergeStats implements cursorOwner.
 func (o *Octopus) mergeStats(s Stats) {

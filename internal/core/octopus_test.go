@@ -218,7 +218,7 @@ func TestSurfaceDeltaMaintenance(t *testing.T) {
 		o.ApplySurfaceDelta(delta)
 
 		// The engine's surface index must equal the mesh's recomputed one.
-		if got, want := slices.Sorted(slices.Values(o.surface)), m.SurfaceVertices(); !slices.Equal(got, want) {
+		if got, want := slices.Sorted(slices.Values(o.idx.Slots())), m.SurfaceVertices(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: surface index %v, mesh says %v", step, got, want)
 		}
 		// And queries must stay exact.

@@ -2,24 +2,22 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
 	"octopus/internal/query"
 )
 
 // This file implements the exact surface probe: two levels of block boxes
 // over the surface index (DESIGN.md §2). Every dataset and every shard
-// sub-mesh is stored surface-first in Hilbert order, so probeBlock
-// consecutive slots of Octopus.surface are one compact patch of surface,
-// and one AABB per such leaf block lets a probe test boxes instead of
-// every surface position; probeFan consecutive leaves are a larger patch,
-// and one coarse box around them prunes all of their leaves with one test
-// (the recursive descent of a forest of octrees, two levels deep). The
-// coarse level is what makes small, tight leaves affordable: a probe
-// tests the ≈ 100 coarse boxes of neuro-l5 and the leaves of the few
-// that qualify, not 1 605 leaves.
+// sub-mesh is stored surface-first in Hilbert order, so mesh.ProbeBlock
+// consecutive slots are one compact patch of surface, and one AABB per
+// such leaf lets a probe test boxes instead of every surface position;
+// one coarse box around mesh.ProbeFan consecutive leaves prunes all of
+// them with one test (the recursive descent of a forest of octrees, two
+// levels deep). The coarse level is what makes small, tight leaves
+// affordable: a probe tests the ≈ 100 coarse boxes of neuro-l5 and the
+// leaves of the few that qualify, not 1 605 leaves.
 //
 // The range probe descends coarse → leaf in ascending slot order and runs
 // the containment kernel only inside leaves whose box meets the query, so
@@ -32,203 +30,12 @@ import (
 // and the folds are the linear pass's. The same two levels answer the
 // probe's other nearest-neighbour question — where a no-seed range
 // query's walk starts, and where a stalled walk retries — so no path
-// samples the surface or passes over every leaf. A
-// layout without that locality (restructuring deltas swap slots around)
-// only makes the boxes loose — more leaves scanned, never a wrong answer.
-//
-// The boxes are a cache of the positions, not an index to maintain: they
-// are rebuilt from scratch by the first exact query that pins a state they
-// do not describe (probeBoxes) and are exact at that state by
-// construction, so there is no staleness to reason about and no
-// maintenance task. Approximate mode (probe stride > 1) neither reads nor
-// builds them.
-
-// probeBlock is the number of consecutive surface slots one leaf box
-// covers, and probeFan the number of consecutive leaves one coarse box
-// covers. Both are constants, not knobs: leaf/fan 16/16, 16/32, 32/8,
-// 32/16, 32/32 and 64/16 measured flat on the benchmark's traffic.
-const (
-	probeBlock = 32
-	probeFan   = 16
-)
-
-// blockBoxes is the probe's summary of one position state: leaf[b] bounds
-// surface slots [b*probeBlock, (b+1)*probeBlock), coarse[c] bounds
-// leaf[c*probeFan : (c+1)*probeFan] (both ranges cut at the end).
-type blockBoxes struct {
-	leaf, coarse []geom.AABB
-}
-
-// leaves returns the leaf range [lo, hi) of coarse box c.
-func (bb *blockBoxes) leaves(c int) (lo, hi int) {
-	lo = c * probeFan
-	return lo, min(lo+probeFan, len(bb.leaf))
-}
-
-// probeSlot holds the block boxes of one position-buffer parity together
-// with the state they were computed from: the pinned position epoch and
-// the engine generation (Octopus.gen), kept as two words so that no pair
-// of states can alias. A slot is used only when both equal the querying
-// cursor's.
-//
-// One slot per parity suffices. Every reader pinned on parity e&1 reads
-// epoch e — publishing e+2 first waits for that parity's pins to drain
-// (mesh.publish), and restructuring's epoch += 2 on the same buffer
-// requires exclusive access — so all cursors that can be inside a slot at
-// once want the same boxes, and a rebuild never overlaps a reader of the
-// slot's previous contents. In-place writes to Positions() leave the epoch
-// alone and are told through the generation, which only changes under
-// exclusive access (Step, BeginMaintenance, ApplySurfaceDelta).
-//
-// epoch and gen are stored after the boxes are complete and at least one
-// of them changes with every rebuild, so a cursor that reads its own pair
-// back has observed a store that follows the last box write.
-type probeSlot struct {
-	mu    sync.Mutex // serializes rebuilds; never taken on a tag match
-	epoch atomic.Uint64
-	gen   atomic.Uint64 // 0: never built (generations start at 1)
-	boxes blockBoxes
-}
-
-func (s *probeSlot) describes(epoch, gen uint64) bool {
-	return s.gen.Load() == gen && s.epoch.Load() == epoch
-}
-
-// probeBoxes returns the block boxes of pos, the buffer pinned at epoch,
-// rebuilding them when the slot describes another state. Cursors that
-// arrive on the same parity during a rebuild wait for it (at most one
-// pass over the surface) and then find their tag in place.
-func (o *Octopus) probeBoxes(epoch uint64, pos []geom.Vec3) blockBoxes {
-	s := &o.summary[epoch&1]
-	gen := o.gen.Load()
-	if s.describes(epoch, gen) {
-		return s.boxes
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.describes(epoch, gen) {
-		s.boxes = o.buildBlockBoxes(s.boxes, pos)
-		s.gen.Store(gen)
-		s.epoch.Store(epoch)
-	}
-	return s.boxes
-}
-
-// buildBlockBoxes recomputes both levels of boxes of pos into bb's arrays:
-// the tight AABB of every leaf of probeBlock surface slots, then the union
-// of every probeFan leaves. A surface index out of the dense layout
-// gathers each leaf's positions first, so there is one kernel.
-func (o *Octopus) buildBlockBoxes(bb blockBoxes, pos []geom.Vec3) blockBoxes {
-	bb.leaf, bb.coarse = bb.leaf[:0], bb.coarse[:0]
-	if o.denseSurface {
-		bb.leaf = appendLeafBoxes(bb.leaf, pos[:len(o.surface)])
-	} else {
-		var gathered [probeBlock]geom.Vec3
-		for lo := 0; lo < len(o.surface); lo += probeBlock {
-			hi := min(lo+probeBlock, len(o.surface))
-			for i, v := range o.surface[lo:hi] {
-				gathered[i] = pos[v]
-			}
-			bb.leaf = appendLeafBoxes(bb.leaf, gathered[:hi-lo])
-		}
-	}
-	for lo := 0; lo < len(bb.leaf); lo += probeFan {
-		bb.coarse = append(bb.coarse, unionBox(bb.leaf[lo:min(lo+probeFan, len(bb.leaf))]))
-	}
-	return bb
-}
-
-// appendLeafBoxes is the rebuild kernel: it appends to dst the tight AABB
-// of every probeBlock consecutive positions of pos, the last run possibly
-// shorter. It is the one probe-side cost that remains — every position,
-// once per epoch — so it runs without a data-dependent branch: each
-// coordinate is mapped to an integer key with the same ordering
-// (orderedKey) and the six running bounds are integer min/max, which the
-// compiler turns into conditional moves. The obvious float form — six
-// compare-and-branch per position — mispredicts on every new extreme of a
-// Hilbert run and measured ≈ 25 % slower here; the min/max builtins
-// measured slower still and math.Min/Max ≈ 10x. One call covers every
-// leaf of a dense surface (too large to inline, so the six bounds stay in
-// registers): a call per 32-slot leaf measured ≈ 15 % slower.
-//
-// A NaN coordinate orders outside ±Inf and so becomes the bound of its
-// axis, where no comparison can prune on it: the leaf is scanned by every
-// query that meets it on the other axes. That is loose, never wrong — the
-// containment test accepts no NaN, so such a vertex can neither be
-// returned nor hide its leaf-mates.
-func appendLeafBoxes(dst []geom.AABB, pos []geom.Vec3) []geom.AABB {
-	for lo := 0; lo < len(pos); lo += probeBlock {
-		leaf := pos[lo:min(lo+probeBlock, len(pos))]
-		var minX, minY, minZ int64 = math.MaxInt64, math.MaxInt64, math.MaxInt64
-		var maxX, maxY, maxZ int64 = math.MinInt64, math.MinInt64, math.MinInt64
-		for i := range leaf {
-			x, y, z := orderedKey(leaf[i].X), orderedKey(leaf[i].Y), orderedKey(leaf[i].Z)
-			if x < minX {
-				minX = x
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
-			}
-			if z < minZ {
-				minZ = z
-			}
-			if z > maxZ {
-				maxZ = z
-			}
-		}
-		dst = append(dst, geom.AABB{
-			Min: geom.V(fromOrderedKey(minX), fromOrderedKey(minY), fromOrderedKey(minZ)),
-			Max: geom.V(fromOrderedKey(maxX), fromOrderedKey(maxY), fromOrderedKey(maxZ)),
-		})
-	}
-	return dst
-}
-
-// unionBox is the coarse level's kernel: the smallest box around boxes
-// (which must not be empty), under the same integer keys as
-// appendLeafBoxes,
-// so a NaN bound of a leaf stays the bound of its coarse box and prunes
-// nothing there either. It runs once per probeFan leaves.
-func unionBox(boxes []geom.AABB) geom.AABB {
-	var minX, minY, minZ int64 = math.MaxInt64, math.MaxInt64, math.MaxInt64
-	var maxX, maxY, maxZ int64 = math.MinInt64, math.MinInt64, math.MinInt64
-	for i := range boxes {
-		b := &boxes[i]
-		minX, minY, minZ = min(minX, orderedKey(b.Min.X)), min(minY, orderedKey(b.Min.Y)), min(minZ, orderedKey(b.Min.Z))
-		maxX, maxY, maxZ = max(maxX, orderedKey(b.Max.X)), max(maxY, orderedKey(b.Max.Y)), max(maxZ, orderedKey(b.Max.Z))
-	}
-	return geom.AABB{
-		Min: geom.V(fromOrderedKey(minX), fromOrderedKey(minY), fromOrderedKey(minZ)),
-		Max: geom.V(fromOrderedKey(maxX), fromOrderedKey(maxY), fromOrderedKey(maxZ)),
-	}
-}
-
-// orderedKey maps f to an int64 that compares like f does: the IEEE bit
-// pattern, with the magnitude bits of negative values flipped (their
-// patterns grow as the value falls). -0 orders just below +0; NaNs order
-// beyond the infinities. fromOrderedKey is its inverse — the map is an
-// involution on the bit pattern.
-func orderedKey(f float64) int64 {
-	b := int64(math.Float64bits(f))
-	return b ^ int64(uint64(b>>63)>>1)
-}
-
-func fromOrderedKey(k int64) float64 {
-	return math.Float64frombits(uint64(k ^ int64(uint64(k>>63)>>1)))
-}
-
-// probeMemoryBytes is the footprint of both slots' boxes, both levels.
-func (o *Octopus) probeMemoryBytes() int64 {
-	leaves := (len(o.surface) + probeBlock - 1) / probeBlock
-	coarse := (leaves + probeFan - 1) / probeFan
-	return int64(len(o.summary)) * int64(leaves+coarse) * 48
-}
+// samples the surface or passes over every leaf. A layout without that
+// locality (restructuring deltas swap slots around) only makes the boxes
+// loose — more leaves scanned, never a wrong answer. The boxes belong to
+// the mesh, one set per position buffer (mesh.SurfaceIndex); a query
+// reads those of the epoch its cursor pinned. Approximate mode (probe
+// stride > 1) does not read them.
 
 // appendContained appends base+i for every pos[i] inside q: the one
 // containment kernel, shared by the block probe and the stalled walk's
@@ -249,13 +56,13 @@ func appendContained(dst []int32, q geom.AABB, pos []geom.Vec3, base int) []int3
 	return dst
 }
 
-// appendContainedSlots is appendContained through the id array: surface
-// slots lo, lo+stride, ... below hi. It serves the blocks of a surface
+// appendContainedSlots is appendContained through the id array: the
+// vertices ids[0], ids[stride], ... It serves the leaves of a surface
 // index that restructuring has taken out of the dense layout and the
 // strided approximate probe.
-func (o *Octopus) appendContainedSlots(dst []int32, q geom.AABB, pos []geom.Vec3, lo, hi, stride int) []int32 {
-	for idx := lo; idx < hi; idx += stride {
-		if v := o.surface[idx]; q.Contains(pos[v]) {
+func appendContainedSlots(dst []int32, q geom.AABB, pos []geom.Vec3, ids []int32, stride int) []int32 {
+	for i := 0; i < len(ids); i += stride {
+		if v := ids[i]; q.Contains(pos[v]) {
 			dst = append(dst, v)
 		}
 	}
@@ -267,24 +74,24 @@ func (o *Octopus) appendContainedSlots(dst []int32, q geom.AABB, pos []geom.Vec3
 // ascending slot order and returns the number of containment tests made
 // on boxes of either level and on surface positions.
 func (o *Octopus) probeRange(cur *Cursor, q geom.AABB, pos []geom.Vec3) (boxes, positions int64) {
-	bb := o.probeBoxes(cur.epoch, pos)
-	boxes = int64(len(bb.coarse))
-	for c := range bb.coarse {
-		if disjoint(&bb.coarse[c], &q) {
+	bb, slots := o.idx.Boxes(cur.epoch), o.idx.Slots()
+	boxes = int64(len(bb.Coarse))
+	for c := range bb.Coarse {
+		if disjoint(&bb.Coarse[c], &q) {
 			continue
 		}
-		first, end := bb.leaves(c)
+		first, end := bb.Leaves(c)
 		boxes += int64(end - first)
 		for b := first; b < end; b++ {
-			if disjoint(&bb.leaf[b], &q) {
+			if disjoint(&bb.Leaf[b], &q) {
 				continue
 			}
-			lo, hi := o.blockSlots(b)
+			lo, hi := o.idx.LeafSlots(b)
 			positions += int64(hi - lo)
-			if o.denseSurface {
+			if o.idx.Dense() {
 				cur.seeds = appendContained(cur.seeds, q, pos[lo:hi], lo)
 			} else {
-				cur.seeds = o.appendContainedSlots(cur.seeds, q, pos, lo, hi, 1)
+				cur.seeds = appendContainedSlots(cur.seeds, q, pos, slots[lo:hi], 1)
 			}
 		}
 	}
@@ -292,8 +99,9 @@ func (o *Octopus) probeRange(cur *Cursor, q geom.AABB, pos []geom.Vec3) (boxes, 
 }
 
 // disjoint reports whether box bx provably misses q. It skips on
-// "provably disjoint", not on !Intersects: a NaN bound (appendLeafBoxes,
-// unionBox) fails every compare, and the box is descended into.
+// "provably disjoint", not on !Intersects: a NaN bound (a NaN coordinate
+// becomes one, see mesh.SurfaceIndex) fails every compare, and the box is
+// descended into.
 func disjoint(bx, q *geom.AABB) bool {
 	return bx.Min.X > q.Max.X || bx.Max.X < q.Min.X ||
 		bx.Min.Y > q.Max.Y || bx.Max.Y < q.Min.Y ||
@@ -379,12 +187,6 @@ func (kp *knnProbe) folds() []knnFold {
 	return kp.cands[:n]
 }
 
-// blockSlots returns the surface slot range [lo, hi) of leaf b.
-func (o *Octopus) blockSlots(b int) (lo, hi int) {
-	lo = b * probeBlock
-	return lo, min(lo+probeBlock, len(o.surface))
-}
-
 // knnStartSearch is step 1 of the exact kNN: the surface vertex nearest p
 // by (squared distance, slot), -1 when none is at a non-NaN distance. It
 // searches both levels of boxes nearest-first, scanning leaves until the
@@ -396,19 +198,20 @@ func (o *Octopus) blockSlots(b int) (lo, hi int) {
 // cur.aside, with the leaves it scans, for the probe to push back. It
 // returns the number of distance tests made on boxes of either level and
 // on surface positions.
-func (o *Octopus) knnStartSearch(cur *Cursor, bb blockBoxes, p geom.Vec3, pos []geom.Vec3) (start int32, boxes, positions int64) {
+func (o *Octopus) knnStartSearch(cur *Cursor, bb *mesh.BlockBoxes, p geom.Vec3, pos []geom.Vec3) (start int32, boxes, positions int64) {
 	q := geom.AABB{Min: p, Max: p}
-	order := bb.coarseGaps(cur.blocks, &q)
+	order := coarseGaps(bb, cur.blocks, &q)
 	boxes = int64(len(order))
 	aside := cur.aside[:0]
-	start, startSlot, startDist := int32(-1), len(o.surface), math.Inf(1)
+	slots := o.idx.Slots()
+	start, startSlot, startDist := int32(-1), len(slots), math.Inf(1)
 	for len(order) > 0 && order[0].dist <= startDist {
 		it := heapPopItem(&order)
-		if c := int(it.v) - len(bb.leaf); c >= 0 {
-			first, end := bb.leaves(c)
+		if c := int(it.v) - len(bb.Leaf); c >= 0 {
+			first, end := bb.Leaves(c)
 			boxes += int64(end - first)
 			for b := first; b < end; b++ {
-				leaf := heapItem{dist: gap2(&bb.leaf[b], &q), v: int32(b)}
+				leaf := heapItem{dist: gap2(&bb.Leaf[b], &q), v: int32(b)}
 				if leaf.dist <= startDist {
 					heapPushItem(&order, leaf)
 				} else {
@@ -418,10 +221,10 @@ func (o *Octopus) knnStartSearch(cur *Cursor, bb blockBoxes, p geom.Vec3, pos []
 			continue
 		}
 		aside = append(aside, it)
-		lo, hi := o.blockSlots(int(it.v))
+		lo, hi := o.idx.LeafSlots(int(it.v))
 		positions += int64(hi - lo)
 		for idx := lo; idx < hi; idx++ {
-			v := o.surface[idx]
+			v := slots[idx]
 			if d := pos[v].Dist2(p); d < startDist || d == startDist && idx < startSlot {
 				start, startSlot, startDist = v, idx, d
 			}
@@ -443,7 +246,7 @@ func (o *Octopus) knnStartSearch(cur *Cursor, bb blockBoxes, p geom.Vec3, pos []
 // item at exactly the bound is taken: its leaf may hold the smaller id of
 // a tie. It returns the number of distance tests made on leaf boxes and
 // the number of surface slots read.
-func (o *Octopus) probeKNN(cur *Cursor, bb blockBoxes, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
+func (o *Octopus) probeKNN(cur *Cursor, bb *mesh.BlockBoxes, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
 	q := geom.AABB{Min: p, Max: p}
 	order := cur.blocks
 	for _, it := range cur.aside {
@@ -453,12 +256,12 @@ func (o *Octopus) probeKNN(cur *Cursor, bb blockBoxes, kp *knnProbe, p geom.Vec3
 	}
 	for len(order) > 0 && order[0].dist <= kp.bound {
 		b := int(heapPopItem(&order).v)
-		if b >= len(bb.leaf) {
-			boxes += bb.pushLeaves(&order, b-len(bb.leaf), &q, kp.bound)
+		if b >= len(bb.Leaf) {
+			boxes += pushLeaves(bb, &order, b-len(bb.Leaf), &q, kp.bound)
 			continue
 		}
-		lo, hi := o.blockSlots(b)
-		positions += kp.scan(&cur.kbest, o.surface, pos, p, lo, hi, 1)
+		lo, hi := o.idx.LeafSlots(b)
+		positions += kp.scan(&cur.kbest, o.idx.Slots(), pos, p, lo, hi, 1)
 	}
 	cur.blocks = order
 	return boxes, positions
@@ -472,10 +275,10 @@ func (o *Octopus) probeKNN(cur *Cursor, bb blockBoxes, kp *knnProbe, p geom.Vec3
 // box's AABB.Dist2(p) bit for bit — a box is never inverted, so at most
 // one of axisGap2's two tests can pass), and its v is a leaf index, or
 // len(leaf)+c for coarse box c.
-func (bb *blockBoxes) coarseGaps(dst []heapItem, q *geom.AABB) []heapItem {
+func coarseGaps(bb *mesh.BlockBoxes, dst []heapItem, q *geom.AABB) []heapItem {
 	dst = dst[:0]
-	for c := range bb.coarse {
-		dst = append(dst, heapItem{dist: gap2(&bb.coarse[c], q), v: int32(len(bb.leaf) + c)})
+	for c := range bb.Coarse {
+		dst = append(dst, heapItem{dist: gap2(&bb.Coarse[c], q), v: int32(len(bb.Leaf) + c)})
 	}
 	heapInit(dst)
 	return dst
@@ -485,10 +288,10 @@ func (bb *blockBoxes) coarseGaps(dst []heapItem, q *geom.AABB) []heapItem {
 // distance to q is at most bound, and returns the number of leaves
 // tested. A leaf's box lies inside its coarse box, so its distance is
 // never the smaller one.
-func (bb *blockBoxes) pushLeaves(h *[]heapItem, c int, q *geom.AABB, bound float64) int64 {
-	first, end := bb.leaves(c)
+func pushLeaves(bb *mesh.BlockBoxes, h *[]heapItem, c int, q *geom.AABB, bound float64) int64 {
+	first, end := bb.Leaves(c)
 	for b := first; b < end; b++ {
-		if d := gap2(&bb.leaf[b], q); d <= bound {
+		if d := gap2(&bb.Leaf[b], q); d <= bound {
 			heapPushItem(h, heapItem{dist: d, v: int32(b)})
 		}
 	}
@@ -545,13 +348,13 @@ func nearestOf(q geom.AABB, pos []geom.Vec3, ids []int32, bound float64) (int32,
 // not farther than the best leaf so far; a coarse box at exactly that
 // distance may still hold a lower leaf of the tie.
 func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
-	bb := o.probeBoxes(cur.epoch, pos)
-	order := bb.coarseGaps(cur.blocks, &q)
+	bb := o.idx.Boxes(cur.epoch)
+	order := coarseGaps(bb, cur.blocks, &q)
 	first, firstDist := -1, math.Inf(1)
 	for len(order) > 0 && order[0].dist <= firstDist {
-		lo, hi := bb.leaves(int(heapPopItem(&order).v) - len(bb.leaf))
+		lo, hi := bb.Leaves(int(heapPopItem(&order).v) - len(bb.Leaf))
 		for b := lo; b < hi; b++ {
-			if d := gap2(&bb.leaf[b], &q); d < firstDist || d == firstDist && b < first {
+			if d := gap2(&bb.Leaf[b], &q); d < firstDist || d == firstDist && b < first {
 				first, firstDist = b, d
 			}
 		}
@@ -560,8 +363,8 @@ func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
 	if first < 0 {
 		return -1
 	}
-	lo, hi := o.blockSlots(first)
-	v, _ := nearestOf(q, pos, o.surface[lo:hi], math.Inf(1))
+	lo, hi := o.idx.LeafSlots(first)
+	v, _ := nearestOf(q, pos, o.idx.Slots()[lo:hi], math.Inf(1))
 	return v
 }
 
@@ -571,17 +374,17 @@ func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
 // nearer than the best vertex found. It is the start of the one retry a
 // stalled walk gets before the scan.
 func (o *Octopus) closestSurfaceVertex(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
-	bb := o.probeBoxes(cur.epoch, pos)
-	order := bb.coarseGaps(cur.blocks, &q)
+	bb := o.idx.Boxes(cur.epoch)
+	order := coarseGaps(bb, cur.blocks, &q)
 	best, bestDist := int32(-1), math.Inf(1)
 	for len(order) > 0 && order[0].dist < bestDist {
 		b := int(heapPopItem(&order).v)
-		if b >= len(bb.leaf) {
-			bb.pushLeaves(&order, b-len(bb.leaf), &q, bestDist)
+		if b >= len(bb.Leaf) {
+			pushLeaves(bb, &order, b-len(bb.Leaf), &q, bestDist)
 			continue
 		}
-		lo, hi := o.blockSlots(b)
-		if v, d := nearestOf(q, pos, o.surface[lo:hi], bestDist); v >= 0 {
+		lo, hi := o.idx.LeafSlots(b)
+		if v, d := nearestOf(q, pos, o.idx.Slots()[lo:hi], bestDist); v >= 0 {
 			best, bestDist = v, d
 		}
 	}
@@ -592,12 +395,13 @@ func (o *Octopus) closestSurfaceVertex(cur *Cursor, q geom.AABB, pos []geom.Vec3
 // sampledStart is the approximate probe's walk start: the surface vertex
 // nearest q among a sample of its sampling lattice (slots start,
 // start+stride, ...), thinned to about 2 048 vertices. The approximate
-// probe builds no block boxes to search.
+// probe does not search the block boxes.
 func (o *Octopus) sampledStart(q geom.AABB, pos []geom.Vec3, start, stride int) int32 {
-	sampleStride := stride * (1 + len(o.surface)/2048)
+	slots := o.idx.Slots()
+	sampleStride := stride * (1 + len(slots)/2048)
 	minVertex, minDist := int32(-1), math.Inf(1)
-	for idx := start; idx < len(o.surface); idx += sampleStride {
-		v := o.surface[idx]
+	for idx := start; idx < len(slots); idx += sampleStride {
+		v := slots[idx]
 		if d := q.Dist2(pos[v]); d < minDist {
 			minDist = d
 			minVertex = v

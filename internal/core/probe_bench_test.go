@@ -55,15 +55,15 @@ func BenchmarkProbeRangeLoop(b *testing.B) {
 // path of a non-dense surface index and of the approximate probe.
 func BenchmarkProbeGather(b *testing.B) {
 	pos := mkpos(70000)
-	o := &Octopus{surface: make([]int32, 21000)}
-	for i := range o.surface {
-		o.surface[i] = int32(i * 3)
+	ids := make([]int32, 21000)
+	for i := range ids {
+		ids[i] = int32(i * 3)
 	}
 	q := geom.BoxAround(geom.V(0.5, 0.25, 0.125), 0.01)
 	var seeds []int32
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		seeds = o.appendContainedSlots(seeds[:0], q, pos, 0, len(o.surface), 1)
+		seeds = appendContainedSlots(seeds[:0], q, pos, ids, 1)
 		sinkN += len(seeds)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/21000, "ns/vtx")
@@ -73,15 +73,15 @@ func BenchmarkProbeGather(b *testing.B) {
 // benchmark's workloads run it on — neuro-l5 (sim-step) and one sub-mesh
 // of the K=4 partition of neuro-l3 (live-inproc, serve-*) — with the
 // benchmark's query mix (selectivities 1e-4, 1e-3, 1e-2 in rotation; k in
-// [8, 32]). "rebuild" is the pass that recomputes every block box of
-// both levels, the cost the first exact query of an epoch carries;
+// [8, 32]). "rebuild" is Step after in-place writes: the refit that
+// recomputes every block box of both levels of the written buffer, the
+// pass every writer of a buffer pays (a publish refits the same way);
 // "range" and "knn" run whole queries with the boxes warm — a kNN's probe
 // figures add its start search to the probe that runs under the crawl's
 // bound, and its positions count the start leaves twice, once in each;
-// "step+range" starts a new generation
-// before every query, so each one pays a rebuild — the worst case, to be
-// read against "linear", the containment pass over the whole surface that
-// the blocks replace; "noseed" runs range boxes of the same mix whose
+// "step+range" runs Step before every query, so each one pays a refit —
+// the worst case, to be read against "linear", the containment pass over
+// the whole surface that the blocks replace; "noseed" runs range boxes of the same mix whose
 // probe finds no seed, so each one also searches the boxes for its walk
 // start and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
 // Stats.WalkStalls, per query), and it fails if the warmed cursor
@@ -118,7 +118,7 @@ func BenchmarkProbeBlocks(b *testing.B) {
 		var noseed []geom.AABB
 		for i := 0; len(noseed) < 96 && i < 4096; i++ {
 			q := g.QueryWithSelectivity([]float64{0.0001, 0.001, 0.01}[i%3])
-			if len(o.appendContainedSlots(nil, q, pos, 0, o.SurfaceSize(), 1)) == 0 {
+			if len(appendContainedSlots(nil, q, pos, o.idx.Slots(), 1)) == 0 {
 				noseed = append(noseed, q)
 			}
 		}
@@ -137,10 +137,8 @@ func BenchmarkProbeBlocks(b *testing.B) {
 			b.ReportMetric(float64(st.ProbeChecked-before.ProbeChecked-boxes)/float64(b.N), "positions/op")
 		}
 		b.Run(c.name+"/rebuild", func(b *testing.B) {
-			boxes := o.buildBlockBoxes(blockBoxes{}, pos)
-			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				boxes = o.buildBlockBoxes(boxes, pos)
+				o.Step()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/S, "ns/position")
 		})

@@ -63,9 +63,9 @@ func scramble(step int, pos []geom.Vec3) {
 	}
 }
 
-// cloud builds an engine over a cell-less mesh whose every vertex is, by
-// fiat, a surface vertex (slot i is vertex i): full control over the
-// positions a block holds, for the geometry of the boxes.
+// cloud builds an engine over a cell-less mesh, whose surface index holds
+// every vertex (slot i is vertex i) and which has no edge: full control
+// over the positions a block holds, for the geometry of the boxes.
 func cloud(t testing.TB, pos []geom.Vec3) (*mesh.Mesh, *Octopus) {
 	t.Helper()
 	b := mesh.NewBuilder(len(pos), 0)
@@ -77,12 +77,93 @@ func cloud(t testing.TB, pos []geom.Vec3) (*mesh.Mesh, *Octopus) {
 		t.Fatal(err)
 	}
 	o := New(m)
-	for v := range pos {
-		o.surface = append(o.surface, int32(v))
-		o.surfaceSlot[int32(v)] = int32(v)
+	if o.SurfaceSize() != len(pos) || !o.idx.Dense() {
+		t.Fatalf("cloud of %d indexes %d vertices (dense %v), want all, slot i vertex i", len(pos), o.SurfaceSize(), o.idx.Dense())
 	}
-	o.refreshDense()
 	return m, o
+}
+
+// keyOrder maps f to an integer that orders like f, with NaN beyond ±Inf
+// by its sign bit: the order the block boxes are defined in.
+func keyOrder(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	return b ^ int64(uint64(b>>63)>>1)
+}
+
+// boundsOf is the box of the definition: on each axis the least and the
+// greatest of the values in keyOrder.
+func boundsOf(lo, hi []geom.Vec3) geom.AABB {
+	pick := func(vs []geom.Vec3, axis int, greatest bool) float64 {
+		best := [3]float64{vs[0].X, vs[0].Y, vs[0].Z}[axis]
+		for _, v := range vs[1:] {
+			c := [3]float64{v.X, v.Y, v.Z}[axis]
+			if kc, kb := keyOrder(c), keyOrder(best); greatest && kc > kb || !greatest && kc < kb {
+				best = c
+			}
+		}
+		return best
+	}
+	return geom.AABB{
+		Min: geom.V(pick(lo, 0, false), pick(lo, 1, false), pick(lo, 2, false)),
+		Max: geom.V(pick(hi, 0, true), pick(hi, 1, true), pick(hi, 2, true)),
+	}
+}
+
+// checkIndex holds the mesh's surface index to its definition: the slot
+// map inverts the slot order, and the boxes of the current epoch equal a
+// from-scratch recomputation over the positions of that epoch, bit for
+// bit, both levels, NaN bounds included — every leaf the bounds of its
+// slots, every coarse box the bounds of its leaves'.
+func checkIndex(t testing.TB, label string, o *Octopus) {
+	t.Helper()
+	e, pos := o.m.PinPositions()
+	defer o.m.UnpinPositions(e)
+	slots, bb := o.idx.Slots(), o.idx.Boxes(e)
+	indexed := 0
+	for v := range pos {
+		if slot, ok := o.idx.Slot(int32(v)); ok {
+			indexed++
+			if int(slot) >= len(slots) || slots[slot] != int32(v) {
+				t.Fatalf("%s: vertex %d maps to slot %d of %d, which does not hold it", label, v, slot, len(slots))
+			}
+		}
+	}
+	if indexed != len(slots) {
+		t.Fatalf("%s: the slot map holds %d vertices, the slot order %d", label, indexed, len(slots))
+	}
+	var want mesh.BlockBoxes
+	for lo := 0; lo < len(slots); lo += mesh.ProbeBlock {
+		var ps []geom.Vec3
+		for _, v := range slots[lo:min(lo+mesh.ProbeBlock, len(slots))] {
+			ps = append(ps, pos[v])
+		}
+		want.Leaf = append(want.Leaf, boundsOf(ps, ps))
+	}
+	for c := 0; c*mesh.ProbeFan < len(want.Leaf); c++ {
+		var los, his []geom.Vec3
+		for _, l := range want.Leaf[c*mesh.ProbeFan : min((c+1)*mesh.ProbeFan, len(want.Leaf))] {
+			los, his = append(los, l.Min), append(his, l.Max)
+		}
+		want.Coarse = append(want.Coarse, boundsOf(los, his))
+	}
+	same := func(a, b []geom.AABB) bool {
+		return slices.EqualFunc(a, b, func(x, y geom.AABB) bool {
+			return slices.Equal(boxBits(x), boxBits(y))
+		})
+	}
+	if !same(bb.Leaf, want.Leaf) || !same(bb.Coarse, want.Coarse) {
+		t.Fatalf("%s: epoch %d's boxes (%d leaves, %d coarse) differ from a recomputation (%d, %d)",
+			label, e, len(bb.Leaf), len(bb.Coarse), len(want.Leaf), len(want.Coarse))
+	}
+}
+
+// boxBits is a box's six bounds as bit patterns, so NaN bounds compare.
+func boxBits(b geom.AABB) []uint64 {
+	var out []uint64
+	for _, f := range []float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z} {
+		out = append(out, math.Float64bits(f))
+	}
+	return out
 }
 
 // surfaceFirstBox is buildBox in the datasets' layout: surface vertices
@@ -143,22 +224,6 @@ func checkKNN(t *testing.T, label string, cur exactCursor, pos []geom.Vec3, p ge
 	}
 }
 
-// movedInPlace is a maintain.DirtyMesh for a stop-the-world mesh: the test
-// reports every in-place write as an overflowed dirty region, which is
-// what reaches an engine's BeginMaintenance through the scheduler.
-type movedInPlace struct{ steps uint64 }
-
-func (d *movedInPlace) Epoch() uint64 { return 0 }
-
-func (d *movedInPlace) TakeDirty() mesh.DirtyRegion {
-	if d.steps == 0 {
-		return mesh.DirtyRegion{}
-	}
-	r := mesh.DirtyRegion{Overflow: true, Box: geom.EmptyBox(), To: d.steps}
-	d.steps = 0
-	return r
-}
-
 // neverStepped fails the test if the scheduler falls back to Step: the
 // scheduler path must reach the engine through BeginMaintenance alone.
 type neverStepped struct {
@@ -170,20 +235,27 @@ type neverStepped struct {
 func (e neverStepped) Step() { e.t.Error("scheduler called Step on an Incremental engine") }
 
 // TestInPlaceDeformIsAnnounced is the stop-the-world contract of the block
-// boxes: positions written in place, then the engine told — through Step,
-// or through BeginMaintenance where a scheduler stands in for Step — and
-// every answer equals brute force again. It runs over every wrapper that
-// stands in front of an *Octopus; each of them fails on the first query
-// after the first deformation if the announcement does not reach the
-// engine (boxes from before the step, seeds silently dropped).
+// boxes: positions written in place, then Step — the refit of the written
+// buffer — and every answer equals brute force again. It runs over every
+// wrapper that stands in front of an *Octopus; each of them fails on the
+// first query after the first deformation if the refit does not reach the
+// mesh (boxes from before the step, seeds silently dropped). Where a
+// scheduler stands in for Step the writer publishes instead, as a
+// scheduler-driven writer does: the publish refits, and the scheduler
+// reaches the engine through BeginMaintenance alone.
 func TestInPlaceDeformIsAnnounced(t *testing.T) {
-	scheduled := func(t *testing.T, eng query.ParallelKNNEngine) func() {
-		src := &movedInPlace{}
+	inPlace := func(m *mesh.Mesh, step func()) func(int) {
+		return func(i int) {
+			scramble(i, m.Positions())
+			step()
+		}
+	}
+	scheduled := func(t *testing.T, m *mesh.Mesh, eng query.ParallelKNNEngine) func(int) {
 		sched := maintain.NewScheduler([]*maintain.TargetState{maintain.NewTargetState(maintain.Target{
-			Name: eng.Name(), Engine: neverStepped{eng, eng.(maintain.Incremental), t}, Mesh: src,
+			Name: eng.Name(), Engine: neverStepped{eng, eng.(maintain.Incremental), t}, Mesh: m,
 		})}, maintain.Options{})
-		return func() {
-			src.steps++
+		return func(i int) {
+			m.Deform(func(pos []geom.Vec3) { scramble(i, pos) })
 			sched.Tick()
 		}
 	}
@@ -196,46 +268,45 @@ func TestInPlaceDeformIsAnnounced(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		build func(t *testing.T, m *mesh.Mesh) (eng query.ParallelKNNEngine, announce func(), done func())
+		build func(t *testing.T, m *mesh.Mesh) (eng query.ParallelKNNEngine, deform func(step int), done func())
 	}{
-		{"octopus/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+		{"octopus/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(int), func()) {
 			o := New(m)
-			return o, o.Step, func() {}
+			return o, inPlace(m, o.Step), func() {}
 		}},
-		{"hybrid/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+		{"hybrid/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(int), func()) {
 			h := hybrid(m)
-			return h, h.Step, func() {
+			return h, inPlace(m, h.Step), func() {
 				if oct, scan := h.Routed(); oct == 0 || scan == 0 {
 					t.Errorf("hybrid routed %d to OCTOPUS and %d to the scan, want both routes exercised", oct, scan)
 				}
 			}
 		}},
-		{"sharded-router/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+		{"sharded-router/step", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(int), func()) {
 			sm, err := shard.NewMesh(m, 4, shard.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return New(sub) })
-			return r, r.Step, func() {}
+			return r, inPlace(m, r.Step), func() {}
 		}},
-		{"octopus/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+		{"octopus/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(int), func()) {
 			o := New(m)
-			return o, scheduled(t, o), func() {}
+			return o, scheduled(t, m, o), func() {}
 		}},
-		{"hybrid/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(), func()) {
+		{"hybrid/scheduler", func(t *testing.T, m *mesh.Mesh) (query.ParallelKNNEngine, func(int), func()) {
 			h := hybrid(m)
-			return h, scheduled(t, h), func() {}
+			return h, scheduled(t, m, h), func() {}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tetLattice(t, 8)
-			eng, announce, done := tc.build(t, m)
+			eng, deform, done := tc.build(t, m)
 			cur := eng.NewCursor().(exactCursor)
 			checkExact(t, "pristine", cur, m.Positions(), 1)
 			for step := 0; step < 3; step++ {
-				scramble(step, m.Positions())
-				announce()
+				deform(step)
 				checkExact(t, fmt.Sprintf("step %d", step), cur, m.Positions(), int64(10+step))
 			}
 			done()
@@ -243,75 +314,108 @@ func TestInPlaceDeformIsAnnounced(t *testing.T) {
 	}
 }
 
-// TestProbeSummaryInvalidation walks one engine through every other event
-// that changes what a block box must describe; after each, answers equal
-// brute force and the slot that served them carries the cursor's epoch.
+// TestProbeSummaryInvalidation walks one engine through every writer of
+// a position buffer or of the slot order — Deform, DeformOverwrite,
+// SetPosition+Step, SplitCell and DeleteCell — and holds the slot map and
+// the boxes of the current epoch to their definition after each
+// (checkIndex); answers equal brute force throughout.
 func TestProbeSummaryInvalidation(t *testing.T) {
-	tagFollows := func(t *testing.T, o *Octopus, cur *Cursor) {
-		t.Helper()
-		s := &o.summary[cur.LastEpoch()&1]
-		if !s.describes(cur.LastEpoch(), o.gen.Load()) {
-			t.Fatalf("slot tagged (epoch %d, gen %d) after a query at (epoch %d, gen %d)",
-				s.epoch.Load(), s.gen.Load(), cur.LastEpoch(), o.gen.Load())
-		}
-	}
-
 	t.Run("SetPosition+Step", func(t *testing.T) {
 		m := tetLattice(t, 8)
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
+		checkIndex(t, "pristine", o)
 		checkExact(t, "pristine", cur, m.Positions(), 1)
 		for v := int32(0); v < int32(m.NumVertices()); v += 3 {
 			m.SetPosition(v, m.Position(v).Add(geom.V(11, -7, 5)))
 		}
 		o.Step()
+		checkIndex(t, "moved", o)
 		checkExact(t, "moved", cur, m.Positions(), 2)
-		tagFollows(t, o, cur)
 	})
 
+	// A published step leaves the scheduler nothing to do: the publish
+	// refit the boxes of the buffer it published.
 	t.Run("BeginMaintenance", func(t *testing.T) {
 		m := tetLattice(t, 8)
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
-		checkExact(t, "pristine", cur, m.Positions(), 1)
-		gen := o.gen.Load()
-		if task := o.BeginMaintenance(mesh.DirtyRegion{}); task != nil || o.gen.Load() != gen {
-			t.Fatalf("an empty region started generation %d (task %v), want %d and none", o.gen.Load(), task, gen)
+		for step := 0; step < 3; step++ {
+			m.Deform(func(pos []geom.Vec3) { scramble(step, pos) })
+			if task := o.BeginMaintenance(m.TakeDirty()); task != nil {
+				t.Fatalf("BeginMaintenance returned task %v, want nil", task)
+			}
+			checkIndex(t, fmt.Sprintf("deform %d", step), o)
+			checkExact(t, fmt.Sprintf("deform %d", step), cur, m.Positions(), int64(step))
 		}
-		scramble(0, m.Positions())
-		if task := o.BeginMaintenance(mesh.DirtyRegion{Overflow: true}); task != nil {
-			t.Fatalf("BeginMaintenance returned task %v, want nil", task)
-		}
-		checkExact(t, "moved", cur, m.Positions(), 2)
 	})
 
-	// A delta that swap-removes the first 200 slots and re-adds their
-	// vertices at the tail: the surface is the same set, but no longer
-	// dense or sorted, and the vertices of the far corner now sit in the
-	// blocks whose boxes described the near one.
-	t.Run("ApplySurfaceDelta", func(t *testing.T) {
+	t.Run("DeformOverwrite", func(t *testing.T) {
 		m := tetLattice(t, 8)
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
-		checkExact(t, "pristine", cur, m.Positions(), 1)
-		var ids []int32
-		for v := int32(0); v < 200; v++ {
-			ids = append(ids, v)
+		next := slices.Clone(m.Positions())
+		for step := 0; step < 3; step++ {
+			scramble(step, next)
+			m.DeformOverwrite(func(pos []geom.Vec3) { copy(pos, next) })
+			checkIndex(t, fmt.Sprintf("overwrite %d", step), o)
+			checkExact(t, fmt.Sprintf("overwrite %d", step), cur, m.Positions(), int64(step))
 		}
-		o.ApplySurfaceDelta(mesh.SurfaceDelta{Removed: ids})
-		o.ApplySurfaceDelta(mesh.SurfaceDelta{Added: ids})
-		if o.denseSurface || slices.IsSorted(o.surface) || o.SurfaceSize() != m.NumVertices() {
-			t.Fatalf("delta left the surface dense=%v sorted=%v size=%d", o.denseSurface, slices.IsSorted(o.surface), o.SurfaceSize())
+	})
+
+	// Deleting every cell at three corners of the box isolates the corner
+	// vertices — swap-removed, the last slots moving into their place —
+	// and exposes their neighbours, appended: the slot order leaves the
+	// dense, sorted layout. A split then grows the mesh under it. No
+	// crawl reaches an isolated vertex (DESIGN.md §4), so each is then
+	// moved out of every query box's reach: in place, with Step.
+	t.Run("ApplySurfaceDelta", func(t *testing.T) {
+		m := surfaceFirstBox(t, 8)
+		o := New(m)
+		cur := o.NewCursor().(*Cursor)
+		var isolated []int32
+		for _, corner := range []geom.Vec3{geom.V(0, 0, 0), geom.V(1, 1, 1), geom.V(1, 0, 0)} {
+			v := query.BruteForceKNN(m, corner, 1)[0]
+			for ci := range m.Cells() {
+				if c := &m.Cells()[ci]; c.Dead || !slices.Contains(c.Verts[:c.VertexCount()], v) {
+					continue
+				}
+				delta, err := m.DeleteCell(ci)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.ApplySurfaceDelta(delta)
+				checkIndex(t, fmt.Sprintf("delete %d", ci), o)
+			}
+			isolated = append(isolated, v)
 		}
-		checkExact(t, "after delta", cur, m.Positions(), 2)
+		if slots := o.idx.Slots(); o.idx.Dense() || slices.IsSorted(slots) {
+			t.Fatalf("deletes left the surface dense=%v sorted=%v", o.idx.Dense(), slices.IsSorted(slots))
+		}
+		_, delta, err := m.SplitCell(len(m.Cells()) / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.ApplySurfaceDelta(delta)
+		checkIndex(t, "split", o)
+		for i, v := range isolated {
+			m.SetPosition(v, geom.V(50+10*float64(i), 50, 50))
+		}
+		o.Step()
+		checkIndex(t, "isolated moved away", o)
+		checkExact(t, "restructured", cur, m.Positions(), 2)
 		scramble(0, m.Positions())
 		o.Step()
-		checkExact(t, "after delta, moved", cur, m.Positions(), 3)
+		checkIndex(t, "moved in place", o)
+		checkExact(t, "moved in place", cur, m.Positions(), 3)
+		m.Deform(func(pos []geom.Vec3) { scramble(1, pos) })
+		checkIndex(t, "published", o)
+		checkExact(t, "published", cur, m.Positions(), 4)
 	})
 
 	// Restructuring advances the epoch by two on the same buffer; Deform
-	// switches buffers. The tag must follow both — the first split lands
-	// before the mesh has a second buffer (epochs 0 -> 2 -> 3).
+	// switches buffers. The first split lands before the mesh has a
+	// second buffer (epochs 0 -> 2 -> 3).
 	t.Run("SplitCell+Deform/snapshots", func(t *testing.T) {
 		m := surfaceFirstBox(t, 8)
 		o := New(m)
@@ -327,11 +431,11 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 			if m.Epoch() != before+2 {
 				t.Fatalf("SplitCell moved the epoch %d -> %d, want +2", before, m.Epoch())
 			}
+			checkIndex(t, fmt.Sprintf("split %d", step), o)
 			checkExact(t, fmt.Sprintf("split %d", step), cur, m.Positions(), int64(10+step))
-			tagFollows(t, o, cur)
 			m.Deform(func(pos []geom.Vec3) { scramble(step, pos) })
+			checkIndex(t, fmt.Sprintf("deform %d", step), o)
 			checkExact(t, fmt.Sprintf("deform %d", step), cur, m.Positions(), int64(20+step))
-			tagFollows(t, o, cur)
 		}
 	})
 }
@@ -405,12 +509,12 @@ func TestBlockProbeUnderConcurrentDeform(t *testing.T) {
 // lone vertex, one slot short of a leaf, exactly one, one over, one slot
 // short of four leaves, exactly four, one over, exactly one coarse box,
 // one slot into a second, and a long surface (1 144 slots) whose last
-// coarse box is ragged: fewer than probeFan leaves, the last of them
+// coarse box is ragged: fewer than mesh.ProbeFan leaves, the last of them
 // partial. Every leaf box is the tight box of its slots and every coarse
 // box the union of its leaves'.
 func TestBlockGeometry(t *testing.T) {
-	full := probeFan * probeBlock
-	for _, n := range []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1, 4*probeBlock - 1, 4 * probeBlock, 4*probeBlock + 1, full, full + 1, 1144} {
+	full := mesh.ProbeFan * mesh.ProbeBlock
+	for _, n := range []int{0, 1, mesh.ProbeBlock - 1, mesh.ProbeBlock, mesh.ProbeBlock + 1, 4*mesh.ProbeBlock - 1, 4 * mesh.ProbeBlock, 4*mesh.ProbeBlock + 1, full, full + 1, 1144} {
 		t.Run(fmt.Sprintf("surface-%d", n), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(n)))
 			pos := make([]geom.Vec3, n)
@@ -422,34 +526,31 @@ func TestBlockGeometry(t *testing.T) {
 			m, o := cloud(t, pos)
 			cur := o.NewCursor().(*Cursor)
 			checkExact(t, "pristine", cur, m.Positions(), 1)
-			leaves := (n + probeBlock - 1) / probeBlock
-			coarse := (leaves + probeFan - 1) / probeFan
-			bb := o.summary[0].boxes
-			if len(bb.leaf) != leaves || len(bb.coarse) != coarse {
-				t.Fatalf("%d leaves and %d coarse boxes over %d slots, want %d and %d", len(bb.leaf), len(bb.coarse), n, leaves, coarse)
+			leaves := (n + mesh.ProbeBlock - 1) / mesh.ProbeBlock
+			coarse := (leaves + mesh.ProbeFan - 1) / mesh.ProbeFan
+			bb := o.idx.Boxes(0)
+			if len(bb.Leaf) != leaves || len(bb.Coarse) != coarse {
+				t.Fatalf("%d leaves and %d coarse boxes over %d slots, want %d and %d", len(bb.Leaf), len(bb.Coarse), n, leaves, coarse)
 			}
-			for b := range bb.leaf {
-				lo, hi := o.blockSlots(b)
+			for b := range bb.Leaf {
+				lo, hi := o.idx.LeafSlots(b)
 				want := geom.EmptyBox()
 				for _, p := range pos[lo:hi] {
 					want = want.Extend(p)
 				}
-				if bb.leaf[b] != want {
-					t.Fatalf("leaf %d = %v, want %v", b, bb.leaf[b], want)
+				if bb.Leaf[b] != want {
+					t.Fatalf("leaf %d = %v, want %v", b, bb.Leaf[b], want)
 				}
 			}
-			for c := range bb.coarse {
-				lo, hi := bb.leaves(c)
-				want := bb.leaf[lo]
-				for _, l := range bb.leaf[lo:hi] {
+			for c := range bb.Coarse {
+				lo, hi := bb.Leaves(c)
+				want := bb.Leaf[lo]
+				for _, l := range bb.Leaf[lo:hi] {
 					want = want.Union(l)
 				}
-				if bb.coarse[c] != want {
-					t.Fatalf("coarse %d (leaves %d..%d) = %v, want %v", c, lo, hi-1, bb.coarse[c], want)
+				if bb.Coarse[c] != want {
+					t.Fatalf("coarse %d (leaves %d..%d) = %v, want %v", c, lo, hi-1, bb.Coarse[c], want)
 				}
-			}
-			if got, want := o.probeMemoryBytes(), int64(2*(leaves+coarse)*48); got != want {
-				t.Fatalf("probeMemoryBytes = %d, want %d", got, want)
 			}
 			if n > 0 {
 				out := cur.Query(geom.BoxAround(geom.V(-50, -50, -50), 1), nil)
@@ -464,51 +565,29 @@ func TestBlockGeometry(t *testing.T) {
 	}
 }
 
-// TestBoundingBoxKernel holds the branch-free rebuild kernel to the plain
-// definition of a bounding box over every kind of coordinate it orders by
-// integer key: both signs, both zeros, subnormals, huge values and the
-// infinities. A NaN coordinate becomes the bound of its own axis and
-// leaves the other two alone.
-func TestBoundingBoxKernel(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), 1, -1}
-	coord := func() float64 {
-		switch r.Intn(4) {
-		case 0:
-			return special[r.Intn(len(special))]
-		case 1:
-			return math.Ldexp(r.Float64()-0.5, r.Intn(200)-100)
-		}
-		return 20*r.Float64() - 10
+// TestMemoryFootprintCountsBuiltBoxes: the footprint counts the box arrays
+// that exist. A mesh written only in place (paper mode) holds the boxes of
+// its one buffer; the first Deform brings the second buffer and its boxes.
+func TestMemoryFootprintCountsBuiltBoxes(t *testing.T) {
+	m := surfaceFirstBox(t, 10)
+	o := New(m)
+	if !o.idx.Dense() {
+		t.Fatal("surface-first layout not dense; test geometry broken")
 	}
-	for trial := 0; trial < 500; trial++ {
-		pos := make([]geom.Vec3, 1+r.Intn(probeBlock))
-		want := geom.EmptyBox()
-		for i := range pos {
-			pos[i] = geom.V(coord(), coord(), coord())
-			want.Min, want.Max = want.Min.Min(pos[i]), want.Max.Max(pos[i])
+	leaves := (o.SurfaceSize() + mesh.ProbeBlock - 1) / mesh.ProbeBlock
+	parity := int64(leaves+(leaves+mesh.ProbeFan-1)/mesh.ProbeFan) * 48
+	index := int64(cap(o.idx.Slots())) * 4
+	rest := o.MemoryFootprint() - o.idx.MemoryBytes()
+	for step := 0; step < 2; step++ {
+		scramble(step, m.Positions())
+		o.Step()
+		if got := o.idx.MemoryBytes(); got != index+parity {
+			t.Fatalf("paper mode, step %d: index footprint %d, want %d (slots) + %d (one parity)", step, got, index, parity)
 		}
-		if got := appendLeafBoxes(nil, pos)[0]; got != want {
-			t.Fatalf("trial %d: leaf box = %v, want %v", trial, got, want)
-		}
-		// Keys order like the values, and the map is its own inverse.
-		a, b := pos[0].X, pos[len(pos)-1].Y
-		if (a < b) != (orderedKey(a) < orderedKey(b)) && a != b {
-			t.Fatalf("keys misorder %v and %v", a, b)
-		}
-		if got := fromOrderedKey(orderedKey(a)); math.Float64bits(got) != math.Float64bits(a) {
-			t.Fatalf("key round trip: %v -> %v", a, got)
-		}
-
-		v := r.Intn(len(pos))
-		pos[v].Y = math.NaN()
-		got := appendLeafBoxes(nil, pos)[0]
-		if got.Min.X != want.Min.X || got.Max.X != want.Max.X || got.Min.Z != want.Min.Z || got.Max.Z != want.Max.Z {
-			t.Fatalf("trial %d: a NaN y moved the x or z bounds: %v, want %v", trial, got, want)
-		}
-		if got.Max.Y == got.Max.Y {
-			t.Fatalf("trial %d: a NaN y left the bound %v: it must become the bound, where nothing prunes on it", trial, got.Max.Y)
-		}
+	}
+	m.Deform(func(pos []geom.Vec3) { scramble(2, pos) })
+	if got := o.MemoryFootprint(); got != rest+index+2*parity {
+		t.Fatalf("after the first Deform: footprint %d, want %d + %d (slots) + %d (both parities)", got, rest, index, 2*parity)
 	}
 }
 
@@ -519,7 +598,7 @@ func TestBoundingBoxKernel(t *testing.T) {
 // walk, which would otherwise cover for a skipped block.
 func TestBlockBoxFaceContact(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	unit := make([]geom.Vec3, probeBlock) // the 8 corners of the unit cube, then filler inside it
+	unit := make([]geom.Vec3, mesh.ProbeBlock) // the 8 corners of the unit cube, then filler inside it
 	for i := range unit {
 		if i < 8 {
 			unit[i] = geom.V(float64(i&1), float64(i>>1&1), float64(i>>2&1))
@@ -549,7 +628,7 @@ func TestBlockBoxFaceContact(t *testing.T) {
 			onFace int32 // a vertex the query holds only by face contact
 		}{
 			{"max face of block 0", slab(1, 5.5), 7},
-			{"min face of block 1", slab(0.5, 5), probeBlock},
+			{"min face of block 1", slab(0.5, 5), mesh.ProbeBlock},
 		} {
 			got := o.Query(tc.q, nil)
 			if !slices.Contains(got, tc.onFace) {
@@ -571,28 +650,28 @@ func TestBlockBoxFaceContact(t *testing.T) {
 // own box is NaN on both sides) and a leaf whose every x is +Inf.
 func TestBlockBoxNonFinitePositions(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	nanLeaf, infLeaf := probeFan+1, probeFan+2
-	pos := make([]geom.Vec3, (probeFan+3)*probeBlock+9)
+	nanLeaf, infLeaf := mesh.ProbeFan+1, mesh.ProbeFan+2
+	pos := make([]geom.Vec3, (mesh.ProbeFan+3)*mesh.ProbeBlock+9)
 	for i := range pos {
 		pos[i] = geom.V(float64(i)/10, 0.5, 0.5)
 	}
 	bad := map[int32]geom.Vec3{
-		0:                     geom.V(nan, 0.5, 0.5), // first slot of a leaf: would seed a running min
-		77:                    geom.V(7.7, nan, nan),
-		133:                   geom.V(inf, 0.5, 0.5),
-		134:                   geom.V(-inf, 0.5, 0.5),
-		356:                   geom.V(nan, nan, nan),
-		383:                   geom.V(38.3, 0.5, inf),
-		int32(probeBlock - 1): geom.V(nan, 0.5, 0.5), // last slot of a leaf
-		int32(len(pos) - 1):   geom.V(nan, 0.5, 0.5), // last slot of the surface
+		0:                          geom.V(nan, 0.5, 0.5), // first slot of a leaf: would seed a running min
+		77:                         geom.V(7.7, nan, nan),
+		133:                        geom.V(inf, 0.5, 0.5),
+		134:                        geom.V(-inf, 0.5, 0.5),
+		356:                        geom.V(nan, nan, nan),
+		383:                        geom.V(38.3, 0.5, inf),
+		int32(mesh.ProbeBlock - 1): geom.V(nan, 0.5, 0.5), // last slot of a leaf
+		int32(len(pos) - 1):        geom.V(nan, 0.5, 0.5), // last slot of the surface
 	}
 	for v, p := range bad {
 		pos[v] = p
 	}
-	for i := nanLeaf * probeBlock; i < (nanLeaf+1)*probeBlock; i++ {
+	for i := nanLeaf * mesh.ProbeBlock; i < (nanLeaf+1)*mesh.ProbeBlock; i++ {
 		pos[i].X = nan
 	}
-	for i := infLeaf * probeBlock; i < (infLeaf+1)*probeBlock; i++ {
+	for i := infLeaf * mesh.ProbeBlock; i < (infLeaf+1)*mesh.ProbeBlock; i++ {
 		pos[i].X = inf
 	}
 	m, o := cloud(t, pos)
@@ -616,21 +695,22 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 			}
 		}
 	}
-	if bb := o.summary[cur.LastEpoch()&1].boxes; len(bb.coarse) != 2 || !math.IsNaN(bb.coarse[1].Max.X) || !math.IsNaN(bb.leaf[nanLeaf].Min.X) {
-		t.Fatalf("coarse boxes %v, NaN leaf %v: want two, the second with a NaN x bound over a leaf NaN on both sides", bb.coarse, bb.leaf[nanLeaf])
+	if bb := o.idx.Boxes(cur.LastEpoch()); len(bb.Coarse) != 2 || !math.IsNaN(bb.Coarse[1].Max.X) || !math.IsNaN(bb.Leaf[nanLeaf].Min.X) {
+		t.Fatalf("coarse boxes %v, NaN leaf %v: want two, the second with a NaN x bound over a leaf NaN on both sides", bb.Coarse, bb.Leaf[nanLeaf])
 	}
+	checkIndex(t, "non-finite", o)
 	finite := 0
 	for _, p := range pos {
 		if p.X == p.X && p.Y == p.Y && p.Z == p.Z {
 			finite++
 		}
 	}
-	if got := len(cur.Query(everything, nil)); got != finite || finite != len(pos)-5-probeBlock {
+	if got := len(cur.Query(everything, nil)); got != finite || finite != len(pos)-5-mesh.ProbeBlock {
 		t.Fatalf("the unbounded box returned %d vertices, want the %d without a NaN coordinate", got, finite)
 	}
 	// kNN next to each NaN vertex finds its finite block-mates.
 	for _, p := range []geom.Vec3{geom.V(0, 0.5, 0.5), geom.V(7.7, 0.5, 0.5), geom.V(35.6, 0.5, 0.5),
-		geom.V(float64(nanLeaf*probeBlock+probeBlock/2)/10, 0.5, 0.5), pos[len(pos)-2]} {
+		geom.V(float64(nanLeaf*mesh.ProbeBlock+mesh.ProbeBlock/2)/10, 0.5, 0.5), pos[len(pos)-2]} {
 		got := cur.KNN(p, 6, nil)
 		var want []int32
 		var kb query.KBest
@@ -652,7 +732,7 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 // search pops coarse box 1 (at distance 0), pushes all 16 of its leaves
 // (no vertex found yet: every leaf is within +Inf) and scans its first
 // leaf, whose box is nearest: vertex near-1 at squared distance 1, near :=
-// probeFan*probeBlock + 1 at 4. Coarse box 0 lies at 2.25, beyond that
+// mesh.ProbeFan*mesh.ProbeBlock + 1 at 4. Coarse box 0 lies at 2.25, beyond that
 // start, so the search stops, the scanned leaf set aside. The crawl (a
 // cloud has no edges) offers near-1 alone, and the heap is not full. The
 // probe pushes the start leaf back under +Inf and re-scans it first: it
@@ -665,20 +745,20 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 // and the whole of coarse box 2 (ragged: one leaf) lie strictly beyond
 // and must not be scanned — coarse box 2 not even descended into.
 func TestKNNBlockSkipRule(t *testing.T) {
-	near := int32(probeFan*probeBlock + 1)
-	pos := make([]geom.Vec3, (2*probeFan+1)*probeBlock)
+	near := int32(mesh.ProbeFan*mesh.ProbeBlock + 1)
+	pos := make([]geom.Vec3, (2*mesh.ProbeFan+1)*mesh.ProbeBlock)
 	for i := range pos {
-		j := float64(i % probeBlock)
-		switch b := i / probeBlock; {
+		j := float64(i % mesh.ProbeBlock)
+		switch b := i / mesh.ProbeBlock; {
 		case b == 0:
 			pos[i] = geom.V(-20-float64(i), 0, 0)
-		case b < probeFan && b%2 == 0: // squared distance >= 1.5² + 3²
-			pos[i] = geom.V(-1.5, 3+j/probeBlock, 0)
-		case b < probeFan: // >= 3² + 3²; with the leaves above, a coarse box 1.5 away
-			pos[i] = geom.V(-3-j/probeBlock, -3-j/probeBlock, 0)
-		case b == probeFan:
+		case b < mesh.ProbeFan && b%2 == 0: // squared distance >= 1.5² + 3²
+			pos[i] = geom.V(-1.5, 3+j/mesh.ProbeBlock, 0)
+		case b < mesh.ProbeFan: // >= 3² + 3²; with the leaves above, a coarse box 1.5 away
+			pos[i] = geom.V(-3-j/mesh.ProbeBlock, -3-j/mesh.ProbeBlock, 0)
+		case b == mesh.ProbeFan:
 			pos[i] = geom.V(10+float64(i), 0, 0)
-		case b < 2*probeFan:
+		case b < 2*mesh.ProbeFan:
 			pos[i] = geom.V(0, 100+float64(i), 0)
 		default:
 			pos[i] = geom.V(0, 0, 100+float64(i))
@@ -698,15 +778,15 @@ func TestKNNBlockSkipRule(t *testing.T) {
 	if ball, ok := cur.LastKNNBound2(); !ok || ball != 4 {
 		t.Fatalf("ball = %v (ok=%v), want 4", ball, ok)
 	}
-	if bb := o.summary[cur.LastEpoch()&1].boxes; len(bb.coarse) != 3 || gap2(&bb.coarse[0], &geom.AABB{Min: p, Max: p}) != 2.25 {
-		t.Fatalf("coarse boxes %v; test geometry broken", bb.coarse)
+	if bb := o.idx.Boxes(cur.LastEpoch()); len(bb.Coarse) != 3 || gap2(&bb.Coarse[0], &geom.AABB{Min: p, Max: p}) != 2.25 {
+		t.Fatalf("coarse boxes %v; test geometry broken", bb.Coarse)
 	}
 	// Box distances: three coarse boxes and the leaves of coarse box 1 in
 	// the start search, the leaves of coarse box 0 in the probe.
 	// Positions: the start leaf twice (search, then probe) and leaf 0.
 	st := cur.Stats()
-	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*probeFan || positions != 3*probeBlock {
-		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*probeFan, 3*probeBlock)
+	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*mesh.ProbeFan || positions != 3*mesh.ProbeBlock {
+		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*mesh.ProbeFan, 3*mesh.ProbeBlock)
 	}
 
 	// No block is skipped while the heap is not full: k beyond the surface
@@ -726,7 +806,7 @@ func TestKNNBlockSkipRule(t *testing.T) {
 // equals, a NaN distance never taken (-1 when none is).
 func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3) (seeds []int32, start int32) {
 	start, best := -1, math.Inf(1)
-	for _, v := range o.surface {
+	for _, v := range o.idx.Slots() {
 		if q.Contains(pos[v]) {
 			seeds = append(seeds, v)
 		}
@@ -750,7 +830,7 @@ func linearFolds(o *Octopus, pos []geom.Vec3, p geom.Vec3, kb *query.KBest, keep
 		v int32
 	}
 	var cands []cand
-	for _, v := range o.surface {
+	for _, v := range o.idx.Slots() {
 		if d := pos[v].Dist2(p); !marked[v] && d <= bound {
 			if keep == nil || keep[v] {
 				kb.Offer(d, v)
@@ -773,7 +853,7 @@ func linearFolds(o *Octopus, pos []geom.Vec3, p geom.Vec3, kb *query.KBest, keep
 // with the slot, like a Hilbert-ordered surface; without it the layout
 // has no locality and every box is loose. One position in every
 // nonFinite (0: none) gets a NaN, +Inf or -Inf coordinate, and leaf
-// n/probeBlock/2 has a NaN x throughout.
+// n/mesh.ProbeBlock/2 has a NaN x throughout.
 func tieCloud(t testing.TB, r *rand.Rand, n, spread int, drift bool, nonFinite int) (*mesh.Mesh, *Octopus) {
 	nan, inf := math.NaN(), math.Inf(1)
 	pos := make([]geom.Vec3, n)
@@ -793,8 +873,8 @@ func tieCloud(t testing.TB, r *rand.Rand, n, spread int, drift bool, nonFinite i
 			}
 		}
 	}
-	if leaf := n / probeBlock / 2; nonFinite > 0 && n >= 2*probeBlock {
-		for i := leaf * probeBlock; i < (leaf+1)*probeBlock; i++ {
+	if leaf := n / mesh.ProbeBlock / 2; nonFinite > 0 && n >= 2*mesh.ProbeBlock {
+		for i := leaf * mesh.ProbeBlock; i < (leaf+1)*mesh.ProbeBlock; i++ {
 			pos[i].X = nan
 		}
 	}
@@ -838,7 +918,7 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 
 	cur.kbest.Reset(k)
 	cur.bumpMarks()
-	bb := o.probeBoxes(cur.epoch, pos)
+	bb := o.idx.Boxes(cur.epoch)
 	if got, _, _ := o.knnStartSearch(cur, bb, p, pos); got != start {
 		t.Fatalf("%s: kNN start %d, linear pass %d", label, got, start)
 	}
@@ -848,7 +928,7 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 	var ref query.KBest
 	ref.Reset(k)
 	marked := make([]bool, len(pos))
-	for _, v := range o.surface {
+	for _, v := range o.idx.Slots() {
 		if v == start || r.Intn(3) == 0 {
 			marked[v], cur.marks[v] = true, cur.markEpoch
 			if d := pos[v].Dist2(p); (keep == nil || keep[v]) && d <= ceiling2 {
@@ -904,17 +984,17 @@ func TestBlockProbeMatchesLinearPass(t *testing.T) {
 		{"id-array", func() engine { return withEngine(buildBox(t, 10)) }},
 		{"lattice", func() engine { return withEngine(tetLattice(t, 6)) }},
 		{"non-finite", func() engine {
-			m, o := tieCloud(t, rand.New(rand.NewSource(5)), 2*probeFan*probeBlock+5*probeBlock+3, 3, true, 40)
+			m, o := tieCloud(t, rand.New(rand.NewSource(5)), 2*mesh.ProbeFan*mesh.ProbeBlock+5*mesh.ProbeBlock+3, 3, true, 40)
 			return engine{m, o}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.build()
 			m, o := e.m, e.o
-			if want := tc.name != "id-array"; o.denseSurface != want {
-				t.Fatalf("denseSurface = %v, want %v", o.denseSurface, want)
+			if want := tc.name != "id-array"; o.idx.Dense() != want {
+				t.Fatalf("denseSurface = %v, want %v", o.idx.Dense(), want)
 			}
-			if leaves := (o.SurfaceSize() + probeBlock - 1) / probeBlock; leaves <= probeFan || leaves%probeFan == 0 {
+			if leaves := (o.SurfaceSize() + mesh.ProbeBlock - 1) / mesh.ProbeBlock; leaves <= mesh.ProbeFan || leaves%mesh.ProbeFan == 0 {
 				t.Fatalf("%d leaves: want more than one coarse box, the last ragged", leaves)
 			}
 			cur := o.NewCursor().(*Cursor)
@@ -941,23 +1021,28 @@ func TestBlockProbeMatchesLinearPass(t *testing.T) {
 	}
 }
 
-// TestApproximateProbeIgnoresSummary: the strided probe neither builds the
-// block boxes nor reads them. The boxes are left describing a state the
-// mesh has since moved away from (no Step), so a strided probe that
-// consulted them would drop the sampled vertices it is guaranteed to
-// return.
+// TestApproximateProbeIgnoresSummary: the strided probe does not read the
+// block boxes, and no query writes them. The boxes are left describing a
+// state the mesh has since moved away from (in-place writes, no Step), so
+// a strided probe that consulted them would drop the sampled vertices it
+// is guaranteed to return.
 func TestApproximateProbeIgnoresSummary(t *testing.T) {
 	m := tetLattice(t, 8)
 	o := New(m)
 	cur := o.NewCursor().(*Cursor)
 	r := rand.New(rand.NewSource(4))
 
-	tags := func() [4]uint64 {
-		return [4]uint64{o.summary[0].epoch.Load(), o.summary[0].gen.Load(), o.summary[1].epoch.Load(), o.summary[1].gen.Load()}
+	boxes := func() (bits []uint64) {
+		for e := uint64(0); e < 2; e++ {
+			for _, b := range append(slices.Clone(o.idx.Boxes(e).Leaf), o.idx.Boxes(e).Coarse...) {
+				bits = append(bits, boxBits(b)...)
+			}
+		}
+		return bits
 	}
 	strided := func(label string) {
 		t.Helper()
-		before := tags()
+		before := boxes()
 		const stride = 4
 		cur.SetBudget(query.CrawlBudget{SurfaceFrac: 1.0 / stride})
 		for i := 0; i < 100; i++ {
@@ -988,17 +1073,18 @@ func TestApproximateProbeIgnoresSummary(t *testing.T) {
 			}
 		}
 		cur.SetBudget(query.CrawlBudget{})
-		if after := tags(); after != before {
-			t.Fatalf("%s: strided queries moved the summary tags %v -> %v", label, before, after)
+		if !slices.Equal(boxes(), before) {
+			t.Fatalf("%s: strided queries changed the boxes", label)
 		}
 	}
 
-	strided("never built")
-	if tags() != [4]uint64{} {
-		t.Fatalf("summary built without an exact query: %v", tags())
-	}
+	strided("fresh")
 	checkExact(t, "exact", cur, m.Positions(), 1)
+	leaf0 := o.idx.Boxes(0).Leaf[0]
 	scramble(0, m.Positions()) // no Step: the boxes now describe the wrong state
+	if leaf0.Contains(m.Position(0)) {
+		t.Fatal("vertex 0 stayed inside its stale leaf box; test geometry broken")
+	}
 	strided("stale")
 }
 

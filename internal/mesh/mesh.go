@@ -119,6 +119,10 @@ type Mesh struct {
 	dirty      DirtyRegion
 	dirtyMark  []uint32
 	dirtyStamp uint32
+
+	// surfIdx is the surface index (surfaceindex.go), nil until an
+	// engine asks for it; set under writerMu.
+	surfIdx *SurfaceIndex
 }
 
 // newMesh assembles a mesh over freshly built arrays, with its dirty

@@ -113,7 +113,8 @@ func (m *Mesh) DeformOverwrite(fn func(pos []geom.Vec3)) {
 }
 
 // publish runs one deformation step: wait out the target buffer's pins,
-// optionally pre-load it with the current state, apply fn, publish.
+// optionally pre-load it with the current state, apply fn, record the
+// movers, refit the target's block boxes, publish.
 func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 	m.writerMu.Lock()
 	defer m.writerMu.Unlock()
@@ -128,6 +129,9 @@ func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 	}
 	fn(target)
 	m.recordDeformDirty(m.buf(e), target)
+	if m.surfIdx != nil {
+		m.surfIdx.refit(e+1, target)
+	}
 	m.epoch.Store(e + 1) // the single publishing store
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // SurfaceDelta describes how a restructuring operation changed the set of
-// surface vertices. The paper's surface index consumes these deltas as hash
-// table inserts/deletes (§IV-E2); everything else about OCTOPUS is oblivious
-// to restructuring.
+// surface vertices. The operation itself folds it into the mesh's surface
+// index as slot inserts/deletes (§IV-E2); engines that keep
+// connectivity-derived state of their own (OCTOPUS's components) consume
+// it too.
 type SurfaceDelta struct {
 	// Added lists vertices that joined the surface.
 	Added []int32
@@ -99,8 +100,8 @@ func (m *Mesh) prepareRestructure() {
 // the cell centroid and the cell is replaced by four tetrahedra. This is the
 // paper's "polyhedra may be split, thus increasing the number of vertices"
 // restructuring. The mesh surface is unchanged (the new vertex is interior),
-// so the returned delta is always empty; it is returned for symmetry with
-// DeleteCell.
+// so the returned delta is always empty and the surface index and its
+// boxes stand; it is returned for symmetry with DeleteCell.
 func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error) {
 	if ci < 0 || ci >= len(m.cells) {
 		return -1, SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
@@ -160,8 +161,9 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 // DeleteCell removes a cell from the mesh: the paper's "merged, hence
 // reducing the vertices on the surface" direction of restructuring (here the
 // cell's volume simply leaves the mesh, exposing its interior faces). The
-// returned SurfaceDelta lists vertices that joined or left the surface set
-// and is the exact maintenance stream for the surface index.
+// returned SurfaceDelta lists vertices that joined or left the surface set;
+// it has already been applied to the surface index, whose current boxes
+// are refit.
 func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	if ci < 0 || ci >= len(m.cells) {
 		return SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
@@ -200,6 +202,10 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	slices.Sort(delta.Added)
 	slices.Sort(delta.Removed)
 	m.recordStructuralDirty(m.cellBox(ci), int32(ci))
+	if m.surfIdx != nil && !delta.Empty() {
+		m.surfIdx.apply(delta)
+		m.refitFront() // a publish refits the other buffer
+	}
 	return delta, nil
 }
 

@@ -85,8 +85,9 @@ type Engine interface {
 	// Step performs per-time-step index maintenance after the simulation
 	// has updated vertex positions in place, and must be called before
 	// the next query even by engines with nothing to maintain: OCTOPUS
-	// only notes that positions changed (O(1)), the linear scan does
-	// nothing, throwaway indexes rebuild here.
+	// refits the probe's block boxes of the written buffer (one pass over
+	// the surface), the linear scan does nothing, throwaway indexes
+	// rebuild here.
 	Step()
 
 	// Query appends the ids of all vertices whose current position lies in

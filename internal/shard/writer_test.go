@@ -230,11 +230,12 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 }
 
 // BenchmarkDeform times the sharded writer step on the benchmark's
-// live-inproc shape — neuro-l3, K = 4, each sub-mesh diffing its
-// publish — and reports ns per local (owned + ghost) position. "static"
-// runs an empty fn, so the dirty diff only compares; "moving" flips every
-// vertex between two states, so every position is a mover, with fn and
-// the dirty consume (the scheduler's work) off the clock.
+// live-inproc shape — neuro-l3, K = 4, an OCTOPUS engine per shard, each
+// sub-mesh diffing its publish and refitting its probe boxes — and
+// reports ns per local (owned + ghost) position. "static" runs an empty
+// fn, so the dirty diff only compares; "moving" flips every vertex
+// between two states, so every position is a mover, with fn and the
+// dirty consume (the scheduler's work) off the clock.
 func BenchmarkDeform(b *testing.B) {
 	m, err := meshgen.Build(meshgen.NeuroL3, 1)
 	if err != nil {
@@ -247,6 +248,7 @@ func BenchmarkDeform(b *testing.B) {
 	local := 0
 	for _, p := range sm.Partition().Parts {
 		local += len(p.ToGlobal)
+		core.New(p.Mesh)
 	}
 	states := [2][]geom.Vec3{append([]geom.Vec3(nil), m.Positions()...), nil}
 	states[1] = append([]geom.Vec3(nil), states[0]...)

@@ -197,13 +197,13 @@ func sloCacheTable(cfg Config) (*Table, error) {
 			}
 		})
 		head := m.Epoch()
-		cache.Advance([]mesh.DirtyRegion{m.TakeDirty()}, head)
+		cache.Apply(m.DirtySince(cache.Stats().ValidEpoch))
 
 		for _, q := range queries {
 			stats.rangeLookups++
 			if res, epoch, hit := cache.GetRange(q); hit {
 				stats.rangeHits++
-				// The claimed epoch must be the head (Advance just
+				// The claimed epoch must be the head (Apply just
 				// validated every surviving entry through it), and the
 				// result must be bit-equal to fresh execution.
 				fresh := cur.Query(q, nil)

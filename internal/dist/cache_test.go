@@ -149,6 +149,47 @@ func TestDistRouterCacheFullPublishFlushes(t *testing.T) {
 	h.checkAll(t, "after flush", cur, knn, queries, probes, 1)
 }
 
+// TestDistRouterCacheLogWrapFlushesOnce: a router that syncs only after
+// DirtyLogCap+1 delta publishes asks from an epoch the servers' logs no
+// longer hold. The answer is incomplete, so the sync flushes exactly once
+// — every publish was tracked — and the refilled cache's next hits are
+// bit-equal to fresh queries at the head.
+func TestDistRouterCacheLogWrapFlushesOnce(t *testing.T) {
+	build := func(t *testing.T) *mesh.Mesh { return buildBoxTet(t, 5, 1.0/5) }
+	h := newHarness(t, build, 3, engineCases()[0], transportLoopback)
+	h.rt.EnableCache(0)
+	cur := h.r1.NewCursor()
+	defer cur.Close()
+	knn := cur.(query.KNNCursor)
+
+	queries := equivQueries(h.m1, 91)
+	probes := equivProbes(h.m1, 92)
+	h.checkAll(t, "epoch 0", cur, knn, queries, probes, 0)
+
+	const steps = mesh.DirtyLogCap + 1
+	d := &sim.BlobDeformer{Radius: 0.15, Amplitude: 0.001, Seed: 5}
+	for step := 0; step < steps; step++ {
+		h.deform(t, d, step)
+	}
+	h.maintain(t)
+	if err := h.rt.SyncCache(); err != nil {
+		t.Fatal(err)
+	}
+	cs := h.rt.CacheStats()
+	if cs.Flushes != 1 || cs.Entries != 0 || cs.ValidEpoch != steps {
+		t.Fatalf("sync after %d publishes: %+v, want one flush, no entries, valid at %d", steps, cs, steps)
+	}
+	h.checkAll(t, "refill", cur, knn, queries, probes, steps)
+	hits := h.rt.Stats().CacheHits
+	h.checkAll(t, "replay", cur, knn, queries, probes, steps)
+	if got, want := h.rt.Stats().CacheHits-hits, int64(len(queries)+len(probes)); got != want {
+		t.Fatalf("replay scored %d cache hits, want %d", got, want)
+	}
+	if cs := h.rt.CacheStats(); cs.Flushes != 1 {
+		t.Fatalf("%d flushes, want the one from the wrapped log", cs.Flushes)
+	}
+}
+
 // TestDistCacheConcurrentRouters: several cache-enabled routers serve
 // the same cluster concurrently over TCP (the multiplexed wire), each
 // replaying the workload twice. Every answer must match the in-process

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
 )
 
 // FuzzPublishDelta throws arbitrary bytes at the delta-publish decoder:
@@ -54,10 +55,10 @@ func FuzzPublishDelta(f *testing.F) {
 // message the router-side cache trusts for its invalidation decisions.
 func FuzzDirtyLogResp(f *testing.F) {
 	box := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	f.Add(encodeDirtyLogResp(dirtyLogResp{Head: 4, Complete: true,
-		Recs: []dirtyLogRec{{Epoch: 3, Tracked: true, Box: box}, {Epoch: 4}}}))
-	f.Add(encodeDirtyLogResp(dirtyLogResp{Head: 0, Complete: false}))
-	hostile := encodeDirtyLogResp(dirtyLogResp{Head: 1, Complete: true})
+	f.Add(encodeDirtyLogResp(mesh.DirtySince{Head: 4, Complete: true,
+		Recs: []mesh.DirtyRec{{Epoch: 3, Tracked: true, Box: box}, {Epoch: 4}}}))
+	f.Add(encodeDirtyLogResp(mesh.DirtySince{Head: 0, Complete: false}))
+	hostile := encodeDirtyLogResp(mesh.DirtySince{Head: 1, Complete: true})
 	hostile[len(hostile)-1] = 0x7F
 	f.Add(hostile)
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
 	"octopus/internal/shard"
 )
 
@@ -116,26 +117,6 @@ type publishDeltaReq struct {
 // interval (From, head]).
 type dirtyLogReq struct {
 	From uint64
-}
-
-// dirtyLogRec is one published step in a server's dirty log. Tracked
-// reports the step arrived as a delta with a valid dirty box; a full
-// publish (overflowed or structural dirty — nobody enumerated the
-// movers) is untracked and invalidates everything downstream.
-type dirtyLogRec struct {
-	Epoch   uint64
-	Tracked bool
-	Box     geom.AABB
-}
-
-// dirtyLogResp answers a dirtyLogReq: the records covering (From, Head],
-// oldest first. Complete reports the log still retained epoch From — a
-// false means the ring wrapped past it and the caller must treat the
-// whole interval as untracked.
-type dirtyLogResp struct {
-	Head     uint64
-	Complete bool
-	Recs     []dirtyLogRec
 }
 
 // epochResp is the response of Publish, PublishDelta and Maintain: the
@@ -484,7 +465,9 @@ func decodeDirtyLogReq(b []byte) (dirtyLogReq, error) {
 	return q, r.done()
 }
 
-func encodeDirtyLogResp(resp dirtyLogResp) []byte {
+// encodeDirtyLogResp encodes a server log's Since answer: head, complete,
+// count, then epoch, tracked, box per record.
+func encodeDirtyLogResp(resp mesh.DirtySince) []byte {
 	b := make([]byte, 0, 1+8+1+4+57*len(resp.Recs))
 	b = append(b, protoVersion)
 	b = appendU64(b, resp.Head)
@@ -498,16 +481,16 @@ func encodeDirtyLogResp(resp dirtyLogResp) []byte {
 	return b
 }
 
-func decodeDirtyLogResp(b []byte) (dirtyLogResp, error) {
+func decodeDirtyLogResp(b []byte) (mesh.DirtySince, error) {
 	r := reader{b: b}
 	r.checkVersion()
-	resp := dirtyLogResp{Head: r.u64("head"), Complete: r.bool("complete")}
+	resp := mesh.DirtySince{Head: r.u64("head"), Complete: r.bool("complete")}
 	n := int(r.u32("count"))
 	if r.err == nil && n > (len(b)-r.off)/57 {
 		r.fail("records")
 	}
 	if r.err == nil && n > 0 {
-		resp.Recs = make([]dirtyLogRec, n)
+		resp.Recs = make([]mesh.DirtyRec, n)
 		for i := range resp.Recs {
 			resp.Recs[i].Epoch = r.u64("epoch")
 			resp.Recs[i].Tracked = r.bool("tracked")

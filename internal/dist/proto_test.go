@@ -1,12 +1,14 @@
 package dist
 
 import (
+	"encoding/hex"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
 	"octopus/internal/shard"
 )
 
@@ -133,8 +135,8 @@ func TestProtoRoundTrip(t *testing.T) {
 	})
 
 	t.Run("dirtyLogResp", func(t *testing.T) {
-		for _, in := range []dirtyLogResp{
-			{Head: 9, Complete: true, Recs: []dirtyLogRec{
+		for _, in := range []mesh.DirtySince{
+			{Head: 9, Complete: true, Recs: []mesh.DirtyRec{
 				{Epoch: 8, Tracked: true, Box: box},
 				{Epoch: 9, Tracked: false, Box: geom.EmptyBox()},
 			}},
@@ -161,6 +163,30 @@ func TestProtoRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: %+v != %+v", out, in)
 		}
 	})
+}
+
+// TestDirtyLogRespGoldenBytes pins the dirty-log reply to the bytes the
+// protocol-2 wire has always sent: a router and its shard servers may run
+// different builds, so the records and their order must not drift.
+func TestDirtyLogRespGoldenBytes(t *testing.T) {
+	box := geom.Box(geom.V(-1.5, 0, math.Copysign(0, -1)), geom.V(2.25, 1e300, 3))
+	for _, c := range []struct {
+		in   mesh.DirtySince
+		want string
+	}{
+		{mesh.DirtySince{Head: 9, Complete: true, Recs: []mesh.DirtyRec{
+			{Epoch: 8, Tracked: true, Box: box},
+			{Epoch: 9, Tracked: false, Box: geom.EmptyBox()},
+		}}, "0209000000000000000102000000080000000000000001000000000000f8bf" +
+			"0000000000000000000000000000008000000000000002409c7500883ce4377e" +
+			"0000000000000840090000000000000000000000000000f07f000000000000f0" +
+			"7f000000000000f07f000000000000f0ff000000000000f0ff000000000000f0ff"},
+		{mesh.DirtySince{Head: 500, Complete: false}, "02f4010000000000000000000000"},
+	} {
+		if got := hex.EncodeToString(encodeDirtyLogResp(c.in)); got != c.want {
+			t.Fatalf("%+v encodes as\n%s\nwant\n%s", c.in, got, c.want)
+		}
+	}
 }
 
 // TestProtoRejectsMalformed proves the decoders fail loudly on the wire
@@ -201,8 +227,8 @@ func TestProtoRejectsMalformed(t *testing.T) {
 		if _, err := decodeMetaResp(append(goodMeta, 0)); err == nil {
 			t.Fatal("decoded a metaResp with a trailing byte")
 		}
-		goodLog := encodeDirtyLogResp(dirtyLogResp{Head: 4, Complete: true,
-			Recs: []dirtyLogRec{{Epoch: 4, Tracked: true, Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))}}})
+		goodLog := encodeDirtyLogResp(mesh.DirtySince{Head: 4, Complete: true,
+			Recs: []mesh.DirtyRec{{Epoch: 4, Tracked: true, Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))}}})
 		for cut := 1; cut < len(goodLog); cut++ {
 			if _, err := decodeDirtyLogResp(goodLog[:cut]); err == nil {
 				t.Fatalf("decoded a dirty log truncated to %d/%d bytes", cut, len(goodLog))
@@ -282,7 +308,7 @@ func TestProtoRejectsMalformed(t *testing.T) {
 		if _, err := decodePublishDeltaReq(badDelta); err == nil {
 			t.Fatal("decoded a mover count larger than the message")
 		}
-		badLog := encodeDirtyLogResp(dirtyLogResp{Head: 1, Complete: true})
+		badLog := encodeDirtyLogResp(mesh.DirtySince{Head: 1, Complete: true})
 		badLog[len(badLog)-4] = 0xFF
 		badLog[len(badLog)-3] = 0xFF
 		if _, err := decodeDirtyLogResp(badLog); err == nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"octopus/internal/geom"
-	"octopus/internal/mesh"
 	"octopus/internal/query"
 	"octopus/internal/shard"
 )
@@ -90,7 +89,7 @@ func (r *Router) CacheStats() query.CacheStats {
 
 // SyncCache advances the result cache over the dirty interval published
 // since the last sync: it fetches one server's dirty log from the
-// cache's valid epoch and applies the per-epoch dirty boxes (a flush for
+// cache's valid epoch and applies it as it arrives (a flush for
 // untracked epochs — full publishes — or a wrapped log). One shard's log
 // covers the cluster: publishes are lockstep and every shard receives
 // the same global dirty box, so the records are cluster-wide facts.
@@ -118,23 +117,7 @@ func (r *Router) SyncCache() error {
 			lastErr = err
 			continue
 		}
-		if resp.Head <= from {
-			return nil // nothing published since the last sync
-		}
-		regions := make([]mesh.DirtyRegion, 0, len(resp.Recs)+1)
-		if !resp.Complete {
-			// The log wrapped past our epoch: the missing interval is
-			// untracked, which Advance treats as invalidate-everything.
-			regions = append(regions, mesh.DirtyRegion{Overflow: true, Box: geom.EmptyBox()})
-		}
-		for _, rec := range resp.Recs {
-			if !rec.Tracked {
-				regions = append(regions, mesh.DirtyRegion{Overflow: true, Box: geom.EmptyBox()})
-			} else if !rec.Box.IsEmpty() {
-				regions = append(regions, mesh.DirtyRegion{Box: rec.Box})
-			}
-		}
-		c.Advance(regions, resp.Head)
+		c.Apply(resp)
 		return nil
 	}
 	return lastErr

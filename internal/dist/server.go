@@ -29,22 +29,13 @@ type Server struct {
 	// no lock: shard.Part computes it per epoch, safely against publishes.
 	mu sync.Mutex
 
-	// log is the dirty log (guarded by mu): one record per published
-	// epoch, a bounded ring the router-side result cache pulls via
-	// opDirtyLog to invalidate precisely instead of flushing. logBase is
-	// the epoch the oldest retained record's interval starts at; a
-	// request from before it cannot be answered completely.
-	log     []dirtyLogRec
-	logBase uint64
+	// dirtyLog holds one record per published epoch with the global box
+	// the publish carried: the router-side result cache pulls it via
+	// opDirtyLog to invalidate precisely instead of flushing.
+	dirtyLog *mesh.DirtyLog
 
 	pool sync.Pool // *serverCursor
 }
-
-// dirtyLogCap bounds the dirty log ring. A cache syncing once per
-// published step reads one record; 256 epochs of slack covers any
-// realistic sync cadence, and an overrun degrades to a complete=false
-// answer (the cache flushes — correct, just not precise).
-const dirtyLogCap = 256
 
 // serverCursor is the pooled per-request query state: the shard cursor
 // plus the response scratch the reply is encoded from (range ids land in
@@ -60,9 +51,9 @@ type serverCursor struct {
 // has to be prepared: publishes may overlap queries from the first one.
 func NewServer(p *shard.Part, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Server {
 	return &Server{
-		x:       shard.NewExec(p, factory),
-		logBase: p.Mesh.Epoch(),
-		pool:    sync.Pool{New: func() any { return new(serverCursor) }},
+		x:        shard.NewExec(p, factory),
+		dirtyLog: mesh.NewDirtyLog(p.Mesh.Epoch()),
+		pool:     sync.Pool{New: func() any { return new(serverCursor) }},
 	}
 }
 
@@ -122,7 +113,7 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDirtyLogResp(s.dirtyLog(q)), nil
+		return encodeDirtyLogResp(s.dirtyLog.Since(q.From)), nil
 	case opMaintain:
 		r := reader{b: req}
 		r.checkVersion()
@@ -179,7 +170,7 @@ func (s *Server) publish(q publishReq) (epochResp, error) {
 	// A full publish means nobody enumerated the movers (first step,
 	// overflowed or structural dirty): log it untracked so a cache
 	// invalidates everything for this epoch.
-	s.logDirty(dirtyLogRec{Epoch: q.Epoch, Tracked: false, Box: geom.EmptyBox()})
+	s.dirtyLog.Append(mesh.DirtyRec{Epoch: q.Epoch, Box: geom.EmptyBox()})
 	return epochResp{Epoch: p.Mesh.Epoch()}, nil
 }
 
@@ -215,38 +206,8 @@ func (s *Server) publishDelta(q publishDeltaReq) (epochResp, error) {
 		}
 	})
 	p.RefreshBox()
-	s.logDirty(dirtyLogRec{Epoch: q.Epoch, Tracked: true, Box: q.Box})
+	s.dirtyLog.Append(mesh.DirtyRec{Epoch: q.Epoch, Tracked: true, Box: q.Box})
 	return epochResp{Epoch: p.Mesh.Epoch()}, nil
-}
-
-// logDirty appends one published epoch's record to the dirty log ring.
-// Caller holds s.mu.
-func (s *Server) logDirty(rec dirtyLogRec) {
-	s.log = append(s.log, rec)
-	if len(s.log) > dirtyLogCap {
-		drop := len(s.log) - dirtyLogCap
-		s.logBase = s.log[drop-1].Epoch
-		s.log = append(s.log[:0], s.log[drop:]...)
-	}
-}
-
-// dirtyLog answers an opDirtyLog request: the records covering
-// (q.From, head], oldest first. Publishes are the only epoch bumps, so
-// the log is contiguous; Complete is false when the ring wrapped past
-// q.From and the caller must treat the interval as untracked.
-func (s *Server) dirtyLog(q dirtyLogReq) dirtyLogResp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := dirtyLogResp{Head: s.x.Part().Mesh.Epoch(), Complete: q.From >= s.logBase}
-	if !resp.Complete {
-		return resp
-	}
-	for _, rec := range s.log {
-		if rec.Epoch > q.From {
-			resp.Recs = append(resp.Recs, rec)
-		}
-	}
-	return resp
 }
 
 // maintain drives the shard's maintenance target to the published head

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"octopus/internal/mesh"
 )
 
 // Options configures a Scheduler.
@@ -50,11 +48,6 @@ type Scheduler struct {
 	// writer goroutine and need no lock among themselves.
 	mu sync.Mutex
 
-	// dirtyObs, when set, receives every dirty region Tick collects from
-	// a target's mesh, on the writer goroutine, before the tick's slices
-	// run. The SLO serving layer uses it to invalidate its result cache.
-	dirtyObs func(mesh.DirtyRegion)
-
 	ticks      atomic.Int64
 	exclusives atomic.Int64
 	maxStale   atomic.Uint64
@@ -75,26 +68,14 @@ func (s *Scheduler) SetBudget(d time.Duration) { s.opt.Budget = d }
 // Budget returns the current per-tick maintenance budget.
 func (s *Scheduler) Budget() time.Duration { return s.opt.Budget }
 
-// SetDirtyObserver installs fn to receive every dirty region Tick takes
-// from a target's mesh (writer goroutine, before the tick's slices run).
-// nil removes the observer. Writer goroutine only; regions consumed by
-// paths that bypass Tick — ToHead, a drain's task creation — are not
-// observed, so an observer that must never miss a change (the result
-// cache) pairs the stream with a flush on target-set swaps.
-func (s *Scheduler) SetDirtyObserver(fn func(mesh.DirtyRegion)) { s.dirtyObs = fn }
-
 // SyncTargets reconciles the scheduled set with want (the engine's
 // current MaintainStates); it is the one target-set mutator. Targets not
 // in want are retired, their per-run activity folded into the retired
 // accumulator so aggregate stats never go backwards across a swap; new
 // ones are registered once, however often want names them. The pipeline
 // calls it after every step so a re-partition's replacement targets run
-// under the budget from the very next tick. It reports whether the set
-// changed — a target swap means result membership may have changed
-// without a dirty trail through the surviving targets (a re-partition's
-// fresh sub-meshes start with empty accumulators), so epoch-keyed caches
-// must flush on true. Writer goroutine only.
-func (s *Scheduler) SyncTargets(want []*TargetState) (changed bool) {
+// under the budget from the very next tick. Writer goroutine only.
+func (s *Scheduler) SyncTargets(want []*TargetState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keep := make(map[*TargetState]bool, len(want))
@@ -114,7 +95,6 @@ func (s *Scheduler) SyncTargets(want []*TargetState) (changed bool) {
 		s.retired.TasksCompleted += t.TasksCompleted - b.TasksCompleted
 		s.retired.FallbackQueries += t.FallbackQueries - b.FallbackQueries
 		s.retired.SliceTime += t.SliceTime - b.SliceTime
-		changed = true
 	}
 	for _, ts := range want {
 		if _, ok := s.base[ts]; ok {
@@ -122,9 +102,7 @@ func (s *Scheduler) SyncTargets(want []*TargetState) (changed bool) {
 		}
 		s.states = append(s.states, ts)
 		s.base[ts] = ts.stats()
-		changed = true
 	}
-	return changed
 }
 
 // Tick runs one maintenance round. It must be called from the writer
@@ -135,9 +113,7 @@ func (s *Scheduler) Tick() {
 	s.ticks.Add(1)
 	work := make([]*TargetState, 0, len(s.states))
 	for _, ts := range s.states {
-		if d, ok := ts.collect(); ok && s.dirtyObs != nil {
-			s.dirtyObs(d)
-		}
+		ts.collect()
 		st := ts.staleness()
 		ts.staleCache.Store(st)
 		if st > s.maxStale.Load() {

@@ -169,23 +169,22 @@ func (ts *TargetState) drainLocked() {
 	}
 }
 
-// collect decays the pressure counter and takes the mesh's dirt,
-// returning the taken region (ok reports a non-empty one) so Tick can
-// feed the scheduler's dirty observer. Writer goroutine only.
-func (ts *TargetState) collect() (taken mesh.DirtyRegion, ok bool) {
+// collect decays the pressure counter and takes the mesh's dirt. Writer
+// goroutine only.
+func (ts *TargetState) collect() {
 	ts.ema = ts.ema/2 + ts.pressure.Swap(0)
-	return ts.takeDirt()
+	ts.takeDirt()
 }
 
 // takeDirt folds the mesh's freshly taken dirty region into the pending
 // accumulator. Writer goroutine only.
-func (ts *TargetState) takeDirt() (taken mesh.DirtyRegion, ok bool) {
+func (ts *TargetState) takeDirt() {
 	if ts.t.Mesh == nil {
-		return mesh.DirtyRegion{}, false
+		return
 	}
 	d := ts.t.Mesh.TakeDirty()
 	if d.Empty() {
-		return mesh.DirtyRegion{}, false
+		return
 	}
 	ts.mu.Lock()
 	if ts.havePending {
@@ -195,7 +194,6 @@ func (ts *TargetState) takeDirt() (taken mesh.DirtyRegion, ok bool) {
 		ts.havePending = true
 	}
 	ts.mu.Unlock()
-	return d, true
 }
 
 // staleness returns how many epochs the target's consistent answer state

@@ -141,10 +141,11 @@ func (m *Mesh) TakeDirty() DirtyRegion {
 }
 
 // recordDeformDirty diffs the freshly published buffer against the
-// previous front and folds the movers into the accumulator. Called by
-// publish after fn ran, before the epoch store; old and now have equal
-// length. Cross-step deduplication is an epoch-stamped mark array (O(1)
-// per vertex, O(1) reset on consume).
+// previous front, folds the movers into the accumulator and returns
+// their box (the step's dirty-log record). Called by publish after fn
+// ran, before the epoch store; old and now have equal length. Cross-step
+// deduplication is an epoch-stamped mark array (O(1) per vertex, O(1)
+// reset on consume).
 //
 // The movers' box folds in two Vec3 corners started at EmptyBox's with
 // the builtin min/max (inlined; AABB.Extend's math.Min/Max are calls) and
@@ -153,7 +154,7 @@ func (m *Mesh) TakeDirty() DirtyRegion {
 // associative and a step with no mover unions EmptyBox, a no-op. The
 // builtins part ways with math.Min/Max only on NaN (math lets an infinity
 // beat it and canonicalizes it), so a NaN box is refolded with Extend.
-func (m *Mesh) recordDeformDirty(old, now []geom.Vec3) {
+func (m *Mesh) recordDeformDirty(old, now []geom.Vec3) geom.AABB {
 	d := &m.dirty
 	old = old[:len(now)]
 	mark := m.dirtyMark[:len(now)]
@@ -187,7 +188,12 @@ func (m *Mesh) recordDeformDirty(old, now []geom.Vec3) {
 		}
 	}
 	d.Box = d.Box.Union(moved)
+	return moved
 }
+
+// DirtySince returns the dirty log after epoch from: a tracked record per
+// publish, untracked after SplitCell and DeleteCell.
+func (m *Mesh) DirtySince(from uint64) DirtySince { return m.dirtyLog.Since(from) }
 
 // recordStructuralDirty marks a restructuring operation covering the
 // given cells (the retired cell plus any replacements) and drops the

@@ -119,6 +119,7 @@ type Mesh struct {
 	dirty      DirtyRegion
 	dirtyMark  []uint32
 	dirtyStamp uint32
+	dirtyLog   *DirtyLog // per-epoch dirt for result caches (dirtylog.go)
 
 	// surfIdx is the surface index (surfaceindex.go), nil until an
 	// engine asks for it; set under writerMu.
@@ -137,6 +138,7 @@ func newMesh(pos []geom.Vec3, adjStart, adjList []int32, cells []Cell) *Mesh {
 		dirtyCap:   defaultDirtyCap(len(pos)),
 		dirty:      DirtyRegion{Box: geom.EmptyBox()},
 		dirtyStamp: 1,
+		dirtyLog:   NewDirtyLog(0),
 	}
 }
 

@@ -114,7 +114,8 @@ func (m *Mesh) DeformOverwrite(fn func(pos []geom.Vec3)) {
 
 // publish runs one deformation step: wait out the target buffer's pins,
 // optionally pre-load it with the current state, apply fn, record the
-// movers, refit the target's block boxes, publish.
+// movers, refit the target's block boxes, publish, and log the movers'
+// box.
 func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 	m.writerMu.Lock()
 	defer m.writerMu.Unlock()
@@ -128,11 +129,12 @@ func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 		copy(target, m.buf(e))
 	}
 	fn(target)
-	m.recordDeformDirty(m.buf(e), target)
+	moved := m.recordDeformDirty(m.buf(e), target)
 	if m.surfIdx != nil {
 		m.surfIdx.refit(e+1, target)
 	}
 	m.epoch.Store(e + 1) // the single publishing store
+	m.dirtyLog.Append(DirtyRec{Epoch: e + 1, Tracked: true, Box: moved})
 }
 
 // growPosition appends a new vertex position to the store (restructuring's
@@ -142,7 +144,7 @@ func (m *Mesh) publish(fn func(pos []geom.Vec3), preload bool) {
 // access (restructuring is never concurrent with queries or Deform). The
 // epoch advances by two — same buffer parity, fresh state identity — so
 // epoch-tagged results and caches remain unambiguous. The new vertex set
-// is a structural change by definition.
+// is a structural change by definition, logged untracked.
 func (m *Mesh) growPosition(p geom.Vec3) int32 {
 	v := int32(len(m.pos))
 	m.pos = append(m.pos, p)
@@ -150,7 +152,7 @@ func (m *Mesh) growPosition(p geom.Vec3) int32 {
 		m.back = append(m.back, p)
 		m.dirtyMark = append(m.dirtyMark, 0)
 	}
-	m.epoch.Add(2)
+	m.dirtyLog.Append(DirtyRec{Epoch: m.epoch.Add(2), Box: geom.EmptyBox()})
 	m.dirty.Structural = true
 	m.dirty.Box = m.dirty.Box.Extend(p)
 	return v

@@ -202,6 +202,7 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	slices.Sort(delta.Added)
 	slices.Sort(delta.Removed)
 	m.recordStructuralDirty(m.cellBox(ci), int32(ci))
+	m.dirtyLog.Untrack() // no epoch moves: the next publish carries it
 	if m.surfIdx != nil && !delta.Empty() {
 		m.surfIdx.apply(delta)
 		m.refitFront() // a publish refits the other buffer

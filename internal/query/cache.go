@@ -12,9 +12,9 @@ import (
 // many-reader monitoring workload — answer from cached result sets until
 // the mesh actually changes under them.
 //
-// Correctness rests on the dirty-region contract (DESIGN.md §11): every
-// published step's DirtyRegion.Box is the union AABB of the old AND new
-// positions of every vertex that moved. A cached range result therefore
+// Correctness rests on the dirty-log contract (DESIGN.md §11): every
+// tracked record's Box is the union AABB of the old AND new positions of
+// every vertex that moved in its epoch. A cached range result therefore
 // stays exact as long as no dirty box intersects its query box — a result
 // vertex cannot leave the box, and an outside vertex cannot enter it,
 // without its movement being covered by some dirty box. A cached kNN
@@ -23,12 +23,11 @@ import (
 // probe: a result vertex cannot move (its old position is inside the
 // ball), and an outside vertex cannot come to rank among the k best (its
 // new position would be inside the ball), without intersecting it.
-// Structural changes (cell splits and deletes — new vertices can appear
-// anywhere in the touched region) and untracked epochs (an Overflow
-// region with an empty box carries no location information) flush the
-// whole cache.
+// Untracked epochs (cell splits and deletes — new vertices can appear
+// anywhere in the touched region —, full publishes, re-partitions) carry
+// no location information and flush the whole cache.
 //
-// Epoch accounting: validEpoch is the head epoch through which Advance
+// Epoch accounting: validEpoch is the head epoch through which Apply
 // has applied invalidations. An entry is valid at max(its insertion
 // epoch, validEpoch) — at its own epoch by construction (it is a fresh
 // execution), and at validEpoch because every dirty interval up to
@@ -120,8 +119,8 @@ type CacheStats struct {
 	// cache's epoch can no longer be proven).
 	Puts, Rejected int64
 	// Invalidated counts entries dropped by a dirty box; Evicted counts
-	// capacity evictions; Flushes counts whole-cache flushes (structural
-	// change, untracked epoch, or target-set swap).
+	// capacity evictions; Flushes counts whole-cache flushes (an
+	// untracked record, or a log that no longer reaches back).
 	Invalidated, Evicted, Flushes int64
 	// Entries is the current entry count; ValidEpoch the epoch through
 	// which invalidations have been applied.
@@ -304,26 +303,23 @@ func (c *ResultCache) maybeCompactLocked() {
 	c.head = 0
 }
 
-// Advance applies the dirty regions published since the last call and
-// marks the cache valid through head: entries whose query box (or kNN
-// ball) intersects a dirty box are dropped; a structural region, or an
-// untracked interval (Overflow with an empty box — the epoch advanced
-// but nobody knows where), flushes everything. The caller must pass every
-// dirty region taken from the mesh (or, sharded, from every sub-mesh)
-// covering (previous head, head] — the maintenance scheduler's dirty
-// observer delivers exactly that stream.
-func (c *ResultCache) Advance(regions []mesh.DirtyRegion, head uint64) {
+// Apply applies a publisher's dirty log read from the cache's ValidEpoch
+// (mesh.DirtyLog.Since) and marks the cache valid through its head:
+// entries whose query box (or kNN ball) intersects a tracked record's box
+// are dropped; an untracked record, or an incomplete answer, flushes
+// everything.
+func (c *ResultCache) Apply(d mesh.DirtySince) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	flush := false
-	boxes := make([]geom.AABB, 0, len(regions))
-	for _, d := range regions {
-		if d.Structural || (d.Overflow && d.Box.IsEmpty()) {
+	flush := !d.Complete
+	boxes := make([]geom.AABB, 0, len(d.Recs))
+	for _, r := range d.Recs {
+		if !r.Tracked {
 			flush = true
 			break
 		}
-		if !d.Box.IsEmpty() {
-			boxes = append(boxes, d.Box)
+		if !r.Box.IsEmpty() {
+			boxes = append(boxes, r.Box)
 		}
 	}
 	switch {
@@ -337,8 +333,8 @@ func (c *ResultCache) Advance(regions []mesh.DirtyRegion, head uint64) {
 			}
 		}
 	}
-	if head > c.validEpoch {
-		c.validEpoch = head
+	if d.Head > c.validEpoch {
+		c.validEpoch = d.Head
 	}
 }
 
@@ -356,15 +352,6 @@ func entryDirty(key cacheKey, e *cacheEntry, boxes []geom.AABB) bool {
 		}
 	}
 	return false
-}
-
-// Flush drops every entry without touching validEpoch — the response to
-// events that change result membership wholesale without a dirty trail,
-// like a re-partition swapping the maintenance target set.
-func (c *ResultCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushLocked()
 }
 
 func (c *ResultCache) flushLocked() {

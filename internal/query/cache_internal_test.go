@@ -43,7 +43,8 @@ func TestResultCacheFIFOMemoryBounded(t *testing.T) {
 			// slots keep appearing mid-FIFO, not just at the head.
 			lo, hi := float64(i-40), float64(i)
 			box := geom.Box(geom.V(lo, -1, -1), geom.V(hi, 1, 1))
-			c.Advance([]mesh.DirtyRegion{{Box: box, From: epoch, To: epoch + 1}}, epoch+1)
+			c.Apply(mesh.DirtySince{Head: epoch + 1, Complete: true,
+				Recs: []mesh.DirtyRec{{Epoch: epoch + 1, Tracked: true, Box: box}}})
 			epoch++
 		}
 		observe()

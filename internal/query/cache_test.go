@@ -16,9 +16,14 @@ import (
 	"octopus/internal/query"
 )
 
-func dirtyAt(box geom.AABB, from, to uint64) mesh.DirtyRegion {
-	return mesh.DirtyRegion{Box: box, From: from, To: to}
+// dirtyAt is a complete dirty-log answer for (from, to] whose one
+// tracked record, at epoch to, holds box.
+func dirtyAt(box geom.AABB, from, to uint64) mesh.DirtySince {
+	return mesh.DirtySince{Head: to, Complete: true, Recs: []mesh.DirtyRec{{Epoch: to, Tracked: true, Box: box}}}
 }
+
+// cleanTo is a complete dirty-log answer with no records up to head.
+func cleanTo(head uint64) mesh.DirtySince { return mesh.DirtySince{Head: head, Complete: true} }
 
 func TestResultCacheRangeHitProtocol(t *testing.T) {
 	c := query.NewResultCache(8)
@@ -45,7 +50,7 @@ func TestResultCacheRangeHitProtocol(t *testing.T) {
 
 	// Advancing past the entry without touching it raises the claimed
 	// epoch: the entry was checked against every dirty interval through 9.
-	c.Advance(nil, 9)
+	c.Apply(cleanTo(9))
 	if _, epoch, hit := c.GetRange(q); !hit || epoch != 9 {
 		t.Fatalf("after Advance: hit=%v epoch=%d, want hit at validEpoch 9", hit, epoch)
 	}
@@ -67,7 +72,7 @@ func TestResultCacheRangeHitProtocol(t *testing.T) {
 
 func TestResultCachePutRejectsStaleEpoch(t *testing.T) {
 	c := query.NewResultCache(8)
-	c.Advance(nil, 10)
+	c.Apply(cleanTo(10))
 	q := geom.BoxAround(geom.Vec3{}, 1)
 	c.PutRange(q, []int32{1}, 9) // predates validEpoch: unprovable
 	if _, _, hit := c.GetRange(q); hit {
@@ -92,7 +97,7 @@ func TestResultCacheRangeInvalidation(t *testing.T) {
 	// A dirty box overlapping only the hot query drops exactly it — edge
 	// touch counts (inclusive bounds: a vertex on the face is in both).
 	dirty := geom.Box(geom.Vec3{X: 1, Y: 1, Z: 1}, geom.Vec3{X: 2, Y: 2, Z: 2})
-	c.Advance([]mesh.DirtyRegion{dirtyAt(dirty, 1, 2)}, 2)
+	c.Apply(dirtyAt(dirty, 1, 2))
 	if _, _, hit := c.GetRange(hot); hit {
 		t.Fatal("touched entry survived")
 	}
@@ -111,14 +116,14 @@ func TestResultCacheKNNBallInvalidation(t *testing.T) {
 	c.PutKNN(p, 3, []int32{0, 1, 2}, 1, 4)
 
 	// Dirty box at distance 3 (> 2): the entry provably survives.
-	c.Advance([]mesh.DirtyRegion{dirtyAt(geom.BoxAround(geom.Vec3{X: 4}, 1), 1, 2)}, 2)
+	c.Apply(dirtyAt(geom.BoxAround(geom.Vec3{X: 4}, 1), 1, 2))
 	if _, _, hit := c.GetKNN(p, 3); !hit {
 		t.Fatal("entry outside the ball was invalidated")
 	}
 	// Dirty box at distance exactly 2: the CLOSED ball must invalidate —
 	// a vertex at the k-th-best distance can displace a result under the
 	// (dist, id) tie-break.
-	c.Advance([]mesh.DirtyRegion{dirtyAt(geom.BoxAround(geom.Vec3{X: 3}, 1), 2, 3)}, 3)
+	c.Apply(dirtyAt(geom.BoxAround(geom.Vec3{X: 3}, 1), 2, 3))
 	if _, _, hit := c.GetKNN(p, 3); hit {
 		t.Fatal("dirty box touching the closed ball boundary must invalidate")
 	}
@@ -126,7 +131,7 @@ func TestResultCacheKNNBallInvalidation(t *testing.T) {
 	// A short result (fewer than k vertices in the mesh) carries an
 	// infinite ball: any movement anywhere invalidates.
 	c.PutKNN(p, 5, []int32{0, 1}, 3, math.Inf(1))
-	c.Advance([]mesh.DirtyRegion{dirtyAt(geom.BoxAround(geom.Vec3{X: 1e9}, 1), 3, 4)}, 4)
+	c.Apply(dirtyAt(geom.BoxAround(geom.Vec3{X: 1e9}, 1), 3, 4))
 	if _, _, hit := c.GetKNN(p, 5); hit {
 		t.Fatal("infinite-ball entry survived a distant dirty box")
 	}
@@ -144,36 +149,36 @@ func TestResultCacheFlushTriggers(t *testing.T) {
 		c.PutKNN(geom.Vec3{X: 9}, 2, []int32{2, 3}, 1, 0.25)
 	}
 
-	// Structural region: new vertices can appear anywhere in the touched
-	// region — even a far-away box flushes everything.
+	// Untracked record (a restructuring, a full publish): new vertices
+	// can appear anywhere — it flushes everything.
 	c := query.NewResultCache(8)
 	fill(c)
-	c.Advance([]mesh.DirtyRegion{{Box: geom.BoxAround(geom.Vec3{X: 100}, 1), Structural: true}}, 2)
+	c.Apply(mesh.DirtySince{Head: 2, Complete: true, Recs: []mesh.DirtyRec{{Epoch: 2, Box: geom.EmptyBox()}}})
 	if c.Len() != 0 || c.Stats().Flushes != 1 {
 		t.Fatalf("structural region: %d entries, %d flushes — want 0, 1", c.Len(), c.Stats().Flushes)
 	}
 
-	// Untracked interval: Overflow with an empty box carries no location
-	// information, so nothing can be proven valid.
+	// Incomplete answer: the log no longer reaches back to the cache's
+	// epoch, so nothing can be proven valid.
 	c = query.NewResultCache(8)
 	fill(c)
-	c.Advance([]mesh.DirtyRegion{{Box: geom.EmptyBox(), Overflow: true}}, 2)
+	c.Apply(mesh.DirtySince{Head: 2})
 	if c.Len() != 0 {
 		t.Fatalf("untracked interval left %d entries", c.Len())
 	}
 
-	// Overflow WITH a box still localizes: it is a per-vertex-list
-	// overflow, not a lost box — only intersecting entries drop.
+	// A tracked record localizes however many vertices moved: only
+	// intersecting entries drop.
 	c = query.NewResultCache(8)
 	fill(c)
-	c.Advance([]mesh.DirtyRegion{{Box: geom.BoxAround(geom.Vec3{X: 100}, 1), Overflow: true}}, 2)
+	c.Apply(dirtyAt(geom.BoxAround(geom.Vec3{X: 100}, 1), 1, 2))
 	if c.Len() != 2 {
 		t.Fatalf("boxed overflow flushed %d entries", 2-c.Len())
 	}
 
-	// Explicit Flush (the target-swap path) keeps validEpoch.
-	c.Advance(nil, 7)
-	c.Flush()
+	// A flush keeps validEpoch.
+	c.Apply(cleanTo(7))
+	c.Apply(mesh.DirtySince{Head: 7})
 	if c.Len() != 0 {
 		t.Fatal("Flush left entries")
 	}
@@ -259,7 +264,7 @@ func TestLatencyStatsNearestRank(t *testing.T) {
 }
 
 // TestResultCacheEvictAfterInvalidateRePut is the regression test for the
-// FIFO aging bug: an entry invalidated by Advance and then re-Put used to
+// FIFO aging bug: an entry invalidated by Apply and then re-Put used to
 // append its key to the FIFO a second time, so the eviction scan popped
 // the stale slot, found the key live, and evicted the freshly re-inserted
 // entry as if it were the oldest. Slot sequence numbers make the stale
@@ -273,7 +278,7 @@ func TestResultCacheEvictAfterInvalidateRePut(t *testing.T) {
 	c.PutRange(qa, []int32{0}, 0)
 	c.PutRange(qb, []int32{1}, 0)
 	// A dirty box over qa invalidates only that entry.
-	c.Advance([]mesh.DirtyRegion{dirtyAt(qa, 0, 1)}, 1)
+	c.Apply(dirtyAt(qa, 0, 1))
 	if _, _, hit := c.GetRange(qa); hit {
 		t.Fatal("dirtied entry must be invalidated")
 	}

@@ -44,6 +44,12 @@ type pinnedMesh interface {
 	UnpinPositions(uint64)
 }
 
+// dirtyLogger is the optional side of a DeformableMesh that keeps a dirty
+// log (*mesh.Mesh, shard.Mesh): the result cache's feed.
+type dirtyLogger interface {
+	DirtySince(from uint64) mesh.DirtySince
+}
+
 // Pipeline overlaps mesh deformation with query execution — the live mode
 // the paper's alternating update/monitor loop cannot express. A writer
 // goroutine advances the simulation through Mesh.Deform (double-buffered
@@ -78,8 +84,9 @@ type Pipeline struct {
 	// repository returns a suitable ParallelKNNEngine.
 	Engine ParallelKNNEngine
 	// Mesh is the dataset being deformed; its dirty regions (recorded by
-	// every publish) feed the maintenance scheduler. *mesh.Mesh is the
-	// single-mesh case; shard.Mesh drives a whole partition in lockstep.
+	// every publish) feed the maintenance scheduler, and its dirty log
+	// the result cache. *mesh.Mesh is the single-mesh case; shard.Mesh
+	// drives a whole partition in lockstep.
 	Mesh DeformableMesh
 	// Deform applies one simulation step's in-place update to pos (which
 	// is the back buffer, pre-loaded with the current positions). It runs
@@ -131,12 +138,11 @@ type Pipeline struct {
 	// admits are replayed for repeated queries until a dirty-region AABB
 	// intersects their query box or kNN ball. Cache hits are exact — the
 	// trace reports the epoch the cached result is provably equal to
-	// fresh execution at, and Cached is set. Requires dirty regions to
-	// flow to the scheduler (a Mesh with TakeDirty and pinned snapshots,
-	// like *mesh.Mesh, or a sharded StateProvider engine); otherwise the
-	// cache stays disabled. Caching
-	// assumes exact execution: do not combine it with the approximate
-	// surface probe, whose results are not replayable.
+	// fresh execution at, and Cached is set. Requires a Mesh that keeps
+	// a dirty log (DirtySince, like *mesh.Mesh and shard.Mesh); otherwise
+	// the cache stays disabled. Caching assumes exact execution: do not
+	// combine it with the approximate surface probe, whose results are
+	// not replayable.
 	CacheSize int
 
 	// sched is the scheduler of the most recent Run, kept for stats.
@@ -347,37 +353,23 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	// run their rebuild tasks under the budget from the very next tick.
 	// Called only where the writer is quiescent with respect to targets.
 	sp, _ := p.Engine.(maintain.StateProvider)
-	targetsChanged := false
 	syncTargets := func() {
-		if sp != nil && sched.SyncTargets(sp.MaintainStates()) {
-			targetsChanged = true
+		if sp != nil {
+			sched.SyncTargets(sp.MaintainStates())
 		}
 	}
 	pt, _ := p.Engine.(PostTicker)
 
-	// Result cache: enabled only when dirty regions actually flow to the
-	// scheduler — a StateProvider's per-shard sub-meshes, or a single
-	// target whose mesh supports both TakeDirty and pinned
-	// snapshots (the same condition maintainStates uses for budget
-	// slicing). Without that stream the cache could never invalidate.
+	// Result cache: enabled when the mesh keeps a dirty log, which the
+	// writer reads after every step. It starts valid at the head: empty,
+	// it has nothing to invalidate before it.
 	var cache *ResultCache
-	if p.CacheSize > 0 {
-		_, dmOK := p.Mesh.(maintain.DirtyMesh)
-		_, pmOK := p.Mesh.(pinnedMesh)
-		if sp != nil || (dmOK && pmOK) {
-			cache = NewResultCache(p.CacheSize)
-		}
+	dl, _ := p.Mesh.(dirtyLogger)
+	if p.CacheSize > 0 && dl != nil {
+		cache = NewResultCache(p.CacheSize)
+		cache.Apply(dl.DirtySince(p.Mesh.Epoch()))
 	}
 	p.cache = cache
-	// dirtyRegions buffers the regions the scheduler's Tick collects
-	// (writer goroutine only); the writer feeds them to cache.Advance
-	// right after each tick.
-	var dirtyRegions []mesh.DirtyRegion
-	if cache != nil {
-		sched.SetDirtyObserver(func(d mesh.DirtyRegion) {
-			dirtyRegions = append(dirtyRegions, d)
-		})
-	}
 
 	report := &PipelineReport{
 		RangeResults: make([][]int32, len(queries)),
@@ -419,16 +411,7 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 				syncTargets()
 			}
 			if cache != nil {
-				// Apply this tick's collected dirt, then mark the cache
-				// valid through the epoch just published. A target swap
-				// (re-partition, pressure rebalance) replaces the dirty
-				// sources wholesale, so it flushes instead.
-				if targetsChanged {
-					cache.Flush()
-					targetsChanged = false
-				}
-				cache.Advance(dirtyRegions, p.Mesh.Epoch())
-				dirtyRegions = dirtyRegions[:0]
+				cache.Apply(dl.DirtySince(cache.Stats().ValidEpoch))
 			}
 			if ctl != nil {
 				dec := ctl.TickDecide()

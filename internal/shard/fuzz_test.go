@@ -60,7 +60,7 @@ func FuzzPartition(f *testing.F) {
 		// Routing oracle: the scan is exact on any geometry (including
 		// the isolated vertices DeleteCell can leave behind), so a
 		// sharded scan must be exactly brute force.
-		sm := &Mesh{global: m, part: part}
+		sm := &Mesh{global: m, part: part, dirtyLog: mesh.NewDirtyLog(0)}
 		router := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return linearscan.New(sub) })
 		checkExact := func(stage string) {
 			bounds := m.Bounds()

@@ -52,7 +52,8 @@ type Mesh struct {
 
 	// epoch counts published global deformation steps; after each step
 	// every shard sub-mesh is at this epoch.
-	epoch atomic.Uint64
+	epoch    atomic.Uint64
+	dirtyLog *mesh.DirtyLog // per step, each shard's sub-mesh publish record
 
 	// onRepartition, when set (the Router installs it), is called with
 	// the rebuilt shard indices immediately after a partition swap, under
@@ -109,7 +110,7 @@ func NewMesh(m *mesh.Mesh, k int, opts Options) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mesh{global: m, part: part, pressure: opts.Pressure}, nil
+	return &Mesh{global: m, part: part, pressure: opts.Pressure, dirtyLog: mesh.NewDirtyLog(0)}, nil
 }
 
 // Global returns the global source mesh.
@@ -161,8 +162,11 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 	if d, pending := sm.pendingRestructure(); pending {
 		sm.applyRepartition(d, nil, false)
 	}
+	e := sm.epoch.Load() + 1
+	recs := make([]mesh.DirtyRec, 0, len(sm.part.Parts))
 	for _, p := range sm.part.Parts {
 		var b geom.AABB
+		from := p.Mesh.Epoch()
 		// The scatter rewrites every local position, so the publish can
 		// skip the back buffer's preload copy; the owned box rides along
 		// in the same pass.
@@ -170,9 +174,18 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 			b = p.scatterBox(pos, global)
 		})
 		p.box = b
+		for _, r := range p.Mesh.DirtySince(from).Recs {
+			r.Epoch = e
+			recs = append(recs, r)
+		}
 	}
-	sm.epoch.Add(1)
+	sm.epoch.Store(e)
+	sm.dirtyLog.Append(recs...)
 }
+
+// DirtySince returns the dirty log after epoch from: per step, one record
+// per shard, the first untracked after a re-partition.
+func (sm *Mesh) DirtySince(from uint64) mesh.DirtySince { return sm.dirtyLog.Since(from) }
 
 // Resync publishes the global mesh's current positions into every shard
 // sub-mesh and refreshes the shard boxes — Deform with nothing to apply,
@@ -201,6 +214,9 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 			sm.part.K, len(sm.part.Owner), sm.global.NumVertices(), err))
 	}
 	sm.part = np
+	// Rebuilt sub-meshes diff against the state they were built from, so
+	// the next step's records could miss movement: log it untracked.
+	sm.dirtyLog.Untrack()
 	sm.stats.Generations++
 	if st.Full {
 		sm.stats.FullRebuilds++

@@ -362,6 +362,9 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 				for i := range probes {
 					probes[i] = query.KNNQuery{P: orig[(i*53)%len(orig)], K: 1 + i%6}
 				}
+				// Three passes over the workload: the repeats replay from
+				// the result cache across the re-partitions.
+				queries, probes = repeat3(queries, probes)
 
 				splitAt := map[int][]int{1: {0, 1, 2}, 3: {10, 11}, 5: {40}}
 				deleteAt := map[int][]int{3: {200}, 5: {201}}
@@ -387,6 +390,7 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 					MaxSteps:          steps,
 					Tick:              200 * time.Microsecond,
 					MaintenanceBudget: 30 * time.Microsecond,
+					CacheSize:         256,
 					Maintain: func(step int) {
 						for _, ci := range splitAt[step] {
 							if _, _, err := m.SplitCell(ci); err != nil {
@@ -409,20 +413,25 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 					tr := report.RangeTraces[i]
 					want := query.ScanPositions(snaps[tr.Epoch], queries[i], nil)
 					if d := query.Diff(append([]int32(nil), res...), want); d != "" {
-						t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
+						t.Fatalf("range %d at epoch %d (cached=%v): %s", i, tr.Epoch, tr.Cached, d)
 					}
 				}
 				for i, res := range report.KNNResults {
 					tr := report.KNNTraces[i]
 					want := query.ScanKNNPositions(snaps[tr.Epoch], probes[i].P, probes[i].K, nil)
 					if !equalIDs(res, want) {
-						t.Fatalf("kNN %d at epoch %d: got %v want %v", i, tr.Epoch, res, want)
+						t.Fatalf("kNN %d at epoch %d (cached=%v): got %v want %v", i, tr.Epoch, tr.Cached, res, want)
 					}
 				}
 
 				st := sm.RepartitionStats()
 				if st.Generations < 3 {
 					t.Fatalf("expected >= 3 re-partition generations, got %+v", st)
+				}
+				cs := pl.CacheStats()
+				t.Logf("cache: %d hits / %d misses, %d invalidated, %d flushes", cs.Hits, cs.Misses, cs.Invalidated, cs.Flushes)
+				if cs.Hits == 0 || cs.Flushes < 1 {
+					t.Fatalf("cache over %d re-partitions: %+v, want hits and a flush", st.Generations, cs)
 				}
 				if st.FullRebuilds != 0 {
 					t.Fatalf("the global mesh records its dirt — no generation may fall back to a full rebuild: %+v", st)
@@ -468,15 +477,23 @@ func TestPressurePolicyRebalancesHotShard(t *testing.T) {
 		c := hot.Mesh.Positions()[i%len(hot.ToGlobal)]
 		queries = append(queries, geom.BoxAround(c, 0.10))
 	}
+	queries, _ = repeat3(queries, nil)
 	d := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 2, Seed: seed}
+	// snaps[e] is the global position array at epoch e, recorded by the
+	// writer itself (replayPositions drives a different amplitude).
+	snaps := [][]geom.Vec3{orig}
 	pl := &query.Pipeline{
-		Engine:   router,
-		Mesh:     sm,
-		Deform:   d.Step,
-		Workers:  3,
-		MinSteps: 12,
-		MaxSteps: 24,
-		Tick:     200 * time.Microsecond,
+		Engine: router,
+		Mesh:   sm,
+		Deform: func(step int, pos []geom.Vec3) {
+			d.Step(step, pos)
+			snaps = append(snaps, append([]geom.Vec3(nil), pos...))
+		},
+		Workers:   3,
+		MinSteps:  12,
+		MaxSteps:  24,
+		Tick:      200 * time.Microsecond,
+		CacheSize: 512,
 	}
 	report := pl.Run(queries, nil)
 
@@ -492,10 +509,25 @@ func TestPressurePolicyRebalancesHotShard(t *testing.T) {
 	}
 	for i, res := range report.RangeResults {
 		tr := report.RangeTraces[i]
-		pos := replayPositions(orig, seed, tr.Epoch)
-		want := query.ScanPositions(pos, queries[i], nil)
+		want := query.ScanPositions(snaps[tr.Epoch], queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
-			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
+			t.Fatalf("range %d at epoch %d (cached=%v): %s", i, tr.Epoch, tr.Cached, d)
 		}
 	}
+	cs := pl.CacheStats()
+	t.Logf("cache: %d hits / %d misses, %d invalidated, %d flushes over %d steps", cs.Hits, cs.Misses, cs.Invalidated, cs.Flushes, report.Steps)
+	if cs.Hits == 0 || cs.Flushes < 1 {
+		t.Fatalf("cache over %d pressure rebalances: %+v, want hits and a flush", st.PressureRebalances, cs)
+	}
+}
+
+// repeat3 returns three passes over queries and probes, pass after pass.
+func repeat3(queries []geom.AABB, probes []query.KNNQuery) ([]geom.AABB, []query.KNNQuery) {
+	var qs []geom.AABB
+	var ps []query.KNNQuery
+	for range 3 {
+		qs = append(qs, queries...)
+		ps = append(ps, probes...)
+	}
+	return qs, ps
 }

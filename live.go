@@ -77,8 +77,8 @@ type PinnedCursor = query.PinnedCursor
 // instead of missed SLOs; relaxed back to exact once the target holds).
 // Setting Pipeline.CacheSize enables the epoch-keyed result cache:
 // repeat queries answer bit-equal to fresh execution at a provably valid
-// epoch, invalidated by the dirty-region stream the maintenance
-// scheduler already collects.
+// epoch, invalidated by the dirty log every publish appends to (a Mesh's
+// or a ShardedMesh's DirtySince).
 
 // SLOStats is the SLO controller's state and counters for one Pipeline
 // run — target, sliding p99, the adaptive budget and its clamp range,
@@ -92,8 +92,10 @@ type SLOStats = query.SLOStats
 type CacheStats = query.CacheStats
 
 // ResultCache is the epoch-keyed result cache itself, exported for
-// standalone (single-writer) use outside a Pipeline; NewResultCache
-// builds one with the given capacity (<= 0 uses DefaultCacheSize).
+// standalone (single-writer) use outside a Pipeline: after each publish,
+// c.Apply(m.DirtySince(c.Stats().ValidEpoch)) keeps it coherent.
+// NewResultCache builds one with the given capacity (<= 0 uses
+// DefaultCacheSize).
 type ResultCache = query.ResultCache
 
 // NewResultCache builds a standalone result cache.

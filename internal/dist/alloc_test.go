@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -16,15 +17,18 @@ import (
 // own budgets — these tests isolate the cluster's encode/scatter work by
 // publishing into a sink transport that answers from a reused buffer.
 
-// sinkConn acknowledges every publish with the next epoch, allocation-
-// free after its first response.
+// sinkConn acknowledges a publish with the epoch it carries and any
+// other RPC with the last published one, allocation-free after its first
+// response.
 type sinkConn struct {
 	epoch uint64
 	buf   []byte
 }
 
 func (c *sinkConn) Call(op byte, req []byte, _ time.Time) ([]byte, error) {
-	c.epoch++
+	if op == opPublish || op == opPublishDelta {
+		c.epoch = binary.LittleEndian.Uint64(req[1:])
+	}
 	c.buf = append(c.buf[:0], protoVersion)
 	c.buf = appendU64(c.buf, c.epoch)
 	return c.buf, nil
@@ -46,11 +50,19 @@ func allocTestCluster(t *testing.T, shards int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make([]string, shards)
+	return sinkControlPlane(t, sm)
+}
+
+// sinkControlPlane returns a control plane over sm that publishes into
+// sink connections, closed when the test ends.
+func sinkControlPlane(tb testing.TB, sm *shard.Mesh) *Cluster {
+	addrs := make([]string, len(sm.Partition().Parts))
 	for i := range addrs {
 		addrs[i] = "sink"
 	}
-	return NewControlPlane(sm, sinkTransport{}, addrs)
+	cl := NewControlPlane(sm, sinkTransport{}, addrs)
+	tb.Cleanup(cl.Close)
+	return cl
 }
 
 // TestDistPublishDeltaAllocs: after warm-up, the delta scatter + encode
@@ -101,6 +113,24 @@ func TestDistPublishFullAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
 		t.Fatalf("full publish allocates %.1f times per step in steady state, want 0", avg)
+	}
+}
+
+// TestDistMaintainToHeadAllocs: the maintain round that follows every
+// publish sends the cluster's prebuilt requests through the same fan-out,
+// so it allocates nothing per step either.
+func TestDistMaintainToHeadAllocs(t *testing.T) {
+	cl := allocTestCluster(t, 4)
+	step := func() {
+		if err := cl.MaintainToHead(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Fatalf("MaintainToHead allocates %.1f times per step in steady state, want 0", avg)
 	}
 }
 

@@ -8,9 +8,18 @@ import (
 )
 
 // client is the tier's one RPC client: lazily dialed per-shard
-// connection pools, the retry loop and the wire accounting. The Router's
-// query side and the Cluster's control side differ only in the policy and
-// pool size they build it with.
+// connection pools, the retry loop, the wire accounting and the control
+// fan-out. The Router's query side and the Cluster's control side differ
+// only in the policy and pool size they build it with.
+//
+// The fan-out sends one RPC to every shard at once and waits for all the
+// replies: a publish or maintain round costs the slowest shard's round
+// trip, not the sum of K. Each shard has one long-lived control worker
+// that runs its fan-out RPCs one at a time, in issue order. A failing
+// shard does not stop the others: every reachable shard answers, and the
+// caller decides what a failed reply means. Only the control plane uses
+// it. Query legs and the router's metadata refresh call their shards one
+// at a time on the caller's goroutine.
 type client struct {
 	tr     Transport
 	addrs  []string
@@ -23,6 +32,24 @@ type client struct {
 
 	wire    wireCounters
 	retries atomic.Int64
+
+	// fanMu admits one fan-out at a time and guards the fields below:
+	// the workers read the current round's op, requests and reply slots
+	// after their wake-up, and write their own slot before pending.Done.
+	fanMu   sync.Mutex
+	work    []chan struct{} // per shard: wakes its control worker; nil until the first fan-out
+	workers sync.WaitGroup  // running control workers
+	pending sync.WaitGroup  // replies the current round still waits for
+	fanOp   byte
+	fanReqs [][]byte
+	fanOut  []reply // per shard: the current round's reply
+}
+
+// reply is one shard's answer to a fan-out: the response bytes or the
+// error call reported.
+type reply struct {
+	resp []byte
+	err  error
 }
 
 // queryPool is the number of connections per shard the router
@@ -82,6 +109,66 @@ func (c *client) call(s int, op byte, req []byte) ([]byte, error) {
 		s, c.addrs[s], c.policy.Attempts, lastErr)
 }
 
+// fanout sends op to shards 0..len(reqs)-1 at once, reqs[s] to shard s,
+// waits for every reply, then hands them to check in shard order: each as
+// call would have returned it for that shard alone. It returns the first
+// error check returns, or nil. Concurrent fan-outs take turns: check
+// runs under the turn and must not call back into the client. Once the
+// workers run, a round allocates nothing; reqs is not retained, and a
+// reply is valid only inside check.
+func (c *client) fanout(op byte, reqs [][]byte, check func(s int, resp []byte, err error) error) error {
+	c.fanMu.Lock()
+	defer c.fanMu.Unlock()
+	if c.work == nil {
+		c.work = make([]chan struct{}, len(c.addrs))
+		c.fanOut = make([]reply, len(c.addrs))
+		for s := range c.work {
+			// One slot: a round starts only after every worker took the
+			// previous round's wake-up, so the send never blocks.
+			c.work[s] = make(chan struct{}, 1)
+			c.workers.Add(1)
+			go c.controlWorker(s, c.work[s])
+		}
+	}
+	c.fanOp, c.fanReqs = op, reqs
+	c.pending.Add(len(reqs))
+	for s := range reqs {
+		c.work[s] <- struct{}{}
+	}
+	c.pending.Wait()
+	c.fanReqs = nil
+	var first error
+	for s := range reqs {
+		r := &c.fanOut[s]
+		if first == nil {
+			first = check(s, r.resp, r.err)
+		}
+		*r = reply{}
+	}
+	return first
+}
+
+// sameReq returns k copies of req: the requests of a fan-out that sends
+// every shard the same bytes (Maintain).
+func sameReq(req []byte, k int) [][]byte {
+	reqs := make([][]byte, k)
+	for s := range reqs {
+		reqs[s] = req
+	}
+	return reqs
+}
+
+// controlWorker runs shard s's share of every fan-out round until work
+// closes.
+func (c *client) controlWorker(s int, work <-chan struct{}) {
+	defer c.workers.Done()
+	for range work {
+		r := &c.fanOut[s]
+		r.resp, r.err = c.call(s, c.fanOp, c.fanReqs[s])
+		c.pending.Done()
+	}
+}
+
 // conn returns a pooled connection to shard s: the pool grows by dialing
 // until it holds c.pool connections, then round-robins over them.
 func (c *client) conn(s int) (Conn, error) {
@@ -113,9 +200,19 @@ func (c *client) dropConn(s int, conn Conn) {
 	conn.Close()
 }
 
-// close drops every connection. The client keeps working afterwards
-// (connections redial lazily); close is for orderly shutdown.
+// close stops the control workers, after the fan-out in flight (if any)
+// completes, and drops every connection. The client keeps working
+// afterwards (connections redial and workers restart lazily); close is
+// for orderly shutdown.
 func (c *client) close() {
+	c.fanMu.Lock()
+	for _, w := range c.work {
+		close(w)
+	}
+	c.work = nil
+	c.fanMu.Unlock()
+	c.workers.Wait()
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for s, cs := range c.conns {

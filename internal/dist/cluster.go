@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -15,9 +16,11 @@ import (
 // shard.Mesh partition, plus the control plane that keeps them coherent
 // — Deform pushes each step's local position arrays (owned + ghost ring)
 // to every server as Publish RPCs, MaintainToHead drives every server's
-// maintenance target to the published epoch. Both run over the same
-// transport the router queries through, so the ghost exchange crosses
-// the wire in TCP deployments.
+// maintenance target to the published epoch. Each is one fan-out round:
+// the K RPCs are in flight together, so a round costs the slowest
+// shard's round trip. Both run over the same transport the router
+// queries through, so the ghost exchange crosses the wire in TCP
+// deployments.
 //
 // Cluster implements query.DeformableMesh, so a query.Pipeline can drive
 // a distributed engine like a local one; publish failures are latched
@@ -41,15 +44,18 @@ type Cluster struct {
 	err     atomic.Value // latched control-plane error (Deform)
 	refused error        // sticky: the global mesh was restructured
 
-	// Publish scratch, reused across shards and steps so the per-step
-	// hot path allocates nothing: the full-publish scatter buffer, the
-	// shared encode buffer, the per-shard delta (local id, position)
-	// lists, and the per-vertex replica list.
-	buf  []geom.Vec3
-	enc  []byte
-	dIDs [][]int32
-	dPos [][]geom.Vec3
-	reps []shard.Replica
+	// Publish scratch, reused across steps so the per-step hot path
+	// allocates nothing: the full-publish scatter buffer, one encode
+	// buffer per shard (a round's K requests are in flight together),
+	// the per-shard delta (local id, position) lists, and the per-vertex
+	// replica list. maintainReqs is the Maintain round's requests, built
+	// once.
+	buf          []geom.Vec3
+	enc          [][]byte
+	dIDs         [][]int32
+	dPos         [][]geom.Vec3
+	reps         []shard.Replica
+	maintainReqs [][]byte
 
 	// FullPublish forces every step onto the full-array publish path,
 	// even when the dirty stream would allow a delta — the A/B switch the
@@ -64,7 +70,7 @@ type Cluster struct {
 // maintenance target. The servers are not reachable until ServeLoopback
 // or ServeTCP.
 func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine) *Cluster {
-	cl := &Cluster{sm: sm}
+	cl := &Cluster{sm: sm, maintainReqs: sameReq(encodeMaintainReq(), len(sm.Partition().Parts))}
 	for _, p := range sm.Partition().Parts {
 		cl.servers = append(cl.servers, NewServer(p, factory))
 	}
@@ -82,7 +88,11 @@ func NewCluster(sm *shard.Mesh, factory func(*mesh.Mesh) query.ParallelKNNEngine
 // is a pure function of both), and the servers must still be at epoch 0.
 // Servers returns nil; do not call ServeLoopback/ServeTCP.
 func NewControlPlane(sm *shard.Mesh, tr Transport, addrs []string) *Cluster {
-	cl := &Cluster{sm: sm, rpc: newClient(tr, addrs, controlPolicy, 1)}
+	cl := &Cluster{
+		sm:           sm,
+		rpc:          newClient(tr, addrs, controlPolicy, 1),
+		maintainReqs: sameReq(encodeMaintainReq(), len(sm.Partition().Parts)),
+	}
 	if parts := sm.Partition().Parts; len(parts) > 0 {
 		cl.epoch.Store(parts[0].Mesh.Epoch())
 	}
@@ -149,8 +159,10 @@ func (cl *Cluster) KillShard(i int) {
 	}
 }
 
-// Close stops the TCP servers (if any) and drops the control-plane
-// connections.
+// Close stops the TCP servers (if any), the control plane's per-shard
+// workers and its connections. A cluster that has published or
+// maintained must be closed: its K control workers, and the connections
+// they reach, live until Close.
 func (cl *Cluster) Close() {
 	for _, ts := range cl.tsrvs {
 		ts.Stop()
@@ -188,10 +200,12 @@ func (cl *Cluster) Err() error {
 // (a SplitCell or DeleteCell on the global mesh) cannot be published at
 // all: the shards' sub-meshes and remap tables describe the old cells, so
 // the step is refused and the cluster stays at its epoch for good (see
-// Cluster). A failed publish latches into Err and leaves the affected
-// servers at the old epoch; the router's epoch gate then refuses to
-// merge them with the advanced ones, so a half-published step degrades
-// to skew errors, never to torn results.
+// Cluster). The K publishes of a step go out together, and a failing
+// shard does not hold the others back: every reachable shard advances,
+// and only a failing one stays at the old epoch. The failure latches into
+// Err; the router's epoch gate then refuses to merge the shard left
+// behind with the advanced ones, so a half-published step degrades to
+// skew errors, never to torn results.
 //
 // All position changes must happen inside fn: the global mesh is
 // double-buffered (fn runs against the preloaded back buffer) and the
@@ -204,7 +218,9 @@ func (cl *Cluster) Deform(fn func(pos []geom.Vec3)) {
 }
 
 // DeformErr is Deform with the error returned (the control plane's
-// native form). See Deform for the fn contract.
+// native form). See Deform for the fn contract. On a failed publish the
+// error names the first failing shard in shard order; the shards that
+// answered are at the new epoch.
 func (cl *Cluster) DeformErr(fn func(pos []geom.Vec3)) error {
 	if cl.refused != nil {
 		return cl.refused
@@ -229,17 +245,16 @@ func (cl *Cluster) DeformErr(fn func(pos []geom.Vec3)) error {
 // ghost ring) as one Publish RPC — the fallback when the movers are not
 // enumerable.
 func (cl *Cluster) publishFull(epoch uint64, global []geom.Vec3) error {
-	for i, p := range cl.sm.Partition().Parts {
+	parts := cl.sm.Partition().Parts
+	enc := cl.encBufs(len(parts))
+	for i, p := range parts {
 		cl.buf = cl.buf[:0]
 		for _, g := range p.ToGlobal {
 			cl.buf = append(cl.buf, global[g])
 		}
-		cl.enc = appendPublishReq(cl.enc[:0], publishReq{Epoch: epoch, Pos: cl.buf})
-		if err := cl.publishRPC(i, opPublish, cl.enc, epoch); err != nil {
-			return err
-		}
+		enc[i] = appendPublishReq(enc[i][:0], publishReq{Epoch: epoch, Pos: cl.buf})
 	}
-	return nil
+	return cl.publishRound(opPublish, enc, epoch)
 }
 
 // publishDeltas translates the global dirty set into per-shard (local
@@ -265,32 +280,41 @@ func (cl *Cluster) publishDeltas(epoch uint64, d mesh.DirtyRegion, global []geom
 			cl.dPos[rep.Shard] = append(cl.dPos[rep.Shard], p)
 		}
 	}
-	for s := 0; s < k; s++ {
-		cl.enc = appendPublishDeltaReq(cl.enc[:0], publishDeltaReq{
+	enc := cl.encBufs(k)
+	for s := range enc {
+		enc[s] = appendPublishDeltaReq(enc[s][:0], publishDeltaReq{
 			Epoch: epoch, Box: d.Box, IDs: cl.dIDs[s], Pos: cl.dPos[s],
 		})
-		if err := cl.publishRPC(s, opPublishDelta, cl.enc, epoch); err != nil {
-			return err
-		}
 	}
-	return nil
+	return cl.publishRound(opPublishDelta, enc, epoch)
 }
 
-// publishRPC sends one encoded publish (full or delta) to shard i and
-// verifies the server arrived at exactly epoch.
-func (cl *Cluster) publishRPC(i int, op byte, req []byte, epoch uint64) error {
-	resp, err := cl.call(i, op, req)
-	if err != nil {
-		return fmt.Errorf("dist: publish epoch %d to shard %d: %w", epoch, i, err)
+// encBufs returns the k per-shard encode buffers.
+func (cl *Cluster) encBufs(k int) [][]byte {
+	for len(cl.enc) < k {
+		cl.enc = append(cl.enc, nil)
 	}
-	e, err := decodeEpochResp(resp)
-	if err != nil {
-		return err
-	}
-	if e.Epoch != epoch {
-		return fmt.Errorf("dist: shard %d published epoch %d, want %d", i, e.Epoch, epoch)
-	}
-	return nil
+	return cl.enc[:k]
+}
+
+// publishRound sends every shard its encoded publish (full or delta) in
+// one fan-out and verifies, in shard order, that each arrived at exactly
+// epoch. Every reachable shard advances; the error names the first shard
+// that did not.
+func (cl *Cluster) publishRound(op byte, reqs [][]byte, epoch uint64) error {
+	return cl.fanout(op, reqs, func(i int, resp []byte, err error) error {
+		if err != nil {
+			return fmt.Errorf("dist: publish epoch %d to shard %d: %w", epoch, i, err)
+		}
+		e, err := decodeEpochResp(resp)
+		if err != nil {
+			return err
+		}
+		if e.Epoch != epoch {
+			return fmt.Errorf("dist: shard %d published epoch %d, want %d", i, e.Epoch, epoch)
+		}
+		return nil
+	})
 }
 
 // WireStats snapshots the control plane's per-op wire accounting
@@ -303,25 +327,30 @@ func (cl *Cluster) WireStats() WireStats {
 }
 
 // MaintainToHead drives every server's maintenance target to the
-// published head (one Maintain RPC per shard, TargetState.ToHead behind
-// it).
+// published head: one Maintain RPC per shard, all K in flight together,
+// TargetState.ToHead behind each. Every reachable shard is maintained;
+// the error names the first shard that failed. It allocates nothing per
+// call once the fan-out's workers run.
 func (cl *Cluster) MaintainToHead() error {
-	for i := range cl.sm.Partition().Parts {
-		resp, err := cl.call(i, opMaintain, encodeMaintainReq())
+	return cl.fanout(opMaintain, cl.maintainReqs, func(i int, resp []byte, err error) error {
 		if err != nil {
 			return fmt.Errorf("dist: maintain shard %d: %w", i, err)
 		}
-		if _, err := decodeEpochResp(resp); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err = decodeEpochResp(resp)
+		return err
+	})
 }
 
-// call performs one control RPC to shard i.
-func (cl *Cluster) call(i int, op byte, req []byte) ([]byte, error) {
+// errNotServing is every control RPC's error before ServeLoopback or
+// ServeTCP.
+var errNotServing = errors.New("dist: cluster is not serving (call ServeLoopback or ServeTCP)")
+
+// fanout runs one control round over the cluster's client (see
+// client.fanout). Before the cluster serves, the round fails at shard 0
+// with errNotServing.
+func (cl *Cluster) fanout(op byte, reqs [][]byte, check func(i int, resp []byte, err error) error) error {
 	if cl.rpc == nil {
-		return nil, fmt.Errorf("dist: cluster is not serving (call ServeLoopback or ServeTCP)")
+		return check(0, nil, errNotServing)
 	}
-	return cl.rpc.call(i, op, req)
+	return cl.rpc.fanout(op, reqs, check)
 }

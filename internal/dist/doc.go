@@ -79,8 +79,12 @@
 //     (empty deltas included), keeping the cluster's epochs in lockstep;
 //     MaintainToHead then drives every server's maintenance target to
 //     the published epoch, localized by the dirt the server's own
-//     sub-mesh recorded when the publish landed. The steady-state publish path allocates
-//     nothing: encode buffers and remap scratch are reused across steps.
+//     sub-mesh recorded when the publish landed. A publish or maintain
+//     step is one fan-out round: all K RPCs are in flight together, one
+//     long-lived control worker per shard keeps each shard's RPCs in
+//     order, and a failing shard stays behind alone. The steady-state
+//     publish and maintain paths allocate nothing: per-shard encode
+//     buffers and remap scratch are reused across steps.
 //
 //   - Result caching: EnableCache gives a Router a query.ResultCache
 //     keyed by (kind, geometry) and the epoch its entry was computed at,

@@ -283,6 +283,8 @@ type DistCacheStats = query.CacheStats
 
 // NewDistCluster builds one shard server per shard of sm with engines
 // from factory; serve it with ServeTCP (real sockets) or ServeLoopback.
+// Call Close when done: it stops the servers and the control plane's
+// per-shard workers.
 func NewDistCluster(sm *ShardedMesh, factory func(*Mesh) ParallelKNNEngine) *DistCluster {
 	return dist.NewCluster(sm, factory)
 }
@@ -297,7 +299,9 @@ func NewDistRouter(addrs []string, policy DistRetryPolicy) *DistRouter {
 // shard servers (cmd/shardserver processes) at addrs (index = shard id)
 // over TCP, instead of owning them: sm must be built from the same
 // deterministic dataset and shard count as the servers', and publishes
-// and maintenance fan out as RPCs.
+// and maintenance fan out as RPCs. Its first publish or maintain starts
+// one control worker per shard; call Close to stop them and drop the
+// connections.
 func NewDistControlPlane(sm *ShardedMesh, addrs []string) *DistCluster {
 	return dist.NewControlPlane(sm, &dist.TCPTransport{}, addrs)
 }

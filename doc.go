@@ -58,12 +58,12 @@
 // A single query stays on the goroutine that issued it — parallelism is
 // between queries, one cursor each — and the crawl engines answer it in
 // one deterministic order per cursor. Their cursors take a CrawlBudget
-// (BudgetedCursor.SetBudget): a sampled surface probe, and a crawl that
-// stops at an expansion count, keeps everything discovered so far, and
-// reports its coverage (visited fraction, kNN bound gap) through each
-// QueryTrace — a real latency/recall dial. The budget is cursor state,
-// read once per query, so tuning one cursor never disturbs another's
-// queries.
+// (BudgetedCursor.SetBudget): a crawl that stops at an expansion count,
+// keeps everything discovered so far, and reports its coverage (visited
+// fraction, kNN bound gap) through each QueryTrace — a real
+// latency/recall dial. The budget is cursor state, read once per query,
+// so tuning one cursor never disturbs another's queries, and a cursor's
+// answers do not depend on the queries it ran before.
 //
 // # Querying while the mesh deforms
 //

@@ -172,42 +172,3 @@ func TestKNNAcrossComponents(t *testing.T) {
 		}
 	}
 }
-
-// TestApproximationTinySurfaceProbe is the regression test for the
-// approximate-mode stride clamp: with stride > surface size, the rotating
-// probe offset used to skip the entire surface — zero vertices probed, no
-// walk start, and the query silently returned empty from the 9th query on.
-// With the clamp, every query probes at least one surface vertex, so a
-// whole-mesh query always finds the full result.
-func TestApproximationTinySurfaceProbe(t *testing.T) {
-	b := mesh.NewBuilder(0, 0)
-	kuhn := [6][4]int{{0, 1, 3, 7}, {0, 1, 5, 7}, {0, 2, 3, 7}, {0, 2, 6, 7}, {0, 4, 5, 7}, {0, 4, 6, 7}}
-	var c [8]int32
-	for bit := 0; bit < 8; bit++ {
-		c[bit] = b.AddVertex(geom.V(float64(bit&1), float64((bit>>1)&1), float64((bit>>2)&1)))
-	}
-	for _, k := range kuhn {
-		b.AddTet(c[k[0]], c[k[1]], c[k[2]], c[k[3]])
-	}
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := New(m)
-	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 0.01}) // stride 100 on an 8-vertex surface
-	q := m.Bounds()
-	for i := 0; i < 120; i++ {
-		if got := o.Query(q, nil); len(got) != m.NumVertices() {
-			t.Fatalf("approximate query %d returned %d of %d vertices",
-				i, len(got), m.NumVertices())
-		}
-	}
-
-	// The kNN probe shares the stride logic; it must keep finding a start.
-	for i := 0; i < 120; i++ {
-		if got := o.KNN(geom.V(0.5, 0.5, 0.5), 3, nil); len(got) != 3 {
-			t.Fatalf("approximate kNN %d returned %d of 3", i, len(got))
-		}
-	}
-}

@@ -93,10 +93,8 @@ func (c *Con) Query(q geom.AABB, out []int32) []int32 {
 }
 
 func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
-	cur.stats.Queries++
-	cur.armCrawl()
 	before := len(out)
-	cur.beginQuery(c.m)
+	cur.beginRange()
 
 	t0 := time.Now()
 	start, ok := c.grid.NearestPopulated(q.Center())
@@ -107,7 +105,6 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	// descent arrive; on other input (non-convex, multi-component) a stall
 	// falls back to the scan of every position, as in Octopus, so the
 	// answer is exactly brute force's instead of silently empty.
-	cur.seeds = cur.seeds[:0]
 	if !ok {
 		start = -1
 	}
@@ -118,11 +115,7 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	t2 := time.Now()
 	cur.stats.DirectedWalk += t2.Sub(t1)
 
-	out = cur.crawl(q, cur.seeds, out)
-	cur.endQuery(c.m)
-	cur.stats.Crawl += time.Since(t2)
-	cur.stats.Results += int64(len(out) - before)
-	return out
+	return cur.crawlRange(q, out, before, t2)
 }
 
 // MemoryFootprint implements query.Engine: the stale grid, the component

@@ -141,8 +141,9 @@ func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 // reached. On convex meshes the descent provably arrives; on non-convex
 // meshes it can stall in a local minimum of the graph distance (ok ==
 // false), a case the paper treats as "query does not intersect the mesh".
-// Approximate query modes accept that — they already trade accuracy for
-// time; exact queries hand a stall to scanSeeds (Cursor.scanStalled).
+// Cursor.QuerySeeded accepts that, as the paper's approximate probe
+// trades accuracy for time; Query hands a stall to scanSeeds
+// (Cursor.scanStalled).
 func (c *crawler) greedyWalk(q geom.AABB, start int32) (seed int32, ok bool) {
 	pos := c.pos
 	cur := start

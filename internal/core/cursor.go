@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"time"
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
@@ -20,12 +21,11 @@ type cursorOwner interface {
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
 // (mark array, kNN frontier — the range BFS queues in the caller's out),
-// the seed buffer, the crawl budget with the approximate probe's sampling
-// phase and a local Stats accumulator. The engine that created a cursor
-// holds only immutable index state at query time, and the block boxes a
-// query reads belong to the position buffer it pinned, so any number of
-// cursors over the same engine may execute queries concurrently — one
-// cursor per goroutine.
+// the seed buffer, the crawl budget and a local Stats accumulator. The
+// engine that created a cursor holds only immutable index state at query
+// time, and the block boxes a query reads belong to the position buffer
+// it pinned, so any number of cursors over the same engine may execute
+// queries concurrently — one cursor per goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
 // one per worker: nothing is allocated until its first seeded crawl, which
@@ -34,9 +34,8 @@ type cursorOwner interface {
 type Cursor struct {
 	owner cursorOwner
 	crawler
-	seeds       []int32
-	probeOffset int // rotates the approximate probe's sampling phase
-	stats       Stats
+	seeds []int32
+	stats Stats
 
 	// blocks is the heap of the exact probe's nearest-first searches over
 	// its two levels of boxes (probe.go): the kNN start search and the
@@ -57,13 +56,10 @@ type Cursor struct {
 	// the crawl's stop radius. The crawls and the surface probe all feed
 	// the heap, and a vertex occupying two slots would evict a legitimate
 	// candidate: the probe skips the vertices the first crawl marked, and
-	// the fold crawl skips those the probe covers. knnIdx/knnStride/
-	// knnStart describe the probe's coverage (surface index plus sampling
-	// phase; knnIdx nil while nothing is probed).
-	kbest     query.KBest
-	knnIdx    *mesh.SurfaceIndex
-	knnStride int
-	knnStart  int
+	// the fold crawl skips those the probe covers. knnIdx is the surface
+	// index the probe covers, nil while nothing is probed.
+	kbest  query.KBest
+	knnIdx *mesh.SurfaceIndex
 
 	// knnBound2/knnBoundOK record the k-th-best squared distance of the
 	// last kNN before AppendSorted drains the heap (Bound reads the heap
@@ -96,8 +92,7 @@ func (c *Cursor) RestrictKNN(keep []bool, ceiling2 float64) {
 	c.knnKeep, c.knnCeiling2 = keep, ceiling2
 }
 
-// SetBudget implements query.BudgetedCursor; CON has no probe to sample
-// and ignores SurfaceFrac.
+// SetBudget implements query.BudgetedCursor.
 func (c *Cursor) SetBudget(b query.CrawlBudget) { c.budget = b }
 
 // beginQuery installs the position view for one query and returns it:
@@ -111,6 +106,58 @@ func (c *Cursor) beginQuery(m *mesh.Mesh) []geom.Vec3 {
 
 // endQuery releases the pin taken by beginQuery.
 func (c *Cursor) endQuery(m *mesh.Mesh) { m.UnpinPositions(c.epoch) }
+
+// beginRange opens a range query on the cursor's mesh: it counts the
+// query, arms the crawl budget, empties the seed buffer and pins the
+// positions (beginQuery), which it returns.
+func (c *Cursor) beginRange() []geom.Vec3 {
+	c.stats.Queries++
+	c.armCrawl()
+	c.seeds = c.seeds[:0]
+	return c.beginQuery(c.m)
+}
+
+// crawlRange is the last phase of a range query opened by beginRange:
+// the crawl from the seeds, appended to out (whose first before entries
+// are the caller's), timed from t. It releases the pin.
+func (c *Cursor) crawlRange(q geom.AABB, out []int32, before int, t time.Time) []int32 {
+	out = c.crawl(q, c.seeds, out)
+	c.endQuery(c.m)
+	c.stats.Crawl += time.Since(t)
+	c.stats.Results += int64(len(out) - before)
+	return out
+}
+
+// SeedProbe is a surface probe that QuerySeeded runs in place of the
+// engine's. Probe appends the vertices it finds inside q to seeds, reading
+// the pinned positions pos, and returns them with the vertex a walk starts
+// from when it found none (-1: no walk).
+type SeedProbe interface {
+	Probe(q geom.AABB, pos []geom.Vec3, seeds []int32) ([]int32, int32)
+}
+
+// QuerySeeded answers q like Query with probe in place of the surface
+// probe. When the probe finds no seed, the plain greedy walk from its
+// start seeds the crawl, and a stall answers nothing: no retry, no scan
+// (the paper's walk). Budget and statistics are Query's, except that
+// ProbeChecked counts nothing; it allocates nothing the probe does not.
+func (c *Cursor) QuerySeeded(q geom.AABB, probe SeedProbe, out []int32) []int32 {
+	before := len(out)
+	t0 := time.Now()
+	pos := c.beginRange()
+	var start int32
+	c.seeds, start = probe.Probe(q, pos, c.seeds)
+	t1 := time.Now()
+	c.stats.SurfaceProbe += t1.Sub(t0)
+	if len(c.seeds) == 0 && start >= 0 {
+		c.stats.DirectedWalks++
+		c.walkFrom(q, start)
+		t2 := time.Now()
+		c.stats.DirectedWalk += t2.Sub(t1)
+		t1 = t2
+	}
+	return c.crawlRange(q, out, before, t1)
+}
 
 // walkFrom is the directed walk of a range query whose probe found no
 // seed: the greedy descent from start (start < 0: the engine had no start
@@ -140,10 +187,10 @@ func (c *Cursor) scanStalled(q geom.AABB, unprobed int) {
 func (c *Cursor) LastEpoch() uint64 { return c.epoch }
 
 // probedInKNN reports whether the current kNN query's surface probe
-// covers v: v must be a surface vertex whose slot lies on the probe's
-// sampling lattice. The probe has then offered v, or found it strictly
-// beyond the final bound, or v was marked by the crawl before it — which
-// the fold crawl, in the same mark epoch, never reaches. It is false for
+// covers v, that is whether v is a surface vertex. The probe has then
+// offered v, or found it strictly beyond the final bound, or v was marked
+// by the crawl before it — which the fold crawl, in the same mark epoch,
+// never reaches. It is false for
 // every vertex before the probe (knnIdx nil), so the first crawl offers
 // surface and interior alike. It runs on every vertex a kNN crawl pops;
 // on a dense layout the slot lookup is one compare.
@@ -151,8 +198,8 @@ func (c *Cursor) probedInKNN(v int32) bool {
 	if c.knnIdx == nil {
 		return false
 	}
-	slot, ok := c.knnIdx.Slot(v)
-	return ok && (c.knnStride <= 1 || (int(slot)-c.knnStart)%c.knnStride == 0)
+	_, ok := c.knnIdx.Slot(v)
+	return ok
 }
 
 // Query implements query.Cursor: it executes q against the owning engine

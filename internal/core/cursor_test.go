@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -8,7 +9,12 @@ import (
 	"testing"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
 	"octopus/internal/query"
+	"octopus/internal/shard"
+	"octopus/internal/sim"
+	"octopus/internal/workload"
 )
 
 // cursorWorkload returns a deterministic mixed query stream over m.
@@ -180,6 +186,65 @@ func TestResidentCursorRejectsConcurrentEntry(t *testing.T) {
 			}
 			if got, want := tc.eng.KNN(p, 5, nil), query.BruteForceKNN(m, p, 5); !slices.Equal(got, want) {
 				t.Fatalf("%s kNN after the holder left: %v, want %v", tc.eng.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestCursorAnswersIgnoreHistory: a cursor's answers depend on the mesh
+// state alone. On a deformed neuro-l1 and on the four shard legs of its
+// K=4 partition, a fresh cursor and one that has already run 200 other
+// range, kNN and budgeted queries return bit-identical range answers (in
+// order) and kNN answers with the same LastKNNBound2 bits, both exact and
+// under a MaxVisited budget.
+func TestCursorAnswersIgnoreHistory(t *testing.T) {
+	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 5}
+	deform := func(m *mesh.Mesh, steps int) {
+		for s := 0; s < steps; s++ {
+			m.Deform(func(pos []geom.Vec3) { d.Step(s, pos) })
+		}
+	}
+	deform(l1, 3)
+	part, err := shard.NewPartition(l1, 4, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshes := []*mesh.Mesh{l1}
+	for _, p := range part.Parts {
+		deform(p.Mesh, 2)
+		meshes = append(meshes, p.Mesh)
+	}
+	for mi, m := range meshes {
+		o := New(m)
+		g := workload.NewGenerator(m, 1024, int64(mi))
+		used := o.NewCursor().(*Cursor)
+		history := g.UniformQueries(100, 0.005)
+		probes := g.KNNQueries(100, 1, 32, 0.01)
+		for i := range history {
+			used.SetBudget(query.CrawlBudget{MaxVisited: int64(10 * (i % 3))})
+			used.Query(history[i], nil)
+			used.KNN(probes[i].P, probes[i].K, nil)
+		}
+		for _, budget := range []query.CrawlBudget{{}, {MaxVisited: 40}} {
+			fresh := o.NewCursor().(*Cursor)
+			fresh.SetBudget(budget)
+			used.SetBudget(budget)
+			for i, q := range g.UniformQueries(30, 0.002) {
+				if a, b := fresh.Query(q, nil), used.Query(q, nil); !slices.Equal(a, b) {
+					t.Fatalf("mesh %d budget %+v range %d: fresh %v, used %v", mi, budget, i, a, b)
+				}
+			}
+			for i, p := range g.KNNQueries(30, 1, 32, 0.01) {
+				a, b := fresh.KNN(p.P, p.K, nil), used.KNN(p.P, p.K, nil)
+				ab, aok := fresh.LastKNNBound2()
+				bb, bok := used.LastKNNBound2()
+				if !slices.Equal(a, b) || math.Float64bits(ab) != math.Float64bits(bb) || aok != bok {
+					t.Fatalf("mesh %d budget %+v kNN %d: fresh %v (%v), used %v (%v)", mi, budget, i, a, ab, b, bb)
+				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 //
 //  1. Start search — the surface vertex nearest the probe point, by a
 //     nearest-first search over the two levels of block boxes that leaves
-//     its heap to be resumed in step 3 (sampled in approximate mode).
+//     its heap to be resumed in step 3.
 //  2. Descent and crawl — greedily walk from that vertex to a local
 //     minimum of the distance to p, then expand mesh edges best-first,
 //     keeping the k best candidates in a bounded max-heap (Cursor.kbest)
@@ -75,26 +75,12 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 
 	// Step 1: the surface vertex nearest p — beyond a RestrictKNN ceiling
 	// too: the descent from it is what reaches the interior vertices
-	// within the ceiling when no surface vertex is. Exact mode searches
-	// the block boxes; approximate mode samples the surface with
-	// the range probe's rotating stride and reads no boxes (the crawl
-	// still expands exactly — only the start quality, and hence the
-	// expansion work, degrades).
+	// within the ceiling when no surface vertex is.
 	clock := time.Now()
-	stride := o.probeStride(cur.budget.SurfaceFrac)
-	start := 0
 	bb := o.idx.Boxes(cur.epoch)
-	var s0 int32
-	if stride == 1 {
-		var boxes, positions int64
-		s0, boxes, positions = o.knnStartSearch(cur, bb, p, pos)
-		cur.stats.ProbeBoxes += boxes
-		cur.stats.ProbeChecked += boxes + positions
-	} else {
-		start = cur.probeOffset % stride
-		cur.probeOffset++
-		s0 = o.sampledStart(geom.AABB{Min: p, Max: p}, pos, start, stride)
-	}
+	s0, boxes, positions := o.knnStartSearch(cur, bb, p, pos)
+	cur.stats.ProbeBoxes += boxes
+	cur.stats.ProbeChecked += boxes + positions
 	cur.stats.SurfaceProbe += lap(&clock)
 
 	// Step 2: descend from it and crawl, offering every vertex popped —
@@ -113,7 +99,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// Step 3: the surface the crawl did not mark, within its bound. From
 	// here on the crawl skips the vertices the probe covers
 	// (probedInKNN).
-	cur.knnIdx, cur.knnStride, cur.knnStart = o.idx, stride, start
+	cur.knnIdx = o.idx
 	kp := knnProbe{
 		want:  min(k, maxKNNStarts),
 		bound: min(ceiling2, cur.kbest.Bound()),
@@ -121,13 +107,9 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		marks: cur.marks,
 		epoch: cur.markEpoch,
 	}
-	if stride == 1 {
-		boxes, positions := o.probeKNN(cur, bb, &kp, p, pos)
-		cur.stats.ProbeBoxes += boxes
-		cur.stats.ProbeChecked += boxes + positions
-	} else {
-		cur.stats.ProbeChecked += kp.scan(&cur.kbest, o.idx.Slots(), pos, p, start, o.SurfaceSize(), stride)
-	}
+	boxes, positions = o.probeKNN(cur, bb, &kp, p, pos)
+	cur.stats.ProbeBoxes += boxes
+	cur.stats.ProbeChecked += boxes + positions
 	cur.stats.SurfaceProbe += lap(&clock)
 
 	// Step 4: the folds, and every component step 2 did not start in

@@ -96,23 +96,6 @@ func TestKNNEdgeCases(t *testing.T) {
 	knnOracle(t, "appended tail", got[2:], query.BruteForceKNN(m, p, 3))
 }
 
-// TestKNNApproximateModeStaysExact documents a deliberate property of the
-// design: approximation degrades only the crawl's starting point (the
-// probe samples the surface), not the crawl's expansion, so on a connected
-// well-shaped mesh the approximate engine still returns exact kNN results
-// — it just works a little harder for them.
-func TestKNNApproximateModeStaysExact(t *testing.T) {
-	m := buildBox(t, 8)
-	o := New(m)
-	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 0.1})
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 30; i++ {
-		p := m.Position(int32(r.Intn(m.NumVertices())))
-		k := 1 + r.Intn(16)
-		knnOracle(t, "approx", o.KNN(p, k, nil), query.BruteForceKNN(m, p, k))
-	}
-}
-
 // TestKNNCursorStatsMerge checks that kNN executed through worker cursors
 // feeds the same statistics pipeline as range queries: per-cursor counts
 // merge into the engine on Close.

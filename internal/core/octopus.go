@@ -9,8 +9,8 @@
 //     collect those inside the query box as crawl seeds.
 //  2. Directed walk — if no surface vertex is inside the box (query fully
 //     interior to the mesh, or disjoint from it), greedily walk from a
-//     surface vertex near the box towards it to find a seed. An exact
-//     query starts from the nearest vertex of the leaf whose box is
+//     surface vertex near the box towards it to find a seed. A query
+//     starts from the nearest vertex of the leaf whose box is
 //     nearest; if that walk stalls it is retried once from the closest
 //     surface vertex, and a second stall scans the positions the probe
 //     did not test and seeds the crawl from every vertex inside the box —
@@ -48,9 +48,10 @@
 // read: Step, restructuring and ApplySurfaceDelta require exclusive
 // access (the query.Pipeline serializes them against queries), as does
 // in-place mutation of Positions() — which must be followed by Step
-// before the next query. Tuning is not among them: the approximate mode
-// is a CrawlBudget held by each cursor (SetBudget) and read only by that
-// cursor's queries.
+// before the next query. Tuning is not among them: the crawl budget is
+// held by each cursor (SetBudget) and read only by that cursor's queries.
+// A cursor's answers depend on the mesh state and its budget alone, not
+// on which queries it ran before.
 package core
 
 import (
@@ -170,26 +171,6 @@ func (o *Octopus) refreshComponents() {
 	}
 }
 
-// probeStride returns the surface-probe sampling stride of a cursor's
-// CrawlBudget.SurfaceFrac: 1 for the full surface, else ~1/frac clamped
-// to the surface length. The clamp matters: a stride beyond the surface
-// length would let the rotating start offset skip the whole surface — zero
-// vertices probed and, because the closest-vertex scan shares the offset,
-// no walk start either, silently returning empty. Clamping keeps at least
-// one probe per query on arbitrarily small surfaces. Both the range probe
-// and the kNN probe use this stride, so their sampling behavior can never
-// drift apart.
-func (o *Octopus) probeStride(frac float64) int {
-	if frac <= 0 || frac >= 1 {
-		return 1
-	}
-	stride, n := int(1/frac), o.SurfaceSize()
-	if stride > n && n > 0 {
-		stride = n
-	}
-	return stride
-}
-
 // Name implements query.Engine.
 func (o *Octopus) Name() string { return "OCTOPUS" }
 
@@ -223,62 +204,39 @@ func (o *Octopus) Query(q geom.AABB, out []int32) []int32 {
 }
 
 func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
-	cur.stats.Queries++
-	cur.armCrawl()
 	before := len(out)
-
-	// Phase 1: surface probe. The exact probe descends its two levels of
-	// block boxes and runs the containment kernel inside the leaves that
-	// meet q; the approximate probe samples the surface with a rotating
-	// stride. Both walk the position array forward and perform only the
-	// containment test (the CS unit cost of the analytical model). Only in
-	// the no-seed case is a walk start looked for: the exact probe asks
-	// its block boxes which leaf is nearest q and takes that leaf's vertex
-	// nearest q; the approximate probe, which has no boxes, samples its
-	// lattice.
 	t0 := time.Now()
-	cur.seeds = cur.seeds[:0]
-	pos := cur.beginQuery(o.m)
-	stride := o.probeStride(cur.budget.SurfaceFrac)
-	exact := stride == 1
-	probed := int64(0)
-	minVertex := int32(-1)
-	if exact {
-		boxes, positions := o.probeRange(cur, q, pos)
-		cur.stats.ProbeBoxes += boxes
-		probed = boxes + positions
-		if len(cur.seeds) == 0 {
-			minVertex = o.blockStart(cur, q, pos)
-		}
-	} else {
-		start := cur.probeOffset % stride
-		cur.probeOffset++
-		slots := o.idx.Slots()
-		cur.seeds = appendContainedSlots(cur.seeds, q, pos, slots[min(start, len(slots)):], stride)
-		probed = int64((len(slots) - start + stride - 1) / stride) // slots start, start+stride, ...
-		if len(cur.seeds) == 0 {
-			minVertex = o.sampledStart(q, pos, start, stride)
-		}
+	pos := cur.beginRange()
+
+	// Phase 1: surface probe. It descends the two levels of block boxes
+	// and runs the containment kernel, the CS unit cost of the analytical
+	// model, inside the leaves that meet q. Only in the no-seed case is a
+	// walk start looked for: the boxes say which leaf is nearest q, and
+	// that leaf's vertex nearest q is the start.
+	boxes, positions := o.probeRange(cur, q, pos)
+	cur.stats.ProbeBoxes += boxes
+	cur.stats.ProbeChecked += boxes + positions
+	start := int32(-1)
+	if len(cur.seeds) == 0 {
+		start = o.blockStart(cur, q, pos)
 	}
-	cur.stats.ProbeChecked += probed
 	t1 := time.Now()
 	cur.stats.SurfaceProbe += t1.Sub(t0)
 
 	// Phase 2: directed walk, only when the probe found no seed. The
 	// greedy descent from the start answers the common interior query in
-	// a few hops. In exact mode a stalled descent is retried once from the
-	// exact closest surface vertex (a best-first search over the same
-	// block boxes), and a second stall (or a mesh with no surface vertex
-	// to start from) falls back to one sequential pass over the positions
-	// the probe did not test, every vertex inside the box becoming a seed:
-	// no seed proves the mesh holds nothing in the box, and a seeded crawl
+	// a few hops. A stalled descent is retried once from the exact
+	// closest surface vertex (a best-first search over the same block
+	// boxes), and a second stall (or a mesh with no surface vertex to
+	// start from) falls back to one sequential pass over the positions the
+	// probe did not test, every vertex inside the box becoming a seed: no
+	// seed proves the mesh holds nothing in the box, and a seeded crawl
 	// then covers every component and isolated vertex, so the no-seed
-	// answer is exactly brute force's. Approximate mode keeps the paper's
-	// plain greedy walk (accuracy is already being traded away).
-	if len(cur.seeds) == 0 && (exact || minVertex >= 0) {
+	// answer is exactly brute force's.
+	if len(cur.seeds) == 0 {
 		cur.stats.DirectedWalks++
-		if !cur.walkFrom(q, minVertex) && exact {
-			if v := o.closestSurfaceVertex(cur, q, pos); v == minVertex || !cur.walkFrom(q, v) {
+		if !cur.walkFrom(q, start) {
+			if v := o.closestSurfaceVertex(cur, q, pos); v == start || !cur.walkFrom(q, v) {
 				unprobed := 0
 				if o.idx.Dense() {
 					unprobed = o.SurfaceSize()
@@ -292,11 +250,7 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	}
 
 	// Phase 3: crawling.
-	out = cur.crawl(q, cur.seeds, out)
-	cur.endQuery(o.m)
-	cur.stats.Crawl += time.Since(t1)
-	cur.stats.Results += int64(len(out) - before)
-	return out
+	return cur.crawlRange(q, out, before, t1)
 }
 
 // MemoryFootprint implements query.Engine: the surface index with the

@@ -142,55 +142,6 @@ func TestOctopusQueryAppendsToOut(t *testing.T) {
 	}
 }
 
-func TestApproximationAccuracyAndExactness(t *testing.T) {
-	m, err := meshgen.BuildNeuron(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(m)
-	r := rand.New(rand.NewSource(6))
-	diag := m.Bounds().Size().Len()
-
-	queries := make([]geom.AABB, 12)
-	for i := range queries {
-		queries[i] = geom.BoxAround(m.Position(int32(r.Intn(m.NumVertices()))), diag*0.05)
-	}
-
-	accuracy := func(frac float64) float64 {
-		o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: frac})
-		gotTotal, wantTotal := 0, 0
-		for _, q := range queries {
-			got := o.Query(q, nil)
-			want := query.BruteForce(m, q)
-			gotTotal += len(got)
-			wantTotal += len(want)
-			if len(got) > len(want) {
-				t.Fatalf("approximation returned MORE than truth: %d > %d", len(got), len(want))
-			}
-		}
-		if wantTotal == 0 {
-			return 1
-		}
-		return float64(gotTotal) / float64(wantTotal)
-	}
-
-	// Exact mode must be exact.
-	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: 1})
-	for _, q := range queries {
-		checkOracle(t, "approx=1", o.Query(q, nil), query.BruteForce(m, q))
-	}
-	// Sane fractions keep high accuracy (paper: >90% while ignoring 99.9%
-	// of the surface; at our smaller scale we probe 10%).
-	if acc := accuracy(0.10); acc < 0.85 {
-		t.Errorf("accuracy at 10%% approximation = %.2f", acc)
-	}
-	// Out-of-range fractions reset to exact.
-	o.resident.SetBudget(query.CrawlBudget{SurfaceFrac: -1})
-	for _, q := range queries {
-		checkOracle(t, "approx reset", o.Query(q, nil), query.BruteForce(m, q))
-	}
-}
-
 func TestSurfaceDeltaMaintenance(t *testing.T) {
 	m := buildBox(t, 5)
 	o := New(m)

@@ -34,8 +34,7 @@ import (
 // locality (restructuring deltas swap slots around) only makes the boxes
 // loose — more leaves scanned, never a wrong answer. The boxes belong to
 // the mesh, one set per position buffer (mesh.SurfaceIndex); a query
-// reads those of the epoch its cursor pinned. Approximate mode (probe
-// stride > 1) does not read them.
+// reads those of the epoch its cursor pinned.
 
 // appendContained appends base+i for every pos[i] inside q: the one
 // containment kernel, shared by the block probe and the stalled walk's
@@ -56,13 +55,12 @@ func appendContained(dst []int32, q geom.AABB, pos []geom.Vec3, base int) []int3
 	return dst
 }
 
-// appendContainedSlots is appendContained through the id array: the
-// vertices ids[0], ids[stride], ... It serves the leaves of a surface
-// index that restructuring has taken out of the dense layout and the
-// strided approximate probe.
-func appendContainedSlots(dst []int32, q geom.AABB, pos []geom.Vec3, ids []int32, stride int) []int32 {
-	for i := 0; i < len(ids); i += stride {
-		if v := ids[i]; q.Contains(pos[v]) {
+// appendContainedSlots is appendContained through the id array. It
+// serves the leaves of a surface index that restructuring has taken out
+// of the dense layout.
+func appendContainedSlots(dst []int32, q geom.AABB, pos []geom.Vec3, ids []int32) []int32 {
+	for _, v := range ids {
+		if q.Contains(pos[v]) {
 			dst = append(dst, v)
 		}
 	}
@@ -91,7 +89,7 @@ func (o *Octopus) probeRange(cur *Cursor, q geom.AABB, pos []geom.Vec3) (boxes, 
 			if o.idx.Dense() {
 				cur.seeds = appendContained(cur.seeds, q, pos[lo:hi], lo)
 			} else {
-				cur.seeds = appendContainedSlots(cur.seeds, q, pos, slots[lo:hi], 1)
+				cur.seeds = appendContainedSlots(cur.seeds, q, pos, slots[lo:hi])
 			}
 		}
 	}
@@ -128,18 +126,16 @@ type knnProbe struct {
 	epoch uint32
 }
 
-// scan offers the unmarked surface slots lo, lo+stride, ... below hi that
-// lie within the bound to the result heap and to the fold candidates,
-// returning the number of slots read. d == bound still calls Offer, for
-// the id tie-break. Every offered vertex lies within the bound, so once
+// scan offers the unmarked surface slots in [lo, hi) that lie within the
+// bound to the result heap and to the fold candidates, returning the
+// number of slots read. d == bound still calls Offer, for the id
+// tie-break. Every offered vertex lies within the bound, so once
 // the heap is full its bound is the smaller of the ceiling and the k-th
 // best. A NaN distance fails the bound test: it is neither offered nor a
 // fold.
-func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p geom.Vec3, lo, hi, stride int) int64 {
-	n := int64(0)
-	for idx := lo; idx < hi; idx += stride {
+func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p geom.Vec3, lo, hi int) int64 {
+	for idx := lo; idx < hi; idx++ {
 		v := surface[idx]
-		n++
 		if kp.marks[v] == kp.epoch {
 			continue
 		}
@@ -171,7 +167,7 @@ func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p ge
 		}
 		kp.cands[i] = knnFold{d: d, v: v, slot: slot}
 	}
-	return n
+	return int64(hi - lo)
 }
 
 // folds returns the fold candidates that lie within the final bound: of
@@ -261,7 +257,7 @@ func (o *Octopus) probeKNN(cur *Cursor, bb *mesh.BlockBoxes, kp *knnProbe, p geo
 			continue
 		}
 		lo, hi := o.idx.LeafSlots(b)
-		positions += kp.scan(&cur.kbest, o.idx.Slots(), pos, p, lo, hi, 1)
+		positions += kp.scan(&cur.kbest, o.idx.Slots(), pos, p, lo, hi)
 	}
 	cur.blocks = order
 	return boxes, positions
@@ -390,22 +386,4 @@ func (o *Octopus) closestSurfaceVertex(cur *Cursor, q geom.AABB, pos []geom.Vec3
 	}
 	cur.blocks = order
 	return best
-}
-
-// sampledStart is the approximate probe's walk start: the surface vertex
-// nearest q among a sample of its sampling lattice (slots start,
-// start+stride, ...), thinned to about 2 048 vertices. The approximate
-// probe does not search the block boxes.
-func (o *Octopus) sampledStart(q geom.AABB, pos []geom.Vec3, start, stride int) int32 {
-	slots := o.idx.Slots()
-	sampleStride := stride * (1 + len(slots)/2048)
-	minVertex, minDist := int32(-1), math.Inf(1)
-	for idx := start; idx < len(slots); idx += sampleStride {
-		v := slots[idx]
-		if d := q.Dist2(pos[v]); d < minDist {
-			minDist = d
-			minVertex = v
-		}
-	}
-	return minVertex
 }

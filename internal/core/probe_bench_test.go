@@ -52,7 +52,7 @@ func BenchmarkProbeRangeLoop(b *testing.B) {
 }
 
 // BenchmarkProbeGather is the containment pass through the id array, the
-// path of a non-dense surface index and of the approximate probe.
+// path of a non-dense surface index.
 func BenchmarkProbeGather(b *testing.B) {
 	pos := mkpos(70000)
 	ids := make([]int32, 21000)
@@ -63,7 +63,7 @@ func BenchmarkProbeGather(b *testing.B) {
 	var seeds []int32
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		seeds = appendContainedSlots(seeds[:0], q, pos, ids, 1)
+		seeds = appendContainedSlots(seeds[:0], q, pos, ids)
 		sinkN += len(seeds)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/21000, "ns/vtx")
@@ -118,7 +118,7 @@ func BenchmarkProbeBlocks(b *testing.B) {
 		var noseed []geom.AABB
 		for i := 0; len(noseed) < 96 && i < 4096; i++ {
 			q := g.QueryWithSelectivity([]float64{0.0001, 0.001, 0.01}[i%3])
-			if len(appendContainedSlots(nil, q, pos, o.idx.Slots(), 1)) == 0 {
+			if len(appendContainedSlots(nil, q, pos, o.idx.Slots())) == 0 {
 				noseed = append(noseed, q)
 			}
 		}

@@ -1021,73 +1021,6 @@ func TestBlockProbeMatchesLinearPass(t *testing.T) {
 	}
 }
 
-// TestApproximateProbeIgnoresSummary: the strided probe does not read the
-// block boxes, and no query writes them. The boxes are left describing a
-// state the mesh has since moved away from (in-place writes, no Step), so
-// a strided probe that consulted them would drop the sampled vertices it
-// is guaranteed to return.
-func TestApproximateProbeIgnoresSummary(t *testing.T) {
-	m := tetLattice(t, 8)
-	o := New(m)
-	cur := o.NewCursor().(*Cursor)
-	r := rand.New(rand.NewSource(4))
-
-	boxes := func() (bits []uint64) {
-		for e := uint64(0); e < 2; e++ {
-			for _, b := range append(slices.Clone(o.idx.Boxes(e).Leaf), o.idx.Boxes(e).Coarse...) {
-				bits = append(bits, boxBits(b)...)
-			}
-		}
-		return bits
-	}
-	strided := func(label string) {
-		t.Helper()
-		before := boxes()
-		const stride = 4
-		cur.SetBudget(query.CrawlBudget{SurfaceFrac: 1.0 / stride})
-		for i := 0; i < 100; i++ {
-			pos := m.Positions()
-			start := cur.probeOffset % stride
-			if i%2 == 0 {
-				q := geom.BoxAround(pos[r.Intn(len(pos))], 0.3+2*r.Float64())
-				got := cur.Query(q, nil)
-				exact := query.BruteForce(m, q)
-				for _, v := range got {
-					if _, ok := slices.BinarySearch(exact, v); !ok {
-						t.Fatalf("%s: query %d returned %d, not in the exact result", label, i, v)
-					}
-				}
-				for slot := start; slot < len(pos); slot += stride {
-					if q.Contains(pos[slot]) && !slices.Contains(got, int32(slot)) {
-						t.Fatalf("%s: query %d dropped sampled surface vertex %d", label, i, slot)
-					}
-				}
-			} else {
-				// The crawl visits every tetrahedron and offers the vertices
-				// off the sampling lattice; those on it come from the probe
-				// alone, so a block skipped on a stale box loses them.
-				p, k := pos[r.Intn(len(pos))], 1+r.Intn(8)
-				if got, want := cur.KNN(p, k, nil), query.BruteForceKNN(m, p, k); !slices.Equal(got, want) {
-					t.Fatalf("%s: kNN %d = %v, want %v", label, i, got, want)
-				}
-			}
-		}
-		cur.SetBudget(query.CrawlBudget{})
-		if !slices.Equal(boxes(), before) {
-			t.Fatalf("%s: strided queries changed the boxes", label)
-		}
-	}
-
-	strided("fresh")
-	checkExact(t, "exact", cur, m.Positions(), 1)
-	leaf0 := o.idx.Boxes(0).Leaf[0]
-	scramble(0, m.Positions()) // no Step: the boxes now describe the wrong state
-	if leaf0.Contains(m.Position(0)) {
-		t.Fatal("vertex 0 stayed inside its stale leaf box; test geometry broken")
-	}
-	strided("stale")
-}
-
 // TestBlockProbeSteadyStateAllocs pins the default engine's allocation
 // behaviour: after the first query of an epoch neither a range query nor a
 // kNN query allocates — whatever the crawl's length (the box query expands

@@ -222,7 +222,7 @@ func TestDirtyLogConcurrentSince(t *testing.T) {
 		s    DirtySince
 	}
 	var reads []read
-	done := make(chan struct{})
+	done, started := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -246,8 +246,12 @@ func TestDirtyLogConcurrentSince(t *testing.T) {
 			atLast++
 			from := head - min(head, uint64(r.Intn(40)))
 			reads = append(reads, read{from, m.DirtySince(from)})
+			if len(reads) == 1 {
+				close(started)
+			}
 		}
 	}()
+	<-started // the writer starts once the reader runs, however they are scheduled
 	r := rand.New(rand.NewSource(8))
 	n := m.NumVertices()
 	for step := 0; step < steps; step++ {

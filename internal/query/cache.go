@@ -40,8 +40,7 @@ import (
 // entire index traversal). Only exact results may be cached, since a later
 // hit replays them bit-for-bit: KeepRange and KeepKNN are the fill rule
 // every serving layer applies, and it refuses failed answers and answers
-// truncated by a CrawlBudget. Results of the approximate surface probe
-// carry no such mark — do not cache an engine running it.
+// truncated by a CrawlBudget.
 type ResultCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry

@@ -12,10 +12,6 @@ type CrawlBudget struct {
 	// query (summed over components); 0 means unlimited. The crawl checks
 	// the bound before every expansion, so there is no overshoot.
 	MaxVisited int64
-	// SurfaceFrac is the fraction of the surface the OCTOPUS probe
-	// samples, with a stride of about 1/SurfaceFrac rotating per query;
-	// 0 (or any value outside (0, 1)) probes the full surface.
-	SurfaceFrac float64
 }
 
 // CrawlCoverage reports how much of a query's crawl ran before a

@@ -73,13 +73,9 @@ type KNNRestrictor interface {
 // ExecuteKNNBatch executes kNN probes against eng using a pool of workers,
 // each with its own cursor, and returns one result slice per probe
 // (results[i] answers probes[i], nearest first). workers <= 0 uses
-// GOMAXPROCS. In exact mode results are deterministic and identical to
-// serial execution for every engine (ties broken by vertex id): the
-// batch's cursors are fresh, so they run exact. Under a sampled probe
-// (CrawlBudget.SurfaceFrac) OCTOPUS samples the surface with each
-// cursor's own rotating phase, so the crawl's starting points — and, on
-// geometry where the crawl's reachability assumption fails, the results —
-// depend on which cursor ran which probe, as for approximate range queries.
+// GOMAXPROCS. Results are deterministic and identical to serial execution
+// for every engine (ties broken by vertex id): the batch's cursors are
+// fresh, so they run exact.
 //
 // The same exclusion rule as ExecuteBatch applies: no Step, deformation or
 // restructuring may overlap the batch.

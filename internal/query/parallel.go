@@ -25,11 +25,9 @@ type Cursor interface {
 
 	// Query appends the ids of all vertices whose current position lies
 	// in q to out and returns the extended slice, using only this
-	// cursor's scratch for mutable state. In exact mode the result is
-	// deterministic for a given engine and mesh state; OCTOPUS's
-	// sampled probe (CrawlBudget.SurfaceFrac) rotates its sampling phase
-	// with the cursor's own query history, so approximate results depend
-	// on which cursor ran which query.
+	// cursor's scratch for mutable state. The result is deterministic for
+	// a given engine, mesh state and CrawlBudget, whatever the cursor ran
+	// before.
 	Query(q geom.AABB, out []int32) []int32
 
 	// Close folds whatever statistics the cursor accumulated back into
@@ -165,10 +163,8 @@ func (c *ScanCursor) Close() {}
 // holds the same result set serial execution would produce (result order
 // is unspecified by Engine.Query's contract; the core engines return the
 // serial order, being deterministic per cursor). The batch's cursors are
-// fresh, so they run exact: an approximate batch (CrawlBudget on each
-// cursor) needs a hand-rolled pool, and since OCTOPUS's sampled probe
-// follows each cursor's query history, its result sets are
-// scheduling-dependent — approximation already trades exactness away.
+// fresh, so they run exact: a budgeted batch (CrawlBudget on each cursor)
+// needs a hand-rolled pool.
 //
 // ExecuteBatch must not run concurrently with Step or restructuring, nor
 // with other queries on the engine's resident cursor. It may overlap

@@ -93,7 +93,7 @@ type EngineCursor = core.Cursor
 // each) and returns one result slice per query. In exact mode each result
 // SET equals serial execution's (the Query contract leaves order
 // unspecified; the OCTOPUS engines are deterministic per cursor and return
-// the serial slice; approximate OCTOPUS results are scheduling-dependent).
+// the serial slice).
 // workers <= 0 uses GOMAXPROCS. It must not run concurrently with Step,
 // deformation or restructuring — parallelism applies within the
 // monitoring phase, not across the simulation's update/monitor
@@ -111,8 +111,7 @@ func ExecuteKNNBatch(eng ParallelKNNEngine, probes []KNNQuery, workers int) [][]
 	return query.ExecuteKNNBatch(eng, probes, workers)
 }
 
-// CrawlBudget is the approximate mode of the crawl engines: SurfaceFrac
-// samples that fraction of the OCTOPUS surface probe, and a budgeted
+// CrawlBudget is the approximate mode of the crawl engines: a budgeted
 // crawl stops at MaxVisited expansions, keeps everything discovered so
 // far, and reports its coverage per query. It is cursor state: set it
 // with SetBudget on a cursor of Octopus, Con, Hybrid or ShardedEngine

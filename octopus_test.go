@@ -142,11 +142,21 @@ func TestPublicApproximationAndStats(t *testing.T) {
 	if s.Queries != 1 || s.Total() <= 0 {
 		t.Fatalf("stats: %+v", s)
 	}
+	exact := o.Query(q, nil)
 	cur := o.NewCursor()
-	cur.(octopus.BudgetedCursor).SetBudget(octopus.CrawlBudget{SurfaceFrac: 0.5})
+	cur.(octopus.BudgetedCursor).SetBudget(octopus.CrawlBudget{MaxVisited: 10})
 	got := cur.Query(q, nil)
-	if len(got) == 0 {
-		t.Error("approximate query empty")
+	if len(got) == 0 || len(got) >= len(exact) {
+		t.Errorf("budgeted query returned %d of %d", len(got), len(exact))
+	}
+	in := make(map[int32]bool, len(exact))
+	for _, v := range exact {
+		in[v] = true
+	}
+	for _, v := range got {
+		if !in[v] {
+			t.Fatalf("budgeted query returned %d, not in the exact answer", v)
+		}
 	}
 }
 

@@ -198,8 +198,8 @@ func repartitionPressure(cfg Config) (*Table, error) {
 		hotBefore := hot.NumOwned
 		// Aim every range query inside the hot shard's box so its
 		// pressure counter dominates the mean.
-		center := hot.Box().Center()
-		size := hot.Box().Size()
+		hotSum, _ := hot.Summary()
+		center, size := hotSum.Box.Center(), hotSum.Box.Size()
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		queries := make([]geom.AABB, nQueries)
 		for i := range queries {

@@ -26,15 +26,16 @@
 //     shard — the owned box and the 8³ occupancy bitmap of the owned
 //     vertices over the partition's frame — and the common epoch. A Meta
 //     reply (protocol version 2) carries all three for one shard, at one
-//     epoch: the server computes the bitmap once per epoch, outside its
-//     control-plane lock, and replies only when it belongs to the epoch
-//     of the box. The plan skips a shard whose bitmap misses a range
-//     query's box or a kNN bound's cube, so most legs that would come
-//     back empty are never sent; a query every shard is pruned from
-//     answers empty at the metadata's epoch without an RPC. It runs no query loop of its own: Range, KNN and the
-//     Engine's cursors are shard.Fanout — the cursor the in-process
-//     router uses — over the router's shard.Legs: the cached metadata as
-//     the view to plan from, one RPC per leg.
+//     epoch: the server computes the whole summary in one pass per epoch
+//     (shard.Part.Summary), under no lock of its own, and labels it with
+//     the epoch that pass pinned. The plan skips a shard whose bitmap
+//     misses a range query's box or a kNN bound's cube, so most legs that
+//     would come back empty are never sent; a query every shard is
+//     pruned from answers empty at the metadata's epoch without an RPC.
+//     It runs no query loop of its own: Range, KNN and the Engine's
+//     cursors are shard.Fanout — the cursor the in-process router uses —
+//     over the router's shard.Legs: the cached metadata as the view to
+//     plan from, one RPC per leg.
 //
 //   - Coherence: every response carries the shard's position epoch. The
 //     fan-out merges only responses proving the common epoch the

@@ -37,14 +37,13 @@ const (
 const numOps = 8
 
 // metaResp is the Meta response: the shard's identity and the routing
-// metadata the stateless tier caches — the owned box and the occupancy
-// bitmap with its frame, both at exactly Epoch.
+// summary the stateless tier caches — the owned box and the occupancy
+// bitmap with its frame — at exactly Epoch.
 type metaResp struct {
 	Shard    int
 	Epoch    uint64
 	NumOwned int
-	Box      geom.AABB
-	Occ      shard.Occupancy
+	Sum      shard.Summary
 }
 
 // rangeReq asks for the owned vertices inside Box at exactly Epoch.
@@ -241,14 +240,14 @@ func (r *reader) checkVersion() {
 func encodeMetaReq() []byte { return []byte{protoVersion} }
 
 func encodeMetaResp(m metaResp) []byte {
-	b := make([]byte, 0, 1+4+8+4+48+48+8*len(m.Occ.Bits))
+	b := make([]byte, 0, 1+4+8+4+48+48+8*len(m.Sum.Occ.Bits))
 	b = append(b, protoVersion)
 	b = appendU32(b, uint32(m.Shard))
 	b = appendU64(b, m.Epoch)
 	b = appendU32(b, uint32(m.NumOwned))
-	b = appendBox(b, m.Box)
-	b = appendBox(b, m.Occ.Frame)
-	for _, w := range m.Occ.Bits {
+	b = appendBox(b, m.Sum.Box)
+	b = appendBox(b, m.Sum.Occ.Frame)
+	for _, w := range m.Sum.Occ.Bits {
 		b = appendU64(b, w)
 	}
 	return b
@@ -261,11 +260,11 @@ func decodeMetaResp(b []byte) (metaResp, error) {
 		Shard:    int(r.u32("shard")),
 		Epoch:    r.u64("epoch"),
 		NumOwned: int(r.u32("numOwned")),
-		Box:      r.box("box"),
 	}
-	m.Occ.Frame = r.box("frame")
-	for i := range m.Occ.Bits {
-		m.Occ.Bits[i] = r.u64("occupancy")
+	m.Sum.Box = r.box("box")
+	m.Sum.Occ.Frame = r.box("frame")
+	for i := range m.Sum.Occ.Bits {
+		m.Sum.Occ.Bits[i] = r.u64("occupancy")
 	}
 	return m, r.done()
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -19,10 +20,15 @@ func TestProtoRoundTrip(t *testing.T) {
 	box := geom.Box(geom.V(-1.5, 0, math.Copysign(0, -1)), geom.V(2.25, 1e300, 3))
 
 	t.Run("metaResp", func(t *testing.T) {
-		in := metaResp{Shard: 3, Epoch: 41, NumOwned: 1234, Box: box, Occ: testOcc}
+		in := metaResp{Shard: 3, Epoch: 41, NumOwned: 1234, Sum: shard.Summary{Box: box, Occ: testOcc}}
 		b := encodeMetaResp(in)
 		if want := 1 + 4 + 8 + 4 + 48 + 112; len(b) != want {
 			t.Fatalf("metaResp is %d bytes, want %d (the occupancy frame and bitmap add 112)", len(b), want)
+		}
+		// The summary travels as box, frame, bitmap — the layout of
+		// protoVersion 2.
+		if want := appendBox(appendBox(nil, box), testOcc.Frame); !bytes.Equal(b[17:17+96], want) {
+			t.Fatalf("metaResp carries box and frame as %x, want %x", b[17:17+96], want)
 		}
 		out, err := decodeMetaResp(b)
 		if err != nil {
@@ -218,7 +224,8 @@ func TestProtoRejectsMalformed(t *testing.T) {
 				t.Fatalf("decoded a delta publish truncated to %d/%d bytes", cut, len(goodDelta))
 			}
 		}
-		goodMeta := encodeMetaResp(metaResp{Shard: 1, Epoch: 2, NumOwned: 3, Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), Occ: testOcc})
+		goodMeta := encodeMetaResp(metaResp{Shard: 1, Epoch: 2, NumOwned: 3,
+			Sum: shard.Summary{Box: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), Occ: testOcc}})
 		for cut := 1; cut < len(goodMeta); cut++ {
 			if _, err := decodeMetaResp(goodMeta[:cut]); err == nil {
 				t.Fatalf("decoded a metaResp truncated to %d/%d bytes", cut, len(goodMeta))

@@ -228,7 +228,7 @@ func (r *Router) refreshMeta() ([]shard.Summary, uint64, error) {
 			if m.Shard != s {
 				return nil, 0, fmt.Errorf("dist: server at %s claims shard %d, want %d", addrs[s], m.Shard, s)
 			}
-			sums[s] = shard.Summary{Box: m.Box, Occ: m.Occ}
+			sums[s] = m.Sum
 			if s == 0 {
 				epoch = m.Epoch
 			} else if m.Epoch != epoch {

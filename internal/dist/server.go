@@ -24,9 +24,9 @@ import (
 type Server struct {
 	x *shard.Exec
 
-	// mu serializes the control plane (Publish, Maintain) and guards the
-	// owned box against concurrent Meta reads. The occupancy bitmap needs
-	// no lock: shard.Part computes it per epoch, safely against publishes.
+	// mu serializes the control plane (Publish, Maintain). Meta takes no
+	// lock: shard.Part computes the summary per epoch, safely against
+	// publishes.
 	mu sync.Mutex
 
 	// dirtyLog holds one record per published epoch with the global box
@@ -125,26 +125,14 @@ func (s *Server) Handle(op byte, req []byte) ([]byte, error) {
 	return nil, fmt.Errorf("dist: unknown op %d", op)
 }
 
-// meta returns the owned box and the occupancy bitmap of one epoch, and
-// that epoch. The box and the epoch are read in one critical section: a
-// publish bumps the epoch and then refreshes the box, both under s.mu,
-// so an epoch read after unlocking could label the previous step's box
-// with the new epoch — a pair the router would cache and prune on. The
-// bitmap is computed (once per epoch) outside s.mu, so a publish never
-// waits for its pass; it names the epoch it was computed at, and a reply
-// goes out only when that is the epoch the box belongs to — else a
-// publish landed in between and meta tries again.
+// meta returns the shard's summary and the epoch it describes. The pair
+// comes from one Part.Summary, which pins the epoch's positions and
+// labels its pass with that epoch, so a publish landing meanwhile cannot
+// pair one epoch's summary with another's number.
 func (s *Server) meta() metaResp {
 	p := s.x.Part()
-	for {
-		occ, at := p.Occupancy()
-		s.mu.Lock()
-		epoch, box := p.Mesh.Epoch(), p.Box()
-		s.mu.Unlock()
-		if epoch == at {
-			return metaResp{Shard: p.Index, Epoch: epoch, NumOwned: p.NumOwned, Box: box, Occ: occ}
-		}
-	}
+	sum, epoch := p.Summary()
+	return metaResp{Shard: p.Index, Epoch: epoch, NumOwned: p.NumOwned, Sum: sum}
 }
 
 // publish applies one deformation step pushed by the cluster: the full
@@ -166,7 +154,6 @@ func (s *Server) publish(q publishReq) (epochResp, error) {
 	p.Mesh.DeformOverwrite(func(pos []geom.Vec3) {
 		copy(pos, q.Pos)
 	})
-	p.RefreshBox()
 	// A full publish means nobody enumerated the movers (first step,
 	// overflowed or structural dirty): log it untracked so a cache
 	// invalidates everything for this epoch.
@@ -205,7 +192,6 @@ func (s *Server) publishDelta(q publishDeltaReq) (epochResp, error) {
 			pos[l] = q.Pos[i]
 		}
 	})
-	p.RefreshBox()
 	s.dirtyLog.Append(mesh.DirtyRec{Epoch: q.Epoch, Tracked: true, Box: q.Box})
 	return epochResp{Epoch: p.Mesh.Epoch()}, nil
 }

@@ -23,9 +23,9 @@ import (
 // one owned vertex far out and back, so odd and even epochs have
 // different owned boxes; concurrent readers check every reply against
 // the box the publisher recorded for that parity. A reply that reads the
-// box under the server lock and the epoch after it can pair epoch e's box
-// with e+1 — the router would cache it and prune a shard that holds
-// results. Meaningful under -race and on more than one processor.
+// box at one epoch and labels it with the next would be cached by the
+// router, which would prune a shard that holds results. Meaningful under
+// -race and on more than one processor.
 func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	m, err := meshgen.BuildBoxTet(4, 4, 4, 0.25)
 	if err != nil {
@@ -59,9 +59,11 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	// The publisher's record: the owned box after an odd and an even step.
 	var boxOf [2]geom.AABB
 	publish(1)
-	boxOf[1] = p.Box()
+	sum, _ := p.Summary()
+	boxOf[1] = sum.Box
 	publish(2)
-	boxOf[0] = p.Box()
+	sum, _ = p.Summary()
+	boxOf[0] = sum.Box
 	if boxOf[0] == boxOf[1] {
 		t.Fatal("test geometry broken: the two deltas leave the same owned box")
 	}
@@ -84,8 +86,8 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 					t.Errorf("meta reply: %v", err)
 					return
 				}
-				if resp.Box != boxOf[resp.Epoch&1] {
-					t.Errorf("meta reply at epoch %d carries the other epoch's box %v", resp.Epoch, resp.Box)
+				if resp.Sum.Box != boxOf[resp.Epoch&1] {
+					t.Errorf("meta reply at epoch %d carries the other epoch's box %v", resp.Epoch, resp.Sum.Box)
 					return
 				}
 			}
@@ -98,14 +100,14 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerMetaOccupancyMatchesItsEpoch: an opMeta reply's occupancy
-// bitmap is the one of the owned positions at the epoch the reply names,
-// with the partition's frame, while full and delta publishes land
-// concurrently. The script moves one owned vertex between the frame's
-// far corners, through the two publish kinds in turn, so consecutive
-// epochs differ in their bitmap as well as their box; every reply is
-// checked against a bitmap recomputed from that epoch's scripted
-// positions. Meaningful under -race and on more than one processor.
+// TestServerMetaOccupancyMatchesItsEpoch: an opMeta reply carries exactly
+// the summary of the epoch it names — SummaryOf over that epoch's owned
+// positions with the partition's frame, bitmap and box both — while full
+// and delta publishes land in turn. One owned vertex moves far out of
+// the frame and back, so consecutive epochs differ in both halves. A
+// reply that labels one epoch's summary with another's number is a pair
+// the router would cache and prune a shard by, dropping results.
+// Meaningful under -race and on more than one processor.
 func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
 	m, err := meshgen.BuildBoxTet(4, 4, 4, 0.25)
 	if err != nil {
@@ -124,19 +126,22 @@ func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
 		v++
 	}
 	const steps = 2000
+	home := p.Mesh.Position(v)
 	hist := [][]geom.Vec3{slices.Clone(p.Mesh.Positions())}
-	corners := []geom.Vec3{frame.Min, frame.Max, geom.V(frame.Max.X, frame.Min.Y, frame.Max.Z)}
 	for e := 1; e <= steps; e++ {
 		pos := slices.Clone(hist[e-1])
-		pos[v] = corners[e%len(corners)]
+		pos[v] = home
+		if e%2 == 1 {
+			pos[v] = home.Add(geom.V(100, 0, 0))
+		}
 		hist = append(hist, pos)
 	}
-	want := make([]shard.Occupancy, len(hist))
+	want := make([]shard.Summary, len(hist))
 	for e, pos := range hist {
-		want[e] = shard.OccupancyOf(frame, pos, p.Owned)
+		want[e] = shard.SummaryOf(frame, pos, p.Owned)
 	}
-	if want[1] == want[2] {
-		t.Fatal("test geometry broken: consecutive epochs share a bitmap")
+	if want[1].Box == want[2].Box || want[1].Occ == want[2].Occ {
+		t.Fatal("test geometry broken: consecutive epochs share a box or a bitmap")
 	}
 
 	var done atomic.Bool
@@ -158,8 +163,9 @@ func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
 					return
 				}
 				replies.Add(1)
-				if resp.Epoch >= uint64(len(want)) || resp.Occ != want[resp.Epoch] {
-					t.Errorf("meta reply at epoch %d: occupancy %x, want the bitmap of that epoch", resp.Epoch, resp.Occ.Bits)
+				if resp.Epoch >= uint64(len(want)) || resp.Sum != want[resp.Epoch] {
+					t.Errorf("meta reply at epoch %d: box %v, occupancy %x; want the summary of that epoch",
+						resp.Epoch, resp.Sum.Box, resp.Sum.Occ.Bits)
 					return
 				}
 			}
@@ -171,7 +177,7 @@ func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
 			_, err = srv.Handle(opPublish, encodePublishReq(publishReq{Epoch: e, Pos: hist[e]}))
 		} else {
 			_, err = srv.Handle(opPublishDelta, encodePublishDeltaReq(publishDeltaReq{
-				Epoch: e, Box: frame, IDs: []int32{v}, Pos: []geom.Vec3{hist[e][v]},
+				Epoch: e, Box: geom.Box(home, hist[e][v]), IDs: []int32{v}, Pos: []geom.Vec3{hist[e][v]},
 			}))
 		}
 		if err != nil {

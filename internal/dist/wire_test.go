@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,8 +357,12 @@ func (w *wireBench) legs(knn bool) int64 {
 const maxAllocsPerLeg = 2
 
 // allocsPerLeg warms every query of the stream, then measures one pass:
-// whole-process allocations per leg, and legs per query.
+// whole-process allocations per leg, and legs per query. The GC is off
+// from the warm-up to the end of the pass: a collection empties each
+// server's sync.Pool of query cursors, and the cursors and buffers
+// rebuilt after it would be counted as the legs' garbage.
 func (w *wireBench) allocsPerLeg(tb testing.TB, knn bool) (perLeg, legsPerQuery float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := len(w.boxes)
 	for i := 0; i < 2*n; i++ {
 		w.query(tb, knn, i)

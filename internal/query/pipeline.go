@@ -140,9 +140,9 @@ type Pipeline struct {
 	// trace reports the epoch the cached result is provably equal to
 	// fresh execution at, and Cached is set. Requires a Mesh that keeps
 	// a dirty log (DirtySince, like *mesh.Mesh and shard.Mesh); otherwise
-	// the cache stays disabled. Caching assumes exact execution: do not
-	// combine it with the approximate surface probe, whose results are
-	// not replayable.
+	// the cache stays disabled. Only exact answers are cached: the fill
+	// rule (ResultCache.KeepRange/KeepKNN) refuses an answer whose cursor
+	// reports an error or a crawl truncated by a budget.
 	CacheSize int
 
 	// sched is the scheduler of the most recent Run, kept for stats.

@@ -34,6 +34,10 @@ type fakeShard struct {
 	err    error
 }
 
+// everyCell has every cell set: it prunes nothing, whatever the frame,
+// so a fake shard with it is planned by its box alone.
+var everyCell = Occupancy{Bits: [occSide]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+
 type fakeView struct {
 	epoch  uint64
 	shards []fakeShard

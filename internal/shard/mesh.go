@@ -138,13 +138,13 @@ func (sm *Mesh) Epoch() uint64 { return sm.epoch.Load() }
 // Deform applies one whole-mesh position update: fn mutates the global
 // position array in place (it is pre-loaded with the current state, like
 // mesh.Mesh.Deform's back buffer), and the new positions are then
-// published into every shard sub-mesh along with refreshed owned-vertex
-// bounding boxes. Each shard publishes through its own double-buffered
-// store, one epoch per global step; router queries in flight keep reading
-// the step they pinned. fn runs under the writer mutex only (no query
-// reads the global array — router legs read sub-mesh buffers), so queries
-// keep running while it computes; the gate covers re-partition + scatter
-// + publish.
+// published into every shard sub-mesh — copied, nothing derived: the
+// shard summaries are the readers' to compute (Part.Summary). Each shard
+// publishes through its own double-buffered store, one epoch per global
+// step; router queries in flight keep reading the step they pinned. fn
+// runs under the writer mutex only (no query reads the global array —
+// router legs read sub-mesh buffers), so queries keep running while it
+// computes; the gate covers re-partition + scatter + publish.
 //
 // If the global mesh was restructured since the last publish, Deform
 // re-partitions inside the gate, before the scatter — the sub-meshes and
@@ -165,15 +165,15 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 	e := sm.epoch.Load() + 1
 	recs := make([]mesh.DirtyRec, 0, len(sm.part.Parts))
 	for _, p := range sm.part.Parts {
-		var b geom.AABB
 		from := p.Mesh.Epoch()
 		// The scatter rewrites every local position, so the publish can
-		// skip the back buffer's preload copy; the owned box rides along
-		// in the same pass.
+		// skip the back buffer's preload copy.
 		p.Mesh.DeformOverwrite(func(pos []geom.Vec3) {
-			b = p.scatterBox(pos, global)
+			pos = pos[:len(p.ToGlobal)]
+			for l, g := range p.ToGlobal {
+				pos[l] = global[g]
+			}
 		})
-		p.box = b
 		for _, r := range p.Mesh.DirtySince(from).Recs {
 			r.Epoch = e
 			recs = append(recs, r)
@@ -188,7 +188,7 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 func (sm *Mesh) DirtySince(from uint64) mesh.DirtySince { return sm.dirtyLog.Since(from) }
 
 // Resync publishes the global mesh's current positions into every shard
-// sub-mesh and refreshes the shard boxes — Deform with nothing to apply,
+// sub-mesh — Deform with nothing to apply,
 // for simulations that wrote the global positions in place (Router.Step
 // calls it each step; call it manually before building engines over a
 // partition whose global mesh has moved since). Like Deform it

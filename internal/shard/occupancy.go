@@ -30,7 +30,8 @@ type Occupancy struct {
 
 // Summary is what the fan-out plans from for one shard: the tight box
 // of its owned vertices and their occupancy bitmap, both at the view's
-// epoch. It is plain data, so it travels on the wire unchanged.
+// epoch and both built by one reader-side pass per epoch
+// (Part.Summary). It is plain data, so it travels on the wire unchanged.
 type Summary struct {
 	Box geom.AABB
 	Occ Occupancy
@@ -116,62 +117,73 @@ func cell(c, lo, scale float64) uint {
 	return uint(t)
 }
 
-// occMemo is one epoch's occupancy bitmap of a Part.
-type occMemo struct {
+// summaryMemo is one epoch's summary of a Part.
+type summaryMemo struct {
 	epoch uint64
-	occ   Occupancy
+	sum   Summary
 }
 
-// Occupancy returns the shard's occupancy bitmap at the sub-mesh's
-// published epoch, and that epoch. The bitmap is computed by the first
-// caller that asks at a new epoch — one pass over the owned positions,
-// off the writer's path — and cached with its epoch; callers that ask
-// while it is computed wait for it rather than repeat it. Safe for
-// concurrent use, publishes included: a pass that races a publish yields
-// the bitmap of the epoch it pinned, and says so.
-func (p *Part) Occupancy() (Occupancy, uint64) {
-	occ, e, _ := p.occupancy(true)
-	return occ, e
-}
-
-// occupancy is Occupancy; with wait false it returns ok = false instead
-// of waiting for a pass another caller is running.
-func (p *Part) occupancy(wait bool) (occ Occupancy, epoch uint64, ok bool) {
-	if m := p.occ.Load(); m != nil && m.epoch == p.Mesh.Epoch() {
-		return m.occ, m.epoch, true
+// Summary returns the shard's routing summary — the owned box and the
+// occupancy bitmap — at the sub-mesh's published epoch, and that epoch.
+// The summary is computed by the first caller that asks at a new epoch —
+// one pass over the owned positions, off the writer's path — and cached
+// with its epoch; callers that ask while it is computed wait for it
+// rather than repeat it. Safe for concurrent use, publishes included: a
+// pass that races a publish yields the summary of the epoch it pinned,
+// and says so.
+func (p *Part) Summary() (Summary, uint64) {
+	if m := p.sum.Load(); m != nil && m.epoch == p.Mesh.Epoch() {
+		return m.sum, m.epoch
 	}
-	if wait {
-		p.occMu.Lock()
-	} else if !p.occMu.TryLock() {
-		return Occupancy{}, 0, false
-	}
-	defer p.occMu.Unlock()
+	p.sumMu.Lock()
+	defer p.sumMu.Unlock()
 	e, pos := p.Mesh.PinPositions()
 	defer p.Mesh.UnpinPositions(e)
-	if m := p.occ.Load(); m != nil && m.epoch == e {
-		return m.occ, e, true
+	if m := p.sum.Load(); m != nil && m.epoch == e {
+		return m.sum, e
 	}
-	m := &occMemo{epoch: e, occ: OccupancyOf(p.frame, pos, p.Owned)}
-	p.occ.Store(m)
-	return m.occ, e, true
+	m := &summaryMemo{epoch: e, sum: SummaryOf(p.frame, pos, p.Owned)}
+	p.sum.Store(m)
+	return m.sum, e
 }
 
-// everyCell has every cell set: it prunes nothing, whatever the frame.
-var everyCell = Occupancy{Bits: [occSide]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
-
-// OccupancyOf returns the bitmap over frame of the positions pos[l] with
-// owned[l] set — the pass behind Part.Occupancy, one read per owned
-// position. pos must be at least as long as owned.
-func OccupancyOf(frame geom.AABB, pos []geom.Vec3, owned []bool) Occupancy {
+// SummaryOf returns the summary of the positions pos[l] with owned[l]
+// set — their tight box, and their bitmap over frame — the pass behind
+// Part.Summary, one read per owned position. pos must be at least as
+// long as owned.
+//
+// The box is folded in two Vec3 corners started at EmptyBox's
+// (+Inf, -Inf) with the builtin min/max, which inline where
+// AABB.Extend's math.Min/Max calls do not: no IsEmpty re-test, no
+// 48-byte box through memory and no call per vertex. The result is
+// bit-equal to the Extend fold — the first point lands as {p, p}, an
+// empty owned set stays EmptyBox — for every NaN-free position. A NaN in
+// the result means some owned position held one, and there the builtins
+// and math.Min/Max part ways (math lets an infinity beat NaN and
+// canonicalizes it), so the Extend fold is redone.
+func SummaryOf(frame geom.AABB, pos []geom.Vec3, owned []bool) Summary {
+	e := geom.EmptyBox()
+	lo, hi := e.Min, e.Max
 	o := Occupancy{Frame: frame}
 	org, sc := frame.Min, frameScale(frame)
 	pos = pos[:len(owned)]
 	for l, own := range owned {
 		if own {
 			v := pos[l]
+			lo = geom.Vec3{X: min(lo.X, v.X), Y: min(lo.Y, v.Y), Z: min(lo.Z, v.Z)}
+			hi = geom.Vec3{X: max(hi.X, v.X), Y: max(hi.Y, v.Y), Z: max(hi.Z, v.Z)}
 			x, y, z := cell(v.X, org.X, sc.X), cell(v.Y, org.Y, sc.Y), cell(v.Z, org.Z, sc.Z)
 			o.Bits[z] |= 1 << (8*y + x)
 		}
 	}
-	return o
+	box := geom.AABB{Min: lo, Max: hi}
+	if box != box {
+		box = geom.EmptyBox()
+		for l, own := range owned {
+			if own {
+				box = box.Extend(pos[l])
+			}
+		}
+	}
+	return Summary{Box: box, Occ: o}
 }

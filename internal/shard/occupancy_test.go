@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"octopus/internal/geom"
 	"octopus/internal/meshgen"
+	"octopus/internal/sim"
 	"octopus/internal/workload"
 )
 
@@ -67,7 +69,8 @@ func FuzzOccupancy(f *testing.F) {
 
 		// A ghost never sets a bit; the owned position always does.
 		ghost := geom.V(-v.X, -v.Y, -v.Z)
-		occ := OccupancyOf(frame, []geom.Vec3{ghost, v}, []bool{false, true})
+		sum := SummaryOf(frame, []geom.Vec3{ghost, v}, []bool{false, true})
+		occ := sum.Occ
 		if cellsOf(frame, ghost) != cellsOf(frame, v) && occ.Meets(geom.AABB{Min: ghost, Max: ghost}) {
 			t.Fatalf("ghost %v set its cell (frame %v, bits %x)", ghost, frame, occ.Bits)
 		}
@@ -75,8 +78,7 @@ func FuzzOccupancy(f *testing.F) {
 			if !occ.Meets(q) {
 				t.Fatalf("owned %v lies in %v, Meets says no (frame %v, bits %x)", v, q, frame, occ.Bits)
 			}
-			sums := []Summary{{Box: geom.AABB{Min: v, Max: v}, Occ: occ}}
-			if plan := PlanRangeFanout(sums, q, nil); len(plan) != 1 {
+			if plan := PlanRangeFanout([]Summary{sum}, q, nil); len(plan) != 1 {
 				t.Fatalf("owned %v lies in %v, the plan drops its shard", v, q)
 			}
 		}
@@ -86,35 +88,79 @@ func FuzzOccupancy(f *testing.F) {
 	})
 }
 
-// TestSummariesDoNotWaitForAPass: a query's view takes a shard's bitmap
-// from the cache, or computes it, but while another caller is computing
-// it the view plans that shard by its box alone (every cell set) instead
-// of queueing behind the pass. Part.Occupancy itself waits.
-func TestSummariesDoNotWaitForAPass(t *testing.T) {
-	m, err := meshgen.BuildBoxTet(4, 4, 4, 0.25)
+// TestSummariesMatchTheirEpoch: at every epoch a deforming partition
+// publishes, Partition.Summaries is SummaryOf over each shard's owned
+// positions at that epoch — the box bit for bit — and Part.Summary names
+// the epoch it pinned. The epochs come from Deform, from Resync after an
+// in-place write, from a Rebalance that swaps shards without a publish
+// and from a SplitCell whose next Deform re-partitions, so a summary
+// kept across an epoch or a swap shows.
+func TestSummariesMatchTheirEpoch(t *testing.T) {
+	m, err := meshgen.Build(meshgen.NeuroL1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := NewMesh(m, 2, Options{})
+	sm, err := NewMesh(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm.Resync() // a new epoch: no bitmap is cached yet
-	busy := sm.part.Parts[1]
-	busy.occMu.Lock() // another caller's pass is under way
-	sums := sm.part.Summaries(nil)
-	if sums[1].Occ != everyCell {
-		t.Fatalf("shard 1 mid-pass: occupancy %x, want every cell", sums[1].Occ.Bits)
+	var last []Summary
+	check := func(label string) {
+		t.Helper()
+		part := sm.Partition()
+		sums := part.Summaries(nil)
+		for s, p := range part.Parts {
+			e, pos := p.Mesh.PinPositions()
+			want := SummaryOf(part.frame, pos, p.Owned)
+			p.Mesh.UnpinPositions(e)
+			if boxBits(sums[s].Box) != boxBits(want.Box) || sums[s].Occ != want.Occ {
+				t.Fatalf("%s: shard %d at epoch %d: summary %v %x, want %v %x",
+					label, s, e, sums[s].Box, sums[s].Occ.Bits, want.Box, want.Occ.Bits)
+			}
+			if _, at := p.Summary(); at != e {
+				t.Fatalf("%s: shard %d: summary labelled epoch %d, pinned %d", label, s, at, e)
+			}
+			if last != nil && sums[s].Box == last[s].Box {
+				t.Fatalf("%s: shard %d: the box did not move, the check shows nothing", label, s)
+			}
+		}
+		last = sums
 	}
-	want0, _ := sm.part.Parts[0].Occupancy()
-	if sums[0].Occ != want0 || sums[0].Occ == everyCell {
-		t.Fatalf("shard 0: occupancy %x, want its computed bitmap %x", sums[0].Occ.Bits, want0.Bits)
+
+	d := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 1.5, Seed: 7}
+	step := 0
+	deform := func() {
+		sm.Deform(func(pos []geom.Vec3) { d.Step(step, pos) })
+		step++
 	}
-	busy.occMu.Unlock()
-	want1, _ := busy.Occupancy()
-	if sums = sm.part.Summaries(sums[:0]); sums[1].Occ != want1 || want1 == everyCell {
-		t.Fatalf("shard 1 after the pass: occupancy %x, want %x", sums[1].Occ.Bits, want1.Bits)
+	check("built")
+	for i := 0; i < 3; i++ {
+		deform()
+		check(fmt.Sprintf("deform %d", i))
 	}
+	d.Step(step, m.Positions())
+	step++
+	sm.Resync()
+	check("resync")
+
+	if !sm.Rebalance([]float64{0.4, 1, 1, 1.6}) {
+		t.Fatal("the rebalance moved no cut")
+	}
+	last = nil // the swap publishes nothing: the boxes may stay
+	check("rebalance")
+	deform()
+	check("deform after the rebalance")
+
+	if _, _, err := m.SplitCell(0); err != nil {
+		t.Fatal(err)
+	}
+	deform()
+	if st := sm.RepartitionStats(); st.Generations != 2 || st.RebuiltShards == 0 {
+		t.Fatalf("the split's Deform did not re-partition: %+v", st)
+	}
+	check("deform after the split")
+	deform()
+	check("deform after the re-partition")
 }
 
 // TestOccupancyCells pins the grid: cells are eighths of the frame,
@@ -157,13 +203,14 @@ func cellsOf(frame geom.AABB, v geom.Vec3) [3]uint {
 	return [3]uint{cell(v.X, org.X, sc.X), cell(v.Y, org.Y, sc.Y), cell(v.Z, org.Z, sc.Z)}
 }
 
-// occSink keeps BenchmarkOccupancy's pass from being optimized away.
-var occSink Occupancy
+// sumSink keeps BenchmarkSummary's pass from being optimized away.
+var sumSink Summary
 
-// BenchmarkOccupancy times the per-shard pass that builds the bitmap —
-// what the first query at a new epoch pays per shard — on the
-// live-inproc shape (neuro-l3, K = 4), in ns per owned vertex.
-func BenchmarkOccupancy(b *testing.B) {
+// BenchmarkSummary times the per-shard pass that builds the summary —
+// the owned box and the bitmap, what the first query at a new epoch
+// pays per shard — on the live-inproc shape (neuro-l3, K = 4), in ns per
+// owned vertex.
+func BenchmarkSummary(b *testing.B) {
 	sm := benchSharded(b)
 	var owned int
 	for _, p := range sm.part.Parts {
@@ -172,7 +219,7 @@ func BenchmarkOccupancy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range sm.part.Parts {
-			occSink = OccupancyOf(p.frame, p.Mesh.Positions(), p.Owned)
+			sumSink = SummaryOf(p.frame, p.Mesh.Positions(), p.Owned)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(owned), "ns/owned")

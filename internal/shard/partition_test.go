@@ -237,7 +237,7 @@ func TestStopTheWorldMaintenance(t *testing.T) {
 						if p.Mesh.Epoch() != sm.Epoch() {
 							t.Fatalf("step %d: shard %d at epoch %d, container at %d", step, p.Index, p.Mesh.Epoch(), sm.Epoch())
 						}
-						if p.Box().IsEmpty() {
+						if sum, _ := p.Summary(); sum.Box.IsEmpty() {
 							t.Fatal("empty shard box after Step")
 						}
 						if g := p.Ghosts(); k > 1 && g <= 0 {

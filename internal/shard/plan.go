@@ -58,30 +58,16 @@ func compareShardDist(a, b ShardDist) int {
 }
 
 // Summaries appends the per-shard summaries, in shard order — the
-// complete input of the in-process fan-out planner. They are valid at the
-// partition's current published epoch; callers that must not observe a
-// mid-publish state read them under the coherence gate. A shard whose
-// bitmap for this epoch another caller is computing right now is
-// summarized with every cell set — it is pruned by its box alone — so
-// the queries that arrive just after a publish do not queue behind the
-// pass.
+// complete input of the in-process fan-out planner. Each is valid at its
+// sub-mesh's current published epoch, which under the coherence gate is
+// the partition's; callers that must not observe a mid-publish state
+// read them there. The first caller at a new epoch computes each shard's
+// summary (Part.Summary), and callers that arrive during that pass wait
+// for it.
 func (pt *Partition) Summaries(out []Summary) []Summary {
 	for _, p := range pt.Parts {
-		occ, _, ok := p.occupancy(false)
-		if !ok {
-			occ = everyCell
-		}
-		out = append(out, Summary{Box: p.box, Occ: occ})
+		sum, _ := p.Summary()
+		out = append(out, sum)
 	}
 	return out
-}
-
-// RefreshBox recomputes and re-publishes the shard's owned-vertex box
-// from the sub-mesh's current positions, returning it. A shard server
-// owning just this Part calls it after a local publish (there is no
-// containing Mesh.Deform to ride along with); it must not run
-// concurrently with readers of Box.
-func (p *Part) RefreshBox() geom.AABB {
-	p.box = p.ownedBox(p.Mesh.Positions())
-	return p.box
 }

@@ -84,90 +84,17 @@ type Part struct {
 	// they describe the cut, not a containment guarantee for ghosts.
 	KeyLo, KeyHi uint64
 
-	// box is the tight AABB over the owned vertices' current positions —
-	// the router's fan-out test. It is refreshed on every deformation
-	// step, inside Mesh.Deform's publish.
-	box geom.AABB
-
 	// frame is the partition's frame, which the occupancy bitmap grids;
-	// occ caches the bitmap of the last epoch it was asked for, and occMu
-	// lets one caller compute it.
+	// sum caches the summary of the last epoch it was asked for, and
+	// sumMu lets one caller compute it.
 	frame geom.AABB
-	occ   atomic.Pointer[occMemo]
-	occMu sync.Mutex
+	sum   atomic.Pointer[summaryMemo]
+	sumMu sync.Mutex
 }
-
-// Box returns the tight bounding box of the shard's owned vertices at
-// their last published positions.
-func (p *Part) Box() geom.AABB { return p.box }
 
 // Ghosts returns the number of ghost (non-owned) vertices in the
 // sub-mesh.
 func (p *Part) Ghosts() int { return len(p.ToGlobal) - p.NumOwned }
-
-// ownedBox recomputes the tight AABB over owned vertices from pos, which
-// must be indexed by local id.
-//
-// This and scatterBox fold the box in two Vec3 corners started at
-// EmptyBox's (+Inf, -Inf) with the builtin min/max, instead of chaining
-// AABB.Extend: no IsEmpty re-test, no 48-byte box through memory and no
-// call per vertex. The result is bit-equal to the Extend fold — the first
-// point lands as {p, p}, an empty owned set stays EmptyBox — for every
-// NaN-free position; exactBox redoes a NaN result with Extend.
-func (p *Part) ownedBox(pos []geom.Vec3) geom.AABB {
-	e := geom.EmptyBox()
-	lo, hi := e.Min, e.Max
-	pos = pos[:len(p.Owned)]
-	for l, own := range p.Owned {
-		if own {
-			lo, hi = grow(lo, hi, pos[l])
-		}
-	}
-	return p.exactBox(lo, hi, pos)
-}
-
-// scatterBox copies the owned and ghost vertex positions from the
-// global position array into dst (indexed by local id) and returns the
-// tight box over the owned ones — one fused pass, the per-step publish.
-func (p *Part) scatterBox(dst []geom.Vec3, global []geom.Vec3) geom.AABB {
-	e := geom.EmptyBox()
-	lo, hi := e.Min, e.Max
-	dst = dst[:len(p.ToGlobal)]
-	owned := p.Owned[:len(p.ToGlobal)]
-	for l, g := range p.ToGlobal {
-		v := global[g]
-		dst[l] = v
-		if owned[l] {
-			lo, hi = grow(lo, hi, v)
-		}
-	}
-	return p.exactBox(lo, hi, dst)
-}
-
-// grow folds v into the box corners lo, hi with the builtin min/max,
-// which inline where AABB.Extend's math.Min/Max calls do not.
-func grow(lo, hi, v geom.Vec3) (geom.Vec3, geom.Vec3) {
-	return geom.Vec3{X: min(lo.X, v.X), Y: min(lo.Y, v.Y), Z: min(lo.Z, v.Z)},
-		geom.Vec3{X: max(hi.X, v.X), Y: max(hi.Y, v.Y), Z: max(hi.Z, v.Z)}
-}
-
-// exactBox returns the box grow folded over the owned positions of pos,
-// unless it holds a NaN: then some owned position did, and the builtins
-// and math.Min/Max part ways (math lets an infinity beat NaN and
-// canonicalizes it), so the Extend fold is redone.
-func (p *Part) exactBox(lo, hi geom.Vec3, pos []geom.Vec3) geom.AABB {
-	b := geom.AABB{Min: lo, Max: hi}
-	if b == b {
-		return b
-	}
-	b = geom.EmptyBox()
-	for l, own := range p.Owned {
-		if own {
-			b = b.Extend(pos[l])
-		}
-	}
-	return b
-}
 
 // Partition is a complete K-way Hilbert partition of a global mesh.
 type Partition struct {
@@ -483,7 +410,6 @@ func buildPart(m *mesh.Mesh, frame geom.AABB, owner []int32, s int, ownedIDs, sh
 	}
 	p.Mesh = sub
 	p.applyPerm(perm)
-	p.box = p.ownedBox(sub.Positions())
 	return p, nil
 }
 
@@ -548,7 +474,7 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 	numOwned := 0
 	pos := p.Mesh.Positions()
 	gpos := m.Positions()
-	occ, _ := p.Occupancy()
+	sum, _ := p.Summary()
 	for l, g := range p.ToGlobal {
 		if g < 0 || int(g) >= n {
 			return fmt.Errorf("shard %d: local %d maps to out-of-range global %d", s, l, g)
@@ -567,10 +493,10 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 			if part.LocalID[g] != int32(l) {
 				return fmt.Errorf("shard %d: global %d local id %d, table says %d", s, g, l, part.LocalID[g])
 			}
-			if !p.box.Contains(pos[l]) {
+			if !sum.Box.Contains(pos[l]) {
 				return fmt.Errorf("shard %d: owned vertex %d outside shard box", s, l)
 			}
-			if !occ.Meets(geom.AABB{Min: pos[l], Max: pos[l]}) {
+			if !sum.Occ.Meets(geom.AABB{Min: pos[l], Max: pos[l]}) {
 				return fmt.Errorf("shard %d: owned vertex %d's cell is not set in the occupancy bitmap", s, l)
 			}
 		} else if part.Owner[g] == int32(s) {

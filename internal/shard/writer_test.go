@@ -15,8 +15,8 @@ import (
 	"octopus/internal/sim"
 )
 
-// extendFold is the box loop scatterBox and ownedBox replaced, kept as
-// their oracle: AABB.Extend over the owned positions, from EmptyBox.
+// extendFold is the oracle of SummaryOf's box: AABB.Extend over the
+// owned positions, from EmptyBox.
 func extendFold(pos []geom.Vec3, owned []bool) geom.AABB {
 	b := geom.EmptyBox()
 	for l, own := range owned {
@@ -34,13 +34,13 @@ func boxBits(b geom.AABB) [6]uint64 {
 	}
 }
 
-// TestBoxKernelsMatchExtendFold pins scatterBox and ownedBox to the
-// Extend fold bit for bit. The corner cases are the ones a plausible
-// kernel gets wrong: no owned vertex (the fold is EmptyBox, not a box
-// around the ghosts or the origin), one owned vertex, signed zeros in
-// both orders (min(-0, +0) = -0), and NaN next to an infinity — where the
-// bare builtin min/max keep NaN but Extend's math.Min/Max let the
-// infinity win and canonicalize NaN, so the kernel must fall back.
+// TestBoxKernelsMatchExtendFold pins SummaryOf's box to the Extend fold
+// bit for bit. The corner cases are the ones a plausible kernel gets
+// wrong: no owned vertex (the fold is EmptyBox, not a box around the
+// ghosts or the origin), one owned vertex, signed zeros in both orders
+// (min(-0, +0) = -0), and NaN next to an infinity — where the bare
+// builtin min/max keep NaN but Extend's math.Min/Max let the infinity
+// win and canonicalize NaN, so the kernel must fall back.
 func TestBoxKernelsMatchExtendFold(t *testing.T) {
 	nz := math.Copysign(0, -1)
 	inf, nan := math.Inf(1), math.NaN()
@@ -74,32 +74,11 @@ func TestBoxKernelsMatchExtendFold(t *testing.T) {
 			return o
 		}()},
 	}
+	frame := geom.AABB{Min: geom.V(-1, -1, -1), Max: geom.V(1, 1, 1)}
 	for _, c := range cases {
 		want := boxBits(extendFold(c.pos, c.owned))
-		p := &Part{Owned: c.owned}
-		if got := boxBits(p.ownedBox(c.pos)); got != want {
-			t.Errorf("%s: ownedBox = %x, Extend fold = %x", c.name, got, want)
-		}
-		// scatterBox gathers through a reversed ToGlobal, so the global
-		// array is the local one backwards.
-		n := len(c.pos)
-		global := make([]geom.Vec3, n)
-		p.ToGlobal = make([]int32, n)
-		for l := range c.pos {
-			g := n - 1 - l
-			p.ToGlobal[l] = int32(g)
-			global[g] = c.pos[l]
-		}
-		dst := make([]geom.Vec3, n)
-		if got := boxBits(p.scatterBox(dst, global)); got != want {
-			t.Errorf("%s: scatterBox = %x, Extend fold = %x", c.name, got, want)
-		}
-		for l := range dst {
-			if math.Float64bits(dst[l].X) != math.Float64bits(c.pos[l].X) ||
-				math.Float64bits(dst[l].Y) != math.Float64bits(c.pos[l].Y) ||
-				math.Float64bits(dst[l].Z) != math.Float64bits(c.pos[l].Z) {
-				t.Errorf("%s: scatterBox gathered %v into local %d, want %v", c.name, dst[l], l, c.pos[l])
-			}
+		if got := boxBits(SummaryOf(frame, c.pos, c.owned).Box); got != want {
+			t.Errorf("%s: SummaryOf box = %x, Extend fold = %x", c.name, got, want)
 		}
 	}
 }
@@ -231,11 +210,12 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 
 // BenchmarkDeform times the sharded writer step on the benchmark's
 // live-inproc shape — neuro-l3, K = 4, an OCTOPUS engine per shard, each
-// sub-mesh diffing its publish and refitting its probe boxes — and
-// reports ns per local (owned + ghost) position. "static" runs an empty
-// fn, so the dirty diff only compares; "moving" flips every vertex
-// between two states, so every position is a mover, with fn and the
-// dirty consume (the scheduler's work) off the clock.
+// sub-mesh copying its positions from the global array, diffing its
+// publish and refitting its probe boxes — and reports ns per local
+// (owned + ghost) position. "static" runs an empty fn, so the dirty diff
+// only compares; "moving" flips every vertex between two states, so
+// every position is a mover, with fn and the dirty consume (the
+// scheduler's work) off the clock.
 func BenchmarkDeform(b *testing.B) {
 	m, err := meshgen.Build(meshgen.NeuroL3, 1)
 	if err != nil {

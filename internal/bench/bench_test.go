@@ -9,6 +9,7 @@ import (
 
 	"octopus/internal/geom"
 	"octopus/internal/meshgen"
+	"octopus/internal/query"
 	"octopus/internal/sim"
 	"octopus/internal/workload"
 )
@@ -21,9 +22,10 @@ func TestRunAccountingAndFairness(t *testing.T) {
 	gen := workload.NewGenerator(m, 512, 1)
 	deformer := &sim.NoiseDeformer{Amplitude: 0.005, Frequency: 2, Seed: 1}
 
-	res := Run(m, deformer, 4, UniformQueryStream(gen, 3, 0.01), StandardEngines())
-	if len(res.Engines) != 5 {
-		t.Fatalf("got %d engine results", len(res.Engines))
+	probes := func(int) []query.KNNQuery { return gen.KNNQueries(2, 1, 8, 0.05) }
+	res := Run(m, deformer, 4, UniformQueryStream(gen, 3, 0.01), probes, AllEngines())
+	if len(res.Engines) != len(AllEngines()) || len(res.Built) != len(res.Engines) {
+		t.Fatalf("got %d engine results, %d engines", len(res.Engines), len(res.Built))
 	}
 	if len(res.StepQueries) != 4 {
 		t.Fatalf("step queries = %v", res.StepQueries)
@@ -33,8 +35,8 @@ func TestRunAccountingAndFairness(t *testing.T) {
 		if er.TotalResponse != er.Maintenance+er.QueryTime {
 			t.Errorf("%s: total != maintenance + query", er.Engine)
 		}
-		if er.Queries != first.Queries {
-			t.Errorf("%s: ran %d queries, %s ran %d", er.Engine, er.Queries, first.Engine, first.Queries)
+		if er.Queries != 4*(3+2) {
+			t.Errorf("%s: ran %d queries, want 4 steps x (3 range + 2 kNN)", er.Engine, er.Queries)
 		}
 		// Every engine is exact, so the total result count must agree.
 		if er.Results != first.Results {
@@ -142,9 +144,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 		"dist":        "TestDistExperimentSmoke",
 		"fig6":        "the fig6x subtest: the same driver over a superset of the engines",
 		"layout":      "TestLayoutQuick",
-		"maintain":    "TestMaintainExperimentSmoke",
+		"maintain":    "TestMaintainExperimentSmoke, over five of the nine engines",
 		"repartition": "TestRepartExperimentSmoke",
-		"sharded":     "TestShardExperimentSmoke",
+		"sharded":     "TestShardExperimentSmoke, over two engines and one shard count",
 		"slo":         "TestSLOExperimentSmoke",
 	}
 	cfg := Config{Scale: 1, Steps: 1, QueriesPerStep: 1, Selectivity: 0.001, Seed: 42}
@@ -216,17 +218,12 @@ func TestOctopusBeatsScanOnReference(t *testing.T) {
 	}
 	cfg := QuickConfig()
 	cfg.Steps = 10
-	m, err := meshgen.BuildCached(referenceNeuro(), cfg.Scale)
+	s, err := loadScene(referenceNeuro(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deformer, err := sim.DefaultDeformer(referenceNeuro(), sim.DefaultAmplitude)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewGenerator(m, 4096, cfg.Seed)
-	res := Run(m, deformer, cfg.Steps,
-		UniformQueryStream(gen, cfg.QueriesPerStep, cfg.Selectivity), octopusVsScan())
+	res := Run(s.m, s.deformer, cfg.Steps,
+		UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
 	speedup := Speedup(res.Engines[0], res.Engines[1])
 	if speedup < 1.5 {
 		t.Errorf("OCTOPUS speedup over scan = %.2fx; expected comfortably > 1.5x", speedup)

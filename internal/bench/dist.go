@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"octopus/internal/core"
 	"octopus/internal/dist"
 	"octopus/internal/geom"
 	"octopus/internal/maintain"
@@ -53,7 +52,7 @@ func distTables(cfg Config, ds meshgen.Dataset, shards int) ([]*Table, error) {
 	// Two identical meshes: the in-process reference router answers over
 	// one, the cluster's shard servers own the other. Bit-equality between
 	// the two sides is the whole point, so they must not share storage.
-	factory := func(m *mesh.Mesh) query.ParallelKNNEngine { return core.New(m) }
+	factory := Engines("OCTOPUS")[0].New
 	m1, err := meshgen.Build(ds, cfg.Scale)
 	if err != nil {
 		return nil, err
@@ -173,7 +172,7 @@ func distPublishTable(cfg Config, ds meshgen.Dataset, shards int) (*Table, error
 		if err != nil {
 			return dist.WireStats{}, 0, err
 		}
-		cl := dist.NewCluster(sm, func(m *mesh.Mesh) query.ParallelKNNEngine { return core.New(m) })
+		cl := dist.NewCluster(sm, Engines("OCTOPUS")[0].New)
 		defer cl.Close()
 		cl.FullPublish = full
 		cl.ServeLoopback(dist.NewLoopback())
@@ -234,7 +233,7 @@ func distServeTable(cfg Config, ds meshgen.Dataset, shards int) (*Table, error) 
 		},
 	}
 
-	factory := func(m *mesh.Mesh) query.ParallelKNNEngine { return core.New(m) }
+	factory := Engines("OCTOPUS")[0].New
 	m1, err := meshgen.Build(ds, cfg.Scale)
 	if err != nil {
 		return nil, err

@@ -3,10 +3,7 @@ package bench
 import (
 	"octopus/internal/core"
 	"octopus/internal/geom"
-	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
-	"octopus/internal/query"
-	"octopus/internal/sim"
 	"octopus/internal/workload"
 )
 
@@ -31,36 +28,24 @@ func Fig10(cfg Config) ([]*Table, error) {
 	}
 
 	// (a) fixed query size across detail levels.
-	ref, err := meshgen.BuildCached(referenceNeuro(), cfg.Scale)
+	ref, err := loadScene(referenceNeuro(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	refGen := workload.NewGenerator(ref, 4096, cfg.Seed)
-	halfExtent := refGen.HalfExtentForSelectivity(cfg.Selectivity, 8)
+	halfExtent := ref.gen.HalfExtentForSelectivity(cfg.Selectivity, 8)
 
 	for level := 1; level <= meshgen.NeuronLevels; level++ {
 		id := meshgen.NeuroLevel(level)
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
+		res := Run(s.m, s.deformer, cfg.Steps, func(int) []geom.AABB {
+			return s.gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
+		}, nil, Engines("OCTOPUS"))
 
-		var octRef *core.Octopus
-		factories := []EngineFactory{{Name: "OCTOPUS", New: func(m *mesh.Mesh) query.Engine {
-			octRef = core.New(m)
-			return octRef
-		}}}
-		res := Run(m, deformer, cfg.Steps, func(int) []geom.AABB {
-			return gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
-		}, factories)
-
-		s := octRef.Stats()
-		breakdown.AddRow(level, m.NumVertices(), s.SurfaceProbe, s.DirectedWalk, s.Crawl,
+		st := res.Built[0].(*core.Octopus).Stats()
+		breakdown.AddRow(level, s.m.NumVertices(), st.SurfaceProbe, st.DirectedWalk, st.Crawl,
 			res.Engines[0].Results)
 	}
 	breakdown.Notes = append(breakdown.Notes,

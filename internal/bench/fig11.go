@@ -6,9 +6,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
-	"octopus/internal/query"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
 // Fig11 regenerates Figure 11: validation of the analytical model (§IV-G)
@@ -37,23 +34,13 @@ func Fig11(cfg Config) ([]*Table, error) {
 	for level := 1; level <= meshgen.NeuronLevels; level++ {
 		id := meshgen.NeuroLevel(level)
 		for _, sel := range selectivities {
-			m, err := meshgen.BuildCached(id, cfg.Scale)
+			s, err := loadScene(id, cfg)
 			if err != nil {
 				return nil, err
 			}
-			stats := mesh.ComputeStats(m)
-			deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-			if err != nil {
-				return nil, err
-			}
-			gen := workload.NewGenerator(m, 4096, cfg.Seed)
-
-			factories := []EngineFactory{
-				{Name: "OCTOPUS", New: func(m *mesh.Mesh) query.Engine { return core.New(m) }},
-				StandardEngines()[1], // LinearScan
-			}
-			res := Run(m, deformer, cfg.Steps,
-				UniformQueryStream(gen, cfg.QueriesPerStep, sel), factories)
+			stats := mesh.ComputeStats(s.m)
+			res := Run(s.m, s.deformer, cfg.Steps,
+				UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
 
 			queries := float64(res.Engines[0].Queries)
 			// Per the model, cost is per query; scale to the run's totals.

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"octopus/internal/meshgen"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
 // Fig15 regenerates Figure 15: OCTOPUS vs the linear scan on the three
@@ -26,7 +24,7 @@ func Fig15(cfg Config) ([]*Table, error) {
 	}
 
 	for _, id := range []meshgen.Dataset{meshgen.DSHorse, meshgen.DSFace, meshgen.DSCamel} {
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -37,19 +35,13 @@ func Fig15(cfg Config) ([]*Table, error) {
 		if cfg.Steps < 20 && steps > cfg.Steps { // quick mode trims sequences
 			steps = cfg.Steps
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		sv := m.SurfaceToVolumeRatio()
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		res := Run(m, deformer, steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, cfg.Selectivity), octopusVsScan())
+		res := Run(s.m, s.deformer, steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
 
 		perStep := func(d time.Duration) float64 { return d.Seconds() / float64(steps) }
 		times.AddRow(string(id), steps,
 			perStep(res.Engines[1].TotalResponse), perStep(res.Engines[0].TotalResponse))
-		speed.AddRow(string(id), sv, Speedup(res.Engines[0], res.Engines[1]))
+		speed.AddRow(string(id), s.m.SurfaceToVolumeRatio(), Speedup(res.Engines[0], res.Engines[1]))
 	}
 	speed.Notes = append(speed.Notes,
 		"paper: 15-19x, largest for facial expression (lowest S:V); expect the same ordering here")

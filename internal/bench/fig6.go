@@ -1,57 +1,27 @@
 package bench
 
 import (
-	"octopus/internal/core"
-	"octopus/internal/grid"
-	"octopus/internal/linearscan"
-	"octopus/internal/lurtree"
-	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
-	"octopus/internal/octree"
-	"octopus/internal/query"
-	"octopus/internal/qutrade"
-	"octopus/internal/sim"
 	"octopus/internal/workload"
 )
 
-// StandardEngines returns the factory list of the paper's Figure 6
-// comparison: OCTOPUS, the linear scan, the per-step-rebuilt octree, the
-// LUR-Tree and QU-Trade.
-func StandardEngines() []EngineFactory {
-	return []EngineFactory{
-		{Name: "OCTOPUS", New: func(m *mesh.Mesh) query.Engine { return core.New(m) }},
-		{Name: "LinearScan", New: func(m *mesh.Mesh) query.Engine { return linearscan.New(m) }},
-		{Name: "OCTREE", New: func(m *mesh.Mesh) query.Engine { return octree.NewEngine(m, 0) }},
-		{Name: "LUR-Tree", New: func(m *mesh.Mesh) query.Engine { return lurtree.New(m, 0) }},
-		{Name: "QU-Trade", New: func(m *mesh.Mesh) query.Engine { return qutrade.New(m, 0, 0) }},
-	}
-}
-
-// ExtendedEngines appends baselines beyond the paper's five (the LU-Grid
-// style lazily updated grid and the throwaway kd-tree), for the extended
-// comparison.
-func ExtendedEngines() []EngineFactory {
-	return append(StandardEngines(),
-		EngineFactory{Name: "LU-Grid", New: func(m *mesh.Mesh) query.Engine {
-			return grid.NewLUEngine(m, 4096)
-		}},
-		kdtreeFactory(),
-	)
-}
-
 // Fig6 regenerates Figure 6: total query response time (a) and memory
 // overhead (b) of all approaches on the four neuroscience microbenchmarks,
-// using the most detailed neuron dataset, 60 time steps.
+// using the most detailed neuron dataset, 60 time steps. The engines are
+// the paper's five: OCTOPUS, the linear scan, the per-step-rebuilt octree,
+// the LUR-Tree and QU-Trade.
 func Fig6(cfg Config) ([]*Table, error) {
-	return fig6With(cfg, StandardEngines(), "fig6")
+	return fig6With(cfg, "fig6")
 }
 
-// Fig6Extended is Fig6 including the extended baselines.
+// Fig6Extended is Fig6 plus the baselines beyond the paper's five: the
+// LU-Grid style lazily updated grid and the throwaway kd-tree.
 func Fig6Extended(cfg Config) ([]*Table, error) {
-	return fig6With(cfg, ExtendedEngines(), "fig6x")
+	return fig6With(cfg, "fig6x", "LU-Grid", "KD-Tree")
 }
 
-func fig6With(cfg Config, factories []EngineFactory, id string) ([]*Table, error) {
+func fig6With(cfg Config, id string, extra ...string) ([]*Table, error) {
+	factories := Engines(append([]string{"OCTOPUS", "LinearScan", "OCTREE", "LUR-Tree", "QU-Trade"}, extra...)...)
 	perf := &Table{
 		ID:      id + "a",
 		Title:   "Query response time per microbenchmark (includes maintenance)",
@@ -69,16 +39,11 @@ func fig6With(cfg Config, factories []EngineFactory, id string) ([]*Table, error
 	}
 
 	for _, mb := range workload.PaperBenchmarks() {
-		m, err := meshgen.BuildCached(largestNeuro(), cfg.Scale)
+		s, err := loadScene(largestNeuro(), cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(largestNeuro(), sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		res := Run(m, deformer, cfg.Steps, MicrobenchmarkStream(gen, mb), factories)
+		res := Run(s.m, s.deformer, cfg.Steps, MicrobenchmarkStream(s.gen, mb), nil, factories)
 
 		perfRow := []interface{}{mb.ID}
 		memRow := []interface{}{mb.ID}

@@ -3,19 +3,11 @@ package bench
 import (
 	"octopus/internal/geom"
 	"octopus/internal/meshgen"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
-// octopusVsScan returns the two-engine factory list of the sensitivity
-// analysis (§V-C), which compares OCTOPUS against the linear scan only.
-func octopusVsScan() []EngineFactory {
-	all := StandardEngines()
-	return []EngineFactory{all[0], all[1]}
-}
-
 // referenceNeuro returns the mid-detail dataset the sensitivity analysis
-// fixes "unless mentioned otherwise" (the paper's 260 M tetrahedra mesh).
+// (§V-C, OCTOPUS against the linear scan only) fixes "unless mentioned
+// otherwise" (the paper's 260 M tetrahedra mesh).
 func referenceNeuro() meshgen.Dataset { return meshgen.NeuroL3 }
 
 // Fig7ab regenerates Figure 7(a,b): total query response time and speedup
@@ -35,29 +27,22 @@ func Fig7ab(cfg Config) ([]*Table, error) {
 	}
 
 	// Derive the fixed half-extent on the reference dataset.
-	ref, err := meshgen.BuildCached(referenceNeuro(), cfg.Scale)
+	ref, err := loadScene(referenceNeuro(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	refGen := workload.NewGenerator(ref, 4096, cfg.Seed)
-	halfExtent := refGen.HalfExtentForSelectivity(cfg.Selectivity, 8)
+	halfExtent := ref.gen.HalfExtentForSelectivity(cfg.Selectivity, 8)
 
 	for level := 1; level <= meshgen.NeuronLevels; level++ {
 		id := meshgen.NeuroLevel(level)
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		stream := func(int) []geom.AABB {
-			return gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
-		}
-		res := Run(m, deformer, cfg.Steps, stream, octopusVsScan())
-		times.AddRow(level, m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
+		res := Run(s.m, s.deformer, cfg.Steps, func(int) []geom.AABB {
+			return s.gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
+		}, nil, Engines("OCTOPUS", "LinearScan"))
+		times.AddRow(level, s.m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(level, Speedup(res.Engines[0], res.Engines[1]))
 	}
 	speed.Notes = append(speed.Notes,
@@ -90,19 +75,14 @@ func Fig7cd(cfg Config) ([]*Table, error) {
 
 	for level := 1; level <= meshgen.NeuronLevels; level++ {
 		id := meshgen.NeuroLevel(level)
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		sel := targetResults / float64(m.NumVertices())
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		res := Run(m, deformer, cfg.Steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, sel), octopusVsScan())
-		times.AddRow(level, m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
+		sel := targetResults / float64(s.m.NumVertices())
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
+		times.AddRow(level, s.m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(level, Speedup(res.Engines[0], res.Engines[1]))
 	}
 	speed.Notes = append(speed.Notes,
@@ -131,17 +111,12 @@ func Fig7ef(cfg Config) ([]*Table, error) {
 		stepCounts = []int{cfg.Steps, cfg.Steps * 2, cfg.Steps * 3}
 	}
 	for _, steps := range stepCounts {
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		res := Run(m, deformer, steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, cfg.Selectivity), octopusVsScan())
+		res := Run(s.m, s.deformer, steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(steps, res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(steps, Speedup(res.Engines[0], res.Engines[1]))
 	}
@@ -167,17 +142,12 @@ func Fig7gh(cfg Config) ([]*Table, error) {
 
 	id := referenceNeuro()
 	for _, sel := range []float64{0.0001, 0.0005, 0.001, 0.0015, 0.002} {
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-		res := Run(m, deformer, cfg.Steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, sel), octopusVsScan())
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(sel*100, res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(sel*100, Speedup(res.Engines[0], res.Engines[1]))
 	}

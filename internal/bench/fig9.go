@@ -2,12 +2,9 @@ package bench
 
 import (
 	"octopus/internal/core"
-	"octopus/internal/linearscan"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
 // Fig9ab regenerates Figure 9(a,b): on the two convex earthquake datasets,
@@ -28,39 +25,19 @@ func Fig9ab(cfg Config) ([]*Table, error) {
 	}
 
 	for _, id := range []meshgen.Dataset{meshgen.EqSF2, meshgen.EqSF1} {
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-
-		var conRef *core.Con
-		var octRef *core.Octopus
-		factories := []EngineFactory{
-			{Name: "OCTOPUS-CON", New: func(m *mesh.Mesh) query.Engine {
-				conRef = core.NewCon(m, core.DefaultGridCells)
-				return conRef
-			}},
-			{Name: "OCTOPUS", New: func(m *mesh.Mesh) query.Engine {
-				octRef = core.New(m)
-				return octRef
-			}},
-			{Name: "LinearScan", New: func(m *mesh.Mesh) query.Engine {
-				return linearscan.New(m)
-			}},
-		}
-		res := Run(m, deformer, cfg.Steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, cfg.Selectivity), factories)
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil,
+			Engines("OCTOPUS-CON", "OCTOPUS", "LinearScan"))
 
 		perf.AddRow(string(id),
 			res.Engines[0].TotalResponse, res.Engines[1].TotalResponse, res.Engines[2].TotalResponse,
 			Speedup(res.Engines[0], res.Engines[2]), Speedup(res.Engines[1], res.Engines[2]))
 
-		cs, os := conRef.Stats(), octRef.Stats()
+		cs, os := res.Built[0].(*core.Con).Stats(), res.Built[1].(*core.Octopus).Stats()
 		breakdown.AddRow(string(id), "OCTOPUS-CON", cs.SurfaceProbe, cs.DirectedWalk, cs.Crawl)
 		breakdown.AddRow(string(id), "OCTOPUS", os.SurfaceProbe, os.DirectedWalk, os.Crawl)
 	}
@@ -88,27 +65,21 @@ func Fig9cd(cfg Config) ([]*Table, error) {
 	}
 
 	for _, cells := range []int{8, 216, 1000, 2744, 5832} {
-		m, err := meshgen.BuildCached(meshgen.EqSF1, cfg.Scale)
+		s, err := loadScene(meshgen.EqSF1, cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(meshgen.EqSF1, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
+		// The grid resolution is what this figure sweeps, so OCTOPUS-CON is
+		// built here rather than taken from the engine table.
+		conAt := EngineFactory{Name: "OCTOPUS-CON", New: func(m *mesh.Mesh) query.ParallelKNNEngine {
+			return core.NewCon(m, cells)
+		}}
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, []EngineFactory{conAt})
+		con := res.Built[0].(*core.Con)
 
-		var conRef *core.Con
-		cellsHere := cells
-		factories := []EngineFactory{{Name: "OCTOPUS-CON", New: func(m *mesh.Mesh) query.Engine {
-			conRef = core.NewCon(m, cellsHere)
-			return conRef
-		}}}
-		res := Run(m, deformer, cfg.Steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, cfg.Selectivity), factories)
-
-		walk.AddRow(cells, conRef.Stats().WalkVisited, res.Engines[0].TotalResponse)
-		memory.AddRow(cells, MB(conRef.GridMemoryBytes()))
+		walk.AddRow(cells, con.Stats().WalkVisited, res.Engines[0].TotalResponse)
+		memory.AddRow(cells, MB(con.GridMemoryBytes()))
 	}
 	walk.Notes = append(walk.Notes,
 		"paper: walk length falls monotonically with resolution; even 8 cells cuts the walk ~8x vs no grid")

@@ -4,6 +4,13 @@
 // loop of Figure 1(e) against one or more query engines, and returns
 // tables whose rows mirror the paper's reported series.
 //
+// The engines come from one table, AllEngines, which fixes each engine's
+// name and benchmark tuning; an experiment selects its engines from it by
+// name (Engines). The measurement loop is one function, Run: every step
+// deforms the mesh, then each engine runs its maintenance and the step's
+// range queries and kNN probes. The sharded rows are that loop too, with
+// one router per shard count beside the unsharded engine.
+//
 // Timing follows the paper's protocol (§V-A): the total query response
 // time includes per-step index maintenance (Engine.Step) and query
 // execution, but not one-time preprocessing (engine construction), which
@@ -15,6 +22,7 @@ import (
 
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/sim"
 	"octopus/internal/workload"
@@ -59,29 +67,27 @@ type EngineResult struct {
 	MaintenanceShare float64 // Maintenance / TotalResponse
 }
 
-// EngineFactory constructs an engine over a mesh; construction time is the
-// engine's preprocessing cost.
-type EngineFactory struct {
-	Name string
-	New  func(m *mesh.Mesh) query.Engine
-}
-
 // RunResult bundles the per-engine results of one simulation run.
 type RunResult struct {
 	Engines []EngineResult
-	// StepQueries records the number of queries executed per step.
+	// Built holds the engines, in factory order, so a driver can read
+	// their own counters after the run.
+	Built []query.ParallelKNNEngine
+	// StepQueries records the number of range queries executed per step.
 	StepQueries []int
 }
 
 // Run executes the full measurement loop: build engines (preprocessing),
 // then for each time step deform the mesh in place, let every engine
 // perform maintenance, and execute the step's queries on every engine.
-// queriesFor is called once per step to produce that step's query boxes
-// (shared across engines for fairness).
+// ranges and probes are called once per step to produce that step's range
+// boxes and kNN probes (shared across engines for fairness); probes may
+// be nil.
 func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
-	queriesFor func(step int) []geom.AABB, factories []EngineFactory) RunResult {
+	ranges func(step int) []geom.AABB, probes func(step int) []query.KNNQuery,
+	factories []EngineFactory) RunResult {
 
-	engines := make([]query.Engine, len(factories))
+	engines := make([]query.ParallelKNNEngine, len(factories))
 	results := make([]EngineResult, len(factories))
 	for i, f := range factories {
 		start := time.Now()
@@ -95,7 +101,11 @@ func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
 
 	for step := 0; step < steps; step++ {
 		simulation.Step()
-		queries := queriesFor(step)
+		queries := ranges(step)
+		var knn []query.KNNQuery
+		if probes != nil {
+			knn = probes(step)
+		}
 		stepQueries = append(stepQueries, len(queries))
 
 		for i, eng := range engines {
@@ -107,9 +117,13 @@ func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
 			for _, q := range queries {
 				out = eng.Query(q, out[:0])
 				results[i].Results += int64(len(out))
-				results[i].Queries++
+			}
+			for _, p := range knn {
+				out = eng.KNN(p.P, p.K, out[:0])
+				results[i].Results += int64(len(out))
 			}
 			results[i].QueryTime += time.Since(start)
+			results[i].Queries += int64(len(queries) + len(knn))
 		}
 	}
 
@@ -121,10 +135,33 @@ func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
 				float64(results[i].Maintenance) / float64(results[i].TotalResponse)
 		}
 	}
-	return RunResult{Engines: results, StepQueries: stepQueries}
+	return RunResult{Engines: results, Built: engines, StepQueries: stepQueries}
 }
 
-// UniformQueryStream returns a queriesFor function producing n fresh
+// scene is one dataset ready for Run: the memoized mesh (every run
+// deforms it in place), its default deformer, and a workload generator
+// seeded from the config.
+type scene struct {
+	m        *mesh.Mesh
+	deformer sim.Deformer
+	gen      *workload.Generator
+}
+
+// loadScene builds (or recalls) ds at cfg.Scale with a fresh deformer and
+// generator, so every run over it draws the same query sequence.
+func loadScene(ds meshgen.Dataset, cfg Config) (scene, error) {
+	m, err := meshgen.BuildCached(ds, cfg.Scale)
+	if err != nil {
+		return scene{}, err
+	}
+	deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
+	if err != nil {
+		return scene{}, err
+	}
+	return scene{m, deformer, workload.NewGenerator(m, 4096, cfg.Seed)}, nil
+}
+
+// UniformQueryStream returns a ranges function for Run producing n fresh
 // uniform-random queries of the given selectivity per step, the standard
 // workload of the sensitivity analysis.
 func UniformQueryStream(g *workload.Generator, n int, selectivity float64) func(int) []geom.AABB {
@@ -133,7 +170,7 @@ func UniformQueryStream(g *workload.Generator, n int, selectivity float64) func(
 	}
 }
 
-// MicrobenchmarkStream returns a queriesFor function producing each step's
+// MicrobenchmarkStream returns a ranges function for Run producing each step's
 // queries for one of the paper's Figure 5 microbenchmarks.
 func MicrobenchmarkStream(g *workload.Generator, mb workload.Microbenchmark) func(int) []geom.AABB {
 	return func(int) []geom.AABB {

@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"octopus/internal/core"
-	"octopus/internal/mesh"
-	"octopus/internal/meshgen"
-	"octopus/internal/query"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
-)
+import "octopus/internal/core"
 
 // HybridCrossover extends the paper's Figure 7(g,h) selectivity sweep with
 // the model-routed hybrid engine of §IV-G: below Equation 6's break-even
@@ -22,38 +15,16 @@ func HybridCrossover(cfg Config) ([]*Table, error) {
 			"routed to octopus", "routed to scan"},
 	}
 
-	id := referenceNeuro()
-	small, err := meshgen.BuildCached(meshgen.NeuroL1, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	consts := core.Calibrate(small)
-
 	// Sweep across the break-even point: moderate selectivities where
 	// OCTOPUS wins, very large ones where the scan must win.
 	for _, sel := range []float64{0.001, 0.01, 0.05, 0.2, 0.5} {
-		m, err := meshgen.BuildCached(id, cfg.Scale)
+		s, err := loadScene(referenceNeuro(), cfg)
 		if err != nil {
 			return nil, err
 		}
-		deformer, err := sim.DefaultDeformer(id, sim.DefaultAmplitude)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
-
-		var hyb *core.Hybrid
-		factories := []EngineFactory{
-			{Name: "OCTOPUS", New: func(m *mesh.Mesh) query.Engine { return core.New(m) }},
-			StandardEngines()[1], // LinearScan
-			{Name: "Hybrid", New: func(m *mesh.Mesh) query.Engine {
-				hyb = core.NewHybrid(m, 4096, consts)
-				return hyb
-			}},
-		}
-		res := Run(m, deformer, cfg.Steps,
-			UniformQueryStream(gen, cfg.QueriesPerStep, sel), factories)
-		oct, scan := hyb.Routed()
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan", "OCTOPUS-Hybrid"))
+		oct, scan := res.Built[2].(*core.Hybrid).Routed()
 		t.AddRow(sel*100,
 			res.Engines[0].TotalResponse, res.Engines[1].TotalResponse,
 			res.Engines[2].TotalResponse, oct, scan)

@@ -6,7 +6,6 @@ import (
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
 // KNN is the extension experiment for the k-nearest-neighbor subsystem:
@@ -36,7 +35,7 @@ func KNN(cfg Config) ([]*Table, error) {
 
 	// The scan runs first so every later row's speedup can be computed
 	// against it.
-	factories := knnEngineFactories()
+	factories := AllEngines()
 
 	nProbes := cfg.Steps * cfg.QueriesPerStep
 	if nProbes < 32 {
@@ -47,17 +46,13 @@ func KNN(cfg Config) ([]*Table, error) {
 	}
 
 	for _, ds := range []meshgen.Dataset{meshgen.NeuroL2, meshgen.NeuroL3} {
-		m, err := meshgen.BuildCached(ds, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
+		s, err := loadScene(ds, cfg)
 		if err != nil {
 			return nil, err
 		}
 		// Deform a couple of steps so probes run against a moved mesh,
 		// like the monitoring phase would.
-		simulation := sim.New(m, deformer)
+		simulation := sim.New(s.m, s.deformer)
 		for step := 0; step < 2; step++ {
 			simulation.Step()
 		}
@@ -65,18 +60,17 @@ func KNN(cfg Config) ([]*Table, error) {
 		engines := make([]query.ParallelKNNEngine, len(factories))
 		maint := make([]time.Duration, len(factories))
 		for i, f := range factories {
-			engines[i] = f.make(m)
+			engines[i] = f.New(s.m)
 			start := time.Now()
 			engines[i].Step()
 			maint[i] = time.Since(start)
 		}
 
-		gen := workload.NewGenerator(m, 4096, cfg.Seed)
 		for _, k := range []int{1, 8, 64} {
-			probes := gen.KNNQueries(nProbes, k, k, 0.02)
+			probes := s.gen.KNNQueries(nProbes, k, k, 0.02)
 			truth := make([][]int32, len(probes))
 			for i, pr := range probes {
-				truth[i] = query.BruteForceKNN(m, pr.P, pr.K)
+				truth[i] = query.BruteForceKNN(s.m, pr.P, pr.K)
 			}
 
 			var scanPerQuery float64
@@ -98,14 +92,14 @@ func KNN(cfg Config) ([]*Table, error) {
 						matched++
 					}
 				}
-				if f.name == "LinearScan" {
+				if f.Name == "LinearScan" {
 					scanPerQuery = perQuery
 				}
 				speedup := 0.0
 				if perQuery > 0 && scanPerQuery > 0 {
 					speedup = scanPerQuery / perQuery
 				}
-				t.AddRow(string(ds), f.name, k, len(probes),
+				t.AddRow(string(ds), f.Name, k, len(probes),
 					float64(maint[i].Microseconds()),
 					perQuery, speedup,
 					float64(matched)/float64(len(probes)))

@@ -46,6 +46,12 @@ import (
 // their BeginMaintenance: the scheduler then has only the whole-engine
 // Step to run, one unsliceable StepTask per tick.
 func Maintain(cfg Config) ([]*Table, error) {
+	return maintainTables(cfg, AllEngines())
+}
+
+// maintainTables is the parameterized body of Maintain; the smoke test
+// runs a subset of the engines.
+func maintainTables(cfg Config, factories []EngineFactory) ([]*Table, error) {
 	type mode struct {
 		name       string
 		budget     time.Duration
@@ -61,15 +67,6 @@ func Maintain(cfg Config) ([]*Table, error) {
 		{"monolithic", 0, true},
 		{"incremental", 0, false},
 		{"budget", 250 * time.Microsecond, false},
-	}
-
-	factories := knnEngineFactories()
-	if maintainQuickSweep {
-		// Reduced matrix for the -short smoke: two engines (one
-		// maintenance-free, one rebuild-heavy) through every mode and
-		// both shardings, exercising the whole driver without the
-		// full-sweep runtime.
-		factories = []knnEngineFactory{factories[0], factories[4]}
 	}
 
 	nQueries := cfg.Steps * cfg.QueriesPerStep
@@ -128,11 +125,11 @@ func Maintain(cfg Config) ([]*Table, error) {
 	queries := tile(gen.UniformQueries(nQueries, sel), 5)
 	probes := tile(gen.KNNQueries(nKNN, 4, 16, 0.05), 5)
 
-	runOne := func(t *Table, f knnEngineFactory, md mode, sharded bool, deformer sim.Deformer) {
+	runOne := func(t *Table, f EngineFactory, md mode, sharded bool, deformer sim.Deformer) {
 		copy(m.Positions(), orig)
-		build := f.make
+		build := f.New
 		if md.monolithic {
-			build = func(m *mesh.Mesh) query.ParallelKNNEngine { return stepOnly(f.make(m)) }
+			build = func(m *mesh.Mesh) query.ParallelKNNEngine { return stepOnly(f.New(m)) }
 		}
 		var eng query.ParallelKNNEngine
 		var dm query.DeformableMesh = m
@@ -168,7 +165,7 @@ func Maintain(cfg Config) ([]*Table, error) {
 		staleMean, staleMax := query.StalenessStats(traces)
 		st := pl.SchedulerStats()
 		t.AddRow(
-			string(ds), label+f.name, md.name, budgetLabel(md.budget),
+			string(ds), label+f.Name, md.name, budgetLabel(md.budget),
 			report.Steps, len(traces),
 			float64(latMean.Nanoseconds())/1e3,
 			float64(latP99.Nanoseconds())/1e3,
@@ -226,10 +223,6 @@ func stepOnly(e query.ParallelKNNEngine) query.ParallelKNNEngine {
 	}
 	return struct{ query.ParallelKNNEngine }{e}
 }
-
-// maintainQuickSweep reduces the Maintain sweep to a smoke-sized matrix
-// (set by the -short smoke test; the full sweep is the default).
-var maintainQuickSweep bool
 
 // localDeformer displaces only the vertices inside a sphere orbiting the
 // dataset — the localized-update regime where a small active region

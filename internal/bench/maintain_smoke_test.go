@@ -10,19 +10,17 @@ import (
 	"time"
 )
 
+// TestMaintainExperimentSmoke runs the maintain driver over a subset of
+// the engine table: all four maintenance-free engines, so the K=4
+// staleness bound below is checked for each of them, and the
+// rebuild-heavy kd-tree. Every mode, both deformation regimes and both
+// shardings run; the full nine-engine matrix runs in CI's bench-smoke
+// job (octopus-bench -exp maintain).
 func TestMaintainExperimentSmoke(t *testing.T) {
-	engines := len(knnEngineFactories())
-	if testing.Short() {
-		// The full sweep (9 engines x 2 shardings x 7 mode-rows) takes
-		// minutes; under -short the experiment runs its reduced matrix,
-		// which still covers the whole driver, both deformation regimes
-		// and both shardings.
-		maintainQuickSweep = true
-		defer func() { maintainQuickSweep = false }()
-		engines = 2
-	}
+	factories := Engines("LinearScan", "OCTOPUS", "OCTOPUS-CON", "OCTOPUS-Hybrid", "KD-Tree")
+	engines := len(factories)
 	cfg := QuickConfig()
-	tables, err := Maintain(cfg)
+	tables, err := maintainTables(cfg, factories)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"octopus/internal/geom"
-	"octopus/internal/kdtree"
-	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/shard"
@@ -89,9 +87,7 @@ func repartitionStorm(cfg Config, k int, mode string, storms int) ([]any, error)
 	if mode == "frozen" {
 		opts.RebalanceTol = -1
 	}
-	factory := func(sub *mesh.Mesh) query.ParallelKNNEngine {
-		return kdtree.NewEngine(sub, 0)
-	}
+	factory := Engines("KD-Tree")[0].New
 	sm, err := shard.NewMesh(m, k, opts)
 	if err != nil {
 		return nil, err
@@ -191,9 +187,7 @@ func repartitionPressure(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		router := shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine {
-			return kdtree.NewEngine(sub, 0)
-		})
+		router := shard.NewRouter(sm, Engines("KD-Tree")[0].New)
 		hot := sm.Partition().Parts[0]
 		hotBefore := hot.NumOwned
 		// Aim every range query inside the hot shard's box so its

@@ -2,20 +2,20 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
+	"octopus/internal/geom"
 	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/shard"
-	"octopus/internal/sim"
-	"octopus/internal/workload"
 )
 
 // Sharded is the partitioned-execution experiment (DESIGN.md §10). For
-// every engine and dataset it sweeps the shard count K over {1, 2, 4, 8}
-// and reports the standard measurement loop's response time (maintenance
-// + query, the Figure-6 accounting) against the unsharded engine, plus
+// every engine and dataset it runs the standard measurement loop (Run:
+// deform, maintain, range queries and kNN probes per step, the Figure-6
+// accounting) over the unsharded engine and, beside it on the same
+// deforming positions, one router per shard count K in {1, 2, 4, 8}. It
+// reports each router's response time against the unsharded engine, plus
 // the router's measured fan-out: the average number of shards a range
 // query touches and a kNN query actually scans (after KBest-bound
 // pruning) — the locality the Hilbert cut buys. The live pipeline's
@@ -24,13 +24,13 @@ import (
 func Sharded(cfg Config) ([]*Table, error) {
 	return shardedTables(cfg,
 		[]meshgen.Dataset{meshgen.NeuroL2, meshgen.DSHorse},
-		knnEngineFactories(),
+		AllEngines(),
 		[]int{1, 2, 4, 8})
 }
 
-// shardedTables is the parameterized body of Sharded; the short-mode
-// smoke test trims the sweep.
-func shardedTables(cfg Config, datasets []meshgen.Dataset, factories []knnEngineFactory, shardCounts []int) ([]*Table, error) {
+// shardedTables is the parameterized body of Sharded; the smoke test
+// trims the sweep.
+func shardedTables(cfg Config, datasets []meshgen.Dataset, factories []EngineFactory, shardCounts []int) ([]*Table, error) {
 	t := &Table{
 		ID:    "sharded",
 		Title: "Sharded execution: response time and fan-out vs shard count K",
@@ -40,34 +40,54 @@ func shardedTables(cfg Config, datasets []meshgen.Dataset, factories []knnEngine
 		},
 	}
 
-	// Partitions are immutable (Step re-publishes positions from the
-	// global mesh every step), so one sharded mesh per (dataset, K) is
-	// shared by every engine's run.
-	smCache := map[string]*shard.Mesh{}
 	for _, ds := range datasets {
+		m, err := meshgen.BuildCached(ds, cfg.Scale)
+		if err != nil {
+			return nil, err
+		}
+		// Partitions are immutable (Router.Step re-publishes the global
+		// positions every step), so one sharded mesh per K serves every
+		// engine's routers.
+		sms := make([]*shard.Mesh, len(shardCounts))
+		for i, k := range shardCounts {
+			if sms[i], err = shard.NewMesh(m, k, shard.Options{}); err != nil {
+				return nil, err
+			}
+		}
 		for _, f := range factories {
-			base, err := shardedRun(ds, cfg, f, 0, smCache)
+			// A fresh generator per engine: every engine's loop draws the
+			// same query sequence.
+			s, err := loadScene(ds, cfg)
 			if err != nil {
 				return nil, err
 			}
-			for _, k := range shardCounts {
-				res, err := shardedRun(ds, cfg, f, k, smCache)
-				if err != nil {
-					return nil, err
-				}
+			runners := []EngineFactory{f}
+			for i, sm := range sms {
+				runners = append(runners, routerFactory(f, shardCounts[i], sm))
+			}
+			res := Run(s.m, s.deformer, cfg.Steps,
+				func(int) []geom.AABB { return s.gen.UniformQueries(cfg.QueriesPerStep, cfg.Selectivity) },
+				func(int) []query.KNNQuery { return s.gen.KNNQueries(cfg.QueriesPerStep/2+1, 4, 16, 0.05) },
+				runners)
+
+			base := res.Engines[0].TotalResponse
+			for i, k := range shardCounts {
+				total := res.Engines[i+1].TotalResponse
+				router := res.Built[i+1].(*shard.Router)
+				rq, rf, kq, ks, _ := router.FanoutStats()
 				t.AddRow(
-					string(ds), f.name, k,
-					float64(res.total.Microseconds())/1e3,
-					float64(base.total)/float64(res.total),
-					res.rangeFanout, res.knnFanout,
-					100*res.ghostFrac,
+					string(ds), f.Name, k,
+					float64(total.Microseconds())/1e3,
+					float64(base)/float64(total),
+					ratio(rf, rq), ratio(ks, kq),
+					100*ghostFrac(router.Mesh().Partition()),
 				)
 			}
 		}
 	}
 
 	t.Notes = append(t.Notes,
-		"vs-unsharded = unsharded engine's total response / this row's (higher = sharding helps)",
+		"vs-unsharded = unsharded engine's total response / this row's (higher = sharding helps); both run in one loop over the same deforming positions and queries",
 		"total = maintenance + query time (Figure-6 accounting); sharded rows include the per-step O(V) position scatter into the sub-meshes as maintenance",
 		"fan-out = shards touched per range query / scanned per kNN after bound pruning",
 		"ghosts = replicated cut-ring vertices as a share of all shard-local vertices",
@@ -75,87 +95,38 @@ func shardedTables(cfg Config, datasets []meshgen.Dataset, factories []knnEngine
 	return []*Table{t}, nil
 }
 
-// shardedRunResult carries one (engine, K) measurement.
-type shardedRunResult struct {
-	total       time.Duration
-	rangeFanout float64
-	knnFanout   float64
-	ghostFrac   float64
+// routerFactory builds f's engine on every shard of sm behind one
+// router. The mesh it is handed must be sm's global mesh; the factory
+// first publishes its current positions into the shards, so the inner
+// engines preprocess the geometry the unsharded engine sees.
+func routerFactory(f EngineFactory, k int, sm *shard.Mesh) EngineFactory {
+	return EngineFactory{
+		Name: fmt.Sprintf("%s K=%d", f.Name, k),
+		New: func(*mesh.Mesh) query.ParallelKNNEngine {
+			sm.Resync()
+			return shard.NewRouter(sm, f.New)
+		},
+	}
 }
 
-// shardedRun executes the standard measurement loop (deform, maintain,
-// query — range and kNN per step) for one engine on one dataset, sharded
-// K ways (K = 0 runs the plain unsharded engine).
-func shardedRun(ds meshgen.Dataset, cfg Config, f knnEngineFactory, k int, smCache map[string]*shard.Mesh) (*shardedRunResult, error) {
-	m, err := meshgen.BuildCached(ds, cfg.Scale)
-	if err != nil {
-		return nil, err
+// ratio returns n/d, or 0 when d is 0.
+func ratio(n, d int64) float64 {
+	if d == 0 {
+		return 0
 	}
-	deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
-	if err != nil {
-		return nil, err
-	}
-	gen := workload.NewGenerator(m, 4096, cfg.Seed)
+	return float64(n) / float64(d)
+}
 
-	var eng query.ParallelKNNEngine
-	var router *shard.Router
-	if k == 0 {
-		eng = f.make(m)
-	} else {
-		key := fmt.Sprintf("%s/%d", ds, k)
-		sm := smCache[key]
-		if sm == nil {
-			sm, err = shard.NewMesh(m, k, shard.Options{})
-			if err != nil {
-				return nil, err
-			}
-			smCache[key] = sm
-		}
-		// The cached partition may hold the previous run's deformed
-		// positions; re-publish the pristine global state so the inner
-		// engines preprocess the same geometry as the unsharded baseline.
-		sm.Resync()
-		router = shard.NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return f.make(sub) })
-		eng = router
+// ghostFrac returns the share of ghost vertices among all shard-local
+// vertices of p.
+func ghostFrac(p *shard.Partition) float64 {
+	local, ghosts := 0, 0
+	for _, part := range p.Parts {
+		local += len(part.ToGlobal)
+		ghosts += part.Ghosts()
 	}
-
-	simulation := sim.New(m, deformer)
-	res := &shardedRunResult{}
-	var out []int32
-	for step := 0; step < cfg.Steps; step++ {
-		simulation.Step()
-		queries := gen.UniformQueries(cfg.QueriesPerStep, cfg.Selectivity)
-		probes := gen.KNNQueries(cfg.QueriesPerStep/2+1, 4, 16, 0.05)
-		// The Figure-6 accounting: maintenance + query time only; the
-		// simulation step and workload generation stay off the clock,
-		// like bench.Run.
-		start := time.Now()
-		eng.Step()
-		for _, q := range queries {
-			out = eng.Query(q, out[:0])
-		}
-		for _, p := range probes {
-			out = eng.KNN(p.P, p.K, out[:0])
-		}
-		res.total += time.Since(start)
+	if local == 0 {
+		return 0
 	}
-
-	if router != nil {
-		rq, rf, kq, ks, _ := router.FanoutStats()
-		if rq > 0 {
-			res.rangeFanout = float64(rf) / float64(rq)
-		}
-		if kq > 0 {
-			res.knnFanout = float64(ks) / float64(kq)
-		}
-		local, ghosts := 0, 0
-		for _, p := range router.Mesh().Partition().Parts {
-			local += len(p.ToGlobal)
-			ghosts += p.Ghosts()
-		}
-		if local > 0 {
-			res.ghostFrac = float64(ghosts) / float64(local)
-		}
-	}
-	return res, nil
+	return float64(ghosts) / float64(local)
 }

@@ -7,8 +7,6 @@ import (
 
 	"octopus/internal/core"
 	"octopus/internal/geom"
-	"octopus/internal/kdtree"
-	"octopus/internal/mesh"
 	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/sim"
@@ -72,14 +70,7 @@ func sloLiveTable(cfg Config) (*Table, error) {
 		name   string
 		target time.Duration
 	}
-	engines := []struct {
-		name string
-		make func(m *mesh.Mesh) query.ParallelKNNEngine
-	}{
-		{"KD-Tree", func(m *mesh.Mesh) query.ParallelKNNEngine { return kdtree.NewEngine(m, 0) }},
-		{"OCTOPUS", func(m *mesh.Mesh) query.ParallelKNNEngine { return core.New(m) }},
-	}
-	for _, e := range engines {
+	for _, e := range Engines("KD-Tree", "OCTOPUS") {
 		for _, md := range []mode{{"fixed", 0}, {"slo", target}} {
 			m, err := meshgen.Build(meshgen.NeuroL2, cfg.Scale)
 			if err != nil {
@@ -98,7 +89,7 @@ func sloLiveTable(cfg Config) (*Table, error) {
 			knn := append(append([]query.KNNQuery(nil), probes...), probes...)
 
 			pl := &query.Pipeline{
-				Engine:            e.make(m),
+				Engine:            e.New(m),
 				Mesh:              m,
 				Deform:            deformer.Step,
 				MinSteps:          2,
@@ -124,7 +115,7 @@ func sloLiveTable(cfg Config) (*Table, error) {
 				ratio = float64(p99) / float64(target)
 			}
 			t.AddRow(
-				e.name+"/"+md.name,
+				e.Name+"/"+md.name,
 				float64(target.Nanoseconds())/1e3,
 				float64(p99.Nanoseconds())/1e3,
 				ratio, report.Sheds, served,

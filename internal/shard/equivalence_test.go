@@ -20,7 +20,7 @@ import (
 )
 
 // engineCase names one of the nine engines and builds it with the tests'
-// standard tuning (mirroring internal/bench's factory table — bench
+// standard tuning (mirroring internal/bench's engine table, AllEngines — bench
 // imports this package, so the table cannot be imported here).
 type engineCase struct {
 	name string

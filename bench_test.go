@@ -45,7 +45,6 @@ func runExperiment(b *testing.B, id string) {
 func BenchmarkFig4DatasetCharacterization(b *testing.B) { runExperiment(b, "fig4") }
 func BenchmarkFig5MicrobenchmarkTable(b *testing.B)     { runExperiment(b, "fig5") }
 func BenchmarkFig6AllEngines(b *testing.B)              { runExperiment(b, "fig6") }
-func BenchmarkFig6ExtendedBaselines(b *testing.B)       { runExperiment(b, "fig6x") }
 func BenchmarkFig7abDetailFixedQuery(b *testing.B)      { runExperiment(b, "fig7ab") }
 func BenchmarkFig7cdDetailFixedResults(b *testing.B)    { runExperiment(b, "fig7cd") }
 func BenchmarkFig7efTimeSteps(b *testing.B)             { runExperiment(b, "fig7ef") }

@@ -80,7 +80,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 25 {
+	if len(exps) != 23 {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
@@ -135,14 +135,15 @@ func TestDatasetTablesQuick(t *testing.T) {
 // neuron still take tens of seconds each; -short skips the pass.
 //
 // Experiments a dedicated test in this suite already runs end to end,
-// with stronger assertions, are skipped here.
+// with stronger assertions, are skipped here, and so is fig6: its one
+// LUR-Tree Step per microbenchmark on neuro-l5 would be most of tier-1,
+// so CI's bench-smoke job runs its schema pass instead.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep skipped in -short mode")
 	}
 	coveredBy := map[string]string{
-		"dist":        "TestDistExperimentSmoke",
-		"fig6":        "the fig6x subtest: the same driver over a superset of the engines",
+		"fig6":        "CI's bench-smoke step \"Fig6 bench smoke\" (-exp fig6 -steps 1 -queries 1)",
 		"layout":      "TestLayoutQuick",
 		"maintain":    "TestMaintainExperimentSmoke, over five of the nine engines",
 		"repartition": "TestRepartExperimentSmoke",

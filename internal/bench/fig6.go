@@ -8,32 +8,23 @@ import (
 // Fig6 regenerates Figure 6: total query response time (a) and memory
 // overhead (b) of all approaches on the four neuroscience microbenchmarks,
 // using the most detailed neuron dataset, 60 time steps. The engines are
-// the paper's five: OCTOPUS, the linear scan, the per-step-rebuilt octree,
-// the LUR-Tree and QU-Trade.
-func Fig6(cfg Config) ([]*Table, error) {
-	return fig6With(cfg, "fig6")
-}
-
-// Fig6Extended is Fig6 plus the baselines beyond the paper's five: the
+// the paper's five — OCTOPUS, the linear scan, the per-step-rebuilt
+// octree, the LUR-Tree and QU-Trade — then two baselines beyond them: the
 // LU-Grid style lazily updated grid and the throwaway kd-tree.
-func Fig6Extended(cfg Config) ([]*Table, error) {
-	return fig6With(cfg, "fig6x", "LU-Grid", "KD-Tree")
-}
-
-func fig6With(cfg Config, id string, extra ...string) ([]*Table, error) {
-	factories := Engines(append([]string{"OCTOPUS", "LinearScan", "OCTREE", "LUR-Tree", "QU-Trade"}, extra...)...)
+func Fig6(cfg Config) ([]*Table, error) {
+	factories := Engines("OCTOPUS", "LinearScan", "OCTREE", "LUR-Tree", "QU-Trade", "LU-Grid", "KD-Tree")
 	perf := &Table{
-		ID:      id + "a",
+		ID:      "fig6a",
 		Title:   "Query response time per microbenchmark (includes maintenance)",
 		Columns: append([]string{"benchmark"}, engineNames(factories)...),
 	}
 	mem := &Table{
-		ID:      id + "b",
+		ID:      "fig6b",
 		Title:   "Memory overhead per microbenchmark [MB]",
 		Columns: append([]string{"benchmark"}, engineNames(factories)...),
 	}
 	speed := &Table{
-		ID:      id + "s",
+		ID:      "fig6s",
 		Title:   "OCTOPUS speedup vs LinearScan",
 		Columns: []string{"benchmark", "speedup[x]"},
 	}

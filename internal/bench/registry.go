@@ -19,8 +19,7 @@ func Experiments() []Experiment {
 	exps := []Experiment{
 		{"fig4", "neuroscience dataset characterization table", Fig4},
 		{"fig5", "microbenchmark definition table", Fig5},
-		{"fig6", "benchmarks A-D: response time and memory, all engines", Fig6},
-		{"fig6x", "fig6 with extended baselines (LU-Grid, KD-Tree)", Fig6Extended},
+		{"fig6", "benchmarks A-D: response time and memory, the paper's five engines plus LU-Grid and KD-Tree", Fig6},
 		{"fig7ab", "sensitivity: mesh detail, fixed query size", Fig7ab},
 		{"fig7cd", "sensitivity: mesh detail, fixed result count", Fig7cd},
 		{"fig7ef", "sensitivity: number of time steps", Fig7ef},
@@ -34,7 +33,6 @@ func Experiments() []Experiment {
 		{"fig14", "deforming mesh dataset characterization table", Fig14},
 		{"fig15", "deforming meshes: response time and speedup", Fig15},
 		{"crawl", "extension: crawl cost on large boxes and the budgeted approximate mode (DESIGN.md §12)", Crawl},
-		{"dist", "extension: wire-boundary serving — stateless router over shard servers, bit-equality and coherence counters vs in-process (DESIGN.md §15)", Dist},
 		{"hybrid", "extension: model-routed hybrid engine across the break-even (§IV-G)", HybridCrossover},
 		{"layout", "vertex-ordering ablation — crawl time, cache-proxy locality, the surface-first probe (DESIGN.md §7, §12) and Figure 13's Hilbert layout effect", Layout},
 		{"knn", "extension: k-nearest-neighbor queries by mesh crawling vs index baselines (DESIGN.md §8)", KNN},

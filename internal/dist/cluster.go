@@ -56,12 +56,6 @@ type Cluster struct {
 	dPos         [][]geom.Vec3
 	reps         []shard.Replica
 	maintainReqs [][]byte
-
-	// FullPublish forces every step onto the full-array publish path,
-	// even when the dirty stream would allow a delta — the A/B switch the
-	// bench and the equivalence suite use to prove the two paths publish
-	// bit-identical state. Set before the first Deform.
-	FullPublish bool
 }
 
 // NewCluster builds one server per shard of sm with engines from
@@ -195,10 +189,9 @@ func (cl *Cluster) Err() error {
 // the ghost ring, so the ghost exchange stays exact) and each shard
 // receives a PublishDelta of its (local id, position) pairs plus the
 // dirty AABB the router-side caches invalidate by. When the dirty
-// tracker overflowed (or FullPublish is set), the step falls back to the
-// full local position arrays — bigger, never wrong. A structural change
-// (a SplitCell or DeleteCell on the global mesh) cannot be published at
-// all: the shards' sub-meshes and remap tables describe the old cells, so
+// tracker overflowed, the step falls back to the full local position
+// arrays — bigger, never wrong. A structural change (a SplitCell or
+// DeleteCell on the global mesh) cannot be published at all: the shards' sub-meshes and remap tables describe the old cells, so
 // the step is refused and the cluster stays at its epoch for good (see
 // Cluster). The K publishes of a step go out together, and a failing
 // shard does not hold the others back: every reachable shard advances,
@@ -235,7 +228,7 @@ func (cl *Cluster) DeformErr(fn func(pos []geom.Vec3)) error {
 	}
 	global := g.Positions()
 	epoch := cl.epoch.Add(1)
-	if cl.FullPublish || d.Overflow {
+	if d.Overflow {
 		return cl.publishFull(epoch, global)
 	}
 	return cl.publishDeltas(epoch, d, global)

@@ -76,66 +76,6 @@ func TestDistDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistDeltaMatchesFullPublish drives two identical clusters through
-// identical blob steps — one forced onto the full-publish path, one on
-// deltas — and requires every shard sub-mesh to end bit-identical: the
-// delta encoding is a pure compression of the publish, never a different
-// answer.
-func TestDistDeltaMatchesFullPublish(t *testing.T) {
-	const steps, shards = 4, 3
-	factory := engineCases()[1].make // OCTOPUS
-	mk := func(full bool) *dist.Cluster {
-		m := buildBoxTet(t, 6, 1.0/6)
-		sm, err := shard.NewMesh(m, shards, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := dist.NewCluster(sm, factory)
-		cl.FullPublish = full
-		cl.ServeLoopback(dist.NewLoopback())
-		t.Cleanup(cl.Close)
-		return cl
-	}
-	clFull, clDelta := mk(true), mk(false)
-
-	d := blobFor(17)
-	for step := 0; step < steps; step++ {
-		for _, cl := range []*dist.Cluster{clFull, clDelta} {
-			if err := cl.DeformErr(func(pos []geom.Vec3) { d.Step(step, pos) }); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-	}
-
-	wf, wd := clFull.WireStats(), clDelta.WireStats()
-	if wf.Publish.Calls != steps*shards || wf.PublishDelta.Calls != 0 {
-		t.Fatalf("FullPublish cluster published %d full / %d delta, want %d / 0",
-			wf.Publish.Calls, wf.PublishDelta.Calls, steps*shards)
-	}
-	if wd.PublishDelta.Calls != steps*shards || wd.Publish.Calls != 0 {
-		t.Fatalf("delta cluster published %d delta / %d full, want %d / 0",
-			wd.PublishDelta.Calls, wd.Publish.Calls, steps*shards)
-	}
-	if wd.PublishedBytes() >= wf.PublishedBytes() {
-		t.Fatalf("delta publishes shipped %d bytes, full %d — no reduction",
-			wd.PublishedBytes(), wf.PublishedBytes())
-	}
-
-	pf, pd := clFull.Mesh().Partition().Parts, clDelta.Mesh().Partition().Parts
-	for s := range pf {
-		a, b := pf[s].Mesh.Positions(), pd[s].Mesh.Positions()
-		if len(a) != len(b) {
-			t.Fatalf("shard %d: %d vs %d vertices", s, len(a), len(b))
-		}
-		for l := range a {
-			if a[l] != b[l] {
-				t.Fatalf("shard %d local %d: full publish %v != delta publish %v",
-					s, l, a[l], b[l])
-			}
-		}
-	}
-}
-
 // TestDistDeltaOverflowFallback: a deformer moving every vertex
 // overflows the dirty tracker, so the cluster must fall back to full
 // publishes — and a later localized step must return to deltas, with the

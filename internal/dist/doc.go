@@ -47,8 +47,8 @@
 //     epoch), and never answer against geometry the router did not ask
 //     about.
 //
-//   - Transports: an in-process Loopback (deterministic tests, the bench,
-//     and fault drills via Kill/Revive) and TCP, both behind the
+//   - Transports: an in-process Loopback (deterministic tests and fault
+//     drills via Kill/Revive) and TCP, both behind the
 //     Transport interface. The TCP wire is multiplexed: every frame
 //     carries a request id, so one pooled connection serves many
 //     concurrent in-flight RPCs — a slow query never head-of-line-blocks
@@ -62,7 +62,8 @@
 //     RetryPolicy and returns an honest error when a shard stays
 //     unreachable — it never silently narrows a result. Both endpoints
 //     count per-op payload bytes (WireStats): transport-independent,
-//     deterministic for a seeded workload, and CI-gated in the bench.
+//     deterministic for a seeded workload, and pinned exactly on
+//     neuro-l2 by the package's counter tests.
 //
 //   - Cluster is the serving-side harness: it builds one Server per
 //     shard of a shard.Mesh and owns the publish fan-out. Deform applies
@@ -72,8 +73,8 @@
 //     translated to local ids, applied into the sub-mesh's back buffer
 //     before the atomic swap, so the result is bit-equal to a full
 //     publish by construction. When a step moves too much (dirty-set
-//     overflow, or FullPublish set) it falls back to pushing each shard's
-//     full local position array as a Publish RPC. A structural change
+//     overflow) it falls back to pushing each shard's full local
+//     position array as a Publish RPC. A structural change
 //     (a split or deleted cell) is refused: that Deform and every later
 //     one publish nothing and fail.
 //     Either way every shard receives exactly one publish per step

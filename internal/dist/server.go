@@ -16,11 +16,11 @@ import (
 // log and the codec.
 //
 // Concurrency: query RPCs (Range, KNN, Meta) may be handled
-// concurrently, each with a pooled cursor. Control RPCs (Publish, Maintain)
-// serialize with each other under s.mu and must come from a single
-// control plane (the Cluster's deform/maintain loop) — publishes overlap
-// in-flight queries safely through the sub-mesh's position snapshots,
-// which is why every query pins and proves its epoch.
+// concurrently, each with a cursor from the server's free list. Control
+// RPCs (Publish, Maintain) serialize with each other under s.mu and must
+// come from a single control plane (the Cluster's deform/maintain loop)
+// — publishes overlap in-flight queries safely through the sub-mesh's
+// position snapshots, which is why every query pins and proves its epoch.
 type Server struct {
 	x *shard.Exec
 
@@ -34,10 +34,15 @@ type Server struct {
 	// opDirtyLog to invalidate precisely instead of flushing.
 	dirtyLog *mesh.DirtyLog
 
-	pool sync.Pool // *serverCursor
+	// free holds the idle query cursors, most recently returned last. It
+	// is one list for every handler goroutine, whatever P it runs on, so
+	// a query takes a warm cursor whenever one is idle; a cold one grows
+	// its kNN heaps on its first large queries.
+	freeMu sync.Mutex
+	free   []*serverCursor
 }
 
-// serverCursor is the pooled per-request query state: the shard cursor
+// serverCursor is the reused per-request query state: the shard cursor
 // plus the response scratch the reply is encoded from (range ids land in
 // gids too).
 type serverCursor struct {
@@ -53,7 +58,6 @@ func NewServer(p *shard.Part, factory func(*mesh.Mesh) query.ParallelKNNEngine) 
 	return &Server{
 		x:        shard.NewExec(p, factory),
 		dirtyLog: mesh.NewDirtyLog(p.Mesh.Epoch()),
-		pool:     sync.Pool{New: func() any { return new(serverCursor) }},
 	}
 }
 
@@ -205,6 +209,26 @@ func (s *Server) maintain() epochResp {
 	return epochResp{Epoch: s.x.Part().Mesh.Epoch()}
 }
 
+// getCursor takes the most recently returned idle cursor, or a new one.
+func (s *Server) getCursor() *serverCursor {
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(serverCursor)
+	}
+	c := s.free[n-1]
+	s.free = s.free[:n-1]
+	return c
+}
+
+// putCursor returns c to the free list.
+func (s *Server) putCursor(c *serverCursor) {
+	s.freeMu.Lock()
+	s.free = append(s.free, c)
+	s.freeMu.Unlock()
+}
+
 // rangeQuery answers a range request at exactly q.Epoch, or reports
 // skew, and returns the encoded reply. Epochs are monotonic, so the head
 // reading q.Epoch both before and after the shard executed proves that
@@ -215,8 +239,8 @@ func (s *Server) rangeQuery(q rangeReq) []byte {
 	if e := m.Epoch(); e != q.Epoch {
 		return encodeRangeResp(rangeResp{Epoch: e, Skew: true})
 	}
-	c := s.pool.Get().(*serverCursor)
-	defer s.pool.Put(c)
+	c := s.getCursor()
+	defer s.putCursor(c)
 	c.gids = s.x.Range(&c.ExecCursor, q.Box, c.gids[:0])
 	if e := m.Epoch(); e != q.Epoch {
 		return encodeRangeResp(rangeResp{Epoch: e, Skew: true})
@@ -238,8 +262,8 @@ func (s *Server) knnQuery(q knnReq) []byte {
 	if q.K <= 0 {
 		return encodeKNNResp(knnResp{Epoch: q.Epoch})
 	}
-	c := s.pool.Get().(*serverCursor)
-	defer s.pool.Put(c)
+	c := s.getCursor()
+	defer s.putCursor(c)
 	c.kb.Reset(q.K)
 	rounds := s.x.KNN(&c.ExecCursor, q.P, q.K, q.Full, q.Bound2, &c.kb)
 	if e := m.Epoch(); e != q.Epoch {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -402,12 +403,12 @@ func (s *TCPServer) Stop() {
 
 // serveConn is the server side of the multiplexed protocol: a read loop
 // hands each request frame to an idle handler goroutine, starting one
-// when none is idle (at most maxConnConcurrency per connection), and
-// responses are written back, under a shared write lock, in whatever
-// order the handlers finish — the request id is what lets the client
-// reassemble them. Request payloads come from a per-connection free list:
-// a handler returns its request buffer once Handle is done with it
-// (Handler's contract: req is not retained).
+// only when every started handler is busy (at most maxConnConcurrency
+// per connection), and responses are written back, under a shared write
+// lock, in whatever order the handlers finish — the request id is what
+// lets the client reassemble them. Request payloads come from a
+// per-connection free list: a handler returns its request buffer once
+// Handle is done with it (Handler's contract: req is not retained).
 func serveConn(conn net.Conn, h Handler) {
 	sc := &connServer{
 		conn: conn,
@@ -438,16 +439,15 @@ func serveConn(conn net.Conn, h Handler) {
 			return // client went away (or sent garbage): drop the conn
 		}
 		r := request{op: op, id: id, req: req}
-		select {
-		case sc.reqs <- r: // an idle handler took it
-		default:
-			if handlers < maxConnConcurrency {
-				handlers++
-				sc.wg.Add(1)
-				go sc.serve(r)
-			} else {
-				sc.reqs <- r // every handler is busy: queue for the first free one
-			}
+		// A handler that has not yet come back to sc.reqs is idle all the
+		// same once its request is no longer counted: hand off to it
+		// rather than start another that would idle for the conn's life.
+		if int(sc.inflight.Add(1)) > handlers && handlers < maxConnConcurrency {
+			handlers++
+			sc.wg.Add(1)
+			go sc.serve(r)
+		} else {
+			sc.reqs <- r // an idle handler takes it, or the first to free up
 		}
 	}
 }
@@ -469,6 +469,10 @@ type connServer struct {
 	wg   sync.WaitGroup
 	reqs chan request // unbuffered: a send succeeds only into an idle handler
 	free chan []byte  // request buffers ready for reuse
+	// inflight counts the requests handed to handlers and not yet
+	// handled; the read loop starts a handler only when it exceeds the
+	// handlers started.
+	inflight atomic.Int32
 }
 
 // serve is one handler goroutine: it handles r, then every request it
@@ -483,6 +487,9 @@ func (sc *connServer) serve(r request) {
 // handle runs one request and writes its response frame.
 func (sc *connServer) handle(r request) {
 	resp, err := sc.h.Handle(r.op, r.req)
+	// Done before the response is written, so that by the time the client
+	// can send its next request this handler no longer counts as busy.
+	sc.inflight.Add(-1)
 	if cap(r.req) <= maxKeptFrame {
 		select {
 		case sc.free <- r.req:

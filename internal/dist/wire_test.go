@@ -388,21 +388,12 @@ func (p allocPass) String() string {
 
 // allocsPerLeg warms every query of the stream, then measures one pass.
 // The GC is off from the warm-up to the end of the pass: a collection
-// empties each server's sync.Pool of query cursors, and the cursors and
-// buffers rebuilt after it would be counted as the legs' garbage.
-//
-// The process runs on one P for the same reason. A sync.Pool keeps its
-// last-returned object in a per-P slot that no other P can take from, so
-// with two Ps a handler goroutine scheduled on the other P finds the
-// server's pool empty and builds a fresh cursor — and that cold cursor
-// then grows its kNN heaps on the first large queries it meets. Under CPU
-// load this happened several times a pass, 20–70 allocations each, which
-// lifted the truncated per-query count by one (2.22 per leg at 1.8 legs
-// per query). On one P every pool hands back the object the warm-up
-// grew.
+// empties the router's sync.Pool of fan-out cursors, and the cursors
+// rebuilt after it would be counted as the legs' garbage. Each server
+// hands out its warm query cursors from one free list, whatever P the
+// handler runs on, so the pass needs no pinning to one P.
 func (w *wireBench) allocsPerLeg(tb testing.TB, knn bool) allocPass {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	n := len(w.boxes)
 	for i := 0; i < 2*n; i++ {
 		w.query(tb, knn, i)
@@ -430,8 +421,14 @@ func TestDistTCPRoundTripAllocs(t *testing.T) {
 	}
 	w := newWireBench(t, 12)
 	for _, knn := range []bool{false, true} {
-		if p := w.allocsPerLeg(t, knn); p.perLeg > maxAllocsPerLeg {
+		p := w.allocsPerLeg(t, knn)
+		if p.perLeg > maxAllocsPerLeg {
 			t.Errorf("knn=%v: %v, want <= %d per leg", knn, p, maxAllocsPerLeg)
+		}
+		// One query at a time needs one handler per connection: a pass
+		// that starts another left it idle for the connection's life.
+		if p.goroutines1 != p.goroutines0 {
+			t.Errorf("knn=%v: %v, want the goroutine count unchanged", knn, p)
 		}
 	}
 }

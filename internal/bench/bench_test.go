@@ -9,7 +9,6 @@ import (
 
 	"octopus/internal/geom"
 	"octopus/internal/meshgen"
-	"octopus/internal/query"
 	"octopus/internal/sim"
 	"octopus/internal/workload"
 )
@@ -22,8 +21,7 @@ func TestRunAccountingAndFairness(t *testing.T) {
 	gen := workload.NewGenerator(m, 512, 1)
 	deformer := &sim.NoiseDeformer{Amplitude: 0.005, Frequency: 2, Seed: 1}
 
-	probes := func(int) []query.KNNQuery { return gen.KNNQueries(2, 1, 8, 0.05) }
-	res := Run(m, deformer, 4, UniformQueryStream(gen, 3, 0.01), probes, AllEngines())
+	res := Run(m, deformer, 4, UniformQueryStream(gen, 3, 0.01), AllEngines())
 	if len(res.Engines) != len(AllEngines()) || len(res.Built) != len(res.Engines) {
 		t.Fatalf("got %d engine results, %d engines", len(res.Engines), len(res.Built))
 	}
@@ -35,8 +33,8 @@ func TestRunAccountingAndFairness(t *testing.T) {
 		if er.TotalResponse != er.Maintenance+er.QueryTime {
 			t.Errorf("%s: total != maintenance + query", er.Engine)
 		}
-		if er.Queries != 4*(3+2) {
-			t.Errorf("%s: ran %d queries, want 4 steps x (3 range + 2 kNN)", er.Engine, er.Queries)
+		if er.Queries != 4*3 {
+			t.Errorf("%s: ran %d queries, want 4 steps x 3", er.Engine, er.Queries)
 		}
 		// Every engine is exact, so the total result count must agree.
 		if er.Results != first.Results {
@@ -80,7 +78,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 23 {
+	if len(exps) != 18 {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
@@ -143,12 +141,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 		t.Skip("experiment sweep skipped in -short mode")
 	}
 	coveredBy := map[string]string{
-		"fig6":        "CI's bench-smoke step \"Fig6 bench smoke\" (-exp fig6 -steps 1 -queries 1)",
-		"layout":      "TestLayoutQuick",
-		"maintain":    "TestMaintainExperimentSmoke, over five of the nine engines",
-		"repartition": "TestRepartExperimentSmoke",
-		"sharded":     "TestShardExperimentSmoke, over two engines and one shard count",
-		"slo":         "TestSLOExperimentSmoke",
+		"fig6":   "CI's bench-smoke step \"Fig6 bench smoke\" (-exp fig6 -steps 1 -queries 1)",
+		"layout": "TestLayoutQuick",
 	}
 	cfg := Config{Scale: 1, Steps: 1, QueriesPerStep: 1, Selectivity: 0.001, Seed: 42}
 	for _, exp := range Experiments() {
@@ -224,7 +218,7 @@ func TestOctopusBeatsScanOnReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Run(s.m, s.deformer, cfg.Steps,
-		UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
+		UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), Engines("OCTOPUS", "LinearScan"))
 	speedup := Speedup(res.Engines[0], res.Engines[1])
 	if speedup < 1.5 {
 		t.Errorf("OCTOPUS speedup over scan = %.2fx; expected comfortably > 1.5x", speedup)

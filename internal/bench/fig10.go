@@ -42,7 +42,7 @@ func Fig10(cfg Config) ([]*Table, error) {
 		}
 		res := Run(s.m, s.deformer, cfg.Steps, func(int) []geom.AABB {
 			return s.gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
-		}, nil, Engines("OCTOPUS"))
+		}, Engines("OCTOPUS"))
 
 		st := res.Built[0].(*core.Octopus).Stats()
 		breakdown.AddRow(level, s.m.NumVertices(), st.SurfaceProbe, st.DirectedWalk, st.Crawl,

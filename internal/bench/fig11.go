@@ -40,7 +40,7 @@ func Fig11(cfg Config) ([]*Table, error) {
 			}
 			stats := mesh.ComputeStats(s.m)
 			res := Run(s.m, s.deformer, cfg.Steps,
-				UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
+				UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), Engines("OCTOPUS", "LinearScan"))
 
 			queries := float64(res.Engines[0].Queries)
 			// Per the model, cost is per query; scale to the run's totals.

@@ -36,7 +36,7 @@ func Fig15(cfg Config) ([]*Table, error) {
 			steps = cfg.Steps
 		}
 		res := Run(s.m, s.deformer, steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), Engines("OCTOPUS", "LinearScan"))
 
 		perStep := func(d time.Duration) float64 { return d.Seconds() / float64(steps) }
 		times.AddRow(string(id), steps,

@@ -34,7 +34,7 @@ func Fig6(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := Run(s.m, s.deformer, cfg.Steps, MicrobenchmarkStream(s.gen, mb), nil, factories)
+		res := Run(s.m, s.deformer, cfg.Steps, MicrobenchmarkStream(s.gen, mb), factories)
 
 		perfRow := []interface{}{mb.ID}
 		memRow := []interface{}{mb.ID}

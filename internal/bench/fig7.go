@@ -41,7 +41,7 @@ func Fig7ab(cfg Config) ([]*Table, error) {
 		}
 		res := Run(s.m, s.deformer, cfg.Steps, func(int) []geom.AABB {
 			return s.gen.FixedQueries(cfg.QueriesPerStep, halfExtent)
-		}, nil, Engines("OCTOPUS", "LinearScan"))
+		}, Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(level, s.m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(level, Speedup(res.Engines[0], res.Engines[1]))
 	}
@@ -81,7 +81,7 @@ func Fig7cd(cfg Config) ([]*Table, error) {
 		}
 		sel := targetResults / float64(s.m.NumVertices())
 		res := Run(s.m, s.deformer, cfg.Steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(level, s.m.NumVertices(), res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(level, Speedup(res.Engines[0], res.Engines[1]))
 	}
@@ -116,7 +116,7 @@ func Fig7ef(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		res := Run(s.m, s.deformer, steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, Engines("OCTOPUS", "LinearScan"))
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(steps, res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(steps, Speedup(res.Engines[0], res.Engines[1]))
 	}
@@ -147,7 +147,7 @@ func Fig7gh(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		res := Run(s.m, s.deformer, cfg.Steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan"))
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), Engines("OCTOPUS", "LinearScan"))
 		times.AddRow(sel*100, res.Engines[1].TotalResponse, res.Engines[0].TotalResponse)
 		speed.AddRow(sel*100, Speedup(res.Engines[0], res.Engines[1]))
 	}

@@ -30,7 +30,7 @@ func Fig9ab(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		res := Run(s.m, s.deformer, cfg.Steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity),
 			Engines("OCTOPUS-CON", "OCTOPUS", "LinearScan"))
 
 		perf.AddRow(string(id),
@@ -75,7 +75,7 @@ func Fig9cd(cfg Config) ([]*Table, error) {
 			return core.NewCon(m, cells)
 		}}
 		res := Run(s.m, s.deformer, cfg.Steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), nil, []EngineFactory{conAt})
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), []EngineFactory{conAt})
 		con := res.Built[0].(*core.Con)
 
 		walk.AddRow(cells, con.Stats().WalkVisited, res.Engines[0].TotalResponse)

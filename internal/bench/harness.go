@@ -8,8 +8,7 @@
 // name and benchmark tuning; an experiment selects its engines from it by
 // name (Engines). The measurement loop is one function, Run: every step
 // deforms the mesh, then each engine runs its maintenance and the step's
-// range queries and kNN probes. The sharded rows are that loop too, with
-// one router per shard count beside the unsharded engine.
+// range queries.
 //
 // Timing follows the paper's protocol (§V-A): the total query response
 // time includes per-step index maintenance (Engine.Step) and query
@@ -80,12 +79,10 @@ type RunResult struct {
 // Run executes the full measurement loop: build engines (preprocessing),
 // then for each time step deform the mesh in place, let every engine
 // perform maintenance, and execute the step's queries on every engine.
-// ranges and probes are called once per step to produce that step's range
-// boxes and kNN probes (shared across engines for fairness); probes may
-// be nil.
+// ranges is called once per step to produce that step's range boxes
+// (shared across engines for fairness).
 func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
-	ranges func(step int) []geom.AABB, probes func(step int) []query.KNNQuery,
-	factories []EngineFactory) RunResult {
+	ranges func(step int) []geom.AABB, factories []EngineFactory) RunResult {
 
 	engines := make([]query.ParallelKNNEngine, len(factories))
 	results := make([]EngineResult, len(factories))
@@ -102,10 +99,6 @@ func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
 	for step := 0; step < steps; step++ {
 		simulation.Step()
 		queries := ranges(step)
-		var knn []query.KNNQuery
-		if probes != nil {
-			knn = probes(step)
-		}
 		stepQueries = append(stepQueries, len(queries))
 
 		for i, eng := range engines {
@@ -118,12 +111,8 @@ func Run(m *mesh.Mesh, deformer sim.Deformer, steps int,
 				out = eng.Query(q, out[:0])
 				results[i].Results += int64(len(out))
 			}
-			for _, p := range knn {
-				out = eng.KNN(p.P, p.K, out[:0])
-				results[i].Results += int64(len(out))
-			}
 			results[i].QueryTime += time.Since(start)
-			results[i].Queries += int64(len(queries) + len(knn))
+			results[i].Queries += int64(len(queries))
 		}
 	}
 

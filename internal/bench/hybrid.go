@@ -23,7 +23,7 @@ func HybridCrossover(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		res := Run(s.m, s.deformer, cfg.Steps,
-			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), nil, Engines("OCTOPUS", "LinearScan", "OCTOPUS-Hybrid"))
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, sel), Engines("OCTOPUS", "LinearScan", "OCTOPUS-Hybrid"))
 		oct, scan := res.Built[2].(*core.Hybrid).Routed()
 		t.AddRow(sel*100,
 			res.Engines[0].TotalResponse, res.Engines[1].TotalResponse,

@@ -35,11 +35,6 @@ func Experiments() []Experiment {
 		{"crawl", "extension: crawl cost on large boxes and the budgeted approximate mode (DESIGN.md §12)", Crawl},
 		{"hybrid", "extension: model-routed hybrid engine across the break-even (§IV-G)", HybridCrossover},
 		{"layout", "vertex-ordering ablation — crawl time, cache-proxy locality, the surface-first probe (DESIGN.md §7, §12) and Figure 13's Hilbert layout effect", Layout},
-		{"knn", "extension: k-nearest-neighbor queries by mesh crawling vs index baselines (DESIGN.md §8)", KNN},
-		{"maintain", "extension: incremental maintenance — budget sweep vs p99 latency and staleness, all engines x sharded/unsharded (DESIGN.md §11)", Maintain},
-		{"repartition", "extension: live incremental re-partitioning — migration volume under restructuring storms and pressure-driven shard balancing (DESIGN.md §13)", Repartition},
-		{"sharded", "extension: Hilbert-partitioned shards — response time, fan-out and live staleness vs shard count (DESIGN.md §10)", Sharded},
-		{"slo", "extension: SLO-driven serving — adaptive controller, result cache drill and actuator ladder (DESIGN.md §14)", SLO},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps

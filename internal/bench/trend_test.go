@@ -3,6 +3,8 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -122,5 +124,29 @@ func TestCompareBenchFilesMissingCells(t *testing.T) {
 	}
 	if len(v) != 1 {
 		t.Fatalf("non-numeric cell: violations %v, want 1", v)
+	}
+}
+
+func TestWriteJSONRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	e := Experiment{ID: "smoke", Description: "json round trip"}
+	tab := &Table{ID: "smoke", Title: "t", Columns: []string{"a", "b"}}
+	tab.AddRow("x", 1.5)
+	path, err := WriteJSON(dir, e, QuickConfig(), []*Table{tab}, 125*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(path) != "BENCH_smoke.json" {
+		t.Fatalf("unexpected path %q", path)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := string(raw)
+	for _, want := range []string{`"experiment": "smoke"`, `"columns"`, `"x"`, strconv.Quote("1.500")} {
+		if !strings.Contains(data, want) {
+			t.Fatalf("JSON missing %q:\n%s", want, data)
+		}
 	}
 }

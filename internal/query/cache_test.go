@@ -3,17 +3,23 @@ package query_test
 // Unit tests for the epoch-keyed result cache: the epoch-claim protocol,
 // the geometric invalidation rules (box intersection for range entries,
 // the closed kNN ball for probe entries), the flush triggers, and the
-// FIFO capacity discipline. The end-to-end proof that hits are bit-equal
-// to fresh execution lives in the serve tests.
+// FIFO capacity discipline, plus one single-threaded drill over a real
+// mesh's dirty regions whose counters are pinned. The end-to-end proof
+// that pipeline hits are bit-equal to fresh execution lives in the serve
+// tests.
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"octopus/internal/core"
 	"octopus/internal/geom"
 	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
 	"octopus/internal/query"
+	"octopus/internal/workload"
 )
 
 // dirtyAt is a complete dirty-log answer for (from, to] whose one
@@ -296,5 +302,79 @@ func TestResultCacheEvictAfterInvalidateRePut(t *testing.T) {
 	}
 	if _, _, hit := c.GetRange(qc); !hit {
 		t.Fatal("newest entry missing")
+	}
+}
+
+// TestResultCacheBlobDrill feeds the cache the dirty log of a real mesh:
+// eight blob deformations of neuro-l2, each moving only the vertices
+// within 8 % of the bounds diagonal of a rotating centre, with 48 range
+// and 24 kNN queries (seed 42) asked again after every publish. Every
+// hit is re-executed on a core cursor and must be bit-equal to it at the
+// head epoch. The drill is single-threaded and reads no clock, so its
+// lookup, hit and invalidation counts are exact.
+func TestResultCacheBlobDrill(t *testing.T) {
+	m, err := meshgen.Build(meshgen.NeuroL2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := core.New(m).NewCursor()
+	gen := workload.NewGenerator(m, 4096, 42)
+	queries := gen.UniformQueries(48, 0.001)
+	probes := gen.KNNQueries(24, 4, 12, 0.05)
+
+	orig := append([]geom.Vec3(nil), m.Positions()...)
+	diag := m.Bounds().Size().Len()
+	radius, amp := 0.08*diag, 0.002*diag
+	cache := query.NewResultCache(4 * (len(queries) + len(probes)))
+	// Index 0 counts range lookups, index 1 kNN lookups.
+	var lookups, hits, mismatches [2]int
+	check := func(kind int, fresh, res []int32, epoch uint64, hit bool) bool {
+		lookups[kind]++
+		if !hit {
+			return false
+		}
+		hits[kind]++
+		if epoch != m.Epoch() || !slices.Equal(res, fresh) {
+			mismatches[kind]++
+		}
+		return true
+	}
+	for e := 0; e < 8; e++ {
+		center := orig[(e*7919)%len(orig)]
+		m.Deform(func(pos []geom.Vec3) {
+			for i := range pos {
+				if pos[i].Sub(center).Len() < radius {
+					s := amp * math.Sin(float64(i)+float64(e))
+					pos[i].X += s
+					pos[i].Y -= s / 2
+				}
+			}
+		})
+		cache.Apply(m.DirtySince(cache.Stats().ValidEpoch))
+		for _, q := range queries {
+			fresh := cur.Query(q, nil)
+			if res, epoch, hit := cache.GetRange(q); !check(0, fresh, res, epoch, hit) {
+				cache.KeepRange(q, cur, fresh)
+			}
+		}
+		for _, p := range probes {
+			fresh := cur.KNN(p.P, p.K, nil)
+			if res, epoch, hit := cache.GetKNN(p.P, p.K); !check(1, fresh, res, epoch, hit) {
+				cache.KeepKNN(p.P, p.K, cur, fresh)
+			}
+		}
+	}
+
+	if want := [2]int{384, 192}; lookups != want {
+		t.Errorf("lookups (range, kNN) = %v, want %v", lookups, want)
+	}
+	if want := [2]int{300, 152}; hits != want {
+		t.Errorf("hits (range, kNN) = %v, want %v", hits, want)
+	}
+	if mismatches != [2]int{} {
+		t.Errorf("hits not bit-equal to fresh execution at the head epoch (range, kNN): %v", mismatches)
+	}
+	if cs := cache.Stats(); cs.Invalidated != 52 || cs.Flushes != 0 {
+		t.Errorf("invalidated %d entries in %d flushes, want 52 in 0", cs.Invalidated, cs.Flushes)
 	}
 }

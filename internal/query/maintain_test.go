@@ -126,17 +126,17 @@ func TestMaintainSchedulerStatsPerRun(t *testing.T) {
 	}
 }
 
-// stepOnly is the monolithic baseline the bench experiment uses: the
-// embedded interface hides the engine's BeginMaintenance, AnswerEpoch is
-// forwarded, and the scheduler lands on the StepTask path.
+// stepOnly is the monolithic baseline: the embedded interface hides the
+// engine's BeginMaintenance, AnswerEpoch is forwarded, and the scheduler
+// lands on the StepTask path.
 type stepOnly struct {
 	query.ParallelKNNEngine
 	query.EpochReporter
 }
 
-// TestMaintainMonolithicPipelineBaseline runs the whole-Step path (the
-// bench experiment's baseline) on a rebuild-heavy engine and checks it
-// is exactly as consistent as the legacy behavior it reproduces.
+// TestMaintainMonolithicPipelineBaseline runs the whole-Step path on a
+// rebuild-heavy engine and checks it is exactly as consistent as the
+// legacy behavior it reproduces.
 func TestMaintainMonolithicPipelineBaseline(t *testing.T) {
 	for _, name := range []string{"KD-Tree", "LU-Grid"} {
 		for _, f := range engineFactories() {

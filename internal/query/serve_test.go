@@ -213,39 +213,58 @@ func (p plainMesh) Epoch() uint64                   { return p.m.Epoch() }
 
 // TestSLOPipelineRelaxedWhenMet: a target no real query can miss leaves
 // every actuator at rest — full budget, full admission window, exact
-// crawls, zero sheds — and the run stays bit-exact.
+// crawls, zero sheds — and the run stays bit-exact. The cached input
+// repeats the workload eight times on a writer stopped after five steps,
+// so hits replay under the controller, which observes their latency too.
 func TestSLOPipelineRelaxedWhenMet(t *testing.T) {
-	m := buildBox(t, 6)
-	eng := engineFactories()[0].make(m) // OCTOPUS
-	o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 97})
-	queries, probes := testWorkload(m, 32, 12, 101)
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{{"uncached", 0}, {"cached", 256}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildBox(t, 6)
+			eng := engineFactories()[0].make(m) // OCTOPUS
+			o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 97})
+			queries, probes := testWorkload(m, 32, 12, 101)
+			maxSteps := 0
+			if tc.cacheSize > 0 {
+				queries, probes = repeatWorkload(queries, probes, 8)
+				maxSteps = 5
+			}
 
-	const budget = 500 * time.Microsecond
-	pl := &query.Pipeline{
-		Engine:            eng,
-		Mesh:              m,
-		Deform:            o.deform(m),
-		Workers:           4,
-		MinSteps:          5,
-		MaintenanceBudget: budget,
-		TargetLatency:     time.Hour,
-	}
-	report := pl.Run(queries, probes)
-	o.verify(t, m.Epoch())
-	checkReport(t, o, report, queries, probes)
+			const budget = 500 * time.Microsecond
+			pl := &query.Pipeline{
+				Engine:            eng,
+				Mesh:              m,
+				Deform:            o.deform(m),
+				Workers:           4,
+				MinSteps:          5,
+				MaxSteps:          maxSteps,
+				MaintenanceBudget: budget,
+				TargetLatency:     time.Hour,
+				CacheSize:         tc.cacheSize,
+			}
+			report := pl.Run(queries, probes)
+			o.verify(t, m.Epoch())
+			checkReport(t, o, report, queries, probes)
 
-	st := pl.SLOStats()
-	if st.Target != time.Hour {
-		t.Fatalf("controller target = %v", st.Target)
-	}
-	if st.OverloadedTicks != 0 || st.Budget != budget || st.WindowShift != 0 || st.CrawlMaxVisited != 0 {
-		t.Fatalf("met SLO moved actuators: %+v", st)
-	}
-	if report.Sheds != 0 {
-		t.Fatalf("met SLO shed %d queries", report.Sheds)
-	}
-	if st.Ticks != int64(report.Steps) {
-		t.Fatalf("controller ticked %d times over %d steps", st.Ticks, report.Steps)
+			st := pl.SLOStats()
+			if st.Target != time.Hour {
+				t.Fatalf("controller target = %v", st.Target)
+			}
+			if st.OverloadedTicks != 0 || st.Budget != budget || st.WindowShift != 0 || st.CrawlMaxVisited != 0 {
+				t.Fatalf("met SLO moved actuators: %+v", st)
+			}
+			if report.Sheds != 0 {
+				t.Fatalf("met SLO shed %d queries", report.Sheds)
+			}
+			if st.Ticks != int64(report.Steps) {
+				t.Fatalf("controller ticked %d times over %d steps", st.Ticks, report.Steps)
+			}
+			if cs := pl.CacheStats(); tc.cacheSize > 0 && cs.Hits == 0 {
+				t.Fatalf("no hits on an 8x-repeated workload: %+v", cs)
+			}
+		})
 	}
 }
 

@@ -190,6 +190,48 @@ func TestSLOControllerEscalation(t *testing.T) {
 	}
 }
 
+// TestSLOControllerPhases scripts four latency phases against a 1 ms
+// target and a 2 ms budget ceiling, each phase refilling the whole window
+// before its ticks, and pins every actuator after each phase: the budget
+// drops to its floor (ceiling/32) and comes back, the admission window
+// shifts to its maximum and back, and the crawl budget tightens three
+// times (4096, then halving every cooldown) and relaxes to exact once.
+func TestSLOControllerPhases(t *testing.T) {
+	const target = time.Millisecond
+	type actuators struct {
+		p99, budget  time.Duration
+		shift        int
+		crawl        int64
+		tight, relax int64
+	}
+	const floor = 62500 * time.Nanosecond
+	phases := []struct {
+		name    string
+		observe time.Duration // refills the window; 0 keeps it
+		ticks   int
+		want    actuators
+	}{
+		{"meeting", target / 2, 8, actuators{target / 2, 2 * target, 0, 0, 0, 0}},
+		{"overload", 5 * target, 8, actuators{5 * target, floor, 5, 4096, 1, 0}},
+		{"sustained overload", 0, 16, actuators{5 * target, floor, 6, 1024, 3, 0}},
+		{"recovered", target / 2, 40, actuators{target / 2, 2 * target, 0, 0, 3, 1}},
+	}
+	c := NewSLOController(target, 2*target)
+	for _, ph := range phases {
+		if ph.observe > 0 {
+			fill(c, ph.observe)
+		}
+		for range ph.ticks {
+			c.TickDecide()
+		}
+		st := c.Stats()
+		got := actuators{st.LastP99, st.Budget, st.WindowShift, st.CrawlMaxVisited, st.Tightenings, st.Relaxations}
+		if got != ph.want {
+			t.Errorf("after %s: %+v, want %+v", ph.name, got, ph.want)
+		}
+	}
+}
+
 func TestAdmissionLimit(t *testing.T) {
 	cases := []struct {
 		workers, shift, want int

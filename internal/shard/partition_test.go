@@ -82,6 +82,14 @@ func TestPartitionInvariants(t *testing.T) {
 		"partial-4":  buildPartialGrid(t, 4, 0.3, r),
 		"single-hex": singleHex(t),
 	}
+	// Dead cells belong to no shard.
+	holed := buildBoxTet(t, 5, 0.2)
+	for _, ci := range []int{3, 200, 410, 731} {
+		if _, err := holed.DeleteCell(ci); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meshes["box-5-dead-cells"] = holed
 	for name, m := range meshes {
 		for _, k := range []int{1, 2, 3, 4, 8} {
 			part, err := NewPartition(m, k, Options{})

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,8 +9,10 @@ import (
 	"octopus/internal/geom"
 	"octopus/internal/kdtree"
 	"octopus/internal/mesh"
+	"octopus/internal/meshgen"
 	"octopus/internal/query"
 	"octopus/internal/sim"
+	"octopus/internal/workload"
 )
 
 // replayPositions reconstructs the exact global positions at a given
@@ -278,6 +281,60 @@ func TestShardedPipelineMaintainHookComposes(t *testing.T) {
 		want := query.ScanPositions(pos, queries[i], nil)
 		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
 			t.Fatalf("range %d at epoch %d: %s", i, tr.Epoch, d)
+		}
+	}
+}
+
+// TestShardedStalenessBound: per-shard maintenance must not make answers
+// meaningfully staler for an engine with nothing to maintain, which
+// answers at the pinned epoch either way. On neuro-l2 under the default
+// deformer (8 steps on a 200 µs tick, 4 workers, 320 range queries at
+// 3 % selectivity and 80 kNN probes, seed 42), the K = 4 router's mean
+// staleness stays within one epoch of the single mesh's for each of the
+// four maintenance-free engines.
+func TestShardedStalenessBound(t *testing.T) {
+	ds := meshgen.NeuroL2
+	m, err := meshgen.Build(ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]geom.Vec3(nil), m.Positions()...)
+	sm, err := NewMesh(m, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(m, 4096, 42)
+	queries := slices.Repeat(gen.UniformQueries(64, 0.03), 5)
+	probes := slices.Repeat(gen.KNNQueries(16, 4, 16, 0.05), 5)
+	staleness := func(eng query.ParallelKNNEngine, dm query.DeformableMesh) float64 {
+		deformer, err := sim.DefaultDeformer(ds, sim.DefaultAmplitude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := &query.Pipeline{
+			Engine:   eng,
+			Mesh:     dm,
+			Deform:   deformer.Step,
+			Tick:     200 * time.Microsecond,
+			MinSteps: 8,
+			MaxSteps: 8,
+			Workers:  4,
+		}
+		mean, _ := query.StalenessStats(pl.Run(queries, probes).Traces())
+		return mean
+	}
+	restore := func(pos []geom.Vec3) { copy(pos, orig) }
+	for _, ec := range engineCases() {
+		if !slices.Contains([]string{"LinearScan", "OCTOPUS", "OCTOPUS-CON", "OCTOPUS-Hybrid"}, ec.name) {
+			continue
+		}
+		m.Deform(restore)
+		single := staleness(ec.make(m), m)
+		sm.Deform(restore)
+		sharded := staleness(NewRouter(sm, ec.make), sm)
+		t.Logf("%s: stale-mean single %.3f, K=4 %.3f", ec.name, single, sharded)
+		if sharded > single+1 {
+			t.Errorf("%s: K=4 stale-mean %.3f, single mesh %.3f: more than one epoch staler", ec.name, sharded, single)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -305,6 +306,68 @@ func TestRepartitionStatsAccumulate(t *testing.T) {
 		t.Fatalf("migrated cell fraction %.2f — incremental path moved too much", frac)
 	}
 	checkRouterExact(t, "after three rounds", m, r)
+}
+
+// TestRepartitionStorms pins live re-partitioning's migration volume.
+// A box-10 tet mesh takes two storms, each of 24 SplitCell and 4
+// DeleteCell on cells drawn from its first eighth (RNG seed 42 + K, so
+// the refinement front is one slab), with Router.Step after each storm.
+// Nothing reads the clock, so every counter is exact: with K = 4 the
+// incremental path migrates 23 vertices per generation, 1.5 % of the
+// cells, and leaves the owned counts within 2.3 % of even; frozen cuts
+// never shift; with K = 8 half the shards keep their sub-mesh and
+// engine. A from-scratch partition per storm would migrate every cell
+// and rebuild every shard.
+func TestRepartitionStorms(t *testing.T) {
+	storms := func(k int, opts Options) (RepartitionStats, []int) {
+		m := buildBoxTet(t, 10, 0.1)
+		sm, err := NewMesh(m, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return kdtree.NewEngine(sub, 0) })
+		rng := rand.New(rand.NewSource(42 + int64(k)))
+		slab := m.NumCells() / 8
+		var verts []int
+		for range 2 {
+			// A cell drawn twice is dead the second time and refuses the
+			// operation, so errors are dropped; the draw still advances
+			// the RNG.
+			for range 24 {
+				_, _, _ = m.SplitCell(rng.Intn(slab))
+			}
+			for range 4 {
+				_, _ = m.DeleteCell(rng.Intn(slab))
+			}
+			r.Step()
+			verts = append(verts, m.NumVertices())
+		}
+		if err := sm.Partition().Validate(m); err != nil {
+			t.Fatal(err)
+		}
+		checkRouterExact(t, fmt.Sprintf("K=%d after the storms", k), m, r)
+		return sm.RepartitionStats(), verts
+	}
+
+	live, verts := storms(4, Options{})
+	// A from-scratch partition would migrate all of these vertices: 1 366
+	// per generation on the mean.
+	if want := []int{1355, 1377}; !slices.Equal(verts, want) {
+		t.Errorf("vertices after each storm = %v, want %v", verts, want)
+	}
+	if live.Generations != 2 || live.FullRebuilds != 0 || live.MigratedVerts != 46 ||
+		live.MigratedCells != 184 || live.TotalCellsSeen != 12198 {
+		t.Errorf("K=4 live: %+v, want 2 incremental generations migrating 46 vertices and 184 of 12198 cells", live)
+	}
+	if got := fmt.Sprintf("%.3f", live.ImbalanceAfter); got != "1.023" {
+		t.Errorf("K=4 live: imbalance after %s, want 1.023", got)
+	}
+	if frozen, _ := storms(4, Options{RebalanceTol: -1}); frozen.BoundaryShifts != 0 {
+		t.Errorf("K=4 frozen: %d boundary shifts, want 0", frozen.BoundaryShifts)
+	}
+	if eight, _ := storms(8, Options{}); eight.Generations != 2 || eight.RebuiltShards != 8 {
+		t.Errorf("K=8 live: %+v, want 8 of 2 x 8 shards rebuilt", eight)
+	}
 }
 
 // TestLiveRepartitionEquivalence is the acceptance bar for the live

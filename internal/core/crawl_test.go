@@ -264,8 +264,7 @@ func TestParallelCrawlBudgetKNN(t *testing.T) {
 
 // TestParallelCrawlMemoryBytes checks the cursor's exported footprint: it
 // is the sum of its parts — mark array, kNN frontier, k-best heap, seed
-// buffer, block distances, the leaves the kNN start search sets aside — and it
-// grows once a crawl has run.
+// buffer, block distances — and it grows once a crawl has run.
 func TestParallelCrawlMemoryBytes(t *testing.T) {
 	m := buildBox(t, 8)
 	o := New(m)
@@ -280,12 +279,12 @@ func TestParallelCrawlMemoryBytes(t *testing.T) {
 	cur := o.resident
 	marks, heap := int64(cap(cur.marks))*4, int64(cap(cur.heap))*16
 	kbest, seeds := cur.kbest.MemoryBytes(), int64(cap(cur.seeds))*4
-	blocks, aside := int64(cap(cur.blocks))*16, int64(cap(cur.aside))*16
-	if marks != int64(m.NumVertices())*4 || heap == 0 || kbest == 0 || seeds == 0 || blocks == 0 || aside == 0 {
-		t.Fatalf("parts: marks %d (V=%d), heap %d, kbest %d, seeds %d, blocks %d, aside %d — every one must exist after a crawl and a kNN",
-			marks, m.NumVertices(), heap, kbest, seeds, blocks, aside)
+	blocks := int64(cap(cur.blocks)) * 16
+	if marks != int64(m.NumVertices())*4 || heap == 0 || kbest == 0 || seeds == 0 || blocks == 0 {
+		t.Fatalf("parts: marks %d (V=%d), heap %d, kbest %d, seeds %d, blocks %d — every one must exist after a crawl and a kNN",
+			marks, m.NumVertices(), heap, kbest, seeds, blocks)
 	}
-	if want := marks + heap + kbest + seeds + blocks + aside; grown != want {
+	if want := marks + heap + kbest + seeds + blocks; grown != want {
 		t.Fatalf("MemoryBytes = %d, want %d (sum of parts)", grown, want)
 	}
 }

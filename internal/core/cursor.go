@@ -38,12 +38,9 @@ type Cursor struct {
 	stats Stats
 
 	// blocks is the heap of the exact probe's nearest-first searches over
-	// its two levels of boxes (probe.go): the kNN start search and the
-	// probe that resumes it, and the start searches of a no-seed range
-	// query. aside holds the leaves the kNN start search scanned or left
-	// beyond its bound, for the probe to push back.
+	// its two levels of boxes (probe.go): the walk start of a kNN and of a
+	// no-seed range query, the kNN probe, and a stalled walk's retry.
 	blocks []heapItem
-	aside  []heapItem
 
 	// epoch is the position snapshot of the query in flight: beginQuery
 	// pins the mesh's head epoch (crawler.pos becomes the pinned buffer)
@@ -260,8 +257,7 @@ func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoun
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
 // structures (mark array, kNN frontier), the seed buffer, the box heap
-// of the exact probe with the kNN start search's leaves set aside, and the
-// kNN candidate heap.
+// of the exact probe, and the kNN candidate heap.
 func (c *Cursor) MemoryBytes() int64 {
-	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks)+cap(c.aside))*16 + c.kbest.MemoryBytes()
+	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks))*16 + c.kbest.MemoryBytes()
 }

@@ -191,6 +191,9 @@ func FuzzBlockProbe(f *testing.F) {
 	f.Add(int64(2), uint16(mesh.ProbeBlock*mesh.ProbeFan+1), uint8(3), true, uint8(20))
 	f.Add(int64(3), uint16(3*mesh.ProbeBlock*mesh.ProbeFan+7), uint8(4), false, uint8(0))
 	f.Add(int64(4), uint16(mesh.ProbeBlock*mesh.ProbeFan), uint8(1), true, uint8(5))
+	// A leaf NaN on x throughout reads nearest a kNN probe point; it
+	// holds no vertex at a defined distance and must not be the start.
+	f.Add(int64(-15), uint16(150), uint8(142), true, uint8(235))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, spread uint8, drift bool, nonFinite uint8) {
 		n %= 4 * mesh.ProbeBlock * mesh.ProbeFan
 		if n == 0 || spread == 0 {

@@ -15,15 +15,15 @@ import (
 // what the crawl found instead of making its own from surface distances
 // (DESIGN.md §8):
 //
-//  1. Start search — the surface vertex nearest the probe point, by a
-//     nearest-first search over the two levels of block boxes that leaves
-//     its heap to be resumed in step 3.
+//  1. Start — the walk start a no-seed range query takes: the leaf whose
+//     box is nearest the probe point, by a nearest-first search over the
+//     two levels of block boxes, and in it the vertex nearest p.
 //  2. Descent and crawl — greedily walk from that vertex to a local
 //     minimum of the distance to p, then expand mesh edges best-first,
 //     keeping the k best candidates in a bounded max-heap (Cursor.kbest)
 //     and stopping once the frontier's next vertex is farther than the
 //     current k-th best.
-//  3. Surface probe — resume the start search's heap under the crawl's
+//  3. Surface probe — search the boxes nearest-first under the crawl's
 //     bound and offer every surface vertex within it that the crawl did
 //     not mark. The crawl's push and stop tests are strict, so a vertex it
 //     marked was either offered or seen strictly beyond a bound that has
@@ -73,12 +73,12 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	cur.bumpMarks() // one visited set for every crawl of the query
 	ceiling2 := cur.knnCeiling2
 
-	// Step 1: the surface vertex nearest p — beyond a RestrictKNN ceiling
-	// too: the descent from it is what reaches the interior vertices
-	// within the ceiling when no surface vertex is.
+	// Step 1: a surface vertex near p, found as a no-seed range query's
+	// walk start is — beyond a RestrictKNN ceiling too: the descent from
+	// it is what reaches the interior vertices within the ceiling when no
+	// surface vertex is.
 	clock := time.Now()
-	bb := o.idx.Boxes(cur.epoch)
-	s0, boxes, positions := o.knnStartSearch(cur, bb, p, pos)
+	s0, boxes, positions := o.knnStart(cur, p, pos)
 	cur.stats.ProbeBoxes += boxes
 	cur.stats.ProbeChecked += boxes + positions
 	cur.stats.SurfaceProbe += lap(&clock)
@@ -107,7 +107,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		marks: cur.marks,
 		epoch: cur.markEpoch,
 	}
-	boxes, positions = o.probeKNN(cur, bb, &kp, p, pos)
+	boxes, positions = o.probeKNN(cur, &kp, p, pos)
 	cur.stats.ProbeBoxes += boxes
 	cur.stats.ProbeChecked += boxes + positions
 	cur.stats.SurfaceProbe += lap(&clock)

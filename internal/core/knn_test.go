@@ -285,8 +285,10 @@ func TestKNNRestricted(t *testing.T) {
 // surfaces the benchmark's workloads run it on — neuro-l5 and one sub-mesh
 // of the K=4 partition of neuro-l3 — as built and after 25 published noise
 // steps: 600 kNN per state (1 200 per mesh, k in [8, 32]) must equal brute
-// force slot for slot, ball included. On no-seed range boxes the walk
-// start must be the flat pass's over the leaves, the retry's start must be
+// force slot for slot, ball included, and start where a flat pass over
+// the leaves starts (the leaf nearest the probe point, its nearest vertex
+// at a non-NaN distance). On no-seed range boxes the walk start must be
+// the flat pass's over the leaves too, the retry's start must be
 // as near as the nearest surface vertex, and the boxes must stall
 // no more often than under the one-level rule the leaves replaced (the
 // walk started in the nearest of the 4×-larger blocks, with the same
@@ -330,8 +332,15 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 			}
 			label := c.name + "/" + state
 			pos := m.Positions()
+			leaves, blocks := flatBoxes(o, pos, mesh.ProbeBlock), flatBoxes(o, pos, 4*mesh.ProbeBlock)
 			for i, q := range g.KNNQueries(600, 8, 32, 0) {
 				checkKNN(t, fmt.Sprintf("%s kNN %d", label, i), cur, pos, q.P, q.K)
+				ref.beginQuery(m)
+				got, _, _ := o.knnStart(ref, q.P, pos)
+				ref.endQuery(m)
+				if want := oneLevelStart(o, leaves, mesh.ProbeBlock, geom.AABB{Min: q.P, Max: q.P}, knnPick(q.P, pos)); got != want {
+					t.Fatalf("%s kNN %d: the two-level start is %d, a flat pass over the leaves %d", label, i, got, want)
+				}
 			}
 
 			before := cur.Stats().WalkStalls
@@ -340,14 +349,15 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 			for i, q := range boxes {
 				checkRangeContract(t, m, fmt.Sprintf("%s box %d", label, i), q, cur.Query(q, nil), query.BruteForce(m, q))
 				ref.beginQuery(m)
-				if got, want := o.blockStart(ref, q, pos), oneLevelStart(o, q, pos, mesh.ProbeBlock); got != want {
+				got, _, _ := o.blockStart(ref, q, pos)
+				if want := oneLevelStart(o, leaves, mesh.ProbeBlock, q, rangePick(q, pos)); got != want {
 					t.Fatalf("%s box %d: the two-level start is %d, a flat pass over the leaves %d", label, i, got, want)
 				}
 				nearest, dist := nearestOf(q, pos, o.idx.Slots(), math.Inf(1))
 				if got := o.closestSurfaceVertex(ref, q, pos); got < 0 || q.Dist2(pos[got]) != dist {
 					t.Fatalf("%s box %d: closest surface vertex %d, want %d at squared distance %v", label, i, got, nearest, dist)
 				}
-				if start := oneLevelStart(o, q, pos, 4*mesh.ProbeBlock); !ref.walkFrom(q, start) {
+				if start := oneLevelStart(o, blocks, 4*mesh.ProbeBlock, q, rangePick(q, pos)); !ref.walkFrom(q, start) {
 					if v := o.closestSurfaceVertex(ref, q, pos); v == start || !ref.walkFrom(q, v) {
 						oneLevel++
 					}
@@ -364,24 +374,71 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 	}
 }
 
-// oneLevelStart is the no-seed walk start of a flat pass over blocks of
-// block surface slots: the vertex nearest q inside the block whose box is
-// nearest q, ties going to the lower block (-1 when none is at a finite
-// distance).
-func oneLevelStart(o *Octopus, q geom.AABB, pos []geom.Vec3, block int) int32 {
-	best, bestDist := -1, math.Inf(1)
+// flatBoxes returns the box of every block of block surface slots,
+// recomputed from pos by its definition (boundsOf). A block whose every
+// position is NaN on one axis holds no position at a defined distance; it
+// gets the empty box, which is never nearest.
+func flatBoxes(o *Octopus, pos []geom.Vec3, block int) []geom.AABB {
+	var boxes []geom.AABB
 	for lo := 0; lo < o.SurfaceSize(); lo += block {
-		bx := geom.EmptyBox()
+		var ps []geom.Vec3
+		nanX, nanY, nanZ := true, true, true
 		for _, v := range o.idx.Slots()[lo:min(lo+block, o.SurfaceSize())] {
-			bx = bx.Extend(pos[v])
+			p := pos[v]
+			ps = append(ps, p)
+			nanX, nanY, nanZ = nanX && p.X != p.X, nanY && p.Y != p.Y, nanZ && p.Z != p.Z
 		}
-		if d := gap2(&bx, &q); d < bestDist {
-			best, bestDist = lo, d
+		if nanX || nanY || nanZ {
+			boxes = append(boxes, geom.EmptyBox())
+		} else {
+			boxes = append(boxes, boundsOf(ps, ps))
+		}
+	}
+	return boxes
+}
+
+// oneLevelStart is the walk start of a flat pass over the boxes of blocks
+// of block surface slots (flatBoxes): pick's vertex of the block whose box
+// is nearest q, ties going to the lower block (-1 when none is at a
+// finite distance).
+func oneLevelStart(o *Octopus, boxes []geom.AABB, block int, q geom.AABB, pick func(ids []int32) int32) int32 {
+	best, bestDist := -1, math.Inf(1)
+	for b := range boxes {
+		if d := gap2(&boxes[b], &q); d < bestDist {
+			best, bestDist = b, d
 		}
 	}
 	if best < 0 {
 		return -1
 	}
-	v, _ := nearestOf(q, pos, o.idx.Slots()[best:min(best+block, o.SurfaceSize())], math.Inf(1))
-	return v
+	return pick(o.idx.Slots()[best*block : min((best+1)*block, o.SurfaceSize())])
+}
+
+// rangePick is a no-seed range query's pick in its start leaf: the vertex
+// of ids nearest q, the first of equals (nearestOf).
+func rangePick(q geom.AABB, pos []geom.Vec3) func(ids []int32) int32 {
+	return func(ids []int32) int32 {
+		v, _ := nearestOf(q, pos, ids, math.Inf(1))
+		return v
+	}
+}
+
+// knnPick is a kNN's pick in its start leaf: the first vertex of ids at
+// the least squared distance from p, a NaN distance never taken (-1 when
+// every distance is NaN).
+func knnPick(p geom.Vec3, pos []geom.Vec3) func(ids []int32) int32 {
+	return func(ids []int32) int32 {
+		least := math.NaN()
+		for _, v := range ids {
+			if d := pos[v].Dist2(p); !(d >= least) && d == d {
+				least = d
+			}
+		}
+		for _, v := range ids {
+			if pos[v].Dist2(p) == least {
+				return v
+			}
+		}
+		return -1
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"octopus/internal/geom"
@@ -60,7 +61,10 @@ func BreakEvenSelectivity(S, M float64, c Constants) float64 {
 // Calibrate measures CS and CR on the current machine using the given mesh
 // (the paper determines them "empirically ... by averaging a long run of a
 // linear scan and graph traversal over the smallest dataset"). The mesh is
-// only read.
+// only read. The long run alternates scan and crawl rounds in one window,
+// and each constant is the median of its rounds' costs per access: on a
+// loaded machine a round the scheduler preempted is left out instead of
+// skewing the ratio.
 func Calibrate(m *mesh.Mesh) Constants {
 	pos := m.Positions()
 	if len(pos) == 0 {
@@ -69,30 +73,11 @@ func Calibrate(m *mesh.Mesh) Constants {
 	bounds := m.Bounds()
 	probe := geom.BoxAround(bounds.Center(), bounds.Size().Len()/10)
 
-	// CS: sequential scan with containment test and result collection —
-	// exactly the linear scan's (and surface probe's) per-vertex work —
-	// repeated until the total runtime is comfortably measurable.
-	var scanned int64
-	var out []int32
-	start := time.Now()
-	for time.Since(start) < 30*time.Millisecond {
-		out = out[:0]
-		for i, p := range pos {
-			if probe.Contains(p) {
-				out = append(out, int32(i))
-			}
-		}
-		scanned += int64(len(pos))
-	}
-	cs := time.Since(start).Seconds() / float64(scanned)
-
-	// CR: full breadth-first traversals of the mesh graph by the crawl
-	// itself (crawler.crawl over a box that holds every vertex) — the
-	// paper likewise averages "a long run of ... graph traversal", and
-	// running the engine's own loop means the constant cannot drift from
-	// the code it predicts. The unit is one adjacency access, so a round
-	// counts the edges it follows; the first, untimed round counts them and
-	// allocates the mark array.
+	// CR's round: a full breadth-first traversal of the mesh graph by the
+	// crawl itself (crawler.crawl over a box that holds every vertex), so
+	// the constant cannot drift from the code it predicts. The unit is one
+	// adjacency access, so a round counts the edges it follows; the first,
+	// untimed round counts them and allocates the mark array.
 	all := geom.AABB{
 		Min: bounds.Min.Sub(geom.V(1, 1, 1)),
 		Max: bounds.Max.Add(geom.V(1, 1, 1)),
@@ -104,15 +89,36 @@ func Calibrate(m *mesh.Mesh) Constants {
 	for _, v := range queue {
 		edges += int64(len(m.Neighbors(v)))
 	}
-	cr := cs
-	if edges > 0 {
-		var accessed int64
-		start = time.Now()
-		for time.Since(start) < 30*time.Millisecond {
-			queue = bfs.crawl(all, seed, queue[:0])
-			accessed += edges
+
+	// CS's round: sequential passes with containment test and result
+	// collection — exactly the linear scan's (and surface probe's)
+	// per-vertex work — as many as make about a crawl round's accesses.
+	passes := max(1, int(edges)/len(pos))
+	var out []int32
+	var scans, crawls []float64 // seconds per access, one per round
+	for start := time.Now(); time.Since(start) < 60*time.Millisecond; {
+		t0 := time.Now()
+		for range passes {
+			out = out[:0]
+			for i, p := range pos {
+				if probe.Contains(p) {
+					out = append(out, int32(i))
+				}
+			}
 		}
-		cr = time.Since(start).Seconds() / float64(accessed)
+		t1 := time.Now()
+		scans = append(scans, t1.Sub(t0).Seconds()/float64(passes*len(pos)))
+		if edges > 0 {
+			queue = bfs.crawl(all, seed, queue[:0])
+			crawls = append(crawls, time.Since(t1).Seconds()/float64(edges))
+		}
+	}
+	slices.Sort(scans)
+	cs := scans[len(scans)/2]
+	cr := cs
+	if len(crawls) > 0 {
+		slices.Sort(crawls)
+		cr = crawls[len(crawls)/2]
 	}
 	sink(len(out), float64(len(queue)))
 	return Constants{CS: cs, CR: cr}

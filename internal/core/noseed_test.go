@@ -274,7 +274,7 @@ func TestNoSeedBlockStart(t *testing.T) {
 				if _, ok := ref.greedyWalk(q, latticeStart(o, q, pos)); !ok {
 					sampledStalls++
 				}
-				if v := o.blockStart(ref, q, pos); v < 0 || !ref.walkFrom(q, v) {
+				if v, _, _ := o.blockStart(ref, q, pos); v < 0 || !ref.walkFrom(q, v) {
 					blockStalls++
 				}
 				ref.seeds = ref.seeds[:0]

@@ -104,7 +104,7 @@ type Stats struct {
 	SurfaceProbe  time.Duration
 	DirectedWalk  time.Duration
 	Crawl         time.Duration
-	ProbeChecked  int64 // containment/distance tests of the probe: surface positions and block boxes
+	ProbeChecked  int64 // containment/distance tests of the probe and the walk-start search: surface positions and block boxes
 	ProbeBoxes    int64 // the block-box tests among ProbeChecked, both levels
 	WalkVisited   int64 // vertices accessed during directed walks, fallback scans included
 	CrawlVisited  int64 // vertices expanded by the BFS
@@ -212,13 +212,16 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	// and runs the containment kernel, the CS unit cost of the analytical
 	// model, inside the leaves that meet q. Only in the no-seed case is a
 	// walk start looked for: the boxes say which leaf is nearest q, and
-	// that leaf's vertex nearest q is the start.
+	// that leaf's vertex nearest q is the start. Its tests count as the
+	// probe's.
 	boxes, positions := o.probeRange(cur, q, pos)
 	cur.stats.ProbeBoxes += boxes
 	cur.stats.ProbeChecked += boxes + positions
 	start := int32(-1)
 	if len(cur.seeds) == 0 {
-		start = o.blockStart(cur, q, pos)
+		start, boxes, positions = o.blockStart(cur, q, pos)
+		cur.stats.ProbeBoxes += boxes
+		cur.stats.ProbeChecked += boxes + positions
 	}
 	t1 := time.Now()
 	cur.stats.SurfaceProbe += t1.Sub(t0)

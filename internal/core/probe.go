@@ -22,14 +22,13 @@ import (
 // The range probe descends coarse → leaf in ascending slot order and runs
 // the containment kernel only inside leaves whose box meets the query, so
 // its seeds and the crawl are exactly what the linear pass over the
-// surface produces. A kNN searches one nearest-first heap of coarse and
-// leaf items twice: first for the surface vertex nearest the probe point,
-// where its crawl starts, then — resumed after the crawl — scanning leaves
-// until the next item lies strictly beyond the k-th-best distance. Both
-// rank vertices by (distance, slot), so the start, the vertices offered
-// and the folds are the linear pass's. The same two levels answer the
-// probe's other nearest-neighbour question — where a no-seed range
-// query's walk starts, and where a stalled walk retries — so no path
+// surface produces. The kNN probe, after the crawl, searches one
+// nearest-first heap of coarse and leaf items, scanning leaves until the
+// next item lies strictly beyond the k-th-best distance; it ranks vertices
+// by (distance, slot), so the vertices offered and the folds are the
+// linear pass's. The same two levels say where the directed walk starts —
+// in the leaf nearest the query box or the kNN probe point (nearestLeaf),
+// one rule for both — and where a stalled walk retries, so no path
 // samples the surface or passes over every leaf. A layout without that
 // locality (restructuring deltas swap slots around) only makes the boxes
 // loose — more leaves scanned, never a wrong answer. The boxes belong to
@@ -183,73 +182,22 @@ func (kp *knnProbe) folds() []knnFold {
 	return kp.cands[:n]
 }
 
-// knnStartSearch is step 1 of the exact kNN: the surface vertex nearest p
-// by (squared distance, slot), -1 when none is at a non-NaN distance. It
-// searches both levels of boxes nearest-first, scanning leaves until the
-// next item lies strictly beyond the best vertex found — a leaf at exactly
-// that distance may hold the lower slot of a tie. The search leaves
-// cur.blocks for the probe to resume (probeKNN) under the crawl's bound,
-// which may be the larger one: a popped coarse box pushes the leaves
-// within the best distance so far and sets the others aside in
-// cur.aside, with the leaves it scans, for the probe to push back. It
-// returns the number of distance tests made on boxes of either level and
-// on surface positions.
-func (o *Octopus) knnStartSearch(cur *Cursor, bb *mesh.BlockBoxes, p geom.Vec3, pos []geom.Vec3) (start int32, boxes, positions int64) {
+// probeKNN is step 3 of the exact kNN: a nearest-first search over both
+// levels of boxes under the probe's bound. A popped coarse box pushes its
+// leaves within the bound, a popped leaf is scanned, and the probe stops
+// at the first item strictly beyond the bound (one at exactly the bound
+// is taken: its leaf may hold the smaller id of a tie). A coarse box is
+// never farther than its leaves (nanAxis ones aside, which hold nothing to
+// offer) and the bound only tightens, so every leaf not scanned has every
+// vertex strictly outside the final ball: no vertex left out belongs to
+// the result or to the folds, and the crawl may go on treating every
+// surface vertex as offered (probedInKNN). It returns the number of
+// distance tests made on boxes and of surface slots read.
+func (o *Octopus) probeKNN(cur *Cursor, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
+	bb := o.idx.Boxes(cur.epoch)
 	q := geom.AABB{Min: p, Max: p}
 	order := coarseGaps(bb, cur.blocks, &q)
 	boxes = int64(len(order))
-	aside := cur.aside[:0]
-	slots := o.idx.Slots()
-	start, startSlot, startDist := int32(-1), len(slots), math.Inf(1)
-	for len(order) > 0 && order[0].dist <= startDist {
-		it := heapPopItem(&order)
-		if c := int(it.v) - len(bb.Leaf); c >= 0 {
-			first, end := bb.Leaves(c)
-			boxes += int64(end - first)
-			for b := first; b < end; b++ {
-				leaf := heapItem{dist: gap2(&bb.Leaf[b], &q), v: int32(b)}
-				if leaf.dist <= startDist {
-					heapPushItem(&order, leaf)
-				} else {
-					aside = append(aside, leaf)
-				}
-			}
-			continue
-		}
-		aside = append(aside, it)
-		lo, hi := o.idx.LeafSlots(int(it.v))
-		positions += int64(hi - lo)
-		for idx := lo; idx < hi; idx++ {
-			v := slots[idx]
-			if d := pos[v].Dist2(p); d < startDist || d == startDist && idx < startSlot {
-				start, startSlot, startDist = v, idx, d
-			}
-		}
-	}
-	cur.blocks, cur.aside = order, aside
-	return start, boxes, positions
-}
-
-// probeKNN is step 3 of the exact kNN: it pushes back the leaves the start
-// search set aside that lie within the probe's bound and resumes the
-// search (knnStartSearch) under it. A popped coarse box pushes those of
-// its leaves that lie within the bound, a popped leaf is scanned, and the
-// probe stops at the first item strictly beyond the bound. A coarse box
-// is never farther than its leaves, so every leaf not scanned then has
-// every vertex strictly outside the final ball (the bound only tightens):
-// no vertex left out belongs to the result or to the folds, and the crawl
-// may go on treating every surface vertex as offered (probedInKNN). An
-// item at exactly the bound is taken: its leaf may hold the smaller id of
-// a tie. It returns the number of distance tests made on leaf boxes and
-// the number of surface slots read.
-func (o *Octopus) probeKNN(cur *Cursor, bb *mesh.BlockBoxes, kp *knnProbe, p geom.Vec3, pos []geom.Vec3) (boxes, positions int64) {
-	q := geom.AABB{Min: p, Max: p}
-	order := cur.blocks
-	for _, it := range cur.aside {
-		if it.dist <= kp.bound {
-			heapPushItem(&order, it)
-		}
-	}
 	for len(order) > 0 && order[0].dist <= kp.bound {
 		b := int(heapPopItem(&order).v)
 		if b >= len(bb.Leaf) {
@@ -264,7 +212,7 @@ func (o *Octopus) probeKNN(cur *Cursor, bb *mesh.BlockBoxes, kp *knnProbe, p geo
 }
 
 // coarseGaps fills dst with one item per coarse box, heap-ordered: the
-// start of the nearest-first searches (knnStartSearch, blockStart,
+// start of the nearest-first searches (nearestLeaf, probeKNN,
 // closestSurfaceVertex), which share one heap in the cursor's scratch. An
 // item's dist is the squared distance between its box and the query box q
 // (0 where they meet; for the degenerate box around a kNN probe point, the
@@ -337,31 +285,68 @@ func nearestOf(q geom.AABB, pos []geom.Vec3, ids []int32, bound float64) (int32,
 	return best, bound
 }
 
-// blockStart returns where the exact probe's no-seed walk starts: the
-// surface vertex nearest q inside the leaf whose box is nearest q, ties
-// going to the lower leaf (-1 when no box is at a finite distance). It
-// visits the coarse boxes nearest-first and tests the leaves of those
-// not farther than the best leaf so far; a coarse box at exactly that
-// distance may still hold a lower leaf of the tie.
-func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) int32 {
+// nearestLeaf returns the surface slots of the leaf whose box is nearest
+// q, ties going to the lower leaf (nil when no box is at a finite
+// distance), and the number of boxes of either level it tested: where the
+// directed walk starts, for a no-seed range query (blockStart) and for a
+// kNN (knnStart), each of which picks its own vertex in that leaf. It
+// visits the coarse boxes nearest-first and tests the leaves of those not
+// farther than the best leaf so far; a coarse box at exactly that
+// distance may still hold a lower leaf of the tie. A leaf that is NaN on
+// one axis throughout (nanAxis) is never the start.
+func (o *Octopus) nearestLeaf(cur *Cursor, q geom.AABB) (ids []int32, boxes int64) {
 	bb := o.idx.Boxes(cur.epoch)
 	order := coarseGaps(bb, cur.blocks, &q)
+	boxes = int64(len(order))
 	first, firstDist := -1, math.Inf(1)
 	for len(order) > 0 && order[0].dist <= firstDist {
 		lo, hi := bb.Leaves(int(heapPopItem(&order).v) - len(bb.Leaf))
+		boxes += int64(hi - lo)
 		for b := lo; b < hi; b++ {
-			if d := gap2(&bb.Leaf[b], &q); d < firstDist || d == firstDist && b < first {
+			if d := gap2(&bb.Leaf[b], &q); (d < firstDist || d == firstDist && b < first) && !nanAxis(&bb.Leaf[b]) {
 				first, firstDist = b, d
 			}
 		}
 	}
 	cur.blocks = order
 	if first < 0 {
-		return -1
+		return nil, boxes
 	}
 	lo, hi := o.idx.LeafSlots(first)
-	v, _ := nearestOf(q, pos, o.idx.Slots()[lo:hi], math.Inf(1))
-	return v
+	return o.idx.Slots()[lo:hi], boxes
+}
+
+// nanAxis reports whether every position in the leaf box bx is NaN on one
+// axis (both bounds NaN): none is at a defined distance, yet gap2 reads the
+// axis as 0, nearer than the leaf's coarse box may be.
+func nanAxis(bx *geom.AABB) bool {
+	return bx.Min.X != bx.Min.X && bx.Max.X != bx.Max.X ||
+		bx.Min.Y != bx.Min.Y && bx.Max.Y != bx.Max.Y ||
+		bx.Min.Z != bx.Min.Z && bx.Max.Z != bx.Max.Z
+}
+
+// blockStart returns where a no-seed range query's walk starts, -1 for
+// nowhere, and the boxes and positions it tested: the vertex of the
+// nearest leaf nearest q by the walk's own kernel, nearestOf.
+func (o *Octopus) blockStart(cur *Cursor, q geom.AABB, pos []geom.Vec3) (start int32, boxes, positions int64) {
+	ids, boxes := o.nearestLeaf(cur, q)
+	start, _ = nearestOf(q, pos, ids, math.Inf(1))
+	return start, boxes, int64(len(ids))
+}
+
+// knnStart is step 1 of the exact kNN, blockStart's rule for p: the
+// vertex of the nearest leaf nearest p by (squared distance, slot), never
+// at a NaN distance (nearestOf reads a NaN coordinate as a gap of 0, and a
+// crawl started there offers it).
+func (o *Octopus) knnStart(cur *Cursor, p geom.Vec3, pos []geom.Vec3) (start int32, boxes, positions int64) {
+	ids, boxes := o.nearestLeaf(cur, geom.AABB{Min: p, Max: p})
+	start, best := int32(-1), math.Inf(1)
+	for _, v := range ids {
+		if d := pos[v].Dist2(p); d < best || d == best && start < 0 {
+			start, best = v, d
+		}
+	}
+	return start, boxes, int64(len(ids))
 }
 
 // closestSurfaceVertex returns the surface vertex nearest q (-1 when none

@@ -77,13 +77,13 @@ func BenchmarkProbeGather(b *testing.B) {
 // recomputes every block box of both levels of the written buffer, the
 // pass every writer of a buffer pays (a publish refits the same way);
 // "range" and "knn" run whole queries with the boxes warm — a kNN's probe
-// figures add its start search to the probe that runs under the crawl's
-// bound, and its positions count the start leaves twice, once in each;
-// "step+range" runs Step before every query, so each one pays a refit —
-// the worst case, to be read against "linear", the containment pass over
-// the whole surface that the blocks replace; "noseed" runs range boxes of the same mix whose
-// probe finds no seed, so each one also searches the boxes for its walk
-// start and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
+// figures add its walk-start search to the probe that runs under the
+// crawl's bound; "step+range" runs Step before every query, so each one
+// pays a refit — the worst case, to be read against "linear", the
+// containment pass over the whole surface that the blocks replace;
+// "noseed" runs range boxes of the same mix whose probe finds no seed, so
+// each one also searches the boxes for its walk start (counted in the
+// probe's figures) and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
 // Stats.WalkStalls, per query), and it fails if the warmed cursor
 // allocates. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
 // (Stats.ProbeBoxes) and positions/op split the probe's tests

@@ -729,13 +729,14 @@ func TestBlockBoxNonFinitePositions(t *testing.T) {
 
 // TestKNNBlockSkipRule pins the skip rule of both levels on a hand-built
 // surface of three coarse boxes. With p at the origin and k = 2, the start
-// search pops coarse box 1 (at distance 0), pushes all 16 of its leaves
-// (no vertex found yet: every leaf is within +Inf) and scans its first
-// leaf, whose box is nearest: vertex near-1 at squared distance 1, near :=
-// mesh.ProbeFan*mesh.ProbeBlock + 1 at 4. Coarse box 0 lies at 2.25, beyond that
-// start, so the search stops, the scanned leaf set aside. The crawl (a
-// cloud has no edges) offers near-1 alone, and the heap is not full. The
-// probe pushes the start leaf back under +Inf and re-scans it first: it
+// search pops coarse box 1 (at distance 0) and tests its 16 leaves: its
+// first leaf, at squared distance 1, is the nearest, and coarse box 0 lies
+// at 2.25, beyond it, so the search stops. The start is that leaf's vertex
+// nearest p, near-1 at squared distance 1 (near :=
+// mesh.ProbeFan*mesh.ProbeBlock + 1 lies at 4). The crawl (a cloud has no
+// edges) offers near-1 alone, and the heap is not full. The probe searches
+// again from the three coarse boxes, under +Inf: it pops coarse box 1,
+// pushes all 16 of its leaves and scans the start leaf first, where it
 // skips the marked near-1 and offers near, which fills the heap at bound
 // 4. Coarse box 0 lies within it and is expanded: all 16 of its leaves
 // are tested, and only leaf 0, whose box lies at squared distance exactly
@@ -781,12 +782,13 @@ func TestKNNBlockSkipRule(t *testing.T) {
 	if bb := o.idx.Boxes(cur.LastEpoch()); len(bb.Coarse) != 3 || gap2(&bb.Coarse[0], &geom.AABB{Min: p, Max: p}) != 2.25 {
 		t.Fatalf("coarse boxes %v; test geometry broken", bb.Coarse)
 	}
-	// Box distances: three coarse boxes and the leaves of coarse box 1 in
-	// the start search, the leaves of coarse box 0 in the probe.
-	// Positions: the start leaf twice (search, then probe) and leaf 0.
+	// Box distances: the three coarse boxes and the leaves of coarse box 1
+	// in the start search; the three coarse boxes again and the leaves of
+	// coarse boxes 1 and 0 in the probe. Positions: the start leaf twice
+	// (start, then probe) and leaf 0.
 	st := cur.Stats()
-	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 3+2*mesh.ProbeFan || positions != 3*mesh.ProbeBlock {
-		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 3+2*mesh.ProbeFan, 3*mesh.ProbeBlock)
+	if boxes, positions := st.ProbeBoxes, st.ProbeChecked-st.ProbeBoxes; boxes != 6+3*mesh.ProbeFan || positions != 3*mesh.ProbeBlock {
+		t.Fatalf("probe tested %d boxes and %d positions, want %d and %d", boxes, positions, 6+3*mesh.ProbeFan, 3*mesh.ProbeBlock)
 	}
 
 	// No block is skipped while the heap is not full: k beyond the surface
@@ -801,19 +803,17 @@ func TestKNNBlockSkipRule(t *testing.T) {
 }
 
 // linearProbe is the probe the block boxes replace, kept as the reference:
-// one pass over the surface in slot order. It collects the range seeds of
-// q and the kNN start: the vertex nearest p, the lowest slot among
-// equals, a NaN distance never taken (-1 when none is).
+// one pass over the surface in slot order collects the range seeds of q.
+// The kNN start is a flat pass's over the leaves: in the leaf whose box is
+// nearest p, the vertex nearest p, a NaN distance never taken (-1 when
+// none is).
 func linearProbe(o *Octopus, pos []geom.Vec3, q geom.AABB, p geom.Vec3) (seeds []int32, start int32) {
-	start, best := -1, math.Inf(1)
 	for _, v := range o.idx.Slots() {
 		if q.Contains(pos[v]) {
 			seeds = append(seeds, v)
 		}
-		if d := pos[v].Dist2(p); d < best || d == best && start < 0 {
-			start, best = v, d
-		}
 	}
+	start = oneLevelStart(o, flatBoxes(o, pos, mesh.ProbeBlock), mesh.ProbeBlock, geom.AABB{Min: p, Max: p}, knnPick(p, pos))
 	return seeds, start
 }
 
@@ -918,8 +918,7 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 
 	cur.kbest.Reset(k)
 	cur.bumpMarks()
-	bb := o.idx.Boxes(cur.epoch)
-	if got, _, _ := o.knnStartSearch(cur, bb, p, pos); got != start {
+	if got, _, _ := o.knnStart(cur, p, pos); got != start {
 		t.Fatalf("%s: kNN start %d, linear pass %d", label, got, start)
 	}
 	// A stand-in for the crawl: mark the start and a random third of the
@@ -938,7 +937,7 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 		}
 	}
 	kp := knnProbe{want: min(k, maxKNNStarts), bound: min(ceiling2, cur.kbest.Bound()), keep: keep, marks: cur.marks, epoch: cur.markEpoch}
-	o.probeKNN(cur, bb, &kp, p, pos)
+	o.probeKNN(cur, &kp, p, pos)
 	wantFolds := linearFolds(o, pos, p, &ref, keep, marked, ceiling2)
 	var folds []int32
 	for _, c := range kp.folds() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"octopus/internal/geom"
@@ -38,11 +37,7 @@ type Con struct {
 	compOf   []int32
 	compReps []int32
 
-	resident *Cursor
-	guard    query.ResidentGuard
-
-	statsMu sync.Mutex
-	merged  Stats
+	cursorHost
 }
 
 // NewCon builds OCTOPUS-CON over m with a start-point grid of
@@ -54,16 +49,7 @@ func NewCon(m *mesh.Mesh, gridCells int) *Con {
 	}
 	c := &Con{m: m, grid: grid.Build(m, gridCells)}
 	count, labels := m.ConnectedComponents()
-	c.compOf = labels
-	c.compReps = make([]int32, count)
-	for i := range c.compReps {
-		c.compReps[i] = -1
-	}
-	for v := int32(0); v < int32(len(labels)); v++ {
-		if c.compReps[labels[v]] < 0 {
-			c.compReps[labels[v]] = v
-		}
-	}
+	c.compOf, c.compReps = labels, componentReps(labels, count, nil)
 	c.resident = newCursor(c, m)
 	return c
 }
@@ -128,28 +114,3 @@ func (c *Con) MemoryFootprint() int64 {
 
 // GridMemoryBytes returns the stale grid's footprint alone (Figure 9(d)).
 func (c *Con) GridMemoryBytes() int64 { return c.grid.MemoryBytes() }
-
-// mergeStats implements cursorOwner.
-func (c *Con) mergeStats(s Stats) {
-	c.statsMu.Lock()
-	c.merged.Add(s)
-	c.statsMu.Unlock()
-}
-
-// Stats returns the accumulated phase statistics: the resident cursor's
-// plus everything folded in from closed worker cursors.
-func (c *Con) Stats() Stats {
-	c.statsMu.Lock()
-	s := c.merged
-	c.statsMu.Unlock()
-	s.Add(c.resident.Stats())
-	return s
-}
-
-// ResetStats clears the accumulated statistics (resident and merged).
-func (c *Con) ResetStats() {
-	c.statsMu.Lock()
-	c.merged = Stats{}
-	c.statsMu.Unlock()
-	c.resident.takeStats()
-}

@@ -209,7 +209,7 @@ func TestCursorAnswersIgnoreHistory(t *testing.T) {
 		}
 	}
 	deform(l1, 3)
-	part, err := shard.NewPartition(l1, 4, shard.Options{})
+	part, err := shard.NewPartition(l1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

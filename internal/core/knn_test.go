@@ -187,7 +187,7 @@ func TestKNNRestricted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

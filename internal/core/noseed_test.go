@@ -235,7 +235,7 @@ func TestNoSeedBlockStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,45 @@ type Octopus struct {
 	compOf   []int32
 	compReps []int32
 
-	// resident is the cursor behind the single-threaded Query and KNN
-	// methods; guard panics when two goroutines enter it at once.
+	cursorHost
+}
+
+// cursorHost is the cursor plumbing Octopus and Con embed: the resident
+// cursor behind the single-threaded Query and KNN methods, the guard that
+// panics when two goroutines enter it at once, and the statistics totals
+// folded in from closed cursors.
+type cursorHost struct {
 	resident *Cursor
 	guard    query.ResidentGuard
 
 	// statsMu guards merged, the totals folded in from closed cursors.
 	statsMu sync.Mutex
 	merged  Stats
+}
+
+// mergeStats implements cursorOwner.
+func (h *cursorHost) mergeStats(s Stats) {
+	h.statsMu.Lock()
+	h.merged.Add(s)
+	h.statsMu.Unlock()
+}
+
+// Stats returns the accumulated phase statistics: the resident cursor's
+// plus everything folded in from closed worker cursors.
+func (h *cursorHost) Stats() Stats {
+	h.statsMu.Lock()
+	s := h.merged
+	h.statsMu.Unlock()
+	s.Add(h.resident.Stats())
+	return s
+}
+
+// ResetStats clears the accumulated statistics (resident and merged).
+func (h *cursorHost) ResetStats() {
+	h.statsMu.Lock()
+	h.merged = Stats{}
+	h.statsMu.Unlock()
+	h.resident.takeStats()
 }
 
 // Stats accumulates per-phase timings and counters across queries — the
@@ -143,32 +174,36 @@ func New(m *mesh.Mesh) *Octopus {
 }
 
 // refreshComponents rebuilds the vertex→component labels and the
-// per-component walk representatives. Each representative is the
-// component's first surface vertex, falling back to its lowest-id vertex
-// for components without boundary faces (isolated vertices left behind by
-// restructuring).
+// per-component walk representatives: each component's first surface
+// vertex, or its lowest-id vertex for components without boundary faces
+// (isolated vertices left behind by restructuring).
 func (o *Octopus) refreshComponents() {
 	count, labels := o.m.ConnectedComponents()
-	o.compOf = labels
-	o.compReps = make([]int32, count)
-	for i := range o.compReps {
-		o.compReps[i] = -1
+	o.compOf, o.compReps = labels, componentReps(labels, count, o.idx.Slots())
+}
+
+// componentReps returns one representative vertex per component of the
+// count components labelled by labels: the first vertex of prefer in
+// that component, else the component's lowest vertex id.
+func componentReps(labels []int32, count int, prefer []int32) []int32 {
+	reps := make([]int32, count)
+	for i := range reps {
+		reps[i] = -1
 	}
 	assigned := 0
-	for _, v := range o.idx.Slots() {
-		if c := labels[v]; o.compReps[c] < 0 {
-			o.compReps[c] = v
+	for _, v := range prefer {
+		if c := labels[v]; reps[c] < 0 {
+			reps[c] = v
 			assigned++
 		}
 	}
-	if assigned == count {
-		return
-	}
-	for v := int32(0); v < int32(len(labels)); v++ {
-		if c := labels[v]; o.compReps[c] < 0 {
-			o.compReps[c] = v
+	for v := int32(0); assigned < count && v < int32(len(labels)); v++ {
+		if c := labels[v]; reps[c] < 0 {
+			reps[c] = v
+			assigned++
 		}
 	}
+	return reps
 }
 
 // Name implements query.Engine.
@@ -272,28 +307,3 @@ func (o *Octopus) MemoryFootprint() int64 {
 // rebuilt (O(V+E), charged to the rare event). Not safe concurrently
 // with queries.
 func (o *Octopus) ApplySurfaceDelta(mesh.SurfaceDelta) { o.refreshComponents() }
-
-// mergeStats implements cursorOwner.
-func (o *Octopus) mergeStats(s Stats) {
-	o.statsMu.Lock()
-	o.merged.Add(s)
-	o.statsMu.Unlock()
-}
-
-// Stats returns the accumulated phase statistics: the resident cursor's
-// plus everything folded in from closed worker cursors.
-func (o *Octopus) Stats() Stats {
-	o.statsMu.Lock()
-	s := o.merged
-	o.statsMu.Unlock()
-	s.Add(o.resident.Stats())
-	return s
-}
-
-// ResetStats clears the accumulated statistics (resident and merged).
-func (o *Octopus) ResetStats() {
-	o.statsMu.Lock()
-	o.merged = Stats{}
-	o.statsMu.Unlock()
-	o.resident.takeStats()
-}

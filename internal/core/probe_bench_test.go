@@ -98,7 +98,7 @@ func BenchmarkProbeBlocks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := shard.NewPartition(l3, 4, shard.Options{})
+	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func BenchmarkNoSeedEmpty(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := shard.NewPartition(m, 4, shard.Options{})
+	part, err := shard.NewPartition(m, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestServerMetaPairsBoxWithItsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := shard.NewPartition(m, 2, shard.Options{})
+	part, err := shard.NewPartition(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestServerMetaOccupancyMatchesItsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := m.Bounds()
-	part, err := shard.NewPartition(m, 2, shard.Options{})
+	part, err := shard.NewPartition(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestServerPublishesUnderQueriesWithoutSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := shard.NewPartition(m, 2, shard.Options{})
+	part, err := shard.NewPartition(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

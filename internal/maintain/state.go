@@ -97,7 +97,8 @@ func (ts *TargetState) Name() string { return ts.t.Name }
 
 // PressureEMA returns the target's decayed query-pressure average as of
 // the last collect. Writer goroutine only (the same one calling Tick) —
-// the pressure-driven shard balancer reads it from the post-tick hook.
+// a shard's successor target reads it at a re-partition to inherit it
+// (SeedPressure).
 func (ts *TargetState) PressureEMA() int64 { return ts.ema }
 
 // SeedPressure initializes the pressure EMA — a replacement target

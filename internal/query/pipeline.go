@@ -25,16 +25,6 @@ type DeformableMesh interface {
 	Epoch() uint64
 }
 
-// PostTicker is the optional self-tuning hook of an engine: the
-// pipeline's writer calls PostTick after every maintenance tick, once
-// the scheduler has collected each target's query-pressure sample. The
-// sharded router uses it for pressure-driven shard rebalancing — it may
-// re-partition the mesh under the coherence gate, so the pipeline
-// re-syncs the scheduler's target set right after the call.
-type PostTicker interface {
-	PostTick()
-}
-
 // pinnedMesh is the pinned-snapshot side of a position store: what a
 // ScanCursor reads through, and the optional side of a DeformableMesh the
 // pipeline's mid-maintenance fallback needs (*mesh.Mesh implements it;
@@ -347,18 +337,16 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	sched := maintain.NewScheduler(states, maintain.Options{Budget: budget})
 	p.sched = sched
 
-	// Live re-partitioning (a structural Deform, or the router's pressure
-	// balancer in PostTick) replaces a StateProvider's per-shard targets;
-	// syncTargets reconciles the scheduler's set so replacement targets
-	// run their rebuild tasks under the budget from the very next tick.
-	// Called only where the writer is quiescent with respect to targets.
+	// Live re-partitioning (a Deform after restructuring) replaces a
+	// StateProvider's per-shard targets; syncTargets reconciles the
+	// scheduler's set after every Deform so replacement targets run their
+	// rebuild tasks under the budget from the very next tick.
 	sp, _ := p.Engine.(maintain.StateProvider)
 	syncTargets := func() {
 		if sp != nil {
 			sched.SyncTargets(sp.MaintainStates())
 		}
 	}
-	pt, _ := p.Engine.(PostTicker)
 
 	// Result cache: enabled when the mesh keeps a dirty log, which the
 	// writer reads after every step. It starts valid at the head: empty,
@@ -406,10 +394,6 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 			p.Mesh.Deform(func(pos []geom.Vec3) { p.Deform(step, pos) })
 			syncTargets()
 			sched.Tick()
-			if pt != nil {
-				pt.PostTick()
-				syncTargets()
-			}
 			if cache != nil {
 				cache.Apply(dl.DirtySince(cache.Stats().ValidEpoch))
 			}
@@ -591,10 +575,11 @@ func (p *Pipeline) Run(queries []geom.AABB, probes []KNNQuery) *PipelineReport {
 	// scheduler state (and a sharded router's targets persist), so an
 	// undrained task would lose its mid-task fallback protection; after
 	// the drain every engine is consistent with the head, which is also
-	// what any post-Run stop-the-world caller expects. Sync first: the
-	// writer's final step may have swapped targets after its last sync,
-	// and the drain must cover the replacements (the writer has exited,
-	// so this goroutine is the sole target mutator now).
+	// what any post-Run stop-the-world caller expects. Sync first: a
+	// Maintain hook that published may have swapped targets after the
+	// writer's last sync, and the drain must cover the replacements (the
+	// writer has exited, so this goroutine is the sole target mutator
+	// now).
 	drainStart := time.Now()
 	syncTargets()
 	sched.Drain()

@@ -43,20 +43,17 @@ type ApplyStats struct {
 	ImbalanceBefore, ImbalanceAfter float64
 }
 
-// Apply derives a new partition for m after restructuring and/or to
-// rebalance owned-vertex counts, migrating only what changed. d is the
-// global mesh's accumulated dirty region (its Cells and the vertex-count
-// growth drive re-keying; an empty region is valid and rebalances only).
-// weights, when non-nil, sets per-shard target owned-count shares (they
-// are normalized; the pressure-driven balancer sheds load by shrinking
-// the hot shard's share) and is retained for subsequent calls; nil keeps
-// the current shares (uniform unless previously weighted).
+// Apply derives a new partition for m after restructuring, migrating
+// only what changed. d is the global mesh's accumulated dirty region (its
+// Cells and the vertex-count growth drive re-keying; an empty region is
+// valid). The cut points shift only when a shard's owned count leaves
+// the rebalanceTol window around the equal share n/K.
 //
 // The receiver is not modified; untouched *Part values are shared
 // between the old and new partition, so the old value must not be used
 // for queries afterwards. The caller must hold whatever exclusion
 // protects queries (shard.Mesh swaps under its coherence gate).
-func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64) (*Partition, ApplyStats, error) {
+func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion) (*Partition, ApplyStats, error) {
 	n := m.NumVertices()
 	oldN := len(part.keys)
 	grown := n != oldN
@@ -66,15 +63,11 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 	// mesh by another consumer), and a shrunk or empty partition has
 	// nothing to splice into: fall back to a full re-partition.
 	if part.K == 0 || n < oldN || (grown && !d.Structural) {
-		opts := Options{RebalanceTol: part.tol}
-		if part.tol < 0 {
-			opts.RebalanceTol = -1
-		}
 		k := part.K
 		if k == 0 {
 			k = 1
 		}
-		np, err := NewPartition(m, k, opts)
+		np, err := NewPartition(m, k)
 		if err != nil {
 			return nil, ApplyStats{}, err
 		}
@@ -164,22 +157,13 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 		}
 	}
 
-	w := weights
-	if w == nil {
-		w = part.weights
-	}
-	target := targetShares(w, K, n)
-	tol := part.tol
-	frozen := tol < 0
-	if frozen {
-		tol = DefaultRebalanceTol // emergency window when a shard empties
-	}
+	target := float64(n) / float64(K)
 	var st ApplyStats
 	st.ImbalanceBefore = imbalanceOf(idx, n, K)
 	needShift := false
 	for s := 0; s < K; s++ {
 		cnt := float64(idx[s+1] - idx[s])
-		if cnt == 0 || (!frozen && (cnt > (1+tol)*target[s] || cnt < (1-tol)*target[s])) {
+		if cnt > (1+rebalanceTol)*target || cnt < (1-rebalanceTol)*target {
 			needShift = true
 		}
 	}
@@ -187,8 +171,8 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 		cum := 0.0
 		prev := 0
 		for s := 1; s < K; s++ {
-			cum += target[s-1]
-			slack := tol * math.Min(target[s-1], target[s]) / 2
+			cum += target
+			slack := rebalanceTol * target / 2
 			lo := int(math.Ceil(cum - slack))
 			hi := int(math.Floor(cum + slack))
 			ni := idx[s]
@@ -313,8 +297,6 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 		cuts:    cuts,
 		mapper:  part.mapper,
 		frame:   part.frame,
-		tol:     part.tol,
-		weights: w,
 	}
 	for s := 0; s < K; s++ {
 		if !touched[s] {
@@ -346,36 +328,6 @@ func (part *Partition) Apply(m *mesh.Mesh, d mesh.DirtyRegion, weights []float64
 		}
 	}
 	return np, st, nil
-}
-
-// targetShares normalizes weights into per-shard owned-count targets.
-func targetShares(w []float64, k, n int) []float64 {
-	target := make([]float64, k)
-	if len(w) != k {
-		for s := range target {
-			target[s] = float64(n) / float64(k)
-		}
-		return target
-	}
-	sum := 0.0
-	for _, x := range w {
-		if x > 0 {
-			sum += x
-		}
-	}
-	if sum <= 0 {
-		for s := range target {
-			target[s] = float64(n) / float64(k)
-		}
-		return target
-	}
-	for s, x := range w {
-		if x < 0 {
-			x = 0
-		}
-		target[s] = x / sum * float64(n)
-	}
-	return target
 }
 
 // imbalanceOf is max owned count over mean owned count for the ranges in

@@ -93,11 +93,12 @@ func TestShardedParallelCrawlBudgetCoverage(t *testing.T) {
 }
 
 // TestCrawlBudgetSurvivesRebalance checks that a router cursor's budget
-// reaches the shard engines a re-partition rebuilt: after Rebalance and
-// Step every shard has a new engine, and every leg of a whole-mesh query
-// must still be cut off by the budget. Two orders are covered: the
-// budget set before the re-partition, and set while every shard's
-// rebuild was still pending (no engine to hand it to yet).
+// reaches the shard engines a re-partition rebuilt: one cell wholly owned
+// by each shard is split, so after Resync and Step every shard has a new
+// engine, and every leg of a whole-mesh query must still be cut off by
+// the budget. Two orders are covered: the budget set before the
+// re-partition, and set while every shard's rebuild was still pending
+// (no engine to hand it to yet).
 func TestCrawlBudgetSurvivesRebalance(t *testing.T) {
 	budget := query.CrawlBudget{MaxVisited: 10}
 	for _, pending := range []bool{false, true} {
@@ -110,9 +111,12 @@ func TestCrawlBudgetSurvivesRebalance(t *testing.T) {
 			cur.SetBudget(budget)
 		}
 		before := slices.Clone(router.execs)
-		if !router.Mesh().Rebalance([]float64{0.4, 1, 1, 1}) {
-			t.Fatal("Rebalance moved no boundary")
+		for _, ci := range cellPerShard(t, router.Mesh()) {
+			if _, _, err := m.SplitCell(ci); err != nil {
+				t.Fatal(err)
+			}
 		}
+		router.Mesh().Resync()
 		for s, x := range router.execs {
 			if x == before[s] || x.Engine() != nil {
 				t.Fatalf("pending=%v: shard %d has no pending rebuild", pending, s)
@@ -136,6 +140,31 @@ func TestCrawlBudgetSurvivesRebalance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cellPerShard returns, for each shard, the first live cell whose
+// vertices that shard owns alone.
+func cellPerShard(t *testing.T, sm *Mesh) []int {
+	t.Helper()
+	owner := sm.Partition().Owner
+	found := make([]int, sm.K())
+	for s := range found {
+		found[s] = -1
+	}
+	for ci, c := range sm.Global().Cells() {
+		s := owner[c.Verts[0]]
+		wholly := !c.Dead && found[s] < 0
+		for i := 1; i < c.VertexCount(); i++ {
+			wholly = wholly && owner[c.Verts[i]] == s
+		}
+		if wholly {
+			found[s] = ci
+		}
+	}
+	if slices.Contains(found, -1) {
+		t.Fatalf("no cell wholly owned by some shard: %v", found)
+	}
+	return found
 }
 
 // budgetLog is a router whose cursors log the crawl budgets their

@@ -61,7 +61,7 @@ func buildDigest(id meshgen.Dataset) (string, error) {
 	d.i32s(m.SurfaceFirstPerm())
 	d.i32s(m.SurfaceFirstHilbertPerm(DefaultHilbertOrder))
 
-	part, err := NewPartition(m, 4, Options{})
+	part, err := NewPartition(m, 4)
 	if err != nil {
 		return "", err
 	}

@@ -42,8 +42,9 @@ type Mesh struct {
 	global *mesh.Mesh
 	part   *Partition
 
-	// writeMu serializes the writers, Deform and Rebalance: it alone
-	// covers Deform's fn, which writes the global array no query reads.
+	// writeMu serializes the writers (Deform; Resync and Router.Step go
+	// through it): it alone covers Deform's fn, which writes the global
+	// array no query reads.
 	writeMu sync.Mutex
 	// deformMu is the cross-shard coherence gate: a writer holds it for
 	// the partition swap, the scatter into the sub-meshes and the epoch
@@ -59,9 +60,6 @@ type Mesh struct {
 	// the rebuilt shard indices immediately after a partition swap, under
 	// the same exclusion as the swap itself.
 	onRepartition func(touched []int)
-	// pressure is the Router's balancer policy (Options.Pressure), fixed
-	// at construction.
-	pressure PressurePolicy
 
 	stats RepartitionStats // guarded by deformMu
 }
@@ -75,9 +73,6 @@ type RepartitionStats struct {
 	// re-partition (the global mesh shrank, or a grown mesh came without
 	// its structural dirt; see Partition.Apply).
 	FullRebuilds int
-	// PressureRebalances counts swaps triggered by query pressure rather
-	// than structural change.
-	PressureRebalances int
 	// BoundaryShifts totals cut points moved to rebalance owned counts.
 	BoundaryShifts int
 	// MigratedVerts and MigratedCells total vertices/cells that changed
@@ -105,12 +100,12 @@ type RepartitionStats struct {
 // partitioning: the next Deform or Resync re-partitions incrementally,
 // re-keying only the dirty cells' vertices and rebuilding only the shards
 // whose owned set or cell set changed. See RepartitionStats.
-func NewMesh(m *mesh.Mesh, k int, opts Options) (*Mesh, error) {
-	part, err := NewPartition(m, k, opts)
+func NewMesh(m *mesh.Mesh, k int, _ Options) (*Mesh, error) {
+	part, err := NewPartition(m, k)
 	if err != nil {
 		return nil, err
 	}
-	return &Mesh{global: m, part: part, pressure: opts.Pressure, dirtyLog: mesh.NewDirtyLog(0)}, nil
+	return &Mesh{global: m, part: part, dirtyLog: mesh.NewDirtyLog(0)}, nil
 }
 
 // Global returns the global source mesh.
@@ -123,8 +118,8 @@ func (sm *Mesh) Partition() *Partition { return sm.part }
 func (sm *Mesh) K() int { return sm.part.K }
 
 // RepartitionStats returns the accumulated live re-partitioning
-// statistics. Safe to call concurrently with queries; it serializes with
-// Deform.
+// statistics. Safe to call concurrently with queries; it waits for a
+// re-partition and publish in progress, never for Deform's fn.
 func (sm *Mesh) RepartitionStats() RepartitionStats {
 	sm.deformMu.RLock()
 	defer sm.deformMu.RUnlock()
@@ -159,8 +154,10 @@ func (sm *Mesh) Deform(fn func(pos []geom.Vec3)) {
 	fn(global)
 	sm.deformMu.Lock()
 	defer sm.deformMu.Unlock()
-	if d, pending := sm.pendingRestructure(); pending {
-		sm.applyRepartition(d, nil, false)
+	// The global mesh's dirty region, consumed here, says whether it was
+	// restructured since the partition was (re)built.
+	if d := sm.global.TakeDirty(); d.Structural {
+		sm.applyRepartition(d)
 	}
 	e := sm.epoch.Load() + 1
 	recs := make([]mesh.DirtyRec, 0, len(sm.part.Parts))
@@ -197,18 +194,10 @@ func (sm *Mesh) DirtySince(from uint64) mesh.DirtySince { return sm.dirtyLog.Sin
 // one.
 func (sm *Mesh) Resync() { sm.Deform(func([]geom.Vec3) {}) }
 
-// pendingRestructure consumes the global mesh's dirty region and reports
-// whether it was restructured since the partition was (re)built.
-func (sm *Mesh) pendingRestructure() (mesh.DirtyRegion, bool) {
-	d := sm.global.TakeDirty()
-	return d, d.Structural
-}
-
 // applyRepartition swaps in the partition derived by Apply and notifies
-// the router. The caller must hold writeMu and deformMu (or otherwise
-// exclude queries and deformation).
-func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure bool) ApplyStats {
-	np, st, err := sm.part.Apply(sm.global, d, weights)
+// the router. Deform calls it holding writeMu and deformMu.
+func (sm *Mesh) applyRepartition(d mesh.DirtyRegion) {
+	np, st, err := sm.part.Apply(sm.global, d)
 	if err != nil {
 		panic(fmt.Sprintf("shard: re-partition after restructuring failed (K=%d, %d -> %d global vertices): %v",
 			sm.part.K, len(sm.part.Owner), sm.global.NumVertices(), err))
@@ -221,9 +210,6 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 	if st.Full {
 		sm.stats.FullRebuilds++
 	}
-	if pressure {
-		sm.stats.PressureRebalances++
-	}
 	sm.stats.BoundaryShifts += st.BoundaryShifts
 	sm.stats.MigratedVerts += st.MigratedVerts
 	sm.stats.MigratedCells += st.MigratedCells
@@ -233,20 +219,4 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion, weights []float64, pressure
 	if sm.onRepartition != nil && len(st.Touched) > 0 {
 		sm.onRepartition(st.Touched)
 	}
-	return st
-}
-
-// Rebalance re-partitions now with the given target owned-count shares
-// (nil keeps the current ones), folding in any pending structural dirt.
-// The pressure-driven balancer calls it when one shard's query pressure
-// dominates; it serializes with Deform through the writer mutex and with
-// queries through the coherence gate. It reports whether any cut point
-// moved.
-func (sm *Mesh) Rebalance(weights []float64) bool {
-	sm.writeMu.Lock()
-	defer sm.writeMu.Unlock()
-	sm.deformMu.Lock()
-	defer sm.deformMu.Unlock()
-	st := sm.applyRepartition(sm.global.TakeDirty(), weights, true)
-	return st.BoundaryShifts > 0 || len(st.Touched) > 0
 }

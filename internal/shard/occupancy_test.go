@@ -92,9 +92,8 @@ func FuzzOccupancy(f *testing.F) {
 // publishes, Partition.Summaries is SummaryOf over each shard's owned
 // positions at that epoch — the box bit for bit — and Part.Summary names
 // the epoch it pinned. The epochs come from Deform, from Resync after an
-// in-place write, from a Rebalance that swaps shards without a publish
-// and from a SplitCell whose next Deform re-partitions, so a summary
-// kept across an epoch or a swap shows.
+// in-place write and from a SplitCell whose next Deform re-partitions, so
+// a summary kept across an epoch or a swap shows.
 func TestSummariesMatchTheirEpoch(t *testing.T) {
 	m, err := meshgen.Build(meshgen.NeuroL1, 1)
 	if err != nil {
@@ -143,19 +142,11 @@ func TestSummariesMatchTheirEpoch(t *testing.T) {
 	sm.Resync()
 	check("resync")
 
-	if !sm.Rebalance([]float64{0.4, 1, 1, 1.6}) {
-		t.Fatal("the rebalance moved no cut")
-	}
-	last = nil // the swap publishes nothing: the boxes may stay
-	check("rebalance")
-	deform()
-	check("deform after the rebalance")
-
 	if _, _, err := m.SplitCell(0); err != nil {
 		t.Fatal(err)
 	}
 	deform()
-	if st := sm.RepartitionStats(); st.Generations != 2 || st.RebuiltShards == 0 {
+	if st := sm.RepartitionStats(); st.Generations != 1 || st.RebuiltShards == 0 {
 		t.Fatalf("the split's Deform did not re-partition: %+v", st)
 	}
 	check("deform after the split")

@@ -92,7 +92,7 @@ func TestPartitionInvariants(t *testing.T) {
 	meshes["box-5-dead-cells"] = holed
 	for name, m := range meshes {
 		for _, k := range []int{1, 2, 3, 4, 8} {
-			part, err := NewPartition(m, k, Options{})
+			part, err := NewPartition(m, k)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
@@ -139,7 +139,7 @@ func singleHex(t *testing.T) *mesh.Mesh {
 func TestPartitionRejectsBadK(t *testing.T) {
 	m := buildBoxTet(t, 3, 0.5)
 	for _, k := range []int{0, -1} {
-		if _, err := NewPartition(m, k, Options{}); err == nil {
+		if _, err := NewPartition(m, k); err == nil {
 			t.Fatalf("k=%d: expected error", k)
 		}
 	}
@@ -151,7 +151,7 @@ func TestPartitionEmptyMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := NewPartition(m, 4, Options{})
+	part, err := NewPartition(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPartitionEmptyMesh(t *testing.T) {
 // cover every owned vertex's key.
 func TestPartitionHilbertContiguity(t *testing.T) {
 	m := buildBoxTet(t, 5, 0.2)
-	part, err := NewPartition(m, 4, Options{})
+	part, err := NewPartition(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestRestructuringAfterPartitionRepartitions(t *testing.T) {
 func TestPartitionGhostRing(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	m := buildPartialGrid(t, 4, 0.7, r)
-	part, err := NewPartition(m, 3, Options{})
+	part, err := NewPartition(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,68 +174,6 @@ func TestQueriesExactDuringPendingMigration(t *testing.T) {
 	}
 }
 
-// TestFrozenToleranceSkipsRebalance pins Options.RebalanceTol < 0: the
-// cuts are frozen, so a split burst migrates nothing across boundaries
-// (counts drift instead) while queries stay exact.
-func TestFrozenToleranceSkipsRebalance(t *testing.T) {
-	m := buildBoxTet(t, 6, 1.0/6)
-	sm, err := NewMesh(m, 4, Options{RebalanceTol: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-
-	for ci := 0; ci < 8; ci++ {
-		if _, _, err := m.SplitCell(ci); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sm.Resync()
-	r.Step()
-
-	st := sm.RepartitionStats()
-	if st.BoundaryShifts != 0 {
-		t.Fatalf("frozen tolerance shifted %d cut points", st.BoundaryShifts)
-	}
-	if st.Generations != 1 {
-		t.Fatalf("want one generation, got %+v", st)
-	}
-	if err := sm.Partition().Validate(m); err != nil {
-		t.Fatal(err)
-	}
-	checkRouterExact(t, "frozen", m, r)
-}
-
-// TestRebalanceWeighted drives the pressure-rebalance primitive
-// directly: shrinking shard 0's weight must move its cut points, shed
-// owned vertices from it, keep the invariants, and keep queries exact.
-func TestRebalanceWeighted(t *testing.T) {
-	m := buildBoxTet(t, 6, 1.0/6)
-	sm, err := NewMesh(m, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-
-	before := sm.Partition().Parts[0].NumOwned
-	if !sm.Rebalance([]float64{0.4, 1, 1, 1}) {
-		t.Fatal("skewed weights moved no cut point")
-	}
-	st := sm.RepartitionStats()
-	if st.PressureRebalances != 1 || st.BoundaryShifts == 0 {
-		t.Fatalf("rebalance stats = %+v", st)
-	}
-	after := sm.Partition().Parts[0].NumOwned
-	if after >= before {
-		t.Fatalf("shard 0 owned %d -> %d; weight 0.4 should shed vertices", before, after)
-	}
-	if err := sm.Partition().Validate(m); err != nil {
-		t.Fatal(err)
-	}
-	r.Step() // build engines for the rebuilt shards
-	checkRouterExact(t, "rebalanced", m, r)
-}
-
 // TestResyncIncrementalScatter: when the global mesh publishes its movers
 // through its own Deform (its front is then the second buffer and its
 // dirty region is pending), Resync must still land every mover in its
@@ -272,8 +210,7 @@ func TestResyncIncrementalScatter(t *testing.T) {
 }
 
 // TestRepartitionStatsAccumulate: repeated restructuring keeps
-// accumulating generations and migrations, and repeated Rebalance calls
-// with nil weights are cheap no-ops that still count a generation.
+// accumulating generations and migrations.
 func TestRepartitionStatsAccumulate(t *testing.T) {
 	m := buildBoxTet(t, 5, 0.2)
 	sm, err := NewMesh(m, 4, Options{})
@@ -314,14 +251,13 @@ func TestRepartitionStatsAccumulate(t *testing.T) {
 // the refinement front is one slab), with Router.Step after each storm.
 // Nothing reads the clock, so every counter is exact: with K = 4 the
 // incremental path migrates 23 vertices per generation, 1.5 % of the
-// cells, and leaves the owned counts within 2.3 % of even; frozen cuts
-// never shift; with K = 8 half the shards keep their sub-mesh and
-// engine. A from-scratch partition per storm would migrate every cell
+// cells, and leaves the owned counts within 2.3 % of even; with K = 8
+// half the shards keep their sub-mesh and engine. A from-scratch partition per storm would migrate every cell
 // and rebuild every shard.
 func TestRepartitionStorms(t *testing.T) {
-	storms := func(k int, opts Options) (RepartitionStats, []int) {
+	storms := func(k int) (RepartitionStats, []int) {
 		m := buildBoxTet(t, 10, 0.1)
-		sm, err := NewMesh(m, k, opts)
+		sm, err := NewMesh(m, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +285,7 @@ func TestRepartitionStorms(t *testing.T) {
 		return sm.RepartitionStats(), verts
 	}
 
-	live, verts := storms(4, Options{})
+	live, verts := storms(4)
 	// A from-scratch partition would migrate all of these vertices: 1 366
 	// per generation on the mean.
 	if want := []int{1355, 1377}; !slices.Equal(verts, want) {
@@ -362,10 +298,7 @@ func TestRepartitionStorms(t *testing.T) {
 	if got := fmt.Sprintf("%.3f", live.ImbalanceAfter); got != "1.023" {
 		t.Errorf("K=4 live: imbalance after %s, want 1.023", got)
 	}
-	if frozen, _ := storms(4, Options{RebalanceTol: -1}); frozen.BoundaryShifts != 0 {
-		t.Errorf("K=4 frozen: %d boundary shifts, want 0", frozen.BoundaryShifts)
-	}
-	if eight, _ := storms(8, Options{}); eight.Generations != 2 || eight.RebuiltShards != 8 {
+	if eight, _ := storms(8); eight.Generations != 2 || eight.RebuiltShards != 8 {
 		t.Errorf("K=8 live: %+v, want 8 of 2 x 8 shards rebuilt", eight)
 	}
 }
@@ -514,73 +447,6 @@ func TestLiveRepartitionEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPressurePolicyRebalancesHotShard drives a skewed query load at one
-// shard through a live pipeline with the pressure balancer enabled: the
-// hot shard must shed owned vertices (a pressure re-partition), queries
-// stay exact throughout, and the scheduler's target swap keeps aggregate
-// stats monotone.
-func TestPressurePolicyRebalancesHotShard(t *testing.T) {
-	const seed = 12
-	m := buildBoxTet(t, 6, 1.0/6)
-	orig := append([]geom.Vec3(nil), m.Positions()...)
-	sm, err := NewMesh(m, 4, Options{Pressure: PressurePolicy{Factor: 1.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
-
-	hot := sm.Partition().Parts[0]
-	hotOwned := hot.NumOwned
-	// Aim every query at shard 0's owned box: its pressure EMA dominates.
-	var queries []geom.AABB
-	for i := 0; i < 160; i++ {
-		c := hot.Mesh.Positions()[i%len(hot.ToGlobal)]
-		queries = append(queries, geom.BoxAround(c, 0.10))
-	}
-	queries, _ = repeat3(queries, nil)
-	d := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 2, Seed: seed}
-	// snaps[e] is the global position array at epoch e, recorded by the
-	// writer itself (replayPositions drives a different amplitude).
-	snaps := [][]geom.Vec3{orig}
-	pl := &query.Pipeline{
-		Engine: router,
-		Mesh:   sm,
-		Deform: func(step int, pos []geom.Vec3) {
-			d.Step(step, pos)
-			snaps = append(snaps, append([]geom.Vec3(nil), pos...))
-		},
-		Workers:   3,
-		MinSteps:  12,
-		MaxSteps:  24,
-		Tick:      200 * time.Microsecond,
-		CacheSize: 512,
-	}
-	report := pl.Run(queries, nil)
-
-	st := sm.RepartitionStats()
-	if st.PressureRebalances == 0 {
-		t.Fatalf("no pressure rebalance over %d steps of skewed load: %+v", report.Steps, st)
-	}
-	if got := sm.Partition().Parts[0].NumOwned; got >= hotOwned {
-		t.Fatalf("hot shard owned %d -> %d; the balancer should shed", hotOwned, got)
-	}
-	if err := sm.Partition().Validate(m); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range report.RangeResults {
-		tr := report.RangeTraces[i]
-		want := query.ScanPositions(snaps[tr.Epoch], queries[i], nil)
-		if d := query.Diff(append([]int32(nil), res...), want); d != "" {
-			t.Fatalf("range %d at epoch %d (cached=%v): %s", i, tr.Epoch, tr.Cached, d)
-		}
-	}
-	cs := pl.CacheStats()
-	t.Logf("cache: %d hits / %d misses, %d invalidated, %d flushes over %d steps", cs.Hits, cs.Misses, cs.Invalidated, cs.Flushes, report.Steps)
-	if cs.Hits == 0 || cs.Flushes < 1 {
-		t.Fatalf("cache over %d pressure rebalances: %+v, want hits and a flush", st.PressureRebalances, cs)
 	}
 }
 

@@ -35,10 +35,6 @@ type Router struct {
 	// side); the slice header never changes.
 	execs []*Exec
 
-	// sinceRebalance counts PostTicks since the last pressure
-	// rebalance; writer goroutine only.
-	sinceRebalance int
-
 	name     string
 	resident *Cursor
 	guard    query.ResidentGuard
@@ -89,65 +85,6 @@ func (r *Router) MaintainStates() []*maintain.TargetState {
 		states[s] = x.ts
 	}
 	return states
-}
-
-// PressurePolicy configures the pressure-driven shard balancer, set at
-// construction through Options.Pressure: when one shard's query-pressure
-// EMA dominates, the router shrinks its target owned-count share so the
-// next re-partition sheds boundary vertices to its Hilbert neighbors —
-// load balancing without any structural change.
-type PressurePolicy struct {
-	// Factor triggers a rebalance when the hottest shard's pressure EMA
-	// exceeds Factor x the mean EMA (and the pressureFloor). <= 0
-	// disables the balancer.
-	Factor float64
-}
-
-// The balancer's fixed constants: the hottest EMA must reach
-// pressureFloor (no rebalance on idle noise), a trip gives away
-// pressureShed of the hot shard's target share, and trips are at least
-// pressureCooldown ticks apart.
-const (
-	pressureFloor    = 4
-	pressureShed     = 0.4
-	pressureCooldown = 2
-)
-
-// PostTick implements query.PostTicker: called by the pipeline's writer
-// after each maintenance tick, it checks the per-shard pressure EMAs the
-// scheduler just collected and, when one shard dominates, rebalances the
-// partition with a reduced share for the hot shard. The swap happens
-// under the coherence gate; the rebuilt shards' engines are constructed
-// by budgeted rebuild tasks like any migration.
-func (r *Router) PostTick() {
-	factor := r.sm.pressure.Factor
-	if factor <= 0 || len(r.execs) < 2 {
-		return
-	}
-	r.sinceRebalance++
-	if r.sinceRebalance < pressureCooldown {
-		return
-	}
-	hot, hotEMA, total := -1, int64(0), int64(0)
-	for s, x := range r.execs {
-		e := x.ts.PressureEMA()
-		total += e
-		if e > hotEMA {
-			hot, hotEMA = s, e
-		}
-	}
-	mean := float64(total) / float64(len(r.execs))
-	if hot < 0 || hotEMA < pressureFloor || float64(hotEMA) < factor*mean {
-		return
-	}
-	w := make([]float64, len(r.execs))
-	for s := range w {
-		w[s] = 1
-	}
-	w[hot] = 1 - pressureShed
-	if r.sm.Rebalance(w) {
-		r.sinceRebalance = 0
-	}
 }
 
 // Mesh returns the sharded mesh the router executes over.

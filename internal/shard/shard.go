@@ -117,13 +117,11 @@ type Partition struct {
 	// vertex order, and the K cut points delimiting the shards in that
 	// order, so Apply can splice re-keyed vertices into the order and
 	// shift cuts without re-keying or re-sorting the whole mesh.
-	keys    []uint64   // keys[g] = Hilbert key of global vertex g
-	order   []int32    // global ids sorted by (key, id)
-	cuts    []cutPoint // len K; shard s owns order range [cuts[s], cuts[s+1])
-	mapper  *hilbert.Mapper
-	frame   geom.AABB // the mapper's bounds: every part's occupancy frame
-	tol     float64   // owned-count tolerance around the target shares
-	weights []float64 // target owned-count shares; nil = uniform
+	keys   []uint64   // keys[g] = Hilbert key of global vertex g
+	order  []int32    // global ids sorted by (key, id)
+	cuts   []cutPoint // len K; shard s owns order range [cuts[s], cuts[s+1])
+	mapper *hilbert.Mapper
+	frame  geom.AABB // the mapper's bounds: every part's occupancy frame
 	// ghostRefs[g] lists every (shard, local id) replicating global
 	// vertex g as a ghost — the incremental Resync's scatter plan.
 	ghostRefs [][]ghostRef
@@ -143,40 +141,23 @@ type ghostRef struct {
 	shard, local int32
 }
 
-// DefaultRebalanceTol is the default owned-vertex imbalance tolerance:
-// a shard's owned count may drift this fraction away from its target
-// share before Apply shifts the cut points.
-const DefaultRebalanceTol = 0.25
+// rebalanceTol is the owned-vertex imbalance tolerance: a shard's owned
+// count may drift this fraction away from its equal share before Apply
+// shifts the cut points.
+const rebalanceTol = 0.25
 
-// Options tunes NewPartition and NewMesh.
-type Options struct {
-	// RebalanceTol is the owned-count tolerance for incremental
-	// re-partitioning: 0 uses DefaultRebalanceTol, a negative value
-	// freezes the cut points (Apply migrates restructured vertices to
-	// their key's owner but never shifts boundaries to rebalance).
-	RebalanceTol float64
-	// Pressure is the pressure-driven balancer of the Router over the
-	// Mesh; the zero value disables it. NewPartition ignores it.
-	Pressure PressurePolicy
-}
-
-func (o Options) rebalanceTol() float64 {
-	switch {
-	case o.RebalanceTol == 0:
-		return DefaultRebalanceTol
-	case o.RebalanceTol < 0:
-		return -1
-	default:
-		return o.RebalanceTol
-	}
-}
+// Options is NewMesh's option set. It has no fields: the partition
+// re-cuts only after restructuring, with a fixed tolerance
+// (rebalanceTol), so there is nothing to tune. The struct stays so
+// callers keep the NewMesh(m, k, Options{}) signature.
+type Options struct{}
 
 // NewPartition cuts m into k shards of (nearly) equal vertex count along
 // the Hilbert order of the current vertex positions. k is clamped to the
 // vertex count; an empty mesh yields a partition with zero shards. The
 // global mesh is not modified and may not have been restructured (like
 // mesh.Mesh.Renumber, partition first, restructure — per shard — later).
-func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
+func NewPartition(m *mesh.Mesh, k int) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: k = %d, want >= 1", k)
 	}
@@ -188,7 +169,6 @@ func NewPartition(m *mesh.Mesh, k int, opts Options) (*Partition, error) {
 		K:       k,
 		Owner:   make([]int32, n),
 		LocalID: make([]int32, n),
-		tol:     opts.rebalanceTol(),
 	}
 	if n == 0 {
 		return part, nil

@@ -150,11 +150,10 @@ func TestDeformFnRunsOutsideGate(t *testing.T) {
 }
 
 // TestDeformSerializesWithRebalance is the -race case of the narrowed
-// gate: while a slow fn rewrites the global array, other goroutines call
-// Rebalance — whose Apply reads the global positions and rebuilds
-// sub-meshes from them, so it must wait on the writer mutex, not just the
-// gate — and RepartitionStats, which must not wait at all. Afterwards the
-// partition is valid and the router exact.
+// gate: a split cell makes Deform re-partition after a slow fn that
+// rewrites the global array, and RepartitionStats, called from another
+// goroutine meanwhile, must not wait behind the fn. Afterwards the
+// re-partition is counted, the partition valid and the router exact.
 func TestDeformSerializesWithRebalance(t *testing.T) {
 	m := buildBoxTet(t, 6, 1.0/6)
 	sm, err := NewMesh(m, 4, Options{})
@@ -163,6 +162,9 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 	}
 	r := NewRouter(sm, func(sub *mesh.Mesh) query.ParallelKNNEngine { return core.New(sub) })
 	d := &sim.NoiseDeformer{Amplitude: 0.02, Frequency: 2, Seed: 12}
+	if _, _, err := m.SplitCell(0); err != nil {
+		t.Fatal(err)
+	}
 
 	inFn := make(chan struct{})
 	var wg sync.WaitGroup
@@ -178,14 +180,8 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 		})
 	}()
 	<-inFn
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		sm.Rebalance([]float64{0.5, 1, 1, 1})
-	}()
 	statsDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
 		defer close(statsDone)
 		for i := 0; i < 20; i++ {
 			_ = sm.RepartitionStats()
@@ -198,14 +194,14 @@ func TestDeformSerializesWithRebalance(t *testing.T) {
 	}
 	wg.Wait()
 
-	if st := sm.RepartitionStats(); st.Generations != 1 || st.PressureRebalances != 1 {
-		t.Fatalf("want one pressure rebalance, got %+v", st)
+	if st := sm.RepartitionStats(); st.Generations != 1 {
+		t.Fatalf("want one re-partition, got %+v", st)
 	}
 	if err := sm.Partition().Validate(m); err != nil {
 		t.Fatal(err)
 	}
 	r.Step()
-	checkRouterExact(t, "after rebalance during fn", m, r)
+	checkRouterExact(t, "after the re-partition", m, r)
 }
 
 // BenchmarkDeform times the sharded writer step on the benchmark's

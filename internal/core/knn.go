@@ -34,20 +34,25 @@ import (
 //  4. Folds — crawl again, in the same mark epoch, from the min(k, 8)
 //     unmarked surface vertices nearest p within the final bound and from
 //     the representative of every other connected component that holds
-//     none of them, offering only what the probe did not. When p sits between two folds of the
-//     mesh (two branches of a neuron) the k-ball spans both, and a crawl
-//     seeded in one stops at the k-th-best radius before reaching the
-//     other; any fold inside the ball presents surface inside the ball,
-//     and that surface is unmarked — a crawl that had reached it would
-//     have marked it — so seeding from the nearest unmarked surface still
-//     seeds every fold the ball meets. Disjoint sub-meshes (the
-//     two-neuron datasets, restructured fragments) are searched from
-//     their representatives.
+//     none of them, offering only what the probe did not. When p sits
+//     between two folds of the mesh (two branches of a neuron) the k-ball
+//     spans both, and a crawl seeded in one stops at the k-th-best radius
+//     before reaching the other; any fold inside the ball presents
+//     surface inside the ball, and that surface is unmarked — a crawl
+//     that had reached it would have marked it — so seeding from the
+//     nearest unmarked surface still seeds every fold the ball meets.
+//     Disjoint sub-meshes (the two-neuron datasets, restructured
+//     fragments) are searched from their representatives — except a
+//     component whose box (mesh.BlockBoxes.Comp, the bounds of its
+//     surface) lies strictly beyond the probe's bound: none of its
+//     vertices can enter the answer, so its descent is skipped.
 //
 // Like the range crawl, the stop criterion assumes the distance field over
 // the mesh graph has no deep local ridges: the k-th-best radius must not
-// cut the graph between a start and a closer pocket. On the solid,
-// well-shaped meshes of the evaluation this holds and results equal brute
+// cut the graph between a start and a closer pocket. The component skip
+// assumes every vertex of a component lies inside the box of its surface,
+// which holds for any solid whose cells are not inverted. On the solid,
+// well-shaped meshes of the evaluation both hold and results equal brute
 // force; DESIGN.md discusses the limitation.
 
 // KNN implements query.KNNEngine on the resident cursor. A concurrent
@@ -114,18 +119,20 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 
 	// Step 4: the folds, and every component step 2 did not start in
 	// that holds no fold, from its representative: one crawl from all of
-	// their descents.
+	// their descents. A component whose box lies strictly beyond the
+	// bound holds no vertex within it, so it is skipped.
 	folds := kp.folds()
 	cur.seeds = cur.seeds[:0]
 	for _, c := range folds {
 		cur.seeds = append(cur.seeds, c.v)
 	}
+	comp, q := o.idx.Boxes(cur.epoch).Comp, geom.AABB{Min: p, Max: p}
 	for ci, rep := range o.compReps {
 		started := int32(ci) == startComp
 		for _, c := range folds {
 			started = started || o.compOf[c.v] == int32(ci)
 		}
-		if !started {
+		if !started && !(gap2(&comp[ci], &q) > kp.bound) {
 			cur.seeds = append(cur.seeds, rep)
 		}
 	}

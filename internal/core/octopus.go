@@ -80,7 +80,9 @@ type Octopus struct {
 	// ApplySurfaceDelta — deformation never changes connectivity, so they
 	// are as maintenance-free as the surface index. They serve kNN only: a
 	// crawl can only ever reach vertices of its start's component, so the
-	// kNN crawl visits every component. Range queries do not need them —
+	// kNN crawl visits every component its bound does not exclude (the
+	// mesh keeps a box per component, mesh.BlockBoxes.Comp, under the
+	// same labels). Range queries do not need them —
 	// a no-seed range query that the walk cannot answer scans the unprobed
 	// positions instead (DESIGN.md §4).
 	compOf   []int32
@@ -192,6 +194,9 @@ func componentReps(labels []int32, count int, prefer []int32) []int32 {
 	}
 	assigned := 0
 	for _, v := range prefer {
+		if assigned == count {
+			break
+		}
 		if c := labels[v]; reps[c] < 0 {
 			reps[c] = v
 			assigned++

@@ -85,7 +85,9 @@ func BenchmarkProbeGather(b *testing.B) {
 // each one also searches the boxes for its walk start (counted in the
 // probe's figures) and walks (walk-ns/op, Stats.DirectedWalk, and stalls/op,
 // Stats.WalkStalls, per query), and it fails if the warmed cursor
-// allocates. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
+// allocates; "knn" reports its walk too (walk-visited/op,
+// Stats.WalkVisited, and walk-ns/op per query): the descents of step 2
+// and step 4, which the component skip cuts on neuro-l5. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
 // (Stats.ProbeBoxes) and positions/op split the probe's tests
 // (Stats.ProbeChecked) between the boxes of both levels and the surface
 // positions scanned inside the leaves.
@@ -123,18 +125,22 @@ func BenchmarkProbeBlocks(b *testing.B) {
 			}
 		}
 		var out []int32
-		perQuery := func(b *testing.B, run func(i int)) {
+		// perQuery times run over b.N queries, reports the probe's figures
+		// per query and returns the cursor's statistics around the timed
+		// loop.
+		perQuery := func(b *testing.B, run func(i int)) (before, st Stats) {
 			run(0)
-			before := cur.Stats()
+			before = cur.Stats()
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
 				run(it)
 			}
-			st := cur.Stats()
+			st = cur.Stats()
 			b.ReportMetric(float64(st.SurfaceProbe-before.SurfaceProbe)/float64(b.N), "probe-ns/op")
 			boxes := st.ProbeBoxes - before.ProbeBoxes
 			b.ReportMetric(float64(boxes)/float64(b.N), "boxes/op")
 			b.ReportMetric(float64(st.ProbeChecked-before.ProbeChecked-boxes)/float64(b.N), "positions/op")
+			return before, st
 		}
 		b.Run(c.name+"/rebuild", func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
@@ -161,14 +167,14 @@ func BenchmarkProbeBlocks(b *testing.B) {
 			if allocs := testing.AllocsPerRun(len(noseed), func() { out = cur.Query(noseed[0], out[:0]) }); allocs != 0 {
 				b.Fatalf("a warmed no-seed range query allocates %.1f objects, want 0", allocs)
 			}
-			before := cur.Stats()
-			perQuery(b, func(i int) { out = cur.Query(noseed[i%len(noseed)], out[:0]) })
-			st := cur.Stats()
+			before, st := perQuery(b, func(i int) { out = cur.Query(noseed[i%len(noseed)], out[:0]) })
 			b.ReportMetric(float64(st.DirectedWalk-before.DirectedWalk)/float64(b.N), "walk-ns/op")
 			b.ReportMetric(float64(st.WalkStalls-before.WalkStalls)/float64(b.N), "stalls/op")
 		})
 		b.Run(c.name+"/knn", func(b *testing.B) {
-			perQuery(b, func(i int) { out = cur.KNN(knns[i%len(knns)].P, knns[i%len(knns)].K, out[:0]) })
+			before, st := perQuery(b, func(i int) { out = cur.KNN(knns[i%len(knns)].P, knns[i%len(knns)].K, out[:0]) })
+			b.ReportMetric(float64(st.WalkVisited-before.WalkVisited)/float64(b.N), "walk-visited/op")
+			b.ReportMetric(float64(st.DirectedWalk-before.DirectedWalk)/float64(b.N), "walk-ns/op")
 		})
 		b.Run(c.name+"/step+range", func(b *testing.B) {
 			perQuery(b, func(i int) {

@@ -112,8 +112,12 @@ func boundsOf(lo, hi []geom.Vec3) geom.AABB {
 // checkIndex holds the mesh's surface index to its definition: the slot
 // map inverts the slot order, and the boxes of the current epoch equal a
 // from-scratch recomputation over the positions of that epoch, bit for
-// bit, both levels, NaN bounds included — every leaf the bounds of its
-// slots, every coarse box the bounds of its leaves'.
+// bit, all three sets, NaN bounds included — every leaf the bounds of its
+// slots, every coarse box the bounds of its leaves', every component box
+// the bounds of that component's surface slots (NaN on every bound for a
+// component with none). It also holds the mesh to the assumption the
+// kNN's component skip rests on: every vertex of a component with
+// surface lies inside that component's box.
 func checkIndex(t testing.TB, label string, o *Octopus) {
 	t.Helper()
 	e, pos := o.m.PinPositions()
@@ -154,6 +158,38 @@ func checkIndex(t testing.TB, label string, o *Octopus) {
 	if !same(bb.Leaf, want.Leaf) || !same(bb.Coarse, want.Coarse) {
 		t.Fatalf("%s: epoch %d's boxes (%d leaves, %d coarse) differ from a recomputation (%d, %d)",
 			label, e, len(bb.Leaf), len(bb.Coarse), len(want.Leaf), len(want.Coarse))
+	}
+
+	count, labels := o.m.ConnectedComponents()
+	if len(bb.Comp) != count {
+		t.Fatalf("%s: epoch %d has %d component boxes for %d components", label, e, len(bb.Comp), count)
+	}
+	// surf[c] holds the positions of component c's surface slots.
+	surf := make([][]geom.Vec3, count)
+	for _, v := range slots {
+		surf[labels[v]] = append(surf[labels[v]], pos[v])
+	}
+	for c, ps := range surf {
+		got := bb.Comp[c]
+		if len(ps) == 0 {
+			for _, f := range []float64{got.Min.X, got.Min.Y, got.Min.Z, got.Max.X, got.Max.Y, got.Max.Z} {
+				if !math.IsNaN(f) {
+					t.Fatalf("%s: component %d has no surface slot, yet its box %v is not NaN on every bound", label, c, got)
+				}
+			}
+			continue
+		}
+		if w := boundsOf(ps, ps); !slices.Equal(boxBits(got), boxBits(w)) {
+			t.Fatalf("%s: epoch %d's box of component %d is %v, its %d surface slots bound %v", label, e, c, got, len(ps), w)
+		}
+	}
+	within := func(lo, x, hi float64) bool { return lo <= x && x <= hi || lo != lo || hi != hi }
+	for v, p := range pos {
+		c := labels[v]
+		if b := bb.Comp[c]; len(surf[c]) > 0 &&
+			!(within(b.Min.X, p.X, b.Max.X) && within(b.Min.Y, p.Y, b.Max.Y) && within(b.Min.Z, p.Z, b.Max.Z)) {
+			t.Fatalf("%s: vertex %d of component %d at %v lies outside the component's box %v", label, v, c, p, b)
+		}
 	}
 }
 
@@ -575,8 +611,11 @@ func TestMemoryFootprintCountsBuiltBoxes(t *testing.T) {
 		t.Fatal("surface-first layout not dense; test geometry broken")
 	}
 	leaves := (o.SurfaceSize() + mesh.ProbeBlock - 1) / mesh.ProbeBlock
-	parity := int64(leaves+(leaves+mesh.ProbeFan-1)/mesh.ProbeFan) * 48
-	index := int64(cap(o.idx.Slots())) * 4
+	parity := int64(leaves+(leaves+mesh.ProbeFan-1)/mesh.ProbeFan+1) * 48 // and one component box
+	index := int64(cap(o.idx.Slots()))*4 + int64(2+leaves)*4              // and the component map
+	if count, _ := m.ConnectedComponents(); count != 1 {
+		t.Fatalf("%d components, want 1; test geometry broken", count)
+	}
 	rest := o.MemoryFootprint() - o.idx.MemoryBytes()
 	for step := 0; step < 2; step++ {
 		scramble(step, m.Positions())

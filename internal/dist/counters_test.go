@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"octopus/internal/core"
 	"octopus/internal/geom"
@@ -218,5 +220,75 @@ func TestDistPublishBytes(t *testing.T) {
 	if f < 5*d {
 		t.Errorf("delta publishes cut the wire bytes %.2fx (full %d, delta %d per step), want >= 5x",
 			float64(f)/float64(d), f, d)
+	}
+}
+
+// heldPublish passes every RPC on to inner but holds the first publish
+// until release is closed, closing held when it arrives.
+type heldPublish struct {
+	inner         Handler
+	held, release chan struct{}
+}
+
+func (h *heldPublish) Handle(op byte, req []byte) ([]byte, error) {
+	if op == opPublish || op == opPublishDelta {
+		close(h.held)
+		<-h.release
+	}
+	return h.inner.Handle(op, req)
+}
+
+// TestDistMetaResweeps: while shard 0's publish is held back, the other
+// three shards report the next epoch, so every metadata sweep sees mixed
+// epochs. Refresh re-sweeps maxMetaSweeps-1 times, each counted in
+// MetaResweeps, and gives up with ErrEpochSkew; once the publish lands, a
+// settled sweep adds nothing.
+func TestDistMetaResweeps(t *testing.T) {
+	_, cl := counterCluster(t)
+	lb := NewLoopback()
+	addrs := cl.ServeLoopback(lb)
+	hold := &heldPublish{inner: cl.Servers()[0], held: make(chan struct{}), release: make(chan struct{})}
+	lb.Register(addrs[0], hold)
+	rt := NewRouter(lb, addrs, RetryPolicy{Backoff: 100 * time.Microsecond})
+	defer rt.Close()
+	if err := rt.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Stats().MetaResweeps; n != 0 {
+		t.Fatalf("%d re-sweeps on a settled cluster, want 0", n)
+	}
+
+	deformer, err := sim.DefaultDeformer(meshgen.NeuroL2, sim.DefaultAmplitude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := make(chan error, 1)
+	go func() { published <- cl.DeformErr(func(pos []geom.Vec3) { deformer.Step(0, pos) }) }()
+	<-hold.held
+	deadline := time.Now().Add(10 * time.Second)
+	for s := 1; s < len(addrs); s++ {
+		for cl.Servers()[s].x.Part().Mesh.Epoch() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never reached epoch 1", s)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if err := rt.Refresh(); !errors.Is(err, ErrEpochSkew) {
+		t.Fatalf("Refresh with shard 0 held back: %v, want ErrEpochSkew", err)
+	}
+	if n := rt.Stats().MetaResweeps; n != maxMetaSweeps-1 {
+		t.Fatalf("%d re-sweeps with shard 0 held back, want %d", n, maxMetaSweeps-1)
+	}
+
+	close(hold.release)
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Stats().MetaResweeps; n != maxMetaSweeps-1 {
+		t.Fatalf("%d re-sweeps after the publish landed, want still %d", n, maxMetaSweeps-1)
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"octopus/internal/geom"
@@ -52,8 +53,9 @@ type Router struct {
 	cache  *query.ResultCache // nil until EnableCache
 	syncMu sync.Mutex         // serializes SyncCache's read-advance cycle
 
-	n       shard.FanoutCounters
-	fanouts sync.Pool // *shard.Fanout, behind Range and KNN
+	n        shard.FanoutCounters
+	resweeps atomic.Int64 // RouterStats.MetaResweeps
+	fanouts  sync.Pool    // *shard.Fanout, behind Range and KNN
 }
 
 // NewRouter returns a router over the shard servers at addrs (index =
@@ -138,6 +140,10 @@ type RouterStats struct {
 	// CacheHits counts queries answered from the result cache — each one
 	// cost zero RPCs (they also count into RangeQueries/KNNQueries).
 	CacheHits int64
+	// MetaResweeps counts the metadata sweeps repeated because the one
+	// before saw the shards at mixed epochs (a publish in flight); each
+	// slept its backoff first.
+	MetaResweeps int64
 }
 
 // Stats snapshots the counters. Safe for concurrent use.
@@ -151,6 +157,7 @@ func (r *Router) Stats() RouterStats {
 		Retries:       r.rpc.retries.Load(),
 		SkewRequeries: r.n.SkewRequeries.Load(),
 		CacheHits:     r.n.CacheHits.Load(),
+		MetaResweeps:  r.resweeps.Load(),
 	}
 }
 
@@ -210,6 +217,7 @@ func (r *Router) refreshMeta() ([]shard.Summary, uint64, error) {
 	backoff := r.rpc.policy.Backoff
 	for sweep := 0; sweep < maxMetaSweeps; sweep++ {
 		if sweep > 0 {
+			r.resweeps.Add(1)
 			time.Sleep(backoff)
 			backoff *= 2
 		}

@@ -100,8 +100,9 @@ func (m *Mesh) prepareRestructure() {
 // the cell centroid and the cell is replaced by four tetrahedra. This is the
 // paper's "polyhedra may be split, thus increasing the number of vertices"
 // restructuring. The mesh surface is unchanged (the new vertex is interior),
-// so the returned delta is always empty and the surface index and its
-// boxes stand; it is returned for symmetry with DeleteCell.
+// so the returned delta is always empty and the slot order and leaf boxes
+// stand (the surface index still maps the relabelled components); it is
+// returned for symmetry with DeleteCell.
 func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error) {
 	if ci < 0 || ci >= len(m.cells) {
 		return -1, SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
@@ -155,6 +156,7 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 
 	m.recordStructuralDirty(m.cellBox(ci), int32(ci), base, base+1, base+2, base+3)
 	m.recordAddedVert(x)
+	m.reindexSurface(SurfaceDelta{})
 	return x, SurfaceDelta{}, nil
 }
 
@@ -162,8 +164,8 @@ func (m *Mesh) SplitCell(ci int) (newVertex int32, delta SurfaceDelta, err error
 // reducing the vertices on the surface" direction of restructuring (here the
 // cell's volume simply leaves the mesh, exposing its interior faces). The
 // returned SurfaceDelta lists vertices that joined or left the surface set;
-// it has already been applied to the surface index, whose current boxes
-// are refit.
+// it has already been applied to the surface index, whose component map
+// is rebuilt and whose current boxes are refit.
 func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	if ci < 0 || ci >= len(m.cells) {
 		return SurfaceDelta{}, fmt.Errorf("mesh: cell %d out of range", ci)
@@ -203,10 +205,7 @@ func (m *Mesh) DeleteCell(ci int) (SurfaceDelta, error) {
 	slices.Sort(delta.Removed)
 	m.recordStructuralDirty(m.cellBox(ci), int32(ci))
 	m.dirtyLog.Untrack() // no epoch moves: the next publish carries it
-	if m.surfIdx != nil && !delta.Empty() {
-		m.surfIdx.apply(delta)
-		m.refitFront() // a publish refits the other buffer
-	}
+	m.reindexSurface(delta)
 	return delta, nil
 }
 

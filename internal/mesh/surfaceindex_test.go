@@ -73,10 +73,10 @@ func sameBoxes(a, b []geom.AABB) bool {
 // refitFresh reports whether the boxes s holds for epoch equal boxes
 // refit from scratch, into new arrays, over pos.
 func refitFresh(s *SurfaceIndex, epoch uint64, pos []geom.Vec3) bool {
-	fresh := &SurfaceIndex{slots: s.slots, slotOf: s.slotOf}
+	fresh := &SurfaceIndex{slots: s.slots, slotOf: s.slotOf, compStart: s.compStart, compItem: s.compItem}
 	fresh.refit(epoch, pos)
 	got, want := s.Boxes(epoch), fresh.Boxes(epoch)
-	return sameBoxes(got.Leaf, want.Leaf) && sameBoxes(got.Coarse, want.Coarse)
+	return sameBoxes(got.Leaf, want.Leaf) && sameBoxes(got.Coarse, want.Coarse) && sameBoxes(got.Comp, want.Comp)
 }
 
 // TestSurfaceBoxesUnderConcurrentPublish is the property the boxes ride

@@ -12,9 +12,10 @@ import (
 // sublinearly (S:V shrinks) while crawling grows with the result count —
 // and (b) OCTOPUS' memory footprint as a function of the number of query
 // results. (b) is reported, not reproduced: the paper's visited set is a
-// hash table sized by the result, this engine's is a mark array sized by
-// the mesh (DESIGN.md §12), so the footprint is flat in the result count
-// once the first seeded crawl has run.
+// hash table sized by the result, this engine's range crawl keeps one
+// stamp per 32-vertex crawl block, sized by the mesh (DESIGN.md §12), and
+// the footprint holds the surface index and the mesh's block graph, so
+// only the block queue and the seed buffer grow with the result count.
 func Fig10(cfg Config) ([]*Table, error) {
 	breakdown := &Table{
 		ID:      "fig10a",
@@ -71,6 +72,6 @@ func Fig10(cfg Config) ([]*Table, error) {
 	}
 	footprint.Notes = append(footprint.Notes,
 		"paper: footprint correlates directly with result count (visited-set and queue sizing)",
-		"not reproduced: the visited set here is a mark array of 4 B per mesh vertex, allocated by a cursor's first seeded crawl and independent of the result; only the seed buffer and the kNN heaps (and the caller's result slice) still grow with the result")
+		"not reproduced: the range crawl's visited set here is one 4 B stamp per 32-vertex crawl block (31 KB on neuro-l5), allocated by a cursor's first seeded crawl and independent of the result, beside the surface index and the mesh's block graph; only the block queue and the seed buffer (and the caller's result slice) grow with the result")
 	return []*Table{breakdown, footprint}, nil
 }

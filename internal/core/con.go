@@ -104,10 +104,11 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 	return cur.crawlRange(q, out, before, t2)
 }
 
-// MemoryFootprint implements query.Engine: the stale grid, the component
-// labels and the resident cursor's crawl structures.
+// MemoryFootprint implements query.Engine: the stale grid, the mesh's
+// block graph once a crawl has built it, the component labels and the
+// resident cursor's crawl structures.
 func (c *Con) MemoryFootprint() int64 {
-	return c.grid.MemoryBytes() +
+	return c.grid.MemoryBytes() + c.m.BlockGraphBytes() +
 		int64(len(c.compOf)+len(c.compReps))*4 +
 		c.resident.MemoryBytes()
 }

@@ -9,27 +9,32 @@ import (
 )
 
 // crawler implements the two mesh-graph phases shared by OCTOPUS and
-// OCTOPUS-CON: the breadth-first crawl (§IV-B) and the directed walk
-// (§IV-D) with its exact fallback, the scan of the unprobed positions. It
-// owns the reusable visited structure and frontiers so queries do not
-// allocate.
+// OCTOPUS-CON: the range crawl (§IV-B) and the directed walk (§IV-D) with
+// its exact fallback, the scan of the unprobed positions. It owns the
+// reusable visited structures and frontiers so queries do not allocate.
 //
-// There is one crawl (DESIGN.md §12). Its visited set is the mark array:
-// one epoch-stamped word per vertex, allocated by the first crawl that has
-// a seed and cleared in O(1) by an epoch bump. Every dataset and sub-mesh
-// is laid out in Hilbert order, so a vertex's neighbours have nearby ids
-// and marks[w] is touched with the locality the layout exists to buy. What
-// that gives up is Figure 10(b)'s footprint property: a cursor that has
-// crawled holds 4 bytes per mesh vertex, whatever its results were; only
-// the result queue, the seed buffer and the kNN heaps still grow with the
-// result.
+// There is one range crawl (DESIGN.md §12), and it moves in crawl blocks,
+// runs of mesh.CrawlBlock consecutive vertex ids, not in vertices. Its
+// visited set is one epoch-stamped word per block, allocated by the first
+// crawl that has a seed and cleared in O(1) by an epoch bump: 4 bytes per
+// 32 vertices. The kNN crawl keeps the per-vertex mark array (4 bytes per
+// vertex), allocated by the first kNN. Everything else — the result
+// queue, the seed buffer and the kNN heaps — grows with the result.
 type crawler struct {
 	m    *mesh.Mesh
 	heap []heapItem // kNN crawl frontier
 
-	// marks is the visited set: marks[v] == markEpoch means v was visited
-	// by the current crawl. Sized to the vertex count by bumpMarks; reset
-	// is an epoch bump.
+	// blockMarks is the range crawl's visited set: blockMarks[b] ==
+	// blockEpoch means crawl block b was queued by the current crawl.
+	// Sized to the block count by crawl; reset is an epoch bump. queue is
+	// the crawl's block queue.
+	blockMarks []uint32
+	blockEpoch uint32
+	queue      []int32
+
+	// marks is the kNN crawl's visited set: marks[v] == markEpoch means v
+	// was visited by the current query. Sized to the vertex count by
+	// bumpMarks; reset is an epoch bump.
 	marks     []uint32
 	markEpoch uint32
 
@@ -51,8 +56,10 @@ type crawler struct {
 	knnCut2  float64
 
 	// counters (cumulative across queries)
-	crawlVisited int64 // vertices discovered by range crawls / expanded by kNN crawls
+	crawlVisited int64 // vertices found by range crawls / expanded by kNN crawls
 	walkVisited  int64 // vertices accessed by directed walks and their fallback scans
+	crawlTested  int64 // positions tested by range crawls' block visits
+	crawlReads   int64 // adjacency entries (block graph and vertex lists) read by range crawls
 }
 
 // armCrawl resets the budget accounting and the coverage report. Engines
@@ -63,77 +70,150 @@ func (c *crawler) armCrawl() {
 	c.knnCut2 = math.Inf(1)
 }
 
-// overBudget reports whether the query's crawl budget has run out; it is
-// checked before every expansion.
-func (c *crawler) overBudget() bool {
-	return c.budget.MaxVisited > 0 && c.expanded >= c.budget.MaxVisited
+// overBudget reports whether expanding n more vertices would take the
+// query past its crawl budget; it is checked before every expansion.
+func (c *crawler) overBudget(n int) bool {
+	return c.budget.MaxVisited > 0 && c.expanded+int64(n) > c.budget.MaxVisited
 }
 
-// bumpMarks prepares the mark array for a fresh crawl: sized to the mesh
-// (re-sized when restructuring has added vertices), cleared in O(1) by an
-// epoch bump (hard-cleared on the ~4G wrap).
+// bumpStamps prepares an epoch-stamped visited set over n slots for a
+// fresh pass: sized to n (re-sized when restructuring has added
+// vertices), cleared in O(1) by an epoch bump, hard-cleared on the ~4G
+// wrap. Epoch 0 is never current, so a zeroed slot reads unvisited.
+func bumpStamps(s []uint32, epoch uint32, n int) ([]uint32, uint32) {
+	if len(s) < n {
+		s, epoch = make([]uint32, n), 0
+	}
+	epoch++
+	if epoch == 0 {
+		clear(s)
+		epoch = 1
+	}
+	return s, epoch
+}
+
+// bumpMarks prepares the kNN mark array for a fresh query.
 func (c *crawler) bumpMarks() {
-	if n := c.m.NumVertices(); len(c.marks) < n {
-		c.marks = make([]uint32, n)
-		c.markEpoch = 0
-	}
-	c.markEpoch++
-	if c.markEpoch == 0 {
-		clear(c.marks)
-		c.markEpoch = 1
-	}
+	c.marks, c.markEpoch = bumpStamps(c.marks, c.markEpoch, c.m.NumVertices())
 }
 
-// crawl runs the BFS from seeds (each of which must lie inside q),
-// appending every vertex of the query result to out. Edges are never
-// followed past a vertex outside q — the paper's stop criterion that makes
-// crawl cost proportional to the result size, not the dataset size. The
-// result slice doubles as the BFS queue: every discovered in-box vertex is
-// appended once and expanded when the head pointer reaches it, so the
-// output order is exactly the BFS discovery order from the seeds in the
-// order given — deterministic per cursor.
+// graphExpandMin is the fewest in-box vertices for which a crawl block is
+// expanded through the mesh's block graph instead of through its in-box
+// vertices' own neighbour lists. Below it the lists queue fewer blocks to
+// scan; at it and above, the one short list of the block's neighbours is
+// cheaper than reading that many lists, and the few extra blocks it
+// queues cost less than the reads it saves. Chosen from BenchmarkCrawl's
+// per-selectivity rows and the sim-step and live-inproc workloads
+// (DESIGN.md §12): half a block.
+const graphExpandMin = mesh.CrawlBlock / 2
+
+// crawl appends every vertex of q it reaches from seeds (each of which
+// must lie inside q) to out. It moves in crawl blocks: the seeds' blocks
+// are queued, and visiting a queued block runs the containment kernel over
+// its positions and appends its in-box vertices. A block that holds one is
+// expanded: the blocks it touches are queued — those of its in-box
+// vertices' neighbours, or, when it holds at least graphExpandMin, its
+// neighbours in the mesh's block graph, a superset read from one short
+// list. Nothing is expanded past a block with no vertex in q, the paper's
+// stop criterion applied to blocks, so the cost stays proportional to the
+// result.
 //
-// No seed means no result and no marks: the emptiness proof of a stalled
-// walk allocates nothing. A budget cutoff keeps everything discovered so
-// far (a subset of the exact result) and records the abandoned frontier in
-// the coverage report.
+// Every in-box path from a seed is followed, so the answer holds the
+// vertex BFS's from the same seeds; a vertex that shares a block with a
+// reached one is found too, though no in-box path may lead to it. Each
+// block is visited once and only in-box vertices are appended, so the
+// answer has no duplicate and is a subset of brute force. The order is the
+// block BFS order from the seeds' blocks, each block's vertices ascending:
+// deterministic per cursor.
+//
+// No seed means no result and no stamps: the emptiness proof of a stalled
+// walk allocates nothing. The budget counts the in-box vertices expanded
+// and is checked before each block is expanded: a block that would exceed
+// it expands only as many of its vertices as the budget has left, and the
+// crawl stops there. The cutoff keeps everything visited so far (a subset
+// of the exact result); the block's unexpanded vertices and the in-box
+// vertices of the queued blocks it abandons are the frontier.
 func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 	if len(seeds) == 0 {
 		return out
 	}
-	c.bumpMarks()
+	g := c.m.BlockGraph()
 	pos := c.pos
-	marks, epoch := c.marks, c.markEpoch
-	base := len(out)
+	n := int32(len(pos))
+	c.blockMarks, c.blockEpoch = bumpStamps(c.blockMarks, c.blockEpoch, mesh.NumCrawlBlocks(int(n)))
+	marks, epoch := c.blockMarks, c.blockEpoch
+	queue := c.queue[:0]
 	for _, s := range seeds {
-		if marks[s] != epoch {
-			marks[s] = epoch
-			out = append(out, s)
+		if b := s >> mesh.CrawlBlockShift; marks[b] != epoch {
+			marks[b] = epoch
+			queue = append(queue, b)
 		}
 	}
-	for head := base; head < len(out); head++ {
-		if c.overBudget() {
-			c.cov.Truncated = true
-			c.cov.Frontier += int64(len(out) - head)
-			break
+	base := len(out)
+	var tested, reads int64
+	for i := 0; i < len(queue); i++ {
+		b := queue[i]
+		lo := b << mesh.CrawlBlockShift
+		hi := min(lo+mesh.CrawlBlock, n)
+		tested += int64(hi - lo)
+		first := len(out)
+		out = appendContained(out, q, pos[lo:hi], int(lo))
+		found := out[first:]
+		if len(found) == 0 {
+			continue
 		}
-		c.expanded++
-		for _, w := range c.m.Neighbors(out[head]) {
-			// Mark before testing: every vertex pays the position gather
-			// and containment test at most once, not once per incident
-			// edge. Out-of-box vertices enter the visited set but never
-			// the queue, so the result stays exact and the stop criterion
-			// (never expand past an outside vertex) is unchanged.
-			if marks[w] != epoch {
-				marks[w] = epoch
-				if q.Contains(pos[w]) {
-					out = append(out, w)
+		expand := found
+		if c.overBudget(len(found)) {
+			expand = found[:c.budget.MaxVisited-c.expanded]
+		}
+		c.expanded += int64(len(expand))
+		if len(expand) == len(found) && len(found) >= graphExpandMin {
+			nb := g.Neighbors(b)
+			reads += int64(len(nb))
+			for _, w := range nb {
+				if marks[w] != epoch {
+					marks[w] = epoch
+					queue = append(queue, w)
+				}
+			}
+		} else {
+			for _, v := range expand {
+				nv := c.m.Neighbors(v)
+				reads += int64(len(nv))
+				for _, w := range nv {
+					if w >>= mesh.CrawlBlockShift; marks[w] != epoch {
+						marks[w] = epoch
+						queue = append(queue, w)
+					}
 				}
 			}
 		}
+		if len(expand) < len(found) {
+			c.cov.Truncated = true
+			c.cov.Frontier += int64(len(found)-len(expand)) + inBlocks(q, pos, queue[i+1:])
+			break
+		}
 	}
+	c.queue = queue
 	c.crawlVisited += int64(len(out) - base)
+	c.crawlTested += tested
+	c.crawlReads += reads
 	return out
+}
+
+// inBlocks counts the vertices of the given crawl blocks that lie in q:
+// the frontier a budget cutoff abandons in the blocks it queued.
+func inBlocks(q geom.AABB, pos []geom.Vec3, blocks []int32) int64 {
+	var n int64
+	for _, b := range blocks {
+		lo := int(b) << mesh.CrawlBlockShift
+		for _, p := range pos[lo:min(lo+mesh.CrawlBlock, len(pos))] {
+			if q.Contains(p) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // greedyWalk is Algorithm 1's directed walk: from start, move to the
@@ -274,8 +354,8 @@ func heapDown(s []heapItem, i int) {
 	}
 }
 
-// memoryBytes reports the crawl structures' footprint: the mark array and
-// the kNN frontier.
+// memoryBytes reports the crawl structures' footprint: the block stamps
+// and queue, the kNN mark array and the kNN frontier.
 func (c *crawler) memoryBytes() int64 {
-	return int64(cap(c.marks))*4 + int64(cap(c.heap))*16
+	return int64(cap(c.blockMarks)+cap(c.queue)+cap(c.marks))*4 + int64(cap(c.heap))*16
 }

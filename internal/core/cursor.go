@@ -20,8 +20,9 @@ type cursorOwner interface {
 }
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
-// (mark array, kNN frontier — the range BFS queues in the caller's out),
-// the seed buffer, the crawl budget and a local Stats accumulator. The
+// (block stamps and queue of the range crawl, mark array and frontier of
+// the kNN crawl), the seed buffer, the crawl budget and a local Stats
+// accumulator. The
 // engine that created a cursor holds only immutable index state at query
 // time, and the block boxes a query reads belong to the position buffer
 // it pinned, so any number of cursors over the same engine may execute
@@ -29,7 +30,8 @@ type cursorOwner interface {
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
 // one per worker: nothing is allocated until its first seeded crawl, which
-// sizes the mark array to the mesh (4 bytes per vertex); the other buffers
+// sizes the block stamps to the mesh (4 bytes per 32 vertices), and its
+// first kNN sizes the mark array (4 bytes per vertex); the other buffers
 // grow to roughly the largest result set the worker has seen.
 type Cursor struct {
 	owner cursorOwner
@@ -256,8 +258,9 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (mark array, kNN frontier), the seed buffer, the box heap
-// of the exact probe, and the kNN candidate heap.
+// structures (block stamps and queue, kNN mark array and frontier), the
+// seed buffer, the box heap of the exact probe, and the kNN candidate
+// heap.
 func (c *Cursor) MemoryBytes() int64 {
 	return c.crawler.memoryBytes() + int64(cap(c.seeds))*4 + int64(cap(c.blocks))*16 + c.kbest.MemoryBytes()
 }

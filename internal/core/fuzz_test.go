@@ -123,11 +123,12 @@ func checkRangeContract(t *testing.T, m *mesh.Mesh, name string, q geom.AABB, go
 // degenerate extents included) on a seed-deformed mesh, checked against
 // the documented guarantee via checkRangeContract. OCTOPUS additionally
 // must return every in-box surface vertex (the probe offers them all in
-// exact mode). The mesh then moves under the live engines — in place with
-// a Step, then through Deform — and the same box
-// is asked again after each move: the surface spans four probe blocks, so
-// a box array that outlives the positions it was computed from drops
-// seeds here.
+// exact mode), hold the vertex BFS's answer from its seeds and answer a
+// repeat with the same slice (checkCrawlAnswer). The mesh then moves
+// under the live engines — in place with a Step, then through Deform —
+// and the same box is asked again after each move: the surface spans four
+// probe blocks, so a box array that outlives the positions it was
+// computed from drops seeds here.
 func FuzzRangeQuery(f *testing.F) {
 	f.Add(int64(1), 0.2, 0.2, 0.2, 0.8, 0.8, 0.8)    // interior box
 	f.Add(int64(2), -1.0, -1.0, -1.0, 2.0, 2.0, 2.0) // whole mesh
@@ -148,6 +149,12 @@ func FuzzRangeQuery(f *testing.F) {
 			want := query.BruteForce(m, q)
 			gotO := o.Query(q, nil)
 			checkRangeContract(t, m, "OCTOPUS "+stage, q, gotO, want)
+			// The block crawl's own contract: the vertex BFS's answer from
+			// the same seeds is a subset, and a repeat is the same slice.
+			checkCrawlAnswer(t, "OCTOPUS "+stage, m, q, o.resident.seeds, gotO, want)
+			if again := o.Query(q, nil); !slices.Equal(again, gotO) {
+				t.Fatalf("OCTOPUS %s: a repeated query answered %d vertices, the first %d", stage, len(again), len(gotO))
+			}
 			// Surface completeness: exact-mode probes offer every in-box
 			// surface vertex, connected or not.
 			inGot := make(map[int32]bool, len(gotO))

@@ -276,7 +276,7 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // best — no vertex beyond the frontier can then enter the result,
 // provided closer vertices are reachable without crossing the k-th-best
 // radius (see the file comment). The starts and every crawl of the query
-// share one visited set (the mark array, armed by the caller with
+// share one visited set (the kNN mark array, armed by the caller with
 // bumpMarks), so overlapping expansions never offer a vertex twice, and a
 // marked vertex was either offered or seen strictly beyond the bound:
 // vertices at exactly the k-th-best distance are pushed and popped, so id
@@ -296,7 +296,7 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 		}
 	}
 	for len(c.heap) > 0 {
-		if c.overBudget() {
+		if c.overBudget(1) {
 			c.truncateKNN()
 			return
 		}

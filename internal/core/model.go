@@ -10,12 +10,14 @@ import (
 
 // Constants holds the machine-dependent access costs of the analytical
 // model (§IV-G): CS is the cost of touching one vertex sequentially (the
-// linear scan's and surface probe's unit cost), CR the cost of accessing
-// one vertex through the adjacency list (the crawl's unit cost, dominated
-// by random memory access). On the paper's hardware CR ≈ 4 × CS.
+// linear scan's and surface probe's unit cost), CR the cost of one access
+// the crawl makes (in the paper a vertex reached through the adjacency
+// list, dominated by random memory access; here a position a crawl-block
+// visit tests or an adjacency entry the crawl reads). On the paper's
+// hardware CR ≈ 4 × CS.
 type Constants struct {
 	CS float64 // seconds per sequential vertex access
-	CR float64 // seconds per adjacency (random) vertex access
+	CR float64 // seconds per crawl access
 }
 
 // Ratio returns CS/CR, the constant appearing in Equations 3, 5 and 6.
@@ -73,11 +75,12 @@ func Calibrate(m *mesh.Mesh) Constants {
 	bounds := m.Bounds()
 	probe := geom.BoxAround(bounds.Center(), bounds.Size().Len()/10)
 
-	// CR's round: a full breadth-first traversal of the mesh graph by the
-	// crawl itself (crawler.crawl over a box that holds every vertex), so
-	// the constant cannot drift from the code it predicts. The unit is one
-	// adjacency access, so a round counts the edges it follows; the first,
-	// untimed round counts them and allocates the mark array.
+	// CR's round: a crawl of the whole mesh by the crawl itself
+	// (crawler.crawl over a box that holds every vertex), so the constant
+	// cannot drift from the code it predicts. The unit is one access the
+	// crawl makes — a position it tests or an adjacency entry it reads —
+	// so a round counts both; the first, untimed round counts them and
+	// allocates the crawl's scratch.
 	all := geom.AABB{
 		Min: bounds.Min.Sub(geom.V(1, 1, 1)),
 		Max: bounds.Max.Add(geom.V(1, 1, 1)),
@@ -85,15 +88,12 @@ func Calibrate(m *mesh.Mesh) Constants {
 	bfs := crawler{m: m, pos: pos}
 	seed := []int32{0}
 	queue := bfs.crawl(all, seed, make([]int32, 0, len(pos)))
-	var edges int64
-	for _, v := range queue {
-		edges += int64(len(m.Neighbors(v)))
-	}
+	accesses := bfs.crawlTested + bfs.crawlReads
 
 	// CS's round: sequential passes with containment test and result
 	// collection — exactly the linear scan's (and surface probe's)
 	// per-vertex work — as many as make about a crawl round's accesses.
-	passes := max(1, int(edges)/len(pos))
+	passes := max(1, int(accesses)/len(pos))
 	var out []int32
 	var scans, crawls []float64 // seconds per access, one per round
 	for start := time.Now(); time.Since(start) < 60*time.Millisecond; {
@@ -108,18 +108,12 @@ func Calibrate(m *mesh.Mesh) Constants {
 		}
 		t1 := time.Now()
 		scans = append(scans, t1.Sub(t0).Seconds()/float64(passes*len(pos)))
-		if edges > 0 {
-			queue = bfs.crawl(all, seed, queue[:0])
-			crawls = append(crawls, time.Since(t1).Seconds()/float64(edges))
-		}
+		queue = bfs.crawl(all, seed, queue[:0])
+		crawls = append(crawls, time.Since(t1).Seconds()/float64(accesses))
 	}
 	slices.Sort(scans)
-	cs := scans[len(scans)/2]
-	cr := cs
-	if len(crawls) > 0 {
-		slices.Sort(crawls)
-		cr = crawls[len(crawls)/2]
-	}
+	slices.Sort(crawls)
+	cs, cr := scans[len(scans)/2], crawls[len(crawls)/2]
 	sink(len(out), float64(len(queue)))
 	return Constants{CS: cs, CR: cr}
 }

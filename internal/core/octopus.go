@@ -15,8 +15,9 @@
 //     surface vertex, and a second stall scans the positions the probe
 //     did not test and seeds the crawl from every vertex inside the box —
 //     or proves there is none.
-//  3. Crawling — BFS along mesh edges from the seeds, never expanding past
-//     a vertex outside the box.
+//  3. Crawling — BFS from the seeds, never expanding past what lies
+//     outside the box. It moves in crawl blocks of 32 consecutive vertex
+//     ids (crawl.go), so the Hilbert layout's locality is the unit of work.
 //
 // Because every phase reads positions directly from the live mesh, the
 // strategy needs no maintenance when the simulation moves vertices — the
@@ -41,9 +42,9 @@
 // goroutine. Queries may also overlap mesh.Mesh.Deform: every cursor pins
 // a position epoch for the duration of each query, so result sets are
 // exact at the pinned epoch, never torn across a deformation step. A
-// query never leaves the goroutine that issued it: there is one crawl
-// (crawl.go), it runs on the cursor's mark array, and its output order is
-// deterministic per cursor. What is NOT safe is running queries
+// query never leaves the goroutine that issued it: there is one range
+// crawl (crawl.go), it runs on the cursor's block stamps, and its output
+// order is deterministic per cursor. What is NOT safe is running queries
 // concurrently with anything that writes the index or the buffer they
 // read: Step, restructuring and ApplySurfaceDelta require exclusive
 // access (the query.Pipeline serializes them against queries), as does
@@ -297,11 +298,12 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 }
 
 // MemoryFootprint implements query.Engine: the surface index with the
-// boxes that exist (SurfaceIndex.MemoryBytes), the component labels and
-// the resident cursor's crawl structures — the accounting of Figures
-// 6(b) and 10(b). Extra cursors' scratch is per-worker and transient.
+// boxes that exist (SurfaceIndex.MemoryBytes), the mesh's block graph
+// once a crawl has built it, the component labels and the resident
+// cursor's crawl structures — the accounting of Figures 6(b) and 10(b).
+// Extra cursors' scratch is per-worker and transient.
 func (o *Octopus) MemoryFootprint() int64 {
-	return o.idx.MemoryBytes() +
+	return o.idx.MemoryBytes() + o.m.BlockGraphBytes() +
 		int64(len(o.compOf)+len(o.compReps))*4 +
 		o.resident.MemoryBytes()
 }

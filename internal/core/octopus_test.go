@@ -201,13 +201,13 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
-// TestMemoryFootprintGrowsWithResults states the footprint bound that is
-// true of the mark-array crawl (it is not Figure 10(b)'s, which held for
-// the hash visited set this engine no longer has): a cursor holds nothing
-// until its first seeded crawl; from then on it holds 4 bytes per mesh
-// vertex of marks, whatever it was asked; and everything else — seed
-// buffer, kNN frontier, k-best heap — grows with the largest result, not
-// with the mesh.
+// TestMemoryFootprintGrowsWithResults states the footprint bound of the
+// block crawl: a cursor holds nothing until its first seeded crawl; a
+// cursor that has only run range queries then holds exactly one 4-byte
+// stamp per crawl block, ⌈V/32⌉ × 4 B, whatever it was asked; its first
+// kNN adds the kNN crawl's 4 bytes per vertex of marks; and everything
+// else — block queue, seed buffer, kNN frontier, k-best heap — grows with
+// the largest result, not with the mesh.
 func TestMemoryFootprintGrowsWithResults(t *testing.T) {
 	m := buildBox(t, 14)
 	o := New(m)
@@ -218,27 +218,31 @@ func TestMemoryFootprintGrowsWithResults(t *testing.T) {
 	if out := cur.Query(geom.BoxAround(geom.V(5, 5, 5), 0.1), nil); len(out) != 0 {
 		t.Fatalf("disjoint box returned %d vertices", len(out))
 	}
-	if cap(cur.marks) != 0 {
-		t.Fatalf("an unseeded crawl allocated %d marks", cap(cur.marks))
+	if cap(cur.blockMarks) != 0 {
+		t.Fatalf("an unseeded crawl allocated %d stamps", cap(cur.blockMarks))
 	}
 
-	marks := int64(m.NumVertices()) * 4
-	rest := func(label string, results int) int64 {
+	stamps := int64(mesh.NumCrawlBlocks(m.NumVertices())) * 4
+	rest := func(label string, results int, marks int64) int64 {
 		t.Helper()
-		if got := int64(cap(cur.marks)) * 4; got != marks {
-			t.Fatalf("%s: %d bytes of marks, want 4 B x V = %d", label, got, marks)
+		if got := int64(cap(cur.blockMarks)) * 4; got != stamps {
+			t.Fatalf("%s: %d bytes of stamps, want ⌈V/32⌉ x 4 B = %d", label, got, stamps)
 		}
-		r := cur.MemoryBytes() - marks
+		if got := int64(cap(cur.marks)) * 4; got != marks {
+			t.Fatalf("%s: %d bytes of kNN marks, want %d", label, got, marks)
+		}
+		r := cur.MemoryBytes() - stamps - marks
 		if bound := int64(64 * (results + 64)); r > bound {
-			t.Fatalf("%s: %d bytes beside the marks for %d results, want <= %d", label, r, results, bound)
+			t.Fatalf("%s: %d bytes beside stamps and marks for %d results, want <= %d", label, r, results, bound)
 		}
 		return r
 	}
-	small := rest("small range", len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05), nil)))
-	rest("small kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)))
+	small := rest("small range", len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05), nil)), 0)
 	nBig := len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.45), nil))
-	big := rest("big range", nBig)
-	bigK := rest("big kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), nBig/2, nil)))
+	big := rest("big range", nBig, 0)
+	marks := int64(m.NumVertices()) * 4
+	rest("small kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)), marks)
+	bigK := rest("big kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), nBig/2, nil)), marks)
 	if big <= small || bigK <= big {
 		t.Errorf("result-sized scratch did not grow with the result: %d, %d, %d bytes", small, big, bigK)
 	}

@@ -103,11 +103,13 @@ type Mesh struct {
 	// operation (recordStructuralDirty). surface memoizes SurfaceVertices:
 	// nil until computed, or seeded by the Renumber that made this mesh.
 	// compLabels and compCount memoize ConnectedComponents; compLabels is
-	// nil until computed.
+	// nil until computed. blockGraph memoizes BlockGraph; it is stored
+	// under memoMu and read without it.
 	memoMu     sync.Mutex
 	surface    []int32
 	compLabels []int32
 	compCount  int
+	blockGraph atomic.Pointer[BlockGraph]
 
 	// Dirty-region tracking (dirty.go): which vertices moved and which
 	// cells were restructured since the last TakeDirty, recorded from
@@ -142,12 +144,14 @@ func newMesh(pos []geom.Vec3, adjStart, adjList []int32, cells []Cell) *Mesh {
 	}
 }
 
-// forgetTopology drops the topology memos, so the next SurfaceVertices and
-// ConnectedComponents derive them from the current cells. A labelling
-// handed out before stays valid: the next call allocates a new one.
+// forgetTopology drops the topology memos, so the next SurfaceVertices,
+// ConnectedComponents and BlockGraph derive them from the current cells.
+// A labelling or graph handed out before stays valid: the next call
+// allocates a new one.
 func (m *Mesh) forgetTopology() {
 	m.memoMu.Lock()
 	m.surface, m.compLabels, m.compCount = nil, nil, 0
+	m.blockGraph.Store(nil)
 	m.memoMu.Unlock()
 }
 

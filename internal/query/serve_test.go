@@ -419,12 +419,20 @@ func TestPipelineWallExcludesDrain(t *testing.T) {
 		Mesh:    m,
 		Deform:  d.Step,
 		Workers: 2,
-		// One step, one tick: the 100µs budget admits a single ~1ms slice
-		// of the ~40ms task; the rest must drain after serving ends.
+		// Exactly one step, so one tick: the 100µs budget admits a single
+		// ~2ms chunk of the ~40ms task, and the other 19 must drain after
+		// serving ends. MinSteps makes the step happen even when the
+		// workers finish before the writer first runs; without it the
+		// writer could see the queries done and take no step, leaving
+		// nothing to drain.
+		MinSteps:          1,
 		MaxSteps:          1,
 		MaintenanceBudget: 100 * time.Microsecond,
 	}
 	report := pl.Run(queries, nil)
+	if report.Steps != 1 {
+		t.Fatalf("%d steps, want exactly 1", report.Steps)
+	}
 	if report.DrainWall < 20*time.Millisecond {
 		t.Fatalf("DrainWall = %v — the deliberately slow task should need >= 20ms of post-run drain", report.DrainWall)
 	}

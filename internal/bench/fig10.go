@@ -12,8 +12,9 @@ import (
 // sublinearly (S:V shrinks) while crawling grows with the result count —
 // and (b) OCTOPUS' memory footprint as a function of the number of query
 // results. (b) is reported, not reproduced: the paper's visited set is a
-// hash table sized by the result, this engine's range crawl keeps one
-// stamp per 32-vertex crawl block, sized by the mesh (DESIGN.md §12), and
+// hash table sized by the result, this engine's crawls share one 8 B
+// visited word per 32-vertex crawl block, sized by the mesh (DESIGN.md
+// §12), and
 // the footprint holds the surface index and the mesh's block graph, so
 // only the block queue and the seed buffer grow with the result count.
 func Fig10(cfg Config) ([]*Table, error) {
@@ -72,6 +73,6 @@ func Fig10(cfg Config) ([]*Table, error) {
 	}
 	footprint.Notes = append(footprint.Notes,
 		"paper: footprint correlates directly with result count (visited-set and queue sizing)",
-		"not reproduced: the range crawl's visited set here is one 4 B stamp per 32-vertex crawl block (31 KB on neuro-l5), allocated by a cursor's first seeded crawl and independent of the result, beside the surface index and the mesh's block graph; only the block queue and the seed buffer (and the caller's result slice) grow with the result")
+		"not reproduced: the visited set here, shared by the range and kNN crawls, is one 8 B word per 32-vertex crawl block (62 KB on neuro-l5), allocated by a cursor's first seeded crawl and independent of the result, beside the surface index and the mesh's block graph; only the block queue and the seed buffer (and the caller's result slice) grow with the result")
 	return []*Table{breakdown, footprint}, nil
 }

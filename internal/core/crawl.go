@@ -11,32 +11,22 @@ import (
 // crawler implements the two mesh-graph phases shared by OCTOPUS and
 // OCTOPUS-CON: the range crawl (§IV-B) and the directed walk (§IV-D) with
 // its exact fallback, the scan of the unprobed positions. It owns the
-// reusable visited structures and frontiers so queries do not allocate.
-//
-// There is one range crawl (DESIGN.md §12), and it moves in crawl blocks,
-// runs of mesh.CrawlBlock consecutive vertex ids, not in vertices. Its
-// visited set is one epoch-stamped word per block, allocated by the first
-// crawl that has a seed and cleared in O(1) by an epoch bump: 4 bytes per
-// 32 vertices. The kNN crawl keeps the per-vertex mark array (4 bytes per
-// vertex), allocated by the first kNN. Everything else — the result
-// queue, the seed buffer and the kNN heaps — grows with the result.
+// reusable visited set and frontiers so queries do not allocate: the one
+// visited set of every crawl is sized by the mesh, 8 bytes per 32
+// vertices (DESIGN.md §12), and everything else grows with the result.
 type crawler struct {
 	m    *mesh.Mesh
 	heap []heapItem // kNN crawl frontier
 
-	// blockMarks is the range crawl's visited set: blockMarks[b] ==
-	// blockEpoch means crawl block b was queued by the current crawl.
-	// Sized to the block count by crawl; reset is an epoch bump. queue is
-	// the crawl's block queue.
-	blockMarks []uint32
-	blockEpoch uint32
-	queue      []int32
-
-	// marks is the kNN crawl's visited set: marks[v] == markEpoch means v
-	// was visited by the current query. Sized to the vertex count by
-	// bumpMarks; reset is an epoch bump.
-	marks     []uint32
-	markEpoch uint32
+	// seen is the visited set of every crawl: seen[b] holds the pass epoch
+	// in its upper 32 bits and one bit per vertex of crawl block b in its
+	// lower 32; a word whose epoch is not the current pass's reads empty.
+	// The range crawl stamps whole blocks (seen[b] == stamp: b is queued),
+	// the kNN crawl sets vertex bits (visit). stamp is the current pass's
+	// epoch<<32, set by newPass; queue is the range crawl's block queue.
+	seen  []uint64
+	stamp uint64
+	queue []int32
 
 	// pos is the position view of the query in flight, installed by
 	// Cursor.beginQuery: the epoch-pinned buffer. Every graph phase reads
@@ -76,25 +66,35 @@ func (c *crawler) overBudget(n int) bool {
 	return c.budget.MaxVisited > 0 && c.expanded+int64(n) > c.budget.MaxVisited
 }
 
-// bumpStamps prepares an epoch-stamped visited set over n slots for a
-// fresh pass: sized to n (re-sized when restructuring has added
+var _ [32 - mesh.CrawlBlock]struct{} // a block's vertex bits fit in half a word
+
+// newPass starts a pass of the visited set, allocated by the first pass
+// and sized to ⌈V/32⌉ words (re-sized when restructuring has added
 // vertices), cleared in O(1) by an epoch bump, hard-cleared on the ~4G
-// wrap. Epoch 0 is never current, so a zeroed slot reads unvisited.
-func bumpStamps(s []uint32, epoch uint32, n int) ([]uint32, uint32) {
-	if len(s) < n {
-		s, epoch = make([]uint32, n), 0
+// wrap. Epoch 0 is never current and no word's epoch is ahead of the
+// current one, so a word below stamp is stale.
+func (c *crawler) newPass() {
+	if n := mesh.NumCrawlBlocks(len(c.pos)); len(c.seen) < n {
+		c.seen, c.stamp = make([]uint64, n), 0
 	}
-	epoch++
-	if epoch == 0 {
-		clear(s)
-		epoch = 1
+	if c.stamp += 1 << 32; c.stamp == 0 {
+		clear(c.seen)
+		c.stamp = 1 << 32
 	}
-	return s, epoch
 }
 
-// bumpMarks prepares the kNN mark array for a fresh query.
-func (c *crawler) bumpMarks() {
-	c.marks, c.markEpoch = bumpStamps(c.marks, c.markEpoch, c.m.NumVertices())
+// visit marks vertex v visited in the pass of stamp and reports whether it
+// was not before. A stale word is read as stamp: no vertex bit set.
+func visit(seen []uint64, stamp uint64, v int32) bool {
+	b, bit := v>>mesh.CrawlBlockShift, uint64(1)<<(v&(mesh.CrawlBlock-1))
+	w := max(seen[b], stamp)
+	seen[b] = w | bit
+	return w&bit == 0
+}
+
+// visited reports whether vertex v was visited in the pass of stamp.
+func visited(seen []uint64, stamp uint64, v int32) bool {
+	return max(seen[v>>mesh.CrawlBlockShift], stamp)>>(v&(mesh.CrawlBlock-1))&1 != 0
 }
 
 // graphExpandMin is the fewest in-box vertices for which a crawl block is
@@ -126,7 +126,7 @@ const graphExpandMin = mesh.CrawlBlock / 2
 // block BFS order from the seeds' blocks, each block's vertices ascending:
 // deterministic per cursor.
 //
-// No seed means no result and no stamps: the emptiness proof of a stalled
+// No seed means no result and no pass: the emptiness proof of a stalled
 // walk allocates nothing. The budget counts the in-box vertices expanded
 // and is checked before each block is expanded: a block that would exceed
 // it expands only as many of its vertices as the budget has left, and the
@@ -140,12 +140,12 @@ func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 	g := c.m.BlockGraph()
 	pos := c.pos
 	n := int32(len(pos))
-	c.blockMarks, c.blockEpoch = bumpStamps(c.blockMarks, c.blockEpoch, mesh.NumCrawlBlocks(int(n)))
-	marks, epoch := c.blockMarks, c.blockEpoch
+	c.newPass()
+	seen, stamp := c.seen, c.stamp
 	queue := c.queue[:0]
 	for _, s := range seeds {
-		if b := s >> mesh.CrawlBlockShift; marks[b] != epoch {
-			marks[b] = epoch
+		if b := s >> mesh.CrawlBlockShift; seen[b] < stamp {
+			seen[b] = stamp
 			queue = append(queue, b)
 		}
 	}
@@ -171,8 +171,8 @@ func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 			nb := g.Neighbors(b)
 			reads += int64(len(nb))
 			for _, w := range nb {
-				if marks[w] != epoch {
-					marks[w] = epoch
+				if seen[w] < stamp {
+					seen[w] = stamp
 					queue = append(queue, w)
 				}
 			}
@@ -181,8 +181,8 @@ func (c *crawler) crawl(q geom.AABB, seeds []int32, out []int32) []int32 {
 				nv := c.m.Neighbors(v)
 				reads += int64(len(nv))
 				for _, w := range nv {
-					if w >>= mesh.CrawlBlockShift; marks[w] != epoch {
-						marks[w] = epoch
+					if w >>= mesh.CrawlBlockShift; seen[w] < stamp {
+						seen[w] = stamp
 						queue = append(queue, w)
 					}
 				}
@@ -354,8 +354,8 @@ func heapDown(s []heapItem, i int) {
 	}
 }
 
-// memoryBytes reports the crawl structures' footprint: the block stamps
-// and queue, the kNN mark array and the kNN frontier.
+// memoryBytes reports the crawl structures' footprint: the visited set,
+// the block queue and the kNN frontier.
 func (c *crawler) memoryBytes() int64 {
-	return int64(cap(c.blockMarks)+cap(c.queue)+cap(c.marks))*4 + int64(cap(c.heap))*16
+	return int64(cap(c.seen))*8 + int64(cap(c.queue))*4 + int64(cap(c.heap))*16
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"octopus/internal/geom"
@@ -473,9 +474,9 @@ func TestParallelCrawlBudgetKNN(t *testing.T) {
 }
 
 // TestParallelCrawlMemoryBytes checks the cursor's exported footprint: it
-// is the sum of its parts — block stamps and queue, kNN mark array and
-// frontier, k-best heap, seed buffer, block distances — and it grows once
-// a crawl has run.
+// is the sum of its parts — visited set, block queue, kNN frontier,
+// k-best heap, seed buffer, block distances — and it grows once a crawl
+// has run. The visited set is ⌈V/32⌉ × 8 B, with no per-vertex term.
 func TestParallelCrawlMemoryBytes(t *testing.T) {
 	m := buildBox(t, 8)
 	o := New(m)
@@ -488,23 +489,22 @@ func TestParallelCrawlMemoryBytes(t *testing.T) {
 		t.Fatalf("MemoryBytes did not grow: %d -> %d", base, grown)
 	}
 	cur := o.resident
-	stamps, queue := int64(cap(cur.blockMarks))*4, int64(cap(cur.queue))*4
-	marks, heap := int64(cap(cur.marks))*4, int64(cap(cur.heap))*16
-	kbest, seeds := cur.kbest.MemoryBytes(), int64(cap(cur.seeds))*4
-	blocks := int64(cap(cur.blocks)) * 16
-	if stamps != int64(mesh.NumCrawlBlocks(m.NumVertices()))*4 || queue == 0 ||
-		marks != int64(m.NumVertices())*4 || heap == 0 || kbest == 0 || seeds == 0 || blocks == 0 {
-		t.Fatalf("parts: stamps %d, queue %d, marks %d (V=%d), heap %d, kbest %d, seeds %d, blocks %d — every one must exist after a crawl and a kNN",
-			stamps, queue, marks, m.NumVertices(), heap, kbest, seeds, blocks)
+	seen, queue := int64(cap(cur.seen))*8, int64(cap(cur.queue))*4
+	heap, kbest := int64(cap(cur.heap))*16, cur.kbest.MemoryBytes()
+	seeds, blocks := int64(cap(cur.seeds))*4, int64(cap(cur.blocks))*16
+	if seen != int64(mesh.NumCrawlBlocks(m.NumVertices()))*8 || queue == 0 ||
+		heap == 0 || kbest == 0 || seeds == 0 || blocks == 0 {
+		t.Fatalf("parts: visited %d (V=%d), queue %d, heap %d, kbest %d, seeds %d, blocks %d — every one must exist after a crawl and a kNN",
+			seen, m.NumVertices(), queue, heap, kbest, seeds, blocks)
 	}
-	if want := stamps + queue + marks + heap + kbest + seeds + blocks; grown != want {
+	if want := seen + queue + heap + kbest + seeds + blocks; grown != want {
 		t.Fatalf("MemoryBytes = %d, want %d (sum of parts)", grown, want)
 	}
 }
 
 // TestParallelCrawlConcurrentCursors drives queries from several cursors
 // at once — where the parallelism lives: each worker goroutine of a batch
-// owns a cursor and its mark array — the configuration the race detector
+// owns a cursor and its visited set — the configuration the race detector
 // must bless.
 func TestParallelCrawlConcurrentCursors(t *testing.T) {
 	m := buildBox(t, 10)
@@ -593,54 +593,57 @@ func TestParallelCrawlHybridCoverageReset(t *testing.T) {
 	}
 }
 
-// TestMarkEpochWrap drives a warmed cursor's two epochs, the range
-// crawl's block stamps and the kNN marks, over the 32-bit wrap. Stale
-// stamps from earlier crawls are all over both arrays; a wrap that does
+// TestMarkEpochWrap drives a warmed cursor's one pass epoch over the
+// 32-bit wrap, alternating range and kNN queries, once with a range
+// crawl and once with a kNN crawl running the first pass after the wrap.
+// Stale words are all over the visited set, holding vertex bits under the
+// epoch just before the wrap and the one just after it; a wrap that does
 // not hard-clear them (or that lands on epoch 0, the value of a
-// never-visited slot) makes the next crawl see blocks or vertices as
+// never-visited word) makes the next crawl see blocks or vertices as
 // already visited and drop them.
 func TestMarkEpochWrap(t *testing.T) {
 	m := buildBox(t, 8)
 	o := New(m)
 	cur := o.NewCursor().(*Cursor)
 	boxes := randomBoxes(m, 17, 6, 0.1, 0.4)
-	for _, q := range boxes { // warm: both arrays hold many epochs' stamps
+	for _, q := range boxes { // warm: the set holds many passes' words
 		cur.Query(q, nil)
 		cur.KNN(q.Center(), 50, nil)
 	}
-	poison := func(s []uint32) {
-		for i := range s {
-			if i%3 == 0 {
-				s[i] = math.MaxUint32 - 1 // visited by the crawl just before
-			} else if i%3 == 1 {
-				s[i] = 1 // what the first epoch after the wrap stamps
+	for _, knnFirst := range []bool{false, true} {
+		for i := range cur.seen {
+			if i%3 == 0 { // visited by the pass just before the wrap
+				cur.seen[i] = math.MaxUint32<<32 | 0x5555_5555
+			} else if i%3 == 1 { // what the first pass after the wrap stamps
+				cur.seen[i] = 1<<32 | 0xaaaa_aaaa
 			}
 		}
-	}
-	// The next crawl of each kind stamps MaxUint32, the one after wraps.
-	cur.blockEpoch, cur.markEpoch = math.MaxUint32-1, math.MaxUint32-1
-	poison(cur.blockMarks)
-	poison(cur.marks)
-	for i, q := range boxes[:4] {
-		if d := query.Diff(cur.Query(q, nil), query.BruteForce(m, q)); d != "" {
-			t.Fatalf("crawl %d around the wrap (epoch %d): %s", i, cur.blockEpoch, d)
+		cur.stamp = math.MaxUint32 << 32 // the next pass wraps
+		for i, q := range boxes[:4] {
+			if knnFirst {
+				checkKNN(t, "kNN around the wrap", cur, m.Positions(), q.Center(), 50)
+			}
+			if d := query.Diff(cur.Query(q, nil), query.BruteForce(m, q)); d != "" {
+				t.Fatalf("crawl %d around the wrap (epoch %d, kNN first %v): %s", i, cur.stamp>>32, knnFirst, d)
+			}
+			if !knnFirst {
+				checkKNN(t, "kNN around the wrap", cur, m.Positions(), q.Center(), 50)
+			}
+			if cur.stamp>>32 == 0 {
+				t.Fatal("epoch 0 is the never-visited value; a crawl must not run at it")
+			}
 		}
-		checkKNN(t, "kNN around the wrap", cur, m.Positions(), q.Center(), 50)
-		if cur.blockEpoch == 0 || cur.markEpoch == 0 {
-			t.Fatal("epoch 0 is the never-visited value; a crawl must not run at it")
+		if cur.stamp>>32 > 8 {
+			t.Fatalf("epoch %d: the wrap was never crossed", cur.stamp>>32)
 		}
-	}
-	if cur.blockEpoch > 8 || cur.markEpoch > 8 {
-		t.Fatalf("epochs %d, %d: the wrap was never crossed", cur.blockEpoch, cur.markEpoch)
 	}
 }
 
 // TestMarksGrowWithMesh restructures the mesh under a warmed cursor:
-// SplitCell adds vertices whose ids lie past the stamps and marks the
-// cursor allocated, and past the mesh's block graph, and the next crawl
-// must re-size them — and reach the new vertices — instead of indexing
-// out of range. The range crawl holds one stamp per crawl block, the kNN
-// one mark per vertex.
+// SplitCell adds vertices whose ids lie past the visited set the cursor
+// allocated, and past the mesh's block graph, and the next crawl must
+// re-size them — and reach the new vertices — instead of indexing out of
+// range. Range and kNN crawls share one visited word per crawl block.
 func TestMarksGrowWithMesh(t *testing.T) {
 	m := buildBox(t, 6)
 	o := New(m)
@@ -648,8 +651,8 @@ func TestMarksGrowWithMesh(t *testing.T) {
 	all := geom.BoxAround(m.Bounds().Center(), m.Bounds().Size().Len())
 	sized := func(label string) {
 		t.Helper()
-		if len(cur.blockMarks) != mesh.NumCrawlBlocks(m.NumVertices()) || len(cur.marks) != m.NumVertices() {
-			t.Fatalf("%s: %d stamps and %d marks for %d vertices", label, len(cur.blockMarks), len(cur.marks), m.NumVertices())
+		if len(cur.seen) != mesh.NumCrawlBlocks(m.NumVertices()) {
+			t.Fatalf("%s: %d visited words for %d vertices", label, len(cur.seen), m.NumVertices())
 		}
 	}
 	cur.Query(all, nil)
@@ -689,7 +692,9 @@ func TestMarksGrowWithMesh(t *testing.T) {
 // k = 16 and k = 256. crawl-ns/visited is Stats.Crawl over
 // Stats.CrawlVisited — the row ROADMAP's crawl item is judged on;
 // positions-tested/op counts the positions the range crawl's block visits
-// test. A warmed cursor must not allocate.
+// test; the kNN rows report cursor-bytes, the cursor's footprint
+// (Cursor.MemoryBytes) after the warm pass. A warmed cursor must not
+// allocate.
 func BenchmarkCrawl(b *testing.B) {
 	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
 	if err != nil {
@@ -746,6 +751,7 @@ func BenchmarkCrawl(b *testing.B) {
 				for i := 0; i < c.n; i++ { // warm every buffer on every query of the stream
 					c.run(i)
 				}
+				warm := cur.MemoryBytes()
 				i := 0
 				if allocs := testing.AllocsPerRun(c.n, func() { c.run(i); i++ }); allocs != 0 {
 					b.Fatalf("%.2f allocs per query on a warmed cursor, want 0", allocs)
@@ -760,6 +766,9 @@ func BenchmarkCrawl(b *testing.B) {
 				b.ReportMetric(float64(st.Crawl-before.Crawl)/visited, "crawl-ns/visited")
 				b.ReportMetric(visited/float64(b.N), "visited/op")
 				b.ReportMetric(float64(cur.crawlTested-tested)/float64(b.N), "positions-tested/op")
+				if strings.HasPrefix(c.name, "knn/") {
+					b.ReportMetric(float64(warm), "cursor-bytes")
+				}
 			})
 		}
 	}

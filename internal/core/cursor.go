@@ -20,19 +20,19 @@ type cursorOwner interface {
 }
 
 // Cursor is the per-worker mutable state of a query: the crawl scratch
-// (block stamps and queue of the range crawl, mark array and frontier of
-// the kNN crawl), the seed buffer, the crawl budget and a local Stats
-// accumulator. The
-// engine that created a cursor holds only immutable index state at query
-// time, and the block boxes a query reads belong to the position buffer
-// it pinned, so any number of cursors over the same engine may execute
-// queries concurrently — one cursor per goroutine.
+// (the visited set of every crawl, the range crawl's block queue and the
+// kNN crawl's frontier), the seed buffer, the crawl budget and a local
+// Stats accumulator. The engine that created a cursor holds only
+// immutable index state at query time, and the block boxes a query reads
+// belong to the position buffer it pinned, so any number of cursors over
+// the same engine may execute queries concurrently — one cursor per
+// goroutine.
 //
 // A Cursor is not safe for concurrent use; it is cheap enough to create
-// one per worker: nothing is allocated until its first seeded crawl, which
-// sizes the block stamps to the mesh (4 bytes per 32 vertices), and its
-// first kNN sizes the mark array (4 bytes per vertex); the other buffers
-// grow to roughly the largest result set the worker has seen.
+// one per worker: nothing is allocated until its first seeded range crawl
+// or kNN, which sizes the visited set to the mesh (8 bytes per 32
+// vertices, shared by both); the other buffers grow to roughly the
+// largest result set the worker has seen.
 type Cursor struct {
 	owner cursorOwner
 	crawler
@@ -54,7 +54,7 @@ type Cursor struct {
 	// §8): it holds the k closest vertices found so far and its Bound is
 	// the crawl's stop radius. The crawls and the surface probe all feed
 	// the heap, and a vertex occupying two slots would evict a legitimate
-	// candidate: the probe skips the vertices the first crawl marked, and
+	// candidate: the probe skips the vertices the first crawl visited, and
 	// the fold crawl skips those the probe covers. knnIdx is the surface
 	// index the probe covers, nil while nothing is probed.
 	kbest  query.KBest
@@ -187,9 +187,9 @@ func (c *Cursor) LastEpoch() uint64 { return c.epoch }
 
 // probedInKNN reports whether the current kNN query's surface probe
 // covers v, that is whether v is a surface vertex. The probe has then
-// offered v, or found it strictly beyond the final bound, or v was marked
-// by the crawl before it — which the fold crawl, in the same mark epoch,
-// never reaches. It is false for
+// offered v, or found it strictly beyond the final bound, or v was visited
+// by the crawl before it — which the fold crawl, in the same pass, never
+// reaches. It is false for
 // every vertex before the probe (knnIdx nil), so the first crawl offers
 // surface and interior alike. It runs on every vertex a kNN crawl pops;
 // on a dense layout the slot lookup is one compare.
@@ -258,7 +258,7 @@ func (c *Cursor) LastCoverage() query.CrawlCoverage {
 func (c *Cursor) LastKNNBound2() (float64, bool) { return c.knnBound2, c.knnBoundOK }
 
 // MemoryBytes reports the cursor's full scratch footprint: the crawl
-// structures (block stamps and queue, kNN mark array and frontier), the
+// structures (visited set, block queue and kNN frontier), the
 // seed buffer, the box heap of the exact probe, and the kNN candidate
 // heap.
 func (c *Cursor) MemoryBytes() int64 {

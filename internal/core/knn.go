@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"octopus/internal/geom"
+	"octopus/internal/mesh"
 )
 
 // This file implements k-nearest-neighbor queries for the OCTOPUS family
@@ -24,23 +25,23 @@ import (
 //     and stopping once the frontier's next vertex is farther than the
 //     current k-th best.
 //  3. Surface probe — search the boxes nearest-first under the crawl's
-//     bound and offer every surface vertex within it that the crawl did
-//     not mark. The crawl's push and stop tests are strict, so a vertex it
-//     marked was either offered or seen strictly beyond a bound that has
-//     only tightened since: no surface vertex is missing from the result,
-//     even one in a concave pocket the crawl cannot reach. The one
-//     exception, the frontier a budget cutoff abandons, is unmarked and so
-//     handed to the probe.
-//  4. Folds — crawl again, in the same mark epoch, from the min(k, 8)
-//     unmarked surface vertices nearest p within the final bound and from
+//     bound and offer every surface vertex within it whose visited bit
+//     the crawl did not set. The crawl's push and stop tests are strict,
+//     so a vertex it visited was either offered or seen strictly beyond a
+//     bound that has only tightened since: no surface vertex is missing
+//     from the result, even one in a concave pocket the crawl cannot
+//     reach. The one exception, the frontier a budget cutoff abandons, has
+//     its bits cleared and so is handed to the probe.
+//  4. Folds — crawl again, in the same pass, from the min(k, 8)
+//     unvisited surface vertices nearest p within the final bound and from
 //     the representative of every other connected component that holds
 //     none of them, offering only what the probe did not. When p sits
 //     between two folds of the mesh (two branches of a neuron) the k-ball
 //     spans both, and a crawl seeded in one stops at the k-th-best radius
 //     before reaching the other; any fold inside the ball presents
-//     surface inside the ball, and that surface is unmarked — a crawl
-//     that had reached it would have marked it — so seeding from the
-//     nearest unmarked surface still seeds every fold the ball meets.
+//     surface inside the ball, and that surface is unvisited — a crawl
+//     that had reached it would have set its bit — so seeding from the
+//     nearest unvisited surface still seeds every fold the ball meets.
 //     Disjoint sub-meshes (the two-neuron datasets, restructured
 //     fragments) are searched from their representatives — except a
 //     component whose box (mesh.BlockBoxes.Comp, the bounds of its
@@ -75,7 +76,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	before := len(out)
 	pos := cur.beginQuery(o.m)
 	cur.kbest.Reset(k)
-	cur.bumpMarks() // one visited set for every crawl of the query
+	cur.newPass() // one pass of the visited set for every crawl of the query
 	ceiling2 := cur.knnCeiling2
 
 	// Step 1: a surface vertex near p, found as a no-seed range query's
@@ -101,7 +102,7 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		cur.stats.Crawl += lap(&clock)
 	}
 
-	// Step 3: the surface the crawl did not mark, within its bound. From
+	// Step 3: the surface the crawl did not visit, within its bound. From
 	// here on the crawl skips the vertices the probe covers
 	// (probedInKNN).
 	cur.knnIdx = o.idx
@@ -109,8 +110,8 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		want:  min(k, maxKNNStarts),
 		bound: min(ceiling2, cur.kbest.Bound()),
 		keep:  cur.knnKeep,
-		marks: cur.marks,
-		epoch: cur.markEpoch,
+		seen:  cur.seen,
+		stamp: cur.stamp,
 	}
 	boxes, positions = o.probeKNN(cur, &kp, p, pos)
 	cur.stats.ProbeBoxes += boxes
@@ -162,7 +163,7 @@ func lap(clock *time.Time) time.Duration {
 }
 
 // maxKNNStarts bounds the folds step 4 crawls from (min(k, maxKNNStarts)
-// of the unmarked surface vertices nearest p within the final bound):
+// of the unvisited surface vertices nearest p within the final bound):
 // enough to seed every mesh fold near the probe point, small enough that
 // the insertion array stays in registers.
 const maxKNNStarts = 8
@@ -200,7 +201,7 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 
 	cur.kbest.Reset(k)
 	cur.knnIdx = nil // no surface probe: the crawl offers everything
-	cur.bumpMarks()
+	cur.newPass()
 	startComp := int32(-1)
 	if ok {
 		startComp = c.compOf[gridStart]
@@ -276,9 +277,9 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // best — no vertex beyond the frontier can then enter the result,
 // provided closer vertices are reachable without crossing the k-th-best
 // radius (see the file comment). The starts and every crawl of the query
-// share one visited set (the kNN mark array, armed by the caller with
-// bumpMarks), so overlapping expansions never offer a vertex twice, and a
-// marked vertex was either offered or seen strictly beyond the bound:
+// share one pass of the visited set (vertex bits, the pass begun by the
+// caller with newPass), so overlapping expansions never offer a vertex
+// twice, and a visited vertex was offered or seen strictly beyond the bound:
 // vertices at exactly the k-th-best distance are pushed and popped, so id
 // tie-breaks match brute force. Under RestrictKNN the crawl still crosses
 // masked-out vertices but offers none of them. ceiling2 (+Inf: none) caps
@@ -286,12 +287,11 @@ func (c *hybridCursor) KNN(p geom.Vec3, k int, out []int32) []int32 {
 // ceiling is still offered.
 func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 	pos := c.pos
-	marks, epoch := c.marks, c.markEpoch
+	seen, stamp := c.seen, c.stamp
 	keep := c.knnKeep
 	c.heap = c.heap[:0]
 	for _, s := range starts {
-		if marks[s] != epoch {
-			marks[s] = epoch
+		if visit(seen, stamp, s) {
 			heapPushItem(&c.heap, heapItem{dist: pos[s].Dist2(p), v: s})
 		}
 	}
@@ -310,8 +310,7 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 		c.crawlVisited++
 		c.expanded++
 		for _, w := range c.m.Neighbors(item.v) {
-			if marks[w] != epoch {
-				marks[w] = epoch
+			if visit(seen, stamp, w) {
 				d := pos[w].Dist2(p)
 				if (!c.kbest.Full() || d <= c.kbest.Bound()) && !(d > ceiling2) {
 					heapPushItem(&c.heap, heapItem{dist: d, v: w})
@@ -324,8 +323,8 @@ func (c *Cursor) knnCrawl(p geom.Vec3, starts []int32, ceiling2 float64) {
 // truncateKNN records a kNN crawl's budget cutoff in the coverage report
 // — the abandoned frontier's size, and its nearest distance for the bound
 // gap (captureKNNBall) — and hands the frontier back to the probe: its
-// vertices were marked but never offered, so they are unmarked, and the
-// probe that follows offers the surface vertices among them.
+// vertices were visited but never offered, so their bits are cleared, and
+// the probe that follows offers the surface vertices among them.
 func (c *Cursor) truncateKNN() {
 	c.cov.Truncated = true
 	c.cov.Frontier += int64(len(c.heap))
@@ -333,7 +332,7 @@ func (c *Cursor) truncateKNN() {
 		c.knnCut2 = c.heap[0].dist
 	}
 	for _, it := range c.heap {
-		c.marks[it.v] = 0 // never the current epoch: bumpMarks skips 0
+		c.seen[it.v>>mesh.CrawlBlockShift] &^= 1 << (it.v & (mesh.CrawlBlock - 1))
 	}
 	c.heap = c.heap[:0]
 }

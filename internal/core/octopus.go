@@ -43,7 +43,7 @@
 // a position epoch for the duration of each query, so result sets are
 // exact at the pinned epoch, never torn across a deformation step. A
 // query never leaves the goroutine that issued it: there is one range
-// crawl (crawl.go), it runs on the cursor's block stamps, and its output
+// crawl (crawl.go), it runs on the cursor's visited set, and its output
 // order is deterministic per cursor. What is NOT safe is running queries
 // concurrently with anything that writes the index or the buffer they
 // read: Step, restructuring and ApplySurfaceDelta require exclusive

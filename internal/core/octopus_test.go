@@ -202,12 +202,12 @@ func TestStatsAccumulation(t *testing.T) {
 }
 
 // TestMemoryFootprintGrowsWithResults states the footprint bound of the
-// block crawl: a cursor holds nothing until its first seeded crawl; a
-// cursor that has only run range queries then holds exactly one 4-byte
-// stamp per crawl block, ⌈V/32⌉ × 4 B, whatever it was asked; its first
-// kNN adds the kNN crawl's 4 bytes per vertex of marks; and everything
-// else — block queue, seed buffer, kNN frontier, k-best heap — grows with
-// the largest result, not with the mesh.
+// crawls: a cursor holds nothing until its first seeded crawl; it then
+// holds exactly one 8-byte visited word per crawl block, ⌈V/32⌉ × 8 B,
+// whatever it was asked — range queries and kNN alike, with no
+// per-vertex term; and everything else — block queue, seed buffer, kNN
+// frontier, k-best heap — grows with the largest result, not with the
+// mesh.
 func TestMemoryFootprintGrowsWithResults(t *testing.T) {
 	m := buildBox(t, 14)
 	o := New(m)
@@ -218,31 +218,33 @@ func TestMemoryFootprintGrowsWithResults(t *testing.T) {
 	if out := cur.Query(geom.BoxAround(geom.V(5, 5, 5), 0.1), nil); len(out) != 0 {
 		t.Fatalf("disjoint box returned %d vertices", len(out))
 	}
-	if cap(cur.blockMarks) != 0 {
-		t.Fatalf("an unseeded crawl allocated %d stamps", cap(cur.blockMarks))
+	if cap(cur.seen) != 0 {
+		t.Fatalf("an unseeded crawl allocated %d visited words", cap(cur.seen))
 	}
 
-	stamps := int64(mesh.NumCrawlBlocks(m.NumVertices())) * 4
-	rest := func(label string, results int, marks int64) int64 {
+	seen := int64(mesh.NumCrawlBlocks(m.NumVertices())) * 8
+	rest := func(label string, results int) int64 {
 		t.Helper()
-		if got := int64(cap(cur.blockMarks)) * 4; got != stamps {
-			t.Fatalf("%s: %d bytes of stamps, want ⌈V/32⌉ x 4 B = %d", label, got, stamps)
+		if got := int64(cap(cur.seen)) * 8; got != seen {
+			t.Fatalf("%s: %d bytes of visited set, want ⌈V/32⌉ x 8 B = %d", label, got, seen)
 		}
-		if got := int64(cap(cur.marks)) * 4; got != marks {
-			t.Fatalf("%s: %d bytes of kNN marks, want %d", label, got, marks)
-		}
-		r := cur.MemoryBytes() - stamps - marks
+		r := cur.MemoryBytes() - seen
 		if bound := int64(64 * (results + 64)); r > bound {
-			t.Fatalf("%s: %d bytes beside stamps and marks for %d results, want <= %d", label, r, results, bound)
+			t.Fatalf("%s: %d bytes beside the visited set for %d results, want <= %d", label, r, results, bound)
 		}
 		return r
 	}
-	small := rest("small range", len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05), nil)), 0)
+	small := rest("small range", len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.05), nil)))
 	nBig := len(cur.Query(geom.BoxAround(geom.V(0.5, 0.5, 0.5), 0.45), nil))
-	big := rest("big range", nBig, 0)
-	marks := int64(m.NumVertices()) * 4
-	rest("small kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)), marks)
-	bigK := rest("big kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), nBig/2, nil)), marks)
+	big := rest("big range", nBig)
+	rest("small kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)))
+	bigK := rest("big kNN", len(cur.KNN(geom.V(0.5, 0.5, 0.5), nBig/2, nil)))
+	// A kNN first, on a fresh cursor, sizes the same set.
+	fresh := o.NewCursor().(*Cursor)
+	fresh.KNN(geom.V(0.5, 0.5, 0.5), 8, nil)
+	if got := int64(cap(fresh.seen)) * 8; got != seen {
+		t.Fatalf("a first kNN allocated %d bytes of visited set, want %d", got, seen)
+	}
 	if big <= small || bigK <= big {
 		t.Errorf("result-sized scratch did not grow with the result: %d, %d, %d bytes", small, big, bigK)
 	}

@@ -113,7 +113,7 @@ func disjoint(bx, q *geom.AABB) bool {
 // scanned in. The bound starts at the smaller of the RestrictKNN ceiling
 // and the crawl's k-th best; only vertices in keep (every vertex when
 // nil) are offered, and the fold candidates are chosen from all of them.
-// A vertex whose marks entry is epoch was marked by the crawl and is
+// A vertex the crawl visited in the pass of stamp (its bit in seen) is
 // neither.
 type knnProbe struct {
 	cands [maxKNNStarts]knnFold
@@ -121,11 +121,11 @@ type knnProbe struct {
 	want  int
 	bound float64
 	keep  []bool
-	marks []uint32
-	epoch uint32
+	seen  []uint64
+	stamp uint64
 }
 
-// scan offers the unmarked surface slots in [lo, hi) that lie within the
+// scan offers the unvisited surface slots in [lo, hi) that lie within the
 // bound to the result heap and to the fold candidates, returning the
 // number of slots read. d == bound still calls Offer, for the id
 // tie-break. Every offered vertex lies within the bound, so once
@@ -135,7 +135,7 @@ type knnProbe struct {
 func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p geom.Vec3, lo, hi int) int64 {
 	for idx := lo; idx < hi; idx++ {
 		v := surface[idx]
-		if kp.marks[v] == kp.epoch {
+		if visited(kp.seen, kp.stamp, v) {
 			continue
 		}
 		d := pos[v].Dist2(p)
@@ -170,7 +170,7 @@ func (kp *knnProbe) scan(kb *query.KBest, surface []int32, pos []geom.Vec3, p ge
 }
 
 // folds returns the fold candidates that lie within the final bound: of
-// the unmarked surface vertices the probe scanned, the min(k,
+// the unvisited surface vertices the probe scanned, the min(k,
 // maxKNNStarts) nearest p by (distance, slot) that are at most kp.bound
 // away. A candidate was kept under the bound of its scan, which may since
 // have tightened.

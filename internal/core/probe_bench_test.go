@@ -87,7 +87,9 @@ func BenchmarkProbeGather(b *testing.B) {
 // Stats.WalkStalls, per query), and it fails if the warmed cursor
 // allocates; "knn" reports its walk too (walk-visited/op,
 // Stats.WalkVisited, and walk-ns/op per query): the descents of step 2
-// and step 4, which the component skip cuts on neuro-l5. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
+// and step 4, which the component skip cuts on neuro-l5, and
+// cursor-bytes, the cursor's footprint (Cursor.MemoryBytes) after the
+// row. probe-ns/op is Stats.SurfaceProbe per query; boxes/op
 // (Stats.ProbeBoxes) and positions/op split the probe's tests
 // (Stats.ProbeChecked) between the boxes of both levels and the surface
 // positions scanned inside the leaves.
@@ -175,6 +177,7 @@ func BenchmarkProbeBlocks(b *testing.B) {
 			before, st := perQuery(b, func(i int) { out = cur.KNN(knns[i%len(knns)].P, knns[i%len(knns)].K, out[:0]) })
 			b.ReportMetric(float64(st.WalkVisited-before.WalkVisited)/float64(b.N), "walk-visited/op")
 			b.ReportMetric(float64(st.DirectedWalk-before.DirectedWalk)/float64(b.N), "walk-ns/op")
+			b.ReportMetric(float64(cur.MemoryBytes()), "cursor-bytes")
 		})
 		b.Run(c.name+"/step+range", func(b *testing.B) {
 			perQuery(b, func(i int) {

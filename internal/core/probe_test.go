@@ -956,7 +956,7 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 	}
 
 	cur.kbest.Reset(k)
-	cur.bumpMarks()
+	cur.newPass()
 	if got, _, _ := o.knnStart(cur, p, pos); got != start {
 		t.Fatalf("%s: kNN start %d, linear pass %d", label, got, start)
 	}
@@ -968,14 +968,15 @@ func matchLinearPass(t testing.TB, label string, o *Octopus, cur *Cursor, r *ran
 	marked := make([]bool, len(pos))
 	for _, v := range o.idx.Slots() {
 		if v == start || r.Intn(3) == 0 {
-			marked[v], cur.marks[v] = true, cur.markEpoch
+			marked[v] = true
+			visit(cur.seen, cur.stamp, v)
 			if d := pos[v].Dist2(p); (keep == nil || keep[v]) && d <= ceiling2 {
 				cur.kbest.Offer(d, v)
 				ref.Offer(d, v)
 			}
 		}
 	}
-	kp := knnProbe{want: min(k, maxKNNStarts), bound: min(ceiling2, cur.kbest.Bound()), keep: keep, marks: cur.marks, epoch: cur.markEpoch}
+	kp := knnProbe{want: min(k, maxKNNStarts), bound: min(ceiling2, cur.kbest.Bound()), keep: keep, seen: cur.seen, stamp: cur.stamp}
 	o.probeKNN(cur, &kp, p, pos)
 	wantFolds := linearFolds(o, pos, p, &ref, keep, marked, ceiling2)
 	var folds []int32

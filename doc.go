@@ -43,6 +43,12 @@
 // (built once, never updated) supplies a start vertex for a directed walk
 // into the query region.
 //
+// Restructuring — Mesh.SplitCell and Mesh.DeleteCell, the paper's rare
+// connectivity changes (§IV-E2) — needs no engine call: the mesh alone
+// carries it, folding each change into the surface index, its boxes and
+// the connected-component labels every OCTOPUS engine reads at each
+// query. Like an in-place write, it must not overlap queries.
+//
 // # Parallel query execution
 //
 // Every engine separates its immutable index state from per-query scratch

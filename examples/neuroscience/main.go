@@ -78,15 +78,19 @@ func main() {
 		octTotal, scanTotal, float64(scanTotal)/float64(octTotal))
 
 	// Rare restructuring: split one cell (adds an interior vertex) and
-	// delete another (exposes interior faces); OCTOPUS consumes the deltas
-	// as surface-index inserts/deletes, no rebuild.
-	if _, delta, err := m.SplitCell(0); err == nil {
-		eng.ApplySurfaceDelta(delta)
+	// delete another (exposes interior faces). The mesh folds each change
+	// into its surface index and component labels itself — slot
+	// inserts/deletes, no rebuild — so the engine needs no call.
+	if _, _, err := m.SplitCell(0); err != nil {
+		panic(err)
 	}
-	if delta, err := m.DeleteCell(1); err == nil {
-		eng.ApplySurfaceDelta(delta)
+	if _, err := m.DeleteCell(1); err != nil {
+		panic(err)
 	}
 	q := octopus.BoxAround(m.Position(0), diag*0.02)
 	got, want := eng.Query(q, nil), octopus.BruteForce(m, q)
 	fmt.Printf("after restructuring: %d results (ground truth %d)\n", len(got), len(want))
+	p := m.Position(0)
+	nn, truth := eng.KNN(p, 8, nil), octopus.BruteForceKNN(m, p, 8)
+	fmt.Printf("after restructuring: 8-NN %v (ground truth %v)\n", nn, truth)
 }

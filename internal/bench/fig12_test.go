@@ -67,7 +67,7 @@ func buildNoSeedMesh(t *testing.T) *mesh.Mesh {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count, _ := m.ConnectedComponents(); count != 4 {
+	if count := m.ConnectedComponents().Count(); count != 4 {
 		t.Fatalf("expected 4 components, got %d", count)
 	}
 	return m

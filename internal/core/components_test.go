@@ -56,7 +56,7 @@ func buildStarAndSpeck(t testing.TB) (m *mesh.Mesh, center int32) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if count, _ := m.ConnectedComponents(); count != 2 {
+	if count := m.ConnectedComponents().Count(); count != 2 {
 		t.Fatalf("expected 2 components, got %d", count)
 	}
 	return m, center
@@ -358,13 +358,11 @@ func TestKNNSkipsUnreachableComponents(t *testing.T) {
 			if c.Dead || !cut && !isolate {
 				continue
 			}
-			delta, err := m.DeleteCell(ci)
-			if err != nil {
+			if _, err := m.DeleteCell(ci); err != nil {
 				t.Fatal(err)
 			}
-			o.ApplySurfaceDelta(delta)
 		}
-		if count, _ := m.ConnectedComponents(); count != 4 {
+		if count := m.ConnectedComponents().Count(); count != 4 {
 			t.Fatalf("%d components after the cuts, want 4", count)
 		}
 		check("cut", m.Position(corner), m.Position(corner).Add(geom.V(0, 0, -1)), geom.V(9, 0.5, 0.5), geom.V(5, 0.5, 0.5))
@@ -382,11 +380,8 @@ func TestKNNSkipsUnreachableComponents(t *testing.T) {
 		if testing.Short() {
 			t.Skip("neuro-l5 runs without -short")
 		}
-		m, err := meshgen.Build(meshgen.NeuroL5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if count, _ := m.ConnectedComponents(); count != 2 {
+		m := dataset(t, meshgen.NeuroL5)
+		if count := m.ConnectedComponents().Count(); count != 2 {
 			t.Fatalf("neuro-l5 has %d components, want 2", count)
 		}
 		o := New(m)
@@ -417,6 +412,66 @@ func TestKNNSkipsUnreachableComponents(t *testing.T) {
 	})
 }
 
+// TestRestructureNeedsNoEngineCall: the mesh alone carries
+// restructuring. OCTOPUS, OCTOPUS-Hybrid and OCTOPUS-CON are built on the
+// cube and bar; then every cell around the cube's corner 33 is deleted
+// (an isolated vertex: a component without surface), a cell's worth of
+// the bar is cut out (a new component with surface) and a cube cell is
+// split (a new interior vertex), and no engine method but the queries is
+// called. After each DeleteCell and SplitCell every engine's kNN equals
+// brute force at the corner, below it, inside the cube and on both sides
+// of the cut, and the range answers of OCTOPUS and the hybrid around the
+// same points hold their contract against brute force.
+func TestRestructureNeedsNoEngineCall(t *testing.T) {
+	const corner = 33
+	m := buildCubeAndBar(t)
+	engines := []query.ParallelKNNEngine{New(m), NewHybrid(m, 0, Constants{CS: 1, CR: 1e-9}), NewCon(m, 0)}
+	check := func(op string) {
+		t.Helper()
+		c := m.Position(corner)
+		for _, p := range []geom.Vec3{c, c.Add(geom.V(0, 0, -0.3)), c.Add(geom.V(0.4, 0.3, 0.2)), geom.V(7.5, 0.5, 0.5), geom.V(9, 0.5, 0.5)} {
+			for _, k := range []int{1, 3, 8} {
+				want := query.BruteForceKNN(m, p, k)
+				for _, e := range engines {
+					knnOracle(t, fmt.Sprintf("%s: %s p=%v k=%d", op, e.Name(), p, k), e.KNN(p, k, nil), want)
+				}
+			}
+			q := geom.BoxAround(p, 0.6)
+			for _, e := range engines[:2] {
+				checkRangeContract(t, m, fmt.Sprintf("%s: %s range around p=%v", op, e.Name(), p), q, e.Query(q, nil), query.BruteForce(m, q))
+			}
+		}
+	}
+	check("built")
+	// deleteWhere deletes every live cell that keep selects.
+	deleteWhere := func(keep func(c *mesh.Cell, centroid geom.Vec3) bool) {
+		t.Helper()
+		for ci := range m.Cells() {
+			if c := &m.Cells()[ci]; !c.Dead && keep(c, m.Centroid(ci)) {
+				if _, err := m.DeleteCell(ci); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	deleteWhere(func(c *mesh.Cell, _ geom.Vec3) bool { return slices.Contains(c.Verts[:4], corner) })
+	check("corner isolated")
+	deleteWhere(func(c *mesh.Cell, x geom.Vec3) bool { return c.Verts[0] <= 32 && x.X > 7 && x.X < 8 })
+	check("bar cut")
+	if count := m.ConnectedComponents().Count(); count != 4 {
+		t.Fatalf("%d components after the cuts, want 4", count)
+	}
+	for ci := range m.Cells() {
+		if c := &m.Cells()[ci]; !c.Dead && c.Verts[0] > 32 {
+			if _, _, err := m.SplitCell(ci); err != nil {
+				t.Fatal(err)
+			}
+			check("cube cell split")
+			break
+		}
+	}
+}
+
 // TestComponentBoxesOnDatasets holds the surface index of the neuron
 // datasets and of every sub-mesh of the K=4 partition of neuro-l3 to its
 // definition (checkIndex), component boxes and the assumption behind the
@@ -434,10 +489,7 @@ func TestComponentBoxesOnDatasets(t *testing.T) {
 	}
 	var meshes []named
 	for _, id := range ids {
-		m, err := meshgen.Build(id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := dataset(t, id)
 		meshes = append(meshes, named{string(id), m})
 	}
 	part, err := shard.NewPartition(meshes[2].m, 4) // neuro-l3, cut before any deformation

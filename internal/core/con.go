@@ -29,14 +29,6 @@ type Con struct {
 	m    *mesh.Mesh
 	grid *grid.Grid
 
-	// compOf/compReps: vertex→component labels and one descent start per
-	// connected component, computed once at build time (deformation never
-	// changes them). A strictly convex mesh has one component; on
-	// multi-component input the kNN crawl visits every component. Range
-	// queries do not use them — see Octopus and DESIGN.md §4.
-	compOf   []int32
-	compReps []int32
-
 	cursorHost
 }
 
@@ -48,8 +40,7 @@ func NewCon(m *mesh.Mesh, gridCells int) *Con {
 		gridCells = DefaultGridCells
 	}
 	c := &Con{m: m, grid: grid.Build(m, gridCells)}
-	count, labels := m.ConnectedComponents()
-	c.compOf, c.compReps = labels, componentReps(labels, count, nil)
+	m.ConnectedComponents() // the kNN's labelling: built here, not by the first query
 	c.resident = newCursor(c, m)
 	return c
 }
@@ -105,11 +96,10 @@ func (c *Con) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 }
 
 // MemoryFootprint implements query.Engine: the stale grid, the mesh's
-// block graph once a crawl has built it, the component labels and the
+// block graph once a crawl has built it, its component labels and the
 // resident cursor's crawl structures.
 func (c *Con) MemoryFootprint() int64 {
-	return c.grid.MemoryBytes() + c.m.BlockGraphBytes() +
-		int64(len(c.compOf)+len(c.compReps))*4 +
+	return c.grid.MemoryBytes() + c.m.BlockGraphBytes() + c.m.ComponentsBytes() +
 		c.resident.MemoryBytes()
 }
 

@@ -291,18 +291,10 @@ func TestCrawlAnswersHoldVertexBFS(t *testing.T) {
 		t.Logf("%s: %d of %d answers incomplete (vertex BFS from the same seeds: %d)", label, incomplete, n, bfsIncomplete)
 		return got
 	}
-	build := func(t *testing.T, ds meshgen.Dataset) *mesh.Mesh {
-		m, err := meshgen.Build(ds, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
 	for _, ds := range levels {
 		t.Run(string(ds), func(t *testing.T) {
 			t.Parallel()
-			m := build(t, ds)
+			m := dataset(t, ds)
 			o := New(m)
 			d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 1}
 			step := 0
@@ -318,7 +310,7 @@ func TestCrawlAnswersHoldVertexBFS(t *testing.T) {
 
 	t.Run("shards", func(t *testing.T) {
 		t.Parallel()
-		part, err := shard.NewPartition(build(t, small), 4)
+		part, err := shard.NewPartition(dataset(t, small), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +321,7 @@ func TestCrawlAnswersHoldVertexBFS(t *testing.T) {
 
 	t.Run("restructured", func(t *testing.T) {
 		t.Parallel()
-		m := build(t, small)
+		m := dataset(t, small)
 		o := New(m)
 		before := m.NumVertices()
 		r := rand.New(rand.NewSource(9))
@@ -349,7 +341,6 @@ func TestCrawlAnswersHoldVertexBFS(t *testing.T) {
 			}
 			ops++
 		}
-		o.ApplySurfaceDelta(mesh.SurfaceDelta{}) // the mesh folded every delta; the engine relabels components once
 		if o.idx.Dense() || mesh.NumCrawlBlocks(m.NumVertices()) == mesh.NumCrawlBlocks(before) {
 			t.Fatalf("restructuring left the surface dense (%v) or added no crawl block (%d -> %d vertices)",
 				o.idx.Dense(), before, m.NumVertices())
@@ -546,7 +537,7 @@ func TestParallelCrawlTwoComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := m.ConnectedComponents(); n < 2 {
+	if n := m.ConnectedComponents().Count(); n < 2 {
 		t.Fatalf("%d components, want at least 2", n)
 	}
 	o := New(m)
@@ -660,11 +651,9 @@ func TestMarksGrowWithMesh(t *testing.T) {
 	sized("before growth")
 	before := m.NumVertices()
 	for ci := 0; ci < 40; ci++ {
-		_, delta, err := m.SplitCell(ci)
-		if err != nil {
+		if _, _, err := m.SplitCell(ci); err != nil {
 			t.Fatal(err)
 		}
-		o.ApplySurfaceDelta(delta)
 	}
 	if m.NumVertices() != before+40 {
 		t.Fatalf("%d vertices after 40 splits of %d", m.NumVertices(), before)
@@ -696,14 +685,8 @@ func TestMarksGrowWithMesh(t *testing.T) {
 // (Cursor.MemoryBytes) after the warm pass. A warmed cursor must not
 // allocate.
 func BenchmarkCrawl(b *testing.B) {
-	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	l5 := dataset(b, meshgen.NeuroL5)
+	l3 := dataset(b, meshgen.NeuroL3)
 	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		b.Fatal(err)

@@ -198,10 +198,7 @@ func TestResidentCursorRejectsConcurrentEntry(t *testing.T) {
 // order) and kNN answers with the same LastKNNBound2 bits, both exact and
 // under a MaxVisited budget.
 func TestCursorAnswersIgnoreHistory(t *testing.T) {
-	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := dataset(t, meshgen.NeuroL1)
 	d := &sim.NoiseDeformer{Amplitude: sim.DefaultAmplitude, Frequency: 1.5, Seed: 5}
 	deform := func(m *mesh.Mesh, steps int) {
 		for s := 0; s < steps; s++ {

@@ -118,6 +118,42 @@ func checkRangeContract(t *testing.T, m *mesh.Mesh, name string, q geom.AABB, go
 	}
 }
 
+// checkKNNContract asserts the documented kNN guarantee (DESIGN.md §8)
+// of an answer against brute force: as many ids as brute force, nearest
+// first with ties by ascending id, and every vertex of brute force's
+// answer that the engine is exact on among them. Both engines are exact
+// on a vertex alone in its component, which its representative seeds;
+// OCTOPUS, whose probe offers every surface vertex within the bound
+// (probed), also on the surface. What the contract lets an answer miss is
+// what the crawl's stop criterion cannot reach: an interior pocket (a
+// split's centroid nearer than its cell's corners), and for OCTOPUS-CON
+// anything a non-convex mesh hides from its descents.
+func checkKNNContract(t *testing.T, m *mesh.Mesh, name string, p geom.Vec3, k int, got []int32, probed bool) {
+	t.Helper()
+	want := query.BruteForceKNN(m, p, k)
+	if len(got) != len(want) {
+		t.Fatalf("%s k=%d: %d results, want %d", name, k, len(got), len(want))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := m.Position(got[i-1]).Dist2(p), m.Position(got[i]).Dist2(p)
+		if a > b || a == b && got[i-1] >= got[i] {
+			t.Fatalf("%s k=%d: %v is not nearest first with ties by id", name, k, got)
+		}
+	}
+	comps := m.ConnectedComponents()
+	size := make([]int, comps.Count())
+	for _, c := range comps.Labels {
+		size[c]++
+	}
+	surface := m.SurfaceVertices()
+	for _, v := range want {
+		_, onSurface := slices.BinarySearch(surface, v)
+		if (size[comps.Labels[v]] == 1 || probed && onSurface) && !slices.Contains(got, v) {
+			t.Fatalf("%s k=%d: %v misses %d (surface %v), brute force says %v", name, k, got, v, onSurface, want)
+		}
+	}
+}
+
 // FuzzRangeQuery fuzzes box-query geometry on both OCTOPUS and
 // OCTOPUS-CON: arbitrary corners (any order, any overlap with the mesh,
 // degenerate extents included) on a seed-deformed mesh, checked against
@@ -223,12 +259,15 @@ func FuzzBlockProbe(f *testing.F) {
 
 // FuzzSurfaceDelta fuzzes restructuring: a random split/delete sequence
 // is applied to the mesh, which folds each SurfaceDelta into its surface
-// index, with the delta stream fed to the engine. After every operation
-// the index's slot map must invert its slot order and the current boxes
-// must equal a recomputation; at the end queries must still match brute
-// force and the mesh must still validate. This exercises the O(1)
-// surface-slot maintenance, the dense-layout invalidation, the refit and
-// the component-label rebuild.
+// index and relabels its components itself; no engine is told. After
+// every operation the index's slot map must invert its slot order and the
+// current boxes must equal a recomputation; at the end the mesh must
+// still validate, and a range query and the kNN of OCTOPUS and
+// OCTOPUS-CON (both built before the first operation) must still hold
+// their contracts against brute force (checkRangeContract,
+// checkKNNContract). This exercises the O(1) surface-slot maintenance,
+// the dense-layout invalidation, the refit and the component-label
+// rebuild.
 func FuzzSurfaceDelta(f *testing.F) {
 	f.Add(int64(1), uint8(3), 0.3, 0.3, 0.3, 0.6)
 	f.Add(int64(7), uint8(9), 0.0, 0.0, 0.0, 2.0)  // many ops, whole-mesh query
@@ -238,7 +277,7 @@ func FuzzSurfaceDelta(f *testing.F) {
 			t.Skip("unusable query")
 		}
 		m := fuzzMesh(t, 3, seed)
-		o := New(m)
+		o, con := New(m), NewCon(m, 0)
 		rng := rand.New(rand.NewSource(seed))
 
 		ops := int(nOps)%8 + 1
@@ -253,17 +292,15 @@ func FuzzSurfaceDelta(f *testing.F) {
 				break
 			}
 			ci := live[rng.Intn(len(live))]
-			var delta mesh.SurfaceDelta
 			var err error
 			if rng.Intn(2) == 0 {
-				_, delta, err = m.SplitCell(ci)
+				_, _, err = m.SplitCell(ci)
 			} else {
-				delta, err = m.DeleteCell(ci)
+				_, err = m.DeleteCell(ci)
 			}
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			o.ApplySurfaceDelta(delta)
 			checkIndex(t, fmt.Sprintf("op %d", i), o)
 		}
 		if err := m.Validate(); err != nil {
@@ -272,6 +309,11 @@ func FuzzSurfaceDelta(f *testing.F) {
 
 		q := geom.BoxAround(geom.V(qx, qy, qz), r)
 		checkRangeContract(t, m, "OCTOPUS", q, o.Query(q, nil), query.BruteForce(m, q))
+		p := geom.V(qx, qy, qz)
+		for _, k := range []int{1, 1 + int(r)%16} {
+			checkKNNContract(t, m, "OCTOPUS", p, k, o.KNN(p, k, nil), true)
+			checkKNNContract(t, m, "OCTOPUS-CON", p, k, con.KNN(p, k, nil), false)
+		}
 		// The surface index must agree with a fresh extraction.
 		if got, want := slices.Sorted(slices.Values(o.idx.Slots())), m.SurfaceVertices(); !slices.Equal(got, want) {
 			t.Fatalf("surface %v after deltas, fresh extraction says %v", got, want)

@@ -158,6 +158,3 @@ func (c *hybridCursor) Close() { c.oct.Close() }
 func (h *Hybrid) MemoryFootprint() int64 {
 	return h.oct.MemoryFootprint() + h.hist.MemoryBytes()
 }
-
-// ApplySurfaceDelta forwards restructuring deltas to the OCTOPUS side.
-func (h *Hybrid) ApplySurfaceDelta(d mesh.SurfaceDelta) { h.oct.ApplySurfaceDelta(d) }

@@ -69,11 +69,9 @@ func TestHybridBreakEvenMatchesModel(t *testing.T) {
 func TestHybridRestructuring(t *testing.T) {
 	m := buildBox(t, 4)
 	h := NewHybrid(m, 64, Constants{CS: 1, CR: 4})
-	delta, err := m.DeleteCell(0)
-	if err != nil {
+	if _, err := m.DeleteCell(0); err != nil {
 		t.Fatal(err)
 	}
-	h.ApplySurfaceDelta(delta)
 	q := geom.BoxAround(geom.V(0.2, 0.2, 0.2), 0.3)
 	checkOracle(t, "hybrid-restructure", h.Query(q, nil), query.BruteForce(m, q))
 }

@@ -46,7 +46,11 @@ import (
 //     fragments) are searched from their representatives — except a
 //     component whose box (mesh.BlockBoxes.Comp, the bounds of its
 //     surface) lies strictly beyond the probe's bound: none of its
-//     vertices can enter the answer, so its descent is skipped.
+//     vertices can enter the answer, so its descent is skipped. Labels
+//     and representatives (each component's lowest id) are the mesh's
+//     (mesh.Components), read at each query, so a restructuring the
+//     mesh has relabelled needs no engine call; range queries do not use
+//     them (DESIGN.md §4).
 //
 // Like the range crawl, the stop criterion assumes the distance field over
 // the mesh graph has no deep local ridges: the k-th-best radius must not
@@ -93,9 +97,10 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 	// nothing has been offered yet.
 	cur.stats.DirectedWalks++
 	cur.knnIdx = nil
+	comps := o.m.ConnectedComponents()
 	startComp := int32(-1)
 	if s0 >= 0 {
-		startComp = o.compOf[s0]
+		startComp = comps.Labels[s0]
 		cur.seeds = append(cur.seeds[:0], cur.pointDescent(p, s0))
 		cur.stats.DirectedWalk += lap(&clock)
 		cur.knnCrawl(p, cur.seeds, ceiling2)
@@ -128,10 +133,10 @@ func (o *Octopus) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 
 		cur.seeds = append(cur.seeds, c.v)
 	}
 	comp, q := o.idx.Boxes(cur.epoch).Comp, geom.AABB{Min: p, Max: p}
-	for ci, rep := range o.compReps {
+	for ci, rep := range comps.Reps {
 		started := int32(ci) == startComp
 		for _, c := range folds {
-			started = started || o.compOf[c.v] == int32(ci)
+			started = started || comps.Labels[c.v] == int32(ci)
 		}
 		if !started && !(gap2(&comp[ci], &q) > kp.bound) {
 			cur.seeds = append(cur.seeds, rep)
@@ -202,12 +207,13 @@ func (c *Con) knnWith(cur *Cursor, p geom.Vec3, k int, out []int32) []int32 {
 	cur.kbest.Reset(k)
 	cur.knnIdx = nil // no surface probe: the crawl offers everything
 	cur.newPass()
+	comps := c.m.ConnectedComponents()
 	startComp := int32(-1)
 	if ok {
-		startComp = c.compOf[gridStart]
+		startComp = comps.Labels[gridStart]
 	}
 	cur.stats.DirectedWalks++
-	for ci, rep := range c.compReps {
+	for ci, rep := range comps.Reps {
 		s := rep
 		if int32(ci) == startComp {
 			s = gridStart

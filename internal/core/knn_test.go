@@ -179,14 +179,8 @@ func restrictedBruteForce(m *mesh.Mesh, p geom.Vec3, k int, keep []bool, ceiling
 // over the kept vertices within the ceiling; and a later unrestricted call
 // on the same cursor is bit-identical to a fresh cursor's answer.
 func TestKNNRestricted(t *testing.T) {
-	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := dataset(t, meshgen.NeuroL1)
+	l3 := dataset(t, meshgen.NeuroL3)
 	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +288,7 @@ func TestKNNRestricted(t *testing.T) {
 // walk started in the nearest of the 4×-larger blocks, with the same
 // retry from the closest surface vertex).
 func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
-	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3 := dataset(t, meshgen.NeuroL3)
 	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -307,10 +298,7 @@ func TestTwoLevelProbeOnBenchmarkMeshes(t *testing.T) {
 		m    *mesh.Mesh
 	}{{"neuro-l3-shard", part.Parts[0].Mesh}}
 	if !testing.Short() {
-		l5, err := meshgen.Build(meshgen.NeuroL5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l5 := dataset(t, meshgen.NeuroL5)
 		meshes = append(meshes, struct {
 			name string
 			m    *mesh.Mesh

@@ -66,7 +66,7 @@ func buildNoSeedMesh(t testing.TB) (m *mesh.Mesh, centerA, centerB int32) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if count, _ := m.ConnectedComponents(); count != 4 {
+	if count := m.ConnectedComponents().Count(); count != 4 {
 		t.Fatalf("expected 4 components, got %d", count)
 	}
 	return m, centerA, centerB
@@ -123,11 +123,9 @@ func TestNoSeedExactness(t *testing.T) {
 	con := NewCon(m, 1)
 	check("con", con, con.Stats, 3)
 
-	delta, err := m.DeleteCell(0)
-	if err != nil {
+	if _, err := m.DeleteCell(0); err != nil {
 		t.Fatal(err)
 	}
-	o.ApplySurfaceDelta(delta)
 	if o.idx.Dense() {
 		t.Fatal("deleting the lone tetrahedron kept the surface-first layout")
 	}
@@ -141,10 +139,7 @@ func TestNoSeedExactness(t *testing.T) {
 // search (heap, visited set) would leave the cursor's scratch at O(V) for
 // the cursor's lifetime; the memory bound is what rules that out.
 func TestNoSeedBounded(t *testing.T) {
-	m, err := meshgen.Build(meshgen.NeuroL2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := dataset(t, meshgen.NeuroL2)
 	if m.NumVertices() < 20000 {
 		t.Fatalf("mesh has %d vertices, want >= 20000", m.NumVertices())
 	}
@@ -227,14 +222,8 @@ func TestNoSeedBlockStart(t *testing.T) {
 		return start
 	}
 
-	l1, err := meshgen.Build(meshgen.NeuroL1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := dataset(t, meshgen.NeuroL1)
+	l3 := dataset(t, meshgen.NeuroL3)
 	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		t.Fatal(err)

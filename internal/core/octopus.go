@@ -46,8 +46,8 @@
 // crawl (crawl.go), it runs on the cursor's visited set, and its output
 // order is deterministic per cursor. What is NOT safe is running queries
 // concurrently with anything that writes the index or the buffer they
-// read: Step, restructuring and ApplySurfaceDelta require exclusive
-// access (the query.Pipeline serializes them against queries), as does
+// read: Step and restructuring require exclusive access (the
+// query.Pipeline serializes them against queries), as does
 // in-place mutation of Positions() — which must be followed by Step
 // before the next query. Tuning is not among them: the crawl budget is
 // held by each cursor (SetBudget) and read only by that cursor's queries.
@@ -74,20 +74,6 @@ type Octopus struct {
 	// order walks the position array near-sequentially (random probe
 	// order costs several times more memory bandwidth).
 	idx *mesh.SurfaceIndex
-
-	// compOf labels every vertex with its connected-component id and
-	// compReps holds one descent start per component (a surface vertex
-	// when the component has one). Both are rebuilt on New and
-	// ApplySurfaceDelta — deformation never changes connectivity, so they
-	// are as maintenance-free as the surface index. They serve kNN only: a
-	// crawl can only ever reach vertices of its start's component, so the
-	// kNN crawl visits every component its bound does not exclude (the
-	// mesh keeps a box per component, mesh.BlockBoxes.Comp, under the
-	// same labels). Range queries do not need them —
-	// a no-seed range query that the walk cannot answer scans the unprobed
-	// positions instead (DESIGN.md §4).
-	compOf   []int32
-	compReps []int32
 
 	cursorHost
 }
@@ -172,44 +158,7 @@ func (s *Stats) Add(o Stats) {
 func New(m *mesh.Mesh) *Octopus {
 	o := &Octopus{m: m, idx: m.SurfaceIndex()}
 	o.resident = newCursor(o, m)
-	o.refreshComponents()
 	return o
-}
-
-// refreshComponents rebuilds the vertex→component labels and the
-// per-component walk representatives: each component's first surface
-// vertex, or its lowest-id vertex for components without boundary faces
-// (isolated vertices left behind by restructuring).
-func (o *Octopus) refreshComponents() {
-	count, labels := o.m.ConnectedComponents()
-	o.compOf, o.compReps = labels, componentReps(labels, count, o.idx.Slots())
-}
-
-// componentReps returns one representative vertex per component of the
-// count components labelled by labels: the first vertex of prefer in
-// that component, else the component's lowest vertex id.
-func componentReps(labels []int32, count int, prefer []int32) []int32 {
-	reps := make([]int32, count)
-	for i := range reps {
-		reps[i] = -1
-	}
-	assigned := 0
-	for _, v := range prefer {
-		if assigned == count {
-			break
-		}
-		if c := labels[v]; reps[c] < 0 {
-			reps[c] = v
-			assigned++
-		}
-	}
-	for v := int32(0); assigned < count && v < int32(len(labels)); v++ {
-		if c := labels[v]; reps[c] < 0 {
-			reps[c] = v
-			assigned++
-		}
-	}
-	return reps
 }
 
 // Name implements query.Engine.
@@ -224,8 +173,8 @@ func (o *Octopus) Step() { o.m.RefitSurface() }
 
 // BeginMaintenance implements maintain.Incremental with the nil task:
 // positional dirt needs no index work (the publish that recorded it refit
-// the boxes), and structural dirt is handled by the explicit
-// ApplySurfaceDelta path (under the scheduler's exclusive section).
+// the boxes), and structural dirt none either (the restructuring that
+// recorded it updated the surface index and the component labels).
 func (o *Octopus) BeginMaintenance(mesh.DirtyRegion) maintain.Task { return nil }
 
 // SurfaceSize returns the number of vertices in the surface index.
@@ -299,18 +248,10 @@ func (o *Octopus) queryWith(cur *Cursor, q geom.AABB, out []int32) []int32 {
 
 // MemoryFootprint implements query.Engine: the surface index with the
 // boxes that exist (SurfaceIndex.MemoryBytes), the mesh's block graph
-// once a crawl has built it, the component labels and the resident
+// once a crawl has built it, its component labels and the resident
 // cursor's crawl structures — the accounting of Figures 6(b) and 10(b).
 // Extra cursors' scratch is per-worker and transient.
 func (o *Octopus) MemoryFootprint() int64 {
-	return o.idx.MemoryBytes() + o.m.BlockGraphBytes() +
-		int64(len(o.compOf)+len(o.compReps))*4 +
+	return o.idx.MemoryBytes() + o.m.BlockGraphBytes() + o.m.ComponentsBytes() +
 		o.resident.MemoryBytes()
 }
-
-// ApplySurfaceDelta takes a restructuring delta (§IV-E2), which the mesh
-// has already folded into the surface index. Restructuring can change
-// connectivity, so the component labels and walk representatives are
-// rebuilt (O(V+E), charged to the rare event). Not safe concurrently
-// with queries.
-func (o *Octopus) ApplySurfaceDelta(mesh.SurfaceDelta) { o.refreshComponents() }

@@ -94,14 +94,8 @@ func BenchmarkProbeGather(b *testing.B) {
 // (Stats.ProbeChecked) between the boxes of both levels and the surface
 // positions scanned inside the leaves.
 func BenchmarkProbeBlocks(b *testing.B) {
-	l5, err := meshgen.Build(meshgen.NeuroL5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l3, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	l5 := dataset(b, meshgen.NeuroL5)
+	l3 := dataset(b, meshgen.NeuroL3)
 	part, err := shard.NewPartition(l3, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -197,10 +191,7 @@ func BenchmarkProbeBlocks(b *testing.B) {
 // Stats.WalkVisited per query. The proof needs no scratch, so it must not
 // allocate.
 func BenchmarkNoSeedEmpty(b *testing.B) {
-	m, err := meshgen.Build(meshgen.NeuroL3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := dataset(b, meshgen.NeuroL3)
 	part, err := shard.NewPartition(m, 4)
 	if err != nil {
 		b.Fatal(err)

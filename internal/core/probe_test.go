@@ -160,7 +160,8 @@ func checkIndex(t testing.TB, label string, o *Octopus) {
 			label, e, len(bb.Leaf), len(bb.Coarse), len(want.Leaf), len(want.Coarse))
 	}
 
-	count, labels := o.m.ConnectedComponents()
+	comps := o.m.ConnectedComponents()
+	count, labels := comps.Count(), comps.Labels
 	if len(bb.Comp) != count {
 		t.Fatalf("%s: epoch %d has %d component boxes for %d components", label, e, len(bb.Comp), count)
 	}
@@ -405,7 +406,7 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 	// dense, sorted layout. A split then grows the mesh under it. No
 	// crawl reaches an isolated vertex (DESIGN.md §4), so each is then
 	// moved out of every query box's reach: in place, with Step.
-	t.Run("ApplySurfaceDelta", func(t *testing.T) {
+	t.Run("DeleteCell+SplitCell", func(t *testing.T) {
 		m := surfaceFirstBox(t, 8)
 		o := New(m)
 		cur := o.NewCursor().(*Cursor)
@@ -416,11 +417,9 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 				if c := &m.Cells()[ci]; c.Dead || !slices.Contains(c.Verts[:c.VertexCount()], v) {
 					continue
 				}
-				delta, err := m.DeleteCell(ci)
-				if err != nil {
+				if _, err := m.DeleteCell(ci); err != nil {
 					t.Fatal(err)
 				}
-				o.ApplySurfaceDelta(delta)
 				checkIndex(t, fmt.Sprintf("delete %d", ci), o)
 			}
 			isolated = append(isolated, v)
@@ -428,11 +427,9 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 		if slots := o.idx.Slots(); o.idx.Dense() || slices.IsSorted(slots) {
 			t.Fatalf("deletes left the surface dense=%v sorted=%v", o.idx.Dense(), slices.IsSorted(slots))
 		}
-		_, delta, err := m.SplitCell(len(m.Cells()) / 2)
-		if err != nil {
+		if _, _, err := m.SplitCell(len(m.Cells()) / 2); err != nil {
 			t.Fatal(err)
 		}
-		o.ApplySurfaceDelta(delta)
 		checkIndex(t, "split", o)
 		for i, v := range isolated {
 			m.SetPosition(v, geom.V(50+10*float64(i), 50, 50))
@@ -459,11 +456,9 @@ func TestProbeSummaryInvalidation(t *testing.T) {
 		checkExact(t, "pristine", cur, m.Positions(), 1)
 		for step := 0; step < 4; step++ {
 			before := m.Epoch()
-			_, delta, err := m.SplitCell(step)
-			if err != nil {
+			if _, _, err := m.SplitCell(step); err != nil {
 				t.Fatal(err)
 			}
-			o.ApplySurfaceDelta(delta)
 			if m.Epoch() != before+2 {
 				t.Fatalf("SplitCell moved the epoch %d -> %d, want +2", before, m.Epoch())
 			}
@@ -613,7 +608,7 @@ func TestMemoryFootprintCountsBuiltBoxes(t *testing.T) {
 	leaves := (o.SurfaceSize() + mesh.ProbeBlock - 1) / mesh.ProbeBlock
 	parity := int64(leaves+(leaves+mesh.ProbeFan-1)/mesh.ProbeFan+1) * 48 // and one component box
 	index := int64(cap(o.idx.Slots()))*4 + int64(2+leaves)*4              // and the component map
-	if count, _ := m.ConnectedComponents(); count != 1 {
+	if count := m.ConnectedComponents().Count(); count != 1 {
 		t.Fatalf("%d components, want 1; test geometry broken", count)
 	}
 	rest := o.MemoryFootprint() - o.idx.MemoryBytes()

@@ -131,17 +131,15 @@ func TestOctopusMaintenanceUnderDeformationAndRestructuring(t *testing.T) {
 			}
 			if len(live) > 0 {
 				ci := live[r.Intn(len(live))]
-				var delta mesh.SurfaceDelta
 				var err error
 				if r.Intn(2) == 0 {
-					_, delta, err = m.SplitCell(ci)
+					_, _, err = m.SplitCell(ci)
 				} else {
-					delta, err = m.DeleteCell(ci)
+					_, err = m.DeleteCell(ci)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.ApplySurfaceDelta(delta)
 			}
 		}
 

@@ -167,8 +167,9 @@ func (s *Scheduler) Tick() {
 
 // Exclusive runs fn with every target's write lock held and every target
 // fully drained — in-flight tasks completed, pending dirt applied — the
-// hook for rare whole-system mutation (restructuring a cell and feeding
-// the SurfaceDelta to the engine) inside a live run. fn therefore
+// hook for rare whole-system mutation inside a live run, such as
+// restructuring a cell (the mesh carries the change; no engine is
+// told). fn therefore
 // observes every engine consistent at the head. This is how the pipeline's
 // Maintain hook and the router's fine-grained serialization finally
 // compose: the hook excludes exactly the queries it must, per target,

@@ -102,13 +102,11 @@ type Mesh struct {
 	// Topology memos, guarded by memoMu and dropped by every restructuring
 	// operation (recordStructuralDirty). surface memoizes SurfaceVertices:
 	// nil until computed, or seeded by the Renumber that made this mesh.
-	// compLabels and compCount memoize ConnectedComponents; compLabels is
-	// nil until computed. blockGraph memoizes BlockGraph; it is stored
-	// under memoMu and read without it.
+	// comps memoizes ConnectedComponents and blockGraph BlockGraph; both
+	// are stored under memoMu and read without it.
 	memoMu     sync.Mutex
 	surface    []int32
-	compLabels []int32
-	compCount  int
+	comps      atomic.Pointer[Components]
 	blockGraph atomic.Pointer[BlockGraph]
 
 	// Dirty-region tracking (dirty.go): which vertices moved and which
@@ -150,7 +148,8 @@ func newMesh(pos []geom.Vec3, adjStart, adjList []int32, cells []Cell) *Mesh {
 // allocates a new one.
 func (m *Mesh) forgetTopology() {
 	m.memoMu.Lock()
-	m.surface, m.compLabels, m.compCount = nil, nil, 0
+	m.surface = nil
+	m.comps.Store(nil)
 	m.blockGraph.Store(nil)
 	m.memoMu.Unlock()
 }

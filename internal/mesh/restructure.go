@@ -9,9 +9,9 @@ import (
 
 // SurfaceDelta describes how a restructuring operation changed the set of
 // surface vertices. The operation itself folds it into the mesh's surface
-// index as slot inserts/deletes (§IV-E2); engines that keep
-// connectivity-derived state of their own (OCTOPUS's components) consume
-// it too.
+// index as slot inserts/deletes (§IV-E2) and relabels the connected
+// components: the mesh alone carries restructuring, and no engine keeps
+// connectivity-derived state that the delta would have to reach.
 type SurfaceDelta struct {
 	// Added lists vertices that joined the surface.
 	Added []int32

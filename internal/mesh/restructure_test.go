@@ -3,6 +3,7 @@ package mesh
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"octopus/internal/geom"
@@ -343,13 +344,16 @@ func TestSurfaceVerticesSorted(t *testing.T) {
 // TestConnectedComponentsMemo: every call shares one labelling until a
 // restructure drops it; the next call labels the changed graph into a new
 // array, shared again by later calls, and a labelling handed out before
-// stays untouched.
+// stays untouched. Each component's representative is its lowest id.
 func TestConnectedComponentsMemo(t *testing.T) {
 	m := buildTetGrid(t, 3, 3, 3)
-	n1, first := m.ConnectedComponents()
-	n2, second := m.ConnectedComponents()
-	if n1 != 1 || n2 != 1 || &first[0] != &second[0] {
-		t.Fatalf("unrestructured grid: counts %d, %d, shared labelling %v", n1, n2, &first[0] == &second[0])
+	c1, c2 := m.ConnectedComponents(), m.ConnectedComponents()
+	first, second := c1.Labels, c2.Labels
+	if c1.Count() != 1 || c2.Count() != 1 || &first[0] != &second[0] || !slices.Equal(c1.Reps, []int32{0}) {
+		t.Fatalf("unrestructured grid: counts %d, %d, shared labelling %v, reps %v", c1.Count(), c2.Count(), &first[0] == &second[0], c1.Reps)
+	}
+	if got, want := m.ComponentsBytes(), int64(m.NumVertices()+1)*4; got != want {
+		t.Fatalf("ComponentsBytes = %d, want %d", got, want)
 	}
 	want := slices.Clone(first)
 
@@ -357,8 +361,8 @@ func TestConnectedComponentsMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, labels := m.ConnectedComponents(); n != 1 || len(labels) != m.NumVertices() || labels[x] != 0 {
-		t.Fatalf("after a split: %d components over %d labels, want 1 over %d", n, len(labels), m.NumVertices())
+	if c := m.ConnectedComponents(); c.Count() != 1 || len(c.Labels) != m.NumVertices() || c.Labels[x] != 0 {
+		t.Fatalf("after a split: %d components over %d labels, want 1 over %d", c.Count(), len(c.Labels), m.NumVertices())
 	}
 	// Deleting every cell around vertex 0 isolates it.
 	for ci, c := range m.cells {
@@ -368,15 +372,46 @@ func TestConnectedComponentsMemo(t *testing.T) {
 			}
 		}
 	}
-	n3, third := m.ConnectedComponents()
-	if n3 != 2 || third[0] == third[1] {
-		t.Fatalf("isolated vertex 0: %d components, labels %d and %d", n3, third[0], third[1])
+	c3 := m.ConnectedComponents()
+	third := c3.Labels
+	if c3.Count() != 2 || third[0] == third[1] || !slices.Equal(c3.Reps, []int32{0, 1}) {
+		t.Fatalf("isolated vertex 0: %d components, labels %d and %d, reps %v", c3.Count(), third[0], third[1], c3.Reps)
 	}
-	if _, fourth := m.ConnectedComponents(); &third[0] != &fourth[0] {
+	if fourth := m.ConnectedComponents().Labels; &third[0] != &fourth[0] {
 		t.Fatal("two calls after a restructure labelled the graph twice")
 	}
 	if &third[0] == &first[0] || !slices.Equal(first, want) {
 		t.Fatal("restructuring wrote into a labelling handed out before it")
+	}
+}
+
+// TestConnectedComponentsConcurrentBuild: a memo dropped by a
+// restructure on a mesh without a surface index is rebuilt by the first
+// reader, and readers racing to it all get the one labelling (run with
+// -race: the memo is published through an atomic pointer).
+func TestConnectedComponentsConcurrentBuild(t *testing.T) {
+	m := buildTetGrid(t, 3, 3, 3)
+	for _, op := range []string{"fresh", "after a delete"} {
+		if op == "after a delete" {
+			if _, err := m.DeleteCell(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got [4]*Components
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = m.ConnectedComponents()
+			}()
+		}
+		wg.Wait()
+		for i, c := range got {
+			if c != got[0] || len(c.Labels) != m.NumVertices() {
+				t.Fatalf("%s: reader %d got labelling %p over %d vertices, reader 0 %p", op, i, c, len(c.Labels), got[0])
+			}
+		}
 	}
 }
 

@@ -167,11 +167,11 @@ func (s *SurfaceIndex) MemoryBytes() int64 {
 	return n
 }
 
-// indexComponents maps each of the count components labels names to the
-// leaves that hold only its slots and to its slots in the leaves it
-// shares (compItem): one pass over the slot order counts them, a second
-// lists them.
-func (s *SurfaceIndex) indexComponents(count int, labels []int32) {
+// indexComponents maps each component of comps to the leaves that hold
+// only its slots and to its slots in the leaves it shares (compItem): one
+// pass over the slot order counts them, a second lists them.
+func (s *SurfaceIndex) indexComponents(comps *Components) {
+	count, labels := comps.Count(), comps.Labels
 	leaves := (len(s.slots) + ProbeBlock - 1) / ProbeBlock
 	start := make([]int32, count+1)
 	var items []int32

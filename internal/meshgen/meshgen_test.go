@@ -80,7 +80,7 @@ func TestVoxelizeSphere(t *testing.T) {
 		t.Errorf("voxel volume %g too far from sphere volume %g", approxVol, wantVol)
 	}
 	// One connected component.
-	if n, _ := m.ConnectedComponents(); n != 1 {
+	if n := m.ConnectedComponents().Count(); n != 1 {
 		t.Errorf("sphere mesh has %d components", n)
 	}
 	// All vertices within bounds of the (grown) sphere.
@@ -152,7 +152,7 @@ func TestBuildNeuronSmallLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two neuron cells -> exactly two connected components.
-	if n, _ := m.ConnectedComponents(); n != 2 {
+	if n := m.ConnectedComponents().Count(); n != 2 {
 		t.Errorf("neuron mesh has %d components, want 2", n)
 	}
 	s := mesh.ComputeStats(m)
@@ -207,7 +207,7 @@ func TestAnimationDatasets(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n, _ := m.ConnectedComponents(); n != 1 {
+		if n := m.ConnectedComponents().Count(); n != 1 {
 			t.Errorf("%s: %d components", name, n)
 		}
 	}

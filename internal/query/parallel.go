@@ -15,7 +15,7 @@ import (
 // — one cursor per goroutine; a single cursor is not safe for concurrent
 // use. Queries may overlap mesh.Mesh.Deform (cursors pin the position
 // epoch they read); they must still not overlap index maintenance — Step,
-// restructuring, ApplySurfaceDelta — which Pipeline serializes internally.
+// restructuring — which Pipeline serializes internally.
 //
 // Every cursor also answers kNN (KNNCursor) and reports the epoch its most
 // recent answer is exact at (PinnedCursor).

@@ -98,8 +98,10 @@ type Pipeline struct {
 	// Maintain, when non-nil, runs after the maintenance tick each writer
 	// step, inside Scheduler.Exclusive (every target's write lock held,
 	// no task mid-flight — no queries are in flight on any target). It
-	// is the hook for rare exclusive work — restructuring a cell and
-	// feeding the SurfaceDelta to the engine — inside a live run.
+	// is the hook for rare exclusive work inside a live run, such as
+	// restructuring: SplitCell/DeleteCell on the mesh, which maintains
+	// the core engines' surface index and component labels itself, so
+	// the hook forwards nothing to the engine.
 	Maintain func(step int)
 
 	// MaintenanceBudget is the per-tick wall-clock maintenance budget.

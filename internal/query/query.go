@@ -28,9 +28,12 @@
 //     torn mix of two steps. In-place mutation of Positions() is
 //     stop-the-world: no query in flight, Step before the next one.
 //   - Index maintenance still requires exclusion from queries on the
-//     same maintenance target: Engine.Step, restructuring and
-//     ApplySurfaceDelta mutate engine-owned state that position epochs do
-//     not version. Tuning does not: the approximate mode is a CrawlBudget
+//     same maintenance target: Engine.Step mutates engine-owned state
+//     that position epochs do not version, and restructuring
+//     (mesh.Mesh.SplitCell/DeleteCell) mutates the mesh's connectivity
+//     and the surface index and component labels it keeps for the core
+//     engines — which is all there is to restructure: no engine is told,
+//     and there is no engine call to forget. Tuning does not: the approximate mode is a CrawlBudget
 //     held by each cursor (BudgetedCursor), read once per query.
 //     Inside a Pipeline the maintain.Scheduler owns that exclusion with
 //     one read-write lock per target (the engine, or each shard of a
@@ -124,15 +127,6 @@ type ErrorReporter interface {
 	// LastError returns the error of the cursor's most recent Query/KNN,
 	// or nil when it succeeded.
 	LastError() error
-}
-
-// Restructurable is implemented by engines that can incrementally apply
-// mesh connectivity changes (the rare restructuring path, §IV-E2) instead
-// of rebuilding.
-type Restructurable interface {
-	// ApplySurfaceDelta folds a restructuring delta into the engine's
-	// auxiliary structures.
-	ApplySurfaceDelta(d mesh.SurfaceDelta)
 }
 
 // SortIDs sorts a result set in place; results have unspecified order, so

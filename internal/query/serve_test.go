@@ -138,7 +138,6 @@ func TestCacheReplayExactnessUnderRestructuring(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			m := buildBox(t, 5)
 			eng := f.make(m)
-			re := eng.(query.Restructurable)
 			o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 79})
 			base, baseProbes := testWorkload(m, 18, 8, 83)
 			queries, probes := repeatWorkload(base, baseProbes, 3)
@@ -156,18 +155,16 @@ func TestCacheReplayExactnessUnderRestructuring(t *testing.T) {
 						return
 					}
 					restructured++
-					var delta mesh.SurfaceDelta
 					var err error
 					if restructured == 1 {
-						_, delta, err = m.SplitCell(liveCell(t, m))
+						_, _, err = m.SplitCell(liveCell(t, m))
 					} else {
-						delta, err = m.DeleteCell(liveCell(t, m))
+						_, err = m.DeleteCell(liveCell(t, m))
 					}
 					if err != nil {
 						t.Errorf("restructure at step %d: %v", step, err)
 						return
 					}
-					re.ApplySurfaceDelta(delta)
 					o.record(m.Epoch(), m.Positions())
 				},
 			}

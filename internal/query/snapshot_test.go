@@ -151,12 +151,13 @@ func TestSnapshotConsistencyAllEngines(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistencyUnderRestructuring is the ApplySurfaceDelta
+// TestSnapshotConsistencyUnderRestructuring is the restructuring
 // variant: mid-run, the writer splits a cell (adding a vertex, epoch +2)
-// and deletes another (changing the surface set), feeding the deltas to
-// the engine under the pipeline's maintenance lock. Results must still be
-// exact at their pinned epochs, before and after the restructuring, for
-// the engines that support incremental deltas.
+// and deletes another (changing the surface set) under the pipeline's
+// maintenance lock; the mesh carries both changes and the engine is told
+// nothing. Results must still be exact at their pinned epochs, before and
+// after the restructuring, for the engines whose index the mesh
+// maintains.
 func TestSnapshotConsistencyUnderRestructuring(t *testing.T) {
 	restructurable := []string{"OCTOPUS", "OCTOPUS-Hybrid"}
 	for _, f := range engineFactories() {
@@ -173,10 +174,6 @@ func TestSnapshotConsistencyUnderRestructuring(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			m := buildBox(t, 5)
 			eng := f.make(m)
-			re, ok := eng.(query.Restructurable)
-			if !ok {
-				t.Fatalf("%s does not implement Restructurable", f.name)
-			}
 			o := newEpochOracle(m, &sim.NoiseDeformer{Amplitude: 0.003, Frequency: 2, Seed: 11})
 			queries, probes := testWorkload(m, 36, 12, 13)
 
@@ -196,18 +193,16 @@ func TestSnapshotConsistencyUnderRestructuring(t *testing.T) {
 						return
 					}
 					restructured++
-					var delta mesh.SurfaceDelta
 					var err error
 					if restructured == 1 {
-						_, delta, err = m.SplitCell(liveCell(t, m))
+						_, _, err = m.SplitCell(liveCell(t, m))
 					} else {
-						delta, err = m.DeleteCell(liveCell(t, m))
+						_, err = m.DeleteCell(liveCell(t, m))
 					}
 					if err != nil {
 						t.Errorf("restructure at step %d: %v", step, err)
 						return
 					}
-					re.ApplySurfaceDelta(delta)
 					// Record the post-restructure state: replay cannot
 					// derive epochs created by connectivity changes.
 					o.record(m.Epoch(), m.Positions())

@@ -42,8 +42,8 @@ type (
 	MeshBuilder = mesh.Builder
 	// MeshStats characterizes a dataset (V, M, S:V, ...).
 	MeshStats = mesh.Stats
-	// SurfaceDelta describes surface changes from restructuring; feed it
-	// to Octopus.ApplySurfaceDelta.
+	// SurfaceDelta describes surface changes from restructuring. The
+	// mesh folds it into its surface index itself; no engine needs it.
 	SurfaceDelta = mesh.SurfaceDelta
 )
 

@@ -163,11 +163,9 @@ func TestPublicApproximationAndStats(t *testing.T) {
 func TestPublicRestructuring(t *testing.T) {
 	m := buildBlock(t, 4)
 	o := octopus.New(m)
-	delta, err := m.DeleteCell(0)
-	if err != nil {
+	if _, err := m.DeleteCell(0); err != nil {
 		t.Fatal(err)
 	}
-	o.ApplySurfaceDelta(delta)
 	q := m.Bounds()
 	want := sorted(octopus.BruteForce(m, q))
 	got := sorted(o.Query(q, nil))

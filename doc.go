@@ -177,12 +177,13 @@
 // The partition is live: restructuring the global mesh (SplitCell,
 // DeleteCell) re-partitions incrementally at the next publish — only the
 // vertices of dirty cells are re-keyed, the Hilbert cut points shift
-// within a balance tolerance, and only the shards whose ownership
-// actually changed are rebuilt; untouched shards keep their sub-meshes
-// and engines. Rebuilt shards answer exactly through the owned-scan
-// fallback until their budgeted rebuild tasks complete, so queries never
-// block on a migration and never see a torn partition
-// (ShardedMesh.RepartitionStats reports the migration volume).
+// within a balance tolerance, and the assembly step that builds every
+// partition rebuilds only the shards whose ownership actually changed;
+// untouched shards keep their sub-meshes and engines. Rebuilt shards
+// answer exactly through the owned-scan fallback until their budgeted
+// rebuild tasks complete, so queries never block on a migration and
+// never see a torn partition (each re-partition adds its migration
+// volume to ShardedMesh.RepartitionStats).
 // See DESIGN.md §10 and §13.
 //
 // # Distributed serving

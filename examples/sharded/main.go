@@ -41,8 +41,8 @@ func main() {
 	part := sharded.Mesh().Partition()
 	for s, p := range part.Parts {
 		sum, _ := p.Summary()
-		fmt.Printf("  shard %d: %6d owned + %5d ghost vertices, %5d cut edges, box %v\n",
-			s, p.NumOwned, p.Ghosts(), len(p.CutEdges), sum.Box)
+		fmt.Printf("  shard %d: %6d owned + %5d ghost vertices, box %v\n",
+			s, p.NumOwned, p.Ghosts(), sum.Box)
 	}
 
 	// 1. Exactness on a mixed workload, including cut-straddling boxes.

@@ -206,7 +206,10 @@ func tableShape(t *testing.T, tables []*Table) string {
 
 // TestOctopusBeatsScanOnReference is the headline sanity check at reduced
 // scale: OCTOPUS must beat the linear scan at the paper's default workload
-// on the reference dataset.
+// on the reference dataset. One run times OCTOPUS for under 2 ms, so a
+// single preemption on a busy host can triple its total; load only ever
+// adds time, so the check compares each engine's best total over several
+// runs.
 func TestOctopusBeatsScanOnReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset build skipped in -short mode")
@@ -217,13 +220,24 @@ func TestOctopusBeatsScanOnReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(s.m, s.deformer, cfg.Steps,
-		UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), Engines("OCTOPUS", "LinearScan"))
-	speedup := Speedup(res.Engines[0], res.Engines[1])
-	if speedup < 1.5 {
-		t.Errorf("OCTOPUS speedup over scan = %.2fx; expected comfortably > 1.5x", speedup)
+	const runs = 7
+	var best [2]EngineResult // OCTOPUS, LinearScan
+	for i := range runs {
+		res := Run(s.m, s.deformer, cfg.Steps,
+			UniformQueryStream(s.gen, cfg.QueriesPerStep, cfg.Selectivity), Engines("OCTOPUS", "LinearScan"))
+		for e, r := range res.Engines {
+			if i == 0 || r.TotalResponse < best[e].TotalResponse {
+				best[e] = r
+			}
+		}
 	}
-	t.Logf("OCTOPUS vs scan speedup at reduced scale: %.2fx", speedup)
+	speedup := Speedup(best[0], best[1])
+	if speedup < 1.5 {
+		t.Errorf("OCTOPUS speedup over scan = %.2fx (best of %d runs: %v vs %v); expected comfortably > 1.5x",
+			speedup, runs, best[0].TotalResponse, best[1].TotalResponse)
+	}
+	t.Logf("OCTOPUS vs scan speedup at reduced scale: %.2fx (best of %d runs: %v vs %v)",
+		speedup, runs, best[0].TotalResponse, best[1].TotalResponse)
 }
 
 func TestShuffleMeshPreservesStructure(t *testing.T) {

@@ -38,14 +38,12 @@ func TestBoundaryBoxOnCutPlane(t *testing.T) {
 		cur := r.NewCursor()
 		part := r.Mesh().Partition()
 		for s, p := range part.Parts {
-			if len(p.CutEdges) == 0 {
-				continue
-			}
 			// For a handful of cut edges, build boxes whose corner or face
 			// passes exactly through the owned and ghost endpoint
 			// positions of the severed edge.
-			for ei := 0; ei < len(p.CutEdges); ei += 1 + len(p.CutEdges)/5 {
-				e := p.CutEdges[ei]
+			cut := cutEdges(m, part, s)
+			for ei := 0; ei < len(cut); ei += 1 + len(cut)/5 {
+				e := cut[ei]
 				own := p.Mesh.Position(e[0])
 				ghost := p.Mesh.Position(e[1])
 				boxes := []geom.AABB{
@@ -80,11 +78,11 @@ func TestBoundaryKNNSpillsToNeighborShard(t *testing.T) {
 
 	// Probe at an owned vertex incident to a cut edge: its global
 	// neighbourhood spans at least two shards, so k = 30 must spill.
-	p0 := part.Parts[0]
-	if len(p0.CutEdges) == 0 {
+	cut := cutEdges(m, part, 0)
+	if len(cut) == 0 {
 		t.Fatal("expected cut edges at K=4")
 	}
-	probe := p0.Mesh.Position(p0.CutEdges[0][0])
+	probe := part.Parts[0].Mesh.Position(cut[0][0])
 	_, _, q0, s0, _ := r.FanoutStats()
 	got := cur.KNN(probe, 30, nil)
 	want := query.BruteForceKNN(m, probe, 30)

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
+	"math/rand"
 	"testing"
 
 	"octopus/internal/mesh"
@@ -49,7 +51,8 @@ func TestBuildDigest(t *testing.T) {
 
 // buildDigest hashes the built dataset — its layout permutations, mesh
 // and surface — and its K = 4 partition: every shard's remap tables, cut
-// edges, key interval and sub-mesh.
+// edges and key interval (derived as the partition once stored them) and
+// sub-mesh.
 func buildDigest(id meshgen.Dataset) (string, error) {
 	m, err := meshgen.Build(id, 1)
 	if err != nil {
@@ -68,19 +71,146 @@ func buildDigest(id meshgen.Dataset) (string, error) {
 	d.u64(uint64(part.K))
 	d.i32s(part.Owner)
 	d.i32s(part.LocalID)
-	for _, p := range part.Parts {
+	for s, p := range part.Parts {
 		d.i32s(p.ToGlobal)
 		for _, own := range p.Owned {
 			d.bool(own)
 		}
 		d.u64(uint64(p.NumOwned))
-		d.u64(uint64(len(p.CutEdges)))
-		for _, e := range p.CutEdges {
+		cut := cutEdges(m, part, s)
+		d.u64(uint64(len(cut)))
+		for _, e := range cut {
 			d.i32s(e[:])
 		}
-		d.u64(p.KeyLo)
-		d.u64(p.KeyHi)
+		lo, hi := keyInterval(part, s)
+		d.u64(lo)
+		d.u64(hi)
 		d.mesh(p.Mesh)
+	}
+	return hex.EncodeToString(d.h.Sum(nil)), nil
+}
+
+// applyDigests pins the incremental re-partition path: for each mesh,
+// the SHA-256 of applyDigest's stream. They were recorded before
+// NewPartition and Apply were folded onto one assembly step, so any drift
+// in the cut, the migration, the rebuilt parts or the stats shows up
+// here.
+var applyDigests = map[string]string{
+	"box-10":   "86c3d492e45672be8140ddaa9b5a4ced33d72ab3d4bd707318fe50a2d128cd8b",
+	"neuro-l3": "5f30159227ddae6913342cfe997db00dbae296acb8027127b9533100c22f1c1f",
+}
+
+// TestApplyDigest drives two restructuring bursts through Resync on a
+// K = 4 partition of the box-10 tet mesh (and of neuro-l3 outside
+// -short) and compares the digest of both generations with the recorded
+// one. The first burst is TestRepartitionStorms' storm; the second grows
+// shard 0 by half a share, so the cut points must shift.
+func TestApplyDigest(t *testing.T) {
+	cases := map[string]func() (*mesh.Mesh, error){
+		"box-10": func() (*mesh.Mesh, error) { return meshgen.BuildBoxTet(10, 10, 10, 0.1) },
+	}
+	if !testing.Short() {
+		cases["neuro-l3"] = func() (*mesh.Mesh, error) { return meshgen.Build(meshgen.NeuroL3, 1) }
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			m, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := applyDigest(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := applyDigests[name]; got != want {
+				t.Errorf("apply digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// applyDigest re-partitions m's K = 4 partition after each of two bursts
+// and hashes, per generation, the accumulated RepartitionStats, the owner
+// and local-id tables, and for every part whether it is the previous
+// generation's pointer, its remap tables and its sub-mesh.
+func applyDigest(m *mesh.Mesh) (string, error) {
+	const k = 4
+	sm, err := NewMesh(m, k, Options{})
+	if err != nil {
+		return "", err
+	}
+	d := digester{h: sha256.New()}
+	generation := func() {
+		prev := sm.Partition().Parts
+		sm.Resync()
+		st := sm.RepartitionStats()
+		for _, v := range []int{st.Generations, st.FullRebuilds, st.BoundaryShifts,
+			st.MigratedVerts, st.MigratedCells, st.TotalCellsSeen, st.RebuiltShards} {
+			d.u64(uint64(v))
+		}
+		d.u64(math.Float64bits(st.ImbalanceBefore))
+		d.u64(math.Float64bits(st.ImbalanceAfter))
+		part := sm.Partition()
+		d.u64(uint64(part.K))
+		d.i32s(part.Owner)
+		d.i32s(part.LocalID)
+		for s, p := range part.Parts {
+			d.bool(p == prev[s])
+			d.i32s(p.ToGlobal)
+			for _, own := range p.Owned {
+				d.bool(own)
+			}
+			d.u64(uint64(p.NumOwned))
+			d.mesh(p.Mesh)
+		}
+	}
+
+	// Burst 1: TestRepartitionStorms' storm for K = 4.
+	rng := rand.New(rand.NewSource(42 + k))
+	slab := m.NumCells() / 8
+	for range 24 {
+		_, _, _ = m.SplitCell(rng.Intn(slab))
+	}
+	for range 4 {
+		_, _ = m.DeleteCell(rng.Intn(slab))
+	}
+	generation()
+
+	// Burst 2: split cells wholly owned by shard 0, in index order, until
+	// the mesh grew by half a share, then delete two of shard 0's cells.
+	owner := sm.Partition().Owner
+	grow := m.NumVertices() / (2 * k)
+	var own0 []int
+	for ci, c := range m.Cells() {
+		if c.Dead {
+			continue
+		}
+		whole := true
+		for _, v := range c.Verts[:c.VertexCount()] {
+			whole = whole && owner[v] == 0
+		}
+		if whole {
+			own0 = append(own0, ci)
+		}
+	}
+	if len(own0) < grow+2 {
+		return "", fmt.Errorf("shard 0 wholly owns %d cells, want %d", len(own0), grow+2)
+	}
+	for _, ci := range own0[:grow] {
+		if _, _, err := m.SplitCell(ci); err != nil {
+			return "", err
+		}
+	}
+	for _, ci := range own0[grow : grow+2] {
+		if _, err := m.DeleteCell(ci); err != nil {
+			return "", err
+		}
+	}
+	shifts := sm.RepartitionStats().BoundaryShifts
+	generation()
+	if sm.RepartitionStats().BoundaryShifts == shifts {
+		return "", fmt.Errorf("burst 2 shifted no cut point")
 	}
 	return hex.EncodeToString(d.h.Sum(nil)), nil
 }

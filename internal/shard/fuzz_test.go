@@ -4,11 +4,13 @@ package shard
 // Kuhn grids (non-convex, hole-ridden, often disconnected) under random
 // deformation, cut into an arbitrary number of shards. Every input must
 // yield an exact partition — vertex coverage, round-tripping remaps,
-// box containment, ghost closure and cut-edge symmetry (all folded into
+// box containment and the ghost ring (all folded into
 // Partition.Validate) — and a router over it must answer spot-check
 // range and kNN queries exactly against brute force. A restructuring
 // burst (random SplitCell/DeleteCell ops) then round-trips the live
-// re-partition machinery — full re-key or incremental Apply — and the
+// re-partition machinery — incremental Apply, shifting the cut points
+// when a shard outgrows its share, or, when the burst's dirt was taken
+// by another consumer (burst bit 4), the full re-partition — and the
 // same oracle must hold mid-migration (owned-scan fallback) and after the
 // rebuild. CI runs a
 // short -fuzz smoke; the committed corpus under testdata/fuzz seeds the
@@ -34,6 +36,7 @@ func FuzzPartition(f *testing.F) {
 	f.Add(int64(42), uint64(5), 1.0, uint64(6))
 	f.Add(int64(7), uint64(1000), 0.25, uint64(1)) // K clamps to V
 	f.Add(int64(0), uint64(3), 0.0, uint64(15))    // degenerate single-cube mesh
+	f.Add(int64(-3), uint64(8), 0.55, uint64(21))  // untracked burst: full re-partition
 
 	f.Fuzz(func(t *testing.T, seed int64, kRaw uint64, keep float64, burst uint64) {
 		if math.IsNaN(keep) {
@@ -101,6 +104,17 @@ func FuzzPartition(f *testing.F) {
 				m.DeleteCell(ci) // deleted targets are fine: the op just errors
 			} else {
 				m.SplitCell(ci)
+			}
+		}
+		if burst&16 != 0 {
+			// Untracked: another consumer took the dirt, so Apply cannot
+			// key the grown mesh (op 0 always splits) incrementally.
+			m.TakeDirty()
+			sm.deformMu.Lock()
+			sm.applyRepartition(mesh.DirtyRegion{})
+			sm.deformMu.Unlock()
+			if st := sm.RepartitionStats(); st.FullRebuilds != 1 {
+				t.Fatalf("untracked burst: %+v, want one full re-partition", st)
 			}
 		}
 		sm.Resync()

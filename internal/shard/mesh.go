@@ -65,7 +65,8 @@ type Mesh struct {
 }
 
 // RepartitionStats accumulates what live re-partitioning has done to a
-// sharded mesh since construction.
+// sharded mesh since construction: each Partition.Apply adds its counts
+// to it.
 type RepartitionStats struct {
 	// Generations counts partition swaps (incremental or full).
 	Generations int
@@ -194,10 +195,11 @@ func (sm *Mesh) DirtySince(from uint64) mesh.DirtySince { return sm.dirtyLog.Sin
 // one.
 func (sm *Mesh) Resync() { sm.Deform(func([]geom.Vec3) {}) }
 
-// applyRepartition swaps in the partition derived by Apply and notifies
-// the router. Deform calls it holding writeMu and deformMu.
+// applyRepartition swaps in the partition derived by Apply, which adds
+// its counts to the mesh's stats, and notifies the router. Deform calls
+// it holding writeMu and deformMu.
 func (sm *Mesh) applyRepartition(d mesh.DirtyRegion) {
-	np, st, err := sm.part.Apply(sm.global, d)
+	np, touched, err := sm.part.Apply(sm.global, d, &sm.stats)
 	if err != nil {
 		panic(fmt.Sprintf("shard: re-partition after restructuring failed (K=%d, %d -> %d global vertices): %v",
 			sm.part.K, len(sm.part.Owner), sm.global.NumVertices(), err))
@@ -206,17 +208,7 @@ func (sm *Mesh) applyRepartition(d mesh.DirtyRegion) {
 	// Rebuilt sub-meshes diff against the state they were built from, so
 	// the next step's records could miss movement: log it untracked.
 	sm.dirtyLog.Untrack()
-	sm.stats.Generations++
-	if st.Full {
-		sm.stats.FullRebuilds++
-	}
-	sm.stats.BoundaryShifts += st.BoundaryShifts
-	sm.stats.MigratedVerts += st.MigratedVerts
-	sm.stats.MigratedCells += st.MigratedCells
-	sm.stats.TotalCellsSeen += st.LiveCells
-	sm.stats.RebuiltShards += len(st.Touched)
-	sm.stats.ImbalanceBefore, sm.stats.ImbalanceAfter = st.ImbalanceBefore, st.ImbalanceAfter
-	if sm.onRepartition != nil && len(st.Touched) > 0 {
-		sm.onRepartition(st.Touched)
+	if sm.onRepartition != nil && len(touched) > 0 {
+		sm.onRepartition(touched)
 	}
 }

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"octopus/internal/geom"
@@ -173,17 +175,57 @@ func TestPartitionHilbertContiguity(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevHi := uint64(0)
-	for s, p := range part.Parts {
-		if p.KeyLo >= p.KeyHi {
-			t.Fatalf("shard %d: empty key interval [%d,%d)", s, p.KeyLo, p.KeyHi)
+	for s := range part.Parts {
+		lo, hi := keyInterval(part, s)
+		if lo >= hi {
+			t.Fatalf("shard %d: empty key interval [%d,%d)", s, lo, hi)
 		}
-		if s > 0 && p.KeyLo < prevHi-1 {
+		if s > 0 && lo < prevHi-1 {
 			// Adjacent shards may share the boundary key (ties broken by
 			// id), but intervals must not regress.
-			t.Fatalf("shard %d: interval [%d,%d) overlaps previous end %d", s, p.KeyLo, p.KeyHi, prevHi)
+			t.Fatalf("shard %d: interval [%d,%d) overlaps previous end %d", s, lo, hi, prevHi)
 		}
-		prevHi = p.KeyHi
+		prevHi = hi
 	}
+}
+
+// keyInterval returns the half-open Hilbert key interval [lo, hi) of
+// shard s's owned vertices: its range of the (key, id) vertex order.
+func keyInterval(part *Partition, s int) (lo, hi uint64) {
+	lo = math.MaxUint64
+	p := part.Parts[s]
+	for l, g := range p.ToGlobal {
+		if p.Owned[l] {
+			lo, hi = min(lo, part.keys[g]), max(hi, part.keys[g]+1)
+		}
+	}
+	return lo, hi
+}
+
+// cutEdges lists shard s's severed adjacencies — edges of the global
+// mesh from an owned vertex to one owned by another shard — as (owned
+// local id, ghost local id) pairs, owned endpoints in ascending global id
+// and each one's neighbours in the global mesh's order.
+func cutEdges(m *mesh.Mesh, part *Partition, s int) [][2]int32 {
+	p := part.Parts[s]
+	local := make(map[int32]int32, len(p.ToGlobal))
+	var owned []int32
+	for l, g := range p.ToGlobal {
+		local[g] = int32(l)
+		if p.Owned[l] {
+			owned = append(owned, g)
+		}
+	}
+	slices.Sort(owned)
+	var edges [][2]int32
+	for _, g := range owned {
+		for _, w := range m.Neighbors(g) {
+			if part.Owner[w] != int32(s) {
+				edges = append(edges, [2]int32{local[g], local[w]})
+			}
+		}
+	}
+	return edges
 }
 
 // TestStopTheWorldMaintenance drives the router exactly like the bench

@@ -142,9 +142,8 @@ func (r *Router) newCursor() *Cursor {
 }
 
 // MemoryFootprint implements query.Engine: the shard engines' auxiliary
-// structures plus the sharding overhead itself — remap tables, cut-edge
-// lists, and the ghost-ring duplication of sub-mesh storage beyond the
-// global mesh.
+// structures plus the sharding overhead itself — remap tables and the
+// ghost-ring duplication of sub-mesh storage beyond the global mesh.
 func (r *Router) MemoryFootprint() int64 {
 	var b int64
 	var subMesh int64
@@ -153,7 +152,7 @@ func (r *Router) MemoryFootprint() int64 {
 			b += x.eng.MemoryFootprint()
 		}
 		p := x.part
-		b += int64(len(p.ToGlobal))*4 + int64(len(p.Owned)) + int64(len(p.CutEdges))*8
+		b += int64(len(p.ToGlobal))*4 + int64(len(p.Owned))
 		subMesh += p.Mesh.MemoryBytes()
 	}
 	b += int64(len(r.sm.part.Owner)) * 8 // owner + local-id tables

@@ -15,8 +15,8 @@
 // cut faces become ordinary sub-mesh surface. A crawl that would have
 // exited the shard terminates at that surface, and the router re-seeds the
 // continuation in the neighboring shard simply by fanning the query out to
-// it; the cut-edge list records the severed edges explicitly (symmetric
-// between the two shards of every edge) for verification and diagnostics.
+// it. Validate checks that ring: every owned vertex has exactly its global
+// neighbours in its shard's sub-mesh.
 //
 // Mesh (the shard container) wraps the K sub-meshes plus the original
 // global mesh, propagating deformation into every shard; Router wraps one
@@ -72,17 +72,6 @@ type Part struct {
 
 	// NumOwned is the count of owned vertices (len(ToGlobal) - ghosts).
 	NumOwned int
-
-	// CutEdges lists the severed adjacencies as (owned local id, ghost
-	// local id) pairs: edges of the global mesh whose endpoints are owned
-	// by different shards. Each such edge appears exactly twice across the
-	// partition — once in each endpoint's owner shard, mirrored.
-	CutEdges [][2]int32
-
-	// KeyLo and KeyHi delimit the shard's half-open Hilbert key interval
-	// [KeyLo, KeyHi) in the vertex sort order (ties broken by global id);
-	// they describe the cut, not a containment guarantee for ghosts.
-	KeyLo, KeyHi uint64
 
 	// frame is the partition's frame, which the occupancy bitmap grids;
 	// sum caches the summary of the last epoch it was asked for, and
@@ -158,21 +147,18 @@ type Options struct{}
 // global mesh is not modified and may not have been restructured (like
 // mesh.Mesh.Renumber, partition first, restructure — per shard — later).
 func NewPartition(m *mesh.Mesh, k int) (*Partition, error) {
+	part, _, err := newPartition(m, k, &RepartitionStats{})
+	return part, err
+}
+
+// newPartition is NewPartition adding its migration — every vertex and
+// cell — to st. It returns the partition and its shards' indices.
+func newPartition(m *mesh.Mesh, k int, st *RepartitionStats) (*Partition, []int, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("shard: k = %d, want >= 1", k)
+		return nil, nil, fmt.Errorf("shard: k = %d, want >= 1", k)
 	}
 	n := m.NumVertices()
-	if k > n {
-		k = n
-	}
-	part := &Partition{
-		K:       k,
-		Owner:   make([]int32, n),
-		LocalID: make([]int32, n),
-	}
-	if n == 0 {
-		return part, nil
-	}
+	k = min(k, n)
 
 	// Key every vertex and sort by (key, id): the id tie-break makes the
 	// cut deterministic even on degenerate geometry where many vertices
@@ -181,82 +167,151 @@ func NewPartition(m *mesh.Mesh, k int) (*Partition, error) {
 	mapper := hilbert.NewMapper(DefaultHilbertOrder, frame)
 	pos := m.Positions()
 	keys := make([]uint64, n)
-	for v := 0; v < n; v++ {
+	order := make([]int32, n)
+	for v := range keys {
 		keys[v] = mapper.Index(pos[v])
+		order[v] = int32(v)
 	}
-	byKey := make([]int32, n)
-	for i := range byKey {
-		byKey[i] = int32(i)
-	}
-	slices.SortFunc(byKey, func(a, b int32) int { return compareKeyed(keys, a, b) })
+	slices.SortFunc(order, func(a, b int32) int { return compareKeyed(keys, a, b) })
 
-	// Assign contiguous ranges: shard s owns byKey[s*n/k : (s+1)*n/k].
-	// k <= n makes every range non-empty. ownedBy[s] is the shard's owned
-	// set re-sorted by global id (the deterministic local numbering the
-	// sub-mesh build uses).
-	ownedBy := make([][]int32, k)
+	// Equal ranges: shard s owns order[s*n/k : (s+1)*n/k], non-empty as
+	// k <= n.
+	idx := make([]int, k+1)
+	for s := 1; s <= k; s++ {
+		idx[s] = s * n / k
+	}
+	part := &Partition{K: k, keys: keys, order: order, mapper: mapper, frame: frame}
+	built, err := part.assemble(m, idx, nil, nil, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return part, built, nil
+}
+
+// assemble completes part — its K, keys, order, mapper and frame set —
+// as the cut of order at idx: shard s owns order[idx[s]:idx[s+1]]. It
+// records the cut points, assigns owners and diffs them against prev: a
+// shard is built when it gains or loses an owned vertex or owns a vertex
+// of a dirty cell (the dead cell must leave, and its replacements enter,
+// each such shard's sub-mesh). Every other shard's sub-mesh, remap
+// tables and ghost ring are functions of its owned set and the cells
+// incident to it, none of which changed, so its part is prev's, shared
+// by pointer. With prev nil every shard is built and every vertex is
+// new. assemble fills LocalID and the ghost plan, adds the vertices and
+// cells that migrated, the live cells and the built shards to st, sets
+// st.ImbalanceAfter, and returns the built shards.
+func (part *Partition) assemble(m *mesh.Mesh, idx []int, prev *Partition, dirty []int32, st *RepartitionStats) ([]int, error) {
+	n, k := len(part.order), part.K
+	part.cuts = make([]cutPoint, k)
+	part.Owner = make([]int32, n)
 	for s := 0; s < k; s++ {
-		chunk := append([]int32(nil), byKey[s*n/k:(s+1)*n/k]...)
-		for _, v := range chunk {
+		v := part.order[idx[s]]
+		part.cuts[s] = cutPoint{key: part.keys[v], id: v}
+		for _, v := range part.order[idx[s]:idx[s+1]] {
 			part.Owner[v] = int32(s)
 		}
-		slices.Sort(chunk)
-		ownedBy[s] = chunk
+	}
+	st.ImbalanceAfter = imbalanceOf(idx)
+
+	// A vertex migrates when it is new or changed owner; its old and new
+	// owners are both built.
+	build := make([]bool, k)
+	migrated := make([]bool, n)
+	for v, o := range part.Owner {
+		if prev != nil && v < len(prev.Owner) {
+			if prev.Owner[v] == o {
+				continue
+			}
+			build[prev.Owner[v]] = true
+		}
+		migrated[v] = true
+		build[o] = true
+		st.MigratedVerts++
+	}
+	cells := m.Cells()
+	dirtyCell := make([]bool, len(cells))
+	for _, ci := range dirty {
+		dirtyCell[ci] = true
+		c := &cells[ci]
+		for _, v := range c.Verts[:c.VertexCount()] {
+			build[part.Owner[v]] = true
+		}
 	}
 
-	// Bucket cells to shards in one pass: a cell goes to every shard
-	// owning at least one of its vertices (≤ 8 distinct owners).
-	cells := m.Cells()
+	// Bucket the live cells in one pass: a cell goes to every built shard
+	// owning at least one of its vertices (≤ 8 distinct owners), and
+	// migrates with a dirty cell or a migrated vertex.
 	cellsBy := make([][]int32, k)
 	for ci := range cells {
 		c := &cells[ci]
 		if c.Dead {
 			continue
 		}
+		st.TotalCellsSeen++
+		moved := dirtyCell[ci]
 		var owners [8]int32
 		no := 0
-		for i := 0; i < c.VertexCount(); i++ {
-			o := part.Owner[c.Verts[i]]
-			dup := false
-			for j := 0; j < no; j++ {
-				if owners[j] == o {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+		for _, v := range c.Verts[:c.VertexCount()] {
+			moved = moved || migrated[v]
+			if o := part.Owner[v]; !slices.Contains(owners[:no], o) {
 				owners[no] = o
 				no++
-				cellsBy[o] = append(cellsBy[o], int32(ci))
+				if build[o] {
+					cellsBy[o] = append(cellsBy[o], int32(ci))
+				}
 			}
+		}
+		if moved {
+			st.MigratedCells++
 		}
 	}
 
+	// Build the shards, each from its owned set re-sorted by global id
+	// (the deterministic local numbering the sub-mesh build uses).
+	part.Parts = make([]*Part, k)
+	var built []int
 	for s := 0; s < k; s++ {
-		p, err := buildPart(m, frame, part.Owner, s, ownedBy[s], cellsBy[s])
+		if !build[s] {
+			part.Parts[s] = prev.Parts[s]
+			continue
+		}
+		owned := slices.Clone(part.order[idx[s]:idx[s+1]])
+		slices.Sort(owned)
+		p, err := buildPart(m, part.frame, s, owned, cellsBy[s])
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := s*n/k, (s+1)*n/k
-		p.KeyLo, p.KeyHi = keys[byKey[lo]], keys[byKey[hi-1]]+1
-		part.Parts = append(part.Parts, p)
+		part.Parts[s] = p
+		built = append(built, s)
+	}
+	st.RebuiltShards += len(built)
+
+	part.LocalID = make([]int32, n)
+	part.ghostRefs = make([][]ghostRef, n)
+	for s, p := range part.Parts {
 		for l, g := range p.ToGlobal {
 			if p.Owned[l] {
 				part.LocalID[g] = int32(l)
+			} else {
+				part.ghostRefs[g] = append(part.ghostRefs[g], ghostRef{shard: int32(s), local: int32(l)})
 			}
 		}
 	}
-	part.keys = keys
-	part.order = byKey
-	part.mapper = mapper
-	part.frame = frame
-	part.cuts = make([]cutPoint, k)
-	for s := 0; s < k; s++ {
-		v := byKey[s*n/k]
-		part.cuts[s] = cutPoint{key: keys[v], id: v}
+	return built, nil
+}
+
+// imbalanceOf is max owned count over mean owned count for the ranges in
+// idx (shard s owns idx[s+1] - idx[s] vertices).
+func imbalanceOf(idx []int) float64 {
+	n, k := idx[len(idx)-1], len(idx)-1
+	if n == 0 || k == 0 {
+		return 1
 	}
-	part.rebuildGhostRefs()
-	return part, nil
+	most := 0
+	for s := 0; s < k; s++ {
+		most = max(most, idx[s+1]-idx[s])
+	}
+	return float64(most) * float64(k) / float64(n)
 }
 
 // compareKeyed orders global vertex ids by (Hilbert key, id) — the
@@ -266,19 +321,6 @@ func compareKeyed(keys []uint64, a, b int32) int {
 		return c
 	}
 	return cmp.Compare(a, b)
-}
-
-// rebuildGhostRefs derives the ghost scatter plan from the parts' remap
-// tables.
-func (part *Partition) rebuildGhostRefs() {
-	part.ghostRefs = make([][]ghostRef, len(part.Owner))
-	for s, p := range part.Parts {
-		for l, g := range p.ToGlobal {
-			if !p.Owned[l] {
-				part.ghostRefs[g] = append(part.ghostRefs[g], ghostRef{shard: int32(s), local: int32(l)})
-			}
-		}
-	}
 }
 
 // Replica locates one copy of a global vertex in the sharded layout:
@@ -301,13 +343,11 @@ func (part *Partition) AppendReplicas(g int32, dst []Replica) []Replica {
 	return dst
 }
 
-// buildPart assembles shard s from its pre-bucketed owned vertices
-// (sorted by global id) and cell list: the sub-mesh over those cells,
-// relaid out surface-first/Hilbert, plus the remap tables and cut-edge
-// list. frame is the partition's occupancy frame.
-func buildPart(m *mesh.Mesh, frame geom.AABB, owner []int32, s int, ownedIDs, shardCells []int32) (*Part, error) {
-	want := int32(s)
-
+// buildPart builds shard s from its pre-bucketed owned vertices (sorted
+// by global id) and cell list: the sub-mesh over those cells, relaid out
+// surface-first/Hilbert, plus the remap tables. frame is the partition's
+// occupancy frame.
+func buildPart(m *mesh.Mesh, frame geom.AABB, s int, ownedIDs, shardCells []int32) (*Part, error) {
 	// Owned vertices enter in global-id order first, ghosts after (in
 	// cell-scan order), so the pre-relayout local order is deterministic.
 	toLocal := make(map[int32]int32)
@@ -367,19 +407,6 @@ func buildPart(m *mesh.Mesh, frame geom.AABB, owner []int32, s int, ownedIDs, sh
 		p.Owned[i] = true
 	}
 
-	// Cut edges, pre-relayout: for every owned vertex, each global
-	// neighbour owned elsewhere. The neighbour is always in the sub-mesh —
-	// the edge comes from a cell containing the owned endpoint, and every
-	// such cell was included above.
-	for l := 0; l < numOwned; l++ {
-		g := toGlobal[l]
-		for _, w := range m.Neighbors(g) {
-			if owner[w] != want {
-				p.CutEdges = append(p.CutEdges, [2]int32{int32(l), toLocal[w]})
-			}
-		}
-	}
-
 	// Relayout: surface vertices (including the cut faces) first, Hilbert
 	// order within each group — the same layout the dataset generators
 	// produce, so per-shard engines keep their dense-probe fast path.
@@ -404,16 +431,13 @@ func (p *Part) applyPerm(perm []int32) {
 	}
 	p.ToGlobal = toGlobal
 	p.Owned = owned
-	for i, e := range p.CutEdges {
-		p.CutEdges[i] = [2]int32{perm[e[0]], perm[e[1]]}
-	}
 }
 
 // Validate checks the partition's structural invariants against the
 // global mesh it was built from: exact vertex coverage, round-tripping
 // remap tables, owned-AABB containment, occupancy-bitmap coverage,
-// sub-mesh validity and cut-edge symmetry. Intended for tests and the
-// fuzz harness.
+// sub-mesh validity and the ghost ring. Intended for tests and the fuzz
+// harness.
 func (part *Partition) Validate(m *mesh.Mesh) error {
 	n := m.NumVertices()
 	if len(part.Owner) != n || len(part.LocalID) != n {
@@ -431,13 +455,16 @@ func (part *Partition) Validate(m *mesh.Mesh) error {
 			return fmt.Errorf("shard: global vertex %d owned by %d shards", g, c)
 		}
 	}
-	return part.validateCutEdges()
+	return nil
 }
 
 // validateShard checks one shard's structural invariants: sub-mesh
 // validity, round-tripping remap tables, owner-table agreement, position
-// coherence with the global mesh, owned-AABB containment, and every owned
-// vertex's cell set in the current epoch's occupancy bitmap. Apply
+// coherence with the global mesh, owned-AABB containment, every owned
+// vertex's cell set in the current epoch's occupancy bitmap, and the
+// ghost ring — every owned vertex's sub-mesh neighbours, mapped to global
+// ids, are exactly its global neighbours, so a crawl leaving the shard
+// meets a ghost wherever the global mesh continues. Apply
 // re-runs it on every touched shard after a migration; Validate runs it
 // on all of them. ownedSeen, when non-nil, accumulates per-global-vertex
 // ownership counts for Validate's exact-coverage check.
@@ -455,6 +482,7 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 	pos := p.Mesh.Positions()
 	gpos := m.Positions()
 	sum, _ := p.Summary()
+	var got, want []int32
 	for l, g := range p.ToGlobal {
 		if g < 0 || int(g) >= n {
 			return fmt.Errorf("shard %d: local %d maps to out-of-range global %d", s, l, g)
@@ -479,6 +507,16 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 			if !sum.Occ.Meets(geom.AABB{Min: pos[l], Max: pos[l]}) {
 				return fmt.Errorf("shard %d: owned vertex %d's cell is not set in the occupancy bitmap", s, l)
 			}
+			got = got[:0]
+			for _, w := range p.Mesh.Neighbors(int32(l)) {
+				got = append(got, p.ToGlobal[w])
+			}
+			want = append(want[:0], m.Neighbors(g)...)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("shard %d: owned global %d has neighbours %v in its shard, %v in the mesh", s, g, got, want)
+			}
 		} else if part.Owner[g] == int32(s) {
 			return fmt.Errorf("shard %d: global %d marked ghost but owner table says owned", s, g)
 		}
@@ -488,34 +526,6 @@ func (part *Partition) validateShard(m *mesh.Mesh, s int, ownedSeen []int) error
 	}
 	if numOwned == 0 {
 		return fmt.Errorf("shard %d: no owned vertices", s)
-	}
-	return nil
-}
-
-// validateCutEdges checks that every cut edge connects an owned vertex to
-// a ghost and appears mirrored in the other endpoint's owner shard.
-func (part *Partition) validateCutEdges() error {
-	type gedge struct{ a, b int32 } // global (owned endpoint, other endpoint)
-	seen := make(map[gedge]int)
-	for s, p := range part.Parts {
-		for _, e := range p.CutEdges {
-			if !p.Owned[e[0]] {
-				return fmt.Errorf("shard %d: cut edge %v starts at a ghost", s, e)
-			}
-			if p.Owned[e[1]] {
-				return fmt.Errorf("shard %d: cut edge %v ends at an owned vertex", s, e)
-			}
-			seen[gedge{p.ToGlobal[e[0]], p.ToGlobal[e[1]]}]++
-		}
-	}
-	for e, c := range seen {
-		if c != 1 {
-			return fmt.Errorf("shard: cut edge %d-%d recorded %d times in its owner shard", e.a, e.b, c)
-		}
-		if seen[gedge{e.b, e.a}] != 1 {
-			return fmt.Errorf("shard: cut edge %d-%d has no mirror in shard %d",
-				e.a, e.b, part.Owner[e.b])
-		}
 	}
 	return nil
 }

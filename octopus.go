@@ -214,14 +214,15 @@ type ShardedMesh = shard.Mesh
 // engine running on the unsharded mesh.
 type ShardedEngine = shard.Router
 
-// ShardPartition exposes the partition itself: per-shard sub-meshes,
-// ownership tables and cut-edge ghost lists.
+// ShardPartition exposes the partition itself: per-shard sub-meshes with
+// their ghost rings, and the ownership and remap tables.
 type ShardPartition = shard.Partition
 
 // RepartitionStats accumulates a sharded mesh's live re-partitioning
 // activity — generations, boundary cut shifts, migrated vertices and
 // cells versus the totals a full rebuild would have moved, and the
-// owned-count imbalance before/after the latest generation. Read it with
+// owned-count imbalance before/after the latest generation. Each
+// re-partition adds its counts to it directly. Read it with
 // ShardedMesh.RepartitionStats.
 type RepartitionStats = shard.RepartitionStats
 
